@@ -9,7 +9,7 @@
 //!    crash in-band (evict, re-solve, continue) while static DDP pays a
 //!    checkpoint-restart round trip — is asserted end to end.
 
-use cannikin_baselines::{time_to_target, DdpTrainer, HetPipeTrainer, LbBspTrainer};
+use cannikin_baselines::{lbbsp, time_to_target, DdpTrainer, HetPipeTrainer};
 use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig};
 use cannikin_core::optperf::even_split;
 use hetsim::catalog::Gpu;
@@ -70,8 +70,8 @@ fn hetpipe_step_time_model_is_closed_form() {
 #[test]
 fn lbbsp_rebalancing_reduces_step_time() {
     let sim = Simulator::new(cluster(), JobSpec::resnet50_imagenet(), 7);
-    let mut lb = LbBspTrainer::new(sim, noise(), 12_000, 120, 120);
-    let records = lb.run_epochs(12);
+    let mut lb = lbbsp(sim, noise(), 12_000, 120).expect("valid config");
+    let records = lb.run_epochs(12).expect("run");
     let first = records[0].mean_batch_time;
     let settled: f64 = records[9..].iter().map(|r| r.mean_batch_time).sum::<f64>() / 3.0;
     assert!(settled < first * 0.98, "Δ-bounded rebalancing should shed the straggler: first {first}, settled {settled}");

@@ -4,7 +4,7 @@ use crate::runners::{convergence_time, metric_trajectory, run_to_target, System}
 use crate::{fmt, row};
 use cannikin_core::engine::{CannikinTrainer, TrainerConfig};
 use cannikin_core::optperf::{bootstrap_split, even_split, OptPerfSolver, SolverInput};
-use cannikin_baselines::LbBspTrainer;
+use cannikin_baselines::lbbsp;
 use cannikin_workloads::{clusters, profiles, WorkloadProfile};
 use hetsim::Simulator;
 
@@ -175,8 +175,8 @@ pub fn fig9() -> String {
     let can_records = cannikin.run_epochs(epochs).expect("cannikin run");
 
     let sim = Simulator::new(cluster.clone(), profile.job.clone(), 91);
-    let mut lbbsp = LbBspTrainer::new(sim, Box::new(profile.noise), dataset, 128, 128);
-    let lb_records = lbbsp.run_epochs(epochs);
+    let mut lb = lbbsp(sim, Box::new(profile.noise), dataset, 128).expect("valid config");
+    let lb_records = lb.run_epochs(epochs).expect("lbbsp run");
 
     // Oracle OptPerf for reference.
     let oracle_sim = Simulator::new(cluster.clone(), profile.job.clone(), 0).with_noise(0.0, 0.0);

@@ -11,9 +11,12 @@ use crate::{fmt, row};
 /// fault conditions every policy subject declares support for.
 pub const POLICY_SCENARIOS: [&str; 3] = ["calm-baseline", "straggler-onset", "diurnal-contention"];
 
-/// Subject ids of the policy lens, in [`cannikin_core::policy::PolicyKind`]
-/// declaration order.
-pub const POLICY_SUBJECTS: [&str; 4] = ["policy-optperf", "policy-even", "policy-lbbsp", "policy-rl"];
+/// `(policy label, matrix subject)` of the policy lens, in
+/// [`cannikin_core::policy::PolicyKind`] declaration order. Three of the
+/// four policies *are* a named system of the matrix — the same engine
+/// with that policy plugged in — so only the bandit needs its own subject.
+pub const POLICY_SUBJECTS: [(&str, &str); 4] =
+    [("optperf", "cannikin"), ("even", "adaptdl"), ("lbbsp", "lbbsp"), ("rl", "policy-rl")];
 
 /// Rendered policy comparison (the `figures policy` experiment).
 pub fn policy() -> String {
@@ -40,7 +43,7 @@ pub fn policy() -> String {
             .iter()
             .find(|s| s.name == scenario_name)
             .expect("policy scenario registered");
-        for subject_name in POLICY_SUBJECTS {
+        for (policy_label, subject_name) in POLICY_SUBJECTS {
             let subject = all_subjects
                 .iter()
                 .find(|s| s.name == subject_name)
@@ -50,7 +53,7 @@ pub fn policy() -> String {
             out += &row(
                 &[
                     cell.scenario.clone(),
-                    cell.subject.trim_start_matches("policy-").to_string(),
+                    policy_label.to_string(),
                     show("epochs"),
                     show("goodput_eff_epochs_per_hour"),
                     show("time_to_target_s"),

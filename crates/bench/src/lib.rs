@@ -1,8 +1,8 @@
 //! # cannikin-bench — experiment harness
 //!
-//! Shared plumbing for the Criterion benches (`benches/`) and the
-//! `figures` binary (`src/bin/figures.rs`), which regenerates every table
-//! and figure of the paper's evaluation section. See `DESIGN.md` §4 for
+//! Shared plumbing for the `figures` binary (`src/bin/figures.rs`), which
+//! regenerates every table and figure of the paper's evaluation section,
+//! the scenario matrix and the gate binaries. See `DESIGN.md` §4 for
 //! the experiment index and `EXPERIMENTS.md` for recorded outputs.
 
 pub mod experiments;

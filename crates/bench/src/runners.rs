@@ -1,6 +1,6 @@
 //! Uniform runners for the five systems under evaluation.
 
-use cannikin_baselines::{AdaptdlTrainer, DdpTrainer, HetPipeTrainer, LbBspTrainer};
+use cannikin_baselines::{adaptdl, lbbsp, DdpTrainer, HetPipeTrainer};
 use cannikin_core::engine::{CannikinTrainer, EpochRecord, LinearNoiseGrowth, NoiseModel, TrainerConfig};
 use cannikin_workloads::WorkloadProfile;
 use hetsim::cluster::ClusterSpec;
@@ -72,16 +72,17 @@ pub fn run_to_target(
             t.train_until(target, max_epochs).expect("cannikin run failed")
         }
         System::Adaptdl => {
-            let mut t = AdaptdlTrainer::new(sim, noise_box(profile), profile.dataset_size, base, profile.max_batch);
-            t.train_until(target, max_epochs)
+            let mut t = adaptdl(sim, noise_box(profile), profile.dataset_size, base, profile.max_batch)
+                .expect("valid config");
+            t.train_until(target, max_epochs).expect("adaptdl run failed")
         }
         System::Ddp => {
             let mut t = DdpTrainer::new(sim, noise_box(profile), profile.dataset_size, base, base);
             t.train_until(target, max_epochs)
         }
         System::LbBsp => {
-            let mut t = LbBspTrainer::new(sim, noise_box(profile), profile.dataset_size, base, base);
-            t.train_until(target, max_epochs)
+            let mut t = lbbsp(sim, noise_box(profile), profile.dataset_size, base).expect("valid config");
+            t.train_until(target, max_epochs).expect("lbbsp run failed")
         }
         System::HetPipe => {
             let mut t = HetPipeTrainer::new(sim, noise_box(profile), profile.dataset_size, base, base);

@@ -9,7 +9,6 @@
 //! trainer declares, so kind mismatches can never pair up.
 
 use cannikin_collectives::{Codec, CommFaultPlan};
-use cannikin_core::policy::PolicyKind;
 use hetsim::catalog::Gpu;
 use hetsim::cluster::NodeSpec;
 use hetsim::FaultPlan;
@@ -116,10 +115,11 @@ pub enum SimSystem {
     LbBsp,
     /// HetPipe: pipelined model parallelism, analytic batch time.
     HetPipe,
-    /// The Cannikin engine planning through a named adaptation policy —
-    /// the policy-as-subject lens: same mechanism, different `ask`/`tell`
-    /// brain ([`cannikin_core::policy`]).
-    Policy(PolicyKind),
+    /// The Cannikin engine planning through the seeded bandit policy
+    /// ([`cannikin_core::policy::RlBatchPolicy`]) — the one shipped policy
+    /// with no baseline twin (`Even` is [`SimSystem::AdaptDl`], `LbBsp`
+    /// is [`SimSystem::LbBsp`], `OptPerf` is [`SimSystem::Cannikin`]).
+    Rl,
 }
 
 /// How a subject is constructed.
@@ -287,28 +287,10 @@ pub fn subjects() -> Vec<SubjectSpec> {
             kind: SubjectKind::Sim(SimSystem::HetPipe),
         },
         SubjectSpec {
-            name: "policy-optperf",
-            description: "Cannikin engine planning through the OptPerf policy (identity check)",
-            provides: vec![SimDriven, FaultInjection, AdaptiveBatch],
-            kind: SubjectKind::Sim(SimSystem::Policy(PolicyKind::OptPerf)),
-        },
-        SubjectSpec {
-            name: "policy-even",
-            description: "Cannikin engine planning through the even-split policy",
-            provides: vec![SimDriven, FaultInjection, AdaptiveBatch],
-            kind: SubjectKind::Sim(SimSystem::Policy(PolicyKind::Even)),
-        },
-        SubjectSpec {
-            name: "policy-lbbsp",
-            description: "Cannikin engine planning through the LB-BSP policy (fixed total)",
-            provides: vec![SimDriven, FaultInjection],
-            kind: SubjectKind::Sim(SimSystem::Policy(PolicyKind::LbBsp)),
-        },
-        SubjectSpec {
             name: "policy-rl",
             description: "Cannikin engine planning through the seeded bandit policy",
             provides: vec![SimDriven, FaultInjection, AdaptiveBatch],
-            kind: SubjectKind::Sim(SimSystem::Policy(PolicyKind::Rl)),
+            kind: SubjectKind::Sim(SimSystem::Rl),
         },
         SubjectSpec {
             name: "parallel-inproc",

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use cannikin_baselines::{AdaptdlTrainer, DdpTrainer, HetPipeTrainer, LbBspTrainer};
+use cannikin_baselines::{adaptdl, lbbsp, DdpTrainer, HetPipeTrainer};
 use cannikin_core::engine::{
     CannikinTrainer, EpochRecord, NoiseModel, ParallelTrainer, TrainerConfig, TrainingSubject,
 };
@@ -83,34 +83,20 @@ fn build_sim_subject(system: SimSystem, scenario: &ScenarioSpec) -> Box<dyn Trai
     }
     let noise: Box<dyn NoiseModel> = Box::new(profile.noise);
     match system {
-        SimSystem::Cannikin | SimSystem::CannikinFixed => {
+        SimSystem::Cannikin | SimSystem::CannikinFixed | SimSystem::Rl => {
             let mut config = TrainerConfig::new(SIM_DATASET, SIM_BASE_BATCH, SIM_MAX_BATCH);
-            config.adaptive_batch = system == SimSystem::Cannikin;
-            let trainer = CannikinTrainer::builder()
-                .simulator(sim)
-                .noise_boxed(noise)
-                .config(config)
-                .build()
-                .expect("valid scenario config");
-            Box::new(trainer)
+            config.adaptive_batch = system != SimSystem::CannikinFixed;
+            let mut builder = CannikinTrainer::builder().simulator(sim).noise_boxed(noise).config(config);
+            if system == SimSystem::Rl {
+                builder = builder.policy(PolicyKind::Rl);
+            }
+            Box::new(builder.build().expect("valid scenario config"))
         }
-        SimSystem::Policy(kind) => {
-            let mut config = TrainerConfig::new(SIM_DATASET, SIM_BASE_BATCH, SIM_MAX_BATCH);
-            // LB-BSP never moves the total, so declare the cell honestly
-            // as a fixed-batch run; the other policies adapt.
-            config.adaptive_batch = kind != PolicyKind::LbBsp;
-            let trainer = CannikinTrainer::builder()
-                .simulator(sim)
-                .noise_boxed(noise)
-                .config(config)
-                .policy(kind)
-                .build()
-                .expect("valid scenario config");
-            Box::new(trainer)
+        SimSystem::AdaptDl => {
+            Box::new(adaptdl(sim, noise, SIM_DATASET, SIM_BASE_BATCH, SIM_MAX_BATCH).expect("valid scenario config"))
         }
-        SimSystem::AdaptDl => Box::new(AdaptdlTrainer::new(sim, noise, SIM_DATASET, SIM_BASE_BATCH, SIM_MAX_BATCH)),
         SimSystem::Ddp => Box::new(DdpTrainer::new(sim, noise, SIM_DATASET, SIM_BASE_BATCH, SIM_BASE_BATCH)),
-        SimSystem::LbBsp => Box::new(LbBspTrainer::new(sim, noise, SIM_DATASET, SIM_BASE_BATCH, SIM_BASE_BATCH)),
+        SimSystem::LbBsp => Box::new(lbbsp(sim, noise, SIM_DATASET, SIM_BASE_BATCH).expect("valid scenario config")),
         SimSystem::HetPipe => Box::new(HetPipeTrainer::new(sim, noise, SIM_DATASET, SIM_BASE_BATCH, SIM_BASE_BATCH)),
     }
 }
@@ -391,29 +377,14 @@ mod tests {
     }
 
     #[test]
-    fn optperf_policy_subject_matches_the_inline_cannikin_subject() {
-        // The policy-as-subject lens must be a pure re-labeling of the
-        // paper's system: `policy-optperf` builds the same trainer as
-        // `cannikin`, so every metric of every shared cell is identical.
-        for scenario in ["calm-baseline", "straggler-onset"] {
-            let inline = cell(scenario, "cannikin");
-            let via_policy = cell(scenario, "policy-optperf");
-            assert_eq!(inline.metrics, via_policy.metrics, "{scenario}: optperf-via-trait diverged");
-        }
-    }
-
-    #[test]
     fn rl_policy_beats_even_split_under_faults() {
         // Acceptance floor for the bandit: on a heterogeneous cluster
         // under fault pressure, learning the batch while splitting with
         // the solver must out-goodput the homogeneous even split.
         for scenario in ["straggler-onset", "diurnal-contention"] {
             let rl = cell(scenario, "policy-rl").metrics["goodput_eff_epochs_per_hour"];
-            let even = cell(scenario, "policy-even").metrics["goodput_eff_epochs_per_hour"];
-            assert!(
-                rl >= even,
-                "{scenario}: policy-rl goodput {rl} should be >= policy-even {even}"
-            );
+            let even = cell(scenario, "adaptdl").metrics["goodput_eff_epochs_per_hour"];
+            assert!(rl >= even, "{scenario}: policy-rl goodput {rl} should be >= adaptdl {even}");
         }
     }
 

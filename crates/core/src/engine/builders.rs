@@ -379,7 +379,8 @@ impl ParallelTrainerBuilder {
         self
     }
 
-    /// Upper bound of the adaptive batch range.
+    /// Upper bound of the adaptive batch range (`build` caps it at half
+    /// the dataset: an epoch must hold one even and one odd step).
     #[must_use]
     pub fn max_batch(mut self, max: u64) -> Self {
         self.max_batch = Some(max);
@@ -490,8 +491,8 @@ impl ParallelTrainerBuilder {
     ///
     /// [`CannikinError::InvalidConfig`] when the dataset or model factory
     /// is missing, the node set is empty, the batch range cannot cover it,
-    /// or `CANNIKIN_TRANSPORT` / `CANNIKIN_POLICY` holds an unparseable
-    /// value.
+    /// the dataset is smaller than two base batches, or
+    /// `CANNIKIN_TRANSPORT` / `CANNIKIN_POLICY` holds an unparseable value.
     pub fn build(self) -> Result<ParallelTrainer, CannikinError> {
         let dataset = self
             .dataset
@@ -552,11 +553,23 @@ impl ParallelTrainerBuilder {
                 config.max_batch, config.base_batch
             )));
         }
+        // Every epoch alternates an even and an odd measurement step, so
+        // a batch can be at most half the samples an epoch holds.
+        let epoch_cap = (dataset.len() / 2) as u64;
+        if config.base_batch > epoch_cap {
+            return Err(CannikinError::InvalidConfig(format!(
+                "base batch {} needs at least {} samples per epoch, the dataset has {}",
+                config.base_batch,
+                2 * config.base_batch,
+                dataset.len()
+            )));
+        }
+        config.max_batch = config.max_batch.min(epoch_cap);
         let policy: Box<dyn Policy> = match self.policy {
             Some(p) => p,
             None => {
                 let kind = policy_from_env(self.policy_kind)?.unwrap_or_default();
-                policy::build_measured_policy(kind)
+                policy::build_sim_policy(kind, config.base_batch, n, config.max_batch)
             }
         };
         let mut trainer = ParallelTrainer::from_parts(dataset, factory, config, policy);
@@ -651,6 +664,14 @@ mod tests {
             .build()
             .expect_err("8 < 40 nodes");
         assert!(err.to_string().contains("cannot cover"));
+        let err = ParallelTrainer::builder()
+            .dataset(gaussian_blobs(48, 4, 10, 3))
+            .model(|seed| mlp_classifier(10, 16, 4, seed))
+            .base_batch(32)
+            .transport(TransportKind::InProcess)
+            .build()
+            .expect_err("48 samples cannot hold an even and an odd step of 32");
+        assert!(err.to_string().contains("samples per epoch"), "{err}");
 
         let mut t = ParallelTrainer::builder()
             .dataset(gaussian_blobs(256, 4, 10, 3))

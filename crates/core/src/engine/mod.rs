@@ -1,19 +1,28 @@
 //! Training engines.
 //!
-//! Two engines share the control logic of Fig. 4:
+//! Fig. 4 is one control loop — ask the [`Policy`](crate::policy::Policy)
+//! for a plan, run it, tell the policy what happened, act on the health
+//! verdicts — and it is written once, in the crate-private `driver`
+//! module. What differs between the two public engines is only the
+//! *executor* behind that loop:
 //!
 //! - [`CannikinTrainer`] drives a [`hetsim::Simulator`] at paper scale
 //!   (16-GPU clusters, ImageNet-sized jobs): batch timings come from the
-//!   simulator, gradient-noise evolution from a pluggable [`NoiseModel`].
+//!   simulator, gradient-noise evolution from a pluggable [`NoiseModel`],
+//!   and injected faults are handled mid-epoch. It reports
+//!   [`EpochRecord`]s, the unit every figure harness consumes.
 //! - [`parallel::ParallelTrainer`] trains *real* `minidnn` models on OS
 //!   threads with ring all-reduce gradient exchange, Eq. (9) weighted
 //!   aggregation and live Theorem 4.1 GNS estimation — the functional
 //!   path that proves the algorithms work on real gradients, not only on
-//!   simulated clocks.
+//!   simulated clocks. It reports [`ParallelEpochReport`]s.
 //!
-//! Both produce [`EpochRecord`]s, the unit every figure harness consumes.
+//! Both are thin shells (builders, accessors, report types) over the same
+//! driver; the baselines that differ from Cannikin only in their policy
+//! are `CannikinTrainer`s too (`cannikin-baselines`).
 
 mod builders;
+mod driver;
 pub mod loader;
 pub mod parallel;
 mod subject;

@@ -26,20 +26,18 @@
 //! [`ErrorFeedback`] residual, cutting bytes on the wire while the
 //! compensated trajectory tracks the uncompressed one.
 
+use super::driver::{Bounds, Driver, Executed, Executor, Round};
 use super::loader::HeteroDataLoader;
 use crate::error::CannikinError;
 use crate::gns::{estimate_gns, Aggregation, GnsEstimate, GnsTracker, GradientSample};
 use crate::perf::{Analyzer, MeasurementAggregation};
-use crate::policy::{EpochObservation, Policy, PolicyContext};
+use crate::policy::{EpochObservation, Policy};
 
 use cannikin_collectives::{
     Codec, CommError, CommFaultPlan, CommGroup, Communicator, ErrorFeedback, RetryPolicy, TransportKind,
 };
 use cannikin_insight::{HealthReport, Monitor};
-use cannikin_telemetry::{
-    self as telemetry, AllReduceBucket, AnomalyKind, Event, PolicyDecision, RecoveryAction, RecoveryKind,
-    SplitDecision, StepTiming,
-};
+use cannikin_telemetry::{self as telemetry, AllReduceBucket, Event, RecoveryAction, RecoveryKind, StepTiming};
 use hetsim::trace::{BatchTrace, NodeObservation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -147,23 +145,10 @@ pub struct ParallelEpochReport {
     pub comm_overlap: f64,
 }
 
-/// Functional Cannikin trainer over OS threads.
+/// Functional Cannikin trainer over OS threads — a thin shell over the
+/// shared epoch [`Driver`] with a [`ThreadedExecutor`] behind it.
 pub struct ParallelTrainer {
-    dataset: Arc<ClassificationDataset>,
-    config: ParallelConfig,
-    weights: Vec<f32>,
-    analyzer: Analyzer,
-    tracker: GnsTracker,
-    loader: HeteroDataLoader,
-    epoch: usize,
-    last_split: Vec<u64>,
-    model_factory: Arc<dyn Fn(u64) -> Sequential + Send + Sync>,
-    policy: Box<dyn Policy>,
-    monitor: Option<Monitor>,
-    /// Per-rank error-feedback residuals, persisted across epochs so the
-    /// compensation accumulates over the whole run (only populated while a
-    /// lossy codec is configured).
-    feedback: Vec<ErrorFeedback>,
+    driver: Driver<ThreadedExecutor>,
 }
 
 impl ParallelTrainer {
@@ -173,32 +158,27 @@ impl ParallelTrainer {
         super::ParallelTrainerBuilder::new()
     }
 
+    /// `config` has been validated by the builder (non-empty node set the
+    /// batch range covers).
     pub(crate) fn from_parts(
         dataset: ClassificationDataset,
         model_factory: Arc<dyn Fn(u64) -> Sequential + Send + Sync>,
         config: ParallelConfig,
         policy: Box<dyn Policy>,
     ) -> Self {
-        let n = config.slowdowns.len();
-        assert!(n > 0, "need at least one node");
-        assert!(config.base_batch >= n as u64, "base batch must cover every node");
         let model = model_factory(config.seed);
         let weights = flatten_values(&model.parameters()).into_data();
         let loader = HeteroDataLoader::new(dataset.len(), config.seed);
-        ParallelTrainer {
+        let exec = ThreadedExecutor {
             dataset: Arc::new(dataset),
-            analyzer: Analyzer::new(n, MeasurementAggregation::InverseVariance),
             tracker: GnsTracker::new(0.9),
             loader,
-            epoch: 0,
-            last_split: Vec::new(),
             weights,
             config,
             model_factory,
-            policy,
-            monitor: None,
             feedback: Vec::new(),
-        }
+        };
+        ParallelTrainer { driver: Driver::new(exec, policy) }
     }
 
     /// Attach an online [`Monitor`]: after every epoch the trainer drains
@@ -206,37 +186,37 @@ impl ParallelTrainer {
     /// discards the compute-law observations of any rank flagged as a
     /// straggler so the next epochs re-profile it via the bootstrap path.
     pub fn attach_monitor(&mut self, monitor: Monitor) {
-        self.monitor = Some(monitor);
+        self.driver.monitor = Some(monitor);
     }
 
     /// The attached monitor's current health report, if one is installed.
     pub fn health(&self) -> Option<HealthReport> {
-        self.monitor.as_ref().map(|m| m.report())
+        self.driver.health()
     }
 
     /// Smoothed gradient noise scale, if available.
     pub fn noise_scale(&self) -> Option<f64> {
-        self.tracker.noise_scale()
+        self.driver.exec.tracker.noise_scale()
     }
 
     /// The analyzer's current state (inspection/tests).
     pub fn analyzer(&self) -> &Analyzer {
-        &self.analyzer
+        &self.driver.analyzer
     }
 
     /// Current rank count.
     pub fn world_size(&self) -> usize {
-        self.config.slowdowns.len()
+        self.driver.exec.nodes()
     }
 
     /// The effective configuration (after builder/env resolution).
     pub fn config(&self) -> &ParallelConfig {
-        &self.config
+        &self.driver.exec.config
     }
 
     /// Evict a rank (crash or graceful leave): the next epoch's comm group
     /// is built over the survivors, the dead rank's analyzer state is
-    /// dropped, and the split is re-solved so `Σ bᵢ = B` over the new
+    /// dropped, and the split is re-planned so `Σ bᵢ = B` over the new
     /// membership. The shared model weights and the GNS tracker carry over
     /// untouched — no training progress is lost.
     ///
@@ -244,27 +224,19 @@ impl ParallelTrainer {
     ///
     /// Panics if `rank` is out of range or it is the last rank.
     pub fn remove_rank(&mut self, rank: usize) {
-        let n = self.config.slowdowns.len();
+        let exec = &mut self.driver.exec;
+        let n = exec.nodes();
         assert!(rank < n, "rank {rank} out of range");
         assert!(n > 1, "cannot remove the last rank");
-        self.config.slowdowns.remove(rank);
-        self.analyzer.remove_node(rank);
-        if self.last_split.len() == n {
-            self.last_split.remove(rank);
-        }
+        exec.config.slowdowns.remove(rank);
         // Survivors keep their accumulated residuals; the dead rank's
         // compensation leaves with it.
-        if self.feedback.len() == n {
-            self.feedback.remove(rank);
+        if exec.feedback.len() == n {
+            exec.feedback.remove(rank);
         }
-        self.policy.on_membership_change(self.config.slowdowns.len());
-        telemetry::emit(Event::RecoveryAction(RecoveryAction {
-            kind: RecoveryKind::GroupShrink,
-            node: Some(rank as u32),
-            step: self.epoch as u64,
-            attempt: 1,
-            backoff_ns: 0,
-        }));
+        self.driver.analyzer.remove_node(rank);
+        self.driver.on_membership_change();
+        self.emit_membership(RecoveryKind::GroupShrink, rank);
     }
 
     /// Admit a new rank with the given emulated slowdown factor. It starts
@@ -277,23 +249,24 @@ impl ParallelTrainer {
     /// membership.
     pub fn add_rank(&mut self, slowdown: f64) {
         assert!(slowdown >= 1.0, "slowdown must be >= 1");
-        self.config.slowdowns.push(slowdown);
-        assert!(
-            self.config.base_batch >= self.config.slowdowns.len() as u64,
-            "base batch must cover every rank"
-        );
-        self.analyzer.add_node(None);
-        // Force a fresh split that covers the newcomer. Its residual starts
-        // at zero like every fresh replica's (existing ranks keep theirs).
-        if !self.feedback.is_empty() {
-            self.feedback.push(ErrorFeedback::new(self.weights.len()));
+        let exec = &mut self.driver.exec;
+        exec.config.slowdowns.push(slowdown);
+        assert!(exec.config.base_batch >= exec.nodes() as u64, "base batch must cover every rank");
+        // The newcomer's residual starts at zero like every fresh
+        // replica's (existing ranks keep theirs).
+        if !exec.feedback.is_empty() {
+            exec.feedback.push(ErrorFeedback::new(exec.weights.len()));
         }
-        self.last_split.clear();
-        self.policy.on_membership_change(self.config.slowdowns.len());
+        self.driver.analyzer.add_node(None);
+        self.driver.on_membership_change();
+        self.emit_membership(RecoveryKind::GroupGrow, self.world_size() - 1);
+    }
+
+    fn emit_membership(&self, kind: RecoveryKind, rank: usize) {
         telemetry::emit(Event::RecoveryAction(RecoveryAction {
-            kind: RecoveryKind::GroupGrow,
-            node: Some((self.config.slowdowns.len() - 1) as u32),
-            step: self.epoch as u64,
+            kind,
+            node: Some(rank as u32),
+            step: self.driver.epoch as u64,
             attempt: 1,
             backoff_ns: 0,
         }));
@@ -304,53 +277,76 @@ impl ParallelTrainer {
     /// # Errors
     ///
     /// [`CannikinError::Comm`] when the comm group cannot be built (e.g.
-    /// TCP rendezvous failure) or a rank's gradient exchange fails beyond
-    /// recovery.
+    /// TCP rendezvous failure), a rank's gradient exchange fails beyond
+    /// recovery, or a rank thread panics (every rank is joined first).
     pub fn run_epoch(&mut self) -> Result<ParallelEpochReport, CannikinError> {
-        let _epoch_span = telemetry::span("epoch");
-        let n = self.config.slowdowns.len();
-        let phi = self.tracker.noise_scale();
+        self.driver.run_epoch()
+    }
+}
 
-        // ---- Plan the split (Fig. 4 control loop) via the policy. ----
-        let plan_span = telemetry::span("plan");
-        let ctx = PolicyContext {
-            epoch: self.epoch,
-            nodes: n,
+impl std::fmt::Debug for ParallelTrainer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ParallelTrainer(epoch {}, {} nodes)", self.driver.epoch, self.world_size())
+    }
+}
+
+/// The real-gradient problem: rank threads, collectives, codec and
+/// error-feedback state, and the live GNS tracker.
+pub(crate) struct ThreadedExecutor {
+    dataset: Arc<ClassificationDataset>,
+    config: ParallelConfig,
+    weights: Vec<f32>,
+    tracker: GnsTracker,
+    loader: HeteroDataLoader,
+    model_factory: Arc<dyn Fn(u64) -> Sequential + Send + Sync>,
+    /// Per-rank error-feedback residuals, persisted across epochs so the
+    /// compensation accumulates over the whole run (only populated while a
+    /// lossy codec is configured).
+    feedback: Vec<ErrorFeedback>,
+}
+
+impl Executor for ThreadedExecutor {
+    type Report = ParallelEpochReport;
+
+    fn nodes(&self) -> usize {
+        self.config.slowdowns.len()
+    }
+
+    fn bounds(&self) -> Bounds {
+        Bounds {
             adaptive: self.config.adaptive,
             base_batch: self.config.base_batch,
             max_batch: self.config.max_batch,
             dataset_size: self.dataset.len(),
-            phi,
-            last_split: self.last_split.clone(),
-            solver_input: self.analyzer.solver_input().ok(),
-            per_sample_times: (0..n).map(|i| self.analyzer.per_sample_time(i).unwrap_or(1.0)).collect(),
-        };
-        let epoch_plan = self.policy.ask(&ctx)?;
-        let (total, local) = (epoch_plan.total, epoch_plan.local);
-        let (used_model, predicted_t, source) = (epoch_plan.used_model, epoch_plan.predicted_t, epoch_plan.source);
-        drop(plan_span);
-        if telemetry::enabled() {
-            telemetry::emit(Event::SplitDecision(SplitDecision { total, local: local.clone(), predicted_t, source }));
-            telemetry::emit(Event::PolicyDecision(PolicyDecision {
-                policy: self.policy.name().to_string(),
-                epoch: self.epoch as u64,
-                total,
-            }));
         }
+    }
 
-        // ---- Train the epoch across threads. ----
+    fn phi(&self) -> Option<f64> {
+        self.tracker.noise_scale()
+    }
+
+    fn new_analyzer(&self) -> Analyzer {
+        Analyzer::new(self.nodes(), MeasurementAggregation::InverseVariance)
+    }
+
+    fn execute(&mut self, round: Round<'_>) -> Result<Executed<ParallelEpochReport>, CannikinError> {
+        let Round { epoch, plan, analyzer, .. } = round;
+        let n = self.nodes();
+        let (total, local) = (plan.total, plan.local);
+
         // Even steps use the planned split, odd steps a ~25%-perturbed
         // variant: every node sees two well-separated local batch sizes
         // *within* the same epoch, so its linear compute model is fit
         // under identical thermal conditions (cross-epoch timing drift on
         // real threads would otherwise poison the slopes).
         let odd = measurement_variant(&local);
-        let plan = self.loader.next_epoch_alternating(&local, &odd);
-        let steps = plan.steps().max(1);
+        let schedule = self.loader.next_epoch_alternating(&local, &odd);
+        let steps = schedule.steps().max(1);
         let even_total: u64 = local.iter().sum();
         let odd_total: u64 = odd.iter().sum();
         let step_totals: Arc<Vec<u64>> =
             Arc::new((0..steps).map(|s| if s % 2 == 0 { even_total } else { odd_total }).collect());
+        let phi = self.tracker.noise_scale();
         let lr = self.config.lr_scaler.scaled_lr(self.config.base_lr, self.config.base_batch, total, phi);
         // Each replica thread gets a proportional share of the kernel
         // thread budget so n replicas × blocked-matmul fan-out never
@@ -381,12 +377,11 @@ impl ParallelTrainer {
             let dataset = Arc::clone(&self.dataset);
             let factory = Arc::clone(&self.model_factory);
             let weights = self.weights.clone();
-            let batches: Vec<Vec<usize>> = plan.node_batches(rank).to_vec();
+            let batches: Vec<Vec<usize>> = schedule.node_batches(rank).to_vec();
             let step_totals = Arc::clone(&step_totals);
             let slowdown = self.config.slowdowns[rank];
             let seed = self.config.seed;
             let retry = self.config.retry;
-            let epoch = self.epoch;
             let feedback = feedbacks[rank].take();
             handles.push(thread::spawn(move || {
                 run_rank(RankArgs {
@@ -411,12 +406,16 @@ impl ParallelTrainer {
             }));
         }
         // Join every thread before propagating the first failure so no
-        // rank is left detached mid-collective.
-        let joined: Vec<Result<RankOutput, CommError>> =
-            handles.into_iter().map(|h| h.join().expect("training rank panicked")).collect();
-        let mut rank_outputs = Vec::with_capacity(joined.len());
-        for r in joined {
-            rank_outputs.push(r?);
+        // rank is left detached mid-collective; a panicked rank surfaces
+        // as a typed error like any other lost peer.
+        let joined: Vec<thread::Result<Result<RankOutput, CommError>>> =
+            handles.into_iter().map(thread::JoinHandle::join).collect();
+        let mut rank_outputs = Vec::with_capacity(n);
+        for (rank, outcome) in joined.into_iter().enumerate() {
+            let output = outcome
+                .map_err(|_| CommError::Io { rank, detail: "training rank panicked".into() })
+                .and_then(|result| result)?;
+            rank_outputs.push(output);
         }
         let epoch_time = started.elapsed().as_secs_f64();
         let comm_bytes: u64 = rank_outputs.iter().map(|r| r.comm_bytes).sum();
@@ -464,7 +463,7 @@ impl ParallelTrainer {
                     }
                 })
                 .collect();
-            self.analyzer.observe_batch(&BatchTrace {
+            analyzer.observe_batch(&BatchTrace {
                 observations,
                 batch_time: 0.0,
                 bucket_sync_end: Vec::new(),
@@ -474,9 +473,7 @@ impl ParallelTrainer {
         for est in &rank_outputs[0].gns_estimates {
             self.tracker.observe(*est);
         }
-        self.apply_health(n);
 
-        // ---- Feed the realized outcome back to the policy. ----
         // Reward is the measured goodput of this epoch: statistical
         // efficiency at the fresh φ estimate times raw throughput (plain
         // samples/s while no estimate exists yet).
@@ -489,24 +486,14 @@ impl ParallelTrainer {
             ),
             None => (1.0, total as f64 / mean_batch_time),
         };
-        self.policy.tell(&EpochObservation {
-            epoch: self.epoch,
-            total,
-            local: local.clone(),
-            epoch_time,
-            mean_batch_time,
-            efficiency,
-            goodput: realized_goodput,
-            phi: fresh_phi,
-            per_sample_times: rank_outputs
-                .iter()
-                .map(|r| {
-                    r.step_measurements
-                        .last()
-                        .map_or(1.0, |m| (m.a_time + m.p_time) / m.batch_size.max(1) as f64)
-                })
-                .collect(),
-        });
+        let per_sample_times = rank_outputs
+            .iter()
+            .map(|r| {
+                r.step_measurements
+                    .last()
+                    .map_or(1.0, |m| (m.a_time + m.p_time) / m.batch_size.max(1) as f64)
+            })
+            .collect();
 
         // ---- Evaluate and roll state forward. ----
         let comm_retries = rank_outputs[0].comm_retries;
@@ -519,54 +506,30 @@ impl ParallelTrainer {
         let accuracy = evaluate(&mut eval_model, &self.dataset);
 
         let report = ParallelEpochReport {
-            epoch: self.epoch,
+            epoch,
             total_batch: total,
             local_batches: local.clone(),
             epoch_time,
             mean_loss,
             accuracy,
-            noise_scale: self.tracker.noise_scale(),
-            used_model,
+            noise_scale: fresh_phi,
+            used_model: plan.used_model,
             comm_retries,
             comm_bytes,
             comm_overlap,
         };
-        self.epoch += 1;
-        self.last_split = local;
-        Ok(report)
-    }
-
-    /// End-of-epoch health pass. The rank threads have already joined (and
-    /// flushed their telemetry buffers to the monitor on thread exit), so
-    /// only the driver thread's buffer — holding this epoch's
-    /// `SplitDecision` — still needs a flush before the verdicts are read.
-    fn apply_health(&mut self, n: usize) {
-        let Some(monitor) = &self.monitor else { return };
-        telemetry::flush_thread();
-        let fresh = monitor.drain_new();
-        if fresh.is_empty() {
-            return;
-        }
-        telemetry::counter("health_anomalies", fresh.len() as f64);
-        let mut flagged: Vec<u32> = fresh
-            .iter()
-            .filter(|a| a.kind == AnomalyKind::Straggler)
-            .filter_map(|a| a.node)
-            .collect();
-        flagged.sort_unstable();
-        flagged.dedup();
-        for node in flagged {
-            if (node as usize) < n {
-                self.analyzer.reset_node(node as usize);
-            }
-        }
-    }
-
-}
-
-impl std::fmt::Debug for ParallelTrainer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ParallelTrainer(epoch {}, {} nodes)", self.epoch, self.config.slowdowns.len())
+        let observation = EpochObservation {
+            epoch,
+            total,
+            local,
+            epoch_time,
+            mean_batch_time,
+            efficiency,
+            goodput: realized_goodput,
+            phi: fresh_phi,
+            per_sample_times,
+        };
+        Ok(Executed { observation, membership_changed: false, report })
     }
 }
 
@@ -1198,6 +1161,29 @@ mod tests {
         let report = last.unwrap();
         assert!(report.accuracy > 0.9, "accuracy {}", report.accuracy);
         assert!(report.mean_loss < 0.5, "loss {}", report.mean_loss);
+    }
+
+    #[test]
+    fn rank_panic_surfaces_as_a_typed_error() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Call 0 builds the trainer's reference weights on this thread;
+        // call 1 is the first rank thread to build its replica.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut t = ParallelTrainer::builder()
+            .dataset(gaussian_blobs(640, 4, 10, 3))
+            .model(move |seed| {
+                assert!(calls.fetch_add(1, Ordering::SeqCst) != 1, "injected model-factory failure");
+                mlp_classifier(10, 24, 4, seed)
+            })
+            .config(config(false))
+            .build()
+            .expect("valid config");
+        let err = t.run_epoch().expect_err("a panicked rank fails the epoch, not the process");
+        assert!(matches!(err, CannikinError::Comm(CommError::Io { .. })), "{err}");
+        // Every rank was joined and nothing global is poisoned: a fresh
+        // trainer still trains.
+        let report = trainer(false).run_epoch().expect("epoch");
+        assert!(report.comm_bytes > 0);
     }
 
     #[test]

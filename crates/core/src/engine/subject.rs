@@ -4,13 +4,12 @@
 //! and every baseline through the same loop — construct, step epochs,
 //! read statistical progress — without caring which system is behind the
 //! handle. [`TrainingSubject`] is that adapter: one fallible `next_epoch`
-//! (Cannikin's solver can reject a misconfigured batch range; the
-//! baselines never fail) plus a `progress` accessor, with the
-//! run-to-target loop provided once instead of re-implemented per system.
+//! plus a `progress` accessor, with the run-to-target loop provided once
+//! instead of re-implemented per system.
 //!
-//! `cannikin-core` implements it for [`CannikinTrainer`];
-//! `cannikin-baselines` implements it for the AdaptDL, DDP, LB-BSP and
-//! HetPipe trainers.
+//! `cannikin-core` implements it for [`CannikinTrainer`] (which is also
+//! what the AdaptDL and LB-BSP baselines are); `cannikin-baselines`
+//! implements it for the DDP and HetPipe trainers.
 
 use super::{CannikinTrainer, EpochRecord};
 use crate::error::CannikinError;
@@ -21,9 +20,9 @@ pub trait TrainingSubject {
     ///
     /// # Errors
     ///
-    /// Implementations whose planner can fail (Cannikin's OptPerf solver
-    /// on an infeasible batch range) propagate that error; baselines are
-    /// infallible and always return `Ok`.
+    /// Implementations with a fallible epoch (a metric exchange that
+    /// fails, a fault plan that wedges the run) propagate that error; the
+    /// DDP and HetPipe baselines are infallible and always return `Ok`.
     fn next_epoch(&mut self) -> Result<EpochRecord, CannikinError>;
 
     /// Cumulative statistically-effective epochs of progress so far.

@@ -1,17 +1,17 @@
 //! The simulator-driven Cannikin training loop (Fig. 4).
 
+use super::driver::{Bounds, Driver, Executed, Executor, Round};
 use super::{EpochRecord, NoiseModel};
 use crate::error::CannikinError;
 use crate::gns::statistical_efficiency;
 use crate::optperf::{bootstrap_split, even_split, OptPerfSolver};
 use crate::perf::{Analyzer, MeasurementAggregation};
-use crate::policy::{EpochObservation, Policy, PolicyContext};
+use crate::policy::{EpochObservation, Policy};
 
 use cannikin_collectives::{CommError, CommGroup, TransportKind};
 use cannikin_insight::{HealthReport, Monitor};
 use cannikin_telemetry::{
-    self as telemetry, AnomalyKind, Event, FaultKind, PolicyDecision, RecoveryAction, RecoveryKind, SplitDecision,
-    SplitSource,
+    self as telemetry, Event, FaultKind, RecoveryAction, RecoveryKind, SplitDecision, SplitSource,
 };
 use hetsim::Simulator;
 use std::time::Instant;
@@ -54,19 +54,11 @@ impl TrainerConfig {
 /// linear model); from epoch 2 the full pipeline runs: learned models →
 /// OptPerf solver → goodput-maximizing batch size → `HeteroDataLoader`
 /// split.
+///
+/// A thin shell over the shared epoch [`Driver`] with a [`SimExecutor`]
+/// behind it.
 pub struct CannikinTrainer {
-    sim: Simulator,
-    analyzer: Analyzer,
-    policy: Box<dyn Policy>,
-    noise: Box<dyn NoiseModel>,
-    config: TrainerConfig,
-    epoch: usize,
-    effective_epochs: f64,
-    cumulative_time: f64,
-    last_local: Vec<u64>,
-    monitor: Option<Monitor>,
-    transport: Option<TransportKind>,
-    comm_bytes: u64,
+    driver: Driver<SimExecutor>,
 }
 
 impl CannikinTrainer {
@@ -76,6 +68,8 @@ impl CannikinTrainer {
         super::CannikinTrainerBuilder::new()
     }
 
+    /// `config` has been validated by the builder (batch range covers the
+    /// cluster).
     pub(crate) fn from_parts(
         sim: Simulator,
         noise: Box<dyn NoiseModel>,
@@ -83,30 +77,15 @@ impl CannikinTrainer {
         transport: Option<TransportKind>,
         policy: Box<dyn Policy>,
     ) -> Self {
-        let n = sim.cluster().len();
-        assert!(config.base_batch >= n as u64, "base batch must cover every node");
-        let caps: Vec<Option<u64>> = (0..n).map(|i| Some(sim.max_local_batch(i))).collect();
-        let analyzer = Analyzer::new(n, config.aggregation).with_max_batches(caps);
-        CannikinTrainer {
-            sim,
-            analyzer,
-            policy,
-            noise,
-            config,
-            epoch: 0,
-            effective_epochs: 0.0,
-            cumulative_time: 0.0,
-            last_local: Vec::new(),
-            monitor: None,
-            transport,
-            comm_bytes: 0,
-        }
+        let exec =
+            SimExecutor { sim, noise, config, effective_epochs: 0.0, cumulative_time: 0.0, transport, comm_bytes: 0 };
+        CannikinTrainer { driver: Driver::new(exec, policy) }
     }
 
     /// Cumulative bytes moved on the wire by the per-epoch cluster-metric
     /// exchange (0 when no transport is configured).
     pub fn comm_bytes(&self) -> u64 {
-        self.comm_bytes
+        self.driver.exec.comm_bytes
     }
 
     /// Attach an online [`Monitor`]: at the end of every epoch the trainer
@@ -116,12 +95,12 @@ impl CannikinTrainer {
     /// epoch falls back to the Eq. (8) bootstrap and re-measures before
     /// the OptPerf model re-engages).
     pub fn attach_monitor(&mut self, monitor: Monitor) {
-        self.monitor = Some(monitor);
+        self.driver.monitor = Some(monitor);
     }
 
     /// The attached monitor's current health report, if one is installed.
     pub fn health(&self) -> Option<HealthReport> {
-        self.monitor.as_ref().map(|m| m.report())
+        self.driver.health()
     }
 
     /// Warm-start from a checkpointed model (a `SolverInput` saved from a
@@ -129,13 +108,13 @@ impl CannikinTrainer {
     /// epochs are skipped and the first epoch already trains on the
     /// OptPerf split.
     pub fn warm_start(&mut self, checkpoint: &crate::optperf::SolverInput) {
-        self.analyzer.preload_models(checkpoint);
-        self.policy.on_warm_start();
+        self.driver.analyzer.preload_models(checkpoint);
+        self.driver.policy.on_warm_start();
     }
 
     /// The underlying simulator (e.g. to inject contention mid-run).
     pub fn simulator_mut(&mut self) -> &mut Simulator {
-        &mut self.sim
+        &mut self.driver.exec.sim
     }
 
     /// React to an elastic-scheduler event that changed the cluster
@@ -145,46 +124,45 @@ impl CannikinTrainer {
     /// the next epochs re-profile via the bootstrap path while training
     /// continues.
     pub fn on_cluster_change(&mut self) {
-        let n = self.sim.cluster().len();
-        let caps: Vec<Option<u64>> = (0..n).map(|i| Some(self.sim.max_local_batch(i))).collect();
-        self.analyzer = Analyzer::new(n, self.config.aggregation).with_max_batches(caps);
-        self.policy.on_membership_change(n);
+        let n = self.driver.exec.nodes();
+        let prev_total: u64 = self.driver.last_split.iter().sum();
+        self.driver.analyzer = self.driver.exec.new_analyzer();
+        self.driver.on_membership_change();
         // Re-profile at (roughly) the previous total batch rather than
         // dropping back to B₀: the statistical operating point is a
         // property of the *job*, not of the cluster, and reverting to tiny
         // batches would waste hundreds of large-dataset steps per
         // bootstrap epoch.
-        let prev_total: u64 = self.last_local.iter().sum();
-        let resume = prev_total.max(self.config.base_batch).max(n as u64);
-        self.last_local = even_split(resume, n);
+        let resume = prev_total.max(self.driver.exec.config.base_batch).max(n as u64);
+        self.driver.last_split = even_split(resume, n);
     }
 
     /// The analyzer's current state (inspection/tests).
     pub fn analyzer(&self) -> &Analyzer {
-        &self.analyzer
+        &self.driver.analyzer
     }
 
     /// Cumulative statistically-effective epochs so far.
     pub fn effective_epochs(&self) -> f64 {
-        self.effective_epochs
+        self.driver.exec.effective_epochs
     }
 
     /// Cumulative wall time (simulated epoch time plus measured optimizer
     /// overhead) so far, s.
     pub fn cumulative_time(&self) -> f64 {
-        self.cumulative_time
+        self.driver.exec.cumulative_time
     }
 
     /// Epochs run so far (the next epoch's index).
     pub fn epochs_run(&self) -> usize {
-        self.epoch
+        self.driver.epoch
     }
 
     /// The noise model's gradient noise scale φ at the current progress —
     /// the demand signal a fleet-level allocator reads to decide whether
     /// this job is starved of statistical efficiency or past its knee.
     pub fn noise_scale_now(&self) -> f64 {
-        self.noise.noise_scale(self.effective_epochs)
+        self.driver.exec.noise_scale_now()
     }
 
     /// Restore checkpointed statistical progress after a full preemption:
@@ -194,54 +172,113 @@ impl CannikinTrainer {
     /// bootstrap (or a [`CannikinTrainer::warm_start`], when the membership
     /// is unchanged).
     pub fn restore_progress(&mut self, effective_epochs: f64, cumulative_time: f64, epochs_run: usize) {
-        self.effective_epochs = effective_epochs;
-        self.cumulative_time = cumulative_time;
-        self.epoch = epochs_run;
+        self.driver.exec.effective_epochs = effective_epochs;
+        self.driver.exec.cumulative_time = cumulative_time;
+        self.driver.epoch = epochs_run;
     }
 
     /// Run one epoch and return its record.
     ///
     /// # Errors
     ///
-    /// Propagates solver infeasibility (misconfigured batch ranges).
+    /// A configured metric exchange that fails, or a fault plan that never
+    /// lets a step complete. Solver infeasibility does not abort the epoch:
+    /// the policy degrades it to the bootstrap split.
     pub fn run_epoch(&mut self) -> Result<EpochRecord, CannikinError> {
-        let _epoch_span = telemetry::span("epoch");
-        let n = self.sim.cluster().len();
-        let phi = self.noise.noise_scale(self.effective_epochs);
+        self.driver.run_epoch()
+    }
 
-        let plan_span = telemetry::span("plan");
-        let started = Instant::now();
-        // The context is a pure snapshot of the trainer's state: assembling
-        // it performs no solver work and emits no telemetry, so routing the
-        // plan through the policy reproduces the former inline logic
-        // bit for bit (tests/policy.rs goldens).
-        let ctx = PolicyContext {
-            epoch: self.epoch,
-            nodes: n,
+    /// Run `n` epochs.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first failed epoch.
+    pub fn run_epochs(&mut self, n: usize) -> Result<Vec<EpochRecord>, CannikinError> {
+        (0..n).map(|_| self.run_epoch()).collect()
+    }
+
+    /// Run until `target` effective epochs of statistical progress have
+    /// accumulated (the convergence experiments) or `max_epochs` elapse.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first failed epoch.
+    pub fn train_until(&mut self, target: f64, max_epochs: usize) -> Result<Vec<EpochRecord>, CannikinError> {
+        let mut out = Vec::new();
+        while self.effective_epochs() < target && out.len() < max_epochs {
+            out.push(self.run_epoch()?);
+        }
+        Ok(out)
+    }
+}
+
+impl std::fmt::Debug for CannikinTrainer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "CannikinTrainer(epoch {}, eff. epochs {:.2}, cluster {})",
+            self.driver.epoch,
+            self.effective_epochs(),
+            self.driver.exec.sim.cluster().name
+        )
+    }
+}
+
+/// Consecutive failed steps after which the fault plan is declared wedged.
+const MAX_CONSECUTIVE_FAILURES: u32 = 10_000;
+
+/// The simulated problem: hetsim physics, the fault-aware step loop, the
+/// noise-model φ and the optional cluster-metric exchange.
+pub(crate) struct SimExecutor {
+    sim: Simulator,
+    noise: Box<dyn NoiseModel>,
+    config: TrainerConfig,
+    effective_epochs: f64,
+    cumulative_time: f64,
+    transport: Option<TransportKind>,
+    comm_bytes: u64,
+}
+
+impl Executor for SimExecutor {
+    type Report = EpochRecord;
+
+    fn nodes(&self) -> usize {
+        self.sim.cluster().len()
+    }
+
+    fn bounds(&self) -> Bounds {
+        Bounds {
             adaptive: self.config.adaptive_batch,
             base_batch: self.config.base_batch,
             max_batch: self.config.max_batch,
             dataset_size: self.config.dataset_size,
-            phi: Some(phi),
-            last_split: self.last_local.clone(),
-            solver_input: self.analyzer.solver_input().ok(),
-            per_sample_times: (0..n).map(|i| self.analyzer.per_sample_time(i).unwrap_or(1.0)).collect(),
-        };
-        let plan = self.policy.ask(&ctx)?;
-        let (total, local) = (plan.total, plan.local);
-        let (used_model, pattern, accumulation, predicted_t, source) =
-            (plan.used_model, plan.pattern, plan.accumulation, plan.predicted_t, plan.source);
-        let plan_seconds = started.elapsed().as_secs_f64();
-        drop(plan_span);
-        if telemetry::enabled() {
-            telemetry::emit(Event::SplitDecision(SplitDecision { total, local: local.clone(), predicted_t, source }));
-            telemetry::emit(Event::PolicyDecision(PolicyDecision {
-                policy: self.policy.name().to_string(),
-                epoch: self.epoch as u64,
-                total,
-            }));
         }
+    }
 
+    fn phi(&self) -> Option<f64> {
+        Some(self.noise_scale_now())
+    }
+
+    fn new_analyzer(&self) -> Analyzer {
+        let n = self.nodes();
+        let caps: Vec<Option<u64>> = (0..n).map(|i| Some(self.sim.max_local_batch(i))).collect();
+        Analyzer::new(n, self.config.aggregation).with_max_batches(caps)
+    }
+
+    /// One loop serves every epoch: each optimizer step is
+    /// `accumulation − 1` no-sync micro-batches then one synchronized
+    /// batch, and every batch may surface injected faults the engine must
+    /// react to *mid-epoch* — evict crashed or departing nodes, admit
+    /// joiners, re-solve the split at the same total batch, and retry
+    /// steps whose gradient exchange was lost. A failed step contributes
+    /// simulated wall time but no observations and no samples, so nothing
+    /// is double-counted. Without a fault plan no batch carries a fault and
+    /// the loop degenerates to `steps` plain batches.
+    fn execute(&mut self, round: Round<'_>) -> Result<Executed<EpochRecord>, CannikinError> {
+        let Round { epoch, plan, plan_seconds, analyzer } = round;
+        let phi = self.noise_scale_now();
+        let (mut total, mut local) = (plan.total, plan.local);
+        let accumulation = plan.accumulation;
         let steps = (self.config.dataset_size / total as usize).max(1);
         // Model fitting (absorbing batch observations into the analyzer) is
         // real optimizer work and counts toward the Table 6 overhead, even
@@ -265,180 +302,118 @@ impl CannikinTrainer {
             analyzer.observe_batch(batch);
             fit_seconds += fit_started.elapsed().as_secs_f64();
         };
-        let mut local = local;
-        let mut total = total;
         let mut faults_seen = 0u32;
         let mut recoveries = 0u32;
         let mut replan_seconds = 0.0;
+        let mut membership_changed = false;
         let sim_span = telemetry::span("simulate");
-        let (epoch_time, mean_batch_time) = if self.sim.has_fault_plan() {
-            // Fault-aware per-step loop: every batch may surface injected
-            // faults, and the engine must react *mid-epoch* — evict crashed
-            // or departing nodes, admit joiners, re-solve the split at the
-            // same total batch, and retry steps whose gradient exchange was
-            // lost. A failed step contributes simulated wall time but no
-            // observations and no samples, so nothing is double-counted.
-            let mut epoch_time = 0.0;
-            let mut completed = 0usize;
-            let mut consecutive_failures = 0u32;
-            while completed < steps {
-                let mut micros = Vec::new();
-                if accumulation > 1 {
-                    for _ in 0..accumulation - 1 {
-                        let micro = self.sim.simulate_microbatch(&local);
-                        epoch_time += micro.batch_time;
-                        micros.push(micro);
-                    }
-                }
-                let batch = self.sim.simulate_batch(&local);
-                epoch_time += batch.batch_time;
-                faults_seen += batch.faults.len() as u32;
-                for fault in &batch.faults {
-                    telemetry::emit(Event::FaultInjected(*fault));
-                }
-                let failed = batch.is_failed();
-                if failed {
-                    consecutive_failures += 1;
-                    assert!(
-                        consecutive_failures < 10_000,
-                        "fault plan wedged the run: {consecutive_failures} consecutive failed steps"
-                    );
-                } else {
-                    // Only a completed step feeds the models — a retried
-                    // step's micro-batches would otherwise be seen twice.
-                    for micro in &micros {
-                        observe(&mut self.analyzer, micro, completed);
-                    }
-                    observe(&mut self.analyzer, &batch, completed);
-                    completed += 1;
-                    consecutive_failures = 0;
-                }
-                // Membership changes: crashed nodes (their step already
-                // failed) and graceful leavers (their step completed).
-                let mut gone: Vec<usize> = batch
-                    .faults
-                    .iter()
-                    .filter(|f| matches!(f.kind, FaultKind::NodeCrash | FaultKind::NodeLeave))
-                    .filter_map(|f| f.node.map(|n| n as usize))
-                    .collect();
-                gone.sort_unstable();
-                gone.dedup();
-                let mut membership_changed = false;
-                for &node in gone.iter().rev() {
-                    if self.sim.cluster().len() <= 1 {
-                        break; // never evict the last survivor
-                    }
-                    self.sim.remove_node(node);
-                    self.analyzer.remove_node(node);
-                    recoveries += 1;
-                    telemetry::emit(Event::RecoveryAction(RecoveryAction {
-                        kind: RecoveryKind::GroupShrink,
-                        node: Some(node as u32),
-                        step: completed as u64,
-                        attempt: 1,
-                        backoff_ns: 0,
-                    }));
-                    membership_changed = true;
-                }
-                for spec in self.sim.take_pending_joins() {
-                    self.sim.add_node(spec);
-                    let new_idx = self.sim.cluster().len() - 1;
-                    self.analyzer.add_node(Some(self.sim.max_local_batch(new_idx)));
-                    recoveries += 1;
-                    telemetry::emit(Event::RecoveryAction(RecoveryAction {
-                        kind: RecoveryKind::GroupGrow,
-                        node: Some(new_idx as u32),
-                        step: completed as u64,
-                        attempt: 1,
-                        backoff_ns: 0,
-                    }));
-                    membership_changed = true;
-                }
-                if membership_changed {
-                    let replan_started = Instant::now();
-                    local = self.replan_split(total);
-                    total = local.iter().sum();
-                    replan_seconds += replan_started.elapsed().as_secs_f64();
-                    recoveries += 1;
-                    telemetry::emit(Event::RecoveryAction(RecoveryAction {
-                        kind: RecoveryKind::Replan,
-                        node: None,
-                        step: completed as u64,
-                        attempt: 1,
-                        backoff_ns: 0,
-                    }));
-                    if telemetry::enabled() {
-                        telemetry::emit(Event::SplitDecision(SplitDecision {
-                            total,
-                            local: local.clone(),
-                            predicted_t: None,
-                            source: SplitSource::Bootstrap,
-                        }));
-                    }
-                } else if failed {
-                    // Transient loss of the gradient exchange with the
-                    // membership intact: retry the same step.
-                    recoveries += 1;
-                    telemetry::emit(Event::RecoveryAction(RecoveryAction {
-                        kind: RecoveryKind::StepRetry,
-                        node: None,
-                        step: completed as u64,
-                        attempt: consecutive_failures,
-                        backoff_ns: 0,
-                    }));
-                }
+        let mut epoch_time = 0.0;
+        let mut completed = 0usize;
+        let mut consecutive_failures = 0u32;
+        while completed < steps {
+            let mut micros = Vec::new();
+            for _ in 1..accumulation {
+                let micro = self.sim.simulate_microbatch(&local);
+                epoch_time += micro.batch_time;
+                micros.push(micro);
             }
-            (epoch_time, epoch_time / steps as f64)
-        } else if accumulation > 1 {
-            // Each optimizer step: (accum − 1) no-sync micro-batches, then
-            // one synchronized batch.
-            let mut epoch_time = 0.0;
-            for step in 0..steps {
-                for _ in 0..accumulation - 1 {
-                    let micro = self.sim.simulate_microbatch(&local);
-                    epoch_time += micro.batch_time;
-                    observe(&mut self.analyzer, &micro, step);
+            let batch = self.sim.simulate_batch(&local);
+            epoch_time += batch.batch_time;
+            faults_seen += batch.faults.len() as u32;
+            for fault in &batch.faults {
+                telemetry::emit(Event::FaultInjected(*fault));
+            }
+            let failed = batch.is_failed();
+            if failed {
+                consecutive_failures += 1;
+                if consecutive_failures >= MAX_CONSECUTIVE_FAILURES {
+                    return Err(CannikinError::Comm(CommError::RetriesExhausted { attempts: consecutive_failures }));
                 }
-                let sync = self.sim.simulate_batch(&local);
-                epoch_time += sync.batch_time;
-                observe(&mut self.analyzer, &sync, step);
+            } else {
+                // Only a completed step feeds the models — a retried
+                // step's micro-batches would otherwise be seen twice.
+                for micro in &micros {
+                    observe(analyzer, micro, completed);
+                }
+                observe(analyzer, &batch, completed);
+                completed += 1;
+                consecutive_failures = 0;
             }
-            (epoch_time, epoch_time / steps as f64)
-        } else {
-            let trace = self.sim.simulate_epoch(&local, steps);
-            for (step, batch) in trace.batches.iter().enumerate() {
-                observe(&mut self.analyzer, batch, step);
+            // Membership changes: crashed nodes (their step already
+            // failed) and graceful leavers (their step completed).
+            let mut gone: Vec<usize> = batch
+                .faults
+                .iter()
+                .filter(|f| matches!(f.kind, FaultKind::NodeCrash | FaultKind::NodeLeave))
+                .filter_map(|f| f.node.map(|n| n as usize))
+                .collect();
+            gone.sort_unstable();
+            gone.dedup();
+            let recovery = |kind, node: Option<usize>, attempt| {
+                telemetry::emit(Event::RecoveryAction(RecoveryAction {
+                    kind,
+                    node: node.map(|n| n as u32),
+                    step: completed as u64,
+                    attempt,
+                    backoff_ns: 0,
+                }));
+            };
+            let mut step_changed = false;
+            for &node in gone.iter().rev() {
+                if self.sim.cluster().len() <= 1 {
+                    break; // never evict the last survivor
+                }
+                self.sim.remove_node(node);
+                analyzer.remove_node(node);
+                recoveries += 1;
+                recovery(RecoveryKind::GroupShrink, Some(node), 1);
+                step_changed = true;
             }
-            (trace.epoch_time, trace.mean_batch_time())
-        };
+            for spec in self.sim.take_pending_joins() {
+                self.sim.add_node(spec);
+                let new_idx = self.sim.cluster().len() - 1;
+                analyzer.add_node(Some(self.sim.max_local_batch(new_idx)));
+                recoveries += 1;
+                recovery(RecoveryKind::GroupGrow, Some(new_idx), 1);
+                step_changed = true;
+            }
+            if step_changed {
+                membership_changed = true;
+                let replan_started = Instant::now();
+                local = self.replan_split(total, analyzer);
+                total = local.iter().sum();
+                replan_seconds += replan_started.elapsed().as_secs_f64();
+                recoveries += 1;
+                recovery(RecoveryKind::Replan, None, 1);
+                if telemetry::enabled() {
+                    telemetry::emit(Event::SplitDecision(SplitDecision {
+                        total,
+                        local: local.clone(),
+                        predicted_t: None,
+                        source: SplitSource::Bootstrap,
+                    }));
+                }
+            } else if failed {
+                // Transient loss of the gradient exchange with the
+                // membership intact: retry the same step.
+                recoveries += 1;
+                recovery(RecoveryKind::StepRetry, None, consecutive_failures);
+            }
+        }
+        let mean_batch_time = epoch_time / steps as f64;
         drop(sim_span);
         let overhead_seconds = plan_seconds + fit_seconds + replan_seconds;
 
         telemetry::counter("epoch_time_s", epoch_time);
         telemetry::counter("overhead_s", overhead_seconds);
-        self.exchange_metrics(&local)?;
-        self.apply_health(n);
+        self.exchange_metrics(&local, analyzer)?;
 
         let efficiency = statistical_efficiency(phi, self.config.base_batch, total);
         let effective = steps as f64 * total as f64 * efficiency / self.config.dataset_size as f64;
         self.effective_epochs += effective;
         self.cumulative_time += epoch_time + overhead_seconds;
-        // Close the ask/tell round. The goodput reward is effective epochs
-        // gained per *simulated* second — excluding wall-clock optimizer
-        // overhead keeps learning policies deterministic under seed.
-        self.policy.tell(&EpochObservation {
-            epoch: self.epoch,
-            total,
-            local: local.clone(),
-            epoch_time,
-            mean_batch_time,
-            efficiency,
-            goodput: effective / epoch_time,
-            phi: Some(phi),
-            per_sample_times: tell_per_sample,
-        });
-        let record = EpochRecord {
-            epoch: self.epoch,
+        let report = EpochRecord {
+            epoch,
             total_batch: total,
             local_batches: local.clone(),
             steps,
@@ -450,14 +425,32 @@ impl CannikinTrainer {
             effective_epochs: self.effective_epochs,
             cumulative_time: self.cumulative_time,
             overhead_seconds,
-            pattern,
-            used_model,
+            pattern: plan.pattern,
+            used_model: plan.used_model,
             faults: faults_seen,
             recoveries,
         };
-        self.epoch += 1;
-        self.last_local = local;
-        Ok(record)
+        // The goodput reward is effective epochs gained per *simulated*
+        // second — excluding wall-clock optimizer overhead keeps learning
+        // policies deterministic under seed.
+        let observation = EpochObservation {
+            epoch,
+            total,
+            local,
+            epoch_time,
+            mean_batch_time,
+            efficiency,
+            goodput: effective / epoch_time,
+            phi: Some(phi),
+            per_sample_times: tell_per_sample,
+        };
+        Ok(Executed { observation, membership_changed, report })
+    }
+}
+
+impl SimExecutor {
+    fn noise_scale_now(&self) -> f64 {
+        self.noise.noise_scale(self.effective_epochs)
     }
 
     /// End-of-epoch cluster-metric exchange over a *real* comm group (the
@@ -467,14 +460,14 @@ impl CannikinTrainer {
     /// simulator-driven trainer has no gradients to move, so this is the
     /// path that exercises real sockets (and their byte accounting) at
     /// paper scale; a `comm_bytes` counter records the wire traffic.
-    fn exchange_metrics(&mut self, local: &[u64]) -> Result<(), CannikinError> {
+    fn exchange_metrics(&mut self, local: &[u64], analyzer: &Analyzer) -> Result<(), CannikinError> {
         let Some(kind) = self.transport.clone() else { return Ok(()) };
         let n = local.len();
         let comms = CommGroup::with_kind(n, &kind, None)?;
         let _comm_span = telemetry::span("metric_exchange");
         let mut handles = Vec::with_capacity(n);
         for (rank, comm) in comms.into_iter().enumerate() {
-            let row = vec![local[rank] as f64, self.analyzer.per_sample_time(rank).unwrap_or(0.0)];
+            let row = vec![local[rank] as f64, analyzer.per_sample_time(rank).unwrap_or(0.0)];
             handles.push(std::thread::spawn(move || {
                 let gathered = comm.all_gather_vec(&row);
                 (comm.bytes_sent(), gathered.len())
@@ -504,83 +497,17 @@ impl CannikinTrainer {
     /// to the Eq. (8) bootstrap when the model set is incomplete (e.g. an
     /// unprofiled joiner). Preserves the GNS/goodput operating point — the
     /// statistical state belongs to the *job*, not the cluster.
-    fn replan_split(&mut self, total: u64) -> Vec<u64> {
-        let n = self.sim.cluster().len();
-        self.policy.on_membership_change(n);
+    fn replan_split(&self, total: u64, analyzer: &Analyzer) -> Vec<u64> {
+        let n = self.nodes();
         let cap_sum: u64 = (0..n).map(|i| self.sim.max_local_batch(i)).sum();
         let total = total.clamp(n as u64, cap_sum.max(n as u64));
-        if let Ok(input) = self.analyzer.solver_input() {
+        if let Ok(input) = analyzer.solver_input() {
             if let Ok(plan) = OptPerfSolver::new(input).solve(total) {
                 return plan.local_batches;
             }
         }
-        let t_samples: Vec<f64> =
-            (0..n).map(|i| self.analyzer.per_sample_time(i).unwrap_or(1.0)).collect();
+        let t_samples: Vec<f64> = (0..n).map(|i| analyzer.per_sample_time(i).unwrap_or(1.0)).collect();
         bootstrap_split(&t_samples, total)
-    }
-
-    /// End-of-epoch health pass: flush this thread's telemetry buffer so
-    /// the monitor has seen everything the epoch emitted, then act on the
-    /// verdicts. A straggler flag means the node's fitted `t = c·b + d`
-    /// law no longer matches reality (e.g. the §6 contention scenario), so
-    /// trusting the learned model would keep handing it an oversized
-    /// share; clearing its observations makes `solver_input()` fail and
-    /// routes the next epochs through the bootstrap re-profiling path.
-    fn apply_health(&mut self, n: usize) {
-        let Some(monitor) = &self.monitor else { return };
-        telemetry::flush_thread();
-        let fresh = monitor.drain_new();
-        if fresh.is_empty() {
-            return;
-        }
-        telemetry::counter("health_anomalies", fresh.len() as f64);
-        let mut flagged: Vec<u32> = fresh
-            .iter()
-            .filter(|a| a.kind == AnomalyKind::Straggler)
-            .filter_map(|a| a.node)
-            .collect();
-        flagged.sort_unstable();
-        flagged.dedup();
-        for node in flagged {
-            if (node as usize) < n {
-                self.analyzer.reset_node(node as usize);
-            }
-        }
-    }
-
-    /// Run `n` epochs.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first solver error.
-    pub fn run_epochs(&mut self, n: usize) -> Result<Vec<EpochRecord>, CannikinError> {
-        (0..n).map(|_| self.run_epoch()).collect()
-    }
-
-    /// Run until `target` effective epochs of statistical progress have
-    /// accumulated (the convergence experiments) or `max_epochs` elapse.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first solver error.
-    pub fn train_until(&mut self, target: f64, max_epochs: usize) -> Result<Vec<EpochRecord>, CannikinError> {
-        let mut out = Vec::new();
-        while self.effective_epochs < target && out.len() < max_epochs {
-            out.push(self.run_epoch()?);
-        }
-        Ok(out)
-    }
-}
-
-impl std::fmt::Debug for CannikinTrainer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "CannikinTrainer(epoch {}, eff. epochs {:.2}, cluster {})",
-            self.epoch,
-            self.effective_epochs,
-            self.sim.cluster().name
-        )
     }
 }
 

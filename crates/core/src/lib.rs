@@ -51,7 +51,6 @@ pub mod goodput;
 pub mod linalg;
 pub mod optperf;
 pub mod perf;
-pub mod planner;
 pub mod policy;
 pub mod runtime;
 

@@ -169,4 +169,45 @@ mod tests {
         fix_sum(&mut tiny, 3);
         assert_eq!(tiny, vec![1, 1, 1]);
     }
+
+    #[test]
+    fn batch_change_rescales_the_tuned_split_proportionally() {
+        let mut policy = LbBspIterative::new(DEFAULT_STEP);
+        let ctx = |total: u64| PolicyContext {
+            epoch: 0,
+            nodes: 3,
+            adaptive: false,
+            base_batch: total,
+            max_batch: total,
+            dataset_size: 12_800,
+            phi: None,
+            last_split: Vec::new(),
+            solver_input: None,
+            per_sample_times: Vec::new(),
+        };
+        // Tune toward a 4:2:1 speed ratio at B=128.
+        for epoch in 0..20 {
+            let plan = policy.ask(&ctx(128)).expect("infallible");
+            policy.tell(&EpochObservation {
+                epoch,
+                total: 128,
+                local: plan.local,
+                epoch_time: 1.0,
+                mean_batch_time: 1.0,
+                efficiency: 1.0,
+                goodput: 1.0,
+                phi: None,
+                per_sample_times: vec![1.0, 2.0, 4.0],
+            });
+        }
+        let balanced = policy.local_batches().to_vec();
+        assert!(balanced[0] > balanced[2] + 20, "{balanced:?}");
+        let plan = policy.ask(&ctx(192)).expect("infallible");
+        assert_eq!(plan.local.iter().sum::<u64>(), 192);
+        // The scaled split preserves proportions approximately.
+        for (i, &b) in plan.local.iter().enumerate() {
+            let expected = balanced[i] as f64 * 1.5;
+            assert!((b as f64 - expected).abs() <= 2.0, "node {i}: {b} vs {expected}");
+        }
+    }
 }

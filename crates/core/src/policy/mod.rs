@@ -14,9 +14,8 @@
 //!
 //! Four implementations ship:
 //!
-//! - [`OptPerfGoodput`] — the paper's planner, extracted verbatim from the
-//!   engines' previously-inline logic (bitwise-identical under pinned
-//!   seed, proven by `tests/policy.rs` goldens);
+//! - [`OptPerfGoodput`] — the paper's planner (pinned bit for bit under
+//!   seed by the `tests/policy.rs` goldens);
 //! - [`EvenSplit`] — AdaptDL/Pollux: goodput-adaptive total batch, always
 //!   split evenly (the homogeneous-cluster assumption);
 //! - [`LbBspIterative`] — LB-BSP: fixed total, Δ-bounded iterative moves
@@ -43,8 +42,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The engine assembles this fresh each epoch from its own state; the
 /// context is a *snapshot* — reading it has no side effects on the
-/// engine, which is what makes the `OptPerfGoodput` extraction a pure
-/// refactor.
+/// engine.
 #[derive(Debug, Clone)]
 pub struct PolicyContext {
     /// Epoch index about to run (0-based).
@@ -62,7 +60,8 @@ pub struct PolicyContext {
     pub dataset_size: usize,
     /// Gradient noise scale φ, when an estimate exists. Simulation-driven
     /// engines always supply it; the measured engine reports `None` until
-    /// its GNS tracker warms up.
+    /// its GNS tracker warms up, and adaptive policies then hold
+    /// `base_batch`.
     pub phi: Option<f64>,
     /// The split the previous epoch actually ran (empty before epoch 0).
     pub last_split: Vec<u64>,
@@ -204,24 +203,13 @@ impl std::fmt::Display for PolicyKind {
 /// (builders construct from a kind, which carries no seed).
 pub const DEFAULT_RL_SEED: u64 = 0x5EED_CA11;
 
-/// Construct a policy for a simulation-driven engine
-/// ([`crate::engine::CannikinTrainer`]): `OptPerf` gets the stateful
-/// goodput engine over the geometric candidate grid.
+/// Construct a built-in policy planning over `[base_batch, max_batch]` on
+/// `nodes` nodes — the one constructor, called by both engines' builders.
+/// Its path is part of the API the frozen `crates/benchmark` compiles
+/// against.
 pub fn build_sim_policy(kind: PolicyKind, base_batch: u64, nodes: usize, max_batch: u64) -> Box<dyn Policy> {
     match kind {
-        PolicyKind::OptPerf => Box::new(OptPerfGoodput::simulated(base_batch, nodes, max_batch)),
-        PolicyKind::Even => Box::new(EvenSplit::new()),
-        PolicyKind::LbBsp => Box::new(LbBspIterative::new(lbbsp::DEFAULT_STEP)),
-        PolicyKind::Rl => Box::new(RlBatchPolicy::new(DEFAULT_RL_SEED)),
-    }
-}
-
-/// Construct a policy for a measured engine
-/// ([`crate::engine::ParallelTrainer`]): `OptPerf` gets the doubling-grid
-/// total search that tolerates an absent GNS estimate.
-pub fn build_measured_policy(kind: PolicyKind) -> Box<dyn Policy> {
-    match kind {
-        PolicyKind::OptPerf => Box::new(OptPerfGoodput::measured()),
+        PolicyKind::OptPerf => Box::new(OptPerfGoodput::new(base_batch, nodes, max_batch)),
         PolicyKind::Even => Box::new(EvenSplit::new()),
         PolicyKind::LbBsp => Box::new(LbBspIterative::new(lbbsp::DEFAULT_STEP)),
         PolicyKind::Rl => Box::new(RlBatchPolicy::new(DEFAULT_RL_SEED)),
@@ -258,7 +246,6 @@ mod tests {
     fn factories_name_their_kind() {
         for kind in [PolicyKind::OptPerf, PolicyKind::Even, PolicyKind::LbBsp, PolicyKind::Rl] {
             assert_eq!(build_sim_policy(kind, 64, 3, 512).name(), kind.label());
-            assert_eq!(build_measured_policy(kind).name(), kind.label());
         }
     }
 }

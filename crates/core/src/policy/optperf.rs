@@ -1,84 +1,78 @@
 //! The paper's planner as a [`Policy`]: OptPerf splits + goodput-driven
 //! total batch selection.
 
-use super::{EpochPlan, EpochObservation, Policy, PolicyContext};
+use super::{EpochObservation, EpochPlan, Policy, PolicyContext};
 use crate::error::CannikinError;
 use crate::goodput::GoodputEngine;
-use crate::optperf::{bootstrap_split, ensure_distinct_split, even_split, OptPerfSolver};
+use crate::optperf::{bootstrap_split, ensure_distinct_split, even_split, OptPerfSolver, SolverInput};
 use cannikin_telemetry::SplitSource;
 
-/// How the engine measures — the two engines historically planned with
-/// slightly different machinery, preserved here branch for branch.
-enum Mode {
-    /// Simulation-driven ([`crate::engine::CannikinTrainer`]): stateful
-    /// [`GoodputEngine`] over the geometric candidate grid, warm-start
-    /// attribution, and the Eq. (8) growth bootstrap before models fit.
-    Simulated {
-        goodput: GoodputEngine,
-        base_batch: u64,
-        max_batch: u64,
-        warm_started: bool,
-    },
-    /// Measured ([`crate::engine::ParallelTrainer`]): stateless
-    /// doubling-grid total search that tolerates an absent GNS estimate,
-    /// with a fixed-base bootstrap.
-    Measured,
-}
-
-/// Extraction of the previously-inline `run_epoch` planning logic —
-/// bitwise-identical to it under pinned seed (`tests/policy.rs`).
+/// The Fig. 4 planner: even split at epoch 0, the Eq. (8) growth
+/// bootstrap until the linear models fit, then OptPerf splits with the
+/// total batch chosen by a stateful [`GoodputEngine`] over the geometric
+/// candidate grid. One planner serves both engines; what differs between
+/// them arrives as data in the [`PolicyContext`] (a measured engine has
+/// no φ until its GNS tracker warms up, and caps `max_batch` at its
+/// dataset size).
 pub struct OptPerfGoodput {
-    mode: Mode,
+    goodput: GoodputEngine,
+    base_batch: u64,
+    max_batch: u64,
+    warm_started: bool,
 }
 
 impl OptPerfGoodput {
-    /// Planner for a simulation-driven engine over `[base_batch,
-    /// max_batch]` on `nodes` nodes.
-    pub fn simulated(base_batch: u64, nodes: usize, max_batch: u64) -> Self {
+    /// Planner over `[base_batch, max_batch]` on `nodes` nodes.
+    pub fn new(base_batch: u64, nodes: usize, max_batch: u64) -> Self {
         OptPerfGoodput {
-            mode: Mode::Simulated {
-                goodput: GoodputEngine::new(base_batch, base_batch.max(nodes as u64), max_batch),
-                base_batch,
-                max_batch,
-                warm_started: false,
-            },
+            goodput: GoodputEngine::new(base_batch, base_batch.max(nodes as u64), max_batch),
+            base_batch,
+            max_batch,
+            warm_started: false,
         }
     }
 
-    /// Planner for a measured engine.
-    pub fn measured() -> Self {
-        OptPerfGoodput { mode: Mode::Measured }
+    /// Plan from the fitted models: the goodput-maximal `(B, split)` when
+    /// the batch adapts and φ is known, the OptPerf split at `base_batch`
+    /// otherwise (fixed-batch mode, or no GNS estimate yet).
+    fn plan_with_models(&mut self, ctx: &PolicyContext, input: SolverInput) -> Result<EpochPlan, CannikinError> {
+        let mut solver = OptPerfSolver::new(input);
+        let source = if self.warm_started { SplitSource::WarmStart } else { SplitSource::Solver };
+        self.warm_started = false;
+        let (total, plan, accumulation) = match ctx.phi {
+            Some(phi) if ctx.adaptive => {
+                let sel = self.goodput.select(&mut solver, phi)?;
+                (sel.total, sel.plan, sel.accumulation)
+            }
+            _ => (ctx.base_batch, solver.solve(ctx.base_batch)?, 1),
+        };
+        Ok(EpochPlan {
+            total,
+            local: plan.local_batches,
+            accumulation,
+            source,
+            used_model: true,
+            pattern: Some(plan.pattern),
+            predicted_t: Some(plan.opt_perf),
+        })
+    }
+}
+
+impl Policy for OptPerfGoodput {
+    fn name(&self) -> &'static str {
+        "optperf"
     }
 
-    fn ask_simulated(ctx: &PolicyContext, goodput: &mut GoodputEngine, warm_started: &mut bool) -> Result<EpochPlan, CannikinError> {
+    fn ask(&mut self, ctx: &PolicyContext) -> Result<EpochPlan, CannikinError> {
+        // A solver error (an infeasible total, a singular fit) degrades
+        // this epoch to the bootstrap split instead of aborting it: the
+        // next epoch's fresher models get another chance.
+        if let Some(plan) = ctx.solver_input.clone().and_then(|input| self.plan_with_models(ctx, input).ok()) {
+            return Ok(plan);
+        }
         let n = ctx.nodes;
-        let phi = ctx.phi.unwrap_or(0.0);
-        let mut used_model = false;
-        let mut pattern = None;
-        let mut accumulation = 1u64;
-        let mut predicted_t = None;
-        let mut source = SplitSource::Bootstrap;
-        let (total, local) = if let Some(input) = ctx.solver_input.clone() {
-            let mut solver = OptPerfSolver::new(input);
-            source = if *warm_started { SplitSource::WarmStart } else { SplitSource::Solver };
-            *warm_started = false;
-            if ctx.adaptive {
-                let sel = goodput.select(&mut solver, phi)?;
-                used_model = true;
-                pattern = Some(sel.plan.pattern.clone());
-                accumulation = sel.accumulation;
-                predicted_t = Some(sel.plan.opt_perf);
-                (sel.total, sel.plan.local_batches)
-            } else {
-                let plan = solver.solve(ctx.base_batch)?;
-                used_model = true;
-                pattern = Some(plan.pattern.clone());
-                predicted_t = Some(plan.opt_perf);
-                (ctx.base_batch, plan.local_batches)
-            }
-        } else if ctx.epoch == 0 || ctx.last_split.is_empty() {
-            source = SplitSource::EvenInit;
-            (ctx.base_batch, even_split(ctx.base_batch, n))
+        let (total, local, source) = if ctx.epoch == 0 || ctx.last_split.is_empty() {
+            (ctx.base_batch, even_split(ctx.base_batch, n), SplitSource::EvenInit)
         } else {
             // Growth bootstrap: perturb the total once so the linear models
             // see two batch sizes, then hold it until the solver takes over.
@@ -90,76 +84,9 @@ impl OptPerfGoodput {
                 ctx.base_batch
             };
             let split = bootstrap_split(&ctx.per_sample_times, total);
-            (total, ensure_distinct_split(&ctx.last_split, split))
+            (total, ensure_distinct_split(&ctx.last_split, split), SplitSource::Bootstrap)
         };
-        Ok(EpochPlan { total, local, accumulation, source, used_model, pattern, predicted_t })
-    }
-
-    fn ask_measured(ctx: &PolicyContext) -> EpochPlan {
-        let n = ctx.nodes;
-        let mut used_model = false;
-        let mut predicted_t = None;
-        let mut pattern = None;
-        let mut source = SplitSource::Bootstrap;
-        let (total, local) = if let Some(input) = ctx.solver_input.clone() {
-            let mut solver = OptPerfSolver::new(input);
-            let total = if ctx.adaptive { pick_total(ctx, &mut solver) } else { ctx.base_batch };
-            match solver.solve(total) {
-                Ok(plan) => {
-                    used_model = true;
-                    source = SplitSource::Solver;
-                    predicted_t = Some(plan.opt_perf);
-                    pattern = Some(plan.pattern.clone());
-                    (total, plan.local_batches)
-                }
-                Err(_) => {
-                    source = SplitSource::EvenInit;
-                    (ctx.base_batch, even_split(ctx.base_batch, n))
-                }
-            }
-        } else if ctx.epoch == 0 || ctx.last_split.is_empty() {
-            source = SplitSource::EvenInit;
-            (ctx.base_batch, even_split(ctx.base_batch, n))
-        } else {
-            let split = bootstrap_split(&ctx.per_sample_times, ctx.base_batch);
-            (ctx.base_batch, ensure_distinct_split(&ctx.last_split, split))
-        };
-        EpochPlan { total, local, accumulation: 1, source, used_model, pattern, predicted_t }
-    }
-}
-
-/// Goodput-style total-batch pick over a tiny doubling grid (the measured
-/// datasets are small, so the full cache machinery of [`GoodputEngine`]
-/// is unnecessary).
-fn pick_total(ctx: &PolicyContext, solver: &mut OptPerfSolver) -> u64 {
-    let Some(phi) = ctx.phi else {
-        return ctx.base_batch;
-    };
-    let n = ctx.nodes as u64;
-    let mut best = (ctx.base_batch, f64::MIN);
-    let mut b = ctx.base_batch.max(n);
-    while b <= ctx.max_batch && (b as usize) <= ctx.dataset_size {
-        if let Ok(plan) = solver.solve(b) {
-            let g = crate::gns::goodput(phi, ctx.base_batch, b, plan.opt_perf);
-            if g > best.1 {
-                best = (b, g);
-            }
-        }
-        b *= 2;
-    }
-    best.0
-}
-
-impl Policy for OptPerfGoodput {
-    fn name(&self) -> &'static str {
-        "optperf"
-    }
-
-    fn ask(&mut self, ctx: &PolicyContext) -> Result<EpochPlan, CannikinError> {
-        match &mut self.mode {
-            Mode::Simulated { goodput, warm_started, .. } => Self::ask_simulated(ctx, goodput, warm_started),
-            Mode::Measured => Ok(Self::ask_measured(ctx)),
-        }
+        Ok(EpochPlan { total, local, accumulation: 1, source, used_model: false, pattern: None, predicted_t: None })
     }
 
     fn tell(&mut self, _obs: &EpochObservation) {
@@ -169,16 +96,69 @@ impl Policy for OptPerfGoodput {
     }
 
     fn on_warm_start(&mut self) {
-        if let Mode::Simulated { warm_started, .. } = &mut self.mode {
-            *warm_started = true;
-        }
+        self.warm_started = true;
     }
 
     fn on_membership_change(&mut self, nodes: usize) {
-        if let Mode::Simulated { goodput, base_batch, max_batch, .. } = &mut self.mode {
-            // Same rebuild the engines performed inline: new candidate
-            // floor at the new node count, caches invalidated.
-            *goodput = GoodputEngine::new(*base_batch, (*base_batch).max(nodes as u64), *max_batch);
+        // New candidate floor at the new node count, caches invalidated.
+        self.goodput = GoodputEngine::new(self.base_batch, self.base_batch.max(nodes as u64), self.max_batch);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hetsim::catalog::Gpu;
+    use hetsim::cluster::{ClusterSpec, NodeSpec};
+    use hetsim::job::JobSpec;
+
+    fn fitted_ctx(phi: Option<f64>) -> PolicyContext {
+        let cluster = ClusterSpec::new(
+            "t",
+            vec![
+                NodeSpec::new("a100", Gpu::A100),
+                NodeSpec::new("v100", Gpu::V100),
+                NodeSpec::new("rtx", Gpu::Rtx6000),
+            ],
+        );
+        PolicyContext {
+            epoch: 5,
+            nodes: 3,
+            adaptive: true,
+            base_batch: 64,
+            max_batch: 512,
+            dataset_size: 6_400,
+            phi,
+            last_split: vec![30, 20, 14],
+            solver_input: Some(SolverInput::from_ground_truth(&cluster, &JobSpec::resnet18_cifar10())),
+            per_sample_times: vec![1.0, 2.0, 4.0],
         }
+    }
+
+    #[test]
+    fn without_a_noise_estimate_the_batch_holds_at_base() {
+        let mut policy = OptPerfGoodput::new(64, 3, 512);
+        let held = policy.ask(&fitted_ctx(None)).expect("plan");
+        assert_eq!(held.total, 64, "no φ: hold B₀ this epoch");
+        assert!(held.used_model, "the split still comes from the solver");
+        assert_eq!(held.local.iter().sum::<u64>(), 64);
+        // The same models with φ known move the batch off B₀.
+        let adapted = policy.ask(&fitted_ctx(Some(5_000.0))).expect("plan");
+        assert!(adapted.total > 64, "φ ≫ B₀ grows the batch: {}", adapted.total);
+    }
+
+    #[test]
+    fn a_solver_error_degrades_the_epoch_to_the_bootstrap_split() {
+        let mut ctx = fitted_ctx(None);
+        // Memory caps no split of 64 can satisfy.
+        for node in &mut ctx.solver_input.as_mut().expect("fitted").nodes {
+            node.max_batch = Some(8);
+        }
+        let plan = OptPerfGoodput::new(64, 3, 512).ask(&ctx).expect("degrades, does not abort");
+        assert!(!plan.used_model);
+        assert_eq!(plan.source, SplitSource::Bootstrap);
+        assert_eq!(plan.total, 64, "holds the previous epoch's total");
+        assert_eq!(plan.local.iter().sum::<u64>(), 64);
+        assert!(plan.local[0] > plan.local[2], "Eq. (8): the fast node takes the larger share");
     }
 }

@@ -4,7 +4,7 @@
 //! `super::blocked` replaced (minus the old `== 0.0` sparsity skip, whose
 //! branchy inner loops blocked vectorization without winning on dense
 //! workloads). They remain the ground truth for the equivalence proptests
-//! and the baseline the `matmul` criterion bench measures speedups against.
+//! and the baseline `figures perf` measures the SIMD speedup against.
 //! Production code should call [`super::matmul`] and friends instead.
 
 use crate::tensor::Tensor;

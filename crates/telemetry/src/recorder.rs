@@ -4,8 +4,8 @@
 //!
 //! * One process-global recorder behind a [`Session`] guard. Telemetry is
 //!   **off** by default; the only cost an instrumented call site pays while
-//!   off is a single `Relaxed` atomic load (see the `telemetry` criterion
-//!   bench).
+//!   off is a single `Relaxed` atomic load (the benchmark's
+//!   `telemetry.counter_ns_disabled` metric times it).
 //! * Emitting threads buffer records in a thread-local `Vec` and flush to a
 //!   shared `parking_lot`-guarded sink every `FLUSH_THRESHOLD` events and
 //!   on thread exit, so the mutex is touched once per batch rather than per

@@ -1,11 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: release build, full test suite, and a
-# warnings-as-errors clippy pass over the whole workspace.
+# Tier-1 verification gate: the frozen benchmark's own tests, release
+# build, full test suite, and a warnings-as-errors clippy pass over the
+# whole workspace.
 #
 # Usage: scripts/tier1.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+echo "==> bash crates/benchmark/run.sh --test (frozen benchmark vs the public API)"
+# Plain rustc, ~40 s: compiles every crate and the benchmark against the
+# public API — the fastest signal that a refactor broke a frozen call site.
+bash crates/benchmark/run.sh --test
 
 echo "==> cargo build --release"
 cargo build --release

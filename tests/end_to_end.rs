@@ -2,7 +2,7 @@
 //! analyzer → solver → goodput engine → trainer) against the baselines on
 //! the paper's clusters.
 
-use cannikin::baselines::{AdaptdlTrainer, DdpTrainer, LbBspTrainer};
+use cannikin::baselines::{adaptdl, lbbsp, DdpTrainer};
 use cannikin::core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig};
 use cannikin::core::optperf::{OptPerfSolver, SolverInput};
 use cannikin::core::perf::MeasurementAggregation;
@@ -91,14 +91,14 @@ fn cannikin_beats_every_baseline_on_cifar_cluster_b() {
         .expect("valid config");
     let t_cannikin = cannikin.train_until(target, 3000).expect("run").last().unwrap().cumulative_time;
 
-    let mut adaptdl = AdaptdlTrainer::new(sim(), noise(&profile), profile.dataset_size, 64, profile.max_batch);
-    let t_adaptdl = adaptdl.train_until(target, 3000).last().unwrap().cumulative_time;
+    let mut ad = adaptdl(sim(), noise(&profile), profile.dataset_size, 64, profile.max_batch).expect("valid config");
+    let t_adaptdl = ad.train_until(target, 3000).expect("run").last().unwrap().cumulative_time;
 
     let mut ddp = DdpTrainer::new(sim(), noise(&profile), profile.dataset_size, 64, 64);
     let t_ddp = ddp.train_until(target, 3000).last().unwrap().cumulative_time;
 
-    let mut lbbsp = LbBspTrainer::new(sim(), noise(&profile), profile.dataset_size, 64, 64);
-    let t_lbbsp = lbbsp.train_until(target, 3000).last().unwrap().cumulative_time;
+    let mut lb = lbbsp(sim(), noise(&profile), profile.dataset_size, 64).expect("valid config");
+    let t_lbbsp = lb.train_until(target, 3000).expect("run").last().unwrap().cumulative_time;
 
     assert!(t_cannikin < t_adaptdl, "vs AdaptDL: {t_cannikin} vs {t_adaptdl}");
     assert!(t_cannikin < t_ddp * 0.35, "vs DDP: {t_cannikin} vs {t_ddp}");

@@ -140,6 +140,24 @@ fn parallel_trainer_learns_and_reports_consistent_state() {
 }
 
 #[test]
+fn adaptive_total_stays_within_the_batch_range_and_the_dataset() {
+    // max_batch (128) exceeds the 96-sample dataset: whatever the planner
+    // picks — growth bootstrap, held base, goodput sweep — an epoch must
+    // still hold one even and one odd step, so B ≤ 96 / 2.
+    let mut trainer = ParallelTrainer::builder()
+        .dataset(gaussian_blobs(96, 4, 10, 35))
+        .model(|seed| mlp_classifier(10, 16, 4, seed))
+        .config(config())
+        .build()
+        .expect("valid config");
+    for epoch in 0..6 {
+        let r = trainer.run_epoch().expect("epoch");
+        assert_eq!(r.local_batches.iter().sum::<u64>(), r.total_batch, "epoch {epoch}");
+        assert!((32..=48).contains(&r.total_batch), "epoch {epoch}: total {}", r.total_batch);
+    }
+}
+
+#[test]
 fn parallel_trainer_is_deterministic_in_math() {
     // Wall-clock timings differ between runs (and with them the measured
     // splits), but Eq. (9) makes the global gradient independent of the
