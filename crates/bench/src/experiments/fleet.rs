@@ -5,9 +5,10 @@
 //! `BENCH_fleet.json`.
 //!
 //! Everything here is simulated time from seeded traces, so the numbers
-//! are deterministic: the `fleetgate` binary can hold the committed
+//! are deterministic: `gate fleet` can hold the committed
 //! baseline to a tight tolerance without flaking on shared CI runners.
 
+use crate::gate::GateCheck;
 use crate::{fmt, row};
 use cannikin_fleet::{synthetic_trace, AllocPolicy, FleetController, FleetReport};
 use cannikin_telemetry::Json;
@@ -130,7 +131,7 @@ impl TraceOutcome {
     }
 }
 
-/// The full fleet trajectory in structured form — what `fleetgate`
+/// The full fleet trajectory in structured form — what `gate fleet`
 /// serializes into `BENCH_fleet.json`.
 #[derive(Debug, Clone)]
 pub struct FleetBenchReport {
@@ -168,7 +169,7 @@ impl FleetBenchReport {
         ])
     }
 
-    /// Reconstruct a report from `BENCH_fleet.json` (the `fleetgate`
+    /// Reconstruct a report from `BENCH_fleet.json` (the `gate fleet`
     /// baseline side). Missing or malformed fields become errors.
     pub fn from_json(json: &Json) -> Result<FleetBenchReport, String> {
         let Some(Json::Arr(traces)) = json.get("traces") else {
@@ -194,6 +195,47 @@ impl FleetBenchReport {
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(FleetBenchReport { traces })
+    }
+
+    /// The gated ratios against the committed baseline `base`, per pinned
+    /// trace. Floors never drop below 1.0: even a generous baseline cannot
+    /// excuse the adaptive allocator losing to a baseline policy outright.
+    pub fn checks(&self, base: &FleetBenchReport, tol: f64) -> Vec<GateCheck> {
+        let mut checks = Vec::new();
+        for f in &self.traces {
+            let Some(b) = base.traces.iter().find(|t| t.seed == f.seed) else {
+                checks.push(GateCheck::skipped(
+                    format!("s{}", f.seed),
+                    "trace seed absent from baseline (baseline refresh needed)",
+                ));
+                continue;
+            };
+            let ratios: [(&str, f64, f64); 4] = [
+                ("goodput_vs_fifo", f.goodput_vs_fifo(), b.goodput_vs_fifo()),
+                ("goodput_vs_static", f.goodput_vs_static(), b.goodput_vs_static()),
+                ("makespan_vs_fifo", f.makespan_vs_fifo(), b.makespan_vs_fifo()),
+                ("makespan_vs_static", f.makespan_vs_static(), b.makespan_vs_static()),
+            ];
+            for (name, current, baseline) in ratios {
+                checks.push(GateCheck::floor(
+                    format!("s{}.{name}", f.seed),
+                    current,
+                    baseline,
+                    (baseline * (1.0 - tol)).max(1.0),
+                    tol,
+                ));
+            }
+            // Fairness guards the allocator's other promise: winning on
+            // goodput must not come from starving low-priority tenants.
+            checks.push(GateCheck::floor(
+                format!("s{}.fairness", f.seed),
+                f.cannikin.fairness,
+                b.cannikin.fairness,
+                b.cannikin.fairness * (1.0 - tol),
+                tol,
+            ));
+        }
+        checks
     }
 }
 

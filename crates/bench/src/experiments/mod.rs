@@ -26,7 +26,7 @@ pub use fleet::{fleet, fleet_pool, fleet_report, FleetBenchReport, PolicyOutcome
 pub use insight::insight_run;
 pub use perf::{perf, perf_report, PerfReport, PERF_SEED};
 pub use policy::{policy, POLICY_SCENARIOS, POLICY_SUBJECTS};
-pub use scenarios::{render_scenarios, scenarios};
+pub use scenarios::scenarios;
 pub use slo::slo;
 pub use tables::{table1, table6, table_prediction};
 pub use telemetry::{summarize, telemetry_summary};

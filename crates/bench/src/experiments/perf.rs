@@ -2,12 +2,13 @@
 //! compressed-gradient bytes on the wire, and compute/comm overlap — the
 //! three measurements behind `BENCH_perf.json`.
 //!
-//! The committed baseline is gated by the `perfgate` binary on *ratios*
+//! The committed baseline is gated by `gate perf` on *ratios*
 //! (SIMD speedup over scalar, byte reduction over raw f32, overlapped vs
 //! sequential epoch time), which transfer across machines far better than
 //! absolute GFLOP/s, so a CI runner of a different generation still
 //! catches real regressions.
 
+use crate::gate::GateCheck;
 use crate::{fmt, row};
 use cannikin_collectives::{Codec, CommGroup, ErrorFeedback, TransportKind};
 use cannikin_core::engine::ParallelTrainer;
@@ -110,7 +111,7 @@ fn epoch_once(overlap: bool) -> (f64, f64, f64) {
     (wall, hidden, samples as f64 / wall)
 }
 
-/// The full perf trajectory in structured form — what `perfgate`
+/// The full perf trajectory in structured form — what `gate perf`
 /// serializes into `BENCH_perf.json`.
 #[derive(Debug, Clone)]
 pub struct PerfReport {
@@ -186,7 +187,7 @@ impl PerfReport {
         ])
     }
 
-    /// Reconstruct a report from `BENCH_perf.json` (the `perfgate`
+    /// Reconstruct a report from `BENCH_perf.json` (the `gate perf`
     /// baseline side). Missing or non-numeric fields become errors.
     pub fn from_json(json: &Json) -> Result<PerfReport, String> {
         let f = |path: &[&str]| -> Result<f64, String> {
@@ -213,6 +214,58 @@ impl PerfReport {
             hidden_comm_s: f(&["overlap", "hidden_comm_s"])?,
             samples_per_s: f(&["goodput", "samples_per_s"])?,
         })
+    }
+
+    /// The gated ratios against the committed baseline `base`. The
+    /// timing-based overlap ratio gets triple headroom on top of `tol`
+    /// because it runs on shared CI cores where rank threads timeshare
+    /// (observed spread ~1.0–1.7x on one box); byte ratios are
+    /// deterministic and could gate exactly, but share the same tolerance
+    /// for a uniform contract.
+    pub fn checks(&self, base: &PerfReport, tol: f64) -> Vec<GateCheck> {
+        let mut checks = Vec::new();
+        if self.avx2 {
+            checks.push(GateCheck::floor(
+                "simd_speedup",
+                self.simd_speedup,
+                base.simd_speedup,
+                (base.simd_speedup * (1.0 - tol)).max(1.5),
+                tol,
+            ));
+        } else {
+            checks.push(GateCheck::skipped("simd_speedup", "AVX2 unavailable on this machine"));
+        }
+        checks.push(GateCheck::floor(
+            "bf16_reduction",
+            self.bf16_reduction,
+            base.bf16_reduction,
+            (base.bf16_reduction * (1.0 - tol)).max(0.45),
+            tol,
+        ));
+        checks.push(GateCheck::floor(
+            "topk_reduction",
+            self.topk_reduction,
+            base.topk_reduction,
+            base.topk_reduction * (1.0 - tol),
+            tol,
+        ));
+        checks.push(GateCheck::floor(
+            "overlap_speedup",
+            self.overlap_speedup,
+            base.overlap_speedup,
+            base.overlap_speedup * (1.0 - 3.0 * tol),
+            3.0 * tol,
+        ));
+        // Error feedback keeps one-shot quantization error bounded; a codec
+        // bug that silently destroys precision shows up here, not in bytes.
+        checks.push(GateCheck::ceiling(
+            "bf16_rel_error",
+            self.bf16_rel_error,
+            base.bf16_rel_error,
+            (base.bf16_rel_error * 2.0).max(1e-2),
+            1.0,
+        ));
+        checks
     }
 }
 

@@ -1,25 +1,29 @@
 //! Scenario-matrix experiment (the test PR): render the capability-tagged
-//! evaluation matrix — every compatible (scenario, subject) cell under the
-//! pinned seed — as the table the `figures scenarios` experiment prints.
-//! The structured form lives in [`crate::scenarios`]; `BENCH_scenarios.json`
-//! commits it and `scenariogate` diffs CI runs against it.
+//! evaluation matrix — the registry, then every compatible (scenario,
+//! subject) cell under the pinned seed — as the table the `figures
+//! scenarios` experiment prints. The structured form lives in
+//! [`crate::scenarios`]; `BENCH_scenarios.json` commits it and `gate
+//! scenarios` diffs CI runs against it.
 
-use crate::scenarios::{scenario_report, ScenarioBenchReport};
+use crate::scenarios::{registry, scenario_report, subjects, Capability};
 use crate::{fmt, row};
+
+fn tags(caps: &[Capability]) -> String {
+    caps.iter().map(|c| c.label()).collect::<Vec<_>>().join(",")
+}
 
 /// Rendered scenario matrix (the `figures scenarios` experiment).
 pub fn scenarios() -> String {
-    render_scenarios(&scenario_report())
-}
-
-/// Render an already-measured report (the `scenarios` binary reuses its
-/// run instead of measuring twice).
-pub fn render_scenarios(report: &ScenarioBenchReport) -> String {
-    let mut out = format!(
-        "Scenario matrix — {} compatible cells (seed {})\n\n",
-        report.cells.len(),
-        report.seed
-    );
+    let mut out = String::from("scenarios (requires):\n");
+    for s in registry() {
+        out += &format!("  {:<20} [{}]  {}\n", s.name, tags(&s.requires), s.description);
+    }
+    out += "\nsubjects (provides):\n";
+    for s in subjects() {
+        out += &format!("  {:<20} [{}]  {}\n", s.name, tags(&s.provides), s.description);
+    }
+    let report = scenario_report();
+    out += &format!("\nScenario matrix — {} compatible cells (seed {})\n\n", report.cells.len(), report.seed);
     let widths = [20, 16, 8, 11, 9, 7, 11, 13];
     out += &row(
         &[

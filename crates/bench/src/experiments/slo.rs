@@ -11,7 +11,7 @@ use cannikin_fleet::{synthetic_trace, AllocPolicy, FleetController};
 use cannikin_insight::{replay_slos, SloMonitor};
 use cannikin_telemetry::{self as telemetry, Labels, Record, SeriesRecorder};
 
-/// Seed of the pinned arrival trace (the first `fleetgate` seed).
+/// Seed of the pinned arrival trace (the first `gate fleet` seed).
 const SEED: u64 = 7;
 
 /// Jobs in the trace (matches the fleet trajectory).

@@ -1,12 +1,12 @@
-//! Shared regression-gate checks for the `*gate` binaries.
+//! The regression-gate check type shared by every suite of the `gate`
+//! binary.
 //!
-//! Both `perfgate` (raw-speed trajectory) and `fleetgate` (fleet
-//! scheduling trajectory) compare a fresh measurement against a committed
-//! baseline and fail on regressions. This module gives them one check
-//! type and one message format, so a failing CI run always prints, for
-//! every offending metric, the current value, the baseline it was
-//! compared against, and the threshold it violated — no "gate failed"
-//! without the numbers to debug it.
+//! Each suite (`perf`, `fleet`, `scenarios`) compares a fresh measurement
+//! against a committed baseline and fails on regressions. This module
+//! gives them one check type and one message format, so a failing CI run
+//! always prints, for every offending metric, the current value, the
+//! baseline it was compared against, and the threshold it violated — no
+//! "gate failed" without the numbers to debug it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -122,7 +122,7 @@ impl fmt::Display for GateCheck {
 /// Read and parse a committed baseline file. A missing or corrupt
 /// baseline is the most common first-run failure, so every error spells
 /// out where the file was expected and the exact command that regenerates
-/// it — shared by `perfgate`, `fleetgate` and `scenariogate`.
+/// it.
 pub fn load_baseline_json(path: &str, regen_command: &str) -> Result<Json, String> {
     let regen = format!("expected a committed baseline at `{path}`; regenerate with\n  {regen_command}");
     let text =

@@ -2,7 +2,7 @@
 //!
 //! Shared plumbing for the `figures` binary (`src/bin/figures.rs`), which
 //! regenerates every table and figure of the paper's evaluation section,
-//! the scenario matrix and the gate binaries. See `DESIGN.md` §4 for
+//! the scenario matrix and the `gate` binary. See `DESIGN.md` §4 for
 //! the experiment index and `EXPERIMENTS.md` for recorded outputs.
 
 pub mod experiments;

@@ -15,8 +15,8 @@
 //! `scenario/subject`, and reduces each run to wall-clock-free metrics
 //! (simulated goodput, simulated time-to-target, fault/recovery counts,
 //! bytes moved, solver invocations) so the emitted report is byte-stable
-//! across machines. `BENCH_scenarios.json` commits that report; the
-//! `scenariogate` binary diffs a fresh run against it in CI.
+//! across machines. `BENCH_scenarios.json` commits that report; `gate
+//! scenarios` diffs a fresh run against it in CI.
 //!
 //! [`ParallelTrainer`]: cannikin_core::engine::ParallelTrainer
 

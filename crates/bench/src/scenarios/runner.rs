@@ -25,6 +25,8 @@ use hetsim::Simulator;
 use minidnn::data::gaussian_blobs;
 use minidnn::models::mlp_classifier;
 
+use crate::gate::{compare_metric_maps, Bound, GateCheck};
+
 use super::registry::{matrix, ScenarioKind, ScenarioSpec, SimSystem, SubjectKind, SubjectSpec};
 
 /// Pinned seed of every cell in the scenario matrix.
@@ -304,7 +306,7 @@ impl ScenarioBenchReport {
         ])
     }
 
-    /// Reconstruct from `BENCH_scenarios.json` (the `scenariogate`
+    /// Reconstruct from `BENCH_scenarios.json` (the `gate scenarios`
     /// baseline side).
     pub fn from_json(json: &Json) -> Result<ScenarioBenchReport, String> {
         let seed = json
@@ -330,6 +332,49 @@ impl ScenarioBenchReport {
     /// Look up a cell by ids.
     pub fn cell(&self, scenario: &str, subject: &str) -> Option<&CellResult> {
         self.cells.iter().find(|c| c.scenario == scenario && c.subject == subject)
+    }
+
+    /// The gate against the committed baseline `base`:
+    ///
+    /// - every `adaptive_vs_static` goodput ratio must stay at or above
+    ///   `max(1.0, baseline·(1−tol))` — Cannikin losing to a static subject
+    ///   on any fault/churn scenario fails outright, whatever the baseline;
+    /// - every baseline cell must still exist (a vanished cell means the
+    ///   registry silently shrank);
+    /// - per surviving cell, `goodput_eff_epochs_per_hour` floors and
+    ///   `comm_bytes` ceilings at the tolerance.
+    pub fn checks(&self, base: &ScenarioBenchReport, tol: f64) -> Vec<GateCheck> {
+        let mut checks = Vec::new();
+        for (scenario, &baseline) in &base.ratios {
+            checks.push(GateCheck::floor(
+                format!("{scenario}.adaptive_vs_static"),
+                // A vanished ratio is NaN, which fails either bound.
+                self.ratios.get(scenario).copied().unwrap_or(f64::NAN),
+                baseline,
+                (baseline * (1.0 - tol)).max(1.0),
+                tol,
+            ));
+        }
+        for cell in &base.cells {
+            let label = format!("{}/{}", cell.scenario, cell.subject);
+            let Some(current) = self.cell(&cell.scenario, &cell.subject) else {
+                checks.push(GateCheck::floor(format!("{label}.present"), f64::NAN, 1.0, 1.0, 0.0));
+                continue;
+            };
+            let pick = |metrics: &BTreeMap<String, f64>, name: &str| -> BTreeMap<String, f64> {
+                metrics.get(name).map(|&v| BTreeMap::from([(name.to_string(), v)])).unwrap_or_default()
+            };
+            for (metric, bound) in [("goodput_eff_epochs_per_hour", Bound::Floor), ("comm_bytes", Bound::Ceiling)] {
+                checks.extend(compare_metric_maps(
+                    &format!("{label}."),
+                    &pick(&current.metrics, metric),
+                    &pick(&cell.metrics, metric),
+                    bound,
+                    tol,
+                ));
+            }
+        }
+        checks
     }
 }
 

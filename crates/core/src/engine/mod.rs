@@ -35,7 +35,6 @@ pub use subject::TrainingSubject;
 pub use trainer::{CannikinTrainer, TrainerConfig};
 
 use crate::optperf::Bottleneck;
-use serde::{Deserialize, Serialize};
 
 /// A model of how the gradient noise scale evolves with training progress.
 ///
@@ -52,7 +51,7 @@ pub trait NoiseModel: Send {
 /// φ(t) = φ₀ · (1 + rate·t): the linear-growth model used by the workload
 /// profiles (a good fit to the published GNS trajectories at epoch
 /// granularity).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearNoiseGrowth {
     /// Initial noise scale.
     pub initial: f64,
@@ -67,7 +66,7 @@ impl NoiseModel for LinearNoiseGrowth {
 }
 
 /// Everything recorded about one training epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochRecord {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -101,11 +100,9 @@ pub struct EpochRecord {
     /// Whether the learned model (vs the bootstrap) produced the split.
     pub used_model: bool,
     /// Faults observed (injected or genuine) during the epoch.
-    #[serde(default)]
     pub faults: u32,
     /// Recovery actions taken (retries, group membership changes,
     /// mid-epoch replans) during the epoch.
-    #[serde(default)]
     pub recoveries: u32,
 }
 

@@ -15,10 +15,9 @@ use crate::error::CannikinError;
 use crate::gns::goodput;
 use crate::optperf::{compute_span, OptPerfSolver, Plan};
 use cannikin_telemetry::{self as telemetry, Event, GoodputEval};
-use serde::{Deserialize, Serialize};
 
 /// A cached OptPerf prediction for one total-batch-size candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct CachedCandidate {
     /// Effective total batch (micro-batch × accumulation).
     total: u64,

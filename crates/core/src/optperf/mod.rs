@@ -39,10 +39,9 @@ pub use solver::{compute_span, predict_batch_time, Bottleneck, OptPerfSolver, Pl
 use hetsim::cluster::ClusterSpec;
 use hetsim::job::JobSpec;
 use hetsim::timing::{comm_times, node_coefficients};
-use serde::{Deserialize, Serialize};
 
 /// One node's learned (or oracle) performance model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodePerf {
     /// Per-sample coefficient of `a_i` (load + forward), s/sample.
     pub q: f64,
@@ -94,7 +93,7 @@ impl NodePerf {
 }
 
 /// Everything the solver needs: per-node models plus cluster constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverInput {
     /// Per-node performance models.
     pub nodes: Vec<NodePerf>,

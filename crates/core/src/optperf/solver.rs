@@ -3,10 +3,9 @@
 use super::{NodePerf, SolverInput};
 use crate::error::CannikinError;
 use cannikin_telemetry::{self as telemetry, Event, SolverInvocation};
-use serde::{Deserialize, Serialize};
 
 /// Which resource limits a node at the solved operating point (§3.2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bottleneck {
     /// `(1−γ)·P_i ≥ T_o`: gradient computation hides all overlappable
     /// communication; the node's batch time is `t_compute + T_u` (Eq. 5).
@@ -17,7 +16,7 @@ pub enum Bottleneck {
 }
 
 /// The solver's answer for one total batch size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// Integer local batch per node, summing to the requested total.
     pub local_batches: Vec<u64>,

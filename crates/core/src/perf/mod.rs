@@ -20,10 +20,8 @@ mod fuse;
 pub use analyzer::Analyzer;
 pub use fuse::{Fused, WeightedFuser};
 
-use serde::{Deserialize, Serialize};
-
 /// How the analyzer combines per-node observations of cluster constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeasurementAggregation {
     /// Inverse-variance weighting (Cannikin, §4.5).
     InverseVariance,

@@ -36,7 +36,6 @@ pub use rl::RlBatchPolicy;
 use crate::error::CannikinError;
 use crate::optperf::{Bottleneck, SolverInput};
 use cannikin_telemetry::SplitSource;
-use serde::{Deserialize, Serialize};
 
 /// Everything a policy may consult when proposing an epoch plan.
 ///
@@ -151,7 +150,7 @@ pub trait Policy: Send {
 /// Which built-in policy to construct — the parse/display surface behind
 /// the builders' `.policy()` knob and the `CANNIKIN_POLICY` environment
 /// variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// The paper's planner: OptPerf splits + goodput-maximizing `B`.
     #[default]

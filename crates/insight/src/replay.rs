@@ -232,7 +232,7 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
                 finalize_plan(&mut plans, &mut accum);
                 plans.push(PlanSummary {
                     index: plans.len(),
-                    source: source_name(d.source).to_string(),
+                    source: d.source.as_str().to_string(),
                     total: d.total,
                     local: d.local.clone(),
                     predicted_t: d.predicted_t,
@@ -266,16 +266,6 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
         plans,
         offline,
         online,
-    }
-}
-
-fn source_name(source: cannikin_telemetry::SplitSource) -> &'static str {
-    use cannikin_telemetry::SplitSource;
-    match source {
-        SplitSource::EvenInit => "even_init",
-        SplitSource::Bootstrap => "bootstrap",
-        SplitSource::Solver => "solver",
-        SplitSource::WarmStart => "warm_start",
     }
 }
 

@@ -6,11 +6,9 @@
 //! not matter for the reproduction — only ratios between GPUs do, since
 //! every result in the paper is either normalized or a relative speedup.
 
-use serde::{Deserialize, Serialize};
-
 /// A GPU model from the paper's evaluation clusters (plus the Table 1
 /// evolution parts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Gpu {
     /// NVIDIA Tesla P100 (Pascal, 2016) — Table 1.
@@ -32,7 +30,7 @@ pub enum Gpu {
 }
 
 /// Static description of a GPU model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub name: &'static str,

@@ -1,11 +1,10 @@
 //! Cluster specifications.
 
 use crate::catalog::Gpu;
-use serde::{Deserialize, Serialize};
 
 /// One data-parallel worker (a single GPU — the paper treats every GPU of
 /// a multi-GPU server as its own node).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Human-readable name ("a100-0", "rtx-3", …).
     pub name: String,
@@ -114,7 +113,7 @@ impl NodeSpec {
 /// per job (§3.2.2); the simulator derives that constant from a ring
 /// all-reduce over the slowest link, which is how NCCL's ring behaves in a
 /// heterogeneous network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkSpec {
     /// Bandwidth of the slowest link in the ring, bytes/second.
     pub bottleneck_bandwidth: f64,
@@ -150,7 +149,7 @@ impl NetworkSpec {
 }
 
 /// A heterogeneous GPU cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Cluster name ("A", "B", "C", …).
     pub name: String,

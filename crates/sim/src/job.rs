@@ -7,10 +7,8 @@
 //! ratio γ. The convergence-side metadata (batch ranges, gradient noise
 //! trajectories, target metrics) lives in `cannikin-workloads`.
 
-use serde::{Deserialize, Serialize};
-
 /// Compute characteristics of one training job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job name ("ResNet-50/ImageNet", …).
     pub name: String,

@@ -14,10 +14,9 @@
 
 use crate::cluster::{ClusterSpec, NodeSpec};
 use crate::job::JobSpec;
-use serde::{Deserialize, Serialize};
 
 /// The four linear compute-time coefficients of one node for one job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeCoeffs {
     /// Per-sample coefficient of `a_i` (data loading + forward), s/sample.
     pub q: f64,

@@ -8,7 +8,7 @@
 //! payload in `args`; `pid` is the logical node and `tid` the rank, so
 //! Perfetto lays ranks out as separate tracks.
 
-use crate::event::{event_fields, Event, Record};
+use crate::event::{Event, Record};
 use crate::json::Json;
 use std::io::{self, Write};
 use std::path::Path;
@@ -93,7 +93,9 @@ fn chrome_event(record: &Record) -> Json {
             let mut members = envelope(other.kind(), "i");
             // Thread-scoped instant: renders as a tick on the emitting track.
             members.push(("s".to_string(), Json::Str("t".to_string())));
-            members.push(("args".to_string(), Json::Obj(event_fields(other))));
+            let mut args = Vec::new();
+            other.write_fields(&mut args);
+            members.push(("args".to_string(), Json::Obj(args)));
             Json::Obj(members)
         }
     }

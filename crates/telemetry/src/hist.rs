@@ -8,8 +8,6 @@
 //! which is the usual fixed-bucket trade-off: cheap and mergeable, with
 //! error bounded by bucket width.
 
-use serde::{Deserialize, Serialize};
-
 /// Error returned by [`Histogram::merge`] when the two histograms were
 /// built with different bucket layouts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +27,7 @@ impl std::error::Error for LayoutMismatch {}
 /// edge at `min` for `i == 0`); samples at or above the last bound land
 /// in a dedicated overflow bucket, samples below `min` in an underflow
 /// bucket.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Inclusive lower edge of the first bucket.
     min: f64,

@@ -1,6 +1,6 @@
 //! A minimal self-contained JSON value model.
 //!
-//! The workspace deliberately carries no `serde_json` dependency (the
+//! The workspace deliberately carries no JSON-library dependency (the
 //! build must work from the vendored dependency set alone), so the
 //! exporters serialize through this module instead. It supports exactly
 //! the JSON subset the telemetry formats need — objects, arrays, strings,

@@ -13,10 +13,8 @@
 //! functions of the deterministic simulation, so online and offline
 //! evaluations of the same trace produce byte-identical verdicts.
 
-use serde::{Deserialize, Serialize};
-
 /// One service-level objective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SloRule {
     /// Fleet-wide useful-work rate (the `fleet_goodput` counter,
     /// effective samples per simulated second) must stay at or above

@@ -8,10 +8,9 @@
 //! physics stay inside the hardware.
 
 use crate::event::{Event, FaultInjected, StepTiming};
-use serde::{Deserialize, Serialize};
 
 /// What one node measures about itself during one batch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeObservation {
     /// Node index within the cluster.
     pub node: usize,
@@ -53,7 +52,7 @@ impl NodeObservation {
 }
 
 /// The timing outcome of one synchronized training batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchTrace {
     /// Per-node measurements, indexed by node.
     pub observations: Vec<NodeObservation>,
@@ -65,7 +64,6 @@ pub struct BatchTrace {
     /// Faults that fired during this batch (empty on healthy batches).
     /// A batch whose faults include a crash or an exhausted comm timeout
     /// carries no usable observations — see [`BatchTrace::is_failed`].
-    #[serde(default)]
     pub faults: Vec<FaultInjected>,
 }
 
@@ -84,7 +82,7 @@ impl BatchTrace {
 }
 
 /// The timing outcome of a full epoch (many batches).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochTrace {
     /// Every batch of the epoch, in order.
     pub batches: Vec<BatchTrace>,

@@ -8,10 +8,8 @@
 //! (word error rate) alike — and is calibrated per workload to the
 //! published epochs-to-target.
 
-use serde::{Deserialize, Serialize};
-
 /// `value(t) = limit + (start − limit)·exp(−rate·t)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaturatingCurve {
     /// Metric value at zero progress.
     pub start: f64,

@@ -3,10 +3,9 @@
 use crate::convergence::SaturatingCurve;
 use cannikin_core::engine::LinearNoiseGrowth;
 use hetsim::job::JobSpec;
-use serde::{Deserialize, Serialize};
 
 /// The convergence target of a workload (Table 5 "Target" column).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetMetric {
     /// Metric name ("Top-1 accuracy", "WER", …).
     pub name: &'static str,

@@ -1,49 +1,63 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: the frozen benchmark's own tests, release
-# build, full test suite, and a warnings-as-errors clippy pass over the
-# whole workspace.
+# Tier-1 verification gate, as named stages. CI runs one stage per job
+# (.github/workflows/tier1.yml); with no argument every stage runs in order.
 #
-# Usage: scripts/tier1.sh
+# Usage: scripts/tier1.sh [stage...]
+#   benchmark  the frozen benchmark's own tests (plain rustc, ~40 s)
+#   build      release build
+#   test       full workspace test suite
+#   clippy     warnings-as-errors clippy pass
+#   doc        warnings-as-errors rustdoc
+#   chaos      every fault schedule (CANNIKIN_CHAOS_SCHEDULE narrows it)
+#   policy     policy equivalence + determinism
+#   fleet      fleet control plane
+#   gate       perf, fleet and scenario reports vs the committed BENCH_*.json
+#   report     same-seed fleet traces must render byte-identical reports
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "==> bash crates/benchmark/run.sh --test (frozen benchmark vs the public API)"
-# Plain rustc, ~40 s: compiles every crate and the benchmark against the
-# public API — the fastest signal that a refactor broke a frozen call site.
-bash crates/benchmark/run.sh --test
+ALL="benchmark build test clippy doc chaos policy fleet gate report"
 
-echo "==> cargo build --release"
-cargo build --release
+stage() {
+    case "$1" in
+    benchmark)
+        # Compiles every crate and the benchmark against the public API —
+        # the fastest signal that a refactor broke a frozen call site.
+        bash crates/benchmark/run.sh --test
+        ;;
+    build) cargo build --release ;;
+    test) cargo test --workspace -q ;;
+    clippy) cargo clippy --workspace -- -D warnings ;;
+    doc) RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ;;
+    chaos) cargo test --test chaos --release -q ;;
+    policy) cargo test --test policy --release -q ;;
+    fleet) cargo test -p cannikin-fleet --release -q ;;
+    gate)
+        # Tolerances (10% on wall-clock perf ratios, 2% on the simulated
+        # fleet and scenario numbers) are the suite table's defaults.
+        cargo run --release -p cannikin-bench --bin gate -- all --out target
+        ;;
+    report)
+        # The insight CLI itself exits 2 if the offline SLO/anomaly reruns
+        # disagree with the online verdicts recorded in either trace.
+        for run in a b; do
+            cargo run --release -p cannikin-bench --bin fleettrace -- --out "target/fleet_$run.jsonl" --seed 7
+            cargo run --release -p cannikin-insight --bin insight -- \
+                report "target/fleet_$run.jsonl" --html "target/fleet_$run.html" >"target/fleet_$run.txt"
+        done
+        diff target/fleet_a.txt target/fleet_b.txt
+        diff target/fleet_a.html target/fleet_b.html
+        ;;
+    *)
+        echo "tier1.sh: unknown stage \`$1\` (stages: $ALL)" >&2
+        exit 2
+        ;;
+    esac
+}
 
-echo "==> cargo test --workspace -q"
-cargo test --workspace -q
-
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
-
-echo "==> cargo doc --workspace --no-deps (warnings as errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
-
-echo "==> cargo test --test chaos --release -q (all fault schedules)"
-cargo test --test chaos --release -q
-
-echo "==> cargo test --test policy --release -q (policy equivalence + determinism)"
-cargo test --test policy --release -q
-
-echo "==> cargo test -p cannikin-fleet --release -q (fleet control plane)"
-cargo test -p cannikin-fleet --release -q
-
-echo "==> perfgate vs committed BENCH_perf.json (10% ratio tolerance)"
-cargo run --release -p cannikin-bench --bin perfgate -- \
-    --baseline BENCH_perf.json --out target/BENCH_perf.json
-
-echo "==> fleetgate vs committed BENCH_fleet.json (2% ratio tolerance)"
-cargo run --release -p cannikin-bench --bin fleetgate -- \
-    --baseline BENCH_fleet.json --out target/BENCH_fleet.json
-
-echo "==> scenariogate vs committed BENCH_scenarios.json (2% tolerance)"
-cargo run --release -p cannikin-bench --bin scenariogate -- \
-    --baseline BENCH_scenarios.json --out target/BENCH_scenarios.json
-
+for name in ${*:-$ALL}; do
+    echo "==> tier-1 stage: $name"
+    stage "$name"
+done
 echo "tier-1: OK"

@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 /// The flagship determinism guarantee: the entire matrix — every sim
 /// cell, every real-gradient cell, every goodput ratio — serializes to
-/// the same bytes on a same-seed re-run. Without this, `scenariogate`
+/// the same bytes on a same-seed re-run. Without this, `gate scenarios`
 /// would flag phantom regressions on every CI run.
 #[test]
 fn same_seed_double_run_is_byte_identical() {
