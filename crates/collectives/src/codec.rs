@@ -284,6 +284,13 @@ impl ErrorFeedback {
         }
     }
 
+    /// Overwrite the `offset`-based window with a residual the caller
+    /// already computed (the exchange holds it back until the reduce
+    /// succeeded).
+    pub(crate) fn commit(&mut self, residual: &[f32], offset: usize) {
+        self.residual[offset..offset + residual.len()].copy_from_slice(residual);
+    }
+
     /// Clear the residual window starting at `offset` (used when a step
     /// runs uncompressed and no error remains to feed back).
     pub fn clear(&mut self, offset: usize, len: usize) {

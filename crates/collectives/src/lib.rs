@@ -1,42 +1,40 @@
 //! # cannikin-collectives — pluggable collective communication
 //!
-//! Functional (numerically real) collectives for data-parallel training,
-//! mirroring the subset of NCCL that PyTorch DistributedDataParallel uses.
-//! Every collective is written once against the [`Transport`] trait and
-//! runs unchanged over either in-tree backend — crossbeam channels between
-//! OS threads ([`CommGroup::create`]) or real localhost TCP sockets with
-//! length-prefixed frames ([`CommGroup::tcp`]); results are bitwise
-//! identical across backends. Available collectives:
+//! Functional (numerically real) collectives for data-parallel training:
+//! the subset of NCCL that PyTorch DistributedDataParallel needs for the
+//! paper's batch-ratio-weighted aggregation. Each is written once against
+//! the [`Transport`] trait and runs unchanged over either in-tree backend
+//! — crossbeam channels between OS threads ([`TransportKind::InProcess`])
+//! or real localhost TCP sockets with length-prefixed frames
+//! ([`TransportKind::Tcp`]); results are bitwise identical across
+//! backends. The entry points:
 //!
-//! - [`Communicator::all_reduce_sum`] — the bandwidth-optimal ring
-//!   all-reduce (reduce-scatter followed by all-gather, `2(n−1)` chunk
-//!   transfers per rank);
-//! - [`Communicator::all_reduce_buckets`] — the bucketed variant that DDP
-//!   uses to overlap gradient synchronization with backpropagation (§3.2.3
-//!   of the paper); buckets are reduced in backward order;
-//! - [`Communicator::weighted_all_reduce`] — the batch-ratio-weighted
-//!   gradient aggregation of Eq. (9): `g = Σᵢ rᵢ gᵢ`;
-//! - broadcast / barrier / all-gather primitives for bootstrapping and
-//!   metric collection;
-//! - [`Communicator::all_reduce_sum_resilient`] and
-//!   [`Communicator::weighted_all_reduce_resilient`] — the fault-tolerant
-//!   path: per-receive timeouts, typed [`CommError`]s instead of panics,
-//!   and bounded retry with seeded-jitter exponential backoff
-//!   ([`RetryPolicy`]). Deterministic failures can be injected with a
-//!   shared [`CommFaultPlan`] (see [`CommGroup::create_faulty`]).
-//! - [`Communicator::weighted_all_reduce_ef`] and its resilient variant —
-//!   the compressed-gradient path: payloads travel through a per-group
-//!   [`Codec`] (bf16 / f16 quantization or top-k sparsification, raw
-//!   `f32` by default) with an [`ErrorFeedback`] residual so convergence
-//!   tracks the uncompressed trajectory. Select the codec with
-//!   [`CommGroup::with_options`].
+//! - [`Communicator::exchange`] — the gradient exchange of Eq. (9),
+//!   `g = Σᵢ rᵢ gᵢ`, over the bandwidth-optimal ring all-reduce
+//!   (reduce-scatter followed by all-gather, `2(n−1)` chunk transfers per
+//!   rank). Payloads travel through a per-group [`Codec`] (bf16 / f16
+//!   quantization or top-k sparsification, raw `f32` by default); pass the
+//!   rank's [`ErrorFeedback`] residual — with a bucket offset when
+//!   reducing bucket by bucket, as DDP does to overlap synchronization
+//!   with backpropagation (§3.2.3 of the paper) — so convergence tracks
+//!   the uncompressed trajectory. Pass a [`RetryPolicy`] to arm
+//!   per-receive timeouts, the deterministic injected failures of a shared
+//!   [`CommFaultPlan`], bounded retry with seeded-jitter exponential
+//!   backoff, and restore-on-error. Every failure is a typed
+//!   [`CommError`].
+//! - [`Communicator::gather`] — the `f64` all-gather for metric collection.
+//! - [`Communicator::all_reduce_sum`], [`Communicator::weighted_all_reduce`],
+//!   [`Communicator::weighted_all_reduce_ef`] and
+//!   [`Communicator::all_gather_vec`] — the same operations for callers
+//!   that treat a lost peer as a bug: they panic instead of returning the
+//!   error.
 //!
 //! Every rank runs on its own thread and owns one [`Communicator`]; the
-//! group is created up front with [`CommGroup::create`] (in-process),
-//! [`CommGroup::tcp`] (sockets), or the backend-polymorphic
-//! [`CommGroup::with_kind`] driven by a [`TransportKind`]. All collectives
-//! must be called by every rank in the same order (the usual SPMD
-//! contract).
+//! group is created up front with [`CommGroup::create`] (in-process) or
+//! the backend-polymorphic [`CommGroup::with_kind`] /
+//! [`CommGroup::with_options`] driven by a [`TransportKind`]. All
+//! collectives must be called by every rank in the same order (the usual
+//! SPMD contract).
 //!
 //! ## Example
 //!

@@ -1,17 +1,16 @@
 //! Timeouts, typed errors and retry-with-backoff for the ring collectives.
 //!
-//! The plain [`Communicator`](crate::Communicator) methods keep their
-//! original panic-on-disconnect contract (a programming error in tests).
-//! This module adds the fault-tolerant path the elastic engine uses:
+//! The vocabulary of the fault-tolerant side of
+//! [`Communicator::exchange`](crate::Communicator::exchange):
 //!
 //! - [`CommError`] — a typed error instead of a panic: receive timeout,
-//!   disconnected peer, or an exhausted retry budget;
+//!   disconnected peer, malformed frame, or an exhausted retry budget;
 //! - [`RetryPolicy`] — bounded attempts with exponential backoff, jittered
 //!   from a caller-seeded RNG so reruns are reproducible;
 //! - [`CommFaultPlan`] — deterministic *injected* failures keyed by the
-//!   collective sequence number. The plan is shared (via `Arc`) by every
-//!   rank of a group, and each rank's communicator counts resilient
-//!   collectives identically, so all ranks decide "this attempt fails"
+//!   exchange sequence number. The plan is shared (via `Arc`) by every
+//!   rank of a group, and each rank's communicator counts retry-armed
+//!   exchanges identically, so all ranks decide "this attempt fails"
 //!   in lockstep — injected faults can never desynchronize the SPMD
 //!   schedule. Injected failures abort *before* any data exchange, so
 //!   retries never double-apply gradient scaling.
@@ -23,7 +22,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// Typed failure of a resilient collective.
+/// Typed failure of a collective.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// A receive did not complete within the policy's timeout.
@@ -110,8 +109,8 @@ impl RetryPolicy {
 }
 
 /// Deterministic injected-failure schedule, keyed by the group-wide
-/// resilient-collective sequence number (0 for the first resilient
-/// collective after group creation, 1 for the next, …).
+/// sequence number of retry-armed exchanges (0 for the first one after
+/// group creation, 1 for the next, …).
 #[derive(Debug, Clone, Default)]
 pub struct CommFaultPlan {
     fail: BTreeMap<u64, u32>,

@@ -1,26 +1,20 @@
-//! Ring collectives written once against the [`Transport`] trait.
+//! The ring collectives, each written once against the [`Transport`] trait.
 //!
-//! The algorithms below never touch a socket or a channel directly — they
-//! move little-endian byte frames through whichever [`Transport`] backs the
-//! group (in-process crossbeam channels by default, localhost TCP via
-//! [`CommGroup::tcp`]). Gradient payloads travel through the group's
-//! [`Codec`] (raw `f32` frames by default) and metric gathers as `f64`
-//! frames, so results are bitwise identical across backends.
-//!
-//! With a lossy codec the ring stays replica-consistent: after the
-//! reduce-scatter phase each rank re-quantizes the chunk it owns before the
-//! all-gather circulates it, so every rank forwards and keeps the same
-//! bits (codecs are idempotent — see [`crate::codec`]). Broadcast and the
-//! `f64` metric gathers are never compressed; only gradient reductions
-//! are.
+//! Two operations move data: [`Communicator::exchange`], the Eq. (9)
+//! gradient exchange, and [`Communicator::gather`], the `f64` metric
+//! all-gather. Neither touches a socket or a channel directly — they move
+//! little-endian byte frames through whichever [`Transport`] backs the
+//! group. Gradient chunks travel through the group's [`Codec`] (raw `f32`
+//! frames by default) and metric gathers as uncompressed `f64` frames, so
+//! results are bitwise identical across backends. Every frame is checked
+//! as it is decoded: a malformed or mis-sized one is a [`CommError::Io`],
+//! never a panic.
 
 use crate::codec::{Codec, ErrorFeedback};
 use crate::resilience::{CommError, CommFaultPlan, RetryPolicy};
 use crate::tcp;
-use crate::transport::{
-    decode_f32, decode_f64, encode_f32, encode_f64, InProcessTransport, Transport, TransportKind,
-};
-use cannikin_telemetry::{self as telemetry, AllReduceBucket, Event, FaultInjected, FaultKind, RecoveryAction, RecoveryKind};
+use crate::transport::{decode_f64, encode_f64, InProcessTransport, Transport, TransportKind};
+use cannikin_telemetry::{self as telemetry, Event, FaultInjected, FaultKind, RecoveryAction, RecoveryKind};
 use rand::rngs::StdRng;
 use std::cell::Cell;
 use std::sync::Arc;
@@ -38,72 +32,14 @@ impl CommGroup {
     ///
     /// Panics if `n == 0`.
     pub fn create(n: usize) -> Vec<Communicator> {
-        Self::build(n, None)
+        Self::wrap(InProcessTransport::ring(n), None, Codec::None)
     }
 
-    /// Like [`CommGroup::create`], with a shared injected-failure plan:
-    /// every rank's resilient collectives consult the same plan at the
-    /// same sequence numbers, so injected failures stay in SPMD lockstep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn create_faulty(n: usize, plan: CommFaultPlan) -> Vec<Communicator> {
-        Self::build(n, Some(Arc::new(plan)))
-    }
-
-    fn build(n: usize, fault_plan: Option<Arc<CommFaultPlan>>) -> Vec<Communicator> {
-        assert!(n > 0, "communicator group must have at least one rank");
-        InProcessTransport::ring(n)
-            .into_iter()
-            .map(|t| Communicator::from_transport(Box::new(t), fault_plan.clone()))
-            .collect()
-    }
-
-    /// Create `n` communicators connected over real localhost TCP sockets,
-    /// rendezvousing at `addr` (use `127.0.0.1:0` for an ephemeral port).
-    /// Returned rank-ordered; move each onto its own thread.
+    /// [`CommGroup::with_options`] with the lossless [`Codec::None`].
     ///
     /// # Errors
     ///
-    /// [`CommError::Io`] / [`CommError::Timeout`] if the ring cannot form.
-    pub fn tcp(addr: &str, n: usize) -> Result<Vec<Communicator>, CommError> {
-        Self::tcp_with_plan(addr, n, None)
-    }
-
-    /// [`CommGroup::tcp`] with a shared injected-failure plan (the TCP
-    /// analogue of [`CommGroup::create_faulty`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`CommGroup::tcp`].
-    pub fn tcp_faulty(addr: &str, n: usize, plan: CommFaultPlan) -> Result<Vec<Communicator>, CommError> {
-        Self::tcp_with_plan(addr, n, Some(Arc::new(plan)))
-    }
-
-    fn tcp_with_plan(
-        addr: &str,
-        n: usize,
-        fault_plan: Option<Arc<CommFaultPlan>>,
-    ) -> Result<Vec<Communicator>, CommError> {
-        assert!(n > 0, "communicator group must have at least one rank");
-        Ok(tcp::tcp_ring(addr, n)?
-            .into_iter()
-            .map(|t| Communicator::from_transport(Box::new(t), fault_plan.clone()))
-            .collect())
-    }
-
-    /// Backend-polymorphic factory: build the group on whichever transport
-    /// `kind` names. The in-process backend cannot fail; TCP propagates
-    /// setup errors.
-    ///
-    /// # Errors
-    ///
-    /// As [`CommGroup::tcp`] for the TCP backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
+    /// As [`CommGroup::with_options`], which also panics if `n == 0`.
     pub fn with_kind(
         n: usize,
         kind: &TransportKind,
@@ -112,13 +48,16 @@ impl CommGroup {
         Self::with_options(n, kind, plan, Codec::None)
     }
 
-    /// [`CommGroup::with_kind`] plus a gradient [`Codec`] installed on
-    /// every rank (all ranks must share one codec — mixed codecs would
-    /// desynchronize frame formats mid-collective).
+    /// Backend-polymorphic factory: build the group on whichever transport
+    /// `kind` names, with one gradient [`Codec`] on every rank (mixed codecs
+    /// would desynchronize frame formats mid-collective) and one shared
+    /// injected-failure `plan`, consulted by every rank at the same sequence
+    /// numbers so injected failures stay in SPMD lockstep.
     ///
     /// # Errors
     ///
-    /// As [`CommGroup::tcp`] for the TCP backend.
+    /// [`CommError::Io`] / [`CommError::Timeout`] if a TCP ring cannot
+    /// form; the in-process backend cannot fail.
     ///
     /// # Panics
     ///
@@ -129,12 +68,22 @@ impl CommGroup {
         plan: Option<CommFaultPlan>,
         codec: Codec,
     ) -> Result<Vec<Communicator>, CommError> {
+        assert!(n > 0, "communicator group must have at least one rank");
         let plan = plan.map(Arc::new);
-        let comms = match kind {
-            TransportKind::InProcess => Self::build(n, plan),
-            TransportKind::Tcp { rendezvous } => Self::tcp_with_plan(rendezvous, n, plan)?,
-        };
-        Ok(comms.into_iter().map(|c| c.with_codec(codec)).collect())
+        Ok(match kind {
+            TransportKind::InProcess => Self::wrap(InProcessTransport::ring(n), plan, codec),
+            TransportKind::Tcp { rendezvous } => Self::wrap(tcp::tcp_ring(rendezvous, n)?, plan, codec),
+        })
+    }
+
+    fn wrap<T: Transport + 'static>(
+        ring: Vec<T>,
+        plan: Option<Arc<CommFaultPlan>>,
+        codec: Codec,
+    ) -> Vec<Communicator> {
+        ring.into_iter()
+            .map(|t| Communicator::from_transport(Box::new(t), plan.clone()).with_codec(codec))
+            .collect()
     }
 }
 
@@ -145,7 +94,7 @@ impl CommGroup {
 #[derive(Debug)]
 pub struct Communicator {
     transport: Box<dyn Transport>,
-    /// Count of *resilient* collectives issued so far — the key into the
+    /// Count of *retry-armed* exchanges issued so far — the key into the
     /// shared [`CommFaultPlan`]. Identical on every rank by the SPMD
     /// contract.
     seq: Cell<u64>,
@@ -198,49 +147,48 @@ impl Communicator {
         self.transport.bytes_received()
     }
 
-    /// Block until every rank reaches the barrier.
-    pub fn barrier(&self) {
-        self.transport.barrier().expect("ring peer disconnected");
+    /// The error for a frame that arrived but is not what the schedule needs.
+    fn malformed(&self, detail: String) -> CommError {
+        CommError::Io { rank: self.rank(), detail }
     }
 
-    fn send(&self, data: &[f32]) {
-        self.transport.send(&encode_f32(data)).expect("ring peer disconnected");
+    /// Send one gradient chunk through the group's [`Codec`].
+    fn send_chunk(&self, chunk: &[f32]) -> Result<(), CommError> {
+        self.transport.send(&self.codec.encode(chunk))
     }
 
-    fn recv(&self) -> Vec<f32> {
-        let frame = self.transport.recv().expect("ring peer disconnected");
-        decode_f32(&frame).expect("malformed f32 frame")
+    /// Receive and decode the `len`-element chunk the ring schedule expects
+    /// next, blocking without limit when `deadline` is `None`.
+    fn recv_chunk(&self, len: usize, deadline: Option<Duration>) -> Result<Vec<f32>, CommError> {
+        let frame = match deadline {
+            Some(timeout) => self.transport.recv_timeout(timeout)?,
+            None => self.transport.recv()?,
+        };
+        let chunk = self
+            .codec
+            .decode(&frame)
+            .map_err(|detail| self.malformed(format!("malformed gradient frame: {detail}")))?;
+        if chunk.len() != len {
+            return Err(self.malformed(format!(
+                "gradient chunk of {} elements where the ring schedule expects {len}",
+                chunk.len()
+            )));
+        }
+        Ok(chunk)
     }
 
-    /// Send a gradient payload through the group's [`Codec`].
-    fn send_grad(&self, data: &[f32]) {
-        self.transport.send(&self.codec.encode(data)).expect("ring peer disconnected");
-    }
-
-    /// Receive and decode a gradient payload.
-    fn recv_grad(&self) -> Vec<f32> {
-        let frame = self.transport.recv().expect("ring peer disconnected");
-        self.codec.decode(&frame).expect("malformed gradient frame")
-    }
-
-    fn send_f64(&self, data: &[f64]) {
-        self.transport.send(&encode_f64(data)).expect("ring peer disconnected");
-    }
-
-    fn recv_f64(&self) -> Vec<f64> {
-        let frame = self.transport.recv().expect("ring peer disconnected");
-        decode_f64(&frame).expect("malformed f64 frame")
-    }
-
-    /// In-place sum all-reduce via ring reduce-scatter + all-gather.
+    /// In-place sum all-reduce via ring reduce-scatter + all-gather — the
+    /// one copy of the schedule.
     ///
     /// Every rank ends with the elementwise sum across ranks. The algorithm
     /// moves `2(n−1)/n` of the buffer per rank, the bandwidth-optimal
-    /// schedule of Patarasuk & Yuan that NCCL implements.
-    pub fn all_reduce_sum(&self, data: &mut [f32]) {
+    /// schedule of Patarasuk & Yuan that NCCL implements. Each receive
+    /// waits at most `deadline` (`None` = without limit). On error `data`
+    /// holds partial sums.
+    fn ring_all_reduce(&self, data: &mut [f32], deadline: Option<Duration>) -> Result<(), CommError> {
         let n = self.world_size();
         if n == 1 {
-            return;
+            return Ok(());
         }
         let rank = self.rank();
         let chunks = ring_chunks(data.len(), n);
@@ -249,8 +197,8 @@ impl Communicator {
         for s in 0..n - 1 {
             let send_idx = (rank + n - s) % n;
             let recv_idx = (rank + n - s - 1) % n;
-            self.send_grad(&data[chunks[send_idx].clone()]);
-            let incoming = self.recv_grad();
+            self.send_chunk(&data[chunks[send_idx].clone()])?;
+            let incoming = self.recv_chunk(chunks[recv_idx].len(), deadline)?;
             for (d, v) in data[chunks[recv_idx].clone()].iter_mut().zip(incoming) {
                 *d += v;
             }
@@ -265,127 +213,222 @@ impl Communicator {
         for s in 0..n - 1 {
             let send_idx = (rank + n - s + 1) % n;
             let recv_idx = (rank + n - s) % n;
-            self.send_grad(&data[chunks[send_idx].clone()]);
-            let incoming = self.recv_grad();
+            self.send_chunk(&data[chunks[send_idx].clone()])?;
+            let incoming = self.recv_chunk(chunks[recv_idx].len(), deadline)?;
             data[chunks[recv_idx].clone()].copy_from_slice(&incoming);
         }
+        Ok(())
     }
 
-    /// In-place mean all-reduce: [`Communicator::all_reduce_sum`] divided by
-    /// the world size — the homogeneous DDP aggregation (Eq. (2) of the
-    /// paper).
-    pub fn all_reduce_mean(&self, data: &mut [f32]) {
-        self.all_reduce_sum(data);
-        let inv = 1.0 / self.world_size() as f32;
-        for v in data.iter_mut() {
-            *v *= inv;
+    /// [`Communicator::ring_all_reduce`] under the retry policy, if one is
+    /// armed. Injected failures consume attempts *before* any data moves, so
+    /// a failed attempt leaves the buffer untouched and every rank observes
+    /// the identical failure schedule. Emits one `RecoveryAction` per retry
+    /// and one `FaultInjected` per exchange that met injected failures.
+    fn reduce_with_retry(
+        &self,
+        data: &mut [f32],
+        retry: Option<(&RetryPolicy, &mut StdRng)>,
+    ) -> Result<u32, CommError> {
+        let Some((policy, rng)) = retry else {
+            return self.ring_all_reduce(data, None).map(|()| 1);
+        };
+        assert!(policy.max_attempts >= 1, "retry policy must allow at least one attempt");
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
+        let injected = self.fault_plan.as_ref().map_or(0, |p| p.failures_at(seq));
+        let failed = injected.min(policy.max_attempts);
+        let mut backoff_total = Duration::ZERO;
+        for attempt in 1..=failed {
+            let backoff = policy.backoff(attempt, rng);
+            telemetry::emit(Event::RecoveryAction(RecoveryAction {
+                kind: RecoveryKind::CommRetry,
+                node: None,
+                step: seq,
+                attempt,
+                backoff_ns: backoff.as_nanos() as u64,
+            }));
+            std::thread::sleep(backoff);
+            backoff_total += backoff;
         }
+        let outcome = if failed < policy.max_attempts {
+            self.ring_all_reduce(data, Some(policy.timeout))?;
+            Ok(failed + 1)
+        } else {
+            Err(CommError::RetriesExhausted { attempts: policy.max_attempts })
+        };
+        if failed > 0 {
+            let (kind, attempts) = match outcome {
+                Ok(attempt) => (FaultKind::CommFailure, attempt),
+                Err(_) => (FaultKind::CommTimeout, policy.max_attempts),
+            };
+            telemetry::emit(Event::FaultInjected(FaultInjected {
+                kind,
+                node: None,
+                step: seq,
+                attempts,
+                magnitude: backoff_total.as_secs_f64(),
+            }));
+        }
+        outcome
     }
 
-    /// Weighted all-reduce (Eq. (9)): every rank contributes `weight *
-    /// data` and receives `Σᵢ wᵢ · dataᵢ`. With `wᵢ = bᵢ/B` this turns
+    /// The gradient exchange of Eq. (9): every rank contributes `weight ·
+    /// bucket` and receives `Σᵢ wᵢ · bucketᵢ`. With `wᵢ = bᵢ/B` this turns
     /// per-node *mean* gradients over unequal local batches into the exact
-    /// global-batch mean gradient.
-    pub fn weighted_all_reduce(&self, data: &mut [f32], weight: f32) {
-        for v in data.iter_mut() {
+    /// global-batch mean gradient. Returns the 1-based attempt number that
+    /// succeeded (always 1 without `retry`).
+    ///
+    /// `feedback` is the rank's [`ErrorFeedback`] residual and the offset
+    /// of `bucket` within the flat gradient it covers (0 for the whole
+    /// gradient). Under a lossy [`Codec`] the residual is added into the
+    /// bucket before scaling, the scaled bucket is quantized locally, and
+    /// what that dropped — `(scaled − quantized)/weight`, unscaled space, so
+    /// it stays meaningful when the adaptive split changes `weight` —
+    /// becomes the new residual once the reduce succeeded. Under
+    /// [`Codec::None`] `feedback` is ignored.
+    ///
+    /// `retry` arms the fault-tolerant path: receives are bounded by the
+    /// policy's timeout, the failures the group's [`CommFaultPlan`] injects
+    /// at this exchange's sequence number are retried with the policy's
+    /// backoff, and on any error `bucket` is restored to its pre-call
+    /// (unscaled, uncompensated) contents with the residual untouched, so a
+    /// retried step re-enters clean — no gradient mass is dropped, double-fed
+    /// or double-weighted. Without `retry` receives block, no snapshot is
+    /// taken, and an error leaves partial sums in `bucket`.
+    ///
+    /// # Errors
+    ///
+    /// [`CommError::RetriesExhausted`] when every attempt the policy allows
+    /// was an injected failure; [`CommError::Timeout`], [`CommError::Dropped`]
+    /// or [`CommError::Io`] at once on a *genuine* transport failure or a
+    /// malformed frame (a gone peer cannot be retried at this layer — the
+    /// group must be rebuilt).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy allows zero attempts, or if `bucket` at its
+    /// offset overruns the residual.
+    pub fn exchange(
+        &self,
+        bucket: &mut [f32],
+        weight: f32,
+        feedback: Option<(&mut ErrorFeedback, usize)>,
+        retry: Option<(&RetryPolicy, &mut StdRng)>,
+    ) -> Result<u32, CommError> {
+        let snapshot = retry.is_some().then(|| bucket.to_vec());
+        let feedback = feedback.filter(|_| self.codec.is_lossy());
+        if let Some((residual, offset)) = &feedback {
+            residual.compensate(bucket, *offset);
+        }
+        for v in bucket.iter_mut() {
             *v *= weight;
         }
-        self.all_reduce_sum(data);
-    }
-
-    /// Bucketed all-reduce: reduce the buffer bucket by bucket in *reverse*
-    /// bucket order (DDP reduces buckets as backpropagation produces them,
-    /// i.e. from the output layers backwards). Returns the bucket ranges in
-    /// the order they were reduced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets == 0`.
-    pub fn all_reduce_buckets(&self, data: &mut [f32], buckets: usize) -> Vec<std::ops::Range<usize>> {
-        let ranges = super::bucket_ranges(data.len(), buckets);
-        let mut order = Vec::with_capacity(ranges.len());
-        let record = telemetry::enabled();
-        for (i, r) in ranges.into_iter().rev().enumerate() {
-            let bucket_started = record.then(std::time::Instant::now);
-            let bytes_before = record.then(|| self.transport.bytes_sent());
-            self.all_reduce_sum(&mut data[r.clone()]);
-            if let Some(started) = bucket_started {
-                telemetry::emit(Event::AllReduceBucket(AllReduceBucket {
-                    bucket: i as u32,
-                    elems: r.len() as u64,
-                    wall_ns: started.elapsed().as_nanos() as u64,
-                    bytes: self.transport.bytes_sent() - bytes_before.unwrap_or(0),
-                }));
+        // Quantize locally and keep what that dropped, in unscaled space,
+        // in the buffer that held the unquantized values.
+        let pending = feedback.map(|(residual, offset)| {
+            let mut dropped = bucket.to_vec();
+            self.codec.quantize(bucket);
+            let unscale = if weight != 0.0 { 1.0 / weight } else { 0.0 };
+            for (d, q) in dropped.iter_mut().zip(bucket.iter()) {
+                *d = (*d - q) * unscale;
             }
-            order.push(r);
-        }
-        order
-    }
-
-    /// Broadcast `data` from rank 0 to every rank (in place).
-    pub fn broadcast(&self, data: &mut [f32]) {
-        let n = self.world_size();
-        if n == 1 {
-            return;
-        }
-        // Pass rank 0's buffer around the ring; the last hop (into rank 0)
-        // is skipped.
-        if self.rank() == 0 {
-            self.send(data);
-        } else {
-            let incoming = self.recv();
-            data.copy_from_slice(&incoming[..data.len()]);
-            if self.rank() + 1 < n {
-                self.send(&incoming);
+            (residual, offset, dropped)
+        });
+        match self.reduce_with_retry(bucket, retry) {
+            Ok(attempt) => {
+                // Commit the residual only on success: a failed attempt
+                // must leave the accumulator untouched for the retry.
+                if let Some((residual, offset, dropped)) = pending {
+                    residual.commit(&dropped, offset);
+                }
+                Ok(attempt)
+            }
+            Err(e) => {
+                if let Some(snapshot) = snapshot {
+                    bucket.copy_from_slice(&snapshot);
+                }
+                Err(e)
             }
         }
-        self.barrier();
     }
 
-    /// Gather one `f64` from every rank; the result is indexed by rank on
-    /// every rank. Used for metric collection (per-node timings, gradient
+    /// Gather a fixed-length `f64` vector from every rank; the result is a
+    /// `world_size × len` row-major matrix identical on every rank. Used
+    /// for metric collection (per-node batch sizes, timings, gradient
     /// norms).
-    pub fn all_gather_scalar(&self, value: f64) -> Vec<f64> {
-        let n = self.world_size();
-        if n == 1 {
-            return vec![value];
-        }
-        let mut out = vec![0.0f64; n];
-        out[self.rank()] = value;
-        // Circulate: after n-1 hops every rank has seen every value.
-        let mut carry = vec![self.rank() as f64, value];
-        for _ in 0..n - 1 {
-            self.send_f64(&carry);
-            carry = self.recv_f64();
-            out[carry[0] as usize] = carry[1];
-        }
-        out
-    }
-
-    /// Gather a fixed-length `f64` vector from every rank; result is a
-    /// `world_size × len` row-major matrix identical on every rank.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if ranks pass different lengths (detected as a length
-    /// mismatch on receive).
-    pub fn all_gather_vec(&self, values: &[f64]) -> Vec<Vec<f64>> {
+    /// [`CommError::Dropped`] / [`CommError::Io`] when a peer is gone, and
+    /// [`CommError::Io`] when a frame is not a whole number of `f64`s, is
+    /// not `values.len() + 1` long (ranks passed different lengths), or
+    /// carries a rank tag outside `0..world_size`.
+    pub fn gather(&self, values: &[f64]) -> Result<Vec<Vec<f64>>, CommError> {
         let n = self.world_size();
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); n];
         out[self.rank()] = values.to_vec();
-        if n == 1 {
-            return out;
-        }
+        // Circulate `[rank tag, values…]`: after n−1 hops every rank has
+        // seen every row.
         let mut carry = Vec::with_capacity(values.len() + 1);
         carry.push(self.rank() as f64);
         carry.extend_from_slice(values);
         for _ in 0..n - 1 {
-            self.send_f64(&carry);
-            carry = self.recv_f64();
-            assert_eq!(carry.len(), values.len() + 1, "all_gather_vec length mismatch across ranks");
-            out[carry[0] as usize] = carry[1..].to_vec();
+            self.transport.send(&encode_f64(&carry))?;
+            carry = decode_f64(&self.transport.recv()?)
+                .map_err(|detail| self.malformed(format!("malformed gather frame: {detail}")))?;
+            if carry.len() != values.len() + 1 {
+                return Err(self.malformed(format!(
+                    "gather frame of {} values where every rank sends {}",
+                    carry.len(),
+                    values.len() + 1
+                )));
+            }
+            let tag = carry[0];
+            // Written so that NaN fails the test too.
+            if !(tag >= 0.0 && tag < n as f64 && tag.fract() == 0.0) {
+                return Err(self.malformed(format!("gather frame tagged rank {tag} in a group of {n}")));
+            }
+            out[tag as usize] = carry[1..].to_vec();
         }
-        out
+        Ok(out)
+    }
+
+    /// The bare ring all-reduce (no scaling, feedback or retry), panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Communicator::exchange`] returns an error.
+    pub fn all_reduce_sum(&self, data: &mut [f32]) {
+        self.ring_all_reduce(data, None).expect("ring peer disconnected");
+    }
+
+    /// [`Communicator::exchange`] without feedback or retry, panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Communicator::exchange`] returns an error.
+    pub fn weighted_all_reduce(&self, data: &mut [f32], weight: f32) {
+        self.exchange(data, weight, None, None).expect("ring peer disconnected");
+    }
+
+    /// [`Communicator::exchange`] over the whole gradient (`feedback` at
+    /// offset 0) without retry, panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Communicator::exchange`] does or returns an error.
+    pub fn weighted_all_reduce_ef(&self, data: &mut [f32], weight: f32, feedback: Option<&mut ErrorFeedback>) {
+        self.exchange(data, weight, feedback.map(|residual| (residual, 0)), None).expect("ring peer disconnected");
+    }
+
+    /// [`Communicator::gather`], panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Communicator::gather`] returns an error.
+    pub fn all_gather_vec(&self, values: &[f64]) -> Vec<Vec<f64>> {
+        self.gather(values).expect("ring peer disconnected")
     }
 }
 
@@ -409,14 +452,17 @@ fn ring_chunks(len: usize, n: usize) -> Vec<std::ops::Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bucket_ranges;
+    use rand::SeedableRng;
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
     use std::thread;
 
-    fn run_group<F, T>(n: usize, f: F) -> Vec<T>
+    fn run_on<F, T>(comms: Vec<Communicator>, f: F) -> Vec<T>
     where
         F: Fn(Communicator) -> T + Send + Sync + Clone + 'static,
         T: Send + 'static,
     {
-        let comms = CommGroup::create(n);
         let handles: Vec<_> = comms
             .into_iter()
             .map(|c| {
@@ -425,6 +471,40 @@ mod tests {
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
+    }
+
+    fn run_group<F, T>(n: usize, f: F) -> Vec<T>
+    where
+        F: Fn(Communicator) -> T + Send + Sync + Clone + 'static,
+        T: Send + 'static,
+    {
+        run_on(CommGroup::create(n), f)
+    }
+
+    fn faulty_group(n: usize, plan: CommFaultPlan, codec: Codec) -> Vec<Communicator> {
+        CommGroup::with_options(n, &TransportKind::InProcess, Some(plan), codec).expect("in-process group")
+    }
+
+    fn fast_policy() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 4,
+            base_backoff: Duration::from_micros(10),
+            max_backoff: Duration::from_micros(100),
+            jitter: 0.5,
+            timeout: Duration::from_secs(5),
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The residual as a vector (the accumulator has no read accessor:
+    /// compensating zeros reads it out).
+    fn residual_of(feedback: &ErrorFeedback) -> Vec<f32> {
+        let mut out = vec![0.0f32; feedback.len()];
+        feedback.compensate(&mut out, 0);
+        out
     }
 
     #[test]
@@ -446,18 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn all_reduce_mean_divides() {
-        let results = run_group(4, |c| {
-            let mut data = vec![(c.rank() * 4) as f32; 3];
-            c.all_reduce_mean(&mut data);
-            data
-        });
-        for r in results {
-            assert_eq!(r, vec![6.0; 3]); // (0+4+8+12)/4
-        }
-    }
-
-    #[test]
     fn weighted_all_reduce_matches_eq9() {
         // Ratios 0.5, 0.3, 0.2 times per-rank constant gradients.
         let weights = [0.5f32, 0.3, 0.2];
@@ -475,52 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_all_reduce_equals_plain() {
-        let results = run_group(3, |c| {
-            let mut a: Vec<f32> = (0..50).map(|i| (i * (c.rank() + 1)) as f32).collect();
-            let mut b = a.clone();
-            c.all_reduce_buckets(&mut a, 7);
-            c.all_reduce_sum(&mut b);
-            (a, b)
-        });
-        for (a, b) in results {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn bucket_order_is_reverse() {
-        let results = run_group(2, |c| {
-            let mut data = vec![1.0f32; 10];
-            c.all_reduce_buckets(&mut data, 3)
-        });
-        for order in results {
-            assert!(order[0].end == 10, "last (output-side) bucket first: {order:?}");
-            assert_eq!(order.last().unwrap().start, 0);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_root() {
-        let results = run_group(4, |c| {
-            let mut data = if c.rank() == 0 { vec![3.5f32, -1.0] } else { vec![0.0, 0.0] };
-            c.broadcast(&mut data);
-            data
-        });
-        for r in results {
-            assert_eq!(r, vec![3.5, -1.0]);
-        }
-    }
-
-    #[test]
-    fn all_gather_scalar_is_rank_indexed() {
-        let results = run_group(5, |c| c.all_gather_scalar((c.rank() * 10) as f64));
-        for r in results {
-            assert_eq!(r, vec![0.0, 10.0, 20.0, 30.0, 40.0]);
-        }
-    }
-
-    #[test]
     fn all_gather_vec_collects_rows() {
         let results = run_group(3, |c| c.all_gather_vec(&[c.rank() as f64, 1.0]));
         for r in results {
@@ -533,11 +555,10 @@ mod tests {
         let results = run_group(1, |c| {
             let mut data = vec![1.0f32, 2.0];
             c.all_reduce_sum(&mut data);
-            c.broadcast(&mut data);
-            (data, c.all_gather_scalar(7.0))
+            (data, c.all_gather_vec(&[7.0]))
         });
         assert_eq!(results[0].0, vec![1.0, 2.0]);
-        assert_eq!(results[0].1, vec![7.0]);
+        assert_eq!(results[0].1, vec![vec![7.0]]);
     }
 
     #[test]
@@ -598,499 +619,142 @@ mod tests {
     }
 
     #[test]
-    fn tcp_group_matches_in_process_bitwise() {
-        let in_process = run_group(3, |c| {
-            let mut data: Vec<f32> = (0..23).map(|i| (i as f32 + 0.5) * (c.rank() + 1) as f32).collect();
-            c.weighted_all_reduce(&mut data, 0.25 * (c.rank() + 1) as f32);
-            data
-        });
-        let comms = CommGroup::tcp("127.0.0.1:0", 3).expect("tcp ring forms");
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                thread::spawn(move || {
-                    let mut data: Vec<f32> =
-                        (0..23).map(|i| (i as f32 + 0.5) * (c.rank() + 1) as f32).collect();
-                    c.weighted_all_reduce(&mut data, 0.25 * (c.rank() + 1) as f32);
-                    assert!(c.bytes_sent() > 0, "tcp must count wire bytes");
-                    data
-                })
-            })
-            .collect();
-        let over_tcp: Vec<Vec<f32>> =
-            handles.into_iter().map(|h| h.join().expect("rank panicked")).collect();
-        for (a, b) in in_process.iter().zip(&over_tcp) {
-            let a_bits: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
-            let b_bits: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a_bits, b_bits, "backends must agree bitwise");
-        }
-    }
-
-    #[test]
     fn with_kind_builds_both_backends() {
         for kind in [TransportKind::InProcess, TransportKind::tcp()] {
             let comms = CommGroup::with_kind(2, &kind, None).expect("group forms");
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|c| {
-                    thread::spawn(move || {
-                        let mut data = vec![2.0f32; 4];
-                        c.all_reduce_sum(&mut data);
-                        data
-                    })
-                })
-                .collect();
-            for h in handles {
-                assert_eq!(h.join().unwrap(), vec![4.0; 4]);
-            }
-        }
-    }
-}
-
-impl Communicator {
-    /// Ring reduce-scatter: after the call, rank `r` owns the fully
-    /// reduced chunk `r` of the buffer (chunk boundaries from the same
-    /// even partition the all-reduce uses); other chunks hold partial
-    /// sums and must be treated as scratch. Returns this rank's chunk
-    /// range.
-    pub fn reduce_scatter(&self, data: &mut [f32]) -> std::ops::Range<usize> {
-        let n = self.world_size();
-        let rank = self.rank();
-        let chunks = ring_chunks(data.len(), n);
-        if n == 1 {
-            return chunks[0].clone();
-        }
-        for s in 0..n - 1 {
-            let send_idx = (rank + n - s) % n;
-            let recv_idx = (rank + n - s - 1) % n;
-            self.send_grad(&data[chunks[send_idx].clone()]);
-            let incoming = self.recv_grad();
-            for (d, v) in data[chunks[recv_idx].clone()].iter_mut().zip(incoming) {
-                *d += v;
-            }
-        }
-        // After n−1 steps rank r holds the complete sum of chunk (r+1) % n.
-        chunks[(rank + 1) % n].clone()
-    }
-
-    /// Ring all-gather over the chunk layout produced by
-    /// [`Communicator::reduce_scatter`]: every rank contributes its owned
-    /// chunk and receives everyone else's, completing an all-reduce. Under
-    /// a lossy codec the owned chunk is re-quantized first, so the local
-    /// copy matches what every other rank decodes bit-for-bit.
-    pub fn all_gather_chunks(&self, data: &mut [f32]) {
-        let n = self.world_size();
-        if n == 1 {
-            return;
-        }
-        let rank = self.rank();
-        let chunks = ring_chunks(data.len(), n);
-        if self.codec.is_lossy() {
-            self.codec.quantize(&mut data[chunks[(rank + 1) % n].clone()]);
-        }
-        for s in 0..n - 1 {
-            let send_idx = (rank + n - s + 1) % n;
-            let recv_idx = (rank + n - s) % n;
-            self.send_grad(&data[chunks[send_idx].clone()]);
-            let incoming = self.recv_grad();
-            data[chunks[recv_idx].clone()].copy_from_slice(&incoming);
-        }
-    }
-}
-
-impl Communicator {
-    fn send_typed(&self, data: &[f32]) -> Result<(), CommError> {
-        self.transport.send(&self.codec.encode(data))
-    }
-
-    fn recv_typed(&self, timeout: Duration) -> Result<Vec<f32>, CommError> {
-        let frame = self.transport.recv_timeout(timeout)?;
-        self.codec.decode(&frame).map_err(|detail| CommError::Io { rank: self.rank(), detail })
-    }
-
-    /// [`Communicator::all_reduce_sum`] with a per-receive timeout and a
-    /// typed error instead of a panic. On error the buffer is restored to
-    /// its pre-call contents, so the caller may safely retry or abandon
-    /// the step without corrupting gradients.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Timeout`] if a ring receive exceeds `timeout`;
-    /// [`CommError::Dropped`] if a peer endpoint is gone.
-    pub fn all_reduce_sum_timeout(&self, data: &mut [f32], timeout: Duration) -> Result<(), CommError> {
-        if self.world_size() == 1 {
-            return Ok(());
-        }
-        let snapshot = data.to_vec();
-        match self.try_ring_all_reduce(data, timeout) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                data.copy_from_slice(&snapshot);
-                Err(e)
+            for (data, sent) in run_on(comms, |c| {
+                let mut data = vec![2.0f32; 4];
+                c.all_reduce_sum(&mut data);
+                (data, c.bytes_sent())
+            }) {
+                assert_eq!(data, vec![4.0; 4]);
+                assert!(sent > 0, "{kind} must count wire bytes");
             }
         }
     }
 
-    fn try_ring_all_reduce(&self, data: &mut [f32], timeout: Duration) -> Result<(), CommError> {
-        let n = self.world_size();
-        let rank = self.rank();
-        let chunks = ring_chunks(data.len(), n);
-        for s in 0..n - 1 {
-            let send_idx = (rank + n - s) % n;
-            let recv_idx = (rank + n - s - 1) % n;
-            self.send_typed(&data[chunks[send_idx].clone()])?;
-            let incoming = self.recv_typed(timeout)?;
-            for (d, v) in data[chunks[recv_idx].clone()].iter_mut().zip(incoming) {
-                *d += v;
-            }
-        }
-        if self.codec.is_lossy() {
-            self.codec.quantize(&mut data[chunks[(rank + 1) % n].clone()]);
-        }
-        for s in 0..n - 1 {
-            let send_idx = (rank + n - s + 1) % n;
-            let recv_idx = (rank + n - s) % n;
-            self.send_typed(&data[chunks[send_idx].clone()])?;
-            let incoming = self.recv_typed(timeout)?;
-            data[chunks[recv_idx].clone()].copy_from_slice(&incoming);
-        }
-        Ok(())
-    }
+    /// Per-rank outcome of one cell of the exchange table: the reduced
+    /// gradient of every step and the final residual, as bit patterns.
+    type CellOutcome = Vec<(Vec<u32>, Vec<u32>)>;
 
-    /// Resilient sum all-reduce: retries with the policy's exponential,
-    /// seeded-jitter backoff. Injected failures (from the group's
-    /// [`CommFaultPlan`]) abort an attempt *before* any data moves, so the
-    /// buffer is untouched by a failed attempt and every rank observes the
-    /// identical failure schedule. Emits one `RecoveryAction` telemetry
-    /// event per retry and a `FaultInjected` event when a collective
-    /// recovers after injected failures.
+    /// Three steps of a three-rank exchange over one combination of
+    /// transport, codec, fault plan and bucketing.
     ///
-    /// Returns the 1-based attempt number that succeeded.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::RetriesExhausted`] when every attempt the policy allows
-    /// failed; [`CommError::Timeout`] / [`CommError::Dropped`] immediately
-    /// on a *genuine* transport failure (a gone peer cannot be retried at
-    /// this layer — the group must be rebuilt).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy.max_attempts == 0`.
-    pub fn all_reduce_sum_resilient(
-        &self,
-        data: &mut [f32],
-        policy: &RetryPolicy,
-        rng: &mut StdRng,
-    ) -> Result<u32, CommError> {
-        assert!(policy.max_attempts >= 1, "retry policy must allow at least one attempt");
-        let seq = self.seq.get();
-        self.seq.set(seq + 1);
-        let injected = self.fault_plan.as_ref().map_or(0, |p| p.failures_at(seq));
-        let mut backoff_total = Duration::ZERO;
-        for attempt in 1..=policy.max_attempts {
-            if attempt <= injected {
-                let backoff = policy.backoff(attempt, rng);
-                telemetry::emit(Event::RecoveryAction(RecoveryAction {
-                    kind: RecoveryKind::CommRetry,
-                    node: None,
-                    step: seq,
-                    attempt,
-                    backoff_ns: backoff.as_nanos() as u64,
-                }));
-                std::thread::sleep(backoff);
-                backoff_total += backoff;
-                continue;
-            }
-            self.all_reduce_sum_timeout(data, policy.timeout)?;
-            if attempt > 1 {
-                telemetry::emit(Event::FaultInjected(FaultInjected {
-                    kind: FaultKind::CommFailure,
-                    node: None,
-                    step: seq,
-                    attempts: attempt,
-                    magnitude: backoff_total.as_secs_f64(),
-                }));
-            }
-            return Ok(attempt);
-        }
-        telemetry::emit(Event::FaultInjected(FaultInjected {
-            kind: FaultKind::CommTimeout,
-            node: None,
-            step: seq,
-            attempts: policy.max_attempts,
-            magnitude: backoff_total.as_secs_f64(),
-        }));
-        Err(CommError::RetriesExhausted { attempts: policy.max_attempts })
-    }
-
-    /// Resilient Eq. (9) weighted all-reduce: scales by `weight` exactly
-    /// once, then runs [`Communicator::all_reduce_sum_resilient`]. On any
-    /// error the buffer is restored to its *unscaled* contents, so a
-    /// retried step re-enters with clean gradients — no sample is ever
-    /// double-weighted.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Communicator::all_reduce_sum_resilient`].
-    pub fn weighted_all_reduce_resilient(
-        &self,
-        data: &mut [f32],
-        weight: f32,
-        policy: &RetryPolicy,
-        rng: &mut StdRng,
-    ) -> Result<u32, CommError> {
-        let snapshot = data.to_vec();
-        for v in data.iter_mut() {
-            *v *= weight;
-        }
-        match self.all_reduce_sum_resilient(data, policy, rng) {
-            Ok(attempt) => Ok(attempt),
-            Err(e) => {
-                data.copy_from_slice(&snapshot);
-                Err(e)
-            }
-        }
-    }
-
-    /// Error-feedback Eq. (9) weighted all-reduce for lossy codecs: adds
-    /// the residual from previous steps into the gradient, scales by
-    /// `weight`, quantizes locally through the group's [`Codec`], stores
-    /// the new residual `(scaled − quantized)/weight` (unscaled space, so
-    /// it stays meaningful when the adaptive split changes `weight`), and
-    /// reduces the quantized buffer. With `feedback = None` or a lossless
-    /// codec this is exactly [`Communicator::weighted_all_reduce`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `feedback` covers a different parameter count than
-    /// `data`.
-    pub fn weighted_all_reduce_ef(&self, data: &mut [f32], weight: f32, feedback: Option<&mut ErrorFeedback>) {
-        let Some(ef) = feedback.filter(|_| self.codec.is_lossy()) else {
-            self.weighted_all_reduce(data, weight);
-            return;
-        };
-        assert_eq!(ef.len(), data.len(), "error-feedback size must match the gradient");
-        ef.compensate(data, 0);
-        for v in data.iter_mut() {
-            *v *= weight;
-        }
-        let ideal = data.to_vec();
-        self.codec.quantize(data);
-        let scale = if weight != 0.0 { 1.0 / weight } else { 0.0 };
-        ef.record(&ideal, data, 0, scale);
-        self.all_reduce_sum(data);
-    }
-
-    /// Resilient variant of [`Communicator::weighted_all_reduce_ef`]: the
-    /// same compensate → scale → quantize → reduce pipeline over
-    /// [`Communicator::all_reduce_sum_resilient`]. On any error both the
-    /// gradient buffer *and* the residual are left exactly as they were
-    /// before the call, so a retried step re-enters clean — no gradient
-    /// mass is dropped or double-fed.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Communicator::all_reduce_sum_resilient`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `feedback` covers a different parameter count than
-    /// `data`.
-    pub fn weighted_all_reduce_resilient_ef(
-        &self,
-        data: &mut [f32],
-        weight: f32,
-        policy: &RetryPolicy,
-        rng: &mut StdRng,
-        feedback: Option<&mut ErrorFeedback>,
-    ) -> Result<u32, CommError> {
-        let Some(ef) = feedback.filter(|_| self.codec.is_lossy()) else {
-            return self.weighted_all_reduce_resilient(data, weight, policy, rng);
-        };
-        assert_eq!(ef.len(), data.len(), "error-feedback size must match the gradient");
-        let snapshot = data.to_vec();
-        ef.compensate(data, 0);
-        for v in data.iter_mut() {
-            *v *= weight;
-        }
-        let ideal = data.to_vec();
-        self.codec.quantize(data);
-        let quantized = data.to_vec();
-        match self.all_reduce_sum_resilient(data, policy, rng) {
-            Ok(attempt) => {
-                // Commit the residual only on success: a failed attempt
-                // must leave the accumulator untouched for the retry.
-                let scale = if weight != 0.0 { 1.0 / weight } else { 0.0 };
-                ef.record(&ideal, &quantized, 0, scale);
-                Ok(attempt)
-            }
-            Err(e) => {
-                data.copy_from_slice(&snapshot);
-                Err(e)
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod scatter_gather_tests {
-    use super::*;
-    use std::thread;
-
-    fn run_group<F, T>(n: usize, f: F) -> Vec<T>
-    where
-        F: Fn(Communicator) -> T + Send + Sync + Clone + 'static,
-        T: Send + 'static,
-    {
-        let comms = CommGroup::create(n);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                let f = f.clone();
-                thread::spawn(move || f(c))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
-    }
-
-    #[test]
-    fn reduce_scatter_owns_the_right_chunk() {
-        let n = 4;
-        let len = 20;
-        let results = run_group(n, move |c| {
-            let mut data: Vec<f32> = (0..len).map(|i| (i * (c.rank() + 1)) as f32).collect();
-            let owned = c.reduce_scatter(&mut data);
-            (c.rank(), owned.clone(), data[owned].to_vec())
-        });
-        let total_weight: f32 = (1..=n).map(|r| r as f32).sum();
-        for (rank, range, chunk) in results {
-            for (offset, v) in chunk.iter().enumerate() {
-                let i = range.start + offset;
-                assert_eq!(*v, i as f32 * total_weight, "rank {rank} element {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_plus_all_gather_equals_all_reduce() {
-        let results = run_group(3, |c| {
-            let mut a: Vec<f32> = (0..31).map(|i| (i + c.rank() * 7) as f32).collect();
-            let mut b = a.clone();
-            c.reduce_scatter(&mut a);
-            c.all_gather_chunks(&mut a);
-            c.all_reduce_sum(&mut b);
-            (a, b)
-        });
-        for (composed, fused) in results {
-            assert_eq!(composed, fused);
-        }
-    }
-
-    #[test]
-    fn single_rank_scatter_gather_noop() {
-        let results = run_group(1, |c| {
-            let mut data = vec![5.0f32, 6.0];
-            let owned = c.reduce_scatter(&mut data);
-            c.all_gather_chunks(&mut data);
-            (owned, data)
-        });
-        assert_eq!(results[0].0, 0..2);
-        assert_eq!(results[0].1, vec![5.0, 6.0]);
-    }
-}
-
-#[cfg(test)]
-mod resilience_tests {
-    use super::*;
-    use rand::SeedableRng;
-    use std::thread;
-
-    fn run_faulty_group<F, T>(n: usize, plan: CommFaultPlan, f: F) -> Vec<T>
-    where
-        F: Fn(Communicator) -> T + Send + Sync + Clone + 'static,
-        T: Send + 'static,
-    {
-        let comms = CommGroup::create_faulty(n, plan);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                let f = f.clone();
-                thread::spawn(move || f(c))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
-    }
-
-    fn fast_policy() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_micros(10),
-            max_backoff: Duration::from_micros(100),
-            jitter: 0.5,
-            timeout: Duration::from_secs(5),
-        }
-    }
-
-    #[test]
-    fn resilient_recovers_from_injected_failures() {
-        // Collective 0 fails twice, collective 1 is clean; both must end
-        // with the exact plain-all-reduce result.
-        let plan = CommFaultPlan::new().fail_at(0, 2);
-        let results = run_faulty_group(3, plan, |c| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(7 + c.rank() as u64);
+    /// The gradients are built so that every sum the ring can form is exact:
+    /// each value is a multiple of 1/4 in ±[1, 16) plus a few 2⁻¹³, and the
+    /// Eq. (9) weights are powers of two. bf16 rounds the 2⁻¹³ part away
+    /// (so the residual is non-zero and differs per element), and what
+    /// remains adds without rounding in any association — the ring sums a
+    /// chunk in an order that depends on which chunk it is, so only exact
+    /// sums can agree between the whole buffer and three buckets of it.
+    fn exchange_cell(kind: &TransportKind, codec: Codec, plan: Option<CommFaultPlan>, buckets: usize) -> CellOutcome {
+        const LEN: usize = 23;
+        const WEIGHTS: [f32; 3] = [0.5, 0.25, 0.25];
+        let armed = plan.is_some();
+        let comms = CommGroup::with_options(3, kind, plan, codec).expect("group forms");
+        run_on(comms, move |c| {
+            let rank = c.rank();
             let policy = fast_policy();
-            let mut a = vec![(c.rank() + 1) as f32; 6];
-            let attempts_a = c.all_reduce_sum_resilient(&mut a, &policy, &mut rng).expect("recovers");
-            let mut b = vec![1.0f32; 6];
-            let attempts_b = c.all_reduce_sum_resilient(&mut b, &policy, &mut rng).expect("clean");
-            (a, attempts_a, b, attempts_b)
-        });
-        for (a, attempts_a, b, attempts_b) in results {
-            assert_eq!(a, vec![6.0; 6], "sum correct despite injected failures");
-            assert_eq!(attempts_a, 3, "two injected failures consume two attempts");
-            assert_eq!(b, vec![3.0; 6]);
-            assert_eq!(attempts_b, 1);
+            let mut rng = StdRng::seed_from_u64(rank as u64);
+            let mut feedback = codec.is_lossy().then(|| ErrorFeedback::new(LEN));
+            let mut reduced = Vec::new();
+            let mut retries = 0;
+            for step in 0..3 {
+                let mut g: Vec<f32> = (0..LEN)
+                    .map(|i| {
+                        let coarse = (4 + (7 * i + 13 * rank + 5 * step) % 60) as f32 / 4.0;
+                        let fine = (1 + i % 3) as f32 / 8192.0;
+                        if (i + rank) % 5 == 0 { -(coarse + fine) } else { coarse + fine }
+                    })
+                    .collect();
+                for r in bucket_ranges(LEN, buckets) {
+                    let attempt = c
+                        .exchange(
+                            &mut g[r.clone()],
+                            WEIGHTS[rank],
+                            feedback.as_mut().map(|residual| (residual, r.start)),
+                            armed.then_some((&policy, &mut rng)),
+                        )
+                        .expect("recovers");
+                    retries += attempt - 1;
+                }
+                reduced.extend(bits(&g));
+            }
+            assert_eq!(retries, if armed { 3 } else { 0 }, "the plan injects 1 + 2 failures");
+            (reduced, feedback.as_ref().map_or(Vec::new(), |f| bits(&residual_of(f))))
+        })
+    }
+
+    #[test]
+    fn every_path_through_the_exchange_yields_the_same_bits() {
+        for codec in [Codec::None, Codec::Bf16] {
+            let mut cells = Vec::new();
+            for kind in [TransportKind::InProcess, TransportKind::tcp()] {
+                for plan in [None, Some(CommFaultPlan::new().fail_at(0, 1).fail_at(2, 2))] {
+                    for buckets in [1, 3] {
+                        let label = format!("{codec} over {kind}, plan {}, {buckets} bucket(s)", plan.is_some());
+                        cells.push((label, exchange_cell(&kind, codec, plan.clone(), buckets)));
+                    }
+                }
+            }
+            let (_, reference) = &cells[0];
+            let (reduced, residual) = &reference[0];
+            assert!(reference.iter().all(|(r, _)| r == reduced), "replicas must agree under {codec}");
+            assert_eq!(
+                residual.iter().any(|&b| b != 0),
+                codec.is_lossy(),
+                "a lossy codec must leave a residual to compare, a lossless one none"
+            );
+            for (label, cell) in &cells[1..] {
+                assert_eq!(cell, reference, "{label} must match {}", cells[0].0);
+            }
         }
     }
 
     #[test]
-    fn weighted_resilient_matches_clean_weighted_bitwise() {
-        let weights = [0.5f32, 0.3, 0.2];
-        let clean = run_group(3, move |c| {
-            let mut data: Vec<f32> = (0..9).map(|i| (i * (c.rank() + 2)) as f32).collect();
-            c.weighted_all_reduce(&mut data, weights[c.rank()]);
-            data
+    fn injected_failures_consume_attempts_in_lockstep() {
+        // The plan is keyed by the count of retry-armed exchanges: seq 0
+        // fails twice, seq 1 is clean, seq 2 fails once — on every rank,
+        // regardless of buffer or timing skew.
+        let plan = CommFaultPlan::new().fail_at(0, 2).fail_at(2, 1);
+        let results = run_on(faulty_group(3, plan, Codec::None), |c| {
+            let mut rng = StdRng::seed_from_u64(7 + c.rank() as u64);
+            let policy = fast_policy();
+            let mut reduce = |value: f32| {
+                let mut data = vec![value; 6];
+                let attempt = c.exchange(&mut data, 1.0, None, Some((&policy, &mut rng))).expect("recovers");
+                (data, attempt)
+            };
+            [reduce((c.rank() + 1) as f32), reduce(1.0), reduce(2.0)]
         });
-        let plan = CommFaultPlan::new().fail_at(0, 1);
-        let faulty = run_faulty_group(3, plan, move |c| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(c.rank() as u64);
-            let mut data: Vec<f32> = (0..9).map(|i| (i * (c.rank() + 2)) as f32).collect();
-            c.weighted_all_reduce_resilient(&mut data, weights[c.rank()], &fast_policy(), &mut rng)
-                .expect("recovers");
-            data
-        });
-        assert_eq!(clean, faulty, "retry path must be numerically identical to the clean path");
+        for [a, b, c] in results {
+            assert_eq!(a, (vec![6.0; 6], 3), "two injected failures consume two attempts");
+            assert_eq!(b, (vec![3.0; 6], 1));
+            assert_eq!(c, (vec![6.0; 6], 2));
+        }
     }
 
     #[test]
-    fn exhausted_retries_leave_data_unscaled() {
+    fn exhausted_retries_leave_bucket_and_residual_untouched() {
         // More injected failures than the budget: every rank gets the
-        // typed error and its buffer back, byte for byte.
+        // typed error, its buffer back byte for byte, and the residual it
+        // came in with — the retried step re-enters clean.
         let policy = RetryPolicy { max_attempts: 2, ..fast_policy() };
         let plan = CommFaultPlan::new().fail_at(0, 99);
-        let results = run_faulty_group(3, plan, move |c| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(c.rank() as u64);
-            let original: Vec<f32> = (0..5).map(|i| (i + c.rank()) as f32).collect();
+        let results = run_on(faulty_group(3, plan, Codec::Bf16), move |c| {
+            let mut rng = StdRng::seed_from_u64(c.rank() as u64);
+            let original: Vec<f32> = (0..5).map(|i| (i + c.rank()) as f32 + 0.001).collect();
             let mut data = original.clone();
+            let mut feedback = ErrorFeedback::new(5);
             let err = c
-                .weighted_all_reduce_resilient(&mut data, 0.25, &policy, &mut rng)
+                .exchange(&mut data, 0.25, Some((&mut feedback, 0)), Some((&policy, &mut rng)))
                 .expect_err("budget too small");
-            (err, data == original)
+            (err, data == original, residual_of(&feedback))
         });
-        for (err, restored) in results {
+        for (err, restored, residual) in results {
             assert_eq!(err, CommError::RetriesExhausted { attempts: 2 });
-            assert!(restored, "failed collective must not scale or partially reduce the buffer");
+            assert!(restored, "failed exchange must not compensate, scale or partially reduce the buffer");
+            assert_eq!(residual, vec![0.0; 5], "the residual is committed only on success");
         }
     }
 
@@ -1098,89 +762,98 @@ mod resilience_tests {
     fn dropped_peer_is_a_typed_error() {
         let mut comms = CommGroup::create(3);
         drop(comms.pop()); // rank 2 "crashes" before the collective
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                thread::spawn(move || {
-                    let original = vec![1.0f32, 2.0, 3.0];
-                    let mut data = original.clone();
-                    let err = c
-                        .all_reduce_sum_timeout(&mut data, Duration::from_millis(200))
-                        .expect_err("peer is gone");
-                    (err, data == original)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (err, restored) = h.join().expect("rank panicked");
-            assert!(
-                matches!(err, CommError::Dropped { .. } | CommError::Timeout { .. }),
-                "unexpected error: {err:?}"
-            );
-            assert!(restored, "error path must restore the snapshot");
-        }
-    }
-
-    #[test]
-    fn sequence_numbers_advance_in_lockstep() {
-        // Failures injected at seq 1 must hit the *second* resilient
-        // collective on every rank, regardless of buffer or timing skew.
-        let plan = CommFaultPlan::new().fail_at(1, 1);
-        let results = run_faulty_group(2, plan, |c| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(c.rank() as u64);
-            let policy = fast_policy();
-            let mut a = vec![1.0f32; 4];
-            let first = c.all_reduce_sum_resilient(&mut a, &policy, &mut rng).expect("clean");
-            let mut b = vec![2.0f32; 4];
-            let second = c.all_reduce_sum_resilient(&mut b, &policy, &mut rng).expect("recovers");
-            (first, second)
+        let policy = RetryPolicy { timeout: Duration::from_millis(200), ..fast_policy() };
+        let results = run_on(comms, move |c| {
+            let mut rng = StdRng::seed_from_u64(c.rank() as u64);
+            let original = vec![1.0f32, 2.0, 3.0];
+            let mut data = original.clone();
+            let err = c.exchange(&mut data, 0.5, None, Some((&policy, &mut rng))).expect_err("peer is gone");
+            let unarmed = c.exchange(&mut data.clone(), 0.5, None, None).expect_err("peer is still gone");
+            (err, unarmed, data == original)
         });
-        for (first, second) in results {
-            assert_eq!(first, 1);
-            assert_eq!(second, 2);
+        for (err, unarmed, restored) in results {
+            for e in [&err, &unarmed] {
+                assert!(matches!(e, CommError::Dropped { .. } | CommError::Timeout { .. }), "unexpected error: {e:?}");
+            }
+            assert!(restored, "an armed exchange restores the snapshot on error");
         }
+    }
+
+    /// A transport whose peer is hostile: sends vanish, receives replay a
+    /// script of frames.
+    #[derive(Debug)]
+    struct Scripted {
+        frames: RefCell<VecDeque<Vec<u8>>>,
+    }
+
+    impl Transport for Scripted {
+        fn rank(&self) -> usize {
+            0
+        }
+        fn world_size(&self) -> usize {
+            3
+        }
+        fn send(&self, _frame: &[u8]) -> Result<(), CommError> {
+            Ok(())
+        }
+        fn recv(&self) -> Result<Vec<u8>, CommError> {
+            self.frames.borrow_mut().pop_front().ok_or(CommError::Dropped { rank: 0 })
+        }
+        fn recv_timeout(&self, _timeout: Duration) -> Result<Vec<u8>, CommError> {
+            self.recv()
+        }
+        fn barrier(&self) -> Result<(), CommError> {
+            Ok(())
+        }
+        fn bytes_sent(&self) -> u64 {
+            0
+        }
+        fn bytes_received(&self) -> u64 {
+            0
+        }
+    }
+
+    fn scripted(codec: Codec, frames: &[&[u8]]) -> Communicator {
+        let frames = RefCell::new(frames.iter().map(|f| f.to_vec()).collect());
+        Communicator::from_transport(Box::new(Scripted { frames }), None).with_codec(codec)
     }
 
     #[test]
-    fn resilient_weighted_over_tcp_recovers() {
-        // The fault-injection machinery must be transport-agnostic: the
-        // same plan drives retries identically over real sockets.
-        let plan = CommFaultPlan::new().fail_at(0, 1);
-        let comms = CommGroup::tcp_faulty("127.0.0.1:0", 2, plan).expect("tcp ring forms");
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                thread::spawn(move || {
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(c.rank() as u64);
-                    let mut data = vec![(c.rank() + 1) as f32; 4];
-                    let attempts = c
-                        .weighted_all_reduce_resilient(&mut data, 0.5, &fast_policy(), &mut rng)
-                        .expect("recovers");
-                    (attempts, data)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (attempts, data) = h.join().expect("rank panicked");
-            assert_eq!(attempts, 2);
-            assert_eq!(data, vec![1.5; 4]); // 0.5·1 + 0.5·2
-        }
-    }
+    fn hostile_frames_are_typed_errors() {
+        let io = |result: Result<u32, CommError>, needle: &str| match result {
+            Err(CommError::Io { rank: 0, detail }) => assert!(detail.contains(needle), "`{detail}` lacks `{needle}`"),
+            other => panic!("expected an I/O error about `{needle}`, got {other:?}"),
+        };
+        // Six elements over three ranks: every chunk is two elements.
+        let pair = Codec::None.encode(&[1.0, 2.0]);
+        let exchange = |codec: Codec, frames: &[&[u8]]| scripted(codec, frames).exchange(&mut [0.0; 6], 1.0, None, None);
+        io(exchange(Codec::None, &[&[0; 5]]), "not a whole number of f32s");
+        io(exchange(Codec::Bf16, &[&[0; 3]]), "not a whole number of bf16s");
+        io(exchange(Codec::None, &[&[0; 4]]), "1 elements where the ring schedule expects 2");
+        // The same short chunk arriving in the all-gather phase.
+        io(exchange(Codec::None, &[&pair, &pair, &[0; 4]]), "1 elements where the ring schedule expects 2");
+        io(exchange(Codec::None, &[&pair, &pair, &pair, &[]]), "0 elements where the ring schedule expects 2");
 
-    // `run_group` clone for this module (same helper as the sibling test mods).
-    fn run_group<F, T>(n: usize, f: F) -> Vec<T>
-    where
-        F: Fn(Communicator) -> T + Send + Sync + Clone + 'static,
-        T: Send + 'static,
-    {
-        let comms = CommGroup::create(n);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                let f = f.clone();
-                thread::spawn(move || f(c))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank panicked")).collect()
+        // An armed exchange hands the bucket back as it found it.
+        let mut bucket = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let mut rng = StdRng::seed_from_u64(0);
+        let armed = scripted(Codec::None, &[&pair, &[0; 7]]).exchange(
+            &mut bucket,
+            0.5,
+            None,
+            Some((&fast_policy(), &mut rng)),
+        );
+        io(armed, "not a whole number of f32s");
+        assert_eq!(bucket, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+
+        let gather = |frame: &[f64]| {
+            scripted(Codec::None, &[&encode_f64(frame)]).gather(&[9.0]).map(|_| 0)
+        };
+        for tag in [3.0, 7.0, -1.0, 1.5, f64::NAN, f64::INFINITY] {
+            io(gather(&[tag, 9.0]), "tagged rank");
+        }
+        io(gather(&[]), "gather frame of 0 values where every rank sends 2");
+        io(gather(&[1.0, 9.0, 9.0]), "gather frame of 3 values where every rank sends 2");
+        io(scripted(Codec::None, &[&[0; 12]]).gather(&[9.0]).map(|_| 0), "not a whole number of f64s");
     }
 }

@@ -9,10 +9,10 @@
 //! SPMD contract needs — every rank then runs the same collective schedule.
 //!
 //! Per-receive deadlines are implemented with `set_read_timeout`; a timeout
-//! or peer loss surfaces as the same [`CommError`] variants the resilient
-//! collectives and [`crate::RetryPolicy`] already consume. Note that a
-//! timeout fired mid-frame leaves the stream desynchronised — like the
-//! in-process backend, a group that timed out must be rebuilt, not reused.
+//! or peer loss surfaces as the same [`CommError`] variants the in-process
+//! backend raises. Note that a timeout fired mid-frame leaves the stream
+//! desynchronised — like the in-process backend, a group that timed out
+//! must be rebuilt, not reused.
 
 use crate::resilience::CommError;
 use crate::transport::Transport;

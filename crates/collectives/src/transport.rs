@@ -236,26 +236,6 @@ impl Transport for InProcessTransport {
     }
 }
 
-/// Encode values as little-endian `f32` bytes (the gradient wire format).
-pub(crate) fn encode_f32(values: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decode a little-endian `f32` frame.
-pub(crate) fn decode_f32(frame: &[u8]) -> Result<Vec<f32>, String> {
-    if !frame.len().is_multiple_of(4) {
-        return Err(format!("frame of {} bytes is not a whole number of f32s", frame.len()));
-    }
-    Ok(frame
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
-}
-
 /// Encode values as little-endian `f64` bytes (the metric-gather format).
 pub(crate) fn encode_f64(values: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 8);
@@ -281,15 +261,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn f32_codec_round_trips_bitwise() {
-        let values = vec![0.0f32, -1.5, f32::MIN_POSITIVE, 3.25e30, f32::NEG_INFINITY];
-        let decoded = decode_f32(&encode_f32(&values)).unwrap();
-        for (a, b) in values.iter().zip(&decoded) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
     fn f64_codec_round_trips_bitwise() {
         let values = vec![0.0f64, -2.75, 1e-300, 7.0];
         let decoded = decode_f64(&encode_f64(&values)).unwrap();
@@ -300,7 +271,6 @@ mod tests {
 
     #[test]
     fn misaligned_frames_are_rejected() {
-        assert!(decode_f32(&[0u8; 5]).is_err());
         assert!(decode_f64(&[0u8; 12]).is_err());
     }
 

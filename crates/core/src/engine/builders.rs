@@ -61,36 +61,6 @@ use minidnn::lr::LrScaler;
 
 use std::sync::Arc;
 
-/// Resolve the effective transport: builder choice > `CANNIKIN_TRANSPORT`.
-/// Returns `None` when neither is set (the engines then use their own
-/// default, which for both is the in-process backend).
-fn transport_from_env(builder: Option<TransportKind>) -> Result<Option<TransportKind>, CannikinError> {
-    match builder {
-        Some(kind) => Ok(Some(kind)),
-        None => RuntimeOptions::transport_from_env(),
-    }
-}
-
-/// Resolve the effective gradient codec: builder choice > `CANNIKIN_CODEC`.
-/// Returns `None` when neither is set (the engine then uses the lossless
-/// default).
-fn codec_from_env(builder: Option<Codec>) -> Result<Option<Codec>, CannikinError> {
-    match builder {
-        Some(codec) => Ok(Some(codec)),
-        None => RuntimeOptions::codec_from_env(),
-    }
-}
-
-/// Resolve the effective adaptation policy kind: builder choice >
-/// `CANNIKIN_POLICY`. Returns `None` when neither is set (the builders
-/// then construct the [`PolicyKind::OptPerf`] default).
-fn policy_from_env(builder: Option<PolicyKind>) -> Result<Option<PolicyKind>, CannikinError> {
-    match builder {
-        Some(kind) => Ok(Some(kind)),
-        None => RuntimeOptions::policy_from_env(),
-    }
-}
-
 /// Builder for the simulator-driven [`CannikinTrainer`].
 ///
 /// Required: [`simulator`](Self::simulator). Everything else defaults to
@@ -278,11 +248,19 @@ impl CannikinTrainerBuilder {
         }
         let noise: Box<dyn NoiseModel> =
             self.noise.unwrap_or_else(|| Box::new(super::LinearNoiseGrowth { initial: 300.0, rate: 1.0 }));
-        let transport = transport_from_env(self.transport)?;
+        // Builder > environment: a variable the builder overrides is never
+        // read, so a malformed one cannot fail the build.
+        let transport = match self.transport {
+            Some(kind) => Some(kind),
+            None => RuntimeOptions::transport_from_env()?,
+        };
         let policy: Box<dyn Policy> = match self.policy {
             Some(p) => p,
             None => {
-                let kind = policy_from_env(self.policy_kind)?.unwrap_or_default();
+                let kind = match self.policy_kind {
+                    Some(kind) => kind,
+                    None => RuntimeOptions::policy_from_env()?.unwrap_or_default(),
+                };
                 policy::build_sim_policy(kind, config.base_batch, sim.cluster().len(), config.max_batch)
             }
         };
@@ -421,15 +399,16 @@ impl ParallelTrainerBuilder {
         self
     }
 
-    /// Inject deterministic gradient-exchange failures; this routes every
-    /// rank through the resilient (timeout + retry-with-backoff) path.
+    /// Inject deterministic gradient-exchange failures; this arms every
+    /// rank's exchange with the retry policy (receive timeouts,
+    /// retry-with-backoff, restore-on-error).
     #[must_use]
     pub fn comm_faults(mut self, plan: CommFaultPlan) -> Self {
         self.comm_faults = Some(plan);
         self
     }
 
-    /// Retry policy of the resilient path.
+    /// Retry policy of the armed exchange (only used with `comm_faults`).
     #[must_use]
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = Some(retry);
@@ -535,8 +514,16 @@ impl ParallelTrainerBuilder {
         if let Some(v) = self.overlap {
             config.overlap = v;
         }
-        config.transport = transport_from_env(explicit_transport)?.unwrap_or_default();
-        config.codec = codec_from_env(explicit_codec)?.unwrap_or_default();
+        // Builder > environment > default: a variable the builder overrides
+        // is never read, so a malformed one cannot fail the build.
+        config.transport = match explicit_transport {
+            Some(kind) => kind,
+            None => RuntimeOptions::transport_from_env()?.unwrap_or_default(),
+        };
+        config.codec = match explicit_codec {
+            Some(codec) => codec,
+            None => RuntimeOptions::codec_from_env()?.unwrap_or_default(),
+        };
         let n = config.slowdowns.len();
         if n == 0 {
             return Err(CannikinError::InvalidConfig("need at least one node".into()));
@@ -568,7 +555,10 @@ impl ParallelTrainerBuilder {
         let policy: Box<dyn Policy> = match self.policy {
             Some(p) => p,
             None => {
-                let kind = policy_from_env(self.policy_kind)?.unwrap_or_default();
+                let kind = match self.policy_kind {
+                    Some(kind) => kind,
+                    None => RuntimeOptions::policy_from_env()?.unwrap_or_default(),
+                };
                 policy::build_sim_policy(kind, config.base_batch, n, config.max_batch)
             }
         };

@@ -69,11 +69,12 @@ pub struct ParallelConfig {
     pub lr_scaler: LrScaler,
     /// RNG seed (model init and shuffling).
     pub seed: u64,
-    /// Injected gradient-exchange failures, keyed by collective sequence
-    /// number; `Some` routes every rank through the resilient (timeout +
-    /// retry-with-backoff) all-reduce path. `None` keeps the plain path.
+    /// Injected gradient-exchange failures, keyed by exchange sequence
+    /// number; `Some` arms every rank's exchange with `retry` (receive
+    /// timeouts, retry-with-backoff, restore-on-error). `None` leaves it
+    /// unarmed.
     pub comm_faults: Option<CommFaultPlan>,
-    /// Retry policy of the resilient path (only used with `comm_faults`).
+    /// Retry policy of the armed exchange (only used with `comm_faults`).
     pub retry: RetryPolicy,
     /// Collective backend for the gradient exchange: in-process channels
     /// (default) or real localhost TCP sockets. Results are bitwise
@@ -87,8 +88,8 @@ pub struct ParallelConfig {
     /// gradient bucket is all-reduced by a per-step comm worker while
     /// earlier layers still compute (default: `false`, synchronize after
     /// the full backward pass). Ignored — with a sequential fallback — when
-    /// `comm_faults` routes the exchange through the resilient path, whose
-    /// step-retry protocol needs the whole gradient in one collective.
+    /// `comm_faults` arms the exchange, whose step-retry protocol needs
+    /// the whole gradient in one collective.
     pub overlap: bool,
 }
 
@@ -133,7 +134,7 @@ pub struct ParallelEpochReport {
     /// Whether the learned performance model produced the split.
     pub used_model: bool,
     /// Gradient-exchange retries this epoch (injected-failure recoveries
-    /// plus full-step retries; 0 on the non-resilient path).
+    /// plus full-step retries; 0 without `comm_faults`).
     pub comm_retries: u32,
     /// Bytes moved on the wire by this epoch's collectives, summed over
     /// ranks (payload only for the in-process backend; payload plus frame
@@ -146,7 +147,7 @@ pub struct ParallelEpochReport {
 }
 
 /// Functional Cannikin trainer over OS threads — a thin shell over the
-/// shared epoch [`Driver`] with a [`ThreadedExecutor`] behind it.
+/// shared epoch `Driver` with a `ThreadedExecutor` behind it.
 pub struct ParallelTrainer {
     driver: Driver<ThreadedExecutor>,
 }
@@ -278,7 +279,8 @@ impl ParallelTrainer {
     ///
     /// [`CannikinError::Comm`] when the comm group cannot be built (e.g.
     /// TCP rendezvous failure), a rank's gradient exchange fails beyond
-    /// recovery, or a rank thread panics (every rank is joined first).
+    /// recovery — the error is the [`CommError`] that rank observed — or a
+    /// rank thread panics (every rank is joined first).
     pub fn run_epoch(&mut self) -> Result<ParallelEpochReport, CannikinError> {
         self.driver.run_epoch()
     }
@@ -352,10 +354,11 @@ impl Executor for ThreadedExecutor {
         // thread budget so n replicas × blocked-matmul fan-out never
         // oversubscribes the machine.
         let kernel_threads = minidnn::tensor::threads::replica_share(n);
-        let resilient = self.config.comm_faults.is_some();
-        // The resilient step-retry protocol re-runs the whole exchange as
-        // one collective, so overlap falls back to the sequential path.
-        let overlap = self.config.overlap && !resilient;
+        // A fault plan's presence is what arms the exchange's retry.
+        let retry = self.config.comm_faults.is_some().then_some(self.config.retry);
+        // The step-retry protocol re-runs the whole exchange as one
+        // collective, so overlap falls back to the sequential path.
+        let overlap = self.config.overlap && retry.is_none();
         // (Re)create the error-feedback residuals when the membership or
         // parameter count changed; otherwise they carry across epochs.
         let lossy = self.config.codec.is_lossy();
@@ -381,7 +384,6 @@ impl Executor for ThreadedExecutor {
             let step_totals = Arc::clone(&step_totals);
             let slowdown = self.config.slowdowns[rank];
             let seed = self.config.seed;
-            let retry = self.config.retry;
             let feedback = feedbacks[rank].take();
             handles.push(thread::spawn(move || {
                 run_rank(RankArgs {
@@ -397,7 +399,6 @@ impl Executor for ThreadedExecutor {
                     seed,
                     steps,
                     kernel_threads,
-                    resilient,
                     retry,
                     epoch,
                     overlap,
@@ -405,17 +406,22 @@ impl Executor for ThreadedExecutor {
                 })
             }));
         }
-        // Join every thread before propagating the first failure so no
-        // rank is left detached mid-collective; a panicked rank surfaces
-        // as a typed error like any other lost peer.
+        // Join every thread before propagating a failure so no rank is
+        // left detached mid-collective. The error a rank returned wins over
+        // a panicked rank's stand-in: it names what the transport saw, and
+        // the panic has already printed its own message.
         let joined: Vec<thread::Result<Result<RankOutput, CommError>>> =
             handles.into_iter().map(thread::JoinHandle::join).collect();
         let mut rank_outputs = Vec::with_capacity(n);
+        let mut panicked = None;
         for (rank, outcome) in joined.into_iter().enumerate() {
-            let output = outcome
-                .map_err(|_| CommError::Io { rank, detail: "training rank panicked".into() })
-                .and_then(|result| result)?;
-            rank_outputs.push(output);
+            match outcome {
+                Ok(result) => rank_outputs.push(result?),
+                Err(_) => panicked = panicked.or(Some(rank)),
+            }
+        }
+        if let Some(rank) = panicked {
+            return Err(CommError::Io { rank, detail: "training rank panicked".into() }.into());
         }
         let epoch_time = started.elapsed().as_secs_f64();
         let comm_bytes: u64 = rank_outputs.iter().map(|r| r.comm_bytes).sum();
@@ -546,8 +552,8 @@ struct RankArgs {
     seed: u64,
     steps: usize,
     kernel_threads: usize,
-    resilient: bool,
-    retry: RetryPolicy,
+    /// `Some` arms the gradient exchange (set iff a fault plan is).
+    retry: Option<RetryPolicy>,
     epoch: usize,
     overlap: bool,
     feedback: Option<ErrorFeedback>,
@@ -621,7 +627,6 @@ fn run_rank(args: RankArgs) -> Result<RankOutput, CommError> {
         seed,
         steps,
         kernel_threads,
-        resilient,
         retry,
         epoch,
         overlap,
@@ -685,7 +690,7 @@ fn run_rank(args: RankArgs) -> Result<RankOutput, CommError> {
                 weight: ratio as f32,
                 slowdown,
                 forward_elapsed: a_elapsed,
-            });
+            })?;
             comm = outcome.comm;
             feedback = outcome.feedback;
             (outcome.p_time, outcome.comm_time, outcome.overlap, outcome.local_sq)
@@ -706,46 +711,42 @@ fn run_rank(args: RankArgs) -> Result<RankOutput, CommError> {
             flatten_grads_into(&model.parameters(), &mut g);
             let local_sq: f64 = g.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
             let t2 = Instant::now();
-            if resilient {
-                // Injected failures abort before any data moves and exhausted
-                // budgets restore the unscaled buffer, so looping until success
-                // applies the Eq. (9) scaling exactly once — every rank decides
-                // identically (shared plan, lockstep sequence numbers), so no
-                // rank can apply an update the others dropped.
-                loop {
-                    match comm.weighted_all_reduce_resilient_ef(
-                        &mut g,
-                        ratio as f32,
-                        &retry,
-                        &mut retry_rng,
-                        feedback.as_mut(),
-                    ) {
-                        Ok(attempt) => {
-                            comm_retries += attempt - 1;
-                            break;
-                        }
-                        Err(CommError::RetriesExhausted { attempts }) => {
-                            comm_retries += attempts;
-                            telemetry::emit(Event::RecoveryAction(RecoveryAction {
-                                kind: RecoveryKind::StepRetry,
-                                node: Some(rank as u32),
-                                step: step as u64,
-                                attempt: comm_retries,
-                                backoff_ns: 0,
-                            }));
-                        }
-                        Err(e) => return Err(e),
+            // Injected failures abort before any data moves and exhausted
+            // budgets restore the unscaled buffer, so looping until success
+            // applies the Eq. (9) scaling exactly once — every rank decides
+            // identically (shared plan, lockstep sequence numbers), so no
+            // rank can apply an update the others dropped. Unarmed, the
+            // first pass ends the loop either way.
+            loop {
+                match comm.exchange(
+                    &mut g,
+                    ratio as f32,
+                    feedback.as_mut().map(|residual| (residual, 0)),
+                    retry.as_ref().map(|policy| (policy, &mut retry_rng)),
+                ) {
+                    Ok(attempt) => {
+                        comm_retries += attempt - 1;
+                        break;
                     }
+                    Err(CommError::RetriesExhausted { attempts }) => {
+                        comm_retries += attempts;
+                        telemetry::emit(Event::RecoveryAction(RecoveryAction {
+                            kind: RecoveryKind::StepRetry,
+                            node: Some(rank as u32),
+                            step: step as u64,
+                            attempt: comm_retries,
+                            backoff_ns: 0,
+                        }));
+                    }
+                    Err(e) => return Err(e),
                 }
-            } else {
-                comm.weighted_all_reduce_ef(&mut g, ratio as f32, feedback.as_mut());
             }
             (p_elapsed, t2.elapsed().as_secs_f64(), 0.0, local_sq)
         };
         let global_sq: f64 = g.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
 
         // Gather (bᵢ, |gᵢ|²) from every rank for Eq. (10).
-        let rows = comm.all_gather_vec(&[batch_indices.len() as f64, local_sq]);
+        let rows = comm.gather(&[batch_indices.len() as f64, local_sq])?;
         if rank == 0 {
             let samples: Vec<GradientSample> = rows
                 .iter()
@@ -825,12 +826,14 @@ struct OverlapOutcome {
 /// overlaps with the stretched compute exactly as it would on genuinely
 /// slower hardware.
 ///
-/// The worker applies the same per-bucket pipeline as
-/// [`Communicator::weighted_all_reduce_ef`] (compensate → scale → quantize
-/// → record → reduce), with bucket offsets indexing into the persistent
-/// [`ErrorFeedback`] residual. Buckets are produced and reduced in the
-/// same deterministic order on every rank, preserving the SPMD contract.
-fn overlap_step(args: OverlapArgs<'_>) -> OverlapOutcome {
+/// The worker calls the same [`Communicator::exchange`] the sequential
+/// path does, once per bucket, with the bucket's offset indexing into the
+/// persistent [`ErrorFeedback`] residual. Buckets are produced and reduced
+/// in the same deterministic order on every rank, preserving the SPMD
+/// contract. The first bucket that fails is the step's error; the worker
+/// then moves no more data but keeps draining, so the backward pass
+/// finishes and the rank leaves the group in one piece.
+fn overlap_step(args: OverlapArgs<'_>) -> Result<OverlapOutcome, CommError> {
     let OverlapArgs { model, loss_grad, g, layer_sizes, comm, feedback, weight, slowdown, forward_elapsed } =
         args;
     // Stretch the forward phase first; no bucket exists yet, so there is
@@ -853,32 +856,25 @@ fn overlap_step(args: OverlapArgs<'_>) -> OverlapOutcome {
             rest = tail;
         }
     }
-    let lossy = comm.codec().is_lossy();
     let mut p_time = 0.0f64;
     let mut local_sq = 0.0f64;
-    let (comm, feedback, busy, buckets, exposed) = thread::scope(|s| {
+    let (worked, exposed) = thread::scope(|s| {
         let (tx, rx) = std::sync::mpsc::channel::<(usize, &mut [f32])>();
         let worker = s.spawn(move || {
             let mut feedback = feedback;
-            let codec = comm.codec();
             let mut busy = Duration::ZERO;
             let mut buckets: Vec<AllReduceBucket> = Vec::new();
+            let mut failed = None;
             for (i, (offset, slice)) in rx.into_iter().enumerate() {
+                if failed.is_some() {
+                    continue;
+                }
                 let t = Instant::now();
                 let bytes_before = comm.bytes_sent();
-                match feedback.as_mut().filter(|_| lossy) {
-                    Some(ef) => {
-                        ef.compensate(slice, offset);
-                        for v in slice.iter_mut() {
-                            *v *= weight;
-                        }
-                        let ideal = slice.to_vec();
-                        codec.quantize(slice);
-                        let scale = if weight != 0.0 { 1.0 / weight } else { 0.0 };
-                        ef.record(&ideal, slice, offset, scale);
-                        comm.all_reduce_sum(slice);
-                    }
-                    None => comm.weighted_all_reduce(slice, weight),
+                let residual = feedback.as_mut().map(|residual| (residual, offset));
+                if let Err(e) = comm.exchange(slice, weight, residual, None) {
+                    failed = Some(e);
+                    continue;
                 }
                 let wall = t.elapsed();
                 busy += wall;
@@ -889,7 +885,10 @@ fn overlap_step(args: OverlapArgs<'_>) -> OverlapOutcome {
                     bytes: comm.bytes_sent() - bytes_before,
                 });
             }
-            (comm, feedback, busy, buckets)
+            match failed {
+                Some(e) => Err(e),
+                None => Ok((comm, feedback, busy, buckets)),
+            }
         });
         // Tail-first backward: the bucket nearest the loss is ready (and on
         // the wire) first.
@@ -918,9 +917,9 @@ fn overlap_step(args: OverlapArgs<'_>) -> OverlapOutcome {
         }
         drop(tx);
         let wait = Instant::now();
-        let (comm, feedback, busy, buckets) = worker.join().expect("comm worker panicked");
-        (comm, feedback, busy, buckets, wait.elapsed())
+        (worker.join().expect("comm worker panicked"), wait.elapsed())
     });
+    let (comm, feedback, busy, buckets) = worked?;
     if telemetry::enabled() {
         for b in buckets {
             telemetry::emit(Event::AllReduceBucket(b));
@@ -928,7 +927,7 @@ fn overlap_step(args: OverlapArgs<'_>) -> OverlapOutcome {
     }
     let comm_time = busy.as_secs_f64();
     let overlap = (comm_time - exposed.as_secs_f64()).max(0.0);
-    OverlapOutcome { comm, feedback, p_time, comm_time, overlap, local_sq }
+    Ok(OverlapOutcome { comm, feedback, p_time, comm_time, overlap, local_sq })
 }
 
 fn evaluate(model: &mut Sequential, dataset: &ClassificationDataset) -> f64 {
@@ -1164,22 +1163,29 @@ mod tests {
     }
 
     #[test]
-    fn rank_panic_surfaces_as_a_typed_error() {
+    fn dropped_peer_is_the_error_run_epoch_returns() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        // Call 0 builds the trainer's reference weights on this thread;
-        // call 1 is the first rank thread to build its replica.
+        // Call 0 builds the trainer's reference weights on this thread,
+        // calls 1–3 the replicas of epoch 0, call 4 its evaluation model;
+        // call 5 is the first rank thread of epoch 1 to build its replica.
         let calls = Arc::new(AtomicUsize::new(0));
+        let mut cfg = config(false);
+        cfg.slowdowns = vec![1.0, 1.0, 2.0];
         let mut t = ParallelTrainer::builder()
             .dataset(gaussian_blobs(640, 4, 10, 3))
             .model(move |seed| {
-                assert!(calls.fetch_add(1, Ordering::SeqCst) != 1, "injected model-factory failure");
+                assert!(calls.fetch_add(1, Ordering::SeqCst) != 5, "injected model-factory failure");
                 mlp_classifier(10, 24, 4, seed)
             })
-            .config(config(false))
+            .config(cfg)
             .build()
             .expect("valid config");
+        t.run_epoch().expect("epoch 0 is healthy");
+        // The panicked rank's endpoint drops with it; its neighbours'
+        // exchanges fail typed, and theirs is the error the epoch reports —
+        // not the join failure of the rank that died.
         let err = t.run_epoch().expect_err("a panicked rank fails the epoch, not the process");
-        assert!(matches!(err, CannikinError::Comm(CommError::Io { .. })), "{err}");
+        assert!(matches!(err, CannikinError::Comm(CommError::Dropped { .. })), "{err}");
         // Every rank was joined and nothing global is poisoned: a fresh
         // trainer still trains.
         let report = trainer(false).run_epoch().expect("epoch");

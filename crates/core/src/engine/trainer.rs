@@ -55,7 +55,7 @@ impl TrainerConfig {
 /// OptPerf solver → goodput-maximizing batch size → `HeteroDataLoader`
 /// split.
 ///
-/// A thin shell over the shared epoch [`Driver`] with a [`SimExecutor`]
+/// A thin shell over the shared epoch `Driver` with a `SimExecutor`
 /// behind it.
 pub struct CannikinTrainer {
     driver: Driver<SimExecutor>,
@@ -468,23 +468,15 @@ impl SimExecutor {
         let mut handles = Vec::with_capacity(n);
         for (rank, comm) in comms.into_iter().enumerate() {
             let row = vec![local[rank] as f64, analyzer.per_sample_time(rank).unwrap_or(0.0)];
-            handles.push(std::thread::spawn(move || {
-                let gathered = comm.all_gather_vec(&row);
-                (comm.bytes_sent(), gathered.len())
-            }));
+            handles.push(std::thread::spawn(move || comm.gather(&row).map(|_| comm.bytes_sent())));
         }
+        // Join every rank before propagating the first failure.
+        let joined: Vec<_> = handles.into_iter().map(std::thread::JoinHandle::join).collect();
         let mut bytes = 0u64;
-        for h in handles {
-            let (sent, rows) = h.join().map_err(|_| {
-                CannikinError::Comm(CommError::Io { rank: 0, detail: "metric-exchange rank panicked".into() })
-            })?;
-            if rows != n {
-                return Err(CannikinError::Comm(CommError::Io {
-                    rank: 0,
-                    detail: format!("metric exchange gathered {rows} rows from {n} nodes"),
-                }));
-            }
-            bytes += sent;
+        for (rank, outcome) in joined.into_iter().enumerate() {
+            bytes += outcome
+                .map_err(|_| CommError::Io { rank, detail: "metric-exchange rank panicked".into() })
+                .and_then(|sent| sent)?;
         }
         telemetry::counter("comm_bytes", bytes as f64);
         self.comm_bytes += bytes;

@@ -89,28 +89,11 @@ impl RuntimeOptions {
             options.telemetry = parse_targets(&spec)
                 .map_err(|e| CannikinError::InvalidConfig(format!("{TELEMETRY_ENV}: {e}")))?;
         }
-        if let Ok(raw) = std::env::var(THREADS_ENV) {
-            let trimmed = raw.trim();
-            if !trimmed.is_empty() {
-                let threads: usize = trimmed.parse().map_err(|_| {
-                    CannikinError::InvalidConfig(format!("{THREADS_ENV}: `{raw}` is not a thread count"))
-                })?;
-                options.threads = Some(threads);
-            }
-        }
+        options.threads = knob(THREADS_ENV)?;
         options.transport = Self::transport_from_env()?;
         options.codec = Self::codec_from_env()?;
         options.policy = Self::policy_from_env()?;
-        if let Ok(raw) = std::env::var(SIMD_ENV) {
-            let trimmed = raw.trim();
-            if !trimmed.is_empty() {
-                options.simd = Some(
-                    trimmed
-                        .parse()
-                        .map_err(|e| CannikinError::InvalidConfig(format!("{SIMD_ENV}: {e}")))?,
-                );
-            }
-        }
+        options.simd = knob(SIMD_ENV)?;
         Ok(options)
     }
 
@@ -124,14 +107,7 @@ impl RuntimeOptions {
     /// [`CannikinError::InvalidConfig`] when the variable is set but
     /// unparseable.
     pub fn transport_from_env() -> Result<Option<TransportKind>, CannikinError> {
-        match std::env::var(TRANSPORT_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => raw
-                .trim()
-                .parse()
-                .map(Some)
-                .map_err(|e| CannikinError::InvalidConfig(format!("{TRANSPORT_ENV}: {e}"))),
-            _ => Ok(None),
-        }
+        knob(TRANSPORT_ENV)
     }
 
     /// Parse only the `CANNIKIN_CODEC` knob (`None` when unset), isolated
@@ -144,14 +120,7 @@ impl RuntimeOptions {
     /// [`CannikinError::InvalidConfig`] when the variable is set but
     /// unparseable.
     pub fn codec_from_env() -> Result<Option<Codec>, CannikinError> {
-        match std::env::var(CODEC_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => raw
-                .trim()
-                .parse()
-                .map(Some)
-                .map_err(|e| CannikinError::InvalidConfig(format!("{CODEC_ENV}: {e}"))),
-            _ => Ok(None),
-        }
+        knob(CODEC_ENV)
     }
 
     /// Parse only the `CANNIKIN_POLICY` knob (`None` when unset), isolated
@@ -164,14 +133,7 @@ impl RuntimeOptions {
     /// [`CannikinError::InvalidConfig`] when the variable is set but
     /// unparseable.
     pub fn policy_from_env() -> Result<Option<PolicyKind>, CannikinError> {
-        match std::env::var(POLICY_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => raw
-                .trim()
-                .parse()
-                .map(Some)
-                .map_err(|e| CannikinError::InvalidConfig(format!("{POLICY_ENV}: {e}"))),
-            _ => Ok(None),
-        }
+        knob(POLICY_ENV)
     }
 
     /// The transport to use given an optional builder-level override:
@@ -190,6 +152,24 @@ impl RuntimeOptions {
     /// override: builder > env > [`PolicyKind::OptPerf`].
     pub fn resolve_policy(&self, builder: Option<PolicyKind>) -> PolicyKind {
         builder.or(self.policy).unwrap_or_default()
+    }
+}
+
+/// Read one `CANNIKIN_*` variable: unset or blank is `None`, anything
+/// else must parse, and a value that does not is an error naming the
+/// variable.
+fn knob<T>(var: &str) -> Result<Option<T>, CannikinError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    match std::env::var(var) {
+        Ok(raw) if !raw.trim().is_empty() => raw
+            .trim()
+            .parse()
+            .map(Some)
+            .map_err(|e| CannikinError::InvalidConfig(format!("{var}: {e}"))),
+        _ => Ok(None),
     }
 }
 

@@ -61,8 +61,11 @@ fn simulator_epoch_and_collectives_compose() {
         .map(|comm| {
             thread::spawn(move || {
                 let mut grad = vec![1.0f32; 1000];
-                let order = comm.all_reduce_buckets(&mut grad, buckets);
-                (grad[0], order.len())
+                let ranges = bucket_ranges(grad.len(), buckets);
+                for r in &ranges {
+                    comm.all_reduce_sum(&mut grad[r.clone()]);
+                }
+                (grad[0], ranges.len())
             })
         })
         .collect();
