@@ -110,7 +110,8 @@ impl RetryPolicy {
 
 /// Deterministic injected-failure schedule, keyed by the group-wide
 /// sequence number of retry-armed exchanges (0 for the first one after
-/// group creation, 1 for the next, …).
+/// group creation or [`Communicator::restart_sequence`](crate::Communicator::restart_sequence),
+/// 1 for the next, …).
 #[derive(Debug, Clone, Default)]
 pub struct CommFaultPlan {
     fail: BTreeMap<u64, u32>,

@@ -94,9 +94,9 @@ impl CommGroup {
 #[derive(Debug)]
 pub struct Communicator {
     transport: Box<dyn Transport>,
-    /// Count of *retry-armed* exchanges issued so far — the key into the
-    /// shared [`CommFaultPlan`]. Identical on every rank by the SPMD
-    /// contract.
+    /// Count of *retry-armed* exchanges issued since creation or the last
+    /// [`Communicator::restart_sequence`] — the key into the shared
+    /// [`CommFaultPlan`]. Identical on every rank by the SPMD contract.
     seq: Cell<u64>,
     fault_plan: Option<Arc<CommFaultPlan>>,
     /// Wire format of gradient payloads ([`Codec::None`] = raw `f32`).
@@ -145,6 +145,13 @@ impl Communicator {
     /// Cumulative bytes received from the wire.
     pub fn bytes_received(&self) -> u64 {
         self.transport.bytes_received()
+    }
+
+    /// Number the next retry-armed exchange 0 again. A group that outlives
+    /// an epoch calls this on every rank at the epoch boundary, so
+    /// [`CommFaultPlan`] keys keep meaning "the k-th exchange of the epoch".
+    pub fn restart_sequence(&self) {
+        self.seq.set(0);
     }
 
     /// The error for a frame that arrived but is not what the schedule needs.
@@ -715,7 +722,8 @@ mod tests {
     fn injected_failures_consume_attempts_in_lockstep() {
         // The plan is keyed by the count of retry-armed exchanges: seq 0
         // fails twice, seq 1 is clean, seq 2 fails once — on every rank,
-        // regardless of buffer or timing skew.
+        // regardless of buffer or timing skew. Restarting the sequence (a
+        // reused group's epoch boundary) makes the next exchange seq 0 again.
         let plan = CommFaultPlan::new().fail_at(0, 2).fail_at(2, 1);
         let results = run_on(faulty_group(3, plan, Codec::None), |c| {
             let mut rng = StdRng::seed_from_u64(7 + c.rank() as u64);
@@ -725,12 +733,15 @@ mod tests {
                 let attempt = c.exchange(&mut data, 1.0, None, Some((&policy, &mut rng))).expect("recovers");
                 (data, attempt)
             };
-            [reduce((c.rank() + 1) as f32), reduce(1.0), reduce(2.0)]
+            let first = [reduce((c.rank() + 1) as f32), reduce(1.0), reduce(2.0)];
+            c.restart_sequence();
+            (first, reduce(1.0))
         });
-        for [a, b, c] in results {
+        for ([a, b, c], restarted) in results {
             assert_eq!(a, (vec![6.0; 6], 3), "two injected failures consume two attempts");
             assert_eq!(b, (vec![3.0; 6], 1));
             assert_eq!(c, (vec![6.0; 6], 2));
+            assert_eq!(restarted, (vec![3.0; 6], 3), "seq 0 fires again after the restart");
         }
     }
 

@@ -540,6 +540,14 @@ impl ParallelTrainerBuilder {
                 config.max_batch, config.base_batch
             )));
         }
+        // The ranks' optimizers are built on the caller's thread, where a
+        // bad rate must not panic.
+        if config.base_lr.is_nan() || config.base_lr <= 0.0 {
+            return Err(CannikinError::InvalidConfig(format!(
+                "base learning rate {} is not positive",
+                config.base_lr
+            )));
+        }
         // Every epoch alternates an even and an odd measurement step, so
         // a batch can be at most half the samples an epoch holds.
         let epoch_cap = (dataset.len() / 2) as u64;
@@ -662,6 +670,14 @@ mod tests {
             .build()
             .expect_err("48 samples cannot hold an even and an odd step of 32");
         assert!(err.to_string().contains("samples per epoch"), "{err}");
+        let err = ParallelTrainer::builder()
+            .dataset(gaussian_blobs(64, 4, 10, 3))
+            .model(|seed| mlp_classifier(10, 16, 4, seed))
+            .base_lr(0.0)
+            .transport(TransportKind::InProcess)
+            .build()
+            .expect_err("a zero rate never moves the weights");
+        assert!(err.to_string().contains("learning rate"), "{err}");
 
         let mut t = ParallelTrainer::builder()
             .dataset(gaussian_blobs(256, 4, 10, 3))

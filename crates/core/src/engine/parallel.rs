@@ -25,6 +25,16 @@
 //! quantization or top-k sparsification) with a persistent per-rank
 //! [`ErrorFeedback`] residual, cutting bytes on the wire while the
 //! compensated trajectory tracks the uncompressed one.
+//!
+//! Rank state lives as long as the trainer, like a DDP worker process:
+//! each rank's replica, optimizer (so momentum carries across epochs),
+//! residual and ring endpoint are built once, moved into one scoped thread
+//! per rank for the epoch and handed back when it ends. An epoch boundary
+//! only sets the learning rate and restarts the fault-plan sequence. A
+//! rank that fails or panics drops its state — and with it its endpoint,
+//! which is how its peers find out — so the next epoch rebuilds every rank
+//! and the ring from the checkpoint rank 0 left at the end of the last
+//! epoch that completed (DESIGN.md §15, "Rank state lifecycle").
 
 use super::driver::{Bounds, Driver, Executed, Executor, Round};
 use super::loader::HeteroDataLoader;
@@ -42,10 +52,13 @@ use hetsim::trace::{BatchTrace, NodeObservation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use minidnn::data::ClassificationDataset;
-use minidnn::layers::{assign_grads_from, flatten_grads_into, flatten_values, zero_grads, Layer, Sequential};
+use minidnn::layers::{
+    assign_grads_from, assign_values, flatten_grads_into, flatten_values, num_elements, zero_grads, Layer, Sequential,
+};
 use minidnn::loss::{Loss, SoftmaxCrossEntropy};
 use minidnn::lr::LrScaler;
 use minidnn::optim::{Optimizer, Sgd};
+use minidnn::tensor::Tensor;
 
 use std::sync::Arc;
 use std::thread;
@@ -167,17 +180,15 @@ impl ParallelTrainer {
         config: ParallelConfig,
         policy: Box<dyn Policy>,
     ) -> Self {
-        let model = model_factory(config.seed);
-        let weights = flatten_values(&model.parameters()).into_data();
         let loader = HeteroDataLoader::new(dataset.len(), config.seed);
         let exec = ThreadedExecutor {
-            dataset: Arc::new(dataset),
+            dataset,
             tracker: GnsTracker::new(0.9),
             loader,
-            weights,
+            checkpoint: None,
             config,
             model_factory,
-            feedback: Vec::new(),
+            ranks: Vec::new(),
         };
         ParallelTrainer { driver: Driver::new(exec, policy) }
     }
@@ -215,8 +226,9 @@ impl ParallelTrainer {
         &self.driver.exec.config
     }
 
-    /// Evict a rank (crash or graceful leave): the next epoch's comm group
-    /// is built over the survivors, the dead rank's analyzer state is
+    /// Evict a rank (crash or graceful leave): its replica, optimizer and
+    /// residual leave with it, the next epoch's ring is formed over the
+    /// survivors — who keep theirs — the dead rank's analyzer state is
     /// dropped, and the split is re-planned so `Σ bᵢ = B` over the new
     /// membership. The shared model weights and the GNS tracker carry over
     /// untouched — no training progress is lost.
@@ -230,19 +242,20 @@ impl ParallelTrainer {
         assert!(rank < n, "rank {rank} out of range");
         assert!(n > 1, "cannot remove the last rank");
         exec.config.slowdowns.remove(rank);
-        // Survivors keep their accumulated residuals; the dead rank's
-        // compensation leaves with it.
-        if exec.feedback.len() == n {
-            exec.feedback.remove(rank);
+        // Empty before the first epoch and after a failed one.
+        if rank < exec.ranks.len() {
+            exec.ranks.remove(rank);
         }
         self.driver.analyzer.remove_node(rank);
         self.driver.on_membership_change();
         self.emit_membership(RecoveryKind::GroupShrink, rank);
     }
 
-    /// Admit a new rank with the given emulated slowdown factor. It starts
-    /// from the shared weights like every replica and is profiled through
-    /// the bootstrap path over the next epochs.
+    /// Admit a new rank with the given emulated slowdown factor. The next
+    /// epoch builds it from the shared weights and rank 0's optimizer state
+    /// (what an elastic join broadcasts — a newcomer with its own momentum
+    /// would walk away from the other replicas) with a zero residual, and
+    /// it is profiled through the bootstrap path over the next epochs.
     ///
     /// # Panics
     ///
@@ -253,11 +266,6 @@ impl ParallelTrainer {
         let exec = &mut self.driver.exec;
         exec.config.slowdowns.push(slowdown);
         assert!(exec.config.base_batch >= exec.nodes() as u64, "base batch must cover every rank");
-        // The newcomer's residual starts at zero like every fresh
-        // replica's (existing ranks keep theirs).
-        if !exec.feedback.is_empty() {
-            exec.feedback.push(ErrorFeedback::new(exec.weights.len()));
-        }
         self.driver.analyzer.add_node(None);
         self.driver.on_membership_change();
         self.emit_membership(RecoveryKind::GroupGrow, self.world_size() - 1);
@@ -292,19 +300,66 @@ impl std::fmt::Debug for ParallelTrainer {
     }
 }
 
-/// The real-gradient problem: rank threads, collectives, codec and
-/// error-feedback state, and the live GNS tracker.
+/// Everything one rank keeps from epoch to epoch.
+struct RankState {
+    model: Sequential,
+    /// Persisted so momentum carries across the epoch boundary.
+    opt: Sgd,
+    /// Error-feedback residual; `Some` while the codec is lossy.
+    feedback: Option<ErrorFeedback>,
+    comm: Communicator,
+}
+
+/// The real-gradient problem: long-lived rank state run on per-epoch
+/// scoped threads, the last-good checkpoint, and the live GNS tracker.
 pub(crate) struct ThreadedExecutor {
-    dataset: Arc<ClassificationDataset>,
+    dataset: ClassificationDataset,
     config: ParallelConfig,
-    weights: Vec<f32>,
+    /// Rank 0's flat weights at the end of the last epoch that completed
+    /// (the first replica's initial weights before that): what a new rank,
+    /// and every rank after a failed epoch, starts from.
+    checkpoint: Option<Tensor>,
     tracker: GnsTracker,
     loader: HeteroDataLoader,
     model_factory: Arc<dyn Fn(u64) -> Sequential + Send + Sync>,
-    /// Per-rank error-feedback residuals, persisted across epochs so the
-    /// compensation accumulates over the whole run (only populated while a
-    /// lossy codec is configured).
-    feedback: Vec<ErrorFeedback>,
+    /// One state per rank once an epoch has formed the ring; shorter than
+    /// the membership after `add_rank`, empty after a failed epoch.
+    ranks: Vec<RankState>,
+}
+
+impl ThreadedExecutor {
+    /// Form a ring over the current membership. Ranks that have state keep
+    /// everything but their endpoint; the rest are built from the
+    /// checkpoint and rank 0's optimizer state, so every replica applies
+    /// the same update to the same weights from the first step on.
+    fn regroup(&mut self) -> Result<(), CommError> {
+        let config = &self.config;
+        let comms =
+            CommGroup::with_options(self.nodes(), &config.transport, config.comm_faults.clone(), config.codec)?;
+        let mut kept = std::mem::take(&mut self.ranks).into_iter();
+        for comm in comms {
+            let state = match kept.next() {
+                Some(state) => RankState { comm, ..state },
+                None => self.new_rank(comm),
+            };
+            self.ranks.push(state);
+        }
+        Ok(())
+    }
+
+    fn new_rank(&mut self, comm: Communicator) -> RankState {
+        let mut model = (self.model_factory)(self.config.seed);
+        match &self.checkpoint {
+            Some(weights) => assign_values(&mut model.parameters_mut(), weights),
+            None => self.checkpoint = Some(flatten_values(&model.parameters())),
+        }
+        let opt = match self.ranks.first() {
+            Some(first) => first.opt.clone(),
+            None => Sgd::new(self.config.base_lr).momentum(0.9),
+        };
+        let feedback = self.config.codec.is_lossy().then(|| ErrorFeedback::new(num_elements(&model.parameters())));
+        RankState { model, opt, feedback, comm }
+    }
 }
 
 impl Executor for ThreadedExecutor {
@@ -344,85 +399,77 @@ impl Executor for ThreadedExecutor {
         let odd = measurement_variant(&local);
         let schedule = self.loader.next_epoch_alternating(&local, &odd);
         let steps = schedule.steps().max(1);
-        let even_total: u64 = local.iter().sum();
-        let odd_total: u64 = odd.iter().sum();
-        let step_totals: Arc<Vec<u64>> =
-            Arc::new((0..steps).map(|s| if s % 2 == 0 { even_total } else { odd_total }).collect());
+        let step_totals = [local.iter().sum::<u64>(), odd.iter().sum::<u64>()];
         let phi = self.tracker.noise_scale();
         let lr = self.config.lr_scaler.scaled_lr(self.config.base_lr, self.config.base_batch, total, phi);
-        // Each replica thread gets a proportional share of the kernel
-        // thread budget so n replicas × blocked-matmul fan-out never
-        // oversubscribes the machine.
-        let kernel_threads = minidnn::tensor::threads::replica_share(n);
         // A fault plan's presence is what arms the exchange's retry.
         let retry = self.config.comm_faults.is_some().then_some(self.config.retry);
-        // The step-retry protocol re-runs the whole exchange as one
-        // collective, so overlap falls back to the sequential path.
-        let overlap = self.config.overlap && retry.is_none();
-        // (Re)create the error-feedback residuals when the membership or
-        // parameter count changed; otherwise they carry across epochs.
-        let lossy = self.config.codec.is_lossy();
-        if lossy
-            && (self.feedback.len() != n || self.feedback.iter().any(|f| f.len() != self.weights.len()))
-        {
-            self.feedback = (0..n).map(|_| ErrorFeedback::new(self.weights.len())).collect();
+
+        // The first epoch, a membership change and a failed epoch leave
+        // the states out of step with the membership; otherwise ranks and
+        // ring carry over and only the per-epoch knobs are set.
+        if self.ranks.len() != n || self.ranks[0].comm.world_size() != n {
+            self.regroup()?;
         }
-        let mut feedbacks: Vec<Option<ErrorFeedback>> = if lossy {
-            std::mem::take(&mut self.feedback).into_iter().map(Some).collect()
-        } else {
-            (0..n).map(|_| None).collect()
+        for state in &mut self.ranks {
+            state.opt.set_learning_rate(lr);
+            state.comm.restart_sequence();
+        }
+        let shared = EpochArgs {
+            dataset: &self.dataset,
+            step_totals,
+            seed: self.config.seed,
+            steps,
+            // Each replica thread gets a proportional share of the kernel
+            // thread budget so n replicas × blocked-matmul fan-out never
+            // oversubscribes the machine.
+            kernel_threads: minidnn::tensor::threads::replica_share(n),
+            retry,
+            epoch,
+            // The step-retry protocol re-runs the whole exchange as one
+            // collective, so overlap falls back to the sequential path.
+            overlap: self.config.overlap && retry.is_none(),
         };
-        let comms =
-            CommGroup::with_options(n, &self.config.transport, self.config.comm_faults.clone(), self.config.codec)?;
         let started = Instant::now();
-        let mut handles = Vec::new();
-        for (rank, comm) in comms.into_iter().enumerate() {
-            let dataset = Arc::clone(&self.dataset);
-            let factory = Arc::clone(&self.model_factory);
-            let weights = self.weights.clone();
-            let batches: Vec<Vec<usize>> = schedule.node_batches(rank).to_vec();
-            let step_totals = Arc::clone(&step_totals);
-            let slowdown = self.config.slowdowns[rank];
-            let seed = self.config.seed;
-            let feedback = feedbacks[rank].take();
-            handles.push(thread::spawn(move || {
-                run_rank(RankArgs {
-                    comm,
-                    rank,
-                    dataset,
-                    factory,
-                    weights,
-                    batches,
-                    step_totals,
-                    slowdown,
-                    lr,
-                    seed,
-                    steps,
-                    kernel_threads,
-                    retry,
-                    epoch,
-                    overlap,
-                    feedback,
+        // Each state moves into its rank's thread and comes back only with
+        // a completed epoch: a rank that fails or panics drops its endpoint
+        // there and then, so peers blocked on it see `Dropped` instead of
+        // waiting on a ring that will never move again.
+        let ranks = std::mem::take(&mut self.ranks);
+        let joined: Vec<thread::Result<Result<(RankState, RankOutput), CommError>>> = thread::scope(|s| {
+            let handles: Vec<_> = ranks
+                .into_iter()
+                .enumerate()
+                .map(|(rank, state)| {
+                    let (shared, batches) = (&shared, schedule.node_batches(rank));
+                    let slowdown = self.config.slowdowns[rank];
+                    s.spawn(move || run_rank(state, rank, batches, slowdown, shared))
                 })
-            }));
-        }
-        // Join every thread before propagating a failure so no rank is
-        // left detached mid-collective. The error a rank returned wins over
-        // a panicked rank's stand-in: it names what the transport saw, and
-        // the panic has already printed its own message.
-        let joined: Vec<thread::Result<Result<RankOutput, CommError>>> =
-            handles.into_iter().map(thread::JoinHandle::join).collect();
+                .collect();
+            // Join every thread before propagating a failure.
+            handles.into_iter().map(thread::ScopedJoinHandle::join).collect()
+        });
+        // The error a rank returned wins over a panicked rank's stand-in:
+        // it names what the transport saw, and the panic has already
+        // printed its own message. Either way `self.ranks` stays empty and
+        // the next epoch rebuilds from the checkpoint.
+        let mut ranks = Vec::with_capacity(n);
         let mut rank_outputs = Vec::with_capacity(n);
         let mut panicked = None;
         for (rank, outcome) in joined.into_iter().enumerate() {
             match outcome {
-                Ok(result) => rank_outputs.push(result?),
+                Ok(result) => {
+                    let (state, output) = result?;
+                    ranks.push(state);
+                    rank_outputs.push(output);
+                }
                 Err(_) => panicked = panicked.or(Some(rank)),
             }
         }
         if let Some(rank) = panicked {
             return Err(CommError::Io { rank, detail: "training rank panicked".into() }.into());
         }
+        self.ranks = ranks;
         let epoch_time = started.elapsed().as_secs_f64();
         let comm_bytes: u64 = rank_outputs.iter().map(|r| r.comm_bytes).sum();
         telemetry::counter("comm_bytes", comm_bytes as f64);
@@ -431,16 +478,8 @@ impl Executor for ThreadedExecutor {
             .flat_map(|r| r.step_measurements.iter())
             .map(|m| m.overlap)
             .sum();
-        if overlap {
+        if shared.overlap {
             telemetry::counter("comm_overlap_s", comm_overlap);
-        }
-        // Residuals travel back to the trainer so the next epoch's
-        // compensation continues where this one stopped.
-        if lossy {
-            self.feedback = rank_outputs
-                .iter_mut()
-                .map(|r| r.feedback.take().expect("lossy ranks return their residual"))
-                .collect();
         }
 
         // ---- Absorb measurements (discarding thread warm-up steps:
@@ -450,10 +489,11 @@ impl Executor for ThreadedExecutor {
         for step in warmup..steps {
             let observations = rank_outputs
                 .iter()
-                .map(|r| {
+                .enumerate()
+                .map(|(node, r)| {
                     let m = r.step_measurements[step];
                     NodeObservation {
-                        node: r.rank,
+                        node,
                         local_batch: m.batch_size,
                         a_time: m.a_time,
                         p_time: m.p_time,
@@ -476,7 +516,8 @@ impl Executor for ThreadedExecutor {
                 faults: Vec::new(),
             });
         }
-        for est in &rank_outputs[0].gns_estimates {
+        let rank0 = &rank_outputs[0];
+        for est in &rank0.gns_estimates {
             self.tracker.observe(*est);
         }
 
@@ -501,15 +542,13 @@ impl Executor for ThreadedExecutor {
             })
             .collect();
 
-        // ---- Evaluate and roll state forward. ----
-        let comm_retries = rank_outputs[0].comm_retries;
-        let rank0 = rank_outputs.swap_remove(0);
-        self.weights = rank0.weights;
+        // ---- Checkpoint and evaluate replica 0 in place. ----
         let mean_loss = rank0.losses.iter().sum::<f64>() / rank0.losses.len().max(1) as f64;
-        let mut eval_model = (self.model_factory)(self.config.seed);
-        let flat = minidnn::tensor::Tensor::from_vec(self.weights.clone(), &[self.weights.len()]).expect("weights");
-        minidnn::layers::assign_values(&mut eval_model.parameters_mut(), &flat);
-        let accuracy = evaluate(&mut eval_model, &self.dataset);
+        let replica = &mut self.ranks[0].model;
+        // Old copy out before the new one is made: peak memory matters.
+        self.checkpoint = None;
+        self.checkpoint = Some(flatten_values(&replica.parameters()));
+        let accuracy = evaluate(replica, &self.dataset);
 
         let report = ParallelEpochReport {
             epoch,
@@ -520,7 +559,7 @@ impl Executor for ThreadedExecutor {
             accuracy,
             noise_scale: fresh_phi,
             used_model: plan.used_model,
-            comm_retries,
+            comm_retries: rank0.comm_retries,
             comm_bytes,
             comm_overlap,
         };
@@ -539,16 +578,11 @@ impl Executor for ThreadedExecutor {
     }
 }
 
-struct RankArgs {
-    comm: Communicator,
-    rank: usize,
-    dataset: Arc<ClassificationDataset>,
-    factory: Arc<dyn Fn(u64) -> Sequential + Send + Sync>,
-    weights: Vec<f32>,
-    batches: Vec<Vec<usize>>,
-    step_totals: Arc<Vec<u64>>,
-    slowdown: f64,
-    lr: f64,
+/// What every rank of one epoch is handed, besides its own state.
+struct EpochArgs<'a> {
+    dataset: &'a ClassificationDataset,
+    /// Total batch of even and of odd steps.
+    step_totals: [u64; 2],
     seed: u64,
     steps: usize,
     kernel_threads: usize,
@@ -556,7 +590,6 @@ struct RankArgs {
     retry: Option<RetryPolicy>,
     epoch: usize,
     overlap: bool,
-    feedback: Option<ErrorFeedback>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -572,14 +605,11 @@ struct StepMeasurement {
 }
 
 struct RankOutput {
-    rank: usize,
-    weights: Vec<f32>,
     losses: Vec<f64>,
     gns_estimates: Vec<GnsEstimate>,
     step_measurements: Vec<StepMeasurement>,
     comm_retries: u32,
     comm_bytes: u64,
-    feedback: Option<ErrorFeedback>,
 }
 
 /// A second split for within-epoch measurement: adjacent node pairs trade
@@ -613,27 +643,17 @@ fn measurement_variant(split: &[u64]) -> Vec<u64> {
     out
 }
 
-fn run_rank(args: RankArgs) -> Result<RankOutput, CommError> {
-    let RankArgs {
-        comm,
-        rank,
-        dataset,
-        factory,
-        weights,
-        batches,
-        step_totals,
-        slowdown,
-        lr,
-        seed,
-        steps,
-        kernel_threads,
-        retry,
-        epoch,
-        overlap,
-        feedback,
-    } = args;
-    let mut comm = comm;
-    let mut feedback = feedback;
+/// One rank's epoch. The state comes back only with `Ok`: any other way
+/// out drops it, endpoint included.
+fn run_rank(
+    mut state: RankState,
+    rank: usize,
+    batches: &[Vec<usize>],
+    slowdown: f64,
+    shared: &EpochArgs<'_>,
+) -> Result<(RankState, RankOutput), CommError> {
+    let &EpochArgs { dataset, step_totals, seed, steps, kernel_threads, retry, epoch, overlap } = shared;
+    let RankState { model, opt, feedback, comm } = &mut state;
     // Cap this replica's matmul fan-out at its share of the budget for the
     // lifetime of the rank thread.
     let _budget = minidnn::tensor::threads::ThreadBudgetGuard::new(kernel_threads);
@@ -642,12 +662,6 @@ fn run_rank(args: RankArgs) -> Result<RankOutput, CommError> {
     // can never be attributed to the wrong step when the drain interleaves
     // them by timestamp.
     let _identity = telemetry::set_thread_identity(rank as u32, rank as u32);
-    let mut model = factory(seed);
-    // Start from the shared weights so every replica is identical.
-    let flat = minidnn::tensor::Tensor::from_vec(weights, &[model.parameters().iter().map(|p| p.len()).sum()])
-        .expect("weight vector");
-    minidnn::layers::assign_values(&mut model.parameters_mut(), &flat);
-    let mut opt = Sgd::new(lr).momentum(0.9);
 
     let mut losses = Vec::with_capacity(steps);
     let mut gns_estimates = Vec::with_capacity(steps);
@@ -656,19 +670,22 @@ fn run_rank(args: RankArgs) -> Result<RankOutput, CommError> {
     // same seeded run replays the same retry timeline.
     let mut retry_rng = StdRng::seed_from_u64(seed ^ ((epoch as u64) << 32) ^ (rank as u64).wrapping_mul(0x9E37_79B9));
     let mut comm_retries = 0u32;
-    // Flat gradient buffer reused across every step of the epoch.
-    let mut g: Vec<f32> = Vec::with_capacity(flat.len());
+    // The endpoint's byte counter runs for its lifetime, not the epoch's.
+    let bytes_before = comm.bytes_sent();
+    // Flat gradient buffer reused across every step of the epoch (not kept
+    // between epochs: an idle trainer should hold no dead copy of the model).
+    let mut g: Vec<f32> = Vec::new();
     // Per-layer parameter counts, in forward order — the bucket layout of
     // the overlapped exchange (identical on every rank by the identical-
     // architecture contract).
     let layer_sizes: Vec<usize> = if overlap {
-        model.layers().iter().map(|l| l.parameters().iter().map(|p| p.len()).sum()).collect()
+        model.layers().iter().map(|l| num_elements(&l.parameters())).collect()
     } else {
         Vec::new()
     };
     for (step, batch_indices) in batches.iter().take(steps).enumerate() {
         let _step_span = telemetry::span("step");
-        let ratio = batch_indices.len() as f64 / step_totals[step] as f64;
+        let ratio = batch_indices.len() as f64 / step_totals[step % 2] as f64;
         // Forward (+ data load) — the `a_i` phase.
         let t0 = Instant::now();
         let (x, y) = dataset.batch(batch_indices);
@@ -681,18 +698,16 @@ fn run_rank(args: RankArgs) -> Result<RankOutput, CommError> {
             // worker as their layers finish.
             zero_grads(&mut model.parameters_mut());
             let outcome = overlap_step(OverlapArgs {
-                model: &mut model,
+                model: &mut *model,
                 loss_grad: &grad,
                 g: &mut g,
                 layer_sizes: &layer_sizes,
-                comm,
-                feedback: feedback.take(),
+                comm: &mut *comm,
+                feedback: feedback.as_mut(),
                 weight: ratio as f32,
                 slowdown,
                 forward_elapsed: a_elapsed,
             })?;
-            comm = outcome.comm;
-            feedback = outcome.feedback;
             (outcome.p_time, outcome.comm_time, outcome.overlap, outcome.local_sq)
         } else {
             // Backward — the `P_i` phase.
@@ -780,16 +795,19 @@ fn run_rank(args: RankArgs) -> Result<RankOutput, CommError> {
             overlap: overlapped,
         });
     }
-    Ok(RankOutput {
-        rank,
-        weights: flatten_values(&model.parameters()).into_data(),
+    // Dead until the next step zeroes them: an idle replica keeps weights,
+    // velocity and residual, not a fourth copy of the model.
+    for p in model.parameters_mut() {
+        p.release_grad();
+    }
+    let output = RankOutput {
         losses,
         gns_estimates,
         step_measurements: measurements,
         comm_retries,
-        comm_bytes: comm.bytes_sent(),
-        feedback,
-    })
+        comm_bytes: comm.bytes_sent() - bytes_before,
+    };
+    Ok((state, output))
 }
 
 struct OverlapArgs<'a> {
@@ -797,16 +815,14 @@ struct OverlapArgs<'a> {
     loss_grad: &'a minidnn::tensor::Tensor,
     g: &'a mut Vec<f32>,
     layer_sizes: &'a [usize],
-    comm: Communicator,
-    feedback: Option<ErrorFeedback>,
+    comm: &'a mut Communicator,
+    feedback: Option<&'a mut ErrorFeedback>,
     weight: f32,
     slowdown: f64,
     forward_elapsed: f64,
 }
 
 struct OverlapOutcome {
-    comm: Communicator,
-    feedback: Option<ErrorFeedback>,
     /// Pure backward compute, s (unscaled — the caller applies `slowdown`).
     p_time: f64,
     /// Total communication busy time, s.
@@ -871,7 +887,7 @@ fn overlap_step(args: OverlapArgs<'_>) -> Result<OverlapOutcome, CommError> {
                 }
                 let t = Instant::now();
                 let bytes_before = comm.bytes_sent();
-                let residual = feedback.as_mut().map(|residual| (residual, offset));
+                let residual = feedback.as_deref_mut().map(|residual| (residual, offset));
                 if let Err(e) = comm.exchange(slice, weight, residual, None) {
                     failed = Some(e);
                     continue;
@@ -887,7 +903,7 @@ fn overlap_step(args: OverlapArgs<'_>) -> Result<OverlapOutcome, CommError> {
             }
             match failed {
                 Some(e) => Err(e),
-                None => Ok((comm, feedback, busy, buckets)),
+                None => Ok((busy, buckets)),
             }
         });
         // Tail-first backward: the bucket nearest the loss is ready (and on
@@ -919,7 +935,7 @@ fn overlap_step(args: OverlapArgs<'_>) -> Result<OverlapOutcome, CommError> {
         let wait = Instant::now();
         (worker.join().expect("comm worker panicked"), wait.elapsed())
     });
-    let (comm, feedback, busy, buckets) = worked?;
+    let (busy, buckets) = worked?;
     if telemetry::enabled() {
         for b in buckets {
             telemetry::emit(Event::AllReduceBucket(b));
@@ -927,13 +943,23 @@ fn overlap_step(args: OverlapArgs<'_>) -> Result<OverlapOutcome, CommError> {
     }
     let comm_time = busy.as_secs_f64();
     let overlap = (comm_time - exposed.as_secs_f64()).max(0.0);
-    Ok(OverlapOutcome { comm, feedback, p_time, comm_time, overlap, local_sq })
+    Ok(OverlapOutcome { p_time, comm_time, overlap, local_sq })
 }
 
+/// Training accuracy over the first 512 samples, in mini-batches: the
+/// replica keeps the activations of its last forward pass until the next
+/// one, and a 64-row pass leaves little behind.
 fn evaluate(model: &mut Sequential, dataset: &ClassificationDataset) -> f64 {
     let sample: Vec<usize> = (0..dataset.len().min(512)).collect();
-    let (x, y) = dataset.batch(&sample);
-    minidnn::models::accuracy(model, &x, &y)
+    let correct: usize = sample
+        .chunks(64)
+        .map(|chunk| {
+            let (x, y) = dataset.batch(chunk);
+            let predicted = model.forward(&x, false).argmax_rows();
+            predicted.iter().zip(&y).filter(|(p, label)| p == label).count()
+        })
+        .sum();
+    correct as f64 / sample.len() as f64
 }
 
 #[cfg(test)]
@@ -941,6 +967,7 @@ mod tests {
     use super::*;
     use minidnn::data::gaussian_blobs;
     use minidnn::models::mlp_classifier;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn config(adaptive: bool) -> ParallelConfig {
         ParallelConfig {
@@ -1162,34 +1189,204 @@ mod tests {
         assert!(report.mean_loss < 0.5, "loss {}", report.mean_loss);
     }
 
+    /// Identity layer that panics in the first forward pass after the test
+    /// arms it — one rank dies mid-epoch, the others are left on the ring.
+    struct Tripwire(Arc<AtomicBool>);
+
+    impl Layer for Tripwire {
+        fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+            assert!(!self.0.swap(false, Ordering::SeqCst), "injected rank failure");
+            x.clone()
+        }
+
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            grad_out.clone()
+        }
+    }
+
     #[test]
-    fn dropped_peer_is_the_error_run_epoch_returns() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // Call 0 builds the trainer's reference weights on this thread,
-        // calls 1–3 the replicas of epoch 0, call 4 its evaluation model;
-        // call 5 is the first rank thread of epoch 1 to build its replica.
-        let calls = Arc::new(AtomicUsize::new(0));
+    fn dropped_peer_is_the_error_run_epoch_returns_and_the_next_epoch_recovers() {
+        let built = Arc::new(AtomicUsize::new(0));
+        let armed = Arc::new(AtomicBool::new(false));
         let mut cfg = config(false);
         cfg.slowdowns = vec![1.0, 1.0, 2.0];
+        let (count, wire) = (Arc::clone(&built), Arc::clone(&armed));
         let mut t = ParallelTrainer::builder()
             .dataset(gaussian_blobs(640, 4, 10, 3))
             .model(move |seed| {
-                assert!(calls.fetch_add(1, Ordering::SeqCst) != 5, "injected model-factory failure");
-                mlp_classifier(10, 24, 4, seed)
+                count.fetch_add(1, Ordering::SeqCst);
+                mlp_classifier(10, 24, 4, seed).push(Tripwire(Arc::clone(&wire)))
             })
             .config(cfg)
             .build()
             .expect("valid config");
-        t.run_epoch().expect("epoch 0 is healthy");
+        let first = t.run_epoch().expect("epoch 0 is healthy");
+        let healthy = t.run_epoch().expect("epoch 1 is healthy");
+        assert_eq!(built.load(Ordering::SeqCst), 3, "one replica per rank for the trainer's lifetime");
+        let checkpoint = t.driver.exec.checkpoint.clone();
+
         // The panicked rank's endpoint drops with it; its neighbours'
         // exchanges fail typed, and theirs is the error the epoch reports —
         // not the join failure of the rank that died.
+        armed.store(true, Ordering::SeqCst);
         let err = t.run_epoch().expect_err("a panicked rank fails the epoch, not the process");
         assert!(matches!(err, CannikinError::Comm(CommError::Dropped { .. })), "{err}");
-        // Every rank was joined and nothing global is poisoned: a fresh
-        // trainer still trains.
-        let report = trainer(false).run_epoch().expect("epoch");
-        assert!(report.comm_bytes > 0);
+        assert!(t.driver.exec.ranks.is_empty(), "a failed epoch keeps no rank state");
+        assert!(t.driver.exec.checkpoint == checkpoint, "and leaves the last-good checkpoint alone");
+
+        // Every rank was joined and nothing is poisoned: the next epoch
+        // rebuilds states and ring from the checkpoint and trains on from
+        // where the last good epoch stopped, not from scratch.
+        let recovered = t.run_epoch().expect("recovery epoch");
+        assert_eq!(built.load(Ordering::SeqCst), 6, "n more replicas after the failed epoch");
+        assert_eq!(recovered.epoch, healthy.epoch + 1, "the failed epoch is not counted");
+        assert!(
+            recovered.mean_loss < first.mean_loss.min(1.5 * healthy.mean_loss + 0.05),
+            "recovery restarts from the checkpoint: {} -> {} -> {}",
+            first.mean_loss,
+            healthy.mean_loss,
+            recovered.mean_loss
+        );
+        assert_replicas_agree(&t);
+    }
+
+    fn weight_bits(model: &Sequential) -> Vec<u32> {
+        flatten_values(&model.parameters()).data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every replica holds rank 0's weights, and so does the checkpoint,
+    /// bit for bit.
+    fn assert_replicas_agree(t: &ParallelTrainer) {
+        let exec = &t.driver.exec;
+        let reference = weight_bits(&exec.ranks[0].model);
+        for (rank, state) in exec.ranks.iter().enumerate() {
+            assert!(weight_bits(&state.model) == reference, "rank {rank} drifted from rank 0");
+        }
+        let checkpoint: Vec<u32> =
+            exec.checkpoint.as_ref().expect("checkpoint").data().iter().map(|v| v.to_bits()).collect();
+        assert!(checkpoint == reference, "checkpoint is not rank 0's weights");
+    }
+
+    /// The residual as a vector (the accumulator has no read accessor:
+    /// compensating zeros reads it out).
+    fn residual_of(state: &RankState) -> Vec<f32> {
+        let feedback = state.feedback.as_ref().expect("lossy codec");
+        let mut out = vec![0.0f32; feedback.len()];
+        feedback.compensate(&mut out, 0);
+        out
+    }
+
+    #[test]
+    fn replicas_stay_bitwise_identical_on_one_ring_for_the_trainers_lifetime() {
+        let cells: [(TransportKind, Codec, bool); 3] = [
+            (TransportKind::InProcess, Codec::None, false),
+            (TransportKind::tcp(), Codec::Bf16, false),
+            (TransportKind::InProcess, Codec::Bf16, true),
+        ];
+        for (transport, codec, overlap) in cells {
+            let label = format!("{transport} / {codec} / overlap {overlap}");
+            let built = Arc::new(AtomicUsize::new(0));
+            let count = Arc::clone(&built);
+            let mut cfg = config(false);
+            cfg.slowdowns = vec![1.0, 1.0, 2.0];
+            cfg.transport = transport;
+            cfg.codec = codec;
+            cfg.overlap = overlap;
+            let mut t = ParallelTrainer::builder()
+                .dataset(gaussian_blobs(640, 4, 10, 3))
+                .model(move |seed| {
+                    count.fetch_add(1, Ordering::SeqCst);
+                    mlp_classifier(10, 24, 4, seed)
+                })
+                .config(cfg)
+                .build()
+                .expect("valid config");
+            let reported: u64 = (0..4).map(|_| t.run_epoch().expect("epoch").comm_bytes).sum();
+            assert_replicas_agree(&t);
+            assert_eq!(built.load(Ordering::SeqCst), 3, "{label}: replicas are built once");
+            // The endpoints' lifetime counters add up to what the four
+            // epochs reported: no epoch started on a new ring.
+            let lifetime: u64 = t.driver.exec.ranks.iter().map(|s| s.comm.bytes_sent()).sum();
+            assert_eq!(lifetime, reported, "{label}: the ring is formed once");
+        }
+    }
+
+    #[test]
+    fn fault_plan_keys_count_from_each_epochs_first_exchange() {
+        let mut cfg = config(false);
+        cfg.comm_faults = Some(CommFaultPlan::new().fail_at(0, 1).fail_at(5, 2).fail_at(12, 1));
+        cfg.retry = RetryPolicy {
+            base_backoff: std::time::Duration::from_micros(10),
+            max_backoff: std::time::Duration::from_micros(100),
+            ..RetryPolicy::default()
+        };
+        let mut t = ParallelTrainer::builder()
+            .dataset(gaussian_blobs(640, 4, 10, 3))
+            .model(|seed| mlp_classifier(10, 24, 4, seed))
+            .config(cfg)
+            .build()
+            .expect("valid config");
+        let retries: Vec<u32> = (0..3).map(|_| t.run_epoch().expect("epoch").comm_retries).collect();
+        assert_eq!(retries, vec![4, 4, 4], "the plan fires at the same exchanges of every epoch");
+    }
+
+    #[test]
+    fn momentum_carries_across_the_epoch_boundary() {
+        // One rank has no split to measure, so a run repeats bit for bit.
+        let run = |restart_momentum: bool| {
+            let mut cfg = config(false);
+            cfg.slowdowns = vec![1.0];
+            let mut t = ParallelTrainer::builder()
+                .dataset(gaussian_blobs(640, 4, 10, 3))
+                .model(|seed| mlp_classifier(10, 24, 4, seed))
+                .config(cfg)
+                .build()
+                .expect("valid config");
+            t.run_epoch().expect("epoch");
+            if restart_momentum {
+                t.driver.exec.ranks[0].opt = Sgd::new(0.05).momentum(0.9);
+            }
+            t.run_epoch().expect("epoch");
+            weight_bits(&t.driver.exec.ranks[0].model)
+        };
+        let carried = run(false);
+        assert!(carried == run(false), "a single-rank run must repeat exactly");
+        assert!(carried != run(true), "epoch 1 must start with epoch 0's velocity, not from rest");
+    }
+
+    #[test]
+    fn membership_changes_touch_only_the_rank_that_moved() {
+        let mut cfg = config(false);
+        cfg.slowdowns = vec![1.0, 1.0, 2.0];
+        cfg.codec = Codec::Bf16;
+        let mut t = ParallelTrainer::builder()
+            .dataset(gaussian_blobs(640, 4, 10, 3))
+            .model(|seed| mlp_classifier(10, 24, 4, seed))
+            .config(cfg)
+            .build()
+            .expect("valid config");
+        for _ in 0..2 {
+            t.run_epoch().expect("epoch");
+        }
+        let snapshot =
+            |t: &ParallelTrainer, rank: usize| (t.driver.exec.ranks[rank].opt.clone(), residual_of(&t.driver.exec.ranks[rank]));
+        let (first, middle, last) = (snapshot(&t, 0), snapshot(&t, 1), snapshot(&t, 2));
+        assert!(first.1 != middle.1 && middle.1 != last.1, "residuals are per-rank, so they tell ranks apart");
+
+        t.remove_rank(1);
+        assert_eq!(t.driver.exec.ranks.len(), 2, "exactly one state leaves");
+        assert!(snapshot(&t, 0) == first && snapshot(&t, 1) == last, "survivors keep velocity and residual");
+
+        // The newcomer is built when the next epoch re-forms the ring.
+        t.add_rank(1.0);
+        t.driver.exec.regroup().expect("in-process ring");
+        assert!(snapshot(&t, 0) == first && snapshot(&t, 1) == last, "survivors keep velocity and residual");
+        let newcomer = &t.driver.exec.ranks[2];
+        assert!(weight_bits(&newcomer.model) == weight_bits(&t.driver.exec.ranks[0].model), "shared weights");
+        assert!(newcomer.opt == first.0, "rank 0's velocity, or the replicas would part ways");
+        assert!(residual_of(newcomer).iter().all(|&r| r == 0.0), "nothing to compensate yet");
+        t.run_epoch().expect("epoch");
+        assert_replicas_agree(&t);
     }
 
     #[test]

@@ -57,9 +57,20 @@ impl Param {
         Param { value, grad, name: name.into() }
     }
 
-    /// Reset the accumulated gradient to zero.
+    /// Reset the accumulated gradient to zero (allocating it again after
+    /// [`Param::release_grad`]).
     pub fn zero_grad(&mut self) {
-        self.grad.data_mut().fill(0.0);
+        if self.grad.len() == self.value.len() {
+            self.grad.data_mut().fill(0.0);
+        } else {
+            self.grad = Tensor::zeros(self.value.shape());
+        }
+    }
+
+    /// Free the gradient buffer: a replica that idles between epochs holds
+    /// no use for it. The next [`Param::zero_grad`] brings it back.
+    pub fn release_grad(&mut self) {
+        self.grad = Tensor::zeros(&[0]);
     }
 
     /// Number of scalar elements in the parameter.

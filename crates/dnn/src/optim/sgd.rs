@@ -16,7 +16,7 @@ use crate::tensor::Tensor;
 /// let mut opt = Sgd::new(0.1).momentum(0.9).weight_decay(1e-4);
 /// assert_eq!(opt.learning_rate(), 0.1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sgd {
     lr: f64,
     momentum: f64,
@@ -54,7 +54,11 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.len() != params.len() {
+        // A different parameter list (count or any shape) is a different
+        // model: its momentum starts over rather than zip-truncating.
+        if self.velocity.len() != params.len()
+            || self.velocity.iter().zip(params.iter()).any(|(v, p)| v.shape() != p.value.shape())
+        {
             self.velocity = params.iter().map(|p| Tensor::zeros(p.value.shape())).collect();
         }
         for (p, v) in params.iter_mut().zip(&mut self.velocity) {
@@ -109,6 +113,24 @@ mod tests {
         for &v in p.value.data() {
             assert!((v - 0.95).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn velocity_restarts_when_a_parameter_shape_changes() {
+        let grad = |p: &mut Param| p.grad.data_mut().fill(1.0);
+        let mut opt = Sgd::new(0.1).momentum(0.9);
+        let mut narrow = Param::new(Tensor::zeros(&[2]), "w");
+        grad(&mut narrow);
+        opt.step(&mut [&mut narrow]);
+        // Same count, wider shape: every element must take a first,
+        // velocity-free step (-lr * g), not inherit or truncate.
+        let mut wide = Param::new(Tensor::zeros(&[4]), "w");
+        grad(&mut wide);
+        opt.step(&mut [&mut wide]);
+        assert_eq!(wide.value.data(), &[-0.1f32; 4]);
+        // Same shapes again: the velocity now carries (v = 0.9 * 1 + 1).
+        opt.step(&mut [&mut wide]);
+        assert!(wide.value.data().iter().all(|&v| (v + 0.29).abs() < 1e-6), "{:?}", wide.value.data());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 # (.github/workflows/tier1.yml); with no argument every stage runs in order.
 #
 # Usage: scripts/tier1.sh [stage...]
-#   benchmark  the frozen benchmark's own tests (plain rustc, ~40 s)
+#   benchmark  the frozen benchmark's own tests, then both real workloads
+#              at smoke size (plain rustc, ~45 s)
 #   build      release build
 #   test       full workspace test suite
 #   clippy     warnings-as-errors clippy pass
@@ -25,6 +26,14 @@ stage() {
         # Compiles every crate and the benchmark against the public API —
         # the fastest signal that a refactor broke a frozen call site.
         bash crates/benchmark/run.sh --test
+        # The trainer end to end, untraced, as the driver runs it: a
+        # regression in the rank lifecycle shows here, not in a unit test.
+        for workload in real-compute real-comm; do
+            bash crates/benchmark/run.sh --workload "$workload" --smoke --seconds 2 | tail -n 1 | grep -q '"correct":true' || {
+                echo "tier1.sh: $workload --smoke did not end with \"correct\":true" >&2
+                exit 1
+            }
+        done
         ;;
     build) cargo build --release ;;
     test) cargo test --workspace -q ;;
