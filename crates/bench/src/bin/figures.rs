@@ -26,7 +26,7 @@ fn main() {
             }
         }
         Some(id) => match experiments::by_id(id) {
-            Some(output) => println!("{output}"),
+            Some(run) => println!("{}", run()),
             None => {
                 eprintln!("unknown experiment `{id}`; known ids: {}", experiments::ids().join(", "));
                 std::process::exit(2);

@@ -1,17 +1,22 @@
 //! The regression gate over the committed `BENCH_*.json` trajectories.
 //!
 //! ```text
-//! gate <perf|fleet|scenarios|all> [--baseline PATH] [--out PATH] [--max-regression FRAC] [--write-baseline PATH]
+//! gate <fleet|scenarios|all> [--baseline PATH] [--out PATH] [--max-regression FRAC] [--write-baseline PATH]
 //! ```
 //!
 //! Each suite re-measures its report under its pinned seed, writes the
 //! fresh JSON to `--out`, and fails if any gated number regressed more
 //! than the allowed fraction against the committed baseline (default
 //! `BENCH_<suite>.json` in the working directory). What is gated lives
-//! next to each report (`PerfReport::checks`, `FleetBenchReport::checks`,
+//! next to each report (`FleetBenchReport::checks`,
 //! `ScenarioBenchReport::checks`); this file is the table of suites and
 //! the one command line around them. A PATH that is a directory means the
 //! `BENCH_<suite>.json` inside it — the only form `all` accepts.
+//!
+//! Both suites are deterministic: simulated time, frame bytes, event
+//! counts. Wall-clock speed belongs to the layered benchmark
+//! (`BENCHMARK.json`, `crates/benchmark`), which repeats and pairs its
+//! runs and so can tell a regression from a busy machine.
 //!
 //! With `--write-baseline` the fresh report is written to that path and
 //! no comparison happens (how the committed baselines are produced).
@@ -19,7 +24,7 @@
 //! Exit status: 0 all checks pass, 1 a check failed, 2 usage error or an
 //! unreadable baseline.
 
-use cannikin_bench::experiments::{fleet_report, perf_report, FleetBenchReport, PerfReport};
+use cannikin_bench::experiments::{fleet_report, FleetBenchReport};
 use cannikin_bench::gate::{load_baseline_json, render_all, GateCheck};
 use cannikin_bench::scenarios::{scenario_report, ScenarioBenchReport};
 use cannikin_telemetry::Json;
@@ -27,7 +32,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str =
-    "usage: gate <perf|fleet|scenarios|all> [--baseline PATH] [--out PATH] [--max-regression FRAC] [--write-baseline PATH]";
+    "usage: gate <fleet|scenarios|all> [--baseline PATH] [--out PATH] [--max-regression FRAC] [--write-baseline PATH]";
 
 /// One gated trajectory. Reports cross this table in the JSON form they
 /// are committed in, so one `main` serves every suite.
@@ -43,16 +48,7 @@ struct Suite {
     checks: fn(&Json, &Json, f64) -> Result<Vec<GateCheck>, String>,
 }
 
-const SUITES: [Suite; 3] = [
-    // Wall-clock ratios (SIMD speedup, codec byte reduction, overlap):
-    // portable across machine generations, but noisy — a loose tolerance.
-    Suite {
-        name: "perf",
-        tolerance: 0.10,
-        measuring: "measuring (pinned seed, best-of-N clocks)",
-        measure: || perf_report().to_json(),
-        checks: |fresh, base, tol| Ok(PerfReport::from_json(fresh)?.checks(&PerfReport::from_json(base)?, tol)),
-    },
+const SUITES: [Suite; 2] = [
     // Simulated time from seeded traces: the tight tolerance flags
     // scheduler behavior changes, not machine noise.
     Suite {
@@ -203,10 +199,6 @@ mod tests {
     /// it — nothing is measured.
     #[test]
     fn each_suite_gates_what_its_binary_did() {
-        let perf = r#"{"avx2":true,"gemm":{"scalar_gflops":10,"simd_gflops":25,"simd_speedup":2.5},
-            "codec":{"bytes_none":100,"bytes_bf16":50,"bytes_topk100":20,"bf16_reduction":0.5,"topk_reduction":0.8,"bf16_rel_error":0.002},
-            "overlap":{"epoch_seq_s":1.3,"epoch_overlap_s":1.0,"overlap_speedup":1.3,"hidden_comm_s":0.2},
-            "goodput":{"samples_per_s":1000}}"#;
         let policy = |goodput: f64| format!(r#"{{"makespan_s":100,"goodput":{goodput},"queue_delay_s":1,"fairness":0.5}}"#);
         let fleet = |cannikin: f64| {
             let (ours, theirs) = (policy(cannikin), policy(100.0));
@@ -219,21 +211,6 @@ mod tests {
             format!(r#"{{"seed":29,"cells":[{}],"ratios":{{"churn":{ratio}}}}}"#, cells.join(","))
         };
 
-        // Without AVX2 the SIMD ratio is skipped, whatever it reads.
-        expect(
-            "perf",
-            &perf.replace(r#""avx2":true"#, r#""avx2":false"#).replace(r#""simd_speedup":2.5"#, r#""simd_speedup":1"#),
-            perf,
-            &[("simd_speedup", "SKIP"), ("bf16_reduction", "PASS"), ("bf16_rel_error", "PASS")],
-        );
-        // The wall-clock overlap ratio gets 3x headroom (1.0 vs 1.3 is within
-        // 30%); the deterministic byte ratio does not.
-        expect(
-            "perf",
-            &perf.replace(r#""overlap_speedup":1.3"#, r#""overlap_speedup":1"#).replace(r#""bf16_reduction":0.5"#, r#""bf16_reduction":0.4"#),
-            perf,
-            &[("simd_speedup", "PASS"), ("overlap_speedup", "PASS"), ("bf16_reduction", "FAIL")],
-        );
         // A ratio below 1.0 fails even though the baseline was lower still.
         expect(
             "fleet",
@@ -254,7 +231,8 @@ mod tests {
     fn bad_invocations_exit_2_before_measuring() {
         let run = |args: &[&str]| run(args.iter().map(|a| a.to_string())).expect_err("must not run");
         assert!(run(&["bogus"]).contains(USAGE), "an unknown suite prints the usage");
-        assert!(run(&["perf", "--max-regression", "2"]).contains("[0, 1)"));
+        assert!(run(&["perf"]).contains("unknown suite `perf`"), "the wall-clock suite is retired");
+        assert!(run(&["fleet", "--max-regression", "2"]).contains("[0, 1)"));
         let missing = run(&["fleet", "--baseline", "/nonexistent/BENCH_fleet.json"]);
         assert!(missing.contains("--bin gate -- fleet --write-baseline /nonexistent/BENCH_fleet.json"), "{missing}");
         assert!(run(&["all", "--baseline", "/nonexistent/BENCH_fleet.json"]).contains("not a directory"));

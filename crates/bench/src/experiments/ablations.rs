@@ -1,5 +1,4 @@
-//! Ablations beyond the paper's figures (DESIGN.md §5): what each design
-//! choice buys.
+//! Ablations beyond the paper's figures: what each design choice buys.
 
 use crate::runners::noiseless_sim;
 use crate::{fmt, row};

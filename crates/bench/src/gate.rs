@@ -1,7 +1,7 @@
 //! The regression-gate check type shared by every suite of the `gate`
 //! binary.
 //!
-//! Each suite (`perf`, `fleet`, `scenarios`) compares a fresh measurement
+//! Each suite (`fleet`, `scenarios`) compares a fresh measurement
 //! against a committed baseline and fails on regressions. This module
 //! gives them one check type and one message format, so a failing CI run
 //! always prints, for every offending metric, the current value, the
@@ -41,7 +41,7 @@ pub enum GateCheck {
         /// Allowed regression fraction the limit was derived with.
         tolerance: f64,
     },
-    /// A metric that could not be measured here (never fails the gate).
+    /// A metric with nothing to compare against (never fails the gate).
     Skipped {
         /// Metric name as printed.
         name: String,
@@ -61,7 +61,7 @@ impl GateCheck {
         GateCheck::Measured { name: name.into(), current, baseline, bound: Bound::Ceiling, limit, tolerance }
     }
 
-    /// A check skipped on this machine (counts as passing).
+    /// A check with nothing to compare against (counts as passing).
     pub fn skipped(name: impl Into<String>, reason: impl Into<String>) -> Self {
         GateCheck::Skipped { name: name.into(), reason: reason.into() }
     }
@@ -88,9 +88,9 @@ impl GateCheck {
 /// violated side, so the CI log alone is enough to diagnose a regression:
 ///
 /// ```text
-/// PASS simd_speedup: current 2.5000 vs baseline 2.6000 (floor 2.3400, tolerance 10%)
-/// FAIL simd_speedup: current 1.9000 vs baseline 2.6000 — below floor 2.3400 (tolerance 10%)
-/// SKIP simd_speedup: AVX2 unavailable on this machine
+/// PASS goodput_vs_fifo: current 2.5000 vs baseline 2.6000 (floor 2.3400, tolerance 10%)
+/// FAIL goodput_vs_fifo: current 1.9000 vs baseline 2.6000 — below floor 2.3400 (tolerance 10%)
+/// SKIP goodput_vs_fifo: no baseline recorded (new metric)
 /// ```
 impl fmt::Display for GateCheck {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -198,40 +198,40 @@ mod tests {
 
     #[test]
     fn pass_line_format_is_stable() {
-        let check = GateCheck::floor("simd_speedup", 2.5, 2.6, 2.34, 0.10);
+        let check = GateCheck::floor("goodput_vs_fifo", 2.5, 2.6, 2.34, 0.10);
         assert!(check.passes());
         assert_eq!(
             check.to_string(),
-            "PASS simd_speedup: current 2.5000 vs baseline 2.6000 (floor 2.3400, tolerance 10%)"
+            "PASS goodput_vs_fifo: current 2.5000 vs baseline 2.6000 (floor 2.3400, tolerance 10%)"
         );
     }
 
     #[test]
     fn fail_line_names_the_violated_floor() {
-        let check = GateCheck::floor("simd_speedup", 1.9, 2.6, 2.34, 0.10);
+        let check = GateCheck::floor("goodput_vs_fifo", 1.9, 2.6, 2.34, 0.10);
         assert!(!check.passes());
         assert_eq!(
             check.to_string(),
-            "FAIL simd_speedup: current 1.9000 vs baseline 2.6000 — below floor 2.3400 (tolerance 10%)"
+            "FAIL goodput_vs_fifo: current 1.9000 vs baseline 2.6000 — below floor 2.3400 (tolerance 10%)"
         );
     }
 
     #[test]
     fn fail_line_names_the_violated_ceiling() {
-        let check = GateCheck::ceiling("bf16_rel_error", 0.05, 0.001, 0.01, 1.0);
+        let check = GateCheck::ceiling("comm_bytes", 0.05, 0.001, 0.01, 1.0);
         assert!(!check.passes());
         assert_eq!(
             check.to_string(),
-            "FAIL bf16_rel_error: current 0.0500 vs baseline 0.0010 — above ceiling 0.0100 (tolerance 100%)"
+            "FAIL comm_bytes: current 0.0500 vs baseline 0.0010 — above ceiling 0.0100 (tolerance 100%)"
         );
     }
 
     #[test]
     fn skipped_checks_always_pass() {
-        let check = GateCheck::skipped("simd_speedup", "AVX2 unavailable on this machine");
+        let check = GateCheck::skipped("goodput_vs_fifo", "no baseline recorded (new metric)");
         assert!(check.passes());
-        assert_eq!(check.to_string(), "SKIP simd_speedup: AVX2 unavailable on this machine");
-        assert_eq!(check.name(), "simd_speedup");
+        assert_eq!(check.to_string(), "SKIP goodput_vs_fifo: no baseline recorded (new metric)");
+        assert_eq!(check.name(), "goodput_vs_fifo");
     }
 
     #[test]
@@ -319,7 +319,7 @@ mod tests {
         let checks = vec![
             GateCheck::floor("a", 2.0, 2.0, 1.8, 0.10),
             GateCheck::floor("b", 1.0, 2.0, 1.8, 0.10),
-            GateCheck::skipped("c", "not on this machine"),
+            GateCheck::skipped("c", "no baseline recorded (new metric)"),
         ];
         let (text, all_pass) = render_all(&checks);
         assert!(!all_pass, "one failing check fails the gate");

@@ -2,8 +2,9 @@
 //!
 //! Shared plumbing for the `figures` binary (`src/bin/figures.rs`), which
 //! regenerates every table and figure of the paper's evaluation section,
-//! the scenario matrix and the `gate` binary. See `DESIGN.md` §4 for
-//! the experiment index and `EXPERIMENTS.md` for recorded outputs.
+//! the scenario matrix and the `gate` binary. See `DESIGN.md`
+//! ("Measurement") for the experiment index and `EXPERIMENTS.md` for
+//! recorded outputs.
 
 pub mod experiments;
 pub mod gate;

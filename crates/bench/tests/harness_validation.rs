@@ -95,9 +95,12 @@ fn accumulation_extension_escalates_with_noise() {
 
 #[test]
 fn experiment_registry_is_complete_and_consistent() {
+    // Dispatch only: `by_id` hands back the function, nothing runs.
     let ids = experiments::ids();
     assert!(ids.len() >= 14, "registry shrank: {ids:?}");
-    for id in &ids {
+    for (i, id) in ids.iter().enumerate() {
+        assert!(!id.is_empty(), "empty id at position {i}");
+        assert!(!ids[..i].contains(id), "id {id} listed twice");
         assert!(experiments::by_id(id).is_some(), "id {id} not dispatchable");
     }
     assert!(experiments::by_id("nonsense").is_none());

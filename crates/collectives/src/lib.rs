@@ -23,11 +23,11 @@
 //!   backoff, and restore-on-error. Every failure is a typed
 //!   [`CommError`].
 //! - [`Communicator::gather`] — the `f64` all-gather for metric collection.
-//! - [`Communicator::all_reduce_sum`], [`Communicator::weighted_all_reduce`],
-//!   [`Communicator::weighted_all_reduce_ef`] and
-//!   [`Communicator::all_gather_vec`] — the same operations for callers
-//!   that treat a lost peer as a bug: they panic instead of returning the
-//!   error.
+//! - [`Communicator::weighted_all_reduce_ef`] and
+//!   [`Communicator::all_gather_vec`] — the same two operations, panicking
+//!   instead of returning the error. Kept solely for the frozen benchmark
+//!   (`crates/benchmark/src/real.rs`); everything else calls `exchange`
+//!   and `gather`.
 //!
 //! Every rank runs on its own thread and owns one [`Communicator`]; the
 //! group is created up front with [`CommGroup::create`] (in-process) or
@@ -48,7 +48,7 @@
 //!     .map(|comm| {
 //!         thread::spawn(move || {
 //!             let mut data = vec![(comm.rank() + 1) as f32; 4];
-//!             comm.all_reduce_sum(&mut data);
+//!             comm.exchange(&mut data, 1.0, None, None).expect("ring stays connected");
 //!             data
 //!         })
 //!     })

@@ -401,26 +401,9 @@ impl Communicator {
         Ok(out)
     }
 
-    /// The bare ring all-reduce (no scaling, feedback or retry), panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`Communicator::exchange`] returns an error.
-    pub fn all_reduce_sum(&self, data: &mut [f32]) {
-        self.ring_all_reduce(data, None).expect("ring peer disconnected");
-    }
-
-    /// [`Communicator::exchange`] without feedback or retry, panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`Communicator::exchange`] returns an error.
-    pub fn weighted_all_reduce(&self, data: &mut [f32], weight: f32) {
-        self.exchange(data, weight, None, None).expect("ring peer disconnected");
-    }
-
     /// [`Communicator::exchange`] over the whole gradient (`feedback` at
-    /// offset 0) without retry, panicking.
+    /// offset 0) without retry, panicking. Kept solely for the frozen
+    /// benchmark (`crates/benchmark/src/real.rs`); call `exchange`.
     ///
     /// # Panics
     ///
@@ -429,7 +412,8 @@ impl Communicator {
         self.exchange(data, weight, feedback.map(|residual| (residual, 0)), None).expect("ring peer disconnected");
     }
 
-    /// [`Communicator::gather`], panicking.
+    /// [`Communicator::gather`], panicking. Kept solely for the frozen
+    /// benchmark (`crates/benchmark/src/real.rs`); call `gather`.
     ///
     /// # Panics
     ///
@@ -514,13 +498,18 @@ mod tests {
         out
     }
 
+    /// The plain sum: an exchange at weight 1 with nothing armed.
+    fn sum(c: &Communicator, data: &mut [f32]) {
+        c.exchange(data, 1.0, None, None).expect("ring stays connected");
+    }
+
     #[test]
-    fn all_reduce_sum_matches_serial() {
+    fn unit_weight_exchange_matches_serial_sum() {
         for n in [1usize, 2, 3, 5, 8] {
             let len = 37;
             let results = run_group(n, move |c| {
                 let mut data: Vec<f32> = (0..len).map(|i| (i + c.rank() * 100) as f32).collect();
-                c.all_reduce_sum(&mut data);
+                sum(&c, &mut data);
                 data
             });
             let expected: Vec<f32> = (0..len)
@@ -533,12 +522,12 @@ mod tests {
     }
 
     #[test]
-    fn weighted_all_reduce_matches_eq9() {
+    fn weighted_exchange_matches_eq9() {
         // Ratios 0.5, 0.3, 0.2 times per-rank constant gradients.
         let weights = [0.5f32, 0.3, 0.2];
         let results = run_group(3, move |c| {
             let mut data = vec![(c.rank() + 1) as f32; 5];
-            c.weighted_all_reduce(&mut data, weights[c.rank()]);
+            c.exchange(&mut data, weights[c.rank()], None, None).expect("ring stays connected");
             data
         });
         let expected = 0.5 * 1.0 + 0.3 * 2.0 + 0.2 * 3.0;
@@ -550,8 +539,8 @@ mod tests {
     }
 
     #[test]
-    fn all_gather_vec_collects_rows() {
-        let results = run_group(3, |c| c.all_gather_vec(&[c.rank() as f64, 1.0]));
+    fn gather_collects_rows() {
+        let results = run_group(3, |c| c.gather(&[c.rank() as f64, 1.0]).expect("ring stays connected"));
         for r in results {
             assert_eq!(r, vec![vec![0.0, 1.0], vec![1.0, 1.0], vec![2.0, 1.0]]);
         }
@@ -561,8 +550,8 @@ mod tests {
     fn single_rank_is_noop() {
         let results = run_group(1, |c| {
             let mut data = vec![1.0f32, 2.0];
-            c.all_reduce_sum(&mut data);
-            (data, c.all_gather_vec(&[7.0]))
+            sum(&c, &mut data);
+            (data, c.gather(&[7.0]).expect("a ring of one has no peer to lose"))
         });
         assert_eq!(results[0].0, vec![1.0, 2.0]);
         assert_eq!(results[0].1, vec![vec![7.0]]);
@@ -587,7 +576,7 @@ mod tests {
         // Buffer smaller than the rank count must still reduce correctly.
         let results = run_group(5, |c| {
             let mut data = vec![c.rank() as f32 + 1.0; 2];
-            c.all_reduce_sum(&mut data);
+            sum(&c, &mut data);
             data
         });
         for r in results {
@@ -601,8 +590,8 @@ mod tests {
         let results = run_group(3, |c| {
             let mut a = vec![1.0f32; 8];
             let mut b = vec![10.0f32; 8];
-            c.all_reduce_sum(&mut a);
-            c.all_reduce_sum(&mut b);
+            sum(&c, &mut a);
+            sum(&c, &mut b);
             (a[0], b[0])
         });
         for (a, b) in results {
@@ -615,7 +604,7 @@ mod tests {
     fn byte_counters_track_wire_traffic() {
         let results = run_group(3, |c| {
             let mut data = vec![1.0f32; 30];
-            c.all_reduce_sum(&mut data);
+            sum(&c, &mut data);
             (c.bytes_sent(), c.bytes_received())
         });
         for (sent, received) in results {
@@ -625,13 +614,45 @@ mod tests {
         }
     }
 
+    /// What each codec puts on the wire, to the byte, and what bf16 with
+    /// error feedback costs in accuracy: two ranks exchange 50 000 f32s, so
+    /// each sends two 25 000-element chunks.
+    #[test]
+    fn codec_wire_bytes_are_exact_and_bf16_stays_close() {
+        const ELEMS: usize = 50_000;
+        let value = |i: usize, rank: usize| ((i * 31 + rank * 17) as f32).sin();
+        for (codec, bytes) in [
+            (Codec::None, 200_000), // 2 × 25 000 × 4
+            (Codec::Bf16, 100_000), // 2 × 25 000 × 2
+            // 2 × (8-byte header + the top 2 500 as (u32 index, f32 value))
+            (Codec::TopK { permille: 100 }, 40_016),
+        ] {
+            let comms = CommGroup::with_options(2, &TransportKind::InProcess, None, codec).expect("in-process group");
+            let results = run_on(comms, move |c| {
+                let mut feedback = ErrorFeedback::new(ELEMS);
+                let mut data: Vec<f32> = (0..ELEMS).map(|i| value(i, c.rank())).collect();
+                c.exchange(&mut data, 0.5, Some((&mut feedback, 0)), None).expect("ring stays connected");
+                (c.bytes_sent(), data)
+            });
+            let (sent, reduced) = &results[0];
+            assert_eq!(*sent, bytes, "{codec}");
+            if codec == Codec::Bf16 {
+                let ideal = |i: usize| 0.5 * (f64::from(value(i, 0)) + f64::from(value(i, 1)));
+                let diff: f64 = reduced.iter().enumerate().map(|(i, g)| (f64::from(*g) - ideal(i)).powi(2)).sum();
+                let norm: f64 = (0..ELEMS).map(|i| ideal(i).powi(2)).sum();
+                let rel = (diff / norm).sqrt();
+                assert!(rel < 1e-2, "bf16 relative L2 error {rel}");
+            }
+        }
+    }
+
     #[test]
     fn with_kind_builds_both_backends() {
         for kind in [TransportKind::InProcess, TransportKind::tcp()] {
             let comms = CommGroup::with_kind(2, &kind, None).expect("group forms");
             for (data, sent) in run_on(comms, |c| {
                 let mut data = vec![2.0f32; 4];
-                c.all_reduce_sum(&mut data);
+                sum(&c, &mut data);
                 (data, c.bytes_sent())
             }) {
                 assert_eq!(data, vec![4.0; 4]);

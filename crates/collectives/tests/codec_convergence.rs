@@ -3,7 +3,7 @@
 //! 1. With error feedback, training through a lossy codec converges to the
 //!    uncompressed accumulated update within a codec-specific tolerance
 //!    over N steps — the EF-SGD invariant that makes compression safe.
-//! 2. `Codec::None` is bitwise identical to the legacy path over *both*
+//! 2. Under `Codec::None` the residual is ignored, bit for bit, over *both*
 //!    transports, so turning the codec machinery off really is free.
 
 use cannikin_collectives::{Codec, CommGroup, ErrorFeedback, TransportKind};
@@ -46,7 +46,7 @@ fn accumulate_with_codec(seed: u64, len: usize, codec: Codec) -> Vec<f32> {
                 for step in 0..STEPS {
                     let mut g: Vec<f32> =
                         (0..len).map(|i| grad(seed, rank, step, i, len)).collect();
-                    comm.weighted_all_reduce_ef(&mut g, weights[rank], Some(&mut ef));
+                    comm.exchange(&mut g, weights[rank], Some((&mut ef, 0)), None).expect("exchange");
                     for (a, v) in acc.iter_mut().zip(&g) {
                         *a += v;
                     }
@@ -145,7 +145,7 @@ proptest! {
                         for step in 0..STEPS {
                             let mut g: Vec<f32> =
                                 (0..len).map(|i| grad(seed, rank, step, i, len)).collect();
-                            comm.weighted_all_reduce_ef(&mut g, weights[rank], None);
+                            comm.exchange(&mut g, weights[rank], None, None).expect("exchange");
                             for (a, v) in acc.iter_mut().zip(&g) {
                                 *a += v;
                             }
@@ -167,8 +167,8 @@ proptest! {
 
     #[test]
     fn codec_none_is_bitwise_identical_across_transports(seed in 0u64..256, len in 8usize..48) {
-        // `codec=none` through the EF entry point must equal the legacy
-        // weighted_all_reduce bit-for-bit over both backends.
+        // Under `codec=none` an exchange handed a residual must equal one
+        // handed none, bit for bit, over both backends.
         let run = |kind: TransportKind, use_ef: bool| -> Vec<Vec<u32>> {
             let comms = CommGroup::with_options(WORLD, &kind, None, Codec::None).expect("group");
             let weights = [0.6f32, 0.4];
@@ -180,9 +180,9 @@ proptest! {
                         let mut ef = ErrorFeedback::new(len);
                         let mut g: Vec<f32> = (0..len).map(|i| grad(seed, rank, 0, i, len)).collect();
                         if use_ef {
-                            comm.weighted_all_reduce_ef(&mut g, weights[rank], Some(&mut ef));
+                            comm.exchange(&mut g, weights[rank], Some((&mut ef, 0)), None).expect("exchange");
                         } else {
-                            comm.weighted_all_reduce(&mut g, weights[rank]);
+                            comm.exchange(&mut g, weights[rank], None, None).expect("exchange");
                         }
                         (rank, g.iter().map(|v| v.to_bits()).collect::<Vec<u32>>())
                     })
@@ -193,10 +193,10 @@ proptest! {
             results.sort_by_key(|(rank, _)| *rank);
             results.into_iter().map(|(_, bits)| bits).collect()
         };
-        let legacy = run(TransportKind::InProcess, false);
+        let plain = run(TransportKind::InProcess, false);
         let in_process = run(TransportKind::InProcess, true);
         let over_tcp = run(TransportKind::tcp(), true);
-        prop_assert_eq!(&legacy, &in_process, "EF entry point with codec=none must match legacy");
-        prop_assert_eq!(&legacy, &over_tcp, "backends must agree bitwise");
+        prop_assert_eq!(&plain, &in_process, "a residual under codec=none must change nothing");
+        prop_assert_eq!(&plain, &over_tcp, "backends must agree bitwise");
     }
 }

@@ -34,7 +34,7 @@
 //! rank that fails or panics drops its state — and with it its endpoint,
 //! which is how its peers find out — so the next epoch rebuilds every rank
 //! and the ring from the checkpoint rank 0 left at the end of the last
-//! epoch that completed (DESIGN.md §15, "Rank state lifecycle").
+//! epoch that completed (DESIGN.md, "Rank-state lifecycle").
 
 use super::driver::{Bounds, Driver, Executed, Executor, Round};
 use super::loader::HeteroDataLoader;

@@ -3,8 +3,7 @@
 //! These are the seed implementations the blocked kernels in
 //! `super::blocked` replaced (minus the old `== 0.0` sparsity skip, whose
 //! branchy inner loops blocked vectorization without winning on dense
-//! workloads). They remain the ground truth for the equivalence proptests
-//! and the baseline `figures perf` measures the SIMD speedup against.
+//! workloads). They remain the ground truth for the equivalence proptests.
 //! Production code should call [`super::matmul`] and friends instead.
 
 use crate::tensor::Tensor;

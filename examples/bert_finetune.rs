@@ -77,9 +77,9 @@ fn main() {
                             .flat_map(|p| p.grad.data().iter().copied())
                             .collect();
                         let local_sq: f64 = g.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
-                        comm.weighted_all_reduce(&mut g, ratio);
+                        comm.exchange(&mut g, ratio, None, None).expect("gradient exchange");
                         let global_sq: f64 = g.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
-                        let rows = comm.all_gather_vec(&[shards[rank] as f64, local_sq]);
+                        let rows = comm.gather(&[shards[rank] as f64, local_sq]).expect("metric gather");
                         let samples: Vec<GradientSample> = rows
                             .iter()
                             .map(|r| GradientSample { local_batch: r[0] as u64, local_sq_norm: r[1] })

@@ -12,7 +12,7 @@
 #   chaos      every fault schedule (CANNIKIN_CHAOS_SCHEDULE narrows it)
 #   policy     policy equivalence + determinism
 #   fleet      fleet control plane
-#   gate       perf, fleet and scenario reports vs the committed BENCH_*.json
+#   gate       fleet and scenario reports vs the committed BENCH_*.json
 #   report     same-seed fleet traces must render byte-identical reports
 set -euo pipefail
 
@@ -43,8 +43,8 @@ stage() {
     policy) cargo test --test policy --release -q ;;
     fleet) cargo test -p cannikin-fleet --release -q ;;
     gate)
-        # Tolerances (10% on wall-clock perf ratios, 2% on the simulated
-        # fleet and scenario numbers) are the suite table's defaults.
+        # The tolerance (2% on the simulated fleet and scenario numbers)
+        # is the suite table's default.
         cargo run --release -p cannikin-bench --bin gate -- all --out target
         ;;
     report)

@@ -99,10 +99,10 @@ fn first_epoch_is_bitwise_identical_across_backends() {
     assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
 }
 
-/// A raw weighted all-reduce crosses both backends bit-for-bit — the
+/// A raw weighted exchange crosses both backends bit-for-bit — the
 /// foundation the engine-level equivalence rests on.
 #[test]
-fn weighted_all_reduce_matches_bitwise_across_backends() {
+fn weighted_exchange_matches_bitwise_across_backends() {
     let payload = |rank: usize| -> Vec<f32> {
         (0..37).map(|i| ((i * 13 + rank * 7) as f32).sin() * 0.37).collect()
     };
@@ -114,7 +114,7 @@ fn weighted_all_reduce_matches_bitwise_across_backends() {
             .map(|comm| {
                 thread::spawn(move || {
                     let mut data = payload(comm.rank());
-                    comm.weighted_all_reduce(&mut data, 0.2 + comm.rank() as f32 * 0.3);
+                    comm.exchange(&mut data, 0.2 + comm.rank() as f32 * 0.3, None, None).expect("exchange");
                     assert!(comm.bytes_sent() > 0);
                     data
                 })

@@ -48,7 +48,7 @@ fn weighted_aggregation_equals_full_batch_gradient() {
                 zero_grads(&mut model.parameters_mut());
                 model.backward(&grad);
                 let mut g = flatten_grads(&model.parameters()).into_data();
-                comm.weighted_all_reduce(&mut g, weight);
+                comm.exchange(&mut g, weight, None, None).expect("exchange");
                 g
             })
         })

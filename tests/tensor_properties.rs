@@ -96,7 +96,7 @@ mod collectives_props {
                 let v = values[rank];
                 thread::spawn(move || {
                     let mut data = vec![v; len];
-                    comm.weighted_all_reduce(&mut data, w);
+                    comm.exchange(&mut data, w, None, None).expect("exchange");
                     data
                 })
             })
