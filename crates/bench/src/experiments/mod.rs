@@ -24,9 +24,12 @@ pub use slo::slo;
 pub use tables::{table1, table6, table_prediction};
 pub use telemetry::{summarize, telemetry_summary};
 
+/// Renders one experiment's table or figure as text.
+pub type Render = fn() -> String;
+
 /// Every experiment, in paper order: the id `figures` takes and the
 /// function that renders it.
-const EXPERIMENTS: [(&str, fn() -> String); 21] = [
+const EXPERIMENTS: [(&str, Render); 21] = [
     ("table1", table1),
     ("fig5", fig5),
     ("fig6", fig6),
@@ -56,7 +59,7 @@ pub fn all() -> Vec<(&'static str, String)> {
 }
 
 /// Look up one experiment by id; calling the result runs it.
-pub fn by_id(id: &str) -> Option<fn() -> String> {
+pub fn by_id(id: &str) -> Option<Render> {
     EXPERIMENTS.iter().find(|(known, _)| *known == id).map(|&(_, run)| run)
 }
 

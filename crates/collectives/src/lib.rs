@@ -4,10 +4,10 @@
 //! the subset of NCCL that PyTorch DistributedDataParallel needs for the
 //! paper's batch-ratio-weighted aggregation. Each is written once against
 //! the [`Transport`] trait and runs unchanged over either in-tree backend
-//! — crossbeam channels between OS threads ([`TransportKind::InProcess`])
-//! or real localhost TCP sockets with length-prefixed frames
-//! ([`TransportKind::Tcp`]); results are bitwise identical across
-//! backends. The entry points:
+//! — `std::sync::mpsc` channels between OS threads
+//! ([`TransportKind::InProcess`]) or real localhost TCP sockets with
+//! length-prefixed frames ([`TransportKind::Tcp`]); results are bitwise
+//! identical across backends. The entry points:
 //!
 //! - [`Communicator::exchange`] — the gradient exchange of Eq. (9),
 //!   `g = Σᵢ rᵢ gᵢ`, over the bandwidth-optimal ring all-reduce

@@ -6,8 +6,8 @@
 //! the *previous* rank, a group barrier, and wire-byte accounting. Two
 //! backends ship in-tree:
 //!
-//! - [`InProcessTransport`] — crossbeam channels between OS threads of one
-//!   process (the original backend, still the default);
+//! - [`InProcessTransport`] — `std::sync::mpsc` channels between OS threads
+//!   of one process (the original backend, still the default);
 //! - [`crate::tcp::TcpTransport`] — real localhost TCP sockets with
 //!   length-prefixed frames and per-receive deadlines, built via a
 //!   rendezvous listener (see [`crate::tcp`]).
@@ -19,9 +19,9 @@
 //! down.
 
 use crate::resilience::CommError;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::cell::Cell;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -139,8 +139,8 @@ impl fmt::Display for TransportKind {
     }
 }
 
-/// The original backend: unbounded crossbeam channels between the threads
-/// of one process, plus a shared [`Barrier`].
+/// The original backend: unbounded `std::sync::mpsc` channels between the
+/// threads of one process, plus a shared [`Barrier`].
 pub struct InProcessTransport {
     rank: usize,
     world: usize,
@@ -164,7 +164,7 @@ impl InProcessTransport {
         let mut senders: Vec<Option<Sender<Vec<u8>>>> = Vec::with_capacity(n);
         let mut receivers: Vec<Option<Receiver<Vec<u8>>>> = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(Some(tx));
             receivers.push(Some(rx));
         }

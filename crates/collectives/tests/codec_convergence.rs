@@ -7,11 +7,12 @@
 //!    transports, so turning the codec machinery off really is free.
 
 use cannikin_collectives::{Codec, CommGroup, ErrorFeedback, TransportKind};
-use proptest::prelude::*;
+use propcheck::check;
 use std::thread;
 
 const WORLD: usize = 2;
 const STEPS: usize = 20;
+const CASES: usize = 12;
 
 /// Deterministic pseudo-gradient for (rank, step, index): bounded, sign-
 /// alternating, with enough dynamic range to exercise quantization and
@@ -91,11 +92,10 @@ fn relative_error(got: &[f32], want: &[f64]) -> f64 {
     l2(&diff) / l2(want).max(1e-12)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn error_feedback_converges_to_uncompressed(seed in 0u64..512, len in 24usize..72) {
+#[test]
+fn error_feedback_converges_to_uncompressed() {
+    check(CASES, |g| {
+        let (seed, len) = (g.u64(0..512), g.usize(24..72));
         let ideal = accumulate_ideal(seed, len);
         // (codec, tolerated relative L2 error of the accumulated update).
         // bf16/f16 round to ≥8 effective mantissa bits, so even the
@@ -111,7 +111,7 @@ proptest! {
         ] {
             let acc = accumulate_with_codec(seed, len, codec);
             let rel = relative_error(&acc, &ideal);
-            prop_assert!(
+            assert!(
                 rel <= tol,
                 "{codec}: accumulated update off by {rel:.4} (tolerance {tol}) at seed {seed}, len {len}"
             );
@@ -119,11 +119,14 @@ proptest! {
         // The lossless codec must match the f64 reference to f32 rounding.
         let acc = accumulate_with_codec(seed, len, Codec::None);
         let rel = relative_error(&acc, &ideal);
-        prop_assert!(rel <= 1e-5, "codec=none drifted by {rel}");
-    }
+        assert!(rel <= 1e-5, "codec=none drifted by {rel}");
+    });
+}
 
-    #[test]
-    fn lossy_codecs_beat_a_no_feedback_floor(seed in 0u64..256, len in 24usize..48) {
+#[test]
+fn lossy_codecs_beat_a_no_feedback_floor() {
+    check(CASES, |g| {
+        let (seed, len) = (g.u64(0..256), g.usize(24..48));
         // Error feedback must actually help: top-k *without* feedback on
         // the same workload leaves a markedly larger gap. (bf16/f16 are
         // near-lossless here, so the contrast test uses top-k only.)
@@ -159,14 +162,17 @@ proptest! {
             results.sort_by_key(|(rank, _)| *rank);
             relative_error(&results.swap_remove(0).1, &ideal)
         };
-        prop_assert!(
+        assert!(
             with_ef < without_ef,
             "feedback must shrink the gap: with {with_ef:.4} vs without {without_ef:.4} (seed {seed}, len {len})"
         );
-    }
+    });
+}
 
-    #[test]
-    fn codec_none_is_bitwise_identical_across_transports(seed in 0u64..256, len in 8usize..48) {
+#[test]
+fn codec_none_is_bitwise_identical_across_transports() {
+    check(CASES, |g| {
+        let (seed, len) = (g.u64(0..256), g.usize(8..48));
         // Under `codec=none` an exchange handed a residual must equal one
         // handed none, bit for bit, over both backends.
         let run = |kind: TransportKind, use_ef: bool| -> Vec<Vec<u32>> {
@@ -196,7 +202,7 @@ proptest! {
         let plain = run(TransportKind::InProcess, false);
         let in_process = run(TransportKind::InProcess, true);
         let over_tcp = run(TransportKind::tcp(), true);
-        prop_assert_eq!(&plain, &in_process, "a residual under codec=none must change nothing");
-        prop_assert_eq!(&plain, &over_tcp, "backends must agree bitwise");
-    }
+        assert_eq!(&plain, &in_process, "a residual under codec=none must change nothing");
+        assert_eq!(&plain, &over_tcp, "backends must agree bitwise");
+    });
 }

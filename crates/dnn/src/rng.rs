@@ -1,9 +1,9 @@
 //! Deterministic random-number helpers.
 //!
 //! Everything in the reproduction is seeded so that experiments are exactly
-//! repeatable. `rand`'s `StdRng` is used as the base generator; Gaussian
-//! samples are produced with the Box–Muller transform so that no external
-//! distribution crate is required.
+//! repeatable. The base generator is the workspace's own `StdRng`
+//! (xoshiro256++ seeded through splitmix64, `crates/rand`); Gaussian
+//! samples are produced with the Box–Muller transform.
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};

@@ -10,8 +10,9 @@
 use minidnn::tensor::simd::{self, with_kernel, Kernel};
 use minidnn::tensor::threads::with_threads;
 use minidnn::tensor::{reference, scratch, Tensor};
-use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
+use propcheck::{check, Gen};
+
+const CASES: usize = 48;
 
 /// Maximum relative error tolerated between the blocked kernels and the
 /// naive reference. Both sum in f32, but blocked kernels reassociate the
@@ -25,54 +26,74 @@ fn close(x: f32, y: f32) -> bool {
     (x - y).abs() <= REL_TOL * scale
 }
 
-fn assert_all_close(got: &Tensor, want: &Tensor) -> Result<(), TestCaseError> {
-    prop_assert_eq!(got.shape(), want.shape());
+fn assert_all_close(got: &Tensor, want: &Tensor) {
+    assert_eq!(got.shape(), want.shape());
     for (i, (&g, &w)) in got.data().iter().zip(want.data()).enumerate() {
-        prop_assert!(close(g, w), "element {}: {} vs {}", i, g, w);
+        assert!(close(g, w), "element {}: {} vs {}", i, g, w);
     }
-    Ok(())
 }
 
-/// Shape strategy spanning tile-aligned and unaligned dimensions, with the
+/// One dimension, spanning tile-aligned and unaligned sizes, with the
 /// degenerate edges pinned in explicitly so every run covers them.
-fn dims() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(1usize), Just(2usize), Just(3usize), 1usize..80]
+fn dim(g: &mut Gen) -> usize {
+    match g.usize(0..4) {
+        0 => 1,
+        1 => 2,
+        2 => 3,
+        _ => g.usize(1..80),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// The `(m, k, n, seed)` every kernel property draws.
+fn shape_and_seed(g: &mut Gen) -> (usize, usize, usize, u64) {
+    (dim(g), dim(g), dim(g), g.u64(0..1024))
+}
 
-    #[test]
-    fn blocked_matmul_matches_reference(m in dims(), k in dims(), n in dims(), seed in 0u64..1024) {
+#[test]
+fn blocked_matmul_matches_reference() {
+    check(CASES, |g| {
+        let (m, k, n, seed) = shape_and_seed(g);
         let a = Tensor::randn(&[m, k], seed);
         let b = Tensor::randn(&[k, n], seed.wrapping_add(1));
-        assert_all_close(&minidnn::tensor::matmul(&a, &b), &reference::matmul(&a, &b))?;
-    }
+        assert_all_close(&minidnn::tensor::matmul(&a, &b), &reference::matmul(&a, &b));
+    });
+}
 
-    #[test]
-    fn blocked_matmul_at_b_matches_reference(m in dims(), k in dims(), n in dims(), seed in 0u64..1024) {
+#[test]
+fn blocked_matmul_at_b_matches_reference() {
+    check(CASES, |g| {
+        let (m, k, n, seed) = shape_and_seed(g);
         let a = Tensor::randn(&[k, m], seed);
         let b = Tensor::randn(&[k, n], seed.wrapping_add(2));
-        assert_all_close(&minidnn::tensor::matmul_at_b(&a, &b), &reference::matmul_at_b(&a, &b))?;
-    }
+        assert_all_close(&minidnn::tensor::matmul_at_b(&a, &b), &reference::matmul_at_b(&a, &b));
+    });
+}
 
-    #[test]
-    fn blocked_matmul_a_bt_matches_reference(m in dims(), k in dims(), n in dims(), seed in 0u64..1024) {
+#[test]
+fn blocked_matmul_a_bt_matches_reference() {
+    check(CASES, |g| {
+        let (m, k, n, seed) = shape_and_seed(g);
         let a = Tensor::randn(&[m, k], seed);
         let b = Tensor::randn(&[n, k], seed.wrapping_add(3));
-        assert_all_close(&minidnn::tensor::matmul_a_bt(&a, &b), &reference::matmul_a_bt(&a, &b))?;
-    }
+        assert_all_close(&minidnn::tensor::matmul_a_bt(&a, &b), &reference::matmul_a_bt(&a, &b));
+    });
+}
 
-    #[test]
-    fn threaded_matmul_matches_reference(m in dims(), k in dims(), n in dims(), seed in 0u64..1024) {
+#[test]
+fn threaded_matmul_matches_reference() {
+    check(CASES, |g| {
+        let (m, k, n, seed) = shape_and_seed(g);
         let a = Tensor::randn(&[m, k], seed);
         let b = Tensor::randn(&[k, n], seed.wrapping_add(4));
         let threaded = with_threads(4, || minidnn::tensor::matmul(&a, &b));
-        assert_all_close(&threaded, &reference::matmul(&a, &b))?;
-    }
+        assert_all_close(&threaded, &reference::matmul(&a, &b));
+    });
+}
 
-    #[test]
-    fn gemm_accumulation_adds_exactly_one_product(m in dims(), k in dims(), n in dims(), seed in 0u64..1024) {
+#[test]
+fn gemm_accumulation_adds_exactly_one_product() {
+    check(CASES, |g| {
+        let (m, k, n, seed) = shape_and_seed(g);
         // c = A·B (fresh) followed by c += A·B must equal 2 · (A·B).
         let a = Tensor::randn(&[m, k], seed);
         let b = Tensor::randn(&[k, n], seed.wrapping_add(5));
@@ -81,42 +102,51 @@ proptest! {
         let once = c.clone();
         minidnn::tensor::gemm(m, n, k, a.data(), b.data(), &mut c, true);
         for (i, (&twice, &one)) in c.iter().zip(&once).enumerate() {
-            prop_assert!(close(twice, 2.0 * one), "element {}: {} vs {}", i, twice, 2.0 * one);
+            assert!(close(twice, 2.0 * one), "element {}: {} vs {}", i, twice, 2.0 * one);
         }
-    }
+    });
+}
 
-    #[test]
-    fn forced_avx2_matmul_matches_reference(m in dims(), k in dims(), n in dims(), seed in 0u64..1024) {
+#[test]
+fn forced_avx2_matmul_matches_reference() {
+    check(CASES, |g| {
+        let (m, k, n, seed) = shape_and_seed(g);
         // Shapes drawn here straddle the SMALL_WORK dispatch boundary: tiny
         // products stay on the scalar small-matrix path even when the AVX2
         // kernel is forced, so this covers both sides of the dispatch tree.
         if !simd::avx2_available() {
-            return Ok(());
+            return;
         }
         let a = Tensor::randn(&[m, k], seed);
         let b = Tensor::randn(&[k, n], seed.wrapping_add(6));
         let got = with_kernel(Kernel::Avx2, || minidnn::tensor::matmul(&a, &b));
-        assert_all_close(&got, &reference::matmul(&a, &b))?;
-    }
+        assert_all_close(&got, &reference::matmul(&a, &b));
+    });
+}
 
-    #[test]
-    fn forced_avx2_transposed_kernels_match_reference(m in dims(), k in dims(), n in dims(), seed in 0u64..1024) {
+#[test]
+fn forced_avx2_transposed_kernels_match_reference() {
+    check(CASES, |g| {
+        let (m, k, n, seed) = shape_and_seed(g);
         if !simd::avx2_available() {
-            return Ok(());
+            return;
         }
         let at = Tensor::randn(&[k, m], seed);
         let b = Tensor::randn(&[k, n], seed.wrapping_add(7));
         let got = with_kernel(Kernel::Avx2, || minidnn::tensor::matmul_at_b(&at, &b));
-        assert_all_close(&got, &reference::matmul_at_b(&at, &b))?;
+        assert_all_close(&got, &reference::matmul_at_b(&at, &b));
 
         let a = Tensor::randn(&[m, k], seed.wrapping_add(8));
         let bt = Tensor::randn(&[n, k], seed.wrapping_add(9));
         let got = with_kernel(Kernel::Avx2, || minidnn::tensor::matmul_a_bt(&a, &bt));
-        assert_all_close(&got, &reference::matmul_a_bt(&a, &bt))?;
-    }
+        assert_all_close(&got, &reference::matmul_a_bt(&a, &bt));
+    });
+}
 
-    #[test]
-    fn forced_scalar_is_bitwise_stable_across_dispatch(m in dims(), k in dims(), n in dims(), seed in 0u64..1024) {
+#[test]
+fn forced_scalar_is_bitwise_stable_across_dispatch() {
+    check(CASES, |g| {
+        let (m, k, n, seed) = shape_and_seed(g);
         // Forcing the scalar kernel must reproduce the default path exactly
         // on machines without AVX2, and stay self-consistent everywhere:
         // the override changes *which* kernel runs, never the blocking
@@ -125,46 +155,55 @@ proptest! {
         let b = Tensor::randn(&[k, n], seed.wrapping_add(10));
         let first = with_kernel(Kernel::Scalar, || minidnn::tensor::matmul(&a, &b));
         let second = with_kernel(Kernel::Scalar, || minidnn::tensor::matmul(&a, &b));
-        prop_assert_eq!(first.data(), second.data());
-        assert_all_close(&first, &reference::matmul(&a, &b))?;
-    }
+        assert_eq!(first.data(), second.data());
+        assert_all_close(&first, &reference::matmul(&a, &b));
+    });
+}
 
-    #[test]
-    fn forced_avx2_threaded_matches_reference(m in dims(), k in dims(), n in dims(), seed in 0u64..1024) {
+#[test]
+fn forced_avx2_threaded_matches_reference() {
+    check(CASES, |g| {
+        let (m, k, n, seed) = shape_and_seed(g);
         if !simd::avx2_available() {
-            return Ok(());
+            return;
         }
         let a = Tensor::randn(&[m, k], seed);
         let b = Tensor::randn(&[k, n], seed.wrapping_add(11));
         let got = with_kernel(Kernel::Avx2, || with_threads(4, || minidnn::tensor::matmul(&a, &b)));
-        assert_all_close(&got, &reference::matmul(&a, &b))?;
-    }
+        assert_all_close(&got, &reference::matmul(&a, &b));
+    });
+}
 
-    #[test]
-    fn scratch_take_is_exactly_sized_and_fully_writable(len in 1usize..20_000) {
+#[test]
+fn scratch_take_is_exactly_sized_and_fully_writable() {
+    check(CASES, |g| {
+        let len = g.usize(1..20_000);
         let mut buf = scratch::take(len);
-        prop_assert_eq!(buf.as_slice().len(), len);
+        assert_eq!(buf.as_slice().len(), len);
         // Contents may be stale by contract; every element must be writable
         // and hold its value.
         for (i, v) in buf.as_mut_slice().iter_mut().enumerate() {
             *v = i as f32;
         }
         for (i, &v) in buf.as_slice().iter().enumerate() {
-            prop_assert_eq!(v, i as f32);
+            assert_eq!(v, i as f32);
         }
-    }
+    });
+}
 
-    #[test]
-    fn scratch_take_zeroed_is_zero(len in 1usize..20_000) {
+#[test]
+fn scratch_take_zeroed_is_zero() {
+    check(CASES, |g| {
+        let len = g.usize(1..20_000);
         // Dirty the arena first so reuse paths are exercised.
         {
             let mut dirty = scratch::take(len);
             dirty.as_mut_slice().fill(f32::NAN);
         }
         let buf = scratch::take_zeroed(len);
-        prop_assert_eq!(buf.as_slice().len(), len);
-        prop_assert!(buf.as_slice().iter().all(|&v| v == 0.0));
-    }
+        assert_eq!(buf.as_slice().len(), len);
+        assert!(buf.as_slice().iter().all(|&v| v == 0.0));
+    });
 }
 
 /// Reuse is observable: after a warm-up call, repeating the same request on

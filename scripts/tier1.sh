@@ -5,7 +5,7 @@
 # Usage: scripts/tier1.sh [stage...]
 #   benchmark  the frozen benchmark's own tests, then both real workloads
 #              at smoke size (plain rustc, ~45 s)
-#   build      release build
+#   build      release build, and proof that it resolved no registry crate
 #   test       full workspace test suite
 #   clippy     warnings-as-errors clippy pass
 #   doc        warnings-as-errors rustdoc
@@ -17,6 +17,10 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# Nothing is fetched: every dependency is a path crate, and a manifest that
+# says otherwise should fail here, not reach for a registry.
+export CARGO_NET_OFFLINE=true
 
 ALL="benchmark build test clippy doc chaos policy fleet gate report"
 
@@ -35,7 +39,16 @@ stage() {
             }
         done
         ;;
-    build) cargo build --release ;;
+    build)
+        cargo build --release
+        # Path packages carry no `source`; a line here means a manifest
+        # named a registry or git crate again, which the sandbox the work
+        # happens in cannot fetch.
+        if grep -n '^source = ' Cargo.lock; then
+            echo "tier1.sh: Cargo.lock names a non-workspace package (above); the workspace builds from path crates only" >&2
+            exit 1
+        fi
+        ;;
     test) cargo test --workspace -q ;;
     clippy) cargo clippy --workspace -- -D warnings ;;
     doc) RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ;;

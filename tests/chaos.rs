@@ -25,8 +25,10 @@ use cannikin::sim::job::JobSpec;
 use cannikin::sim::{FaultPlan, Simulator};
 use cannikin::telemetry::{self as telemetry, default_fleet_slos, Json, Record};
 
-/// The telemetry recorder is process-global; every test that opens a
-/// session takes this lock so sessions never interleave.
+/// The telemetry recorder is process-global and a live session records
+/// every thread's events, so everything here that opens a session *or*
+/// drives a trainer takes this lock for as long as it does: sessions
+/// never interleave and no sibling test's run leaks into one.
 static TELEMETRY: Mutex<()> = Mutex::new(());
 
 fn telemetry_lock() -> MutexGuard<'static, ()> {
@@ -118,6 +120,7 @@ fn run_sim_schedule(name: &str, seed: u64) -> SimRun {
 
 /// A fault-free reference run with the same seed and configuration.
 fn run_sim_clean(cluster: ClusterSpec, seed: u64) -> Vec<EpochRecord> {
+    let _serial = telemetry_lock();
     let sim = Simulator::new(cluster, JobSpec::resnet18_cifar10(), seed);
     let mut config = TrainerConfig::new(6_400, 64, 512);
     config.adaptive_batch = false;
@@ -309,6 +312,7 @@ fn chaos_fleet_crash_schedule() {
     // shared pool (the node never serves anyone again), keep the rest of
     // the stream draining, and stay bitwise deterministic.
     use cannikin::fleet::{AllocPolicy, FleetController, FleetJobSpec};
+    let _serial = telemetry_lock();
     let run = || {
         let pool = vec![
             NodeSpec::new("a100-0", Gpu::A100),
@@ -396,8 +400,6 @@ fn chaos_parallel_comm_loss_is_lossless_and_deterministic() {
     if !schedule_enabled("transient") {
         return;
     }
-    // Rank threads emit telemetry; hold the lock so none of it leaks into
-    // a sim schedule's concurrently open session.
     let _serial = telemetry_lock();
     // Injected failures at fixed sequence numbers, including one burst
     // (seq 5, count 9) deep enough to exhaust the 3-attempt budget and

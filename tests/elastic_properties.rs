@@ -7,35 +7,35 @@
 //! engine uses when the survivors' models are incomplete.
 
 use cannikin::core::optperf::{bootstrap_split, NodePerf, OptPerfSolver, SolverInput};
-use proptest::prelude::*;
+use propcheck::{check, Gen};
+
+const CASES: usize = 128;
+
+fn arbitrary_node(g: &mut Gen) -> NodePerf {
+    NodePerf {
+        q: g.f64(0.05e-3..1.0e-3),
+        s: g.f64(0.1e-3..4e-3),
+        k: g.f64(0.1e-3..2e-3),
+        m: g.f64(0.1e-3..4e-3),
+        max_batch: None,
+    }
+}
 
 /// Random heterogeneous solver input (same envelope as the solver
 /// property suite): n nodes with slopes spanning up to ~6x.
-fn arbitrary_input() -> impl Strategy<Value = SolverInput> {
-    (3usize..8, 0.05f64..0.5)
-        .prop_flat_map(|(n, gamma)| {
-            let node = (0.05e-3f64..1.0e-3, 0.1e-3f64..4e-3, 0.1e-3f64..2e-3, 0.1e-3f64..4e-3).prop_map(
-                |(q, s, k, m)| NodePerf { q, s, k, m, max_batch: None },
-            );
-            (
-                proptest::collection::vec(node, n),
-                Just(gamma),
-                1e-3f64..80e-3,
-                0.2e-3f64..8e-3,
-            )
-        })
-        .prop_map(|(nodes, gamma, t_o, t_u)| SolverInput { nodes, gamma, t_o, t_u })
+fn arbitrary_input(g: &mut Gen) -> SolverInput {
+    let n = g.usize(3..8);
+    let gamma = g.f64(0.05..0.5);
+    let nodes = (0..n).map(|_| arbitrary_node(g)).collect();
+    SolverInput { nodes, gamma, t_o: g.f64(1e-3..80e-3), t_u: g.f64(0.2e-3..8e-3) }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn resolve_after_removal_covers_the_survivors(
-        input in arbitrary_input(),
-        victim_seed in 0usize..64,
-        total_mult in 2u64..120,
-    ) {
+#[test]
+fn resolve_after_removal_covers_the_survivors() {
+    check(CASES, |g| {
+        let input = arbitrary_input(g);
+        let victim_seed = g.usize(0..64);
+        let total_mult = g.u64(2..120);
         let n = input.len();
         let total = n as u64 * total_mult;
         let victim = victim_seed % n;
@@ -43,19 +43,20 @@ proptest! {
         survivors.nodes.remove(victim);
         let plan = OptPerfSolver::new(survivors).solve(total).expect("still feasible without caps");
         // The dead rank gets nothing — the split has exactly n-1 entries.
-        prop_assert_eq!(plan.local_batches.len(), n - 1);
-        prop_assert_eq!(plan.local_batches.iter().sum::<u64>(), total, "same total after the shrink");
-        prop_assert!(plan.local_batches.iter().all(|&b| b >= 1), "every survivor works");
-        prop_assert!(plan.opt_perf.is_finite() && plan.opt_perf > 0.0);
-    }
+        assert_eq!(plan.local_batches.len(), n - 1);
+        assert_eq!(plan.local_batches.iter().sum::<u64>(), total, "same total after the shrink");
+        assert!(plan.local_batches.iter().all(|&b| b >= 1), "every survivor works");
+        assert!(plan.opt_perf.is_finite() && plan.opt_perf > 0.0);
+    });
+}
 
-    #[test]
-    fn resolve_after_removal_respects_memory_caps(
-        input in arbitrary_input(),
-        victim_seed in 0usize..64,
-        caps in proptest::collection::vec(4u64..200, 8),
-        total_mult in 2u64..120,
-    ) {
+#[test]
+fn resolve_after_removal_respects_memory_caps() {
+    check(CASES, |g| {
+        let input = arbitrary_input(g);
+        let victim_seed = g.usize(0..64);
+        let caps: Vec<u64> = (0..8).map(|_| g.u64(4..200)).collect();
+        let total_mult = g.u64(2..120);
         let n = input.len();
         let victim = victim_seed % n;
         let mut survivors = input;
@@ -69,38 +70,37 @@ proptest! {
         let cap_sum: u64 = survivors.nodes.iter().map(|nd| nd.max_batch.unwrap()).sum();
         let total = (n as u64 * total_mult).clamp(n as u64 - 1, cap_sum);
         let plan = OptPerfSolver::new(survivors.clone()).solve(total).expect("clamped total is feasible");
-        prop_assert_eq!(plan.local_batches.iter().sum::<u64>(), total);
+        assert_eq!(plan.local_batches.iter().sum::<u64>(), total);
         for (nd, &b) in survivors.nodes.iter().zip(&plan.local_batches) {
-            prop_assert!(b >= 1);
-            prop_assert!(b <= nd.max_batch.unwrap(), "share {} breaks cap {:?}", b, nd.max_batch);
+            assert!(b >= 1);
+            assert!(b <= nd.max_batch.unwrap(), "share {} breaks cap {:?}", b, nd.max_batch);
         }
-    }
+    });
+}
 
-    #[test]
-    fn resolve_after_join_covers_the_newcomer(
-        input in arbitrary_input(),
-        q in 0.05e-3f64..1.0e-3,
-        s in 0.1e-3f64..4e-3,
-        k in 0.1e-3f64..2e-3,
-        m in 0.1e-3f64..4e-3,
-        total_mult in 2u64..120,
-    ) {
+#[test]
+fn resolve_after_join_covers_the_newcomer() {
+    check(CASES, |g| {
+        let input = arbitrary_input(g);
+        let joiner = arbitrary_node(g);
+        let total_mult = g.u64(2..120);
         let n = input.len();
         let total = n as u64 * total_mult;
         let mut grown = input;
-        grown.nodes.push(NodePerf { q, s, k, m, max_batch: None });
+        grown.nodes.push(joiner);
         let plan = OptPerfSolver::new(grown).solve(total).expect("feasible");
-        prop_assert_eq!(plan.local_batches.len(), n + 1);
-        prop_assert_eq!(plan.local_batches.iter().sum::<u64>(), total, "same total after the grow");
-        prop_assert!(plan.local_batches.iter().all(|&b| b >= 1), "the joiner must be put to work");
-    }
+        assert_eq!(plan.local_batches.len(), n + 1);
+        assert_eq!(plan.local_batches.iter().sum::<u64>(), total, "same total after the grow");
+        assert!(plan.local_batches.iter().all(|&b| b >= 1), "the joiner must be put to work");
+    });
+}
 
-    #[test]
-    fn bootstrap_fallback_survives_membership_change(
-        t_samples in proptest::collection::vec(1e-5f64..1e-2, 3..9),
-        victim_seed in 0usize..64,
-        total_mult in 1u64..200,
-    ) {
+#[test]
+fn bootstrap_fallback_survives_membership_change() {
+    check(CASES, |g| {
+        let t_samples = g.vec(3..9, |g| g.f64(1e-5..1e-2));
+        let victim_seed = g.usize(0..64);
+        let total_mult = g.u64(1..200);
         // The engine falls back to the Eq. (8) bootstrap when a survivor
         // or joiner has no fitted model yet; the fallback must keep the
         // same covering contract.
@@ -110,8 +110,8 @@ proptest! {
         survivors.remove(victim);
         let total = (n as u64 - 1) * total_mult.max(1);
         let split = bootstrap_split(&survivors, total);
-        prop_assert_eq!(split.len(), n - 1);
-        prop_assert_eq!(split.iter().sum::<u64>(), total);
-        prop_assert!(split.iter().all(|&b| b >= 1));
-    }
+        assert_eq!(split.len(), n - 1);
+        assert_eq!(split.iter().sum::<u64>(), total);
+        assert!(split.iter().all(|&b| b >= 1));
+    });
 }

@@ -8,41 +8,34 @@ use cannikin::sim::catalog::Gpu;
 use cannikin::sim::cluster::{ClusterSpec, NodeSpec};
 use cannikin::sim::job::JobSpec;
 use cannikin::sim::Simulator;
-use proptest::prelude::*;
+use propcheck::{check, Gen};
 
-fn arbitrary_cluster() -> impl Strategy<Value = ClusterSpec> {
-    let gpu = prop_oneof![
-        Just(Gpu::A100),
-        Just(Gpu::V100),
-        Just(Gpu::Rtx6000),
-        Just(Gpu::RtxA5000),
-        Just(Gpu::RtxA4000),
-    ];
-    let node = (gpu, 0.4f64..1.0, 0.5f64..2.0).prop_map(|(gpu, fraction, cpu)| {
-        NodeSpec::new("node", gpu).with_contention(fraction).with_cpu_factor(cpu)
+// Each case runs several simulated epochs; keep the count moderate.
+const CASES: usize = 24;
+
+fn arbitrary_cluster(g: &mut Gen) -> ClusterSpec {
+    let nodes = g.vec(2..6, |g| {
+        let gpu = g.pick(&[Gpu::A100, Gpu::V100, Gpu::Rtx6000, Gpu::RtxA5000, Gpu::RtxA4000]);
+        NodeSpec::new("node", gpu).with_contention(g.f64(0.4..1.0)).with_cpu_factor(g.f64(0.5..2.0))
     });
-    proptest::collection::vec(node, 2..6).prop_map(|nodes| ClusterSpec::new("prop", nodes))
+    ClusterSpec::new("prop", nodes)
 }
 
-fn arbitrary_job() -> impl Strategy<Value = JobSpec> {
-    prop_oneof![
-        Just(JobSpec::resnet50_imagenet()),
-        Just(JobSpec::resnet18_cifar10()),
-        Just(JobSpec::neumf_movielens()),
-    ]
+fn arbitrary_job(g: &mut Gen) -> JobSpec {
+    match g.usize(0..3) {
+        0 => JobSpec::resnet50_imagenet(),
+        1 => JobSpec::resnet18_cifar10(),
+        _ => JobSpec::neumf_movielens(),
+    }
 }
 
-proptest! {
-    // Each case runs several simulated epochs; keep the count moderate.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn engine_invariants_on_random_clusters(
-        cluster in arbitrary_cluster(),
-        job in arbitrary_job(),
-        seed in 0u64..1000,
-        phi0 in 50.0f64..2000.0,
-    ) {
+#[test]
+fn engine_invariants_on_random_clusters() {
+    check(CASES, |g| {
+        let cluster = arbitrary_cluster(g);
+        let job = arbitrary_job(g);
+        let seed = g.u64(0..1000);
+        let phi0 = g.f64(50.0..2000.0);
         let n = cluster.len();
         let base = 16 * n as u64;
         let sim = Simulator::new(cluster, job, seed);
@@ -56,28 +49,29 @@ proptest! {
             .expect("valid config");
         let records = trainer.run_epochs(6).expect("run");
         for r in &records {
-            prop_assert_eq!(r.local_batches.len(), n);
-            prop_assert_eq!(
+            assert_eq!(r.local_batches.len(), n);
+            assert_eq!(
                 r.local_batches.iter().sum::<u64>() * r.accumulation,
                 r.total_batch,
                 "micro split × accumulation must equal the effective batch"
             );
-            prop_assert!(r.local_batches.iter().all(|&b| b >= 1));
-            prop_assert!(r.epoch_time.is_finite() && r.epoch_time > 0.0);
-            prop_assert!(r.efficiency > 0.0 && r.efficiency <= 1.0 + 1e-12);
+            assert!(r.local_batches.iter().all(|&b| b >= 1));
+            assert!(r.epoch_time.is_finite() && r.epoch_time > 0.0);
+            assert!(r.efficiency > 0.0 && r.efficiency <= 1.0 + 1e-12);
         }
         for pair in records.windows(2) {
-            prop_assert!(pair[1].effective_epochs > pair[0].effective_epochs);
+            assert!(pair[1].effective_epochs > pair[0].effective_epochs);
         }
         // The model path must engage by epoch 2 on a clean simulator.
-        prop_assert!(records[2].used_model || records[3].used_model);
-    }
+        assert!(records[2].used_model || records[3].used_model);
+    });
+}
 
-    #[test]
-    fn fixed_batch_engine_never_loses_to_even_split(
-        cluster in arbitrary_cluster(),
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn fixed_batch_engine_never_loses_to_even_split() {
+    check(CASES, |g| {
+        let cluster = arbitrary_cluster(g);
+        let seed = g.u64(0..1000);
         let n = cluster.len();
         let job = JobSpec::resnet50_imagenet();
         let total = 32 * n as u64;
@@ -98,10 +92,10 @@ proptest! {
         let tuned = records.last().unwrap();
         let ideal_tuned = oracle.ideal_batch_time(&tuned.local_batches);
         // The learned split can never be materially worse than even.
-        prop_assert!(
+        assert!(
             ideal_tuned <= even_time * 1.02,
             "tuned split {:?} at {ideal_tuned} vs even {even_time}",
             tuned.local_batches
         );
-    }
+    });
 }

@@ -5,26 +5,27 @@ use cannikin::core::gns::{
     estimate_gns, local_estimates, optimal_weights, statistical_efficiency, Aggregation,
     GradientSample, WeightKind,
 };
-use proptest::prelude::*;
+use propcheck::{check, Gen};
 
-fn batch_vector() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(1u64..64, 2..10)
+const CASES: usize = 256;
+
+fn batch_vector(g: &mut Gen) -> Vec<u64> {
+    g.vec(2..10, |g| g.u64(1..64))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Exactness identity: if every node's |gᵢ|² sits exactly at its
-    /// expectation |G|² + tr(Σ)/bᵢ (and |g|² likewise), the Eq. (10)
-    /// estimators recover |G|² and tr(Σ) *exactly*, for any batch profile.
-    #[test]
-    fn estimators_invert_expectations_exactly(
-        batches in batch_vector(),
-        g_sq in 0.01f64..100.0,
-        trace in 0.01f64..1000.0,
-    ) {
+/// Exactness identity: if every node's |gᵢ|² sits exactly at its
+/// expectation |G|² + tr(Σ)/bᵢ (and |g|² likewise), the Eq. (10)
+/// estimators recover |G|² and tr(Σ) *exactly*, for any batch profile.
+#[test]
+fn estimators_invert_expectations_exactly() {
+    check(CASES, |g| {
+        let batches = batch_vector(g);
+        let g_sq = g.f64(0.01..100.0);
+        let trace = g.f64(0.01..1000.0);
         let total: u64 = batches.iter().sum();
-        prop_assume!(batches.iter().all(|&b| b < total));
+        if !batches.iter().all(|&b| b < total) {
+            return;
+        }
         let samples: Vec<GradientSample> = batches
             .iter()
             .map(|&b| GradientSample { local_batch: b, local_sq_norm: g_sq + trace / b as f64 })
@@ -32,50 +33,60 @@ proptest! {
         let global = g_sq + trace / total as f64;
         let locals = local_estimates(&samples, global).expect("valid");
         for l in &locals {
-            prop_assert!((l.g - g_sq).abs() < 1e-6 * g_sq.max(1.0), "g {} vs {}", l.g, g_sq);
-            prop_assert!((l.s - trace).abs() < 1e-6 * trace.max(1.0), "s {} vs {}", l.s, trace);
+            assert!((l.g - g_sq).abs() < 1e-6 * g_sq.max(1.0), "g {} vs {}", l.g, g_sq);
+            assert!((l.s - trace).abs() < 1e-6 * trace.max(1.0), "s {} vs {}", l.s, trace);
         }
         // Any convex combination therefore recovers the exact noise scale.
         for aggregation in [Aggregation::MinimumVariance, Aggregation::NaiveMean] {
             let est = estimate_gns(&samples, global, aggregation).expect("estimate");
             let phi = est.noise_scale().expect("positive");
-            prop_assert!((phi - trace / g_sq).abs() < 1e-5 * (trace / g_sq), "{aggregation:?}");
+            assert!((phi - trace / g_sq).abs() < 1e-5 * (trace / g_sq), "{aggregation:?}");
         }
-    }
+    });
+}
 
-    /// Theorem 4.1 weights always form a convex-combination weight vector
-    /// (sum 1) and are permutation-equivariant.
-    #[test]
-    fn weights_sum_to_one_and_are_equivariant(batches in batch_vector()) {
+/// Theorem 4.1 weights always form a convex-combination weight vector
+/// (sum 1) and are permutation-equivariant.
+#[test]
+fn weights_sum_to_one_and_are_equivariant() {
+    check(CASES, |g| {
+        let batches = batch_vector(g);
         let total: u64 = batches.iter().sum();
-        prop_assume!(batches.iter().all(|&b| b < total));
+        if !batches.iter().all(|&b| b < total) {
+            return;
+        }
         let b: Vec<f64> = batches.iter().map(|&x| x as f64).collect();
         for kind in [WeightKind::GradNorm, WeightKind::Variance] {
             let w = optimal_weights(&b, total as f64, kind).expect("weights");
-            prop_assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
             // Reverse the node order: weights must reverse with it.
             let mut rb = b.clone();
             rb.reverse();
             let mut rw = optimal_weights(&rb, total as f64, kind).expect("weights");
             rw.reverse();
             for (a, c) in w.iter().zip(&rw) {
-                prop_assert!((a - c).abs() < 1e-9);
+                assert!((a - c).abs() < 1e-9);
             }
         }
-    }
+    });
+}
 
-    /// Statistical efficiency is 1 at B₀, monotone decreasing in B, and
-    /// monotone increasing in φ (for B > B₀).
-    #[test]
-    fn efficiency_monotonicity(phi in 1.0f64..1e5, b0 in 1u64..512, mult in 2u64..64) {
+/// Statistical efficiency is 1 at B₀, monotone decreasing in B, and
+/// monotone increasing in φ (for B > B₀).
+#[test]
+fn efficiency_monotonicity() {
+    check(CASES, |g| {
+        let phi = g.f64(1.0..1e5);
+        let b0 = g.u64(1..512);
+        let mult = g.u64(2..64);
         let b = b0 * mult;
-        prop_assert!((statistical_efficiency(phi, b0, b0) - 1.0).abs() < 1e-12);
+        assert!((statistical_efficiency(phi, b0, b0) - 1.0).abs() < 1e-12);
         let e1 = statistical_efficiency(phi, b0, b);
         let e2 = statistical_efficiency(phi, b0, b * 2);
-        prop_assert!(e2 < e1 && e1 < 1.0);
+        assert!(e2 < e1 && e1 < 1.0);
         let noisier = statistical_efficiency(phi * 4.0, b0, b);
-        prop_assert!(noisier > e1);
-    }
+        assert!(noisier > e1);
+    });
 }
 
 /// Monte-Carlo variance comparison: the Theorem 4.1 combination never has

@@ -12,7 +12,7 @@ use cannikin_bench::scenarios::{
     compatible, matrix, scenario_report, Capability, ScenarioKind, ScenarioSpec, SimSystem,
     SubjectKind, SubjectSpec, SCENARIO_SEED,
 };
-use proptest::prelude::*;
+use propcheck::{check, Gen};
 
 /// The flagship determinism guarantee: the entire matrix — every sim
 /// cell, every real-gradient cell, every goodput ratio — serializes to
@@ -45,8 +45,10 @@ fn report_covers_every_matrix_cell() {
     }
 }
 
-fn masked(mask: &[bool]) -> Vec<Capability> {
-    Capability::all().into_iter().zip(mask).filter(|(_, on)| **on).map(|(cap, _)| cap).collect()
+const CASES: usize = 256;
+
+fn arbitrary_capabilities(g: &mut Gen) -> Vec<Capability> {
+    Capability::all().into_iter().filter(|_| g.bool()).collect()
 }
 
 fn synthetic_scenario(requires: Vec<Capability>) -> ScenarioSpec {
@@ -67,56 +69,51 @@ fn synthetic_subject(provides: Vec<Capability>) -> SubjectSpec {
     }
 }
 
-proptest! {
-    /// Soundness of the one-and-only filter: for *arbitrary* requires /
-    /// provides sets, `compatible` is exactly the subset relation — a
-    /// subject is admitted iff every required capability is declared, so
-    /// no cell can ever demand an undeclared capability.
-    #[test]
-    fn compatible_is_exactly_the_subset_relation(
-        req_mask in proptest::collection::vec(any::<bool>(), 7),
-        prov_mask in proptest::collection::vec(any::<bool>(), 7),
-    ) {
-        let requires = masked(&req_mask);
-        let provides = masked(&prov_mask);
+/// Soundness of the one-and-only filter: for *arbitrary* requires /
+/// provides sets, `compatible` is exactly the subset relation — a
+/// subject is admitted iff every required capability is declared, so
+/// no cell can ever demand an undeclared capability.
+#[test]
+fn compatible_is_exactly_the_subset_relation() {
+    check(CASES, |g| {
+        let requires = arbitrary_capabilities(g);
+        let provides = arbitrary_capabilities(g);
         let scenario = synthetic_scenario(requires.clone());
         let subject = synthetic_subject(provides.clone());
         let subset = requires.iter().all(|cap| provides.contains(cap));
-        prop_assert_eq!(compatible(&scenario, &subject), subset);
+        assert_eq!(compatible(&scenario, &subject), subset);
         if compatible(&scenario, &subject) {
             for cap in &scenario.requires {
-                prop_assert!(
+                assert!(
                     subject.provides.contains(cap),
                     "admitted subject lacks required capability {:?}", cap
                 );
             }
         }
-    }
+    });
+}
 
-    /// Monotonicity: granting a subject *more* capabilities can never
-    /// revoke access to a scenario it already qualified for.
-    #[test]
-    fn adding_capabilities_never_revokes_access(
-        req_mask in proptest::collection::vec(any::<bool>(), 7),
-        prov_mask in proptest::collection::vec(any::<bool>(), 7),
-        extra in 0usize..7,
-    ) {
-        let scenario = synthetic_scenario(masked(&req_mask));
-        let provides = masked(&prov_mask);
+/// Monotonicity: granting a subject *more* capabilities can never
+/// revoke access to a scenario it already qualified for.
+#[test]
+fn adding_capabilities_never_revokes_access() {
+    check(CASES, |g| {
+        let scenario = synthetic_scenario(arbitrary_capabilities(g));
+        let provides = arbitrary_capabilities(g);
+        let cap = g.pick(&Capability::all());
         let subject = synthetic_subject(provides.clone());
         if compatible(&scenario, &subject) {
             let mut widened = provides;
-            let cap = Capability::all()[extra];
             if !widened.contains(&cap) {
                 widened.push(cap);
             }
-            prop_assert!(compatible(&scenario, &synthetic_subject(widened)));
+            assert!(compatible(&scenario, &synthetic_subject(widened)));
         }
-    }
+    });
 }
 
 /// The shipped registry satisfies the same soundness property the
-/// proptest establishes for arbitrary sets.
+/// properties above establish for arbitrary sets.
 #[test]
 fn shipped_matrix_is_sound() {
     for (scenario, subject) in matrix() {

@@ -8,24 +8,24 @@
 
 use cannikin::core::optperf::{predict_batch_time, Bottleneck, NodePerf, OptPerfSolver, SolverInput};
 use cannikin::sim::Simulator;
-use proptest::prelude::*;
+use propcheck::{check, Gen};
+
+const CASES: usize = 128;
 
 /// Random heterogeneous solver input: n nodes with slopes spanning up to
 /// ~6x, γ in (0.05, 0.5), communication comparable to compute.
-fn arbitrary_input() -> impl Strategy<Value = SolverInput> {
-    (2usize..8, 0.05f64..0.5)
-        .prop_flat_map(|(n, gamma)| {
-            let node = (0.05e-3f64..1.0e-3, 0.1e-3f64..4e-3, 0.1e-3f64..2e-3, 0.1e-3f64..4e-3).prop_map(
-                |(q, s, k, m)| NodePerf { q, s, k, m, max_batch: None },
-            );
-            (
-                proptest::collection::vec(node, n),
-                Just(gamma),
-                1e-3f64..80e-3,
-                0.2e-3f64..8e-3,
-            )
-        })
-        .prop_map(|(nodes, gamma, t_o, t_u)| SolverInput { nodes, gamma, t_o, t_u })
+fn arbitrary_input(g: &mut Gen) -> SolverInput {
+    let n = g.usize(2..8);
+    let gamma = g.f64(0.05..0.5);
+    let node = |_| NodePerf {
+        q: g.f64(0.05e-3..1.0e-3),
+        s: g.f64(0.1e-3..4e-3),
+        k: g.f64(0.1e-3..2e-3),
+        m: g.f64(0.1e-3..4e-3),
+        max_batch: None,
+    };
+    let nodes = (0..n).map(node).collect();
+    SolverInput { nodes, gamma, t_o: g.f64(1e-3..80e-3), t_u: g.f64(0.2e-3..8e-3) }
 }
 
 /// A random feasible integer split of `total` across `n` nodes.
@@ -50,25 +50,26 @@ fn random_split(total: u64, weights: &[f64]) -> Vec<u64> {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn plan_sums_and_floors(input in arbitrary_input(), total_mult in 2u64..200) {
+#[test]
+fn plan_sums_and_floors() {
+    check(CASES, |g| {
+        let input = arbitrary_input(g);
+        let total_mult = g.u64(2..200);
         let n = input.len() as u64;
         let total = n * total_mult;
         let mut solver = OptPerfSolver::new(input);
         let plan = solver.solve(total).expect("feasible");
-        prop_assert_eq!(plan.local_batches.iter().sum::<u64>(), total);
-        prop_assert!(plan.local_batches.iter().all(|&b| b >= 1));
-    }
+        assert_eq!(plan.local_batches.iter().sum::<u64>(), total);
+        assert!(plan.local_batches.iter().all(|&b| b >= 1));
+    });
+}
 
-    #[test]
-    fn no_random_split_beats_the_plan(
-        input in arbitrary_input(),
-        total_mult in 2u64..200,
-        weights in proptest::collection::vec(0.05f64..1.0, 8),
-    ) {
+#[test]
+fn no_random_split_beats_the_plan() {
+    check(CASES, |g| {
+        let input = arbitrary_input(g);
+        let total_mult = g.u64(2..200);
+        let weights: Vec<f64> = (0..8).map(|_| g.f64(0.05..1.0)).collect();
         let n = input.len();
         let total = n as u64 * total_mult;
         let mut solver = OptPerfSolver::new(input.clone());
@@ -76,26 +77,34 @@ proptest! {
         let rival = random_split(total, &weights[..n]);
         let rival_time = predict_batch_time(&input, &rival);
         // Integer rounding gives the plan at most a whisker of slack.
-        prop_assert!(
+        assert!(
             plan.opt_perf <= rival_time * 1.02 + 1e-9,
             "plan {} loses to random split {:?} at {}",
             plan.opt_perf,
             rival,
             rival_time
         );
-    }
+    });
+}
 
-    #[test]
-    fn continuous_relaxation_is_a_lower_bound(input in arbitrary_input(), total_mult in 2u64..200) {
+#[test]
+fn continuous_relaxation_is_a_lower_bound() {
+    check(CASES, |g| {
+        let input = arbitrary_input(g);
+        let total_mult = g.u64(2..200);
         let n = input.len() as u64;
         let total = n * total_mult;
         let mut solver = OptPerfSolver::new(input);
         let plan = solver.solve(total).expect("feasible");
-        prop_assert!(plan.continuous_opt <= plan.opt_perf * (1.0 + 1e-9));
-    }
+        assert!(plan.continuous_opt <= plan.opt_perf * (1.0 + 1e-9));
+    });
+}
 
-    #[test]
-    fn pattern_matches_overlap_criterion(input in arbitrary_input(), total_mult in 2u64..200) {
+#[test]
+fn pattern_matches_overlap_criterion() {
+    check(CASES, |g| {
+        let input = arbitrary_input(g);
+        let total_mult = g.u64(2..200);
         let n = input.len() as u64;
         let total = n * total_mult;
         let mut solver = OptPerfSolver::new(input.clone());
@@ -104,15 +113,19 @@ proptest! {
             let b = plan.local_batches[node] as f64;
             let headroom = (1.0 - input.gamma) * input.nodes[node].p(b);
             let expected = if headroom >= input.t_o { Bottleneck::Compute } else { Bottleneck::Communication };
-            prop_assert_eq!(plan.pattern[node], expected, "node {}", node);
+            assert_eq!(plan.pattern[node], expected, "node {}", node);
         }
         // Boundary equals the compute count.
         let computes = plan.pattern.iter().filter(|p| **p == Bottleneck::Compute).count();
-        prop_assert_eq!(plan.boundary, computes);
-    }
+        assert_eq!(plan.boundary, computes);
+    });
+}
 
-    #[test]
-    fn warm_start_agrees_with_cold_solve(input in arbitrary_input(), total_mult in 2u64..100) {
+#[test]
+fn warm_start_agrees_with_cold_solve() {
+    check(CASES, |g| {
+        let input = arbitrary_input(g);
+        let total_mult = g.u64(2..100);
         let n = input.len() as u64;
         let total = n * total_mult;
         let mut warm = OptPerfSolver::new(input.clone());
@@ -120,8 +133,8 @@ proptest! {
         let plan_warm = warm.solve(total).expect("feasible");
         let mut cold = OptPerfSolver::new(input);
         let plan_cold = cold.solve(total).expect("feasible");
-        prop_assert!((plan_warm.opt_perf - plan_cold.opt_perf).abs() <= plan_cold.opt_perf * 1e-9);
-    }
+        assert!((plan_warm.opt_perf - plan_cold.opt_perf).abs() <= plan_cold.opt_perf * 1e-9);
+    });
 }
 
 /// Oracle check on the real clusters: prediction equals event simulation.

@@ -1,13 +1,13 @@
 //! Substrate-level integration: datasets + loaders + collectives +
-//! simulator interacting across crates, plus proptest invariants on the
+//! simulator interacting across crates, plus property invariants on the
 //! epoch-sharding loader.
 
 use cannikin::collectives::{bucket_ranges, CommGroup};
 use cannikin::core::engine::HeteroDataLoader;
-use cannikin::dnn::data::gaussian_blob_images;
+use cannikin::dnn::data::{gaussian_blob_images, EpochPlan};
 use cannikin::sim::Simulator;
 use cannikin::workloads::{clusters, profiles};
-use proptest::prelude::*;
+use propcheck::check;
 use std::thread;
 
 #[test]
@@ -76,68 +76,81 @@ fn simulator_epoch_and_collectives_compose() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: usize = 64;
 
-    #[test]
-    fn loader_shards_exactly(
-        dataset_len in 100usize..5000,
-        splits in proptest::collection::vec(1u64..40, 2..6),
-        seed in 0u64..1000,
-    ) {
-        let mut loader = HeteroDataLoader::new(dataset_len, seed);
-        let plan = loader.next_epoch(&splits);
-        let total: u64 = splits.iter().sum();
-        prop_assert_eq!(plan.steps(), dataset_len / total as usize);
-        for (node, &b) in splits.iter().enumerate() {
-            for batch in plan.node_batches(node) {
-                prop_assert_eq!(batch.len() as u64, b);
-                prop_assert!(batch.iter().all(|&i| i < dataset_len));
-            }
+fn assert_loader_shards_exactly(dataset_len: usize, splits: &[u64], seed: u64) {
+    let mut loader = HeteroDataLoader::new(dataset_len, seed);
+    let plan = loader.next_epoch(splits);
+    let total: u64 = splits.iter().sum();
+    assert_eq!(plan.steps(), dataset_len / total as usize);
+    for (node, &b) in splits.iter().enumerate() {
+        for batch in plan.node_batches(node) {
+            assert_eq!(batch.len() as u64, b);
+            assert!(batch.iter().all(|&i| i < dataset_len));
         }
     }
+}
 
-    #[test]
-    fn alternating_plans_preserve_pairing(
-        dataset_len in 200usize..4000,
-        splits in proptest::collection::vec(2u64..30, 2..5),
-    ) {
-        use cannikin::dnn::data::EpochPlan;
+#[test]
+fn loader_shards_exactly() {
+    check(CASES, |g| {
+        let dataset_len = g.usize(100..5000);
+        let splits = g.vec(2..6, |g| g.u64(1..40));
+        let seed = g.u64(0..1000);
+        assert_loader_shards_exactly(dataset_len, &splits, seed);
+    });
+}
+
+/// A case that once failed: the split's total (35) does not divide the
+/// dataset (207), and the seed is the degenerate one.
+#[test]
+fn loader_shards_exactly_on_the_saved_regression() {
+    assert_loader_shards_exactly(207, &[22, 13], 0);
+}
+
+#[test]
+fn alternating_plans_preserve_pairing() {
+    check(CASES, |g| {
+        let dataset_len = g.usize(200..4000);
+        let splits = g.vec(2..5, |g| g.u64(2..30));
         let odd: Vec<u64> = splits.iter().rev().copied().collect();
         let plan = EpochPlan::new_alternating(dataset_len, &splits, &odd, 7);
-        prop_assert_eq!(plan.steps() % 2, 0);
+        assert_eq!(plan.steps() % 2, 0);
         for (node, (&be, &bo)) in splits.iter().zip(&odd).enumerate() {
             for (step, batch) in plan.node_batches(node).iter().enumerate() {
                 let expected = if step % 2 == 0 { be } else { bo };
-                prop_assert_eq!(batch.len() as u64, expected);
+                assert_eq!(batch.len() as u64, expected);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn bucket_ranges_partition(total in 0usize..10_000, buckets in 1usize..64) {
+#[test]
+fn bucket_ranges_partition() {
+    check(CASES, |g| {
+        let (total, buckets) = (g.usize(0..10_000), g.usize(1..64));
         let ranges = bucket_ranges(total, buckets);
         let mut cursor = 0;
         for r in &ranges {
-            prop_assert_eq!(r.start, cursor);
+            assert_eq!(r.start, cursor);
             cursor = r.end;
         }
-        prop_assert_eq!(cursor, total);
-    }
+        assert_eq!(cursor, total);
+    });
+}
 
-    #[test]
-    fn noise_free_simulation_is_deterministic(
-        b0 in 1u64..200, b1 in 1u64..200, b2 in 1u64..200,
-    ) {
+#[test]
+fn noise_free_simulation_is_deterministic() {
+    check(CASES, |g| {
+        let local = [g.u64(1..200), g.u64(1..200), g.u64(1..200)];
         let profile = profiles::imagenet_resnet50();
         let cluster = clusters::cluster_a();
         let sim1 = Simulator::new(cluster.clone(), profile.job.clone(), 1).with_noise(0.0, 0.0);
         let sim2 = Simulator::new(cluster, profile.job.clone(), 999).with_noise(0.0, 0.0);
-        let local = [b0, b1, b2];
-        prop_assert_eq!(sim1.ideal_batch_time(&local), sim2.ideal_batch_time(&local));
+        assert_eq!(sim1.ideal_batch_time(&local), sim2.ideal_batch_time(&local));
         // And Eq. (7) agrees with the event simulation for every split.
         let ev = sim1.ideal_batch_time(&local);
         let eq7 = sim1.eq7_batch_time(&local);
-        prop_assert!((ev - eq7).abs() <= eq7 * 1e-12);
-    }
+        assert!((ev - eq7).abs() <= eq7 * 1e-12);
+    });
 }
