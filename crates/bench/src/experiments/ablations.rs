@@ -194,41 +194,6 @@ pub fn accumulation() -> String {
     out
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn overlap_blind_never_beats_optperf() {
-        let profile = profiles::imagenet_resnet50();
-        let cluster = clusters::cluster_b().with_network(NetworkSpec::ten_gbe());
-        let sim = Simulator::new(cluster.clone(), profile.job.clone(), 0).with_noise(0.0, 0.0);
-        let mut solver = OptPerfSolver::new(SolverInput::from_ground_truth(&cluster, &profile.job));
-        let mut saw_gap = false;
-        for total in [128u64, 256, 512, 768, 1024, 1280, 1536, 2048] {
-            let plan = solver.solve(total).expect("feasible");
-            let opt = sim.ideal_batch_time(&plan.local_batches);
-            let blind = sim.ideal_batch_time(&equal_compute_split(&sim, total));
-            assert!(blind >= opt * 0.999, "B={total}: blind {blind} vs opt {opt}");
-            if blind > opt * 1.005 {
-                saw_gap = true;
-            }
-        }
-        assert!(saw_gap, "the overlap model should matter somewhere in the sweep");
-    }
-
-    #[test]
-    fn warm_start_saves_solves() {
-        let text = ablation_warm_start();
-        let reduction: f64 = text
-            .lines()
-            .find(|l| l.contains("reduction"))
-            .and_then(|l| l.split(&[' ', '%'][..]).filter_map(|t| t.parse().ok()).next())
-            .expect("reduction line");
-        assert!(reduction > 20.0, "warm start should cut solves: {text}");
-    }
-}
-
 /// Extension: multi-job scheduling over a shared heterogeneous pool
 /// (§6's "adapt to schedulers" discussion), now on the `cannikin-fleet`
 /// control plane. A short CIFAR job and a long production ImageNet job
@@ -307,4 +272,39 @@ pub fn multi_job() -> String {
         fixed.aggregate_goodput,
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn overlap_blind_never_beats_optperf() {
+        let profile = profiles::imagenet_resnet50();
+        let cluster = clusters::cluster_b().with_network(NetworkSpec::ten_gbe());
+        let sim = Simulator::new(cluster.clone(), profile.job.clone(), 0).with_noise(0.0, 0.0);
+        let mut solver = OptPerfSolver::new(SolverInput::from_ground_truth(&cluster, &profile.job));
+        let mut saw_gap = false;
+        for total in [128u64, 256, 512, 768, 1024, 1280, 1536, 2048] {
+            let plan = solver.solve(total).expect("feasible");
+            let opt = sim.ideal_batch_time(&plan.local_batches);
+            let blind = sim.ideal_batch_time(&equal_compute_split(&sim, total));
+            assert!(blind >= opt * 0.999, "B={total}: blind {blind} vs opt {opt}");
+            if blind > opt * 1.005 {
+                saw_gap = true;
+            }
+        }
+        assert!(saw_gap, "the overlap model should matter somewhere in the sweep");
+    }
+
+    #[test]
+    fn warm_start_saves_solves() {
+        let text = ablation_warm_start();
+        let reduction: f64 = text
+            .lines()
+            .find(|l| l.contains("reduction"))
+            .and_then(|l| l.split(&[' ', '%'][..]).filter_map(|t| t.parse().ok()).next())
+            .expect("reduction line");
+        assert!(reduction > 20.0, "warm start should cut solves: {text}");
+    }
 }

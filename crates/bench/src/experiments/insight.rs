@@ -4,11 +4,10 @@
 //! the engine's forced re-profile, then an offline replay of the drained
 //! trace showing the detectors reproduce their online verdicts exactly.
 
-use super::tables::next_session_tag;
 use crate::row;
 use cannikin_core::engine::{CannikinTrainer, TrainerConfig};
 use cannikin_insight::{replay, InsightConfig, Monitor};
-use cannikin_telemetry::{self as telemetry, Record};
+use cannikin_telemetry as telemetry;
 use cannikin_workloads::{clusters, profiles};
 use hetsim::Simulator;
 use std::collections::BTreeMap;
@@ -34,21 +33,18 @@ pub fn insight_run() -> String {
         .build()
         .expect("valid config");
 
-    let tag = next_session_tag();
-    let insight_config = InsightConfig { only_rank: Some(tag), ..InsightConfig::default() };
-    trainer.attach_monitor(Monitor::install(insight_config.clone()));
+    trainer.attach_monitor(Monitor::install(InsightConfig::default()));
 
     let session = telemetry::Session::start();
-    let _identity = telemetry::set_thread_identity(0, tag);
     let mut epochs = trainer.run_epochs(HEALTHY_EPOCHS).expect("healthy run");
     // §6: node 0 (an A100) loses 60% of its compute to a co-located job.
     trainer.simulator_mut().set_contention(0, 0.4);
     epochs.extend(trainer.run_epochs(DEGRADED_EPOCHS).expect("degraded run"));
-    let records: Vec<Record> = session.drain().into_iter().filter(|r| r.rank == tag).collect();
+    let records = session.drain();
     drop(session);
 
     let report = trainer.health().expect("monitor attached");
-    let rerun = replay::analyze(&records, insight_config);
+    let rerun = replay::analyze(&records, InsightConfig::default());
 
     let mut out = format!(
         "insight — contention injected on node 0 after epoch {} ({} events recorded)\n\n",

@@ -6,10 +6,9 @@
 //! determinism contract promises.
 
 use super::fleet::fleet_pool;
-use super::tables::next_session_tag;
 use cannikin_fleet::{synthetic_trace, AllocPolicy, FleetController};
 use cannikin_insight::{replay_slos, SloMonitor};
-use cannikin_telemetry::{self as telemetry, Labels, Record, SeriesRecorder};
+use cannikin_telemetry::{self as telemetry, Labels, SeriesRecorder};
 
 /// Seed of the pinned arrival trace (the first `gate fleet` seed).
 const SEED: u64 = 7;
@@ -24,22 +23,17 @@ const QUEUE_CEILING_S: f64 = 30.0;
 
 /// Run the monitored fleet and render gauges, compliance and agreement.
 pub fn slo() -> String {
-    let tag = next_session_tag();
     let trace: Vec<_> =
         synthetic_trace(SEED, JOBS, 30.0).into_iter().map(|s| s.queue_slo(QUEUE_CEILING_S)).collect();
     let mut controller =
         FleetController::new(fleet_pool(), trace, AllocPolicy::Cannikin).expect("valid fleet");
     let rules = controller.slo_rules();
 
-    let monitor = SloMonitor::install_with(rules.clone(), Some(tag));
-    let series = SeriesRecorder::install_with(256, Some(tag));
+    let monitor = SloMonitor::install(rules.clone());
+    let series = SeriesRecorder::install();
     let session = telemetry::Session::start();
-    let records: Vec<Record> = {
-        let _identity = telemetry::set_thread_identity(0, tag);
-        controller.run_to_completion(50_000).expect("stream drains");
-        telemetry::flush_thread();
-        session.drain().into_iter().filter(|r| r.rank == tag).collect()
-    };
+    controller.run_to_completion(50_000).expect("stream drains");
+    let records = session.drain();
     drop(session);
 
     let store = series.store();

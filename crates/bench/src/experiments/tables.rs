@@ -8,15 +8,6 @@ use cannikin_telemetry::{self as telemetry, Event};
 use cannikin_workloads::{clusters, profiles, WorkloadProfile};
 use hetsim::catalog::Gpu;
 use hetsim::Simulator;
-use std::sync::atomic::{AtomicU32, Ordering};
-
-/// A unique `rank` identity per recording run in this process, so events
-/// recorded by concurrently running tests/experiments (the recorder is
-/// global) can be filtered out of each other's drains.
-pub(crate) fn next_session_tag() -> u32 {
-    static TAG: AtomicU32 = AtomicU32::new(1);
-    TAG.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Table 1: the NVIDIA data-center GPU evolution rows, printed from the
 /// simulator's catalog.
@@ -148,9 +139,7 @@ pub fn overheads(profile: &WorkloadProfile, seed: u64) -> (f64, f64) {
         .build()
         .expect("valid config");
 
-    let tag = next_session_tag();
     let session = telemetry::Session::start();
-    let _identity = telemetry::set_thread_identity(0, tag);
     let target = profile.target_effective_epochs();
     let mut epoch_times = Vec::new();
     let mut overhead_times = Vec::new();
@@ -161,9 +150,6 @@ pub fn overheads(profile: &WorkloadProfile, seed: u64) -> (f64, f64) {
         // Drain per epoch: a long run's per-step events would otherwise
         // accumulate in the sink for the whole training job.
         for record in session.drain() {
-            if record.rank != tag {
-                continue; // another concurrent run's events
-            }
             if let Event::Counter(c) = &record.event {
                 match c.name.as_str() {
                     "epoch_time_s" => epoch_times.push(c.value),

@@ -3,7 +3,6 @@
 //! quantiles, and the solver-overhead percentage — the same numbers a
 //! Chrome-trace viewer would show, rendered as text.
 
-use super::tables::next_session_tag;
 use crate::row;
 use cannikin_core::engine::{CannikinTrainer, TrainerConfig};
 use cannikin_telemetry::{self as telemetry, Event, Histogram, Record};
@@ -27,11 +26,9 @@ pub fn telemetry_summary() -> String {
         .build()
         .expect("valid config");
 
-    let tag = next_session_tag();
     let session = telemetry::Session::start();
-    let _identity = telemetry::set_thread_identity(0, tag);
     trainer.run_epochs(6).expect("run");
-    let records: Vec<Record> = session.drain().into_iter().filter(|r| r.rank == tag).collect();
+    let records = session.drain();
     drop(session);
     summarize(&records)
 }

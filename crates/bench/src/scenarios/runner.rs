@@ -148,7 +148,7 @@ fn run_sim_cell(scenario: &ScenarioSpec, subject: &SubjectSpec, system: SimSyste
         ScenarioKind::Sim { target, max_epochs, .. } => (*target, *max_epochs),
         ScenarioKind::Real { .. } => unreachable!("checked by the caller"),
     };
-    let session = Session::start_tagged(format!("{}/{}", scenario.name, subject.name));
+    let session = Session::start();
     let mut trainer = build_sim_subject(system, scenario);
     let records = trainer
         .drive_until(target, max_epochs)
@@ -167,7 +167,6 @@ fn run_real_cell(scenario: &ScenarioSpec, subject: &SubjectSpec, tcp: bool) -> B
         SubjectKind::Real { codec, .. } => *codec,
         SubjectKind::Sim(_) => unreachable!("checked by the caller"),
     };
-    let session = Session::start_tagged(format!("{}/{}", scenario.name, subject.name));
     let transport = if tcp { TransportKind::tcp() } else { TransportKind::InProcess };
     let mut builder = ParallelTrainer::builder()
         .dataset(gaussian_blobs(256, 10, 16, 11))
@@ -190,8 +189,6 @@ fn run_real_cell(scenario: &ScenarioSpec, subject: &SubjectSpec, tcp: bool) -> B
                 .unwrap_or_else(|e| panic!("{}/{} failed: {e}", scenario.name, subject.name))
         })
         .collect();
-    drop(trainer);
-    drop(session); // real cells take no timestamp-ordered data from the stream
 
     let mut metrics = BTreeMap::new();
     let last = reports.last().expect("at least one epoch");

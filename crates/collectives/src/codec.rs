@@ -478,12 +478,12 @@ mod tests {
         assert_eq!(bf16_to_f32(f32_to_bf16(1.0078125)), 1.0078125, "1 + 2⁻⁷ is exact");
         // 1 + 2⁻⁸ is exactly halfway between 1.0 and 1 + 2⁻⁷; RNE keeps
         // the even mantissa (1.0).
-        assert_eq!(bf16_to_f32(f32_to_bf16(1.00390625)), 1.0);
+        assert_eq!(bf16_to_f32(f32_to_bf16(1.0 + 1.0 / 256.0)), 1.0);
         // 1 + 3·2⁻⁸ is halfway with an odd low mantissa below it; RNE
         // rounds up to the even 1 + 2⁻⁶.
-        assert_eq!(bf16_to_f32(f32_to_bf16(1.01171875)), 1.015625);
+        assert_eq!(bf16_to_f32(f32_to_bf16(1.0 + 3.0 / 256.0)), 1.015625);
         // Above the midpoint always rounds up.
-        assert_eq!(bf16_to_f32(f32_to_bf16(1.00390625 + 1e-4)), 1.0078125);
+        assert_eq!(bf16_to_f32(f32_to_bf16(1.0 + 1.0 / 256.0 + 1e-4)), 1.0078125);
         // Specials survive.
         assert!(bf16_to_f32(f32_to_bf16(f32::NAN)).is_nan());
         assert_eq!(bf16_to_f32(f32_to_bf16(f32::INFINITY)), f32::INFINITY);
@@ -507,7 +507,7 @@ mod tests {
     #[test]
     fn f16_subnormals_are_gradual() {
         // Half the smallest normal is a subnormal, not zero.
-        let v = 3.05175781e-5f32; // 2⁻¹⁵
+        let v = 1.0f32 / 32_768.0; // 2⁻¹⁵
         let q = f16_to_f32(f32_to_f16(v));
         assert!(q > 0.0 && (q - v).abs() / v < 0.001, "{v} -> {q}");
     }

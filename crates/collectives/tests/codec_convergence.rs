@@ -27,7 +27,7 @@ fn grad(seed: u64, rank: usize, step: usize, i: usize, len: usize) -> f32 {
     let unit = (h >> 40) as f32 / (1u64 << 24) as f32; // [0, 1)
     let sign = if h & 1 == 0 { 1.0 } else { -1.0 };
     // A spread of magnitudes: a few large coordinates, a long small tail.
-    let scale = if i % 7 == 0 { 4.0 } else { 0.25 };
+    let scale = if i.is_multiple_of(7) { 4.0 } else { 0.25 };
     sign * (0.05 + unit) * scale * (1.0 + i as f32 / len as f32)
 }
 

@@ -12,7 +12,7 @@
 //! [`transport`](CannikinTrainerBuilder::transport) call (or, for the
 //! parallel builder, a full [`config`](ParallelTrainerBuilder::config))
 //! always wins; otherwise the `CANNIKIN_TRANSPORT` variable is consulted
-//! via [`RuntimeOptions::from_env`]; otherwise the in-process backend is
+//! via [`runtime::transport_from_env`]; otherwise the in-process backend is
 //! used. The gradient codec follows the same ladder through
 //! [`codec`](ParallelTrainerBuilder::codec) and `CANNIKIN_CODEC`, ending
 //! at the lossless raw-`f32` default. The adaptation policy follows it
@@ -48,12 +48,10 @@ use super::trainer::{CannikinTrainer, TrainerConfig};
 use super::NoiseModel;
 use crate::error::CannikinError;
 use crate::optperf::SolverInput;
-use crate::perf::MeasurementAggregation;
 use crate::policy::{self, Policy, PolicyKind};
-use crate::runtime::RuntimeOptions;
+use crate::runtime;
 
-use cannikin_collectives::{Codec, CommFaultPlan, RetryPolicy, TransportKind};
-use cannikin_insight::Monitor;
+use cannikin_collectives::{Codec, CommFaultPlan, TransportKind};
 use hetsim::Simulator;
 use minidnn::data::ClassificationDataset;
 use minidnn::layers::Sequential;
@@ -75,9 +73,7 @@ pub struct CannikinTrainerBuilder {
     dataset_size: Option<usize>,
     base_batch: Option<u64>,
     max_batch: Option<u64>,
-    aggregation: Option<MeasurementAggregation>,
     adaptive_batch: Option<bool>,
-    monitor: Option<Monitor>,
     warm_start: Option<SolverInput>,
     transport: Option<TransportKind>,
     policy_kind: Option<PolicyKind>,
@@ -148,25 +144,11 @@ impl CannikinTrainerBuilder {
         self.base_batch(base).max_batch(max)
     }
 
-    /// Measurement aggregation for the cluster constants (IVW vs naive).
-    #[must_use]
-    pub fn aggregation(mut self, aggregation: MeasurementAggregation) -> Self {
-        self.aggregation = Some(aggregation);
-        self
-    }
-
     /// Whether the total batch size adapts via goodput (`false` pins it to
     /// `base_batch`).
     #[must_use]
     pub fn adaptive_batch(mut self, adaptive: bool) -> Self {
         self.adaptive_batch = Some(adaptive);
-        self
-    }
-
-    /// Attach an online health [`Monitor`] from the start.
-    #[must_use]
-    pub fn monitor(mut self, monitor: Monitor) -> Self {
-        self.monitor = Some(monitor);
         self
     }
 
@@ -227,9 +209,6 @@ impl CannikinTrainerBuilder {
         if let Some(v) = self.max_batch {
             config.max_batch = v;
         }
-        if let Some(v) = self.aggregation {
-            config.aggregation = v;
-        }
         if let Some(v) = self.adaptive_batch {
             config.adaptive_batch = v;
         }
@@ -252,14 +231,14 @@ impl CannikinTrainerBuilder {
         // read, so a malformed one cannot fail the build.
         let transport = match self.transport {
             Some(kind) => Some(kind),
-            None => RuntimeOptions::transport_from_env()?,
+            None => runtime::transport_from_env()?,
         };
         let policy: Box<dyn Policy> = match self.policy {
             Some(p) => p,
             None => {
                 let kind = match self.policy_kind {
                     Some(kind) => kind,
-                    None => RuntimeOptions::policy_from_env()?.unwrap_or_default(),
+                    None => runtime::policy_from_env()?.unwrap_or_default(),
                 };
                 policy::build_sim_policy(kind, config.base_batch, sim.cluster().len(), config.max_batch)
             }
@@ -267,9 +246,6 @@ impl CannikinTrainerBuilder {
         let mut trainer = CannikinTrainer::from_parts(sim, noise, config, transport, policy);
         if let Some(checkpoint) = &self.warm_start {
             trainer.warm_start(checkpoint);
-        }
-        if let Some(monitor) = self.monitor {
-            trainer.attach_monitor(monitor);
         }
         Ok(trainer)
     }
@@ -303,11 +279,9 @@ pub struct ParallelTrainerBuilder {
     lr_scaler: Option<LrScaler>,
     seed: Option<u64>,
     comm_faults: Option<CommFaultPlan>,
-    retry: Option<RetryPolicy>,
     transport: Option<TransportKind>,
     codec: Option<Codec>,
     overlap: Option<bool>,
-    monitor: Option<Monitor>,
     policy_kind: Option<PolicyKind>,
     policy: Option<Box<dyn Policy>>,
 }
@@ -408,13 +382,6 @@ impl ParallelTrainerBuilder {
         self
     }
 
-    /// Retry policy of the armed exchange (only used with `comm_faults`).
-    #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
-        self
-    }
-
     /// Collective transport for the gradient exchange (default: builder >
     /// `CANNIKIN_TRANSPORT` > in-process channels).
     #[must_use]
@@ -438,13 +405,6 @@ impl ParallelTrainerBuilder {
     #[must_use]
     pub fn overlap(mut self, overlap: bool) -> Self {
         self.overlap = Some(overlap);
-        self
-    }
-
-    /// Attach an online health [`Monitor`] from the start.
-    #[must_use]
-    pub fn monitor(mut self, monitor: Monitor) -> Self {
-        self.monitor = Some(monitor);
         self
     }
 
@@ -508,9 +468,6 @@ impl ParallelTrainerBuilder {
         if let Some(v) = self.comm_faults {
             config.comm_faults = Some(v);
         }
-        if let Some(v) = self.retry {
-            config.retry = v;
-        }
         if let Some(v) = self.overlap {
             config.overlap = v;
         }
@@ -518,11 +475,11 @@ impl ParallelTrainerBuilder {
         // is never read, so a malformed one cannot fail the build.
         config.transport = match explicit_transport {
             Some(kind) => kind,
-            None => RuntimeOptions::transport_from_env()?.unwrap_or_default(),
+            None => runtime::transport_from_env()?.unwrap_or_default(),
         };
         config.codec = match explicit_codec {
             Some(codec) => codec,
-            None => RuntimeOptions::codec_from_env()?.unwrap_or_default(),
+            None => runtime::codec_from_env()?.unwrap_or_default(),
         };
         let n = config.slowdowns.len();
         if n == 0 {
@@ -565,16 +522,12 @@ impl ParallelTrainerBuilder {
             None => {
                 let kind = match self.policy_kind {
                     Some(kind) => kind,
-                    None => RuntimeOptions::policy_from_env()?.unwrap_or_default(),
+                    None => runtime::policy_from_env()?.unwrap_or_default(),
                 };
                 policy::build_sim_policy(kind, config.base_batch, n, config.max_batch)
             }
         };
-        let mut trainer = ParallelTrainer::from_parts(dataset, factory, config, policy);
-        if let Some(monitor) = self.monitor {
-            trainer.attach_monitor(monitor);
-        }
-        Ok(trainer)
+        Ok(ParallelTrainer::from_parts(dataset, factory, config, policy))
     }
 }
 

@@ -203,10 +203,6 @@ mod tests {
     use hetsim::trace::{BatchTrace, NodeObservation};
     use std::sync::{Arc, Mutex};
 
-    /// Envelope rank of this test's thread, so the monitor and the stream
-    /// filter ignore events from tests running concurrently.
-    const TAG: u32 = 0xD21E;
-
     /// Canned physics: node `i` computes a batch of `b` samples in
     /// `per_sample[i]·b + 2 ms`, six steps an epoch alternating between two
     /// batch sizes so every node's linear model can fit.
@@ -312,12 +308,11 @@ mod tests {
         }
     }
 
-    /// The loop-phase counters this thread emitted, in emission order.
+    /// The loop-phase counters of the session so far, in emission order.
     fn phases(session: &Session) -> Vec<String> {
         session
             .drain()
             .into_iter()
-            .filter(|r| r.rank == TAG)
             .filter_map(|r| match r.event {
                 Event::Counter(c) if ["ask", "execute", "tell", "health_anomalies"].contains(&c.name.as_str()) => {
                     Some(c.name)
@@ -339,9 +334,8 @@ mod tests {
             };
             let exec = Scripted { per_sample: vec![0.001, 0.002, 0.004], finished: Vec::new() };
             let mut driver = Driver::new(exec, Box::new(policy));
-            driver.monitor = Some(Monitor::install(InsightConfig { only_rank: Some(TAG), ..InsightConfig::default() }));
+            driver.monitor = Some(Monitor::install(InsightConfig::default()));
             let session = Session::start();
-            let _identity = telemetry::set_thread_identity(0, TAG);
 
             // Two healthy epochs, then node 1 slows 3x: its third slowed
             // step trips the straggler detector inside epoch 2.

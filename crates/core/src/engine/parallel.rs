@@ -429,6 +429,7 @@ impl Executor for ThreadedExecutor {
             // The step-retry protocol re-runs the whole exchange as one
             // collective, so overlap falls back to the sequential path.
             overlap: self.config.overlap && retry.is_none(),
+            session: telemetry::context(),
         };
         let started = Instant::now();
         // Each state moves into its rank's thread and comes back only with
@@ -590,6 +591,9 @@ struct EpochArgs<'a> {
     retry: Option<RetryPolicy>,
     epoch: usize,
     overlap: bool,
+    /// The driving thread's session membership, which each rank thread
+    /// joins.
+    session: telemetry::Context,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -652,15 +656,17 @@ fn run_rank(
     slowdown: f64,
     shared: &EpochArgs<'_>,
 ) -> Result<(RankState, RankOutput), CommError> {
-    let &EpochArgs { dataset, step_totals, seed, steps, kernel_threads, retry, epoch, overlap } = shared;
+    let &EpochArgs { dataset, step_totals, seed, steps, kernel_threads, retry, epoch, overlap, session } = shared;
     let RankState { model, opt, feedback, comm } = &mut state;
     // Cap this replica's matmul fan-out at its share of the budget for the
     // lifetime of the rank thread.
     let _budget = minidnn::tensor::threads::ThreadBudgetGuard::new(kernel_threads);
-    // Every record this thread emits carries its rank, and step timings
-    // carry the step index, so events from concurrently running replicas
-    // can never be attributed to the wrong step when the drain interleaves
-    // them by timestamp.
+    // This thread records into the session of the thread driving the
+    // epoch, if that has one. Every record it emits carries its rank, and
+    // step timings carry the step index, so events from concurrently
+    // running replicas can never be attributed to the wrong step when the
+    // drain interleaves them by timestamp.
+    session.enter();
     let _identity = telemetry::set_thread_identity(rank as u32, rank as u32);
 
     let mut losses = Vec::with_capacity(steps);
@@ -1007,6 +1013,33 @@ mod tests {
         assert!(report.comm_bytes > 0, "gradient exchange must move bytes");
         assert!(report.accuracy > 0.9, "accuracy {}", report.accuracy);
         assert!(report.mean_loss < 0.5, "loss {}", report.mean_loss);
+    }
+
+    #[test]
+    fn rank_threads_record_into_the_driving_threads_session_and_no_other() {
+        let session = telemetry::Session::start();
+        // A whole epoch on a thread that holds no session, while ours is
+        // live: its rank threads inherit that thread's (non-)membership.
+        thread::spawn(|| trainer(false).run_epoch().expect("bystander epoch")).join().expect("bystander");
+        assert!(session.drain().is_empty(), "a run that opened no session recorded into ours");
+
+        trainer(false).run_epoch().expect("epoch");
+        let records = session.drain();
+        let steps_of = |rank: u32| -> Vec<u64> {
+            records
+                .iter()
+                .filter_map(|r| match &r.event {
+                    Event::StepTiming(t) if t.rank == rank => {
+                        assert_eq!((r.node, r.rank), (rank, rank), "stamped with the rank thread's identity");
+                        Some(t.step)
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        assert!(!steps_of(0).is_empty(), "rank 0 recorded no step");
+        assert_eq!(steps_of(0), (0..steps_of(0).len() as u64).collect::<Vec<_>>(), "in step order");
+        assert_eq!(steps_of(1), steps_of(0), "every rank records every step");
     }
 
     #[test]

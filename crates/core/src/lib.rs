@@ -55,4 +55,3 @@ pub mod policy;
 pub mod runtime;
 
 pub use error::CannikinError;
-pub use runtime::RuntimeOptions;

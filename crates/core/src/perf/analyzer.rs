@@ -75,17 +75,23 @@ impl NodeHistory {
         }
     }
 
+    /// How many batches an observation stays influential. Sudden regime
+    /// shifts are handled by change-point detection (see
+    /// [`NodeHistory::observe`]); this is a long backstop that only
+    /// retires sizes never revisited across many epochs.
+    const STALENESS_WINDOW: usize = 50_000;
+
     /// Recency-weighted least squares: `(q, s)` over `a` and `(k, m)` over
-    /// `P`. Entries not refreshed within `window` batches decay away, so a
-    /// contention change invalidates pre-change sizes instead of letting
-    /// them anchor a wrong slope.
-    fn fit(&self, now: usize, window: usize) -> Option<(f64, f64, f64, f64)> {
+    /// `P`. Entries not refreshed within [`Self::STALENESS_WINDOW`] batches
+    /// decay away, so a contention change invalidates pre-change sizes
+    /// instead of letting them anchor a wrong slope.
+    fn fit(&self, now: usize) -> Option<(f64, f64, f64, f64)> {
         if self.by_batch.len() < 2 {
             return None;
         }
         let weight = |entry: &RunningPair| {
             let age = now.saturating_sub(entry.last_seen) as f64;
-            (-age / window as f64).exp()
+            (-age / Self::STALENESS_WINDOW as f64).exp()
         };
         let a_pts: Vec<(f64, f64, f64)> =
             self.by_batch.iter().map(|(&b, e)| (b as f64, e.mean_a, weight(e))).collect();
@@ -136,14 +142,10 @@ pub struct Analyzer {
     t_u: WeightedFuser,
     max_batches: Vec<Option<u64>>,
     batches_seen: usize,
-    staleness_window: usize,
 }
 
 impl Analyzer {
-    /// Create an analyzer for `n` nodes. Sudden regime shifts are handled
-    /// by change-point detection (see `NodeHistory::observe`); the
-    /// staleness window is a long backstop (~50k batches) that only
-    /// retires sizes never revisited across many epochs.
+    /// Create an analyzer for `n` nodes.
     ///
     /// # Panics
     ///
@@ -157,22 +159,7 @@ impl Analyzer {
             t_u: WeightedFuser::new(aggregation),
             max_batches: vec![None; n],
             batches_seen: 0,
-            staleness_window: 50_000,
         }
-    }
-
-    /// Set how many batches an observation stays influential (builder
-    /// style). Shorter windows adapt faster to resource changes; longer
-    /// windows average out more noise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    #[must_use]
-    pub fn with_staleness_window(mut self, window: usize) -> Self {
-        assert!(window > 0, "staleness window must be positive");
-        self.staleness_window = window;
-        self
     }
 
     /// Provide per-node memory caps that will be attached to solver inputs
@@ -257,7 +244,7 @@ impl Analyzer {
     /// two distinct local batch sizes (with physically plausible fits).
     pub fn node_model(&self, node: usize) -> Result<NodePerf, CannikinError> {
         let (q, s, k, m) = self.nodes[node]
-            .fit(self.batches_seen, self.staleness_window)
+            .fit(self.batches_seen)
             .ok_or(CannikinError::ModelNotReady { node })?;
         Ok(NodePerf { q, s, k, m, max_batch: self.max_batches[node] })
     }

@@ -22,7 +22,6 @@ use cannikin_telemetry::SplitSource;
 #[derive(Debug)]
 pub struct RlBatchPolicy {
     rng_state: u64,
-    epsilon: f64,
     actions: Vec<u64>,
     q: Vec<f64>,
     counts: Vec<u64>,
@@ -31,26 +30,20 @@ pub struct RlBatchPolicy {
 }
 
 impl RlBatchPolicy {
-    /// Create a bandit seeded with `seed` and the default initial
-    /// exploration rate ε₀ = 0.3.
+    /// Initial exploration rate ε₀.
+    const EPSILON_0: f64 = 0.3;
+
+    /// Create a bandit seeded with `seed`.
     pub fn new(seed: u64) -> Self {
         RlBatchPolicy {
             // splitmix64 state; offset so seed 0 is still a valid stream.
             rng_state: seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
-            epsilon: 0.3,
             actions: Vec::new(),
             q: Vec::new(),
             counts: Vec::new(),
             pending: None,
             history: Vec::new(),
         }
-    }
-
-    /// Override the initial exploration rate (builder style).
-    #[must_use]
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon.clamp(0.0, 1.0);
-        self
     }
 
     /// The sequence of totals chosen so far (determinism tests).
@@ -103,7 +96,7 @@ impl RlBatchPolicy {
         if let Some(i) = self.counts.iter().position(|&c| c == 0) {
             return i;
         }
-        let eps = self.epsilon / (1.0 + epoch as f64 * 0.25);
+        let eps = Self::EPSILON_0 / (1.0 + epoch as f64 * 0.25);
         if self.next_f64() < eps {
             return (self.next_u64() % self.actions.len() as u64) as usize;
         }

@@ -166,9 +166,8 @@ thread_local! {
 
 /// Process-wide kernel: `CANNIKIN_SIMD` resolved against the CPU, read
 /// once; later changes to the variable have no effect. Unset or malformed
-/// values fall back to [`SimdPolicy::Auto`] — strict validation of the
-/// knob lives in `cannikin-core`'s `RuntimeOptions`, which refuses typos
-/// up front.
+/// values fall back to [`SimdPolicy::Auto`]: dispatch happens on hot paths
+/// with no error channel, and this is the only place the knob is parsed.
 pub fn configured_kernel() -> Kernel {
     *CONFIGURED.get_or_init(|| {
         let policy = std::env::var(SIMD_ENV)

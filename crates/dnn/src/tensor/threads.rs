@@ -135,7 +135,7 @@ mod tests {
     #[test]
     fn override_is_thread_local() {
         with_threads(2, || {
-            let inner = std::thread::spawn(|| effective_threads()).join().unwrap();
+            let inner = std::thread::spawn(effective_threads).join().unwrap();
             assert_eq!(inner, configured_threads());
         });
     }

@@ -28,13 +28,9 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: cannikin-insight <trace.jsonl> [--only-rank N]\n       cannikin-insight report <trace.jsonl> [--html PATH] [--only-rank N]";
 
-fn load(path: &str, only_rank: Option<u32>) -> Result<Vec<Record>, String> {
+fn load(path: &str) -> Result<Vec<Record>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let mut records = parse_jsonl(&text).map_err(|e| format!("cannot parse `{path}`: {e}"))?;
-    if let Some(rank) = only_rank {
-        records.retain(|r| r.rank == rank);
-    }
-    Ok(records)
+    parse_jsonl(&text).map_err(|e| format!("cannot parse `{path}`: {e}"))
 }
 
 fn run() -> Result<ExitCode, String> {
@@ -65,12 +61,12 @@ fn run() -> Result<ExitCode, String> {
             other => return Err(format!("unexpected argument `{other}`")),
         }
     }
-    let path = path.ok_or(USAGE)?;
+    let mut records = load(&path.ok_or(USAGE)?)?;
+    if let Some(rank) = only_rank {
+        records.retain(|r| r.rank == rank);
+    }
 
     if report_mode {
-        // The rank filter is applied while loading (the report walks raw
-        // records); the detector config gets no extra filter.
-        let records = load(&path, only_rank)?;
         let fleet = report::build(&records, InsightConfig::default(), &default_fleet_slos());
         print!("{}", fleet.render_text());
         if let Some(html_path) = html {
@@ -80,9 +76,7 @@ fn run() -> Result<ExitCode, String> {
         return Ok(if fleet.verdicts_match() { ExitCode::SUCCESS } else { ExitCode::from(2) });
     }
 
-    let records = load(&path, None)?;
-    let config = InsightConfig { only_rank, ..InsightConfig::default() };
-    let report = replay::analyze(&records, config);
+    let report = replay::analyze(&records, InsightConfig::default());
     print!("{}", report.render());
     if report.offline.is_empty() && report.online.is_empty() {
         Ok(ExitCode::SUCCESS)

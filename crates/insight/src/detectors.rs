@@ -61,10 +61,6 @@ pub struct InsightConfig {
     /// Consecutive slow observations of one bucket before
     /// [`AnomalyKind::BucketImbalance`] fires.
     pub bucket_patience: u32,
-    /// When set, records whose envelope rank differs are ignored — the
-    /// session-tag pattern the bench experiments use to shut out events
-    /// from concurrently running tests.
-    pub only_rank: Option<u32>,
 }
 
 impl Default for InsightConfig {
@@ -80,7 +76,6 @@ impl Default for InsightConfig {
             bucket_factor: 4.0,
             bucket_warmup: 64,
             bucket_patience: 3,
-            only_rank: None,
         }
     }
 }
@@ -242,11 +237,6 @@ impl DetectorSet {
     /// Feed one record through every detector; returns the anomalies it
     /// triggered (usually none).
     pub fn observe(&mut self, record: &Record) -> Vec<AnomalyDetected> {
-        if let Some(rank) = self.config.only_rank {
-            if record.rank != rank {
-                return Vec::new();
-            }
-        }
         let mut out = Vec::new();
         match &record.event {
             Event::StepTiming(t) => {
@@ -570,20 +560,6 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, AnomalyKind::BucketImbalance);
         assert!(fired[0].severity > 5.0);
-    }
-
-    #[test]
-    fn only_rank_filter_ignores_foreign_records() {
-        let config = InsightConfig { only_rank: Some(7), ..InsightConfig::default() };
-        let mut set = DetectorSet::new(config);
-        let mut r = gns(300.0);
-        r.rank = 3;
-        set.observe(&r);
-        assert_eq!(set.smoothed_noise_scale(), None, "foreign rank must be invisible");
-        let mut r = gns(300.0);
-        r.rank = 7;
-        set.observe(&r);
-        assert_eq!(set.smoothed_noise_scale(), Some(300.0));
     }
 
     /// Determinism: two suites fed the same sequence agree exactly — the

@@ -70,7 +70,8 @@ pub struct Monitor {
 
 impl Monitor {
     /// Register a monitor with the given thresholds. It observes every
-    /// record flushed from now on (recording itself still requires a live
+    /// record flushed from now on by the sessions the calling thread
+    /// starts (recording itself still requires a live
     /// `telemetry::Session`).
     pub fn install(config: InsightConfig) -> Monitor {
         let inner = Arc::new(Inner {
@@ -180,10 +181,6 @@ mod tests {
     use super::*;
     use cannikin_telemetry::{Session, StepTiming};
 
-    /// Monitor tests share the process-global recorder with the rest of
-    /// the test binary; serialize them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     fn emit_timing(step: u64, rank: u32, b: u64, t: f64) {
         telemetry::emit(Event::StepTiming(StepTiming {
             step,
@@ -197,7 +194,6 @@ mod tests {
 
     #[test]
     fn monitor_detects_and_injects_anomalies_online() {
-        let _serial = TEST_LOCK.lock();
         let monitor = Monitor::install(InsightConfig::default());
         let session = Session::start();
         let law = |b: f64| 0.01 * b + 0.05;
@@ -247,7 +243,6 @@ mod tests {
 
     #[test]
     fn healthy_run_reports_healthy() {
-        let _serial = TEST_LOCK.lock();
         let monitor = Monitor::install(InsightConfig::default());
         let session = Session::start();
         let law = |b: f64| 0.02 * b + 0.1;
@@ -265,7 +260,6 @@ mod tests {
 
     #[test]
     fn dropped_monitor_unsubscribes() {
-        let _serial = TEST_LOCK.lock();
         let session = Session::start();
         {
             let _monitor = Monitor::install(InsightConfig::default());

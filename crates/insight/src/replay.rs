@@ -189,7 +189,7 @@ impl NodeAccum {
 /// Pass the records in drain order (a drained session or a parsed JSONL
 /// export is already timestamp-sorted).
 pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
-    let mut set = DetectorSet::new(config.clone());
+    let mut set = DetectorSet::new(config);
     let mut kind_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut nodes: BTreeMap<u32, NodeAccum> = BTreeMap::new();
     let mut plans: Vec<PlanSummary> = Vec::new();
@@ -209,11 +209,6 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
     }
 
     for record in records {
-        if let Some(rank) = config.only_rank {
-            if record.rank != rank {
-                continue;
-            }
-        }
         events += 1;
         *kind_counts.entry(record.event.kind()).or_insert(0) += 1;
         offline.extend(set.observe(record));
@@ -362,17 +357,5 @@ mod tests {
         let second = analyze(&records, InsightConfig::default());
         assert_eq!(second.online, first.offline);
         assert!(second.anomalies_match());
-    }
-
-    #[test]
-    fn only_rank_filter_drops_foreign_records() {
-        let mut foreign = timing(0, 0, 32, 0.3);
-        foreign.rank = 9;
-        let ours = timing(0, 1, 32, 0.3);
-        let config = InsightConfig { only_rank: Some(0), ..InsightConfig::default() };
-        let report = analyze(&[foreign, ours], config);
-        assert_eq!(report.events, 1);
-        assert_eq!(report.nodes.len(), 1);
-        assert_eq!(report.nodes[0].rank, 1);
     }
 }

@@ -37,7 +37,6 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct SloEngine {
     rules: Vec<SloRule>,
-    only_rank: Option<u32>,
     /// Per-rule "currently violating" flag (crossing detection).
     violating: Vec<bool>,
     /// Admission waits so far, kept sorted for the nearest-rank p95.
@@ -51,14 +50,11 @@ pub struct SloEngine {
 }
 
 impl SloEngine {
-    /// An engine over `rules`. With `only_rank` set, records from other
-    /// ranks are ignored (the same filter the fleet bench applies when
-    /// several tests share the process-global recorder).
-    pub fn new(rules: Vec<SloRule>, only_rank: Option<u32>) -> SloEngine {
+    /// An engine over `rules`.
+    pub fn new(rules: Vec<SloRule>) -> SloEngine {
         let violating = vec![false; rules.len()];
         SloEngine {
             rules,
-            only_rank,
             violating,
             sorted_waits: Vec::new(),
             admissions: 0,
@@ -77,9 +73,6 @@ impl SloEngine {
     /// Feed one record; returns the violations it triggered (usually
     /// empty).
     pub fn observe(&mut self, record: &Record) -> Vec<SloViolation> {
-        if self.only_rank.is_some_and(|r| r != record.rank) {
-            return Vec::new();
-        }
         match &record.event {
             Event::Counter(c) if c.name == "fleet_goodput" => {
                 // Zero goodput before any job finishes an epoch is "no
@@ -232,19 +225,11 @@ pub struct SloMonitor {
 }
 
 impl SloMonitor {
-    /// Register a monitor over `rules`, observing every rank.
+    /// Register a monitor over `rules`; it judges the sessions the calling
+    /// thread starts.
     pub fn install(rules: Vec<SloRule>) -> SloMonitor {
-        SloMonitor::install_with(rules, None)
-    }
-
-    /// Register with a rank filter (shared-recorder test isolation).
-    pub fn install_with(rules: Vec<SloRule>, only_rank: Option<u32>) -> SloMonitor {
         let inner = Arc::new(SloInner {
-            state: Mutex::new(SloState {
-                engine: SloEngine::new(rules, only_rank),
-                violations: Vec::new(),
-                fresh: Vec::new(),
-            }),
+            state: Mutex::new(SloState { engine: SloEngine::new(rules), violations: Vec::new(), fresh: Vec::new() }),
         });
         let guard = telemetry::subscribe(inner.clone() as Arc<dyn Subscriber>);
         SloMonitor { inner, _guard: Arc::new(guard) }
@@ -335,7 +320,7 @@ impl SloReport {
 /// verdicts stored in it. The engine ignores `SloViolation` records, so
 /// feeding a trace that already carries online verdicts is safe.
 pub fn replay_slos(records: &[Record], rules: &[SloRule]) -> SloReport {
-    let mut engine = SloEngine::new(rules.to_vec(), None);
+    let mut engine = SloEngine::new(rules.to_vec());
     let mut offline = Vec::new();
     let mut online = Vec::new();
     for record in records {
@@ -366,7 +351,7 @@ mod tests {
 
     #[test]
     fn goodput_floor_fires_on_crossings_only() {
-        let mut engine = SloEngine::new(vec![SloRule::GoodputFloor { floor: 1.0 }], None);
+        let mut engine = SloEngine::new(vec![SloRule::GoodputFloor { floor: 1.0 }]);
         let mut fired = Vec::new();
         for v in [5.0, 0.5, 0.4, 5.0, 0.3] {
             fired.extend(engine.observe(&goodput(v)));
@@ -376,7 +361,7 @@ mod tests {
         assert_eq!(fired[0].observed, 0.5);
         assert_eq!(fired[1].at, 5);
         // Zero samples (no progress yet) are not judged.
-        let mut quiet = SloEngine::new(vec![SloRule::GoodputFloor { floor: 1.0 }], None);
+        let mut quiet = SloEngine::new(vec![SloRule::GoodputFloor { floor: 1.0 }]);
         assert!(quiet.observe(&goodput(0.0)).is_empty());
     }
 
@@ -386,7 +371,7 @@ mod tests {
             SloRule::QueueP95Ceiling { ceiling_s: 10.0 },
             SloRule::JobQueueCeiling { job: "bert".into(), ceiling_s: 2.0 },
         ];
-        let mut engine = SloEngine::new(rules, None);
+        let mut engine = SloEngine::new(rules);
         assert!(engine.observe(&admitted("cifar", 1.0)).is_empty());
         // bert waits 5 s: under the p95 ceiling, over its own 2 s ceiling.
         let fired = engine.observe(&admitted("bert", 5.0));
@@ -403,7 +388,7 @@ mod tests {
 
     #[test]
     fn recovery_ceiling_measures_crash_to_shrink_distance() {
-        let mut engine = SloEngine::new(vec![SloRule::RecoveryCeiling { max_steps: 3 }], None);
+        let mut engine = SloEngine::new(vec![SloRule::RecoveryCeiling { max_steps: 3 }]);
         let crash = |step| {
             rec(Event::FaultInjected(FaultInjected {
                 kind: FaultKind::NodeCrash,
@@ -438,7 +423,7 @@ mod tests {
         let rules = vec![SloRule::GoodputFloor { floor: 1.0 }];
         // Build the trace the way the online path would: engine-fired
         // violations appear as records after their trigger.
-        let mut engine = SloEngine::new(rules.clone(), None);
+        let mut engine = SloEngine::new(rules.clone());
         let mut trace = Vec::new();
         for v in [5.0, 0.2, 4.0] {
             let r = goodput(v);
@@ -460,14 +445,10 @@ mod tests {
 
     #[test]
     fn monitor_injects_violations_online() {
-        // A unique rank isolates this test from others sharing the
-        // process-global recorder (sessions are process-exclusive, but
-        // foreign threads may still emit into a live session).
-        const RANK: u32 = 5151;
-        let monitor = SloMonitor::install_with(vec![SloRule::GoodputFloor { floor: 1.0 }], Some(RANK));
+        let monitor = SloMonitor::install(vec![SloRule::GoodputFloor { floor: 1.0 }]);
         let session = Session::start();
         {
-            let _id = telemetry::set_thread_identity(3, RANK);
+            let _id = telemetry::set_thread_identity(3, 5);
             telemetry::emit(Event::Counter(Counter { name: "fleet_goodput".into(), value: 8.0 }));
             telemetry::emit(Event::Counter(Counter { name: "fleet_goodput".into(), value: 0.25 }));
             telemetry::flush_thread();
@@ -478,15 +459,14 @@ mod tests {
         assert!(monitor.drain_new().is_empty(), "drain_new must not replay");
         assert_eq!(monitor.violations(), fresh);
         let records = session.drain();
-        let online: Vec<&SloViolation> = records
+        // The verdict is stamped with its trigger's identity.
+        let online: Vec<(u32, u32, &SloViolation)> = records
             .iter()
-            .filter(|r| r.rank == RANK)
             .filter_map(|r| match &r.event {
-                Event::SloViolation(v) => Some(v),
+                Event::SloViolation(v) => Some((r.node, r.rank, v)),
                 _ => None,
             })
             .collect();
-        assert_eq!(online.len(), 1);
-        assert_eq!(*online[0], fresh[0]);
+        assert_eq!(online, [(3, 5, &fresh[0])]);
     }
 }

@@ -263,8 +263,7 @@ impl Simulator {
         if !fx.crashed.is_empty() {
             // The survivors block until the failure detector gives up on
             // the dead rank; the step's gradients are lost.
-            let factor = self.faults.as_ref().expect("fault state").detect_timeout_factor();
-            let batch_time = factor * self.ideal_batch_time(local);
+            let batch_time = crate::fault::DETECT_TIMEOUT_FACTOR * self.ideal_batch_time(local);
             return BatchTrace { observations: Vec::new(), batch_time, bucket_sync_end: Vec::new(), faults: fx.faults };
         }
         let mut trace = self.simulate_batch_core(local, Some(&fx.slowdown));

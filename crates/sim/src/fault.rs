@@ -65,28 +65,19 @@ struct FlapRule {
     from_step: u64,
 }
 
-/// Transient communication-failure model.
-#[derive(Debug, Clone, Copy)]
-pub struct CommFaultConfig {
-    /// Per-batch probability that the gradient synchronization fails and
-    /// must be retried (each retry fails again with the same probability).
-    pub prob: f64,
-    /// Retry budget per batch; exhausting it fails the whole step.
-    pub max_attempts: u32,
-    /// Failure-detection timeout per failed attempt, as a multiple of the
-    /// ground-truth `T_comm`.
-    pub timeout_factor: f64,
-    /// Base of the exponential backoff, seconds.
-    pub backoff_base: f64,
-    /// Uniform jitter fraction applied to each backoff (0 = none).
-    pub jitter: f64,
-}
+/// Failure-detection timeout per failed synchronization attempt, as a
+/// multiple of the ground-truth `T_comm`.
+const COMM_TIMEOUT_FACTOR: f64 = 2.0;
 
-impl Default for CommFaultConfig {
-    fn default() -> Self {
-        CommFaultConfig { prob: 0.0, max_attempts: 4, timeout_factor: 2.0, backoff_base: 0.05, jitter: 0.5 }
-    }
-}
+/// Base of the exponential retry backoff, seconds.
+const COMM_BACKOFF_BASE: f64 = 0.05;
+
+/// Uniform jitter fraction applied to each backoff.
+const COMM_JITTER: f64 = 0.5;
+
+/// Crash-detection timeout as a multiple of the failed batch's ideal batch
+/// time (the cost of *noticing* the dead node).
+pub(crate) const DETECT_TIMEOUT_FACTOR: f64 = 2.0;
 
 /// A seeded, deterministic schedule of faults for one simulated run.
 #[derive(Debug, Clone)]
@@ -94,10 +85,11 @@ pub struct FaultPlan {
     seed: u64,
     scheduled: BTreeMap<u64, Vec<FaultEvent>>,
     flaps: Vec<FlapRule>,
-    comm: CommFaultConfig,
-    /// Crash-detection timeout as a multiple of the failed batch's ideal
-    /// batch time (the cost of *noticing* the dead node).
-    detect_timeout_factor: f64,
+    /// Per-batch probability that the gradient synchronization fails and
+    /// must be retried (each retry fails again with the same probability).
+    comm_prob: f64,
+    /// Retry budget per batch; exhausting it fails the whole step.
+    comm_max_attempts: u32,
 }
 
 impl FaultPlan {
@@ -107,8 +99,8 @@ impl FaultPlan {
             seed,
             scheduled: BTreeMap::new(),
             flaps: Vec::new(),
-            comm: CommFaultConfig::default(),
-            detect_timeout_factor: 2.0,
+            comm_prob: 0.0,
+            comm_max_attempts: 1,
         }
     }
 
@@ -172,27 +164,8 @@ impl FaultPlan {
     pub fn transient_comm(mut self, prob: f64, max_attempts: u32) -> Self {
         assert!((0.0..1.0).contains(&prob), "failure probability must be in [0, 1)");
         assert!(max_attempts >= 1, "need at least one attempt");
-        self.comm.prob = prob;
-        self.comm.max_attempts = max_attempts;
-        self
-    }
-
-    /// Override the full communication-failure model.
-    #[must_use]
-    pub fn with_comm_config(mut self, config: CommFaultConfig) -> Self {
-        self.comm = config;
-        self
-    }
-
-    /// Override the crash-detection timeout factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor < 0`.
-    #[must_use]
-    pub fn with_detect_timeout(mut self, factor: f64) -> Self {
-        assert!(factor >= 0.0, "timeout factor must be non-negative");
-        self.detect_timeout_factor = factor;
+        self.comm_prob = prob;
+        self.comm_max_attempts = max_attempts;
         self
     }
 
@@ -318,10 +291,6 @@ impl FaultState {
         let rng = StdRng::seed_from_u64(plan.seed);
         let flap_active = vec![false; plan.flaps.len()];
         FaultState { plan, rng, step: 0, crashed: vec![false; nodes], bursts: Vec::new(), flap_active, pending_joins: Vec::new() }
-    }
-
-    pub(crate) fn detect_timeout_factor(&self) -> f64 {
-        self.plan.detect_timeout_factor
     }
 
     pub(crate) fn take_pending_joins(&mut self) -> Vec<NodeSpec> {
@@ -474,22 +443,22 @@ impl FaultState {
         }
 
         // Transient communication failure episode.
-        let comm = if self.plan.comm.prob > 0.0 && self.rng.random::<f64>() < self.plan.comm.prob {
-            let cfg = self.plan.comm;
+        let prob = self.plan.comm_prob;
+        let comm = if prob > 0.0 && self.rng.random::<f64>() < prob {
             let mut attempts = 1u32;
-            let mut penalty = cfg.timeout_factor * t_comm;
+            let mut penalty = COMM_TIMEOUT_FACTOR * t_comm;
             let mut recovered = false;
-            while attempts < cfg.max_attempts {
-                let backoff = cfg.backoff_base
+            while attempts < self.plan.comm_max_attempts {
+                let backoff = COMM_BACKOFF_BASE
                     * f64::from(1u32 << (attempts - 1).min(16))
-                    * (1.0 + cfg.jitter * self.rng.random::<f64>());
+                    * (1.0 + COMM_JITTER * self.rng.random::<f64>());
                 penalty += backoff;
                 attempts += 1;
-                if self.rng.random::<f64>() >= cfg.prob {
+                if self.rng.random::<f64>() >= prob {
                     recovered = true;
                     break;
                 }
-                penalty += cfg.timeout_factor * t_comm;
+                penalty += COMM_TIMEOUT_FACTOR * t_comm;
             }
             if recovered {
                 faults.push(FaultInjected { kind: FaultKind::CommFailure, node: None, step, attempts, magnitude: penalty });

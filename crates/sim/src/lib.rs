@@ -49,5 +49,5 @@ pub mod timing;
 pub mod trace;
 
 pub use event::Simulator;
-pub use fault::{CommFaultConfig, FaultEvent, FaultPlan};
+pub use fault::{FaultEvent, FaultPlan};
 pub use trace::{BatchTrace, NodeObservation};

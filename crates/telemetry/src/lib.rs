@@ -7,8 +7,9 @@
 //!
 //! - a global low-overhead [`recorder`]: thread-local event buffers
 //!   drained through a `parking_lot`-guarded sink, **off by default** —
-//!   the disabled hot path is a single relaxed atomic load (measured by
-//!   `crates/bench/benches/telemetry.rs`);
+//!   the disabled hot path is a single relaxed atomic load (the frozen
+//!   benchmark's `telemetry.counter_ns_disabled` times it) — recording
+//!   only the threads that belong to the live [`Session`];
 //! - typed [`event`]s for the quantities the paper reasons about:
 //!   [`StepTiming`], [`SplitDecision`], [`GnsEstimated`], [`GoodputEval`],
 //!   [`AllReduceBucket`], [`SolverInvocation`], plus generic counters and
@@ -64,6 +65,6 @@ pub use series::{Labels, SeriesRecorder, SeriesStore, WindowStats};
 pub use slo::{default_fleet_slos, SloRule};
 pub use json::Json;
 pub use recorder::{
-    counter, emit, enabled, flush_thread, inject, session_tag, set_thread_identity, span, subscribe, IdentityGuard,
-    Session, SpanGuard, Subscriber, SubscriberGuard,
+    context, counter, emit, enabled, flush_thread, inject, set_thread_identity, span, subscribe, Context,
+    IdentityGuard, Session, SpanGuard, Subscriber, SubscriberGuard,
 };

@@ -6,31 +6,43 @@
 //!   **off** by default; the only cost an instrumented call site pays while
 //!   off is a single `Relaxed` atomic load (the benchmark's
 //!   `telemetry.counter_ns_disabled` metric times it).
-//! * Emitting threads buffer records in a thread-local `Vec` and flush to a
+//! * A session records its **members** and nobody else. [`Session::start`]
+//!   enrols the calling thread; a thread it spawns joins by entering a
+//!   [`Context`] the parent captured with [`context`] (membership is
+//!   inherited explicitly, never by emitting). [`emit`], [`span`] and
+//!   [`counter`] on any other thread are dropped, so two runs in one
+//!   process — parallel tests, a monitored job beside an unmonitored one —
+//!   cannot see each other's events. In this workspace the only spawned
+//!   threads that emit are `ParallelTrainer`'s rank threads, which enter
+//!   the context of the thread driving the epoch.
+//! * Member threads buffer records in a thread-local `Vec` and flush to a
 //!   shared `parking_lot`-guarded sink every `FLUSH_THRESHOLD` events and
 //!   on thread exit, so the mutex is touched once per batch rather than per
 //!   event.
-//! * Sessions are serialized by a global lock and tagged with a generation
-//!   counter. A thread-local buffer left over from a previous session is
-//!   discarded at the next emit/flush instead of leaking stale events into
-//!   the new session.
+//! * Sessions are serialized by a global lock and numbered by a generation
+//!   counter; membership *is* carrying the live generation. A thread that
+//!   joined session *k* is not a member of session *k+1* until it joins
+//!   again, and whatever it still buffered from *k* is discarded.
 //! * [`Session::drain`] flushes the calling thread, takes the sink, and
 //!   stable-sorts by timestamp — per-thread emission order is preserved
 //!   because each thread's timestamps are monotone. Join worker threads
 //!   before draining; their buffers flush when they exit.
-//! * Registered [`Subscriber`]s tap the sink: every flushed batch is
-//!   handed to each subscriber exactly once, in flush order (per-thread
-//!   emission order within a batch). Subscribers that want to add records
-//!   of their own (e.g. the `cannikin-insight` monitor emitting anomaly
-//!   events) must use [`inject`], which bypasses the thread-local buffer —
-//!   calling [`emit`] from inside a callback running during a thread-exit
-//!   flush would touch a thread-local mid-destruction.
+//! * Registered [`Subscriber`]s tap the sink of the sessions *their
+//!   registering thread starts*: every batch such a session flushes is
+//!   handed to each of them exactly once, in flush order (per-thread
+//!   emission order within a batch), and no other session's batches are.
+//!   Subscribers that want to add records of their own (e.g. the
+//!   `cannikin-insight` monitor emitting anomaly events) must use
+//!   [`inject`], which bypasses the thread-local buffer and the membership
+//!   check — calling [`emit`] from inside a callback running during a
+//!   thread-exit flush would touch a thread-local mid-destruction.
 
 use crate::event::{Event, Record, Span};
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::thread::ThreadId;
 use std::time::Instant;
 
 /// Thread-local records buffered before touching the shared sink.
@@ -40,22 +52,24 @@ const FLUSH_THRESHOLD: usize = 64;
 /// `OnceLock`) so `enabled()` is one load with no initialization check.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Session generation; bumped by every [`Session::start`].
+/// Session generation; bumped by every [`Session::start`]. A thread is a
+/// member of the live session iff its [`ThreadBuffer`] carries this value.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 
 /// Serializes sessions: at most one live [`Session`] per process.
 static SESSION_LOCK: Mutex<()> = Mutex::new(());
 
-/// Label of the live session (`None` while untagged or between sessions).
-/// Set by [`Session::start_tagged`]; the scenario-matrix harness tags each
-/// benchmark cell `scenario/subject` so exported streams and drained
-/// records can be attributed to the exact matrix cell that produced them.
-static SESSION_TAG: Mutex<Option<String>> = Mutex::new(None);
-
 struct Shared {
     start: Instant,
     sink: Mutex<Vec<Record>>,
-    subscribers: Mutex<Vec<(u64, Arc<dyn Subscriber>)>>,
+    taps: Mutex<Taps>,
+}
+
+struct Taps {
+    /// The thread that started the live session (`None` between sessions).
+    owner: Option<ThreadId>,
+    /// `(id, registering thread, subscriber)`.
+    subscribers: Vec<(u64, ThreadId, Arc<dyn Subscriber>)>,
 }
 
 fn shared() -> &'static Shared {
@@ -63,12 +77,13 @@ fn shared() -> &'static Shared {
     SHARED.get_or_init(|| Shared {
         start: Instant::now(),
         sink: Mutex::new(Vec::new()),
-        subscribers: Mutex::new(Vec::new()),
+        taps: Mutex::new(Taps { owner: None, subscribers: Vec::new() }),
     })
 }
 
-/// A tap on the recorder's sink: receives every flushed batch of records
-/// while registered (see [`subscribe`]).
+/// A tap on the recorder's sink: while registered (see [`subscribe`]) it
+/// receives every batch flushed by a session its registering thread
+/// started.
 ///
 /// Batches arrive in flush order; within one batch, records are in the
 /// emitting thread's emission order, and every record that reaches the
@@ -81,13 +96,13 @@ pub trait Subscriber: Send + Sync {
     fn on_records(&self, batch: &[Record]);
 }
 
-/// Registers a subscriber; it receives batches until the returned guard
-/// drops. Subscribers persist across sessions (registration is a property
-/// of the process, not of the current [`Session`]).
+/// Registers a subscriber to the calling thread's sessions — the live one
+/// if this thread started it, and every one it starts until the returned
+/// guard drops. Sessions started by other threads never reach it.
 pub fn subscribe(subscriber: Arc<dyn Subscriber>) -> SubscriberGuard {
     static NEXT_ID: AtomicU64 = AtomicU64::new(1);
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    shared().subscribers.lock().push((id, subscriber));
+    shared().taps.lock().subscribers.push((id, std::thread::current().id(), subscriber));
     SubscriberGuard { id }
 }
 
@@ -98,17 +113,23 @@ pub struct SubscriberGuard {
 
 impl Drop for SubscriberGuard {
     fn drop(&mut self) {
-        shared().subscribers.lock().retain(|(id, _)| *id != self.id);
+        shared().taps.lock().subscribers.retain(|(id, ..)| *id != self.id);
     }
 }
 
-/// Hand a flushed batch to every subscriber, then append it to the sink.
-/// Notification happens first so the batch needn't be cloned; records a
-/// subscriber [`inject`]s land in the sink slightly before their triggers,
-/// and the drain's timestamp sort restores causal order.
+/// Hand a flushed batch to the session owner's subscribers, then append it
+/// to the sink. Notification happens first so the batch needn't be cloned;
+/// records a subscriber [`inject`]s land in the sink slightly before their
+/// triggers, and the drain's timestamp sort restores causal order.
 fn deliver(mut batch: Vec<Record>) {
-    let subscribers: Vec<Arc<dyn Subscriber>> =
-        shared().subscribers.lock().iter().map(|(_, s)| Arc::clone(s)).collect();
+    let subscribers: Vec<Arc<dyn Subscriber>> = {
+        let taps = shared().taps.lock();
+        taps.subscribers
+            .iter()
+            .filter(|(_, thread, _)| Some(*thread) == taps.owner)
+            .map(|(.., s)| Arc::clone(s))
+            .collect()
+    };
     for subscriber in &subscribers {
         subscriber.on_records(&batch);
     }
@@ -116,6 +137,7 @@ fn deliver(mut batch: Vec<Record>) {
 }
 
 struct ThreadBuffer {
+    /// Generation of the session this thread last joined (0: none yet).
     generation: u64,
     node: u32,
     rank: u32,
@@ -125,6 +147,15 @@ struct ThreadBuffer {
 impl ThreadBuffer {
     const fn new() -> ThreadBuffer {
         ThreadBuffer { generation: 0, node: 0, rank: 0, records: Vec::new() }
+    }
+
+    /// Make this thread a member of session `generation`, dropping whatever
+    /// it still buffered under another one.
+    fn join(&mut self, generation: u64) {
+        if self.generation != generation {
+            self.records.clear();
+            self.generation = generation;
+        }
     }
 
     /// Take the buffered records if they belong to the live session, or
@@ -159,14 +190,16 @@ thread_local! {
     static BUFFER: RefCell<ThreadBuffer> = const { RefCell::new(ThreadBuffer::new()) };
 }
 
-/// Whether a session is live. The whole disabled-mode hot path.
+/// Whether a session is live — anywhere in the process, not necessarily
+/// one the calling thread belongs to. The whole disabled-mode hot path.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
 /// Record one event on the calling thread. A no-op (one atomic load) when
-/// no session is live.
+/// no session is live, and dropped when the thread is not a member of the
+/// one that is.
 #[inline]
 pub fn emit(event: Event) {
     if !enabled() {
@@ -177,16 +210,14 @@ pub fn emit(event: Event) {
 
 #[cold]
 fn emit_slow(event: Event) {
-    let sh = shared();
-    let ts_ns = sh.start.elapsed().as_nanos() as u64;
     let generation = GENERATION.load(Ordering::Acquire);
     let batch = BUFFER.with(|cell| {
         let mut buf = cell.borrow_mut();
         if buf.generation != generation {
-            // First emit of a new session on this thread: drop leftovers.
-            buf.records.clear();
-            buf.generation = generation;
+            // Not a member of the live session: someone else's run.
+            return None;
         }
+        let ts_ns = shared().start.elapsed().as_nanos() as u64;
         let (node, rank) = (buf.node, buf.rank);
         buf.records.push(Record { ts_ns, node, rank, event });
         if buf.records.len() >= FLUSH_THRESHOLD { buf.take_live_batch() } else { None }
@@ -204,7 +235,20 @@ fn emit_slow(event: Event) {
 /// is being destroyed), and the record is visible to `drain` immediately.
 /// Injected records do NOT flow back through subscribers, so a subscriber
 /// injecting in response to every batch cannot feed back on itself.
-/// A no-op when no session is live.
+/// A no-op when no session is live. Membership is not checked: callbacks
+/// run on member threads, and a thread-exit flush can no longer ask.
+///
+/// ```
+/// use cannikin_telemetry::{inject, Counter, Event, Session};
+///
+/// let probe = || Event::Counter(Counter { name: "probe".into(), value: 1.0 });
+/// inject(0, 0, probe()); // no session in the process: dropped
+/// let session = Session::start();
+/// inject(1, 2, probe());
+/// let records = session.drain();
+/// assert_eq!(records.len(), 1);
+/// assert_eq!((records[0].node, records[0].rank), (1, 2));
+/// ```
 pub fn inject(node: u32, rank: u32, event: Event) {
     if !enabled() {
         return;
@@ -222,6 +266,28 @@ pub fn flush_thread() {
     let batch = BUFFER.with(|cell| cell.borrow_mut().take_live_batch());
     if let Some(batch) = batch {
         deliver(batch);
+    }
+}
+
+/// A session membership, captured on one thread to be entered on another.
+/// Capture it *before* spawning ([`context`]) and move it into the child.
+#[derive(Debug, Clone, Copy)]
+pub struct Context {
+    generation: u64,
+}
+
+/// The calling thread's membership: of the session it started or last
+/// entered, live or not. Entering the context of a non-member is harmless
+/// (the child records nothing either).
+pub fn context() -> Context {
+    Context { generation: BUFFER.with(|cell| cell.borrow().generation) }
+}
+
+impl Context {
+    /// Join the captured session on the calling thread, for as long as that
+    /// session lives.
+    pub fn enter(self) {
+        BUFFER.with(|cell| cell.borrow_mut().join(self.generation));
     }
 }
 
@@ -284,7 +350,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(name) = self.name.take() {
             // The end is emitted even if the session closed mid-span; the
-            // generation check discards it in that case.
+            // membership check discards it in that case.
             if enabled() {
                 emit_slow(Event::SpanEnd(Span { name }));
             }
@@ -301,31 +367,17 @@ pub struct Session {
 
 impl Session {
     /// Begin recording. Clears the sink, bumps the session generation
-    /// (orphaning any stale thread-local buffers), and enables emission.
+    /// (ending every earlier membership), enrols the calling thread as the
+    /// first member and the owner whose subscribers are fed, and enables
+    /// emission.
     pub fn start() -> Session {
         let guard = SESSION_LOCK.lock();
-        *SESSION_TAG.lock() = None;
         shared().sink.lock().clear();
-        GENERATION.fetch_add(1, Ordering::Release);
+        shared().taps.lock().owner = Some(std::thread::current().id());
+        let generation = GENERATION.fetch_add(1, Ordering::Release) + 1;
+        BUFFER.with(|cell| cell.borrow_mut().join(generation));
         ENABLED.store(true, Ordering::Release);
         Session { _guard: guard }
-    }
-
-    /// Begin a *tagged* recording session: like [`Session::start`], but
-    /// the session carries a label readable via [`Session::tag`] /
-    /// [`session_tag`] until the session drops. The scenario-matrix
-    /// harness tags each cell `scenario/subject`, so anything observing
-    /// the stream (exporters, subscribers, tests) can attribute records
-    /// to the matrix cell that produced them.
-    pub fn start_tagged(tag: impl Into<String>) -> Session {
-        let session = Session::start();
-        *SESSION_TAG.lock() = Some(tag.into());
-        session
-    }
-
-    /// This session's tag, if it was started with [`Session::start_tagged`].
-    pub fn tag(&self) -> Option<String> {
-        SESSION_TAG.lock().clone()
     }
 
     /// Take everything recorded so far, ordered by timestamp (stable, so
@@ -347,39 +399,36 @@ impl Drop for Session {
         // so the next session starts clean regardless.
         flush_thread();
         shared().sink.lock().clear();
-        *SESSION_TAG.lock() = None;
+        shared().taps.lock().owner = None;
     }
-}
-
-/// The live session's tag, or `None` when no session is live or the
-/// session was started untagged. Cheap enough for exporters but not for
-/// the per-event hot path (it takes a lock).
-pub fn session_tag() -> Option<String> {
-    if !enabled() {
-        return None;
-    }
-    SESSION_TAG.lock().clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Counter;
+    use std::sync::mpsc;
 
-    /// The harness runs tests on parallel threads; an `emit` outside any
-    /// session would otherwise land in a sibling test's live session.
-    /// Every test here takes this lock first (before `Session::start`, so
-    /// lock order is consistent).
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    // No test here takes a lock: the harness runs them on parallel threads,
+    // and membership is what keeps each out of the others' sessions.
 
     fn count_event(i: u64) -> Event {
         Event::Counter(Counter { name: "t".to_string(), value: i as f64 })
     }
 
+    fn values(records: &[Record]) -> Vec<f64> {
+        records
+            .iter()
+            .map(|r| match &r.event {
+                Event::Counter(c) => c.value,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn disabled_recorder_captures_nothing() {
-        let _serial = TEST_LOCK.lock();
-        emit(count_event(1)); // no session live: must vanish
+        emit(count_event(1)); // no session of ours live: must vanish
         let session = Session::start();
         emit(count_event(2));
         let records = session.drain();
@@ -388,7 +437,6 @@ mod tests {
 
     #[test]
     fn drain_returns_timestamp_sorted_records() {
-        let _serial = TEST_LOCK.lock();
         let session = Session::start();
         for i in 0..200 {
             emit(count_event(i));
@@ -397,40 +445,11 @@ mod tests {
         assert_eq!(records.len(), 200);
         assert!(records.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
         // Same-thread emission order survives the stable sort.
-        let values: Vec<f64> = records
-            .iter()
-            .map(|r| match &r.event {
-                Event::Counter(c) => c.value,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert!(values.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn tagged_session_exposes_tag_until_drop() {
-        let _serial = TEST_LOCK.lock();
-        assert_eq!(session_tag(), None, "no session: no tag");
-        let session = Session::start_tagged("spot-preemption/cannikin");
-        assert_eq!(session.tag().as_deref(), Some("spot-preemption/cannikin"));
-        assert_eq!(session_tag().as_deref(), Some("spot-preemption/cannikin"));
-        drop(session);
-        assert_eq!(session_tag(), None, "tag cleared with the session");
-    }
-
-    #[test]
-    fn untagged_start_clears_stale_tag() {
-        let _serial = TEST_LOCK.lock();
-        drop(Session::start_tagged("old"));
-        let session = Session::start();
-        assert_eq!(session.tag(), None);
-        assert_eq!(session_tag(), None);
-        drop(session);
+        assert!(values(&records).windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn sessions_isolate_their_events() {
-        let _serial = TEST_LOCK.lock();
         {
             let first = Session::start();
             emit(count_event(1));
@@ -444,7 +463,6 @@ mod tests {
 
     #[test]
     fn identity_guard_restores_previous_identity() {
-        let _serial = TEST_LOCK.lock();
         let session = Session::start();
         emit(count_event(0));
         {
@@ -460,7 +478,6 @@ mod tests {
 
     #[test]
     fn spans_pair_up_per_thread() {
-        let _serial = TEST_LOCK.lock();
         let session = Session::start();
         {
             let _outer = span("outer");
@@ -480,11 +497,12 @@ mod tests {
 
     #[test]
     fn concurrent_emitters_flush_on_exit_and_keep_per_thread_order() {
-        let _serial = TEST_LOCK.lock();
         let session = Session::start();
+        let ctx = context();
         let threads: Vec<_> = (0..8u32)
             .map(|t| {
                 std::thread::spawn(move || {
+                    ctx.enter();
                     let _id = set_thread_identity(t, t);
                     for i in 0..500 {
                         emit(count_event(u64::from(t) * 1_000 + i));
@@ -500,16 +518,9 @@ mod tests {
         assert!(records.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
         // Within each emitting thread, values must appear in emission order.
         for t in 0..8u32 {
-            let values: Vec<f64> = records
-                .iter()
-                .filter(|r| r.rank == t)
-                .map(|r| match &r.event {
-                    Event::Counter(c) => c.value,
-                    other => panic!("unexpected {other:?}"),
-                })
-                .collect();
-            assert_eq!(values.len(), 500);
-            assert!(values.windows(2).all(|w| w[0] < w[1]), "thread {t} out of order");
+            let own: Vec<Record> = records.iter().filter(|r| r.rank == t).cloned().collect();
+            assert_eq!(own.len(), 500);
+            assert!(values(&own).windows(2).all(|w| w[0] < w[1]), "thread {t} out of order");
         }
     }
 
@@ -524,10 +535,13 @@ mod tests {
         }
     }
 
+    fn counting() -> Arc<CountingSubscriber> {
+        Arc::new(CountingSubscriber { seen: Mutex::new(Vec::new()) })
+    }
+
     #[test]
     fn subscriber_sees_every_record_exactly_once() {
-        let _serial = TEST_LOCK.lock();
-        let sub = Arc::new(CountingSubscriber { seen: Mutex::new(Vec::new()) });
+        let sub = counting();
         let _guard = subscribe(sub.clone());
         let session = Session::start();
         for i in 0..(FLUSH_THRESHOLD as u64 * 2 + 7) {
@@ -545,8 +559,7 @@ mod tests {
 
     #[test]
     fn dropped_guard_stops_delivery() {
-        let _serial = TEST_LOCK.lock();
-        let sub = Arc::new(CountingSubscriber { seen: Mutex::new(Vec::new()) });
+        let sub = counting();
         let guard = subscribe(sub.clone());
         let session = Session::start();
         emit(count_event(0));
@@ -573,7 +586,6 @@ mod tests {
 
     #[test]
     fn subscriber_can_inject_records_mid_flush() {
-        let _serial = TEST_LOCK.lock();
         let _guard = subscribe(Arc::new(InjectingSubscriber));
         let session = Session::start();
         for i in 0..(FLUSH_THRESHOLD as u64) {
@@ -581,7 +593,13 @@ mod tests {
         }
         // Threshold flush already fired inside the emit loop; a worker
         // thread exercises the thread-exit flush path too.
-        std::thread::spawn(|| emit(count_event(1_000))).join().unwrap();
+        let ctx = context();
+        std::thread::spawn(move || {
+            ctx.enter();
+            emit(count_event(1_000));
+        })
+        .join()
+        .unwrap();
         let records = session.drain();
         let injected: Vec<&Record> =
             records.iter().filter(|r| matches!(r.event, Event::SpanBegin(_))).collect();
@@ -591,13 +609,112 @@ mod tests {
     }
 
     #[test]
-    fn inject_without_session_is_dropped() {
-        let _serial = TEST_LOCK.lock();
-        inject(0, 0, count_event(0));
+    fn a_thread_that_never_joined_records_nothing() {
+        let sub = counting();
+        let _guard = subscribe(sub.clone());
         let session = Session::start();
-        inject(1, 2, count_event(1));
+        std::thread::spawn(|| {
+            for i in 0..1_000 {
+                emit(count_event(i));
+            }
+            counter("stranger", 1.0);
+            drop(span("stranger"));
+        })
+        .join()
+        .unwrap();
+        assert!(session.drain().is_empty(), "a non-member's events reached the sink");
+        assert!(sub.seen.lock().is_empty(), "a non-member's events reached the subscriber");
+    }
+
+    #[test]
+    fn a_joined_thread_records_in_order_under_its_own_identity() {
+        let session = Session::start();
+        let _id = set_thread_identity(1, 1);
+        let ctx = context();
+        std::thread::spawn(move || {
+            ctx.enter();
+            let _id = set_thread_identity(4, 2);
+            for i in 0..300 {
+                emit(count_event(i));
+            }
+        })
+        .join()
+        .unwrap();
+        emit(count_event(300));
         let records = session.drain();
-        assert_eq!(records.len(), 1);
-        assert_eq!((records[0].node, records[0].rank), (1, 2));
+        let expected: Vec<f64> = (0..=300).map(f64::from).collect();
+        assert_eq!(values(&records), expected);
+        // Membership is inherited; identity is not.
+        assert!(records[..300].iter().all(|r| (r.node, r.rank) == (4, 2)));
+        assert_eq!((records[300].node, records[300].rank), (1, 1));
+    }
+
+    #[test]
+    fn subscribers_hear_only_the_sessions_their_thread_starts() {
+        // Registered by another thread, and still registered while ours runs.
+        let foreign = counting();
+        let (registered_tx, registered_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let other = {
+            let foreign = foreign.clone();
+            std::thread::spawn(move || {
+                let _guard = subscribe(foreign);
+                registered_tx.send(()).unwrap();
+                done_rx.recv().unwrap();
+            })
+        };
+        registered_rx.recv().unwrap();
+
+        let ours = counting();
+        let _guard = subscribe(ours.clone());
+        let session = Session::start();
+        let n = FLUSH_THRESHOLD as u64 * 3 + 5;
+        for i in 0..n {
+            emit(count_event(i));
+        }
+        let drained = session.drain();
+        done_tx.send(()).unwrap();
+        other.join().unwrap();
+
+        assert_eq!(drained.len() as u64, n);
+        assert_eq!(*ours.seen.lock(), drained, "every flushed batch, exactly once, in order");
+        assert!(foreign.seen.lock().is_empty(), "another thread's subscriber heard our session");
+    }
+
+    #[test]
+    fn membership_ends_with_the_session() {
+        // A long-lived worker: emits one event and flushes each time it is
+        // poked, entering a context first when it is handed one.
+        let (poke_tx, poke_rx) = mpsc::channel::<Option<Context>>();
+        let (ack_tx, ack_rx) = mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            for (i, ctx) in poke_rx.into_iter().enumerate() {
+                if let Some(ctx) = ctx {
+                    ctx.enter();
+                }
+                emit(count_event(i as u64));
+                flush_thread();
+                ack_tx.send(()).unwrap();
+            }
+        });
+        let poke = |ctx: Option<Context>| {
+            poke_tx.send(ctx).unwrap();
+            ack_rx.recv().unwrap();
+        };
+
+        let first = Session::start();
+        poke(Some(context()));
+        assert_eq!(values(&first.drain()), [0.0]);
+        drop(first);
+
+        let second = Session::start();
+        poke(None);
+        assert!(second.drain().is_empty(), "a member of the previous session recorded into this one");
+        poke(Some(context()));
+        assert_eq!(values(&second.drain()), [2.0], "joining again resumes recording");
+        drop(second);
+
+        drop(poke_tx);
+        worker.join().unwrap();
     }
 }

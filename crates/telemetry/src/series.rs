@@ -477,32 +477,22 @@ pub struct SeriesRecorder {
 
 struct Tap {
     store: Arc<SeriesStore>,
-    only_rank: Option<u32>,
 }
 
 impl Subscriber for Tap {
     fn on_records(&self, batch: &[Record]) {
         for record in batch {
-            if self.only_rank.is_some_and(|r| r != record.rank) {
-                continue;
-            }
             self.store.ingest(record);
         }
     }
 }
 
 impl SeriesRecorder {
-    /// Install a series subscriber with the default ring capacity,
-    /// ingesting records from every rank.
+    /// Install a series subscriber with the default ring capacity on the
+    /// sessions the calling thread starts.
     pub fn install() -> SeriesRecorder {
-        SeriesRecorder::install_with(SeriesStore::DEFAULT_CAPACITY, None)
-    }
-
-    /// Install with an explicit ring capacity and an optional rank filter
-    /// (useful when several tests share the process-global recorder).
-    pub fn install_with(capacity: usize, only_rank: Option<u32>) -> SeriesRecorder {
-        let store = Arc::new(SeriesStore::new(capacity));
-        let guard = subscribe(Arc::new(Tap { store: Arc::clone(&store), only_rank }));
+        let store = Arc::new(SeriesStore::new(SeriesStore::DEFAULT_CAPACITY));
+        let guard = subscribe(Arc::new(Tap { store: Arc::clone(&store) }));
         SeriesRecorder { store, _guard: guard }
     }
 
@@ -649,17 +639,12 @@ mod tests {
 
     #[test]
     fn series_recorder_folds_flushed_batches() {
-        use crate::recorder::{emit, flush_thread, set_thread_identity, Session};
-        // A unique rank keeps concurrently-running tests (which share the
-        // process-global recorder) out of this store.
-        let recorder = SeriesRecorder::install_with(64, Some(4242));
+        use crate::recorder::{emit, flush_thread, Session};
+        let recorder = SeriesRecorder::install();
         let session = Session::start();
-        {
-            let _id = set_thread_identity(9, 4242);
-            emit(Event::Counter(Counter { name: "tick".into(), value: 1.5 }));
-            emit(Event::FleetDecision(FleetDecision { decision: 0, running: 1, queued: 0, reassigned: 1, pool: 4 }));
-            flush_thread();
-        }
+        emit(Event::Counter(Counter { name: "tick".into(), value: 1.5 }));
+        emit(Event::FleetDecision(FleetDecision { decision: 0, running: 1, queued: 0, reassigned: 1, pool: 4 }));
+        flush_thread();
         let store = recorder.store();
         assert_eq!(store.last("tick", &Labels::new()), Some(1.5));
         assert_eq!(store.last("fleet_running", &Labels::new()), Some(1.0));

@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn rule_ids_are_distinct_and_stable() {
-        let rules = vec![
+        let rules = [
             SloRule::GoodputFloor { floor: 1.0 },
             SloRule::QueueP95Ceiling { ceiling_s: 1.0 },
             SloRule::FairnessFloor { floor: 0.5 },

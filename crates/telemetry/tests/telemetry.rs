@@ -9,17 +9,15 @@ use telemetry::{
     AllReduceBucket, Counter, Event, Json, Record, Session, SolverInvocation, StepTiming, Subscriber,
 };
 
-/// Tests share the process and the global recorder; each takes this lock
-/// so an emit from one test can't land in another's session.
-static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-
 fn run_multithreaded_session() -> Vec<Record> {
     let session = Session::start();
     {
         let _run = telemetry::span("run");
+        let ctx = telemetry::context();
         let workers: Vec<_> = (0..4u32)
             .map(|rank| {
                 std::thread::spawn(move || {
+                    ctx.enter();
                     let _id = telemetry::set_thread_identity(rank, rank);
                     for step in 0..20u64 {
                         let _step_span = telemetry::span("step");
@@ -58,7 +56,6 @@ fn run_multithreaded_session() -> Vec<Record> {
 
 #[test]
 fn multithreaded_session_preserves_per_rank_step_order() {
-    let _serial = TEST_LOCK.lock();
     let records = run_multithreaded_session();
     // 4 ranks × 20 steps × (span B + timing + bucket + span E) + run span B/E
     // + solver invocation + counter.
@@ -90,13 +87,14 @@ impl Subscriber for TapSubscriber {
 
 #[test]
 fn subscriber_observes_concurrent_emitters_exactly_once_in_thread_order() {
-    let _serial = TEST_LOCK.lock();
     let tap = Arc::new(TapSubscriber { seen: parking_lot::Mutex::new(Vec::new()) });
     let _guard = telemetry::subscribe(tap.clone());
     let session = Session::start();
+    let ctx = telemetry::context();
     let workers: Vec<_> = (0..8u32)
         .map(|rank| {
             std::thread::spawn(move || {
+                ctx.enter();
                 let _id = telemetry::set_thread_identity(rank, rank);
                 for i in 0..500u64 {
                     telemetry::emit(Event::Counter(Counter {
@@ -147,7 +145,6 @@ fn subscriber_observes_concurrent_emitters_exactly_once_in_thread_order() {
 
 #[test]
 fn jsonl_export_round_trips_a_real_session() {
-    let _serial = TEST_LOCK.lock();
     let records = run_multithreaded_session();
     let text = telemetry::export::jsonl_string(&records);
     let back = telemetry::export::parse_jsonl(&text).expect("every line parses");
@@ -156,7 +153,6 @@ fn jsonl_export_round_trips_a_real_session() {
 
 #[test]
 fn chrome_trace_is_valid_json_with_matching_span_pairs() {
-    let _serial = TEST_LOCK.lock();
     let records = run_multithreaded_session();
     let trace = telemetry::export::chrome_trace_string(&records);
     let parsed = Json::parse(&trace).expect("chrome trace must be valid JSON");
@@ -193,7 +189,6 @@ fn chrome_trace_is_valid_json_with_matching_span_pairs() {
 
 #[test]
 fn env_spec_exports_both_formats() {
-    let _serial = TEST_LOCK.lock();
     let records = run_multithreaded_session();
     let dir = std::env::temp_dir().join("cannikin-telemetry-int-test");
     std::fs::create_dir_all(&dir).unwrap();

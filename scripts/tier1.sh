@@ -7,7 +7,7 @@
 #              at smoke size (plain rustc, ~45 s)
 #   build      release build, and proof that it resolved no registry crate
 #   test       full workspace test suite
-#   clippy     warnings-as-errors clippy pass
+#   clippy     warnings-as-errors clippy pass over library, test and example code
 #   doc        warnings-as-errors rustdoc
 #   chaos      every fault schedule (CANNIKIN_CHAOS_SCHEDULE narrows it)
 #   policy     policy equivalence + determinism
@@ -50,7 +50,7 @@ stage() {
         fi
         ;;
     test) cargo test --workspace -q ;;
-    clippy) cargo clippy --workspace -- -D warnings ;;
+    clippy) cargo clippy --workspace --all-targets -- -D warnings ;;
     doc) RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ;;
     chaos) cargo test --test chaos --release -q ;;
     policy) cargo test --test policy --release -q ;;

@@ -82,7 +82,7 @@ pub use minidnn as dnn;
 /// The everyday API in one import: `use cannikin::prelude::*;`.
 ///
 /// Re-exports the two trainers and their builders, their config/report
-/// types, the error type, the runtime-options struct, the OptPerf solver,
+/// types, the error type, the OptPerf solver,
 /// the ask/tell adaptation policies (the [`Policy`](prelude::Policy)
 /// trait, [`PolicyKind`](prelude::PolicyKind), and the four shipped
 /// implementations), the simulator and cluster-description types, the
@@ -102,7 +102,7 @@ pub mod prelude {
         EpochObservation, EpochPlan, EvenSplit, LbBspIterative, OptPerfGoodput, Policy, PolicyContext,
         PolicyKind, RlBatchPolicy,
     };
-    pub use cannikin_core::{CannikinError, RuntimeOptions};
+    pub use cannikin_core::CannikinError;
     pub use cannikin_fleet::{AllocPolicy, FleetController, FleetJobSpec, FleetReport, Priority};
     pub use cannikin_insight::Monitor;
     pub use cannikin_telemetry::Session;

@@ -151,12 +151,3 @@ fn every_policy_kind_trains_through_the_builder() {
         assert_eq!(record.local_batches.iter().sum::<u64>(), record.total_batch, "{kind}");
     }
 }
-
-/// `RuntimeOptions` is reachable from the prelude and resolves the
-/// builder-over-environment precedence contract.
-#[test]
-fn runtime_options_resolve_transport_precedence() {
-    let opts = RuntimeOptions::default();
-    assert_eq!(opts.resolve_transport(Some(TransportKind::tcp())), TransportKind::tcp());
-    assert_eq!(opts.resolve_transport(None), TransportKind::InProcess);
-}

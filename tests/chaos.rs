@@ -7,9 +7,9 @@
 //! the thread-parallel [`ParallelTrainer`] gets the comm-loss and
 //! elasticity variants that make sense for real gradients. Set
 //! `CANNIKIN_CHAOS_SCHEDULE=crash[,transient,…]` to restrict a run to a
-//! subset (the CI matrix runs one schedule per job).
+//! subset (the CI matrix runs one schedule per job); unset or blank runs
+//! them all.
 
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use cannikin::collectives::{Codec, CommFaultPlan, RetryPolicy, TransportKind};
@@ -25,21 +25,35 @@ use cannikin::sim::job::JobSpec;
 use cannikin::sim::{FaultPlan, Simulator};
 use cannikin::telemetry::{self as telemetry, default_fleet_slos, Json, Record};
 
-/// The telemetry recorder is process-global and a live session records
-/// every thread's events, so everything here that opens a session *or*
-/// drives a trainer takes this lock for as long as it does: sessions
-/// never interleave and no sibling test's run leaks into one.
-static TELEMETRY: Mutex<()> = Mutex::new(());
-
-fn telemetry_lock() -> MutexGuard<'static, ()> {
-    TELEMETRY.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Honor the `CANNIKIN_CHAOS_SCHEDULE` CI-matrix filter.
 fn schedule_enabled(name: &str) -> bool {
-    match std::env::var("CANNIKIN_CHAOS_SCHEDULE") {
-        Ok(filter) => filter.split(',').any(|s| s.trim().eq_ignore_ascii_case(name)),
-        Err(_) => true,
+    schedule_selected(std::env::var("CANNIKIN_CHAOS_SCHEDULE").ok().as_deref(), name)
+}
+
+/// Whether `filter` (a comma-separated list of schedule names) selects
+/// `name`. Unset and blank both select everything, as for every
+/// `CANNIKIN_*` variable: a blank value must not turn the suite into one
+/// that passes having run nothing.
+fn schedule_selected(filter: Option<&str>, name: &str) -> bool {
+    match filter.map(str::trim) {
+        None | Some("") => true,
+        Some(filter) => filter.split(',').any(|s| s.trim().eq_ignore_ascii_case(name)),
+    }
+}
+
+#[test]
+fn schedule_filter_selects_by_name_and_blank_selects_all() {
+    for filter in [None, Some(""), Some("  ")] {
+        for name in ["crash", "transient", "flapping", "elastic", "fleet"] {
+            assert!(schedule_selected(filter, name), "{filter:?} must run `{name}`");
+        }
+    }
+    assert!(schedule_selected(Some("crash"), "crash"));
+    assert!(!schedule_selected(Some("crash"), "fleet"));
+    assert!(schedule_selected(Some("crash, Fleet"), "fleet"), "a list, trimmed, case-insensitive");
+    assert!(!schedule_selected(Some("crash,fleet"), "elastic"));
+    for name in ["crash", "transient", "flapping", "elastic", "fleet"] {
+        assert!(!schedule_selected(Some("earthquake"), name), "an unknown name selects nothing");
     }
 }
 
@@ -85,7 +99,6 @@ struct SimRun {
 /// One monitored 4-epoch run of the simulated engine under `plan`, with
 /// the offline insight replay checked against the online monitor.
 fn run_sim_schedule(name: &str, seed: u64) -> SimRun {
-    let _serial = telemetry_lock();
     let monitor = Monitor::install(InsightConfig::default());
     let slos = SloMonitor::install(default_fleet_slos());
     let session = telemetry::Session::start();
@@ -120,7 +133,6 @@ fn run_sim_schedule(name: &str, seed: u64) -> SimRun {
 
 /// A fault-free reference run with the same seed and configuration.
 fn run_sim_clean(cluster: ClusterSpec, seed: u64) -> Vec<EpochRecord> {
-    let _serial = telemetry_lock();
     let sim = Simulator::new(cluster, JobSpec::resnet18_cifar10(), seed);
     let mut config = TrainerConfig::new(6_400, 64, 512);
     config.adaptive_batch = false;
@@ -312,7 +324,6 @@ fn chaos_fleet_crash_schedule() {
     // shared pool (the node never serves anyone again), keep the rest of
     // the stream draining, and stay bitwise deterministic.
     use cannikin::fleet::{AllocPolicy, FleetController, FleetJobSpec};
-    let _serial = telemetry_lock();
     let run = || {
         let pool = vec![
             NodeSpec::new("a100-0", Gpu::A100),
@@ -400,7 +411,6 @@ fn chaos_parallel_comm_loss_is_lossless_and_deterministic() {
     if !schedule_enabled("transient") {
         return;
     }
-    let _serial = telemetry_lock();
     // Injected failures at fixed sequence numbers, including one burst
     // (seq 5, count 9) deep enough to exhaust the 3-attempt budget and
     // force the step-level retry loop. Single epoch: epoch 0 always runs
@@ -437,7 +447,6 @@ fn chaos_parallel_elastic_membership() {
     if !schedule_enabled("elastic") && !schedule_enabled("crash") {
         return;
     }
-    let _serial = telemetry_lock();
     let ds = gaussian_blobs(384, 6, 8, 17);
     let mut trainer = ParallelTrainer::builder()
         .dataset(ds)

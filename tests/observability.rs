@@ -3,7 +3,7 @@
 //! and the SLO engine's online verdicts replay offline byte-for-byte —
 //! including over crash-recovery traces.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use cannikin::core::engine::TrainerConfig;
 use cannikin::fleet::{AllocPolicy, FleetController, FleetJobSpec};
@@ -16,25 +16,15 @@ use cannikin::telemetry::{
     self as telemetry, Event, Labels, Record, SeriesRecorder, SloRule, Subscriber,
 };
 
-/// The telemetry recorder is process-global; every test that opens a
-/// session takes this lock so sessions never interleave.
-static TELEMETRY: Mutex<()> = Mutex::new(());
-
-fn telemetry_lock() -> MutexGuard<'static, ()> {
-    TELEMETRY.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A raw subscriber that keeps every record batch delivery, filtered to
-/// one rank so concurrent tests sharing the recorder stay invisible.
+/// A raw subscriber that keeps every record of every batch delivered.
+#[derive(Default)]
 struct Counting {
-    only_rank: u32,
     seen: Mutex<Vec<Record>>,
 }
 
 impl Subscriber for Counting {
     fn on_records(&self, batch: &[Record]) {
-        let mut seen = self.seen.lock().unwrap();
-        seen.extend(batch.iter().filter(|r| r.rank == self.only_rank).cloned());
+        self.seen.lock().unwrap().extend_from_slice(batch);
     }
 }
 
@@ -70,26 +60,19 @@ fn key(r: &Record) -> Option<String> {
 
 #[test]
 fn concurrent_subscribers_see_fleet_events_exactly_once_in_order() {
-    let _serial = telemetry_lock();
-    const RANK: u32 = 6161;
-
     // Three observers at once: the raw counting subscriber, the series
     // recorder and the anomaly monitor — plus the sink itself.
-    let counting = Arc::new(Counting { only_rank: RANK, seen: Mutex::new(Vec::new()) });
+    let counting = Arc::new(Counting::default());
     let _guard = telemetry::subscribe(counting.clone() as Arc<dyn Subscriber>);
-    let series = SeriesRecorder::install_with(1024, Some(RANK));
-    let monitor = Monitor::install(InsightConfig { only_rank: Some(RANK), ..InsightConfig::default() });
+    let series = SeriesRecorder::install();
+    let monitor = Monitor::install(InsightConfig::default());
 
     let session = telemetry::Session::start();
-    let records: Vec<Record> = {
-        let _id = telemetry::set_thread_identity(0, RANK);
-        FleetController::new(pool4(), two_jobs(), AllocPolicy::Cannikin)
-            .expect("valid fleet")
-            .run_to_completion(50_000)
-            .expect("stream drains");
-        telemetry::flush_thread();
-        session.drain().into_iter().filter(|r| r.rank == RANK).collect()
-    };
+    FleetController::new(pool4(), two_jobs(), AllocPolicy::Cannikin)
+        .expect("valid fleet")
+        .run_to_completion(50_000)
+        .expect("stream drains");
+    let records = session.drain();
     drop(session);
 
     // The sink's FleetDecision/NodeGranted sequence is ground truth; the
@@ -139,23 +122,21 @@ fn concurrent_subscribers_see_fleet_events_exactly_once_in_order() {
 
 #[test]
 fn per_thread_emission_order_survives_concurrent_flushes() {
-    let _serial = telemetry_lock();
     // Two emitting threads with distinct ranks interleave arbitrarily;
     // each thread's own sequence must still arrive in order at every
     // subscriber and in the drained trace.
-    const RANKS: [u32; 2] = [7171, 7272];
-    let counters: Vec<Arc<Counting>> = RANKS
-        .iter()
-        .map(|&r| Arc::new(Counting { only_rank: r, seen: Mutex::new(Vec::new()) }))
-        .collect();
+    const RANKS: [u32; 2] = [1, 2];
+    let counters = [Arc::new(Counting::default()), Arc::new(Counting::default())];
     let _guards: Vec<_> =
         counters.iter().map(|c| telemetry::subscribe(c.clone() as Arc<dyn Subscriber>)).collect();
 
     let session = telemetry::Session::start();
+    let ctx = telemetry::context();
     let handles: Vec<_> = RANKS
         .iter()
         .map(|&rank| {
             std::thread::spawn(move || {
+                ctx.enter();
                 let _id = telemetry::set_thread_identity(rank, rank);
                 for i in 1..=500u64 {
                     telemetry::emit(Event::FleetDecision(cannikin::telemetry::FleetDecision {
@@ -176,26 +157,28 @@ fn per_thread_emission_order_survives_concurrent_flushes() {
     let records = session.drain();
     drop(session);
 
-    for (counting, &rank) in counters.iter().zip(&RANKS) {
-        let ordinal = |r: &Record| match &r.event {
-            Event::FleetDecision(d) => Some(d.decision),
-            _ => None,
-        };
-        let subscribed: Vec<u64> =
-            counting.seen.lock().unwrap().iter().filter_map(ordinal).collect();
-        let drained: Vec<u64> =
-            records.iter().filter(|r| r.rank == rank).filter_map(ordinal).collect();
-        let expect: Vec<u64> = (1..=500).collect();
-        assert_eq!(subscribed, expect, "rank {rank}: subscriber order");
-        assert_eq!(drained, expect, "rank {rank}: sink order");
+    // One thread's ordinals, in the order `stream` holds them.
+    let of_rank = |stream: &[Record], rank: u32| -> Vec<u64> {
+        stream
+            .iter()
+            .filter(|r| r.rank == rank)
+            .filter_map(|r| match &r.event {
+                Event::FleetDecision(d) => Some(d.decision),
+                _ => None,
+            })
+            .collect()
+    };
+    let expect: Vec<u64> = (1..=500).collect();
+    for rank in RANKS {
+        for counting in &counters {
+            assert_eq!(of_rank(&counting.seen.lock().unwrap(), rank), expect, "rank {rank}: subscriber order");
+        }
+        assert_eq!(of_rank(&records, rank), expect, "rank {rank}: sink order");
     }
 }
 
 #[test]
 fn slo_verdicts_replay_exactly_over_a_crash_trace() {
-    let _serial = telemetry_lock();
-    const RANK: u32 = 8181;
-
     let jobs = vec![
         FleetJobSpec::new("alpha", JobSpec::resnet18_cifar10(), TrainerConfig::new(6_400, 64, 512), 2.0)
             .node_range(2, 3)
@@ -219,14 +202,10 @@ fn slo_verdicts_replay_exactly_over_a_crash_trace() {
     let mut rules = controller.slo_rules();
     rules.push(SloRule::RecoveryCeiling { max_steps: 0 });
 
-    let monitor = SloMonitor::install_with(rules.clone(), Some(RANK));
+    let monitor = SloMonitor::install(rules.clone());
     let session = telemetry::Session::start();
-    let records: Vec<Record> = {
-        let _id = telemetry::set_thread_identity(0, RANK);
-        controller.run_to_completion(50_000).expect("stream drains past the crash");
-        telemetry::flush_thread();
-        session.drain().into_iter().filter(|r| r.rank == RANK).collect()
-    };
+    controller.run_to_completion(50_000).expect("stream drains past the crash");
+    let records = session.drain();
     drop(session);
 
     assert!(

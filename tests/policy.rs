@@ -36,16 +36,6 @@ use cannikin::prelude::*;
 use cannikin::telemetry::{Event, Record, Session};
 use hetsim::catalog::Gpu;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard};
-
-/// A live session records every thread's events, so every test here —
-/// each drives a trainer — holds this lock while it runs: the one that
-/// opens a session sees its own run and nothing else.
-static TELEMETRY: Mutex<()> = Mutex::new(());
-
-fn telemetry_lock() -> MutexGuard<'static, ()> {
-    TELEMETRY.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn cluster() -> ClusterSpec {
     ClusterSpec::new(
@@ -200,8 +190,7 @@ fn check_golden(name: &str, text: &str) {
 /// main equivalence witness.
 #[test]
 fn optperf_goodput_adaptive_run_matches_golden() {
-    let _serial = telemetry_lock();
-    let session = Session::start_tagged("policy-golden/adaptive");
+    let session = Session::start();
     let mut t = builder(11, true).build().expect("valid config");
     let records = t.run_epochs(10).expect("run");
     let stream = session.drain();
@@ -219,7 +208,6 @@ fn optperf_goodput_adaptive_run_matches_golden() {
 /// solver — the non-adaptive arm of the planner.
 #[test]
 fn optperf_goodput_fixed_batch_run_matches_golden() {
-    let _serial = telemetry_lock();
     let mut t = builder(11, false).build().expect("valid config");
     let records = t.run_epochs(6).expect("run");
     check_golden("trainer_fixed_records.txt", &records_text(&records));
@@ -229,7 +217,6 @@ fn optperf_goodput_fixed_batch_run_matches_golden() {
 /// the checkpointed model (the `WarmStart` split source).
 #[test]
 fn optperf_goodput_warm_start_run_matches_golden() {
-    let _serial = telemetry_lock();
     let checkpoint = SolverInput::from_ground_truth(&cluster(), &JobSpec::resnet18_cifar10());
     let mut t = builder(19, true).warm_start(checkpoint).build().expect("valid config");
     let records = t.run_epochs(4).expect("run");
@@ -241,7 +228,6 @@ fn optperf_goodput_warm_start_run_matches_golden() {
 /// cells in the scenario matrix stay byte-stable across CI runs.
 #[test]
 fn rl_policy_same_seed_runs_are_bitwise_identical() {
-    let _serial = telemetry_lock();
     let run = || {
         let mut t = builder(13, true).policy(PolicyKind::Rl).build().expect("valid config");
         records_text(&t.run_epochs(12).expect("run"))
@@ -260,7 +246,6 @@ fn rl_policy_same_seed_runs_are_bitwise_identical() {
 /// moves into the policy.
 #[test]
 fn optperf_goodput_fault_run_matches_golden() {
-    let _serial = telemetry_lock();
     let sim = Simulator::new(cluster(), JobSpec::resnet18_cifar10(), 21)
         .with_fault_plan(FaultPlan::new(9).crash_at(250, 1));
     let mut t = CannikinTrainer::builder()
