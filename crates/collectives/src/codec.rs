@@ -12,8 +12,8 @@
 //!   ~65504; gradients this large indicate divergence anyway).
 //! - [`Codec::TopK`] — magnitude sparsification: only the `k` largest
 //!   entries (by `|v|`, ties broken by lower index) travel, as
-//!   `[dense_len: u32][k: u32][k × index: u32][k × value: f32]`.
-//!   `k = max(1, ⌈len · permille / 1000⌉)` per frame.
+//!   `[dense_len: u32][k: u32][k × index: u32][k × value: f32]`, indices
+//!   ascending. `k = max(1, ⌈len · permille / 1000⌉)` per frame.
 //!
 //! ## Wire-format invariants
 //!
@@ -23,6 +23,11 @@
 //! ([`Codec::quantize`]) before the all-gather circulates it, so every
 //! rank's forwarded copy decodes to the same bits and the group stays
 //! replica-consistent even under lossy compression.
+//!
+//! `none`, `bf16` and `f16` are **elementwise**: a frame is its elements'
+//! encodings laid end to end, so a slice of a frame is the frame of the
+//! slice and the ring may cut a chunk into as many frames as it likes.
+//! `topk` selects across the whole frame and must see a chunk whole.
 //!
 //! ## Error feedback
 //!
@@ -37,10 +42,10 @@ use std::str::FromStr;
 
 /// Gradient wire codec, selected per communicator group.
 ///
-/// Parsed from the `CANNIKIN_CODEC` environment variable by the engines'
-/// runtime options (`none`, `bf16`, `f16`, or `topk:PERMILLE`); builder
-/// settings take precedence over the environment, which takes precedence
-/// over the [`Codec::None`] default.
+/// Parsed from the `CANNIKIN_CODEC` environment variable by
+/// `core::runtime::codec_from_env` (`none`, `bf16`, `f16`, or
+/// `topk:PERMILLE`); builder settings take precedence over the environment,
+/// which takes precedence over the [`Codec::None`] default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Codec {
     /// Raw little-endian `f32` frames — the lossless legacy format.
@@ -76,31 +81,32 @@ impl Codec {
         !matches!(self, Codec::None)
     }
 
+    /// Wire bytes per element when a frame is its elements' encodings end
+    /// to end, so that a chunk may travel as several frames; `None` for
+    /// [`Codec::TopK`], whose frame must hold the chunk whole.
+    pub(crate) fn scalar_width(&self) -> Option<usize> {
+        match self {
+            Codec::None => Some(4),
+            Codec::Bf16 | Codec::F16 => Some(2),
+            Codec::TopK { .. } => None,
+        }
+    }
+
     /// Serialize a gradient slice into its wire frame.
     pub fn encode(&self, values: &[f32]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        self.encode_into(values, &mut frame);
+        frame
+    }
+
+    /// [`Codec::encode`] into a frame the caller keeps: `frame` is
+    /// overwritten and its allocation reused.
+    pub(crate) fn encode_into(&self, values: &[f32], frame: &mut Vec<u8>) {
         match self {
-            Codec::None => {
-                let mut out = Vec::with_capacity(values.len() * 4);
-                for v in values {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                out
-            }
-            Codec::Bf16 => {
-                let mut out = Vec::with_capacity(values.len() * 2);
-                for &v in values {
-                    out.extend_from_slice(&f32_to_bf16(v).to_le_bytes());
-                }
-                out
-            }
-            Codec::F16 => {
-                let mut out = Vec::with_capacity(values.len() * 2);
-                for &v in values {
-                    out.extend_from_slice(&f32_to_f16(v).to_le_bytes());
-                }
-                out
-            }
-            Codec::TopK { permille } => encode_topk(values, *permille),
+            Codec::None => pack(values, frame, f32::to_le_bytes),
+            Codec::Bf16 => pack(values, frame, |v| f32_to_bf16(v).to_le_bytes()),
+            Codec::F16 => pack(values, frame, |v| f32_to_f16(v).to_le_bytes()),
+            Codec::TopK { permille } => encode_topk(values, *permille, frame),
         }
     }
 
@@ -109,59 +115,105 @@ impl Codec {
     /// # Errors
     ///
     /// A description of the malformation when the frame does not match this
-    /// codec's format (wrong length granularity, truncated header,
-    /// out-of-range sparse index).
+    /// codec's format (wrong length granularity, truncated header, sparse
+    /// index out of range or out of order).
     pub fn decode(&self, frame: &[u8]) -> Result<Vec<f32>, String> {
+        let mut values = vec![0.0; self.frame_elems(frame)?];
+        self.decode_onto(frame, &mut values, false)?;
+        Ok(values)
+    }
+
+    /// How many elements `frame` decodes to, from its length (and, for
+    /// top-k, its header) alone.
+    ///
+    /// # Errors
+    ///
+    /// A description of the malformation when no frame of this codec has
+    /// that length.
+    pub(crate) fn frame_elems(&self, frame: &[u8]) -> Result<usize, String> {
+        let whole = |width: usize, scalar: &str| {
+            if frame.len().is_multiple_of(width) {
+                Ok(frame.len() / width)
+            } else {
+                Err(format!("frame of {} bytes is not a whole number of {scalar}s", frame.len()))
+            }
+        };
         match self {
-            Codec::None => {
-                if !frame.len().is_multiple_of(4) {
-                    return Err(format!("frame of {} bytes is not a whole number of f32s", frame.len()));
-                }
-                Ok(frame.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-            }
-            Codec::Bf16 => {
-                if !frame.len().is_multiple_of(2) {
-                    return Err(format!("frame of {} bytes is not a whole number of bf16s", frame.len()));
-                }
-                Ok(frame.chunks_exact(2).map(|c| bf16_to_f32(u16::from_le_bytes([c[0], c[1]]))).collect())
-            }
-            Codec::F16 => {
-                if !frame.len().is_multiple_of(2) {
-                    return Err(format!("frame of {} bytes is not a whole number of f16s", frame.len()));
-                }
-                Ok(frame.chunks_exact(2).map(|c| f16_to_f32(u16::from_le_bytes([c[0], c[1]]))).collect())
-            }
-            Codec::TopK { .. } => decode_topk(frame),
+            Codec::None => whole(4, "f32"),
+            Codec::Bf16 => whole(2, "bf16"),
+            Codec::F16 => whole(2, "f16"),
+            Codec::TopK { .. } => topk_header(frame).map(|(dense_len, _)| dense_len),
         }
+    }
+
+    /// Decode `frame` onto `dst`, element by element: `dst[i] += vᵢ` when
+    /// `accumulate`, `dst[i] = vᵢ` otherwise. The frame is validated in
+    /// full first, so on error `dst` is untouched.
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::decode`], and when the frame does not hold exactly
+    /// `dst.len()` elements (the ring checks that first, to name its
+    /// schedule in the error).
+    pub(crate) fn decode_onto(&self, frame: &[u8], dst: &mut [f32], accumulate: bool) -> Result<(), String> {
+        let elems = self.frame_elems(frame)?;
+        if elems != dst.len() {
+            return Err(format!("frame of {elems} elements onto a destination of {}", dst.len()));
+        }
+        match self {
+            Codec::None => unpack(frame, dst, accumulate, f32::from_le_bytes),
+            Codec::Bf16 => unpack(frame, dst, accumulate, |b| bf16_to_f32(u16::from_le_bytes(b))),
+            Codec::F16 => unpack(frame, dst, accumulate, |b| f16_to_f32(u16::from_le_bytes(b))),
+            Codec::TopK { .. } => return decode_topk_onto(frame, dst, accumulate),
+        }
+        Ok(())
     }
 
     /// Apply the codec's loss in place without serializing: afterwards
     /// `data` equals `decode(encode(data))`. Used by the ring collectives
-    /// to re-quantize a rank's owned chunk before the all-gather phase, and
-    /// by the error-feedback path to measure the compression residual.
+    /// to re-quantize a rank's owned chunk before the all-gather phase.
     pub fn quantize(&self, data: &mut [f32]) {
         match self {
             Codec::None => {}
-            Codec::Bf16 => {
-                for v in data.iter_mut() {
-                    *v = bf16_to_f32(f32_to_bf16(*v));
-                }
-            }
-            Codec::F16 => {
-                for v in data.iter_mut() {
-                    *v = f16_to_f32(f32_to_f16(*v));
-                }
-            }
+            Codec::Bf16 => data.iter_mut().for_each(|v| *v = round_bf16(*v)),
+            Codec::F16 => data.iter_mut().for_each(|v| *v = round_f16(*v)),
             Codec::TopK { permille } => {
-                let keep = topk_indices(data, *permille);
-                let mut kept = vec![false; data.len()];
-                for &i in &keep {
-                    kept[i as usize] = true;
-                }
-                for (v, k) in data.iter_mut().zip(kept) {
-                    if !k {
+                let mut keep = topk_indices(data, *permille).into_iter().peekable();
+                for (i, v) in data.iter_mut().enumerate() {
+                    if keep.next_if_eq(&(i as u32)).is_none() {
                         *v = 0.0;
                     }
+                }
+            }
+        }
+    }
+
+    /// The error-feedback step in front of a lossy exchange, in place:
+    /// `data` becomes `Q((data + residual) · weight)` — the Eq. (9)
+    /// contribution as the codec will carry it — and `residual` becomes
+    /// what `Q` dropped, divided by `weight` again (unscaled space). The
+    /// elementwise codecs do it in one pass; top-k needs the whole scaled
+    /// slice before it can select.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub(crate) fn quantize_with_feedback(&self, data: &mut [f32], residual: &mut [f32], weight: f32) {
+        assert_eq!(data.len(), residual.len(), "error-feedback window mismatch");
+        let unscale = if weight != 0.0 { 1.0 / weight } else { 0.0 };
+        match self {
+            Codec::None => feed_back(data, residual, weight, unscale, |v| v),
+            Codec::Bf16 => feed_back(data, residual, weight, unscale, round_bf16),
+            Codec::F16 => feed_back(data, residual, weight, unscale, round_f16),
+            Codec::TopK { permille } => {
+                for (v, r) in data.iter_mut().zip(residual.iter()) {
+                    *v = (*v + *r) * weight;
+                }
+                let mut keep = topk_indices(data, *permille).into_iter().peekable();
+                for (i, (v, r)) in data.iter_mut().zip(residual.iter_mut()).enumerate() {
+                    let kept = if keep.next_if_eq(&(i as u32)).is_some() { *v } else { 0.0 };
+                    *r = (*v - kept) * unscale;
+                    *v = kept;
                 }
             }
         }
@@ -268,33 +320,45 @@ impl ErrorFeedback {
         }
     }
 
-    /// Record the new residual for the `offset`-based window:
-    /// `residual = (ideal − actual) · scale`, where `scale` converts back
-    /// into unscaled gradient space (pass `1/weight` after an Eq. (9)
-    /// scaling, `1.0` otherwise).
+    /// The residual of the `len` parameters starting at `offset`, for the
+    /// exchange to rewrite in place.
     ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length or overrun the accumulator.
-    pub fn record(&mut self, ideal: &[f32], actual: &[f32], offset: usize, scale: f32) {
-        assert_eq!(ideal.len(), actual.len(), "error-feedback window mismatch");
-        let window = &mut self.residual[offset..offset + ideal.len()];
-        for ((r, i), a) in window.iter_mut().zip(ideal).zip(actual) {
-            *r = (i - a) * scale;
-        }
+    /// Panics if the window overruns the accumulator.
+    pub(crate) fn window(&mut self, offset: usize, len: usize) -> &mut [f32] {
+        &mut self.residual[offset..offset + len]
     }
+}
 
-    /// Overwrite the `offset`-based window with a residual the caller
-    /// already computed (the exchange holds it back until the reduce
-    /// succeeded).
-    pub(crate) fn commit(&mut self, residual: &[f32], offset: usize) {
-        self.residual[offset..offset + residual.len()].copy_from_slice(residual);
+/// Overwrite `frame` with every value's `W` wire bytes. The frame is not
+/// cleared first: only growth is zero-filled, and a reused frame usually has
+/// the right length already.
+fn pack<const W: usize>(values: &[f32], frame: &mut Vec<u8>, narrow: impl Fn(f32) -> [u8; W]) {
+    frame.resize(values.len() * W, 0);
+    for (bytes, &v) in frame.as_chunks_mut::<W>().0.iter_mut().zip(values) {
+        *bytes = narrow(v);
     }
+}
 
-    /// Clear the residual window starting at `offset` (used when a step
-    /// runs uncompressed and no error remains to feed back).
-    pub fn clear(&mut self, offset: usize, len: usize) {
-        self.residual[offset..offset + len].fill(0.0);
+/// Widen `frame`'s `W`-byte scalars onto `dst`, which holds as many.
+fn unpack<const W: usize>(frame: &[u8], dst: &mut [f32], accumulate: bool, widen: impl Fn([u8; W]) -> f32) {
+    let values = frame.as_chunks::<W>().0.iter().map(|&bytes| widen(bytes));
+    if accumulate {
+        dst.iter_mut().zip(values).for_each(|(d, v)| *d += v);
+    } else {
+        dst.iter_mut().zip(values).for_each(|(d, v)| *d = v);
+    }
+}
+
+/// [`Codec::quantize_with_feedback`] for a codec that rounds each element
+/// on its own: compensate, scale, round and keep the rounding error, once
+/// through both slices.
+fn feed_back(data: &mut [f32], residual: &mut [f32], weight: f32, unscale: f32, round: impl Fn(f32) -> f32) {
+    for (v, r) in data.iter_mut().zip(residual) {
+        let scaled = (*v + *r) * weight;
+        *v = round(scaled);
+        *r = (scaled - *v) * unscale;
     }
 }
 
@@ -314,6 +378,10 @@ pub(crate) fn f32_to_bf16(x: f32) -> u16 {
 /// bf16 → `f32` (exact: bf16 is the top half of the f32 bit pattern).
 pub(crate) fn bf16_to_f32(h: u16) -> f32 {
     f32::from_bits(u32::from(h) << 16)
+}
+
+fn round_bf16(x: f32) -> f32 {
+    bf16_to_f32(f32_to_bf16(x))
 }
 
 // ---- IEEE binary16 ----
@@ -379,6 +447,10 @@ pub(crate) fn f16_to_f32(h: u16) -> f32 {
     }
 }
 
+fn round_f16(x: f32) -> f32 {
+    f16_to_f32(f32_to_f16(x))
+}
+
 // ---- top-k sparsification ----
 
 /// How many entries a `len`-element frame keeps at `permille`/1000.
@@ -409,21 +481,22 @@ fn topk_indices(values: &[f32], permille: u16) -> Vec<u32> {
     idx
 }
 
-fn encode_topk(values: &[f32], permille: u16) -> Vec<u8> {
+fn encode_topk(values: &[f32], permille: u16, frame: &mut Vec<u8>) {
     let idx = topk_indices(values, permille);
-    let mut out = Vec::with_capacity(8 + idx.len() * 8);
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(idx.len() as u32).to_le_bytes());
+    frame.clear();
+    frame.reserve(8 + idx.len() * 8);
+    frame.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&(idx.len() as u32).to_le_bytes());
     for &i in &idx {
-        out.extend_from_slice(&i.to_le_bytes());
+        frame.extend_from_slice(&i.to_le_bytes());
     }
     for &i in &idx {
-        out.extend_from_slice(&values[i as usize].to_le_bytes());
+        frame.extend_from_slice(&values[i as usize].to_le_bytes());
     }
-    out
 }
 
-fn decode_topk(frame: &[u8]) -> Result<Vec<f32>, String> {
+/// `(dense_len, k)` of a top-k frame whose length is what its header says.
+fn topk_header(frame: &[u8]) -> Result<(usize, usize), String> {
     if frame.len() < 8 {
         return Err(format!("top-k frame of {} bytes is shorter than its header", frame.len()));
     }
@@ -432,16 +505,38 @@ fn decode_topk(frame: &[u8]) -> Result<Vec<f32>, String> {
     if frame.len() != 8 + k * 8 {
         return Err(format!("top-k frame of {} bytes does not hold {k} entries", frame.len()));
     }
-    let mut out = vec![0.0f32; dense_len];
+    Ok((dense_len, k))
+}
+
+/// Scatter a top-k frame onto the `dense_len` elements of `dst`; an index
+/// the frame leaves out counts as `0.0` and is written (or added) as one.
+fn decode_topk_onto(frame: &[u8], dst: &mut [f32], accumulate: bool) -> Result<(), String> {
+    let (dense_len, k) = topk_header(frame)?;
     let (idx_bytes, val_bytes) = frame[8..].split_at(k * 4);
-    for (ic, vc) in idx_bytes.chunks_exact(4).zip(val_bytes.chunks_exact(4)) {
-        let i = u32::from_le_bytes([ic[0], ic[1], ic[2], ic[3]]) as usize;
+    let indices = || idx_bytes.as_chunks::<4>().0.iter().map(|&b| u32::from_le_bytes(b) as usize);
+    // The merge below walks `dst` once and so needs the indices as the
+    // encoder emits them: in range and ascending.
+    let mut floor = 0;
+    for i in indices() {
         if i >= dense_len {
             return Err(format!("top-k index {i} out of range for dense length {dense_len}"));
         }
-        out[i] = f32::from_le_bytes([vc[0], vc[1], vc[2], vc[3]]);
+        if i < floor {
+            return Err(format!("top-k index {i} does not ascend from the one before it"));
+        }
+        floor = i + 1;
     }
-    Ok(out)
+    let values = val_bytes.as_chunks::<4>().0.iter().map(|&b| f32::from_le_bytes(b));
+    let mut entries = indices().zip(values).peekable();
+    for (i, d) in dst.iter_mut().enumerate() {
+        let v = entries.next_if(|&(at, _)| at == i).map_or(0.0, |(_, v)| v);
+        if accumulate {
+            *d += v;
+        } else {
+            *d = v;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -611,16 +706,20 @@ mod tests {
         }
     }
 
+    /// The residual as a vector (compensating zeros reads it out).
+    fn residual_of(ef: &ErrorFeedback) -> Vec<f32> {
+        let mut out = vec![0.0f32; ef.len()];
+        ef.compensate(&mut out, 0);
+        out
+    }
+
     #[test]
     fn error_feedback_accumulates_dropped_mass() {
         let codec = Codec::TopK { permille: 500 };
         let mut ef = ErrorFeedback::new(4);
         // Step 1: [3, 1, -2, 0.5] keeps {3, -2}; residual holds {1, 0.5}.
         let mut g = vec![3.0f32, 1.0, -2.0, 0.5];
-        ef.compensate(&mut g, 0);
-        let ideal = g.clone();
-        codec.quantize(&mut g);
-        ef.record(&ideal, &g, 0, 1.0);
+        codec.quantize_with_feedback(&mut g, ef.window(0, 4), 1.0);
         assert_eq!(g, vec![3.0, 0.0, -2.0, 0.0]);
         // Step 2: the same raw gradient plus feedback now carries the
         // previously dropped entries forward.
@@ -630,15 +729,68 @@ mod tests {
     }
 
     #[test]
-    fn error_feedback_windows_are_independent() {
+    fn error_feedback_windows_are_independent_and_unscaled() {
         let mut ef = ErrorFeedback::new(6);
-        ef.record(&[1.0, 1.0], &[0.0, 0.0], 2, 2.0);
-        let mut g = vec![0.0f32; 6];
-        ef.compensate(&mut g, 0);
-        assert_eq!(g, vec![0.0, 0.0, 2.0, 2.0, 0.0, 0.0]);
-        ef.clear(2, 2);
-        let mut g = vec![0.0f32; 6];
-        ef.compensate(&mut g, 0);
-        assert_eq!(g, vec![0.0; 6]);
+        // At weight 1/2 the window [1, 4] scales to [0.5, 2]; keeping one
+        // of two drops the 0.5, which is 1 again in unscaled space.
+        let mut g = [1.0f32, 4.0];
+        Codec::TopK { permille: 500 }.quantize_with_feedback(&mut g, ef.window(2, 2), 0.5);
+        assert_eq!(g, [0.0, 2.0]);
+        assert_eq!(residual_of(&ef), vec![0.0, 0.0, 1.0, 0.0, 0.0, 0.0]);
+        // A pass that drops nothing leaves nothing behind, and carries what
+        // was there.
+        let mut g = [1.0f32, 4.0];
+        Codec::TopK { permille: 1000 }.quantize_with_feedback(&mut g, ef.window(2, 2), 0.5);
+        assert_eq!(g, [1.0, 2.0]);
+        assert_eq!(residual_of(&ef), vec![0.0; 6]);
+    }
+
+    #[test]
+    fn feedback_in_one_pass_equals_the_steps_taken_apart() {
+        let values: Vec<f32> = (0..257).map(|i| ((i * 37) % 101) as f32 * 0.173 - 8.5).collect();
+        let carried: Vec<f32> = (0..257).map(|i| ((i * 13) % 17) as f32 * 0.0031 - 0.02).collect();
+        for codec in [Codec::Bf16, Codec::F16, Codec::TopK { permille: 100 }] {
+            for weight in [0.3f32, 1.0, 0.0] {
+                let (mut data, mut residual) = (values.clone(), carried.clone());
+                codec.quantize_with_feedback(&mut data, &mut residual, weight);
+                // Compensate, scale, quantize a copy, subtract, unscale.
+                let scaled: Vec<f32> = values.iter().zip(&carried).map(|(v, r)| (v + r) * weight).collect();
+                let mut quantized = scaled.clone();
+                codec.quantize(&mut quantized);
+                let unscale = if weight != 0.0 { 1.0 / weight } else { 0.0 };
+                let dropped: Vec<f32> = scaled.iter().zip(&quantized).map(|(s, q)| (s - q) * unscale).collect();
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&data), bits(&quantized), "{codec} at weight {weight}");
+                assert_eq!(bits(&residual), bits(&dropped), "{codec} at weight {weight}");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_onto_checks_before_it_writes() {
+        let topk = Codec::TopK { permille: 500 };
+        let mut dst = [1.0f32, 2.0, 3.0, 4.0];
+        // Accumulating adds the kept entries where they belong.
+        topk.decode_onto(&topk.encode(&[0.5, -9.0, 0.25, 7.0]), &mut dst, true).unwrap();
+        assert_eq!(dst, [1.0, -7.0, 3.0, 11.0]);
+        let untouched = dst;
+        for codec in [Codec::None, Codec::Bf16, Codec::F16, topk] {
+            for len in [3, 5] {
+                let err = codec.decode_onto(&codec.encode(&vec![1.0; len]), &mut dst, true).unwrap_err();
+                assert!(err.contains(&format!("{len} elements onto a destination of 4")), "{codec}: {err}");
+            }
+        }
+        // Indices 1 and 3 swapped: in range, but not as the encoder emits them.
+        let mut unordered = topk.encode(&[0.5, -9.0, 0.25, 7.0]);
+        unordered[8] = 3;
+        unordered[12] = 1;
+        assert!(topk.decode_onto(&unordered, &mut dst, false).unwrap_err().contains("does not ascend"));
+        unordered[8] = 1;
+        unordered[12] = 1;
+        assert!(topk.decode_onto(&unordered, &mut dst, false).unwrap_err().contains("does not ascend"));
+        let mut beyond = topk.encode(&[0.5, -9.0, 0.25, 7.0]);
+        beyond[12] = 4;
+        assert!(topk.decode_onto(&beyond, &mut dst, false).unwrap_err().contains("out of range"));
+        assert_eq!(dst, untouched);
     }
 }

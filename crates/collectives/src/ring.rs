@@ -7,8 +7,8 @@
 //! group. Gradient chunks travel through the group's [`Codec`] (raw `f32`
 //! frames by default) and metric gathers as uncompressed `f64` frames, so
 //! results are bitwise identical across backends. Every frame is checked
-//! as it is decoded: a malformed or mis-sized one is a [`CommError::Io`],
-//! never a panic.
+//! before it is decoded: a malformed or mis-sized one is a
+//! [`CommError::Io`], never a panic.
 
 use crate::codec::{Codec, ErrorFeedback};
 use crate::resilience::{CommError, CommFaultPlan, RetryPolicy};
@@ -16,9 +16,32 @@ use crate::tcp;
 use crate::transport::{decode_f64, encode_f64, InProcessTransport, Transport, TransportKind};
 use cannikin_telemetry::{self as telemetry, Event, FaultInjected, FaultKind, RecoveryAction, RecoveryKind};
 use rand::rngs::StdRng;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Most payload bytes one gradient frame carries under an elementwise
+/// codec. The ceiling is the socket: every rank of a ring writes before it
+/// reads, so a loopback connection must take a whole frame with no reader
+/// on the other end, and the largest the whole-chunk ring was measured to
+/// survive is 4.0 MB (`tcp_wmem`'s default 4 MiB ceiling) — a quarter of
+/// that. The floor is the scheduler: every frame is a blocking receive, a
+/// point where the ranks wait on each other, and with more ranks than
+/// cores each one costs a turn of the run queue (three ranks on two cores,
+/// 1.32 M bf16 elements: 16 ms per exchange in 128 KiB frames, 12 ms in
+/// whole 882 KB chunks; two ranks on two cores are fastest at 256 KiB to
+/// 1 MiB). The unit tests run a ring with 4 KiB frames, which puts every
+/// slice boundary at lengths a debug build reduces in milliseconds; the
+/// integration tests run this one.
+const SLICE_BYTES: usize = if cfg!(test) { 1 << 12 } else { 1 << 20 };
+
+/// Most elements one frame of `codec` carries: [`SLICE_BYTES`] worth under
+/// an elementwise codec, without limit under top-k, whose selection spans
+/// the chunk.
+fn slice_elems(codec: Codec) -> usize {
+    codec.scalar_width().map_or(usize::MAX, |width| SLICE_BYTES / width)
+}
 
 /// Factory for a group of ring-connected [`Communicator`]s.
 #[derive(Debug)]
@@ -101,6 +124,9 @@ pub struct Communicator {
     fault_plan: Option<Arc<CommFaultPlan>>,
     /// Wire format of gradient payloads ([`Codec::None`] = raw `f32`).
     codec: Codec,
+    /// The one frame buffer every hop encodes into, sends from and
+    /// receives into (see [`crate::transport`] on how it circulates).
+    frame: RefCell<Vec<u8>>,
 }
 
 impl Communicator {
@@ -110,7 +136,7 @@ impl Communicator {
         transport: Box<dyn Transport>,
         fault_plan: Option<Arc<CommFaultPlan>>,
     ) -> Communicator {
-        Communicator { transport, seq: Cell::new(0), fault_plan, codec: Codec::None }
+        Communicator { transport, seq: Cell::new(0), fault_plan, codec: Codec::None, frame: RefCell::default() }
     }
 
     /// Install a gradient [`Codec`] (builder-style). Every rank of a group
@@ -159,29 +185,49 @@ impl Communicator {
         CommError::Io { rank: self.rank(), detail }
     }
 
-    /// Send one gradient chunk through the group's [`Codec`].
-    fn send_chunk(&self, chunk: &[f32]) -> Result<(), CommError> {
-        self.transport.send(&self.codec.encode(chunk))
-    }
-
-    /// Receive and decode the `len`-element chunk the ring schedule expects
-    /// next, blocking without limit when `deadline` is `None`.
-    fn recv_chunk(&self, len: usize, deadline: Option<Duration>) -> Result<Vec<f32>, CommError> {
-        let frame = match deadline {
-            Some(timeout) => self.transport.recv_timeout(timeout)?,
-            None => self.transport.recv()?,
-        };
-        let chunk = self
-            .codec
-            .decode(&frame)
-            .map_err(|detail| self.malformed(format!("malformed gradient frame: {detail}")))?;
-        if chunk.len() != len {
-            return Err(self.malformed(format!(
-                "gradient chunk of {} elements where the ring schedule expects {len}",
-                chunk.len()
-            )));
+    /// One hop of the ring: send `data[send]` to the next rank and fold
+    /// what the previous rank sends into `data[recv]` — added when
+    /// `accumulate`, overwriting otherwise.
+    ///
+    /// Under an elementwise codec each range travels as frames of at most
+    /// [`SLICE_BYTES`], alternating *send a slice, receive a slice*: a
+    /// connection never holds more than one unread slice (so no rank can
+    /// block in a write that only a rank blocked in a write could drain),
+    /// and the peer's next slice arrives while this one is reduced. Top-k
+    /// selects across the whole chunk, so its chunk is one frame.
+    fn hop(
+        &self,
+        data: &mut [f32],
+        mut send: Range<usize>,
+        mut recv: Range<usize>,
+        accumulate: bool,
+        deadline: Option<Duration>,
+    ) -> Result<(), CommError> {
+        let slice = slice_elems(self.codec);
+        let malformed = |detail: String| self.malformed(format!("malformed gradient frame: {detail}"));
+        let mut frame = self.frame.borrow_mut();
+        while !send.is_empty() || !recv.is_empty() {
+            if !send.is_empty() {
+                let end = send.end.min(send.start.saturating_add(slice));
+                self.codec.encode_into(&data[send.start..end], &mut frame);
+                self.transport.send(&mut frame)?;
+                send.start = end;
+            }
+            if !recv.is_empty() {
+                let end = recv.end.min(recv.start.saturating_add(slice));
+                self.transport.recv(&mut frame, deadline)?;
+                let expected = end - recv.start;
+                let elems = self.codec.frame_elems(&frame).map_err(malformed)?;
+                if elems != expected {
+                    return Err(self.malformed(format!(
+                        "gradient chunk of {elems} elements where the ring schedule expects {expected}"
+                    )));
+                }
+                self.codec.decode_onto(&frame, &mut data[recv.start..end], accumulate).map_err(malformed)?;
+                recv.start = end;
+            }
         }
-        Ok(chunk)
+        Ok(())
     }
 
     /// In-place sum all-reduce via ring reduce-scatter + all-gather — the
@@ -199,30 +245,19 @@ impl Communicator {
         }
         let rank = self.rank();
         let chunks = ring_chunks(data.len(), n);
+        let chunk = |i: usize| chunks[i % n].clone();
         // Reduce-scatter: after step s, rank r holds the running sum of
         // chunk (r - s) for s+1 ranks.
         for s in 0..n - 1 {
-            let send_idx = (rank + n - s) % n;
-            let recv_idx = (rank + n - s - 1) % n;
-            self.send_chunk(&data[chunks[send_idx].clone()])?;
-            let incoming = self.recv_chunk(chunks[recv_idx].len(), deadline)?;
-            for (d, v) in data[chunks[recv_idx].clone()].iter_mut().zip(incoming) {
-                *d += v;
-            }
+            self.hop(data, chunk(rank + n - s), chunk(rank + n - s - 1), true, deadline)?;
         }
         // Re-quantize the chunk this rank owns before circulating it: the
         // local (unencoded) sum and the copies the other ranks decode must
         // be the same bits, or replicas drift apart under a lossy codec.
-        if self.codec.is_lossy() {
-            self.codec.quantize(&mut data[chunks[(rank + 1) % n].clone()]);
-        }
+        self.codec.quantize(&mut data[chunk(rank + 1)]);
         // All-gather: circulate the fully reduced chunks.
         for s in 0..n - 1 {
-            let send_idx = (rank + n - s + 1) % n;
-            let recv_idx = (rank + n - s) % n;
-            self.send_chunk(&data[chunks[send_idx].clone()])?;
-            let incoming = self.recv_chunk(chunks[recv_idx].len(), deadline)?;
-            data[chunks[recv_idx].clone()].copy_from_slice(&incoming);
+            self.hop(data, chunk(rank + n - s + 1), chunk(rank + n - s), false, deadline)?;
         }
         Ok(())
     }
@@ -292,17 +327,19 @@ impl Communicator {
     /// bucket before scaling, the scaled bucket is quantized locally, and
     /// what that dropped — `(scaled − quantized)/weight`, unscaled space, so
     /// it stays meaningful when the adaptive split changes `weight` —
-    /// becomes the new residual once the reduce succeeded. Under
+    /// replaces the residual, all in one pass before the ring runs. Under
     /// [`Codec::None`] `feedback` is ignored.
     ///
     /// `retry` arms the fault-tolerant path: receives are bounded by the
     /// policy's timeout, the failures the group's [`CommFaultPlan`] injects
     /// at this exchange's sequence number are retried with the policy's
-    /// backoff, and on any error `bucket` is restored to its pre-call
-    /// (unscaled, uncompensated) contents with the residual untouched, so a
-    /// retried step re-enters clean — no gradient mass is dropped, double-fed
-    /// or double-weighted. Without `retry` receives block, no snapshot is
-    /// taken, and an error leaves partial sums in `bucket`.
+    /// backoff, and on any error both `bucket` and its window of the
+    /// residual are restored to their pre-call contents from a snapshot, so
+    /// a retried step re-enters clean — no gradient mass is dropped,
+    /// double-fed or double-weighted. Without `retry` receives block and no
+    /// snapshot is taken: an error leaves partial sums in `bucket` and the
+    /// residual already advanced past a step that never completed, and the
+    /// ring must be rebuilt — the caller discards both with the rank.
     ///
     /// # Errors
     ///
@@ -323,41 +360,22 @@ impl Communicator {
         feedback: Option<(&mut ErrorFeedback, usize)>,
         retry: Option<(&RetryPolicy, &mut StdRng)>,
     ) -> Result<u32, CommError> {
-        let snapshot = retry.is_some().then(|| bucket.to_vec());
-        let feedback = feedback.filter(|_| self.codec.is_lossy());
-        if let Some((residual, offset)) = &feedback {
-            residual.compensate(bucket, *offset);
+        let mut residual = feedback
+            .filter(|_| self.codec.is_lossy())
+            .map(|(feedback, offset)| feedback.window(offset, bucket.len()));
+        let snapshot = retry.is_some().then(|| (bucket.to_vec(), residual.as_deref().map(<[f32]>::to_vec)));
+        match &mut residual {
+            Some(residual) => self.codec.quantize_with_feedback(bucket, residual, weight),
+            None => bucket.iter_mut().for_each(|v| *v *= weight),
         }
-        for v in bucket.iter_mut() {
-            *v *= weight;
-        }
-        // Quantize locally and keep what that dropped, in unscaled space,
-        // in the buffer that held the unquantized values.
-        let pending = feedback.map(|(residual, offset)| {
-            let mut dropped = bucket.to_vec();
-            self.codec.quantize(bucket);
-            let unscale = if weight != 0.0 { 1.0 / weight } else { 0.0 };
-            for (d, q) in dropped.iter_mut().zip(bucket.iter()) {
-                *d = (*d - q) * unscale;
-            }
-            (residual, offset, dropped)
-        });
-        match self.reduce_with_retry(bucket, retry) {
-            Ok(attempt) => {
-                // Commit the residual only on success: a failed attempt
-                // must leave the accumulator untouched for the retry.
-                if let Some((residual, offset, dropped)) = pending {
-                    residual.commit(&dropped, offset);
-                }
-                Ok(attempt)
-            }
-            Err(e) => {
-                if let Some(snapshot) = snapshot {
-                    bucket.copy_from_slice(&snapshot);
-                }
-                Err(e)
+        let outcome = self.reduce_with_retry(bucket, retry);
+        if let (Err(_), Some((bucket_was, residual_was))) = (&outcome, snapshot) {
+            bucket.copy_from_slice(&bucket_was);
+            if let (Some(residual), Some(residual_was)) = (residual, residual_was) {
+                residual.copy_from_slice(&residual_was);
             }
         }
+        outcome
     }
 
     /// Gather a fixed-length `f64` vector from every rank; the result is a
@@ -381,8 +399,10 @@ impl Communicator {
         carry.push(self.rank() as f64);
         carry.extend_from_slice(values);
         for _ in 0..n - 1 {
-            self.transport.send(&encode_f64(&carry))?;
-            carry = decode_f64(&self.transport.recv()?)
+            let mut frame = encode_f64(&carry);
+            self.transport.send(&mut frame)?;
+            self.transport.recv(&mut frame, None)?;
+            carry = decode_f64(&frame)
                 .map_err(|detail| self.malformed(format!("malformed gather frame: {detail}")))?;
             if carry.len() != values.len() + 1 {
                 return Err(self.malformed(format!(
@@ -444,8 +464,8 @@ fn ring_chunks(len: usize, n: usize) -> Vec<std::ops::Range<usize>> {
 mod tests {
     use super::*;
     use crate::bucket_ranges;
+    use propcheck::check;
     use rand::SeedableRng;
-    use std::cell::RefCell;
     use std::collections::VecDeque;
     use std::thread;
 
@@ -825,16 +845,11 @@ mod tests {
         fn world_size(&self) -> usize {
             3
         }
-        fn send(&self, _frame: &[u8]) -> Result<(), CommError> {
+        fn send(&self, _frame: &mut Vec<u8>) -> Result<(), CommError> {
             Ok(())
         }
-        fn recv(&self) -> Result<Vec<u8>, CommError> {
-            self.frames.borrow_mut().pop_front().ok_or(CommError::Dropped { rank: 0 })
-        }
-        fn recv_timeout(&self, _timeout: Duration) -> Result<Vec<u8>, CommError> {
-            self.recv()
-        }
-        fn barrier(&self) -> Result<(), CommError> {
+        fn recv(&self, frame: &mut Vec<u8>, _deadline: Option<Duration>) -> Result<(), CommError> {
+            *frame = self.frames.borrow_mut().pop_front().ok_or(CommError::Dropped { rank: 0 })?;
             Ok(())
         }
         fn bytes_sent(&self) -> u64 {
@@ -865,6 +880,23 @@ mod tests {
         // The same short chunk arriving in the all-gather phase.
         io(exchange(Codec::None, &[&pair, &pair, &[0; 4]]), "1 elements where the ring schedule expects 2");
         io(exchange(Codec::None, &[&pair, &pair, &pair, &[]]), "0 elements where the ring schedule expects 2");
+        // A top-k frame says in its header how long it decodes to.
+        let topk = Codec::TopK { permille: 500 };
+        io(exchange(topk, &[&topk.encode(&[1.0, 2.0, 3.0])]), "3 elements where the ring schedule expects 2");
+
+        // Chunks of two slices and an element travel as three frames.
+        let slice = slice_elems(Codec::None);
+        let [short, full, long] = [slice - 1, slice, slice + 1].map(|len| Codec::None.encode(&vec![1.0; len]));
+        let last = Codec::None.encode(&[1.0]);
+        let sliced = |frames: &[&[u8]]| {
+            scripted(Codec::None, frames).exchange(&mut vec![0.0; 3 * (2 * slice + 1)], 1.0, None, None)
+        };
+        let expects_full = |got: usize| format!("{got} elements where the ring schedule expects {slice}");
+        io(sliced(&[&full, &short]), &expects_full(slice - 1));
+        io(sliced(&[&full, &long]), &expects_full(slice + 1));
+        // One frame too many for the chunk: it lands where the next hop's
+        // first slice belongs.
+        io(sliced(&[&full, &full, &last, &last]), &expects_full(1));
 
         // An armed exchange hands the bucket back as it found it.
         let mut bucket = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0];
@@ -887,5 +919,165 @@ mod tests {
         io(gather(&[]), "gather frame of 0 values where every rank sends 2");
         io(gather(&[1.0, 9.0, 9.0]), "gather frame of 3 values where every rank sends 2");
         io(scripted(Codec::None, &[&[0; 12]]).gather(&[9.0]).map(|_| 0), "not a whole number of f64s");
+    }
+
+    /// A pseudo-random gradient entry in ±[2⁻⁴, 2⁴): every mantissa bit is
+    /// live, so every sum rounds and a change of association shows.
+    fn noisy(rank: usize, step: usize, i: usize) -> f32 {
+        let h = ((rank as u64) << 48 | (step as u64) << 40 | i as u64)
+            .wrapping_add(0x9E37_79B9_7F4A_7C15)
+            .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let h = (h ^ (h >> 29)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let mantissa = 1.0 + (h >> 41) as f32 / (1u64 << 23) as f32;
+        let magnitude = mantissa * f32::from_bits(((123 + (h >> 37) % 8) as u32) << 23);
+        if h & 1 == 0 { magnitude } else { -magnitude }
+    }
+
+    /// FNV-1a, one `u32` word at a time.
+    fn fnv1a(mut hash: u64, words: impl IntoIterator<Item = u32>) -> u64 {
+        for word in words {
+            hash = (hash ^ u64::from(word)).wrapping_mul(0x0100_0000_01B3);
+        }
+        hash
+    }
+
+    /// One digest over every rank's three reduced gradients and final
+    /// residual, as bit patterns: three unarmed whole-gradient exchanges of
+    /// `len` elements on `n` ranks at weights `(rank + 1) / (1 + … + n)`.
+    fn exchange_digest(kind: &TransportKind, codec: Codec, n: usize, len: usize) -> u64 {
+        let comms = CommGroup::with_options(n, kind, None, codec).expect("group forms");
+        let per_rank = run_on(comms, move |c| {
+            let rank = c.rank();
+            let weight = (rank + 1) as f32 / (n * (n + 1) / 2) as f32;
+            let mut feedback = codec.is_lossy().then(|| ErrorFeedback::new(len));
+            let mut hash = 0xCBF2_9CE4_8422_2325;
+            for step in 0..3 {
+                let mut g: Vec<f32> = (0..len).map(|i| noisy(rank, step, i)).collect();
+                c.exchange(&mut g, weight, feedback.as_mut().map(|residual| (residual, 0)), None)
+                    .expect("ring stays connected");
+                hash = fnv1a(hash, g.iter().map(|v| v.to_bits()));
+            }
+            feedback.map_or(hash, |f| fnv1a(hash, residual_of(&f).iter().map(|v| v.to_bits())))
+        });
+        per_rank.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, r| fnv1a(h, [r as u32, (r >> 32) as u32]))
+    }
+
+    /// A slice of `codec` in elements — for top-k, which is never sliced,
+    /// the length the raw codec would slice at.
+    fn slice_or_raw(codec: Codec) -> usize {
+        match slice_elems(codec) {
+            usize::MAX => slice_elems(Codec::None),
+            slice => slice,
+        }
+    }
+
+    /// The ring's results, bit for bit, at bucket lengths on every side of
+    /// the slicing boundaries: chunks one element short of a slice, exactly
+    /// one, one over (the ranks then disagree on how many frames a chunk
+    /// is), send and receive chunks that differ in length *and* in slice
+    /// count, and fewer elements than ranks. The fixture was written by the
+    /// whole-chunk ring this one replaced (`CANNIKIN_BLESS=1` rewrites it
+    /// from whatever ring is compiled in — bless only from a ring you trust).
+    #[test]
+    fn sliced_ring_matches_the_golden_digests() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/ring_digests.txt");
+        let table = |kind: &TransportKind| {
+            let mut text = String::new();
+            for codec in [Codec::None, Codec::Bf16, Codec::F16, Codec::TopK { permille: 100 }] {
+                let slice = slice_or_raw(codec);
+                for n in [3usize, 4] {
+                    for len in [n * slice - 1, n * slice, n * slice + 1, 2 * n * slice + n - 1, n - 1] {
+                        let digest = exchange_digest(kind, codec, n, len);
+                        text.push_str(&format!("{codec} n={n} len={len} {digest:016x}\n"));
+                    }
+                }
+            }
+            text
+        };
+        let in_process = table(&TransportKind::InProcess);
+        if std::env::var_os("CANNIKIN_BLESS").is_some() {
+            std::fs::write(&path, &in_process).expect("write golden fixture");
+        }
+        let golden = std::fs::read_to_string(&path).expect("committed fixture");
+        assert_eq!(in_process, golden, "in-process ring departs from {}", path.display());
+        assert_eq!(table(&TransportKind::tcp()), golden, "TCP ring departs from {}", path.display());
+    }
+
+    /// What the ring must compute, on one thread and a chunk at a time:
+    /// every rank folds its residual in, scales and quantizes; chunk `c`
+    /// starts at rank `c` and is summed in ring order, each partial sum
+    /// crossing the wire (the codec's loss) before the next rank adds its
+    /// own; the owner's total crosses once more and every rank decodes the
+    /// same bits. `residuals` advance as the ranks' would.
+    fn serial_exchange(codec: Codec, inputs: &[Vec<f32>], weights: &[f32], residuals: &mut [Vec<f32>]) -> Vec<f32> {
+        let n = inputs.len();
+        let mut local = inputs.to_vec();
+        for ((bucket, residual), &weight) in local.iter_mut().zip(residuals.iter_mut()).zip(weights) {
+            if codec.is_lossy() {
+                bucket.iter_mut().zip(residual.iter()).for_each(|(v, r)| *v = (*v + *r) * weight);
+                let scaled = bucket.clone();
+                codec.quantize(bucket);
+                for ((r, s), q) in residual.iter_mut().zip(&scaled).zip(bucket.iter()) {
+                    *r = (s - q) * (1.0 / weight);
+                }
+            } else {
+                bucket.iter_mut().for_each(|v| *v *= weight);
+            }
+        }
+        let mut reduced = vec![0.0f32; inputs[0].len()];
+        for (c, range) in ring_chunks(reduced.len(), n).into_iter().enumerate() {
+            let mut sum = local[c][range.clone()].to_vec();
+            for hop in 1..n {
+                codec.quantize(&mut sum);
+                sum.iter_mut().zip(&local[(c + hop) % n][range.clone()]).for_each(|(s, v)| *s += v);
+            }
+            codec.quantize(&mut sum);
+            reduced[range].copy_from_slice(&sum);
+        }
+        reduced
+    }
+
+    #[test]
+    fn sliced_ring_matches_a_serial_reference() {
+        check(64, |g| {
+            let n = g.usize(1..5);
+            let codec = g.pick(&[Codec::None, Codec::Bf16, Codec::F16, Codec::TopK { permille: 100 }]);
+            let kind = g.pick(&[TransportKind::InProcess, TransportKind::tcp()]);
+            // From nothing to a little past two slices per chunk, landing
+            // on and beside the whole numbers of slices.
+            let len = (g.usize(0..3) * n * slice_or_raw(codec) + g.usize(0..2 * n + 2)).saturating_sub(g.usize(0..3));
+            let weights: Vec<f32> = (0..n).map(|_| g.f32(0.05..1.0)).collect();
+            let salt = g.usize(0..1 << 16);
+            let input = move |rank: usize, step: usize| -> Vec<f32> {
+                (0..len).map(|i| noisy(rank, step, i + salt)).collect()
+            };
+
+            let mut residuals = vec![vec![0.0f32; len]; n];
+            let expected: Vec<Vec<u32>> = (0..2)
+                .map(|step| {
+                    let inputs: Vec<Vec<f32>> = (0..n).map(|rank| input(rank, step)).collect();
+                    bits(&serial_exchange(codec, &inputs, &weights, &mut residuals))
+                })
+                .collect();
+
+            let comms = CommGroup::with_options(n, &kind, None, codec).expect("group forms");
+            let ranks = run_on(comms, move |c| {
+                let mut feedback = ErrorFeedback::new(len);
+                let reduced: Vec<Vec<u32>> = (0..2)
+                    .map(|step| {
+                        let mut g = input(c.rank(), step);
+                        c.exchange(&mut g, weights[c.rank()], Some((&mut feedback, 0)), None)
+                            .expect("ring stays connected");
+                        bits(&g)
+                    })
+                    .collect();
+                (reduced, bits(&residual_of(&feedback)))
+            });
+            for (rank, (reduced, residual)) in ranks.into_iter().enumerate() {
+                let label = format!("rank {rank} of {n}, {len} elements, {codec} over {kind}");
+                assert!(reduced == expected, "{label}: reduced gradient departs from the serial reference");
+                assert!(residual == bits(&residuals[rank]), "{label}: residual departs from the serial reference");
+            }
+        });
     }
 }

@@ -8,17 +8,35 @@
 //! rendezvous assigns ranks in connection-arrival order, which is all the
 //! SPMD contract needs — every rank then runs the same collective schedule.
 //!
-//! Per-receive deadlines are implemented with `set_read_timeout`; a timeout
-//! or peer loss surfaces as the same [`CommError`] variants the in-process
-//! backend raises. Note that a timeout fired mid-frame leaves the stream
-//! desynchronised — like the in-process backend, a group that timed out
-//! must be rebuilt, not reused.
+//! **What bounds the bytes in flight.** A send is a blocking write, and in
+//! a ring every rank writes before it reads, so a frame completes only if
+//! the kernel's socket buffers can hold it with no reader on the other
+//! end. Nothing at this layer enforces that: the bound is the collective's.
+//! The ring all-reduce alternates *send one slice, receive one slice* and
+//! caps a slice at 1 MiB of payload (`SLICE_BYTES` in `ring.rs`), so each
+//! connection carries at most one slice that has not been read — a quarter
+//! of what a loopback socket was measured to take, where a whole chunk per
+//! frame blocks for good once it passes `tcp_wmem`'s ceiling (4 MiB by
+//! default; `crates/collectives/tests/tcp_large.rs`). The metric gather's
+//! frames are a few dozen bytes. A top-k frame cannot be sliced (its
+//! selection spans the chunk) and still travels whole, 8 bytes per kept
+//! entry: that one remains bounded only by the model and the kept share.
+//!
+//! **Deadlines.** A receive can carry one, implemented with
+//! `set_read_timeout` (cached, so a steady stream of receives under one
+//! deadline issues no `setsockopt`); a timeout or peer loss surfaces as
+//! the same [`CommError`] variants the in-process backend raises. A send
+//! has no deadline of its own and needs none: it can no longer wait on a
+//! reader that is itself stuck writing, only on one that is slow, and a
+//! peer that is gone fails the write. Note that a timeout fired mid-frame
+//! leaves the stream desynchronised — like the in-process backend, a
+//! group that timed out must be rebuilt, not reused.
 
 use crate::resilience::CommError;
 use crate::transport::Transport;
 use std::cell::Cell;
 use std::fmt;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -144,6 +162,8 @@ pub struct TcpTransport {
     world: usize,
     next: TcpStream,
     prev: TcpStream,
+    /// The read timeout `prev` currently has.
+    read_timeout: Cell<Option<Duration>>,
     sent: Cell<u64>,
     received: Cell<u64>,
 }
@@ -228,10 +248,18 @@ impl TcpTransport {
     ) -> Result<TcpTransport, CommError> {
         next.set_nodelay(true).map_err(|e| io_err(rank, "set nodelay", &e))?;
         prev.set_read_timeout(None).map_err(|e| io_err(rank, "clear read timeout", &e))?;
-        Ok(TcpTransport { rank, world, next, prev, sent: Cell::new(0), received: Cell::new(0) })
+        Ok(TcpTransport {
+            rank,
+            world,
+            next,
+            prev,
+            read_timeout: Cell::new(None),
+            sent: Cell::new(0),
+            received: Cell::new(0),
+        })
     }
 
-    fn read_frame(&self) -> Result<Vec<u8>, CommError> {
+    fn read_frame(&self, frame: &mut Vec<u8>) -> Result<(), CommError> {
         let mut prefix = [0u8; 4];
         (&self.prev).read_exact(&mut prefix).map_err(|e| self.map_recv_err(&e))?;
         let len = u32::from_le_bytes(prefix);
@@ -241,10 +269,11 @@ impl TcpTransport {
                 detail: format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
             });
         }
-        let mut payload = vec![0u8; len as usize];
-        (&self.prev).read_exact(&mut payload).map_err(|e| self.map_recv_err(&e))?;
+        // Only growth is zero-filled; a reused buffer is read straight into.
+        frame.resize(len as usize, 0);
+        (&self.prev).read_exact(frame).map_err(|e| self.map_recv_err(&e))?;
         self.received.set(self.received.get() + 4 + u64::from(len));
-        Ok(payload)
+        Ok(())
     }
 
     fn map_recv_err(&self, e: &std::io::Error) -> CommError {
@@ -268,7 +297,7 @@ impl Transport for TcpTransport {
         self.world
     }
 
-    fn send(&self, frame: &[u8]) -> Result<(), CommError> {
+    fn send(&self, frame: &mut Vec<u8>) -> Result<(), CommError> {
         let len = u32::try_from(frame.len()).map_err(|_| CommError::Io {
             rank: self.rank,
             detail: format!("frame of {} bytes exceeds u32 framing", frame.len()),
@@ -285,48 +314,34 @@ impl Transport for TcpTransport {
             }
             _ => io_err(self.rank, "send", &e),
         };
-        (&self.next).write_all(&len.to_le_bytes()).map_err(map)?;
-        (&self.next).write_all(frame).map_err(map)?;
+        // Prefix and payload leave in one write (two would be two segments
+        // under TCP_NODELAY); the loop finishes what a short write left.
+        let prefix = len.to_le_bytes();
+        let mut parts = [IoSlice::new(&prefix), IoSlice::new(frame)];
+        let mut unsent = &mut parts[..];
+        while !unsent.is_empty() {
+            match (&self.next).write_vectored(unsent) {
+                Ok(0) => return Err(map(ErrorKind::WriteZero.into())),
+                Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(map(e)),
+            }
+        }
         self.sent.set(self.sent.get() + 4 + u64::from(len));
         Ok(())
     }
 
-    fn recv(&self) -> Result<Vec<u8>, CommError> {
-        self.prev
-            .set_read_timeout(None)
-            .map_err(|e| io_err(self.rank, "clear read timeout", &e))?;
-        self.read_frame()
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, CommError> {
+    fn recv(&self, frame: &mut Vec<u8>, deadline: Option<Duration>) -> Result<(), CommError> {
         // A zero Duration means "no timeout" to set_read_timeout; clamp up.
-        let effective = timeout.max(Duration::from_millis(1));
-        self.prev
-            .set_read_timeout(Some(effective))
-            .map_err(|e| io_err(self.rank, "set read timeout", &e))?;
-        self.read_frame().map_err(|e| match e {
-            CommError::Timeout { rank, .. } => {
-                CommError::Timeout { rank, waited_ms: timeout.as_millis() as u64 }
-            }
-            other => other,
-        })
-    }
-
-    fn barrier(&self) -> Result<(), CommError> {
-        // n-1 rounds of an empty frame around the ring: after round k every
-        // rank has transitively heard from k+1 predecessors, so after n-1
-        // rounds everyone has entered the barrier.
-        for _ in 0..self.world.saturating_sub(1) {
-            self.send(&[])?;
-            let frame = self.recv()?;
-            if !frame.is_empty() {
-                return Err(CommError::Io {
-                    rank: self.rank,
-                    detail: format!("barrier expected empty frame, got {} bytes", frame.len()),
-                });
-            }
+        let timeout = deadline.map(|d| d.max(Duration::from_millis(1)));
+        if timeout != self.read_timeout.get() {
+            self.prev.set_read_timeout(timeout).map_err(|e| io_err(self.rank, "set read timeout", &e))?;
+            self.read_timeout.set(timeout);
         }
-        Ok(())
+        self.read_frame(frame).map_err(|e| match (e, deadline) {
+            (CommError::Timeout { rank, .. }, Some(d)) => CommError::Timeout { rank, waited_ms: d.as_millis() as u64 },
+            (other, _) => other,
+        })
     }
 
     fn bytes_sent(&self) -> u64 {
@@ -418,17 +433,22 @@ mod tests {
             .into_iter()
             .map(|t| {
                 thread::spawn(move || {
-                    let payload = vec![t.rank() as u8; 8];
-                    t.send(&payload).unwrap();
-                    let got = t.recv().unwrap();
+                    let mut frame = vec![t.rank() as u8; 8];
+                    t.send(&mut frame).unwrap();
+                    assert_eq!(frame, vec![t.rank() as u8; 8], "a socket send leaves the buffer with its caller");
+                    t.recv(&mut frame, None).unwrap();
                     let prev = (t.rank() + t.world_size() - 1) % t.world_size();
-                    assert_eq!(got, vec![prev as u8; 8]);
-                    t.barrier().unwrap();
-                    assert!(t.bytes_sent() > 0);
-                    assert!(t.bytes_received() > 0);
-                    // 8-byte payload + 4-byte prefix, plus 2 barrier rounds
-                    // of empty frames (4 bytes each).
-                    assert_eq!(t.bytes_sent(), 12 + 8);
+                    assert_eq!(frame, vec![prev as u8; 8]);
+                    // A shorter frame into the same buffer, then an empty one.
+                    t.send(&mut vec![1, 2, 3]).unwrap();
+                    t.recv(&mut frame, Some(Duration::from_secs(5))).unwrap();
+                    assert_eq!(frame, vec![1, 2, 3]);
+                    t.send(&mut Vec::new()).unwrap();
+                    t.recv(&mut frame, None).unwrap();
+                    assert!(frame.is_empty());
+                    // Three payloads of 8, 3 and 0 bytes, each with a 4-byte prefix.
+                    assert_eq!(t.bytes_sent(), 12 + 7 + 4);
+                    assert_eq!(t.bytes_received(), 12 + 7 + 4);
                 })
             })
             .collect();
@@ -438,11 +458,11 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_fires_without_a_sender() {
+    fn recv_deadline_fires_without_a_sender() {
         let transports = tcp_ring("127.0.0.1:0", 2).expect("ring forms");
         let t = &transports[0];
-        let err = t.recv_timeout(Duration::from_millis(30)).unwrap_err();
-        assert!(matches!(err, CommError::Timeout { .. }), "got {err:?}");
+        let err = t.recv(&mut Vec::new(), Some(Duration::from_millis(30))).unwrap_err();
+        assert_eq!(err, CommError::Timeout { rank: 0, waited_ms: 30 });
     }
 
     #[test]
@@ -452,7 +472,7 @@ mod tests {
         let a = transports.pop().unwrap();
         drop(b);
         // a's predecessor hung up: recv reports the drop.
-        let err = a.recv().unwrap_err();
+        let err = a.recv(&mut Vec::new(), None).unwrap_err();
         assert!(matches!(err, CommError::Dropped { rank: 0 }), "got {err:?}");
     }
 
@@ -460,8 +480,9 @@ mod tests {
     fn world_of_one_loops_back() {
         let transports = tcp_ring("127.0.0.1:0", 1).expect("ring forms");
         let t = &transports[0];
-        t.send(&[7, 7]).unwrap();
-        assert_eq!(t.recv().unwrap(), vec![7, 7]);
-        t.barrier().unwrap();
+        let mut frame = vec![7, 7];
+        t.send(&mut frame).unwrap();
+        t.recv(&mut frame, None).unwrap();
+        assert_eq!(frame, vec![7, 7]);
     }
 }

@@ -3,8 +3,8 @@
 //! Every collective in this crate is written once against [`Transport`]:
 //! a rank's identity (`rank`/`world_size`), a unidirectional byte-frame
 //! channel to the *next* rank in the ring, a matching receive side fed by
-//! the *previous* rank, a group barrier, and wire-byte accounting. Two
-//! backends ship in-tree:
+//! the *previous* rank, and wire-byte accounting. Two backends ship
+//! in-tree:
 //!
 //! - [`InProcessTransport`] — `std::sync::mpsc` channels between OS threads
 //!   of one process (the original backend, still the default);
@@ -17,12 +17,18 @@
 //! metric gathers as little-endian `f64`s, so a value crosses either
 //! backend bit-for-bit — the property the transport-equivalence tests pin
 //! down.
+//!
+//! Both directions work on a `Vec<u8>` the caller keeps, so a steady-state
+//! exchange allocates no frame. Over TCP the same buffer is written out
+//! and read into. In process a send *moves* the allocation into the
+//! channel and the receive hands over the one that arrived, so the caller
+//! encodes its next frame into its predecessor's last: buffers circulate
+//! round the ring with the data.
 
 use crate::resilience::CommError;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Point-to-point ring transport: send to the next rank, receive from the
@@ -38,35 +44,23 @@ pub trait Transport: Send + fmt::Debug {
     /// Number of ranks in the group.
     fn world_size(&self) -> usize;
 
-    /// Send one byte frame to the next rank in the ring.
+    /// Send the bytes of `frame` to the next rank in the ring. The backend
+    /// may keep the allocation: afterwards `frame`'s contents are
+    /// unspecified, and the caller overwrites it before reading it.
     ///
     /// # Errors
     ///
     /// [`CommError::Dropped`] (or [`CommError::Io`]) when the peer is gone.
-    fn send(&self, frame: &[u8]) -> Result<(), CommError>;
+    fn send(&self, frame: &mut Vec<u8>) -> Result<(), CommError>;
 
-    /// Block until a frame arrives from the previous rank.
+    /// Replace `frame` with the next frame from the previous rank, waiting
+    /// at most `deadline` for it (`None` = without limit).
     ///
     /// # Errors
     ///
+    /// [`CommError::Timeout`] when no frame arrives within `deadline`;
     /// [`CommError::Dropped`] / [`CommError::Io`] when the peer is gone.
-    fn recv(&self) -> Result<Vec<u8>, CommError>;
-
-    /// Receive with a deadline.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Timeout`] when no frame arrives within `timeout`;
-    /// otherwise as [`Transport::recv`].
-    fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, CommError>;
-
-    /// Block until every rank of the group reaches the barrier.
-    ///
-    /// # Errors
-    ///
-    /// Backend-specific: socket transports surface peer loss, the
-    /// in-process backend cannot fail.
-    fn barrier(&self) -> Result<(), CommError>;
+    fn recv(&self, frame: &mut Vec<u8>, deadline: Option<Duration>) -> Result<(), CommError>;
 
     /// Cumulative bytes this rank has put on the wire (frame payloads plus
     /// any backend framing overhead, e.g. TCP length prefixes).
@@ -78,13 +72,13 @@ pub trait Transport: Send + fmt::Debug {
 
 /// Which transport backs a [`crate::CommGroup`].
 ///
-/// Parsed from the `CANNIKIN_TRANSPORT` environment variable by the
-/// engines' runtime options (`inprocess`, `tcp`, or `tcp:HOST:PORT`);
-/// builder settings take precedence over the environment, which takes
-/// precedence over the [`TransportKind::InProcess`] default.
+/// Parsed from the `CANNIKIN_TRANSPORT` environment variable by
+/// `core::runtime::transport_from_env` (`inprocess`, `tcp`, or
+/// `tcp:HOST:PORT`); builder settings take precedence over the environment,
+/// which takes precedence over the [`TransportKind::InProcess`] default.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// Crossbeam channels between threads of this process.
+    /// `std::sync::mpsc` channels between threads of this process.
     #[default]
     InProcess,
     /// Localhost TCP sockets, coordinated through a rendezvous listener.
@@ -140,13 +134,12 @@ impl fmt::Display for TransportKind {
 }
 
 /// The original backend: unbounded `std::sync::mpsc` channels between the
-/// threads of one process, plus a shared [`Barrier`].
+/// threads of one process.
 pub struct InProcessTransport {
     rank: usize,
     world: usize,
     send_next: Sender<Vec<u8>>,
     recv_prev: Receiver<Vec<u8>>,
-    barrier: Arc<Barrier>,
     sent: Cell<u64>,
     received: Cell<u64>,
 }
@@ -159,7 +152,6 @@ impl InProcessTransport {
     /// Panics if `n == 0`.
     pub fn ring(n: usize) -> Vec<InProcessTransport> {
         assert!(n > 0, "transport ring must have at least one rank");
-        let barrier = Arc::new(Barrier::new(n));
         // Channel i carries frames from rank i to rank (i+1) % n.
         let mut senders: Vec<Option<Sender<Vec<u8>>>> = Vec::with_capacity(n);
         let mut receivers: Vec<Option<Receiver<Vec<u8>>>> = Vec::with_capacity(n);
@@ -174,7 +166,6 @@ impl InProcessTransport {
                 world: n,
                 send_next: senders[rank].take().expect("sender taken once"),
                 recv_prev: receivers[(rank + n - 1) % n].take().expect("receiver taken once"),
-                barrier: Arc::clone(&barrier),
                 sent: Cell::new(0),
                 received: Cell::new(0),
             })
@@ -197,33 +188,25 @@ impl Transport for InProcessTransport {
         self.world
     }
 
-    fn send(&self, frame: &[u8]) -> Result<(), CommError> {
+    fn send(&self, frame: &mut Vec<u8>) -> Result<(), CommError> {
         self.sent.set(self.sent.get() + frame.len() as u64);
         self.send_next
-            .send(frame.to_vec())
+            .send(std::mem::take(frame))
             .map_err(|_| CommError::Dropped { rank: self.rank })
     }
 
-    fn recv(&self) -> Result<Vec<u8>, CommError> {
-        let frame = self.recv_prev.recv().map_err(|_| CommError::Dropped { rank: self.rank })?;
+    fn recv(&self, frame: &mut Vec<u8>, deadline: Option<Duration>) -> Result<(), CommError> {
+        *frame = match deadline {
+            None => self.recv_prev.recv().map_err(|_| CommError::Dropped { rank: self.rank })?,
+            Some(timeout) => self.recv_prev.recv_timeout(timeout).map_err(|e| match e {
+                RecvTimeoutError::Timeout => CommError::Timeout {
+                    rank: self.rank,
+                    waited_ms: timeout.as_millis() as u64,
+                },
+                RecvTimeoutError::Disconnected => CommError::Dropped { rank: self.rank },
+            })?,
+        };
         self.received.set(self.received.get() + frame.len() as u64);
-        Ok(frame)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<Vec<u8>, CommError> {
-        let frame = self.recv_prev.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => CommError::Timeout {
-                rank: self.rank,
-                waited_ms: timeout.as_millis() as u64,
-            },
-            RecvTimeoutError::Disconnected => CommError::Dropped { rank: self.rank },
-        })?;
-        self.received.set(self.received.get() + frame.len() as u64);
-        Ok(frame)
-    }
-
-    fn barrier(&self) -> Result<(), CommError> {
-        self.barrier.wait();
         Ok(())
     }
 
@@ -309,10 +292,15 @@ mod tests {
         let mut ring = InProcessTransport::ring(2);
         let b = ring.pop().unwrap();
         let a = ring.pop().unwrap();
-        a.send(&[1, 2, 3]).unwrap();
-        b.send(&[9]).unwrap();
-        assert_eq!(b.recv().unwrap(), vec![1, 2, 3]);
-        assert_eq!(a.recv_timeout(Duration::from_millis(100)).unwrap(), vec![9]);
+        let mut frame = vec![1, 2, 3];
+        let sent_from = frame.as_ptr();
+        a.send(&mut frame).unwrap();
+        b.send(&mut vec![9]).unwrap();
+        b.recv(&mut frame, None).unwrap();
+        assert_eq!(frame, vec![1, 2, 3]);
+        assert_eq!(frame.as_ptr(), sent_from, "the allocation itself crosses, not a copy of it");
+        a.recv(&mut frame, Some(Duration::from_millis(100))).unwrap();
+        assert_eq!(frame, vec![9]);
         assert_eq!(a.bytes_sent(), 3);
         assert_eq!(b.bytes_received(), 3);
         assert_eq!(b.bytes_sent(), 1);
@@ -324,7 +312,9 @@ mod tests {
         let mut ring = InProcessTransport::ring(2);
         let _b = ring.pop().unwrap();
         let a = ring.pop().unwrap();
-        let err = a.recv_timeout(Duration::from_millis(10)).unwrap_err();
-        assert!(matches!(err, CommError::Timeout { rank: 0, .. }));
+        let mut frame = vec![7];
+        let err = a.recv(&mut frame, Some(Duration::from_millis(10))).unwrap_err();
+        assert!(matches!(err, CommError::Timeout { rank: 0, waited_ms: 10 }));
+        assert_eq!(frame, vec![7], "a receive that fails leaves the caller's buffer alone");
     }
 }

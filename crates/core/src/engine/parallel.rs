@@ -730,7 +730,7 @@ fn run_rank(
 
             // Gradient exchange: Eq. (9) weighted aggregation + GNS inputs.
             flatten_grads_into(&model.parameters(), &mut g);
-            let local_sq: f64 = g.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
+            let local_sq = sq_norm(&g);
             let t2 = Instant::now();
             // Injected failures abort before any data moves and exhausted
             // budgets restore the unscaled buffer, so looping until success
@@ -764,7 +764,7 @@ fn run_rank(
             }
             (p_elapsed, t2.elapsed().as_secs_f64(), 0.0, local_sq)
         };
-        let global_sq: f64 = g.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
+        let global_sq = sq_norm(&g);
 
         // Gather (bᵢ, |gᵢ|²) from every rank for Eq. (10).
         let rows = comm.gather(&[batch_indices.len() as f64, local_sq])?;
@@ -927,7 +927,7 @@ fn overlap_step(args: OverlapArgs<'_>) -> Result<OverlapOutcome, CommError> {
                 slice[filled..filled + len].copy_from_slice(p.grad.data());
                 filled += len;
             }
-            local_sq += slice.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>();
+            local_sq += sq_norm(slice);
             if slowdown > 1.0 {
                 thread::sleep(Duration::from_secs_f64(layer_elapsed * (slowdown - 1.0)));
             }
@@ -950,6 +950,21 @@ fn overlap_step(args: OverlapArgs<'_>) -> Result<OverlapOutcome, CommError> {
     let comm_time = busy.as_secs_f64();
     let overlap = (comm_time - exposed.as_secs_f64()).max(0.0);
     Ok(OverlapOutcome { p_time, comm_time, overlap, local_sq })
+}
+
+/// `|values|²` in `f64`, as eight interleaved partial sums: one running
+/// total is one chain of dependent adds, a latency apiece, and a rank takes
+/// two of these norms over the whole gradient every step.
+fn sq_norm(values: &[f32]) -> f64 {
+    let square = |v: f32| f64::from(v) * f64::from(v);
+    let (lanes, tail) = values.as_chunks::<8>();
+    let mut sums = [0.0f64; 8];
+    for lane in lanes {
+        for (sum, &v) in sums.iter_mut().zip(lane) {
+            *sum += square(v);
+        }
+    }
+    sums.iter().sum::<f64>() + tail.iter().map(|&v| square(v)).sum::<f64>()
 }
 
 /// Training accuracy over the first 512 samples, in mini-batches: the
@@ -1281,6 +1296,16 @@ mod tests {
             recovered.mean_loss
         );
         assert_replicas_agree(&t);
+    }
+
+    #[test]
+    fn sq_norm_agrees_with_the_serial_sum() {
+        let values: Vec<f32> = (0..1_300_000).map(|i| ((i * 31) as f32).sin() * (1 + i % 7) as f32).collect();
+        for len in (0..=17).chain([values.len()]) {
+            let serial: f64 = values[..len].iter().map(|&v| f64::from(v) * f64::from(v)).sum();
+            let lanes = sq_norm(&values[..len]);
+            assert!((lanes - serial).abs() <= 1e-12 * serial, "{len} values: {lanes} vs {serial}");
+        }
     }
 
     fn weight_bits(model: &Sequential) -> Vec<u32> {
