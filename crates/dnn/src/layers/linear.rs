@@ -57,7 +57,12 @@ impl Layer for Linear {
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
         assert_eq!(x.cols(), self.in_features, "linear input width {} != {}", x.cols(), self.in_features);
         let x2 = x.clone().reshape(&[x.rows(), self.in_features]);
-        let y = matmul(&x2, &self.weight.value).add_row_broadcast(&self.bias.value);
+        let mut y = matmul(&x2, &self.weight.value);
+        for row in y.data_mut().chunks_exact_mut(self.out_features) {
+            for (v, &b) in row.iter_mut().zip(self.bias.value.data()) {
+                *v += b;
+            }
+        }
         self.input = Some(x2);
         y
     }
@@ -127,6 +132,58 @@ mod tests {
             let minus = fc.forward(&xm, true).sum();
             let numeric = (plus - minus) / (2.0 * eps);
             assert!((numeric - gx.data()[idx]).abs() < 1e-2);
+        }
+    }
+
+    /// One- and two-sample batches through a layer wide enough (256 → 192,
+    /// over `SMALL_WORK` even at one sample) that the kernels' skinny rule
+    /// is what selects the unpacked path for all three products: `dW`, `db`
+    /// and `dX` against central differences of `L = Σ y ⊙ g`, which is
+    /// linear in each of them, so the step can be large.
+    #[test]
+    fn gradient_check_at_batch_one_and_two() {
+        for batch in [1, 2] {
+            let mut fc = Linear::new(256, 192, 21);
+            fc.bias.value = Tensor::randn(&[192], 22);
+            let x = Tensor::randn(&[batch, 256], 23);
+            let g = Tensor::randn(&[batch, 192], 24);
+            let loss = |fc: &mut Linear, x: &Tensor| -> f64 {
+                fc.forward(x, true).data().iter().zip(g.data()).map(|(&y, &g)| f64::from(y) * f64::from(g)).sum()
+            };
+            fc.forward(&x, true);
+            let dx = fc.backward(&g);
+            let (dw, db) = (fc.weight.grad.clone(), fc.bias.grad.clone());
+
+            let eps = 1e-2f32;
+            let check = |what: &str, idx: usize, numeric: f64, analytic: f32| {
+                assert!(
+                    (numeric - f64::from(analytic)).abs() < 5e-3,
+                    "batch {batch} {what}[{idx}]: {numeric} vs {analytic}"
+                );
+            };
+            let central = |fc: &mut Linear, param: fn(&mut Linear) -> &mut Tensor, idx: usize| {
+                let orig = param(fc).data()[idx];
+                param(fc).data_mut()[idx] = orig + eps;
+                let plus = loss(fc, &x);
+                param(fc).data_mut()[idx] = orig - eps;
+                let minus = loss(fc, &x);
+                param(fc).data_mut()[idx] = orig;
+                (plus - minus) / f64::from(2.0 * eps)
+            };
+            // Every 97th weight reaches every row and column of W.
+            for idx in (0..dw.len()).step_by(97) {
+                check("dW", idx, central(&mut fc, |fc| &mut fc.weight.value, idx), dw.data()[idx]);
+            }
+            for idx in 0..db.len() {
+                check("db", idx, central(&mut fc, |fc| &mut fc.bias.value, idx), db.data()[idx]);
+            }
+            for idx in 0..x.len() {
+                let (mut xp, mut xm) = (x.clone(), x.clone());
+                xp.data_mut()[idx] += eps;
+                xm.data_mut()[idx] -= eps;
+                let numeric = (loss(&mut fc, &xp) - loss(&mut fc, &xm)) / f64::from(2.0 * eps);
+                check("dX", idx, numeric, dx.data()[idx]);
+            }
         }
     }
 

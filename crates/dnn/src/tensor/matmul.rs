@@ -77,10 +77,7 @@ pub fn gemm(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32], a
     assert_eq!(a.len(), m * k, "gemm lhs length");
     assert_eq!(b.len(), k * n, "gemm rhs length");
     assert_eq!(c.len(), m * n, "gemm output length");
-    if !acc {
-        c.fill(0.0);
-    }
-    blocked::gemm_strided(m, n, k, a, k, 1, b, n, 1, c);
+    blocked::gemm_strided_acc(m, n, k, a, k, 1, b, n, 1, c, acc);
 }
 
 /// Slice-level `C (+)= Aᵀ × B` for row-major `a: [k, m]`, `b: [k, n]`,
@@ -93,10 +90,7 @@ pub fn gemm_at_b(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f3
     assert_eq!(a.len(), k * m, "gemm_at_b lhs length");
     assert_eq!(b.len(), k * n, "gemm_at_b rhs length");
     assert_eq!(c.len(), m * n, "gemm_at_b output length");
-    if !acc {
-        c.fill(0.0);
-    }
-    blocked::gemm_strided(m, n, k, a, 1, m, b, n, 1, c);
+    blocked::gemm_strided_acc(m, n, k, a, 1, m, b, n, 1, c, acc);
 }
 
 /// Slice-level `C (+)= A × Bᵀ` for row-major `a: [m, k]`, `b: [n, k]`,
@@ -109,10 +103,7 @@ pub fn gemm_a_bt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f3
     assert_eq!(a.len(), m * k, "gemm_a_bt lhs length");
     assert_eq!(b.len(), n * k, "gemm_a_bt rhs length");
     assert_eq!(c.len(), m * n, "gemm_a_bt output length");
-    if !acc {
-        c.fill(0.0);
-    }
-    blocked::gemm_strided(m, n, k, a, k, 1, b, 1, k, c);
+    blocked::gemm_strided_acc(m, n, k, a, k, 1, b, 1, k, c, acc);
 }
 
 fn dims2(t: &Tensor, what: &str) -> (usize, usize) {

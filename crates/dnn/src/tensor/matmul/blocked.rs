@@ -31,10 +31,19 @@
 //! [`simd`](super::simd). The kernel is resolved **once** per
 //! [`gemm_strided`] call on the calling thread and passed into the row
 //! workers by value, so a [`KernelGuard`](super::simd::KernelGuard)
-//! override governs the whole operation. The small-matrix path below
-//! `SMALL_WORK` stays scalar under every policy — packing overhead
-//! dominates there, which is exactly why the dispatch-boundary proptests
-//! straddle it.
+//! override governs the whole operation.
+//!
+//! Packing pays only when the packed operand is reused. Two kinds of
+//! product cannot amortise it and take [`unpacked`] instead, two loop nests
+//! that read each operand in place and the big one exactly once: anything
+//! of at most `SMALL_WORK` multiply-adds, and any *skinny* product — C of
+//! at most `SKINNY_ROWS` rows (`A·B`, `A·Bᵀ`) or a sum of at most
+//! `SKINNY_DEPTH` terms (`Aᵀ·B`) over runs of at least `MIN_RUN` floats —
+//! which is what a slow rank's one- or two-sample batch makes of every
+//! layer. The choice reads `(m, n, k)` and the strides, nothing else, and
+//! the nests are compiled for both kernels like the packed core, so a
+//! kernel override governs them too; they run on the calling thread and
+//! take nothing from [`scratch`].
 
 use super::simd::{self, Kernel};
 use crate::tensor::{scratch, threads};
@@ -52,6 +61,23 @@ const NC: usize = 256;
 
 /// Below this `m·n·k`, skip blocking/packing entirely.
 const SMALL_WORK: usize = 16 * 1024;
+/// Most rows of C (`A·B`, `A·Bᵀ`) the unpacked path takes whatever the
+/// total work. Measured (CHANGES.md, PR 20): at 8 rows it is 1.1–2.7× the
+/// packed path at every width from 128 to 4096; at 12 `A·B` ties on a
+/// 1024×1024 operand and `A·Bᵀ` loses on a 128-long one; at 16 `A·B`
+/// loses there and by 24 both lose everywhere.
+const SKINNY_ROWS: usize = 8;
+/// The same for the summed dimension of `Aᵀ·B`, a rank-`k` update. It
+/// gives way sooner because the packed path streams C once too and only
+/// pays for its `kc = k` tile: at 4 ahead on operands of 512×512 and
+/// larger and level on 128×512; behind from 6 on 128×512 and 512×512,
+/// from 12 on 1024×1024.
+const SKINNY_DEPTH: usize = 4;
+/// Shortest contiguous run (`n`, or `k` for `A·Bᵀ`) the skinny rule
+/// applies to. The nests vectorise along it; under ~128 floats the per-row
+/// loop overhead and the dot's lane fold cost more than packing a B that
+/// small, and the packed path is up to 3× ahead (a 1024→10 head, say).
+const MIN_RUN: usize = 128;
 /// Minimum `m·n·k` assigned to each additional thread.
 const WORK_PER_THREAD: usize = 128 * 1024;
 
@@ -60,8 +86,8 @@ const WORK_PER_THREAD: usize = 128 * 1024;
 /// element `(p, j)` at `b[p·b_rs + j·b_cs]`, and `C` row-major `[m, n]`.
 ///
 /// Callers zero `C` first for a plain product. Dispatches between the
-/// small-matrix path, the serial blocked path, and row-partitioned
-/// threading based on problem size and the current thread budget.
+/// unpacked path, the serial blocked path, and row-partitioned
+/// threading based on problem shape and the current thread budget.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn gemm_strided(
     m: usize,
@@ -75,18 +101,64 @@ pub(super) fn gemm_strided(
     b_cs: usize,
     c: &mut [f32],
 ) {
+    gemm_strided_acc(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, true);
+}
+
+/// [`gemm_strided`] with the choice its callers' `acc` flag makes:
+/// `C = A · B` when `acc` is false, whatever `C` held. The unpacked path
+/// stores its first term instead of clearing `C` first; the packed paths
+/// clear it here.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn gemm_strided_acc(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_cs: usize,
+    b: &[f32],
+    b_rs: usize,
+    b_cs: usize,
+    c: &mut [f32],
+    acc: bool,
+) {
     debug_assert_eq!(c.len(), m * n, "gemm output length");
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
     let work = m * n * k;
-    if work <= SMALL_WORK {
-        gemm_small(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c);
+    if work == 0 {
+        if !acc {
+            c.fill(0.0); // an empty sum
+        }
         return;
     }
     // Resolve the kernel once, here, so the calling thread's override (if
     // any) also governs the spawned row workers below.
     let kernel = simd::active_kernel();
+    // The unpacked nests walk B by contiguous rows, or for `A·Bᵀ` walk A's
+    // rows against B's contiguous columns. What the layers keep small is
+    // the batch: C's rows, or for `Aᵀ·B` (A walked down its columns) the
+    // summed dimension. `run` is the length the nest vectorises along.
+    let dots = b_cs != 1;
+    let walkable = !dots || (a_cs == 1 && b_rs == 1);
+    let (batch, limit, run) = match (dots, a_rs == 1) {
+        (true, _) => (m, SKINNY_ROWS, k),
+        (false, true) => (k, SKINNY_DEPTH, n),
+        (false, false) => (m, SKINNY_ROWS, n),
+    };
+    if walkable && (work <= SMALL_WORK || (batch <= limit && run >= MIN_RUN)) {
+        match kernel {
+            Kernel::Scalar => unpacked::<false>(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, acc),
+            // SAFETY: `Kernel::Avx2` is only resolved when `avx2_available()`
+            // reported both `avx2` and `fma`.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { simd::unpacked_avx2(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, acc) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Kernel::Avx2 => unreachable!("AVX2 kernel resolved on a non-x86_64 target"),
+        }
+        return;
+    }
+    if !acc {
+        c.fill(0.0);
+    }
     let mr = kernel.mr();
     let t = threads::effective_threads().min(m.div_ceil(mr)).min(1 + work / WORK_PER_THREAD);
     if t <= 1 {
@@ -114,9 +186,90 @@ pub(super) fn gemm_strided(
     });
 }
 
-/// Strided triple loop for matrices too small to amortize packing.
+/// Accumulators a dot product is split over: four `ymm` registers' worth,
+/// enough independent chains to cover the multiply-add latency.
+const DOT_LANES: usize = 32;
+
+/// `a·b + c`, fused when the caller was compiled with FMA. The unfused
+/// form is spelled out because `f32::mul_add` without the `fma` target
+/// feature is a libm call.
+#[inline(always)]
+fn madd<const FMA: bool>(a: f32, b: f32, c: f32) -> f32 {
+    if FMA {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
+}
+
+/// `crow (+)= av · brow`, storing instead of adding when `acc` is false.
+#[inline(always)]
+fn axpy<const FMA: bool>(crow: &mut [f32], av: f32, brow: &[f32], acc: bool) {
+    if acc {
+        for (cv, &bv) in crow.iter_mut().zip(brow) {
+            *cv = madd::<FMA>(av, bv, *cv);
+        }
+    } else {
+        for (cv, &bv) in crow.iter_mut().zip(brow) {
+            *cv = av * bv;
+        }
+    }
+}
+
+/// Pairwise fold of the partial sums of [`dot`]. Deliberately out of line:
+/// inlined, this tree is what LLVM's SLP vectoriser starts from, and it
+/// narrows the accumulate loop in `dot` to two-float vectors to match
+/// (measured: a 1024-long dot 3× slower). Being one function, it also folds
+/// in the same order whichever kernel calls it.
+#[inline(never)]
+fn fold_lanes(mut lanes: [f32; DOT_LANES]) -> f32 {
+    let mut width = DOT_LANES / 2;
+    while width > 0 {
+        let (lo, hi) = lanes.split_at_mut(width);
+        for (l, &h) in lo.iter_mut().zip(&hi[..width]) {
+            *l += h;
+        }
+        width /= 2;
+    }
+    lanes[0]
+}
+
+/// `Σ x[p]·y[p]` over [`DOT_LANES`] interleaved partial sums, folded
+/// pairwise, then the sub-lane tail in order. The lane split is fixed
+/// here, not by the vector width, so both kernels sum in the same order;
+/// operands shorter than the lane count sum strictly in order.
+#[inline(always)]
+fn dot<const FMA: bool>(x: &[f32], y: &[f32]) -> f32 {
+    let (xc, yc) = (x.chunks_exact(DOT_LANES), y.chunks_exact(DOT_LANES));
+    let (xt, yt) = (xc.remainder(), yc.remainder());
+    let mut sum = 0.0;
+    if x.len() >= DOT_LANES {
+        let mut lanes = [0.0f32; DOT_LANES];
+        for (xs, ys) in xc.zip(yc) {
+            for ((lane, &xv), &yv) in lanes.iter_mut().zip(xs).zip(ys) {
+                *lane = madd::<FMA>(xv, yv, *lane);
+            }
+        }
+        sum = fold_lanes(lanes);
+    }
+    for (&xv, &yv) in xt.iter().zip(yt) {
+        sum = madd::<FMA>(xv, yv, sum);
+    }
+    sum
+}
+
+/// The product without packing, for operands that cannot amortise it:
+/// everything under `SMALL_WORK` and every skinny shape (see the module
+/// note). Each nest reads the big operand once, in memory order.
+///
+/// Written once and compiled twice: as is for [`Kernel::Scalar`], and
+/// inlined into `simd::unpacked_avx2` where the same loops vectorise
+/// to `ymm` width with fused multiply-adds — hence `inline(always)` here
+/// and on everything it calls, and no closures, which would keep the
+/// baseline target features.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_small(
+pub(super) fn unpacked<const FMA: bool>(
     m: usize,
     n: usize,
     k: usize,
@@ -127,29 +280,38 @@ fn gemm_small(
     b_rs: usize,
     b_cs: usize,
     c: &mut [f32],
+    acc: bool,
 ) {
     if b_cs == 1 {
-        // B rows are contiguous: axpy over C rows (i-k-j order).
-        for i in 0..m {
-            let crow = &mut c[i * n..(i + 1) * n];
+        // B rows are contiguous: row axpys, the longer of the two outer
+        // loops outermost. A skinny `A·B` walks `p → i → j` (C's few rows
+        // stay in L1, B streams through once); a skinny `Aᵀ·B` walks
+        // `i → p → j` (B's few rows stay, C streams through once). Either
+        // way each C element sums its terms in `p` order.
+        if m <= k {
             for p in 0..k {
-                let av = a[i * a_rs + p * a_cs];
-                let brow = &b[p * b_rs..p * b_rs + n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += av * bv;
+                let brow = &b[p * b_rs..][..n];
+                for i in 0..m {
+                    axpy::<FMA>(&mut c[i * n..][..n], a[i * a_rs + p * a_cs], brow, acc || p > 0);
+                }
+            }
+        } else {
+            for i in 0..m {
+                let crow = &mut c[i * n..][..n];
+                for p in 0..k {
+                    axpy::<FMA>(crow, a[i * a_rs + p * a_cs], &b[p * b_rs..][..n], acc || p > 0);
                 }
             }
         }
     } else {
-        // B columns are contiguous (the A·Bᵀ case): dot products.
-        for i in 0..m {
-            for j in 0..n {
-                let bcol = &b[j * b_cs..j * b_cs + k * b_rs];
-                let mut acc = 0.0f32;
-                for p in 0..k {
-                    acc += a[i * a_rs + p * a_cs] * bcol[p * b_rs];
-                }
-                c[i * n + j] += acc;
+        // `A·Bᵀ`: rows of A against the contiguous columns of B, each
+        // column read once for all of A's rows.
+        for j in 0..n {
+            let bcol = &b[j * b_cs..][..k];
+            for i in 0..m {
+                let sum = dot::<FMA>(&a[i * a_rs..][..k], bcol);
+                let cv = &mut c[i * n + j];
+                *cv = if acc { *cv + sum } else { sum };
             }
         }
     }

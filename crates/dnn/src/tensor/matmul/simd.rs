@@ -13,9 +13,10 @@
 //!    the scalar core is the only kernel.
 //! 2. **Policy.** `CANNIKIN_SIMD` (read once per process, see
 //!    [`configured_kernel`]) selects `auto` (default: use AVX2 when
-//!    detected), `off`/`scalar` (force the scalar core — bitwise identical
-//!    to the pre-SIMD build), or `avx2` (request the SIMD core, still
-//!    falling back to scalar where unsupported).
+//!    detected), `off`/`scalar` (force the scalar kernel: baseline-target
+//!    code, every multiply rounded before its add, the same bits on every
+//!    run and at every thread count), or `avx2` (request the SIMD kernel,
+//!    still falling back to scalar where unsupported).
 //! 3. **Override.** A thread-local [`KernelGuard`] (or the [`with_kernel`]
 //!    closure form) pins the kernel for tests and benches regardless of
 //!    environment, mirroring [`ThreadBudgetGuard`](crate::tensor::threads::ThreadBudgetGuard).
@@ -28,9 +29,13 @@
 //! The AVX2 path reuses the scalar core's packing (panels are packed
 //! 6-row/16-column instead of 2-row/16-column via the const-generic
 //! packers) and its cache-blocking structure; only the register tile and
-//! the block heights differ. FMA contracts the multiply-add, so results
-//! differ from the scalar core by rounding only — the `kernel_equivalence`
-//! proptests bound both against the naive reference.
+//! the block heights differ. The unpacked path (`blocked::unpacked`, for
+//! small and skinny products) is one body for both kernels: here it is
+//! inlined into `unpacked_avx2`, whose target features widen its loops
+//! to `ymm` and fuse its multiply-adds. FMA contracts the multiply-add, so
+//! on either path results differ from the scalar kernel by rounding only —
+//! the `kernel_equivalence` proptests bound both against the naive
+//! reference.
 
 use crate::tensor::scratch;
 use std::cell::Cell;
@@ -88,7 +93,7 @@ pub enum SimdPolicy {
     /// Use the AVX2 core when the CPU supports it, scalar otherwise.
     #[default]
     Auto,
-    /// Force the scalar core; bitwise identical to the pre-SIMD build.
+    /// Force the scalar kernel: no FMA, the same bits on every run.
     Scalar,
     /// Request the AVX2 core; still falls back to scalar when unsupported
     /// (a hard crash on older hardware helps nobody).
@@ -282,6 +287,31 @@ pub(super) fn gemm_serial_avx2(
     _c: &mut [f32],
 ) {
     unreachable!("AVX2 kernel resolved on a non-x86_64 target");
+}
+
+/// `blocked::unpacked` compiled for AVX2+FMA: the body is inlined here, so
+/// its loops vectorise to `ymm` width and its multiply-adds fuse.
+///
+/// # Safety
+///
+/// Caller must ensure AVX2 and FMA are available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+pub(super) unsafe fn unpacked_avx2(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_cs: usize,
+    b: &[f32],
+    b_rs: usize,
+    b_cs: usize,
+    c: &mut [f32],
+    acc: bool,
+) {
+    super::blocked::unpacked::<true>(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, acc);
 }
 
 /// Multiply one packed A block against one packed B block, accumulating

@@ -5,7 +5,9 @@
 //! Shapes are drawn from ranges that deliberately include the degenerate
 //! and awkward cases — `m = 1`, `k = 1`, dimensions that are not multiples
 //! of the register tile or cache block — because those exercise the
-//! zero-padded panel edges of the packed kernels.
+//! zero-padded panel edges of the packed kernels. The `skinny_*` properties
+//! pair a batch of 1–10 with layer widths up to 1100, the shapes the
+//! unpacked path exists for and the 1..80 draw never produces.
 
 use minidnn::tensor::simd::{self, with_kernel, Kernel};
 use minidnn::tensor::threads::with_threads;
@@ -112,8 +114,9 @@ fn forced_avx2_matmul_matches_reference() {
     check(CASES, |g| {
         let (m, k, n, seed) = shape_and_seed(g);
         // Shapes drawn here straddle the SMALL_WORK dispatch boundary: tiny
-        // products stay on the scalar small-matrix path even when the AVX2
-        // kernel is forced, so this covers both sides of the dispatch tree.
+        // products take the unpacked path, the rest the packed core, both
+        // compiled for the forced kernel, so this covers both sides of the
+        // dispatch tree.
         if !simd::avx2_available() {
             return;
         }
@@ -172,6 +175,132 @@ fn forced_avx2_threaded_matches_reference() {
         let got = with_kernel(Kernel::Avx2, || with_threads(4, || minidnn::tensor::matmul(&a, &b)));
         assert_all_close(&got, &reference::matmul(&a, &b));
     });
+}
+
+/// Cases for the skinny properties: their references are naive products
+/// of up to 10 × 1100 × 1100, so fewer of them.
+const SKINNY_CASES: usize = 16;
+
+/// The width of a layer: under a vector, either side of the 128-float run
+/// the skinny rule asks for, odd sizes near the layer widths in use, and
+/// anything up to 1100.
+fn width(g: &mut Gen) -> usize {
+    match g.usize(0..4) {
+        0 => g.usize(1..8),
+        1 => g.usize(120..136),
+        2 => g.pick(&[37, 255, 256, 1000, 1024, 1037]),
+        _ => g.usize(8..1100),
+    }
+}
+
+/// A `[batch, p]` input, a `[p, q]` and a `[q, p]` weight and a
+/// `[batch, q]` gradient: what a linear layer hands the three kernels,
+/// with the batch on both sides of the unpacked path's crossovers (8 rows
+/// of C, 4 summed terms for `Aᵀ·B`).
+fn skinny_operands(g: &mut Gen) -> (Tensor, Tensor, Tensor, Tensor) {
+    let (batch, p, q, seed) = (g.usize(1..11), width(g), width(g), g.u64(0..1024));
+    (
+        Tensor::randn(&[batch, p], seed),
+        Tensor::randn(&[p, q], seed.wrapping_add(12)),
+        Tensor::randn(&[q, p], seed.wrapping_add(13)),
+        Tensor::randn(&[batch, q], seed.wrapping_add(14)),
+    )
+}
+
+#[test]
+fn skinny_products_match_reference_under_both_kernels() {
+    check(SKINNY_CASES, |g| {
+        let (x, w, wt, dy) = skinny_operands(g);
+        let y = reference::matmul(&x, &w);
+        let dw = reference::matmul_at_b(&x, &dy);
+        let dx = reference::matmul_a_bt(&x, &wt);
+        // Without AVX2 the second guard installs the scalar kernel again.
+        for kernel in [Kernel::Scalar, Kernel::Avx2] {
+            with_kernel(kernel, || {
+                assert_all_close(&minidnn::tensor::matmul(&x, &w), &y);
+                assert_all_close(&minidnn::tensor::matmul_at_b(&x, &dy), &dw);
+                assert_all_close(&minidnn::tensor::matmul_a_bt(&x, &wt), &dx);
+            });
+        }
+    });
+}
+
+/// `gemm_into(c, false)` must leave the product whatever `c` held, NaN
+/// included, and `gemm_into(c, true)` must then add it exactly once more.
+fn overwrites_then_adds(form: &str, once: &Tensor, gemm_into: impl Fn(&mut [f32], bool)) {
+    let mut c = vec![f32::NAN; once.len()];
+    gemm_into(&mut c, false);
+    for (i, (&got, &want)) in c.iter().zip(once.data()).enumerate() {
+        assert!(close(got, want), "{form} overwrite, element {i}: {got} vs {want}");
+    }
+    gemm_into(&mut c, true);
+    for (i, (&got, &want)) in c.iter().zip(once.data()).enumerate() {
+        assert!(close(got, 2.0 * want), "{form} accumulate, element {i}: {got} vs {}", 2.0 * want);
+    }
+}
+
+#[test]
+fn skinny_gemm_overwrites_then_adds_exactly_one_product() {
+    use minidnn::tensor::{gemm, gemm_a_bt, gemm_at_b};
+    check(SKINNY_CASES, |g| {
+        let (x, w, wt, dy) = skinny_operands(g);
+        let (batch, p, q) = (x.shape()[0], x.shape()[1], w.shape()[1]);
+        for kernel in [Kernel::Scalar, Kernel::Avx2] {
+            with_kernel(kernel, || {
+                overwrites_then_adds("A·B", &minidnn::tensor::matmul(&x, &w), |c, acc| {
+                    gemm(batch, q, p, x.data(), w.data(), c, acc)
+                });
+                overwrites_then_adds("Aᵀ·B", &minidnn::tensor::matmul_at_b(&x, &dy), |c, acc| {
+                    gemm_at_b(p, q, batch, x.data(), dy.data(), c, acc)
+                });
+                overwrites_then_adds("A·Bᵀ", &minidnn::tensor::matmul_a_bt(&x, &wt), |c, acc| {
+                    gemm_a_bt(batch, q, p, x.data(), wt.data(), c, acc)
+                });
+            });
+        }
+    });
+}
+
+#[test]
+fn forced_scalar_skinny_products_are_bitwise_repeatable() {
+    check(SKINNY_CASES, |g| {
+        let (x, w, wt, dy) = skinny_operands(g);
+        let run = || {
+            with_kernel(Kernel::Scalar, || {
+                (
+                    minidnn::tensor::matmul(&x, &w),
+                    minidnn::tensor::matmul_at_b(&x, &dy),
+                    minidnn::tensor::matmul_a_bt(&x, &wt),
+                )
+            })
+        };
+        let (first, second) = (run(), run());
+        assert_eq!(first.0.data(), second.0.data());
+        assert_eq!(first.1.data(), second.1.data());
+        assert_eq!(first.2.data(), second.2.data());
+    });
+}
+
+/// The unpacked path reads its operands in place: a two-sample step through
+/// a 256 → 1024 layer takes no buffer from the arena, where the packed path
+/// takes two per product.
+#[test]
+fn skinny_products_take_nothing_from_scratch() {
+    use minidnn::tensor::{gemm, gemm_a_bt, gemm_at_b};
+    let (batch, p, q) = (2, 256, 1024);
+    let x = Tensor::randn(&[batch, p], 1);
+    let w = Tensor::randn(&[p, q], 2);
+    let dy = Tensor::randn(&[batch, q], 3);
+    let (mut y, mut dw, mut dx) = (vec![0.0f32; batch * q], vec![0.0f32; p * q], vec![0.0f32; batch * p]);
+    for kernel in [Kernel::Scalar, Kernel::Avx2] {
+        with_kernel(kernel, || {
+            let before = scratch::stats();
+            gemm(batch, q, p, x.data(), w.data(), &mut y, false);
+            gemm_at_b(p, q, batch, x.data(), dy.data(), &mut dw, true);
+            gemm_a_bt(batch, p, q, dy.data(), w.data(), &mut dx, false);
+            assert_eq!(scratch::stats(), before, "{kernel} kernel");
+        });
+    }
 }
 
 #[test]

@@ -5,7 +5,11 @@
 # in; the parent is any other checkout, each built and run by its own
 # crates/benchmark/run.sh from its own root.
 #
-# Usage: scripts/ab.sh <workload> <parent-checkout> [--pairs 10] [--seed S] [--seconds 20]
+# Usage: scripts/ab.sh <workload|all> <parent-checkout> [--pairs 10] [--seed S] [--seconds 20]
+#
+# `all` runs every workload BENCHMARK.json names, one after the other with
+# the same flags and a summary each — what "no other workload got worse"
+# takes — and exits non-zero if a side of any of them printed no result.
 #
 # One warm-up run per side is discarded first: the first run after idle is
 # 2-3x slow on a shared host (and builds the side if it has to). Pairs then
@@ -17,7 +21,7 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/ab.sh <workload> <parent-checkout> [--pairs 10] [--seed S] [--seconds 20]" >&2
+    echo "usage: scripts/ab.sh <workload|all> <parent-checkout> [--pairs 10] [--seed S] [--seconds 20]" >&2
     exit 2
 }
 
@@ -36,6 +40,15 @@ while [[ $# -gt 0 ]]; do
     esac
     shift 2
 done
+
+if [[ $workload == all ]]; then
+    status=0
+    for name in $(sed -n '/"workloads"/p' "$change/BENCHMARK.json" | grep -o '{"name":"[^"]*","why"' | cut -d'"' -f4); do
+        "$0" "$name" "$parent" --pairs "$pairs" --seed "$seed" --seconds "$seconds" || status=$?
+        echo
+    done
+    exit "$status"
+fi
 
 # name:direction of every end-to-end metric, in the manifest's order.
 metrics=$(sed -n '/"end_to_end"/p' "$change/BENCHMARK.json" |

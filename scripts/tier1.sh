@@ -7,6 +7,7 @@
 #              at smoke size (plain rustc, ~45 s)
 #   build      release build, and proof that it resolved no registry crate
 #   test       full workspace test suite
+#   kernels    minidnn's suite again, optimised, under each GEMM kernel
 #   clippy     warnings-as-errors clippy pass over library, test and example code
 #   doc        warnings-as-errors rustdoc
 #   chaos      every fault schedule (CANNIKIN_CHAOS_SCHEDULE narrows it)
@@ -22,7 +23,7 @@ cd "$(dirname "$0")/.."
 # says otherwise should fail here, not reach for a registry.
 export CARGO_NET_OFFLINE=true
 
-ALL="benchmark build test clippy doc chaos policy fleet gate report"
+ALL="benchmark build test kernels clippy doc chaos policy fleet gate report"
 
 stage() {
     case "$1" in
@@ -50,6 +51,14 @@ stage() {
         fi
         ;;
     test) cargo test --workspace -q ;;
+    kernels)
+        # The `test` stage compiles minidnn unoptimised; the `unsafe` AVX2
+        # code and the loops that rely on the vectoriser ship optimised.
+        cargo test -p minidnn --release -q
+        # And with the scalar kernel as the process-wide default, so the
+        # tests that pin no kernel of their own run on it too.
+        CANNIKIN_SIMD=off cargo test -p minidnn --release -q
+        ;;
     clippy) cargo clippy --workspace --all-targets -- -D warnings ;;
     doc) RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ;;
     chaos) cargo test --test chaos --release -q ;;
