@@ -284,20 +284,12 @@ impl Executor for SimExecutor {
         // real optimizer work and counts toward the Table 6 overhead, even
         // though it happens interleaved with the simulated batches.
         let mut fit_seconds = 0.0;
-        // Per-sample times of the epoch's last observed batch, fed back to
-        // the policy through `tell` (the LB-BSP rebalance signal).
-        let mut tell_per_sample: Vec<f64> = Vec::new();
         let mut observe = |analyzer: &mut Analyzer, batch: &hetsim::trace::BatchTrace, step: usize| {
             if telemetry::enabled() {
                 for obs in &batch.observations {
                     telemetry::emit(obs.step_timing(step as u64));
                 }
             }
-            tell_per_sample = batch
-                .observations
-                .iter()
-                .map(|o| (o.a_time + o.p_time) / o.local_batch.max(1) as f64)
-                .collect();
             let fit_started = Instant::now();
             analyzer.observe_batch(batch);
             fit_seconds += fit_started.elapsed().as_secs_f64();
@@ -310,14 +302,17 @@ impl Executor for SimExecutor {
         let mut epoch_time = 0.0;
         let mut completed = 0usize;
         let mut consecutive_failures = 0u32;
+        let mut micros = Vec::new();
+        // The epoch's last completed batch, as its nodes observed it.
+        let mut last_observed = Vec::new();
         while completed < steps {
-            let mut micros = Vec::new();
+            micros.clear();
             for _ in 1..accumulation {
                 let micro = self.sim.simulate_microbatch(&local);
                 epoch_time += micro.batch_time;
                 micros.push(micro);
             }
-            let batch = self.sim.simulate_batch(&local);
+            let mut batch = self.sim.simulate_batch(&local);
             epoch_time += batch.batch_time;
             faults_seen += batch.faults.len() as u32;
             for fault in &batch.faults {
@@ -336,6 +331,7 @@ impl Executor for SimExecutor {
                     observe(analyzer, micro, completed);
                 }
                 observe(analyzer, &batch, completed);
+                last_observed = std::mem::take(&mut batch.observations);
                 completed += 1;
                 consecutive_failures = 0;
             }
@@ -402,6 +398,10 @@ impl Executor for SimExecutor {
         }
         let mean_batch_time = epoch_time / steps as f64;
         drop(sim_span);
+        // Per-sample times of that batch, fed back to the policy through
+        // `tell` (the LB-BSP rebalance signal).
+        let tell_per_sample: Vec<f64> =
+            last_observed.iter().map(|o| (o.a_time + o.p_time) / o.local_batch.max(1) as f64).collect();
         let overhead_seconds = plan_seconds + fit_seconds + replan_seconds;
 
         telemetry::counter("epoch_time_s", epoch_time);

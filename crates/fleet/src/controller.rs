@@ -133,6 +133,44 @@ struct ManagedJob {
     /// nodes), profiled once on first demand and cached — the realized
     /// scaling knee that caps the job's GNS-driven ask.
     scaling_curve: Option<Vec<f64>>,
+    /// The last [`demand::profiled_nodes`] answer, with what it was asked.
+    profiled: Option<ProfiledDemand>,
+}
+
+/// One [`demand::profiled_nodes`] answer and every argument of the call
+/// that can change within a controller's life (the job and its trainer
+/// configuration cannot): while a job's φ has not moved and no node has
+/// died, asking again would only repeat up to `cap` cold solver sweeps.
+struct ProfiledDemand {
+    phi_bits: u64,
+    min_nodes: usize,
+    cap: usize,
+    /// Pool ids of the live nodes, fastest first.
+    ranked: Vec<usize>,
+    want: usize,
+}
+
+impl ManagedJob {
+    /// GNS-justified node demand at noise scale `phi` — `ranked` are the
+    /// specs of the pool nodes `ranked_ids`.
+    fn profiled_nodes(
+        &mut self,
+        ranked_ids: &[usize],
+        ranked: &[NodeSpec],
+        phi: f64,
+        min_nodes: usize,
+        cap: usize,
+    ) -> usize {
+        let phi_bits = phi.to_bits();
+        if let Some(p) = &self.profiled {
+            if p.phi_bits == phi_bits && p.min_nodes == min_nodes && p.cap == cap && p.ranked == ranked_ids {
+                return p.want;
+            }
+        }
+        let want = demand::profiled_nodes(&self.spec.job, &self.spec.config, ranked, phi, min_nodes, cap);
+        self.profiled = Some(ProfiledDemand { phi_bits, min_nodes, cap, ranked: ranked_ids.to_vec(), want });
+        want
+    }
 }
 
 /// The multi-tenant control plane (see the [module docs](self)).
@@ -241,6 +279,7 @@ impl FleetController {
                 fifo_rank: rank[i],
                 slice: slice_base + usize::from(rank[i] < slice_extra),
                 scaling_curve: None,
+                profiled: None,
             })
             .collect();
         Ok(FleetController {
@@ -458,8 +497,8 @@ impl FleetController {
         // Reference ranking for the demand profiler: the pool's live
         // nodes fastest-first, independent of current ownership, so a
         // job's demand doesn't wobble with who holds what.
-        let ranked: Vec<_> =
-            self.pool.ranked_live().into_iter().map(|id| self.pool.spec(id).clone()).collect();
+        let ranked_ids = self.pool.ranked_live();
+        let ranked: Vec<_> = ranked_ids.iter().map(|&id| self.pool.spec(id).clone()).collect();
         // Profile each admitted job's realized scaling curve once (only
         // the adaptive policy reads `want`; the baselines skip the cost).
         if self.policy == AllocPolicy::Cannikin {
@@ -489,7 +528,7 @@ impl FleetController {
             }
         }
         let mut demands: Vec<JobDemand> = Vec::new();
-        for (i, job) in self.jobs.iter().enumerate() {
+        for (i, job) in self.jobs.iter_mut().enumerate() {
             let (phi, held, running) = match &job.state {
                 JobState::Queued => (job.spec.noise.noise_scale(job.saved.0), 0, false),
                 JobState::Running(t) => (t.noise_scale_now(), job.node_ids.len(), true),
@@ -512,8 +551,7 @@ impl FleetController {
             // GNS-justified parallelism, capped by the measured knee:
             // never ask past what the noise scale can absorb, nor past
             // where realized scaling stopped paying.
-            let statistical =
-                demand::profiled_nodes(&job.spec.job, &job.spec.config, &ranked, phi, min_eff, cap);
+            let statistical = job.profiled_nodes(&ranked_ids, &ranked, phi, min_eff, cap);
             let want = match &job.scaling_curve {
                 Some(curve) => statistical.min(demand::scaling_knee(curve, min_eff, cap)),
                 None => statistical,
@@ -1099,6 +1137,68 @@ mod tests {
         let report = fleet.run_to_completion(4_000).unwrap();
         assert_eq!(report.jobs.len(), 3);
         assert!(report.jobs.iter().all(|j| j.finished_at > 0.0), "all policies drain");
+    }
+
+    /// `SolverInvocation` records ahead of the first `FleetDecision` (all
+    /// of them when there is none): within one `step()`, the solves the
+    /// demand profiler made — the epoch's own come after the decision.
+    fn profiling_solves(records: &[telemetry::Record]) -> usize {
+        records
+            .iter()
+            .take_while(|r| !matches!(r.event, Event::FleetDecision(_)))
+            .filter(|r| matches!(r.event, Event::SolverInvocation(_)))
+            .count()
+    }
+
+    #[test]
+    fn demand_is_reprofiled_only_for_the_job_whose_inputs_moved() {
+        let mut jobs = two_jobs();
+        jobs[1].arrival = 0.0;
+        let mut fleet = FleetController::new(nodes4(), jobs, AllocPolicy::Cannikin).unwrap();
+        let session = telemetry::Session::start();
+        // Tick 1 profiles both arrivals and runs cifar's first epoch;
+        // tick 2 finds cifar's φ moved and neumf's where it was.
+        assert!(fleet.step().unwrap());
+        let first = profiling_solves(&session.drain());
+        assert!(fleet.step().unwrap());
+        let second = profiling_solves(&session.drain());
+
+        let ranked: Vec<NodeSpec> =
+            fleet.pool.ranked_live().into_iter().map(|id| fleet.pool.spec(id).clone()).collect();
+        // What one call of the pure function costs, replayed from a key.
+        let price = |job: &ManagedJob, phi: f64| {
+            let asked = job.profiled.as_ref().expect("profiled on its first tick");
+            demand::profiled_nodes(&job.spec.job, &job.spec.config, &ranked, phi, asked.min_nodes, asked.cap);
+            profiling_solves(&session.drain())
+        };
+        let [cifar, neumf] = &fleet.jobs[..] else { panic!("two jobs") };
+        let moved = f64::from_bits(cifar.profiled.as_ref().unwrap().phi_bits);
+        assert_ne!(moved, cifar.spec.noise.noise_scale(0.0), "cifar's key follows its φ");
+        let held = f64::from_bits(neumf.profiled.as_ref().unwrap().phi_bits);
+        assert_eq!(held, neumf.spec.noise.noise_scale(0.0), "neumf's key is still its admission φ");
+        assert_eq!(first, price(cifar, cifar.spec.noise.noise_scale(0.0)) + price(neumf, held));
+        assert_eq!(second, price(cifar, moved), "tick 2 profiled cifar and nobody else");
+        assert!(second > 0 && price(neumf, held) > 0);
+    }
+
+    #[test]
+    fn every_input_of_the_demand_key_forces_a_miss() {
+        let mut fleet = FleetController::new(nodes4(), two_jobs(), AllocPolicy::Cannikin).unwrap();
+        let ids = fleet.pool.ranked_live();
+        let ranked: Vec<NodeSpec> = ids.iter().map(|&id| fleet.pool.spec(id).clone()).collect();
+        let session = telemetry::Session::start();
+        let job = &mut fleet.jobs[0];
+        let mut solves = |ids: &[usize], phi: f64, min_nodes: usize, cap: usize| {
+            job.profiled_nodes(ids, &ranked[..ids.len()], phi, min_nodes, cap);
+            profiling_solves(&session.drain())
+        };
+        assert!(solves(&ids, 300.0, 1, 4) > 0, "nothing cached yet");
+        assert_eq!(solves(&ids, 300.0, 1, 4), 0, "same inputs, same answer, no solve");
+        assert!(solves(&ids, 300.5, 1, 4) > 0, "φ moved");
+        assert!(solves(&ids, 300.5, 2, 4) > 0, "the floor moved");
+        assert!(solves(&ids, 300.5, 2, 3) > 0, "the cap moved");
+        assert!(solves(&ids[..3], 300.5, 2, 3) > 0, "a node left the ranking");
+        assert_eq!(solves(&ids[..3], 300.5, 2, 3), 0);
     }
 
     #[test]

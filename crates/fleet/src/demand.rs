@@ -36,9 +36,13 @@
 //! sitting at the prediction's optimum. So the production demand is
 //! clamped by a *measured* scaling knee: [`measured_scaling_curve`]
 //! replays the job's own trainer to target on the pool's `k` fastest
-//! nodes (deterministic, same seed the job will run with — milliseconds
-//! per job in the simulator) and [`scaling_knee`] reads off the smallest
-//! `k` within diminishing returns of the fastest completion. The
+//! nodes (deterministic, same seed the job will run with) and
+//! [`scaling_knee`] reads off the smallest `k` within diminishing returns
+//! of the fastest completion. That is `cap` full trainings per admitted
+//! job — about 2.5 ms of simulated steps for the eight-node pool, by far
+//! the dearest thing the control plane does — so the replays are fanned
+//! out over the host's cores, off the controller's thread and outside any
+//! telemetry session it belongs to (about 1 ms on two cores). The
 //! controller takes `min(profiled, knee)` — a job never asks past what
 //! its gradient noise justifies *or* past where realized scaling stops
 //! paying.
@@ -49,6 +53,10 @@ use cannikin_core::optperf::{OptPerfSolver, SolverInput};
 use hetsim::cluster::{ClusterSpec, NodeSpec};
 use hetsim::job::JobSpec;
 use hetsim::Simulator;
+
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 /// The goodput-optimal total batch √(φ·B₀), clamped into `[base, max]`.
 pub fn optimal_batch(phi: f64, base: u64, max: u64) -> u64 {
@@ -125,7 +133,16 @@ const MEASURE_EPOCH_BUDGET: usize = 10_000;
 /// The replay is deterministic (the job's own seed) and runs entirely in
 /// simulated time, so it is the fleet's profiling pass: what Cannikin's
 /// adaptive profiler measures on hardware in a few epochs, the control
-/// plane measures here in a few milliseconds per job.
+/// plane measures here in about a millisecond of host time per job.
+///
+/// The `cap` replays are independent, so they run on
+/// `min(available_parallelism, cap)` scoped workers that claim node
+/// counts from one shared counter, largest first (a replay's cost grows
+/// with `k`); each entry lands at its own index, so the curve does not
+/// depend on which worker ran what. The caller only joins: the workers
+/// never enter its telemetry context, so a `Session` the caller belongs to
+/// records nothing of the replays — they are profiling, not training that
+/// happened.
 pub fn measured_scaling_curve(
     job: &JobSpec,
     config: &TrainerConfig,
@@ -136,11 +153,10 @@ pub fn measured_scaling_curve(
     cap: usize,
 ) -> Vec<f64> {
     let cap = cap.min(ranked_pool.len()).max(1);
-    let mut times = Vec::with_capacity(cap);
-    for k in 1..=cap {
+    let replay = |k: usize| {
         let cluster = ClusterSpec::new("fleet-profile", ranked_pool[..k].to_vec());
         let sim = Simulator::new(cluster, job.clone(), seed);
-        let time = CannikinTrainer::builder()
+        CannikinTrainer::builder()
             .simulator(sim)
             .noise(noise)
             .config(config.clone())
@@ -156,9 +172,27 @@ pub fn measured_scaling_curve(
                 }
                 None
             })
-            .unwrap_or(f64::INFINITY);
-        times.push(time);
-    }
+            .unwrap_or(f64::INFINITY)
+    };
+    // Counts down from `cap`; a worker that finds it at zero is done.
+    let unclaimed = AtomicUsize::new(cap);
+    let worker = || {
+        let mut measured = Vec::new();
+        while let Ok(k) = unclaimed.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |k| k.checked_sub(1)) {
+            measured.push((k, replay(k)));
+        }
+        measured
+    };
+    let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get).min(cap);
+    let mut times = vec![f64::INFINITY; cap];
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        for handle in handles {
+            for (k, time) in handle.join().expect("a scaling-curve replay panicked") {
+                times[k - 1] = time;
+            }
+        }
+    });
     times
 }
 
@@ -240,6 +274,59 @@ mod tests {
         assert!(early >= 2, "compute-bound job wants real parallelism: {early}");
         let late = profiled_nodes(&JobSpec::resnet50_imagenet(), &config, &pool, 6_400.0, 1, 8);
         assert!(late >= early, "demand is monotone in φ here: {early} → {late}");
+    }
+
+    /// What `measured_scaling_curve` must return: the replays one after the
+    /// other on the calling thread.
+    fn sequential_curve(spec: &crate::FleetJobSpec, pool: &[NodeSpec], cap: usize) -> Vec<f64> {
+        (1..=cap.min(pool.len()).max(1))
+            .map(|k| {
+                let sim = Simulator::new(ClusterSpec::new("fleet-profile", pool[..k].to_vec()), spec.job.clone(), spec.seed);
+                let Ok(mut trainer) =
+                    CannikinTrainer::builder().simulator(sim).noise(spec.noise).config(spec.config.clone()).build()
+                else {
+                    return f64::INFINITY;
+                };
+                let mut elapsed = 0.0;
+                for _ in 0..MEASURE_EPOCH_BUDGET {
+                    match trainer.run_epoch() {
+                        Ok(record) => elapsed += record.epoch_time,
+                        Err(_) => return f64::INFINITY,
+                    }
+                    if trainer.effective_epochs() >= spec.target_effective_epochs {
+                        return elapsed;
+                    }
+                }
+                f64::INFINITY
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scaling_curve_is_the_sequential_one_whatever_the_schedule() {
+        let pool = mixed_pool();
+        let mut templates = std::collections::BTreeSet::new();
+        propcheck::check(24, |g| {
+            let spec = crate::synthetic_trace(g.u64(0..1_000), 8, 30.0).swap_remove(g.usize(0..8));
+            let cap = g.usize(1..9);
+            templates.insert(spec.name.split('-').next().expect("template label").to_owned());
+            let bits = |curve: Vec<f64>| curve.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let expected = bits(sequential_curve(&spec, &pool, cap));
+            assert_eq!(expected.len(), cap);
+            for _ in 0..5 {
+                let curve = measured_scaling_curve(
+                    &spec.job,
+                    &spec.config,
+                    spec.noise,
+                    spec.seed,
+                    spec.target_effective_epochs,
+                    &pool,
+                    cap,
+                );
+                assert_eq!(bits(curve), expected, "{} at cap {cap}", spec.name);
+            }
+        });
+        assert_eq!(templates.len(), 4, "every trace template was drawn: {templates:?}");
     }
 
     #[test]

@@ -15,6 +15,15 @@
 //! for each node the makespan as a function of the blocking bucket index is
 //! linear and therefore maximized at one of the two endpoints. A unit test
 //! (`event_sim_matches_eq7`) pins this equivalence down.
+//!
+//! A noisy step draws from the simulator's generator in a fixed order,
+//! which `tests/golden/batch_digests.txt` pins: per node in index order a
+//! straggler uniform (only when stragglers are enabled), then the
+//! log-normals of `a_i` and `P_i`; then one log-normal per bucket in
+//! reduction order; then per node in index order the log-normals of its
+//! `γ`, `T_comm` and `T_u` measurements. A log-normal with `σ = 0` draws
+//! nothing. Every seeded result in the workspace is a function of this
+//! order, so a change that moves it re-blesses every golden.
 
 use crate::cluster::ClusterSpec;
 use crate::fault::{CommOutcome, FaultPlan, FaultState};
@@ -206,21 +215,9 @@ impl Simulator {
     /// Panics if `local.len()` differs from the node count.
     pub fn ideal_batch_time(&self, local: &[u64]) -> f64 {
         assert_eq!(local.len(), self.cluster.len(), "one local batch per node");
-        let gamma = self.job.gamma;
-        let k = self.job.num_buckets;
-        let t_bucket = self.t_comm / k as f64;
-        let ready: Vec<Vec<f64>> = self
-            .coeffs
-            .iter()
-            .zip(local)
-            .map(|(c, &b)| bucket_ready_times(c, b as f64, gamma, k))
-            .collect();
-        let mut end = 0.0f64;
-        for j in 0..k {
-            let all_ready = ready.iter().map(|r| r[j]).fold(0.0, f64::max);
-            end = all_ready.max(end) + t_bucket;
-        }
-        end
+        let t_bucket = self.t_comm / self.job.num_buckets as f64;
+        let nodes = self.coeffs.iter().zip(local).map(|(c, &b)| (c.a(b as f64), c.p(b as f64)));
+        bucket_schedule(nodes, self.job.gamma, self.job.num_buckets, || t_bucket, |_| {})
     }
 
     /// The paper's Eq. (7) closed form on the ground-truth coefficients —
@@ -280,17 +277,18 @@ impl Simulator {
         trace
     }
 
-    /// The fault-free batch recurrence shared by the healthy and faulty
-    /// paths; `slowdown` optionally stretches per-node compute.
+    /// The fault-free batch shared by the healthy and faulty paths;
+    /// `slowdown` optionally stretches per-node compute. One pass per
+    /// phase, each writing straight into what is returned — the draw order
+    /// is the module header's.
     fn simulate_batch_core(&mut self, local: &[u64], slowdown: Option<&[f64]>) -> BatchTrace {
         let gamma = self.job.gamma;
         let k = self.job.num_buckets;
-        let n = self.cluster.len();
 
         // Per-node noisy realizations of a_i and P_i, with occasional
-        // transient straggler spikes.
-        let mut a = Vec::with_capacity(n);
-        let mut p = Vec::with_capacity(n);
+        // transient straggler spikes. The three measurement fields are
+        // filled by the last pass, once the buckets have been reduced.
+        let mut observations = Vec::with_capacity(local.len());
         for (i, (c, &b)) in self.coeffs.iter().zip(local).enumerate() {
             let spike = if self.straggler_prob > 0.0 && uniform(&mut self.rng) < self.straggler_prob {
                 self.straggler_factor
@@ -298,55 +296,49 @@ impl Simulator {
                 1.0
             };
             let stretch = slowdown.map_or(1.0, |s| s[i]);
-            a.push(c.a(b as f64) * lognormal(&mut self.rng, self.compute_noise) * spike * stretch);
-            p.push(c.p(b as f64) * lognormal(&mut self.rng, self.compute_noise) * spike * stretch);
+            let a = c.a(b as f64) * lognormal(&mut self.rng, self.compute_noise) * spike * stretch;
+            let p = c.p(b as f64) * lognormal(&mut self.rng, self.compute_noise) * spike * stretch;
+            let sigma = self.cluster.nodes[i].measurement_sigma;
+            observations.push(NodeObservation {
+                node: i,
+                local_batch: b,
+                a_time: a,
+                p_time: p,
+                sync_start: a + gamma * p,
+                gamma_obs: 0.0,
+                t_comm_obs: 0.0,
+                t_u_obs: 0.0,
+                rel_variance: sigma * sigma,
+            });
         }
-
-        // Bucket-ready schedule from the noisy realizations.
-        let ready: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                let ss = a[i] + gamma * p[i];
-                let spread = (1.0 - gamma) * p[i];
-                (0..k)
-                    .map(|j| if k == 1 { a[i] + p[i] } else { ss + j as f64 * spread / (k as f64 - 1.0) })
-                    .collect()
-            })
-            .collect();
 
         // Bucket all-reduces serialize; each takes a noisy T_comm/K.
         let t_bucket_base = self.t_comm / k as f64;
+        let (rng, comm_noise) = (&mut self.rng, self.comm_noise);
         let mut bucket_end = Vec::with_capacity(k);
-        let mut end = 0.0f64;
         let mut total_comm = 0.0;
         let mut last_bucket_time = 0.0;
-        for j in 0..k {
-            let all_ready = ready.iter().map(|r| r[j]).fold(0.0, f64::max);
-            let t_bucket = t_bucket_base * lognormal(&mut self.rng, self.comm_noise);
-            total_comm += t_bucket;
-            last_bucket_time = t_bucket;
-            end = all_ready.max(end) + t_bucket;
-            bucket_end.push(end);
-        }
+        let end = bucket_schedule(
+            observations.iter().map(|o| (o.a_time, o.p_time)),
+            gamma,
+            k,
+            || {
+                last_bucket_time = t_bucket_base * lognormal(rng, comm_noise);
+                total_comm += last_bucket_time;
+                last_bucket_time
+            },
+            |end| bucket_end.push(end),
+        );
 
-        // Per-node observations. γ and T_comm observations carry per-node
-        // measurement noise on top of the physical realization.
-        let observations = (0..n)
-            .map(|i| {
-                let sigma = self.cluster.nodes[i].measurement_sigma;
-                let bias = 1.0 + self.cluster.nodes[i].measurement_bias;
-                NodeObservation {
-                    node: i,
-                    local_batch: local[i],
-                    a_time: a[i],
-                    p_time: p[i],
-                    sync_start: a[i] + gamma * p[i],
-                    gamma_obs: gamma * bias * lognormal(&mut self.rng, sigma),
-                    t_comm_obs: total_comm * bias * lognormal(&mut self.rng, sigma),
-                    t_u_obs: last_bucket_time * bias * lognormal(&mut self.rng, sigma),
-                    rel_variance: sigma * sigma,
-                }
-            })
-            .collect();
+        // γ and T_comm observations carry per-node measurement noise on
+        // top of the physical realization.
+        for (obs, node) in observations.iter_mut().zip(&self.cluster.nodes) {
+            let sigma = node.measurement_sigma;
+            let bias = 1.0 + node.measurement_bias;
+            obs.gamma_obs = gamma * bias * lognormal(&mut self.rng, sigma);
+            obs.t_comm_obs = total_comm * bias * lognormal(&mut self.rng, sigma);
+            obs.t_u_obs = last_bucket_time * bias * lognormal(&mut self.rng, sigma);
+        }
 
         BatchTrace { observations, batch_time: end, bucket_sync_end: bucket_end, faults: Vec::new() }
     }
@@ -404,14 +396,30 @@ impl Simulator {
     }
 }
 
-/// Bucket-ready times for one node (noise-free helper shared with
-/// `ideal_batch_time`).
-fn bucket_ready_times(c: &ComputeCoeffs, b: f64, gamma: f64, k: usize) -> Vec<f64> {
-    let ss = c.sync_start(b, gamma);
-    let spread = (1.0 - gamma) * c.p(b);
-    (0..k)
-        .map(|j| if k == 1 { c.compute(b) } else { ss + j as f64 * spread / (k as f64 - 1.0) })
-        .collect()
+/// The batch recurrence, shared by the noisy step and the noise-free
+/// oracle. `nodes` yields each node's realized `(a_i, P_i)`; bucket `j` of
+/// `k` is ready on a node at `syncStart_i + j·(1−γ)·P_i/(K−1)` (at
+/// `a_i + P_i` when there is one bucket), its all-reduce starts when every
+/// node has produced it and bucket `j−1`'s has finished, and takes
+/// `bucket_time()`. `bucket_end` sees each bucket's finish; the last one,
+/// the batch time, is returned.
+fn bucket_schedule(
+    nodes: impl Iterator<Item = (f64, f64)> + Clone,
+    gamma: f64,
+    k: usize,
+    mut bucket_time: impl FnMut() -> f64,
+    mut bucket_end: impl FnMut(f64),
+) -> f64 {
+    let mut end = 0.0f64;
+    for j in 0..k {
+        let all_ready = nodes
+            .clone()
+            .map(|(a, p)| if k == 1 { a + p } else { (a + gamma * p) + j as f64 * ((1.0 - gamma) * p) / (k as f64 - 1.0) })
+            .fold(0.0, f64::max);
+        end = all_ready.max(end) + bucket_time();
+        bucket_end(end);
+    }
+    end
 }
 
 fn uniform(rng: &mut StdRng) -> f64 {

@@ -3,8 +3,8 @@
 # (.github/workflows/tier1.yml); with no argument every stage runs in order.
 #
 # Usage: scripts/tier1.sh [stage...]
-#   benchmark  the frozen benchmark's own tests, then both real workloads
-#              at smoke size (plain rustc, ~45 s)
+#   benchmark  the frozen benchmark's own tests, then all four workloads
+#              at smoke size (plain rustc, ~50 s)
 #   build      release build, and proof that it resolved no registry crate
 #   test       full workspace test suite
 #   kernels    minidnn's suite again, optimised, under each GEMM kernel
@@ -31,9 +31,11 @@ stage() {
         # Compiles every crate and the benchmark against the public API —
         # the fastest signal that a refactor broke a frozen call site.
         bash crates/benchmark/run.sh --test
-        # The trainer end to end, untraced, as the driver runs it: a
-        # regression in the rank lifecycle shows here, not in a unit test.
-        for workload in real-compute real-comm; do
+        # Every workload end to end, untraced, as the driver runs it: a
+        # regression in the rank lifecycle shows in the real two, not in a
+        # unit test; the simulated two check themselves that every round
+        # reproduces the first bit for bit and that all six jobs finish.
+        for workload in real-compute real-comm sim-plan fleet-stream; do
             bash crates/benchmark/run.sh --workload "$workload" --smoke --seconds 2 | tail -n 1 | grep -q '"correct":true' || {
                 echo "tier1.sh: $workload --smoke did not end with \"correct\":true" >&2
                 exit 1

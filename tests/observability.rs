@@ -6,7 +6,7 @@
 use std::sync::{Arc, Mutex};
 
 use cannikin::core::engine::TrainerConfig;
-use cannikin::fleet::{AllocPolicy, FleetController, FleetJobSpec};
+use cannikin::fleet::{synthetic_trace, AllocPolicy, FleetController, FleetJobSpec};
 use cannikin::insight::{replay_slos, InsightConfig, Monitor, SloMonitor};
 use cannikin::sim::catalog::Gpu;
 use cannikin::sim::cluster::NodeSpec;
@@ -220,4 +220,63 @@ fn slo_verdicts_replay_exactly_over_a_crash_trace() {
         "the nanosecond queue ceiling must fire on admission: {:?}",
         report.offline
     );
+}
+
+/// A fleet trace is the controller's decisions and the admitted jobs' real
+/// epochs, and nothing else: the admission profiler replays every job's
+/// whole training `cap` times, and none of that happened.
+#[test]
+fn a_fleet_trace_holds_no_profiling_replays() {
+    let pool = || {
+        let mut nodes = Vec::new();
+        for (gpu, count) in [(Gpu::A100, 2), (Gpu::V100, 2), (Gpu::Rtx6000, 4)] {
+            nodes.extend((0..count).map(|i| NodeSpec::new(format!("{gpu}-{i}"), gpu)));
+        }
+        nodes
+    };
+    let traced = || {
+        let session = telemetry::Session::start();
+        let report = FleetController::new(pool(), synthetic_trace(7, 6, 30.0), AllocPolicy::Cannikin)
+            .expect("valid fleet")
+            .run_to_completion(50_000)
+            .expect("stream drains");
+        (report, session.drain())
+    };
+    let (report, records) = traced();
+
+    let admitted = records
+        .iter()
+        .position(|r| matches!(r.event, Event::JobAdmitted(_)))
+        .expect("a job is admitted");
+    let trains = |r: &Record| match &r.event {
+        Event::StepTiming(_) | Event::SplitDecision(_) | Event::PolicyDecision(_) => true,
+        Event::SpanBegin(span) => span.name == "epoch",
+        _ => false,
+    };
+    let early: Vec<&'static str> = records[..admitted].iter().filter(|r| trains(r)).map(|r| r.event.kind()).collect();
+    assert!(early.is_empty(), "{} training records precede the first admission: {:?}", early.len(), &early[..early.len().min(8)]);
+    let planned = records.iter().filter(|r| matches!(r.event, Event::PolicyDecision(_))).count();
+    let epochs: usize = report.jobs.iter().map(|j| j.epochs_run).sum();
+    assert_eq!(planned, epochs, "one policy decision per epoch a job really ran");
+
+    // Wall-clock readings aside, the trace is a function of the seed.
+    let masked = |records: Vec<Record>| -> Vec<String> {
+        records
+            .into_iter()
+            .filter(|r| !matches!(&r.event, Event::Counter(c) if c.name == "overhead_s"))
+            .map(|r| {
+                let line = Record { ts_ns: 0, ..r }.to_jsonl_line();
+                match line.split_once("\"wall_ns\":") {
+                    Some((head, tail)) => format!("{head}\"wall_ns\":0{}", tail.trim_start_matches(|c: char| c.is_ascii_digit())),
+                    None => line,
+                }
+            })
+            .collect()
+    };
+    let first = masked(records);
+    let second = masked(traced().1);
+    assert_eq!(first.len(), second.len(), "same seed, same record count");
+    for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+        assert_eq!(a, b, "record {i} differs between two same-seed runs");
+    }
 }
