@@ -9,7 +9,7 @@
 //! | `CANNIKIN_CODEC`     | gradient codec: `none`, `bf16`, `f16`, `topk:N`     | [`codec_from_env`] (here)                   | absent / `InvalidConfig`           |
 //! | `CANNIKIN_POLICY`    | adaptation policy: `optperf`, `even`, `lbbsp`, `rl` | [`policy_from_env`] (here)                  | absent / `InvalidConfig`           |
 //! | `CANNIKIN_THREADS`   | kernel thread budget for the minidnn matmul kernels | `minidnn::tensor::threads::configured_threads` | available parallelism (both)    |
-//! | `CANNIKIN_SIMD`      | GEMM kernel policy: `auto`, `scalar`, `avx2`, `off` | `minidnn::tensor::simd::configured_kernel`  | `auto` (both)                      |
+//! | `CANNIKIN_SIMD`      | GEMM tile: `auto` (widest), `avx512`, `avx2`, `off` | `minidnn::tensor::simd::configured_kernel`  | `auto` (both)                      |
 //! | `CANNIKIN_TELEMETRY` | export targets, `format:path[,format:path]`         | `cannikin_telemetry::env::export_from_env`  | no export / `Err` naming the entry |
 //!
 //! The kernel knobs fall back instead of failing because dispatch happens

@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use super::{Layer, Param};
-use crate::tensor::{gemm_at_b, matmul, matmul_a_bt, Tensor};
+use crate::tensor::{gemm_a_bt, gemm_at_b, matmul, Tensor};
 
 /// A fully-connected layer: `y = x W + b`, `x: [batch, in]`,
 /// `W: [in, out]`, `b: [out]`.
@@ -71,12 +71,15 @@ impl Layer for Linear {
         let x = self.input.as_ref().expect("backward called before forward");
         assert_eq!(grad_out.rows(), x.rows(), "linear backward batch mismatch");
         assert_eq!(grad_out.cols(), self.out_features, "linear backward width mismatch");
-        let g2 = grad_out.clone().reshape(&[grad_out.rows(), self.out_features]);
-        // dW += xᵀ g (accumulated in place, no temporary), db = Σ_rows g,
-        // dx = g Wᵀ
-        gemm_at_b(self.in_features, self.out_features, x.rows(), x.data(), g2.data(), self.weight.grad.data_mut(), true);
-        self.bias.grad.add_assign(&g2.sum_rows());
-        matmul_a_bt(&g2, &self.weight.value)
+        // `grad_out` is read in place as `[rows, out]`, whatever its shape
+        // says: dW += xᵀ g (accumulated, no temporary), db += Σ_rows g,
+        // dx = g Wᵀ (onto fresh zeros, exactly what `matmul_a_bt` does).
+        let (rows, g) = (grad_out.rows(), grad_out.data());
+        gemm_at_b(self.in_features, self.out_features, rows, x.data(), g, self.weight.grad.data_mut(), true);
+        self.bias.grad.add_assign(&grad_out.sum_rows());
+        let mut dx = vec![0.0f32; rows * self.in_features];
+        gemm_a_bt(rows, self.in_features, self.out_features, g, self.weight.value.data(), &mut dx, true);
+        Tensor::from_vec(dx, &[rows, self.in_features]).expect("linear input-gradient shape")
     }
 
     fn parameters(&self) -> Vec<&Param> {

@@ -13,9 +13,23 @@
 //!   contiguously and zero-padded to full panel width, so the microkernel
 //!   is branch-free and every load is unit-stride.
 //! - The microkernel keeps an `MR × NR` accumulator in registers and walks
-//!   the packed panels with a fully unrolled multiply-add body, which LLVM
-//!   autovectorizes (NR = 16 is four SSE lanes — the best-measured shape
-//!   on the baseline `x86-64` target, where wider rows beat taller tiles).
+//!   the packed panels with a fully unrolled multiply-add body.
+//!
+//! There is one loop nest (`gemm_serial`), one macro-kernel and one pair of
+//! packers, generic over `(MR, NR, MC, NC)` and the [`MicroKernel`] they
+//! call; `packed` plugs in the tile of the resolved [`Kernel`]:
+//!
+//! | kernel | tile | `MC × NC` | microkernel |
+//! |---|---|---|---|
+//! | `Scalar` | 2×16 | 64 × 256 | `micro_2x16`, autovectorized (NR = 16 is four SSE lanes — the best-measured shape on the baseline `x86-64` target, where wider rows beat taller tiles) |
+//! | `Avx2` | 6×16 | 72 × 256 | [`simd::micro_6x16`], `ymm` FMAs |
+//! | `Avx512` | 12×32 | 120 × 512 | [`simd::micro_12x32`], `zmm` FMAs |
+//!
+//! `KC` is one constant for all of them. A C element is the sum, slice by
+//! slice, of one in-order multiply-add chain per `KC`-deep slice, so tiles
+//! that cut `k` at the same places and fuse their multiply-adds round the
+//! same way: the two SIMD tiles agree to the bit ([`simd`] has the
+//! argument), and `MR`, `NR`, `MC` and `NC` are free to differ.
 //!
 //! Packing buffers come from the thread-local [`scratch`] arena, so a
 //! steady-state training loop performs no kernel allocations at all.
@@ -26,12 +40,11 @@
 //! worker packs its own panels from its own arena, so no synchronization
 //! beyond the final join is needed.
 //!
-//! When the CPU has AVX2+FMA (and `CANNIKIN_SIMD` permits), the serial
-//! core is swapped for the hand-written 6×16 microkernel in
-//! [`simd`](super::simd). The kernel is resolved **once** per
-//! [`gemm_strided`] call on the calling thread and passed into the row
-//! workers by value, so a [`KernelGuard`](super::simd::KernelGuard)
-//! override governs the whole operation.
+//! The kernel is resolved **once** per [`gemm_strided`] call on the calling
+//! thread (widest tile the CPU has, unless `CANNIKIN_SIMD` or a
+//! [`KernelGuard`](super::simd::KernelGuard) says otherwise) and passed
+//! into the row workers by value, so an override governs the whole
+//! operation.
 //!
 //! Packing pays only when the packed operand is reused. Two kinds of
 //! product cannot amortise it and take [`unpacked`] instead, two loop nests
@@ -41,23 +54,37 @@
 //! `SKINNY_DEPTH` terms (`Aᵀ·B`) over runs of at least `MIN_RUN` floats —
 //! which is what a slow rank's one- or two-sample batch makes of every
 //! layer. The choice reads `(m, n, k)` and the strides, nothing else, and
-//! the nests are compiled for both kernels like the packed core, so a
-//! kernel override governs them too; they run on the calling thread and
-//! take nothing from [`scratch`].
+//! the nests are compiled twice, for the baseline target and for AVX2+FMA,
+//! so a kernel override governs them too (`Avx512` runs the AVX2 build:
+//! skinny products keep one set of SIMD bits); they run on the calling
+//! thread and take nothing from [`scratch`].
+//!
+//! A wide tile pays for width C does not have: at `n ≤ 16` — a classifier
+//! head — the 32-wide tile would pad every B panel to twice the live
+//! columns, so under `Avx512` the packed core runs the 16-wide AVX2 tile
+//! there instead (measured at m = 346, this rule on → off: 512→10 `A·B`
+//! 166 → 193 µs and `Aᵀ·B` 174 → 193 µs, 1024→10 330 → 403 µs and
+//! 377 → 435 µs). The choice reads `n` alone, and the bits are the same
+//! either way.
 
 use super::simd::{self, Kernel};
 use crate::tensor::{scratch, threads};
 
-/// Microkernel rows (panel height of packed A).
+/// Scalar microkernel rows (panel height of packed A).
 pub(super) const MR: usize = 2;
-/// Microkernel columns (panel width of packed B).
-pub(super) const NR: usize = 16;
-/// Rows of A packed per cache block (multiple of `MR`).
+/// Scalar microkernel columns (panel width of packed B).
+const NR: usize = 16;
+/// Rows of A the scalar tile packs per cache block (multiple of `MR`).
 const MC: usize = 64;
-/// Depth of the packed inner-dimension slice.
-const KC: usize = 256;
-/// Columns of B packed per cache block (multiple of `NR`).
+/// Columns of B the scalar tile packs per cache block (multiple of `NR`).
 const NC: usize = 256;
+/// Depth of the packed inner-dimension slice, shared by every tile: the
+/// slices are where a C element's sum is cut into separately rounded
+/// pieces, so one `KC` is what makes the two SIMD tiles bit-identical.
+const KC: usize = 256;
+/// Widest C the AVX-512 kernel hands to the 16-wide tile instead (see the
+/// module note).
+const NARROW: usize = simd::AVX2_NR;
 
 /// Below this `m·n·k`, skip blocking/packing entirely.
 const SMALL_WORK: usize = 16 * 1024;
@@ -147,22 +174,25 @@ pub(super) fn gemm_strided_acc(
     if walkable && (work <= SMALL_WORK || (batch <= limit && run >= MIN_RUN)) {
         match kernel {
             Kernel::Scalar => unpacked::<false>(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, acc),
-            // SAFETY: `Kernel::Avx2` is only resolved when `avx2_available()`
-            // reported both `avx2` and `fma`.
+            // SAFETY: both SIMD kernels are only resolved when
+            // `avx2_available()` reported `avx2` and `fma`.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { simd::unpacked_avx2(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, acc) },
+            Kernel::Avx2 | Kernel::Avx512 => unsafe {
+                simd::unpacked_avx2(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, acc)
+            },
             #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Avx2 => unreachable!("AVX2 kernel resolved on a non-x86_64 target"),
+            Kernel::Avx2 | Kernel::Avx512 => unreachable!("SIMD kernel resolved on a non-x86_64 target"),
         }
         return;
     }
     if !acc {
         c.fill(0.0);
     }
+    let kernel = if kernel == Kernel::Avx512 && n <= NARROW { Kernel::Avx2 } else { kernel };
     let mr = kernel.mr();
     let t = threads::effective_threads().min(m.div_ceil(mr)).min(1 + work / WORK_PER_THREAD);
     if t <= 1 {
-        gemm_serial(kernel, m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c);
+        packed(kernel, m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c);
         return;
     }
     // mr-aligned row chunks, one per thread; the spawning thread takes the
@@ -177,9 +207,9 @@ pub(super) fn gemm_strided_acc(
             rest = tail;
             let a_chunk = &a[i0 * a_rs..];
             if i0 + rows >= m {
-                gemm_serial(kernel, rows, n, k, a_chunk, a_rs, a_cs, b, b_rs, b_cs, chunk);
+                packed(kernel, rows, n, k, a_chunk, a_rs, a_cs, b, b_rs, b_cs, chunk);
             } else {
-                s.spawn(move || gemm_serial(kernel, rows, n, k, a_chunk, a_rs, a_cs, b, b_rs, b_cs, chunk));
+                s.spawn(move || packed(kernel, rows, n, k, a_chunk, a_rs, a_cs, b, b_rs, b_cs, chunk));
             }
             i0 += rows;
         }
@@ -317,10 +347,20 @@ pub(super) fn unpacked<const FMA: bool>(
     }
 }
 
-/// Single-threaded blocked GEMM over the full `[m, n]` output, dispatching
-/// to the register tile the resolved [`Kernel`] provides.
+/// A register tile: `C[r][j] += Σ ap[kk·MR + r] · bp[kk·NR + j]` over
+/// `kk < kc`, for the live `mr × nr` corner of the `MR × NR` tile whose
+/// first element is `c[0]` and whose rows are `ldc` apart. `ap` and `bp`
+/// are one packed panel each. `unsafe` only for the target features the
+/// SIMD tiles are compiled with: a tile is called only under the
+/// [`Kernel`] that names it, which is only resolved where the CPU has them.
+pub(super) type MicroKernel =
+    unsafe fn(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize);
+
+/// Single-threaded packed GEMM over the full `[m, n]` output: the one
+/// blocked driver, instantiated with the register tile and block sizes of
+/// the resolved [`Kernel`].
 #[allow(clippy::too_many_arguments)]
-fn gemm_serial(
+fn packed(
     kernel: Kernel,
     m: usize,
     n: usize,
@@ -333,15 +373,37 @@ fn gemm_serial(
     b_cs: usize,
     c: &mut [f32],
 ) {
+    // One instantiation of the driver per tile: its microkernel, then
+    // `MR, NR, MC, NC`.
+    macro_rules! tile {
+        ($micro:expr, $mr:expr, $nr:expr, $mc:expr, $nc:expr) => {
+            gemm_serial::<{ $mr }, { $nr }, { $mc }, { $nc }>($micro, m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c)
+        };
+    }
     match kernel {
-        Kernel::Scalar => gemm_serial_scalar(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c),
-        Kernel::Avx2 => simd::gemm_serial_avx2(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c),
+        Kernel::Scalar => tile!(micro_2x16, MR, NR, MC, NC),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2 => tile!(simd::micro_6x16, simd::AVX2_MR, simd::AVX2_NR, simd::AVX2_MC, simd::AVX2_NC),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512 => {
+            tile!(simd::micro_12x32, simd::AVX512_MR, simd::AVX512_NR, simd::AVX512_MC, simd::AVX512_NC)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        Kernel::Avx2 | Kernel::Avx512 => unreachable!("SIMD kernel resolved on a non-x86_64 target"),
     }
 }
 
-/// Single-threaded *scalar* blocked GEMM — the autovectorized 2×16 core.
+/// The `jc → pc → ic` loop nest over `MC × NC` blocks of C and `KC`-deep
+/// slices, for any `MR × NR` register tile.
+///
+/// Never inlined: each tile's nest (packers and macro-kernel inlined into
+/// it) is then optimised as a function of its own. Folded together into
+/// `packed`, the three nests shared one register allocation and the 6×16
+/// one came out 5 % slower than it was alone (`Aᵀ·B`, 1024→10, m = 346).
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_serial_scalar(
+fn gemm_serial<const MR: usize, const NR: usize, const MC: usize, const NC: usize>(
+    micro: MicroKernel,
     m: usize,
     n: usize,
     k: usize,
@@ -353,6 +415,7 @@ fn gemm_serial_scalar(
     b_cs: usize,
     c: &mut [f32],
 ) {
+    const { assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR), "cache blocks hold whole panels") };
     let mut apack = scratch::take(MC * KC);
     let mut bpack = scratch::take(KC * NC);
     for jc in (0..n).step_by(NC) {
@@ -363,7 +426,7 @@ fn gemm_serial_scalar(
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
                 pack_a_panels::<MR>(apack.as_mut_slice(), a, a_rs, a_cs, ic, pc, kc, mc);
-                macro_kernel(apack.as_slice(), bpack.as_slice(), c, ic, jc, mc, nc, kc, n);
+                macro_kernel::<MR, NR>(micro, apack.as_slice(), bpack.as_slice(), c, ic, jc, mc, nc, kc, n);
             }
         }
     }
@@ -371,10 +434,10 @@ fn gemm_serial_scalar(
 
 /// Pack an `mc × kc` block of A into `P`-row panels, k-major within each
 /// panel (`dst[panel][kk·P + r]`), zero-padding the final partial panel.
-/// Const-generic over the panel height so the scalar (`P = MR`) and AVX2
-/// (`P = 6`) cores share one monomorphized-per-tile packer.
+/// Const-generic over the panel height, so each tile gets its own
+/// monomorphized packer with the inner loop unrolled.
 #[allow(clippy::too_many_arguments)] // mirrors the BLAS-style (ptr, rs, cs, block offsets) shape
-pub(super) fn pack_a_panels<const P: usize>(
+fn pack_a_panels<const P: usize>(
     dst: &mut [f32],
     a: &[f32],
     a_rs: usize,
@@ -401,7 +464,7 @@ pub(super) fn pack_a_panels<const P: usize>(
 /// Pack a `kc × nc` block of B into `P`-column panels, k-major within each
 /// panel (`dst[panel][kk·P + j]`), zero-padding the final partial panel.
 #[allow(clippy::too_many_arguments)] // mirrors the BLAS-style (ptr, rs, cs, block offsets) shape
-pub(super) fn pack_b_panels<const P: usize>(
+fn pack_b_panels<const P: usize>(
     dst: &mut [f32],
     b: &[f32],
     b_rs: usize,
@@ -426,9 +489,10 @@ pub(super) fn pack_b_panels<const P: usize>(
 }
 
 /// Multiply one packed A block against one packed B block, accumulating
-/// into the `mc × nc` region of C at `(ic, jc)`.
+/// into the `mc × nc` region of C at `(ic, jc)`, one register tile at a time.
 #[allow(clippy::too_many_arguments)]
-fn macro_kernel(
+fn macro_kernel<const MR: usize, const NR: usize>(
+    micro: MicroKernel,
     apack: &[f32],
     bpack: &[f32],
     c: &mut [f32],
@@ -445,24 +509,19 @@ fn macro_kernel(
         for p in 0..mc.div_ceil(MR) {
             let ap = &apack[p * kc * MR..][..kc * MR];
             let mr = MR.min(mc - p * MR);
-            let mut acc = [[0.0f32; NR]; MR];
-            microkernel(kc, ap, bp, &mut acc);
             let c0 = (ic + p * MR) * ldc + jc + q * NR;
-            for (r, acc_row) in acc.iter().enumerate().take(mr) {
-                let crow = &mut c[c0 + r * ldc..][..nr];
-                for (cv, av) in crow.iter_mut().zip(acc_row) {
-                    *cv += av;
-                }
-            }
+            // SAFETY: `micro` is the tile of the kernel `packed` matched on,
+            // whose target features the CPU was detected to have.
+            unsafe { micro(kc, ap, bp, &mut c[c0..], ldc, mr, nr) };
         }
     }
 }
 
-/// Register-tile inner loop: `acc[r][j] += ap[kk·MR + r] · bp[kk·NR + j]`
-/// over `kk < kc`. Panels are zero-padded, so there are no edge branches;
-/// the fixed-size body unrolls and autovectorizes.
-#[inline(always)]
-fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
+/// The scalar register tile, a [`MicroKernel`]. Panels are zero-padded, so
+/// the accumulate loop has no edge branches; its fixed-size body unrolls
+/// and autovectorizes. Every multiply is rounded before its add.
+fn micro_2x16(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
+    let mut acc = [[0.0f32; NR]; MR];
     for (af, bf) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
         let bv: [f32; NR] = bf.try_into().expect("NR-wide panel fragment");
         for r in 0..MR {
@@ -470,6 +529,12 @@ fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
             for (av, &b) in acc[r].iter_mut().zip(&bv) {
                 *av += ar * b;
             }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate().take(mr) {
+        let crow = &mut c[r * ldc..][..nr];
+        for (cv, av) in crow.iter_mut().zip(acc_row) {
+            *cv += av;
         }
     }
 }

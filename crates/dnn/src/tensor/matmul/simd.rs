@@ -1,22 +1,39 @@
-//! Runtime-dispatched AVX2/FMA microkernel for the blocked GEMM core.
+//! Runtime-dispatched SIMD register tiles for the blocked GEMM core.
 //!
-//! The scalar core in `super::blocked` relies on LLVM
-//! autovectorizing a 2×16 register tile against the baseline `x86-64`
-//! target, which caps it at SSE width without fused multiply-adds. This
-//! module adds a hand-written 6×16 AVX2+FMA microkernel (12 accumulator
-//! `ymm` registers, two B loads and one A broadcast live per `k` step —
-//! 15 of the 16 architectural registers, the classic BLIS-style shape)
-//! and the machinery to pick between the two at run time:
+//! The scalar tile in `super::blocked` relies on LLVM autovectorizing a
+//! 2×16 register tile against the baseline `x86-64` target, which caps it
+//! at SSE width without fused multiply-adds. This module adds two
+//! hand-written FMA tiles that plug into the same blocked driver, and the
+//! machinery to pick between the three at run time:
+//!
+//! - **6×16 AVX2** ([`Kernel::Avx2`]): 12 accumulator `ymm` registers, two
+//!   B loads and one A broadcast live per `k` step — 15 of the 16
+//!   architectural registers, the classic BLIS-style shape.
+//! - **12×32 AVX-512** ([`Kernel::Avx512`]): the same shape at `zmm` width
+//!   — 24 accumulators + 2 B lanes + 1 broadcast = 27 of 32 registers. One
+//!   core of the development host sustains 91 GFLOP/s in `ymm` FMAs and
+//!   170 in `zmm` FMAs (×1.86); 14×32 (28 + 2 + 1 = 31) measured level
+//!   with 12×32 and 8×48 (24 + 3 + 1 = 28) behind it (CHANGES.md PR 22).
+//!
+//! Both cut the inner dimension into the same `KC`-deep slices, and within
+//! a slice each C element is one accumulator lane fed its products by fused
+//! multiply-adds in `k` order, then added to C once. Tile shape and cache
+//! block sizes decide only *which* lane holds an element, so the two SIMD
+//! kernels are **bit-identical** at every shape and thread count; the
+//! `kernel_equivalence` property `avx512_tile_is_bitwise_the_avx2_tile`
+//! holds them to that by `to_bits`.
 //!
 //! 1. **Detection.** [`avx2_available`] checks `avx2` *and* `fma` once via
-//!    `is_x86_feature_detected!`; on non-`x86_64` targets it is `false` and
-//!    the scalar core is the only kernel.
+//!    `is_x86_feature_detected!`, [`avx512_available`] adds `avx512f`; on
+//!    non-`x86_64` targets both are `false` and the scalar tile is the only
+//!    kernel.
 //! 2. **Policy.** `CANNIKIN_SIMD` (read once per process, see
-//!    [`configured_kernel`]) selects `auto` (default: use AVX2 when
+//!    [`configured_kernel`]) selects `auto` (default: the widest tile
 //!    detected), `off`/`scalar` (force the scalar kernel: baseline-target
 //!    code, every multiply rounded before its add, the same bits on every
-//!    run and at every thread count), or `avx2` (request the SIMD kernel,
-//!    still falling back to scalar where unsupported).
+//!    run and at every thread count), `avx2` (pin the 6×16 tile even where
+//!    AVX-512 exists) or `avx512`. A request the CPU cannot serve falls
+//!    down the ladder `avx512 → avx2 → scalar`.
 //! 3. **Override.** A thread-local [`KernelGuard`] (or the [`with_kernel`]
 //!    closure form) pins the kernel for tests and benches regardless of
 //!    environment, mirroring [`ThreadBudgetGuard`](crate::tensor::threads::ThreadBudgetGuard).
@@ -26,34 +43,40 @@
 //! worker threads as a value, so an override installed on the calling
 //! thread governs the whole operation, spawned workers included.
 //!
-//! The AVX2 path reuses the scalar core's packing (panels are packed
-//! 6-row/16-column instead of 2-row/16-column via the const-generic
-//! packers) and its cache-blocking structure; only the register tile and
-//! the block heights differ. The unpacked path (`blocked::unpacked`, for
-//! small and skinny products) is one body for both kernels: here it is
-//! inlined into `unpacked_avx2`, whose target features widen its loops
-//! to `ymm` and fuse its multiply-adds. FMA contracts the multiply-add, so
-//! on either path results differ from the scalar kernel by rounding only —
-//! the `kernel_equivalence` proptests bound both against the naive
-//! reference.
+//! The packers, the loop nest and the macro-kernel are the scalar core's,
+//! instantiated per tile; only the register tile and the block sizes
+//! differ. The unpacked path (`blocked::unpacked`, for small and skinny
+//! products) is one body for all kernels: here it is inlined into
+//! `unpacked_avx2`, whose target features widen its loops to `ymm` and
+//! fuse its multiply-adds, and [`Kernel::Avx512`] runs that same build, so
+//! skinny products have one set of SIMD bits too. FMA contracts the
+//! multiply-add, so on either path results differ from the scalar kernel by
+//! rounding only — the `kernel_equivalence` proptests bound all three
+//! against the naive reference.
 
-use crate::tensor::scratch;
 use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Environment variable selecting the GEMM kernel policy.
 pub const SIMD_ENV: &str = "CANNIKIN_SIMD";
 
-/// Microkernel rows of the AVX2 register tile (panel height of packed A).
+/// Rows of the AVX2 register tile (panel height of packed A).
 pub(super) const AVX2_MR: usize = 6;
-/// Microkernel columns, shared with the scalar core (two `ymm` lanes).
-const NR: usize = super::blocked::NR;
-/// Rows of A packed per cache block (multiple of [`AVX2_MR`]).
-const MC: usize = 72;
-/// Depth of the packed inner-dimension slice.
-const KC: usize = 256;
-/// Columns of B packed per cache block (multiple of [`NR`]).
-const NC: usize = 256;
+/// Columns of the AVX2 register tile: two `ymm` lanes.
+pub(super) const AVX2_NR: usize = 16;
+/// Rows of A the AVX2 tile packs per cache block (multiple of [`AVX2_MR`]).
+pub(super) const AVX2_MC: usize = 72;
+/// Columns of B the AVX2 tile packs per cache block (multiple of [`AVX2_NR`]).
+pub(super) const AVX2_NC: usize = 256;
+
+/// Rows of the AVX-512 register tile.
+pub(super) const AVX512_MR: usize = 12;
+/// Columns of the AVX-512 register tile: two `zmm` lanes.
+pub(super) const AVX512_NR: usize = 32;
+/// Rows of A the AVX-512 tile packs per cache block (multiple of [`AVX512_MR`]).
+pub(super) const AVX512_MC: usize = 120;
+/// Columns of B the AVX-512 tile packs per cache block (multiple of [`AVX512_NR`]).
+pub(super) const AVX512_NC: usize = 512;
 
 /// A concrete GEMM kernel implementation, resolved from policy + CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +86,10 @@ pub enum Kernel {
     /// Hand-written AVX2+FMA core (6×16 register tile). Only ever resolved
     /// on `x86_64` hosts where both `avx2` and `fma` are detected.
     Avx2,
+    /// Hand-written AVX-512 core (12×32 register tile), bit-identical to
+    /// [`Kernel::Avx2`]. Only ever resolved on `x86_64` hosts where
+    /// `avx512f`, `avx2` and `fma` are all detected.
+    Avx512,
 }
 
 impl Kernel {
@@ -71,6 +98,18 @@ impl Kernel {
         match self {
             Kernel::Scalar => super::blocked::MR,
             Kernel::Avx2 => AVX2_MR,
+            Kernel::Avx512 => AVX512_MR,
+        }
+    }
+
+    /// This kernel if the CPU can run it, else the next one down the
+    /// ladder `Avx512 → Avx2 → Scalar`: neither a policy nor an override
+    /// may ever select an illegal instruction.
+    fn supported(self) -> Kernel {
+        match self {
+            Kernel::Avx512 if avx512_available() => Kernel::Avx512,
+            Kernel::Avx512 | Kernel::Avx2 if avx2_available() => Kernel::Avx2,
+            _ => Kernel::Scalar,
         }
     }
 }
@@ -80,6 +119,7 @@ impl std::fmt::Display for Kernel {
         f.write_str(match self {
             Kernel::Scalar => "scalar",
             Kernel::Avx2 => "avx2",
+            Kernel::Avx512 => "avx512",
         })
     }
 }
@@ -90,14 +130,16 @@ impl std::fmt::Display for Kernel {
 /// to a [`Kernel`] on the current machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimdPolicy {
-    /// Use the AVX2 core when the CPU supports it, scalar otherwise.
+    /// The widest tile the CPU supports: AVX-512, else AVX2, else scalar.
     #[default]
     Auto,
     /// Force the scalar kernel: no FMA, the same bits on every run.
     Scalar,
-    /// Request the AVX2 core; still falls back to scalar when unsupported
-    /// (a hard crash on older hardware helps nobody).
+    /// Pin the 6×16 AVX2 core even where AVX-512 exists; falls back to
+    /// scalar when unsupported (a hard crash on older hardware helps nobody).
     Avx2,
+    /// Request the 12×32 AVX-512 core; falls back to AVX2, then scalar.
+    Avx512,
 }
 
 /// Error from parsing a [`SimdPolicy`]; lists the accepted values.
@@ -108,7 +150,7 @@ pub struct ParseSimdPolicyError {
 
 impl std::fmt::Display for ParseSimdPolicyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown SIMD policy `{}` (expected `auto`, `off`, `scalar` or `avx2`)", self.value)
+        write!(f, "unknown SIMD policy `{}` (expected `auto`, `off`, `scalar`, `avx2` or `avx512`)", self.value)
     }
 }
 
@@ -122,6 +164,7 @@ impl std::str::FromStr for SimdPolicy {
             "auto" => Ok(SimdPolicy::Auto),
             "off" | "scalar" => Ok(SimdPolicy::Scalar),
             "avx2" => Ok(SimdPolicy::Avx2),
+            "avx512" => Ok(SimdPolicy::Avx512),
             _ => Err(ParseSimdPolicyError { value: s.to_string() }),
         }
     }
@@ -133,6 +176,7 @@ impl std::fmt::Display for SimdPolicy {
             SimdPolicy::Auto => "auto",
             SimdPolicy::Scalar => "off",
             SimdPolicy::Avx2 => "avx2",
+            SimdPolicy::Avx512 => "avx512",
         })
     }
 }
@@ -149,17 +193,26 @@ pub fn avx2_available() -> bool {
     }
 }
 
+/// Whether this CPU supports the AVX-512 kernel: `avx512f` on top of what
+/// [`avx2_available`] asks for, because small and skinny products under
+/// [`Kernel::Avx512`] run the AVX2 build of the unpacked path.
+pub fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f") && avx2_available()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// Map a policy to the kernel that will actually run on this machine.
 pub fn resolve(policy: SimdPolicy) -> Kernel {
     match policy {
         SimdPolicy::Scalar => Kernel::Scalar,
-        SimdPolicy::Auto | SimdPolicy::Avx2 => {
-            if avx2_available() {
-                Kernel::Avx2
-            } else {
-                Kernel::Scalar
-            }
-        }
+        SimdPolicy::Avx2 => Kernel::Avx2.supported(),
+        SimdPolicy::Auto | SimdPolicy::Avx512 => Kernel::Avx512.supported(),
     }
 }
 
@@ -192,11 +245,11 @@ pub fn active_kernel() -> Kernel {
 
 /// RAII override of the current thread's GEMM kernel.
 ///
-/// Used by the equivalence proptests and the perf bench to pin the scalar
-/// and AVX2 paths against each other regardless of `CANNIKIN_SIMD`. Guards
-/// nest; dropping one restores the previous kernel. Requesting
-/// [`Kernel::Avx2`] on a host without AVX2+FMA installs [`Kernel::Scalar`]
-/// instead — an override must never select an illegal instruction.
+/// Used by the equivalence proptests to pin the kernels against each other
+/// regardless of `CANNIKIN_SIMD`. Guards nest; dropping one restores the
+/// previous kernel. Requesting a kernel the CPU lacks installs the next one
+/// down the ladder `Avx512 → Avx2 → Scalar` instead — an override must
+/// never select an illegal instruction.
 ///
 /// # Examples
 ///
@@ -217,10 +270,9 @@ pub struct KernelGuard {
 
 impl KernelGuard {
     /// Pin GEMMs launched from this thread to `kernel` until the guard
-    /// drops (downgraded to [`Kernel::Scalar`] if the CPU lacks AVX2).
+    /// drops (downgraded `Avx512 → Avx2 → Scalar` to what the CPU has).
     pub fn new(kernel: Kernel) -> Self {
-        let kernel = if kernel == Kernel::Avx2 && !avx2_available() { Kernel::Scalar } else { kernel };
-        let previous = KERNEL_OVERRIDE.with(|c| c.replace(Some(kernel)));
+        let previous = KERNEL_OVERRIDE.with(|c| c.replace(Some(kernel.supported())));
         KernelGuard { previous }
     }
 }
@@ -236,57 +288,6 @@ impl Drop for KernelGuard {
 pub fn with_kernel<R>(kernel: Kernel, f: impl FnOnce() -> R) -> R {
     let _guard = KernelGuard::new(kernel);
     f()
-}
-
-/// Single-threaded AVX2 blocked GEMM over the full `[m, n]` output —
-/// the SIMD twin of `blocked::gemm_serial_scalar`, sharing its packing
-/// and loop structure with a 6-row A panel and taller cache block.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-pub(super) fn gemm_serial_avx2(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    b: &[f32],
-    b_rs: usize,
-    b_cs: usize,
-    c: &mut [f32],
-) {
-    let mut apack = scratch::take(MC * KC);
-    let mut bpack = scratch::take(KC * NC);
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            super::blocked::pack_b_panels::<NR>(bpack.as_mut_slice(), b, b_rs, b_cs, pc, jc, kc, nc);
-            for ic in (0..m).step_by(MC) {
-                let mc = MC.min(m - ic);
-                super::blocked::pack_a_panels::<AVX2_MR>(apack.as_mut_slice(), a, a_rs, a_cs, ic, pc, kc, mc);
-                macro_kernel_avx2(apack.as_slice(), bpack.as_slice(), c, ic, jc, mc, nc, kc, n);
-            }
-        }
-    }
-}
-
-/// Unreachable stub: [`Kernel::Avx2`] is never resolved off `x86_64`.
-#[cfg(not(target_arch = "x86_64"))]
-#[allow(clippy::too_many_arguments)]
-pub(super) fn gemm_serial_avx2(
-    _m: usize,
-    _n: usize,
-    _k: usize,
-    _a: &[f32],
-    _a_rs: usize,
-    _a_cs: usize,
-    _b: &[f32],
-    _b_rs: usize,
-    _b_cs: usize,
-    _c: &mut [f32],
-) {
-    unreachable!("AVX2 kernel resolved on a non-x86_64 target");
 }
 
 /// `blocked::unpacked` compiled for AVX2+FMA: the body is inlined here, so
@@ -314,66 +315,54 @@ pub(super) unsafe fn unpacked_avx2(
     super::blocked::unpacked::<true>(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, acc);
 }
 
-/// Multiply one packed A block against one packed B block, accumulating
-/// into the `mc × nc` region of C at `(ic, jc)` via the 6×16 microkernel.
+/// What every SIMD tile checks before it drops to raw pointers: the packed
+/// panels cover `kc` steps and the live `mr × nr` corner lies inside `c`.
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn macro_kernel_avx2(
-    apack: &[f32],
-    bpack: &[f32],
-    c: &mut [f32],
-    ic: usize,
-    jc: usize,
-    mc: usize,
-    nc: usize,
+#[inline(always)]
+fn assert_tile_in_bounds<const MR: usize, const NR: usize>(
     kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    c: &[f32],
     ldc: usize,
+    mr: usize,
+    nr: usize,
 ) {
-    for q in 0..nc.div_ceil(NR) {
-        let bp = &bpack[q * kc * NR..][..kc * NR];
-        let nr = NR.min(nc - q * NR);
-        for p in 0..mc.div_ceil(AVX2_MR) {
-            let ap = &apack[p * kc * AVX2_MR..][..kc * AVX2_MR];
-            let mr = AVX2_MR.min(mc - p * AVX2_MR);
-            let c0 = (ic + p * AVX2_MR) * ldc + jc + q * NR;
-            debug_assert!(c0 + (mr - 1) * ldc + nr <= c.len(), "microkernel tile in bounds");
-            // SAFETY: `Kernel::Avx2` is only resolved when `avx2_available()`
-            // reported both `avx2` and `fma`, so the target features are
-            // present; every write lands at `c0 + r·ldc + j` with `r < mr`,
-            // `j < nr`, which the caller's tiling keeps inside `c`; the
-            // packed panels are at least `kc·MR`/`kc·NR` long by the slice
-            // bounds taken above.
-            unsafe { micro_6x16(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr().add(c0), ldc, mr, nr) };
-        }
-    }
+    assert!(ap.len() >= kc * MR && bp.len() >= kc * NR, "packed panels shorter than kc steps");
+    assert!((1..=MR).contains(&mr) && (1..=NR).contains(&nr), "live corner {mr}x{nr} outside the {MR}x{NR} tile");
+    assert!(c.len() >= (mr - 1) * ldc + nr, "tile runs past the end of C");
 }
 
-/// 6×16 AVX2+FMA register tile: `acc[r][j] += ap[kk·6 + r] · bp[kk·16 + j]`
-/// over `kk < kc`, then `C[r][j] += acc[r][j]` for the live `mr × nr` edge.
+/// 6×16 AVX2+FMA register tile, a [`MicroKernel`](super::blocked::MicroKernel):
+/// `acc[r][j] += ap[kk·6 + r] · bp[kk·16 + j]` over `kk < kc`, then
+/// `C[r][j] += acc[r][j]` for the live `mr × nr` corner.
 ///
 /// Register budget per `k` step: 12 accumulators + 2 B lanes + 1 broadcast
 /// A value = 15 of the 16 `ymm` registers, so nothing spills.
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2 and FMA are available, `ap`/`bp` point at
-/// panels of at least `kc·6` / `kc·16` floats, and `c + r·ldc + j` is
-/// valid for all `r < mr`, `j < nr`.
+/// Caller must ensure AVX2 and FMA are available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_6x16(kc: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc: usize, mr: usize, nr: usize) {
+pub(super) unsafe fn micro_6x16(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
     use std::arch::x86_64::*;
+    assert_tile_in_bounds::<AVX2_MR, AVX2_NR>(kc, ap, bp, c, ldc, mr, nr);
+    let (ap, bp, c) = (ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
+    // SAFETY (the pointer arithmetic below): reads stay under `kc·6` /
+    // `kc·16` floats of the panels and writes land at `r·ldc + j` with
+    // `r < mr`, `j < nr`, all inside the slices by the asserts above.
     let mut acc = [[_mm256_setzero_ps(); 2]; AVX2_MR];
     for kk in 0..kc {
-        let b0 = _mm256_loadu_ps(bp.add(kk * NR));
-        let b1 = _mm256_loadu_ps(bp.add(kk * NR + 8));
+        let b0 = _mm256_loadu_ps(bp.add(kk * AVX2_NR));
+        let b1 = _mm256_loadu_ps(bp.add(kk * AVX2_NR + 8));
         for (r, acc_row) in acc.iter_mut().enumerate() {
             let av = _mm256_set1_ps(*ap.add(kk * AVX2_MR + r));
             acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
             acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
         }
     }
-    if mr == AVX2_MR && nr == NR {
+    if mr == AVX2_MR && nr == AVX2_NR {
         // Full tile: straight vector read-modify-write of the C rows.
         for (r, acc_row) in acc.iter().enumerate() {
             let crow = c.add(r * ldc);
@@ -382,7 +371,7 @@ unsafe fn micro_6x16(kc: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc
         }
     } else {
         // Edge tile: spill the accumulators and add only the live lanes.
-        let mut tmp = [0.0f32; NR];
+        let mut tmp = [0.0f32; AVX2_NR];
         for (r, acc_row) in acc.iter().enumerate().take(mr) {
             _mm256_storeu_ps(tmp.as_mut_ptr(), acc_row[0]);
             _mm256_storeu_ps(tmp.as_mut_ptr().add(8), acc_row[1]);
@@ -394,9 +383,66 @@ unsafe fn micro_6x16(kc: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc
     }
 }
 
+/// 12×32 AVX-512 register tile, a [`MicroKernel`](super::blocked::MicroKernel):
+/// the same sum as [`micro_6x16`] over `zmm` lanes — each C element is one
+/// accumulator lane fed `kc` fused multiply-adds in `kk` order and added to
+/// C once, exactly the chain the 6×16 tile runs, which is why the two agree
+/// to the bit.
+///
+/// Register budget per `k` step: 24 accumulators + 2 B lanes + 1 broadcast
+/// A value = 27 of the 32 `zmm` registers. Write masks cover the column
+/// edge, so there is no spill path.
+///
+/// # Safety
+///
+/// Caller must ensure AVX-512F, AVX2 and FMA are available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+pub(super) unsafe fn micro_12x32(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
+    use std::arch::x86_64::*;
+    assert_tile_in_bounds::<AVX512_MR, AVX512_NR>(kc, ap, bp, c, ldc, mr, nr);
+    let (ap, bp, c) = (ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
+    // SAFETY (the pointer arithmetic below): as in `micro_6x16`; a masked
+    // load or store touches only the lanes its mask names, `j < nr`.
+    let mut acc = [[_mm512_setzero_ps(); 2]; AVX512_MR];
+    for kk in 0..kc {
+        let b0 = _mm512_loadu_ps(bp.add(kk * AVX512_NR));
+        let b1 = _mm512_loadu_ps(bp.add(kk * AVX512_NR + 16));
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_ps(*ap.add(kk * AVX512_MR + r));
+            acc_row[0] = _mm512_fmadd_ps(av, b0, acc_row[0]);
+            acc_row[1] = _mm512_fmadd_ps(av, b1, acc_row[1]);
+        }
+    }
+    // `break`s, not `take`: with constant trip counts the loops unroll and
+    // the accumulators are stored from their registers, not via the stack.
+    for (r, acc_row) in acc.iter().enumerate() {
+        if r >= mr {
+            break;
+        }
+        for (lane, &sum) in acc_row.iter().enumerate() {
+            if 16 * lane >= nr {
+                break;
+            }
+            let live: __mmask16 = 0xFFFF >> (16 - (nr - 16 * lane).min(16));
+            let cv = c.add(r * ldc + 16 * lane);
+            _mm512_mask_storeu_ps(cv, live, _mm512_add_ps(_mm512_maskz_loadu_ps(live, cv), sum));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The widest tile this CPU has: what `auto` must mean.
+    fn widest() -> Kernel {
+        match (avx512_available(), avx2_available()) {
+            (true, _) => Kernel::Avx512,
+            (false, true) => Kernel::Avx2,
+            (false, false) => Kernel::Scalar,
+        }
+    }
 
     #[test]
     fn policy_parses_all_accepted_spellings() {
@@ -405,13 +451,14 @@ mod tests {
         assert_eq!("scalar".parse::<SimdPolicy>().unwrap(), SimdPolicy::Scalar);
         assert_eq!("avx2".parse::<SimdPolicy>().unwrap(), SimdPolicy::Avx2);
         assert_eq!(" AVX2 ".parse::<SimdPolicy>().unwrap(), SimdPolicy::Avx2);
+        assert_eq!("avx512".parse::<SimdPolicy>().unwrap(), SimdPolicy::Avx512);
     }
 
     #[test]
     fn policy_parse_error_lists_valid_values() {
         let err = "sse9".parse::<SimdPolicy>().unwrap_err();
         let msg = err.to_string();
-        for expected in ["`auto`", "`off`", "`scalar`", "`avx2`", "sse9"] {
+        for expected in ["`auto`", "`off`", "`scalar`", "`avx2`", "`avx512`", "sse9"] {
             assert!(msg.contains(expected), "{msg:?} should mention {expected}");
         }
     }
@@ -421,11 +468,29 @@ mod tests {
         assert_eq!(resolve(SimdPolicy::Scalar), Kernel::Scalar);
     }
 
+    /// Printed so a CI log says which tile the unpinned tests ran on
+    /// (`scripts/tier1.sh kernels` runs this one with `--nocapture`).
     #[test]
-    fn auto_and_avx2_policies_follow_detection() {
+    fn auto_is_the_widest_tile_detected() {
+        println!(
+            "CANNIKIN_SIMD=auto resolves to `{}` here (avx2+fma {}, avx512f {})",
+            resolve(SimdPolicy::Auto),
+            avx2_available(),
+            avx512_available()
+        );
+        assert_eq!(resolve(SimdPolicy::Auto), widest());
+    }
+
+    #[test]
+    fn avx2_policy_pins_the_narrow_tile() {
         let expected = if avx2_available() { Kernel::Avx2 } else { Kernel::Scalar };
-        assert_eq!(resolve(SimdPolicy::Auto), expected);
         assert_eq!(resolve(SimdPolicy::Avx2), expected);
+    }
+
+    #[test]
+    fn avx512_policy_falls_back_down_the_ladder() {
+        assert_eq!(resolve(SimdPolicy::Avx512), widest());
+        assert!(!avx512_available() || avx2_available(), "the wide tile implies the narrow one");
     }
 
     #[test]
@@ -434,8 +499,9 @@ mod tests {
         with_kernel(Kernel::Scalar, || {
             assert_eq!(active_kernel(), Kernel::Scalar);
             with_kernel(Kernel::Avx2, || {
-                let want = if avx2_available() { Kernel::Avx2 } else { Kernel::Scalar };
-                assert_eq!(active_kernel(), want);
+                assert_eq!(active_kernel(), resolve(SimdPolicy::Avx2));
+                with_kernel(Kernel::Avx512, || assert_eq!(active_kernel(), widest()));
+                assert_eq!(active_kernel(), resolve(SimdPolicy::Avx2));
             });
             assert_eq!(active_kernel(), Kernel::Scalar);
         });
@@ -454,7 +520,8 @@ mod tests {
     fn kernel_and_policy_display_roundtrip() {
         assert_eq!(Kernel::Scalar.to_string(), "scalar");
         assert_eq!(Kernel::Avx2.to_string(), "avx2");
-        for p in [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::Avx2] {
+        assert_eq!(Kernel::Avx512.to_string(), "avx512");
+        for p in [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::Avx2, SimdPolicy::Avx512] {
             assert_eq!(p.to_string().parse::<SimdPolicy>().unwrap(), p);
         }
     }

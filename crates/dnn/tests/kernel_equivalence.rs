@@ -8,6 +8,13 @@
 //! zero-padded panel edges of the packed kernels. The `skinny_*` properties
 //! pair a batch of 1–10 with layer widths up to 1100, the shapes the
 //! unpacked path exists for and the 1..80 draw never produces.
+//!
+//! The two SIMD tiles are held to more than closeness: they cut `k` into
+//! the same slices and fuse every multiply-add, so
+//! `avx512_tile_is_bitwise_the_avx2_tile` compares them by `to_bits`. On a
+//! host without `avx512f` a `Kernel::Avx512` guard installs the AVX2 tile
+//! and such a comparison would be of a tile with itself, so the properties
+//! that pin the wide tile say `skipped: avx512f not detected` instead.
 
 use minidnn::tensor::simd::{self, with_kernel, Kernel};
 use minidnn::tensor::threads::with_threads;
@@ -49,6 +56,26 @@ fn dim(g: &mut Gen) -> usize {
 /// The `(m, k, n, seed)` every kernel property draws.
 fn shape_and_seed(g: &mut Gen) -> (usize, usize, usize, u64) {
     (dim(g), dim(g), dim(g), g.u64(0..1024))
+}
+
+/// Whether the wide tile can be pinned here; says so in the log when not,
+/// because a `Kernel::Avx512` guard then installs the AVX2 tile and the
+/// caller would be comparing a tile with itself.
+fn avx512_or_note() -> bool {
+    let detected = simd::avx512_available();
+    if !detected {
+        eprintln!("skipped: avx512f not detected");
+    }
+    detected
+}
+
+/// Every kernel a property can pin in turn on this host.
+fn kernels() -> Vec<Kernel> {
+    let mut kernels = vec![Kernel::Scalar, Kernel::Avx2];
+    if avx512_or_note() {
+        kernels.push(Kernel::Avx512);
+    }
+    kernels
 }
 
 #[test]
@@ -147,6 +174,86 @@ fn forced_avx2_transposed_kernels_match_reference() {
 }
 
 #[test]
+fn forced_avx512_matches_reference() {
+    if !avx512_or_note() {
+        return;
+    }
+    check(CASES, |g| {
+        let (m, k, n, seed) = shape_and_seed(g);
+        // All three forms; the draw puts `n` on both sides of the 16 columns
+        // under which the wide kernel runs the narrow tile.
+        with_kernel(Kernel::Avx512, || {
+            let a = Tensor::randn(&[m, k], seed);
+            let b = Tensor::randn(&[k, n], seed.wrapping_add(15));
+            assert_all_close(&minidnn::tensor::matmul(&a, &b), &reference::matmul(&a, &b));
+            let at = Tensor::randn(&[k, m], seed.wrapping_add(16));
+            assert_all_close(&minidnn::tensor::matmul_at_b(&at, &b), &reference::matmul_at_b(&at, &b));
+            let bt = Tensor::randn(&[n, k], seed.wrapping_add(17));
+            assert_all_close(&minidnn::tensor::matmul_a_bt(&a, &bt), &reference::matmul_a_bt(&a, &bt));
+        });
+    });
+}
+
+/// `A·B`, `Aᵀ·B` and `A·Bᵀ` at `[m, k] × [k, n]`, overwriting and
+/// accumulating, on one thread and on four, under both SIMD kernels: every
+/// output must have the same bit pattern.
+fn assert_simd_tiles_agree_bitwise(m: usize, k: usize, n: usize, seed: u64) {
+    use minidnn::tensor::{gemm, gemm_a_bt, gemm_at_b};
+    let a = Tensor::randn(&[m, k], seed);
+    let at = a.transpose2d();
+    let b = Tensor::randn(&[k, n], seed.wrapping_add(18));
+    let bt = b.transpose2d();
+    let c0 = Tensor::randn(&[m, n], seed.wrapping_add(19));
+    let run = |kernel: Kernel, threads: usize, acc: bool| {
+        with_kernel(kernel, || {
+            with_threads(threads, || {
+                let mut c = [c0.data().to_vec(), c0.data().to_vec(), c0.data().to_vec()];
+                gemm(m, n, k, a.data(), b.data(), &mut c[0], acc);
+                gemm_at_b(m, n, k, at.data(), b.data(), &mut c[1], acc);
+                gemm_a_bt(m, n, k, a.data(), bt.data(), &mut c[2], acc);
+                c.map(|c| c.into_iter().map(f32::to_bits).collect::<Vec<_>>())
+            })
+        })
+    };
+    for threads in [1, 4] {
+        for acc in [false, true] {
+            let (narrow, wide) = (run(Kernel::Avx2, threads, acc), run(Kernel::Avx512, threads, acc));
+            for (form, (nb, wb)) in ["A·B", "Aᵀ·B", "A·Bᵀ"].iter().zip(narrow.iter().zip(&wide)) {
+                assert!(nb == wb, "{form} at m={m} k={k} n={n}, {threads} thread(s), acc={acc}: tiles disagree");
+            }
+        }
+    }
+}
+
+#[test]
+fn avx512_tile_is_bitwise_the_avx2_tile() {
+    if !avx512_or_note() {
+        return;
+    }
+    check(CASES, |g| {
+        let (m, k, n, seed) = shape_and_seed(g);
+        assert_simd_tiles_agree_bitwise(m, k, n, seed);
+    });
+    // One dimension at a time across every tile and block edge of either
+    // kernel (`MR` 6 and 12, `NR` 16 and 32, `MC` 72 and 120, `NC` 256 and
+    // 512, `KC` 256 for both), the other two just large enough that the
+    // product is packed; `n` = 15..17 is where the wide kernel switches
+    // tiles. Then corners where several edges meet.
+    for m in [5, 7, 11, 13, 71, 73, 119, 121] {
+        assert_simd_tiles_agree_bitwise(m, 70, 50, m as u64);
+    }
+    for n in [15, 16, 17, 31, 33, 255, 257, 511, 513] {
+        assert_simd_tiles_agree_bitwise(25, 70, n, n as u64);
+    }
+    for k in [255, 256, 257, 511, 513] {
+        assert_simd_tiles_agree_bitwise(25, k, 50, k as u64);
+    }
+    for (m, k, n) in [(121, 257, 33), (13, 257, 513), (73, 255, 17)] {
+        assert_simd_tiles_agree_bitwise(m, k, n, 7);
+    }
+}
+
+#[test]
 fn forced_scalar_is_bitwise_stable_across_dispatch() {
     check(CASES, |g| {
         let (m, k, n, seed) = shape_and_seed(g);
@@ -209,13 +316,14 @@ fn skinny_operands(g: &mut Gen) -> (Tensor, Tensor, Tensor, Tensor) {
 
 #[test]
 fn skinny_products_match_reference_under_both_kernels() {
+    let kernels = kernels();
     check(SKINNY_CASES, |g| {
         let (x, w, wt, dy) = skinny_operands(g);
         let y = reference::matmul(&x, &w);
         let dw = reference::matmul_at_b(&x, &dy);
         let dx = reference::matmul_a_bt(&x, &wt);
         // Without AVX2 the second guard installs the scalar kernel again.
-        for kernel in [Kernel::Scalar, Kernel::Avx2] {
+        for &kernel in &kernels {
             with_kernel(kernel, || {
                 assert_all_close(&minidnn::tensor::matmul(&x, &w), &y);
                 assert_all_close(&minidnn::tensor::matmul_at_b(&x, &dy), &dw);
@@ -242,10 +350,11 @@ fn overwrites_then_adds(form: &str, once: &Tensor, gemm_into: impl Fn(&mut [f32]
 #[test]
 fn skinny_gemm_overwrites_then_adds_exactly_one_product() {
     use minidnn::tensor::{gemm, gemm_a_bt, gemm_at_b};
+    let kernels = kernels();
     check(SKINNY_CASES, |g| {
         let (x, w, wt, dy) = skinny_operands(g);
         let (batch, p, q) = (x.shape()[0], x.shape()[1], w.shape()[1]);
-        for kernel in [Kernel::Scalar, Kernel::Avx2] {
+        for &kernel in &kernels {
             with_kernel(kernel, || {
                 overwrites_then_adds("A·B", &minidnn::tensor::matmul(&x, &w), |c, acc| {
                     gemm(batch, q, p, x.data(), w.data(), c, acc)
@@ -292,7 +401,7 @@ fn skinny_products_take_nothing_from_scratch() {
     let w = Tensor::randn(&[p, q], 2);
     let dy = Tensor::randn(&[batch, q], 3);
     let (mut y, mut dw, mut dx) = (vec![0.0f32; batch * q], vec![0.0f32; p * q], vec![0.0f32; batch * p]);
-    for kernel in [Kernel::Scalar, Kernel::Avx2] {
+    for kernel in kernels() {
         with_kernel(kernel, || {
             let before = scratch::stats();
             gemm(batch, q, p, x.data(), w.data(), &mut y, false);

@@ -7,7 +7,8 @@
 #              at smoke size (plain rustc, ~50 s)
 #   build      release build, and proof that it resolved no registry crate
 #   test       full workspace test suite
-#   kernels    minidnn's suite again, optimised, under each GEMM kernel
+#   kernels    minidnn's suite again, optimised, under each GEMM kernel policy
+#              (auto, off, avx2), after saying which tile auto is here
 #   clippy     warnings-as-errors clippy pass over library, test and example code
 #   doc        warnings-as-errors rustdoc
 #   chaos      every fault schedule (CANNIKIN_CHAOS_SCHEDULE narrows it)
@@ -54,12 +55,20 @@ stage() {
         ;;
     test) cargo test --workspace -q ;;
     kernels)
-        # The `test` stage compiles minidnn unoptimised; the `unsafe` AVX2
-        # code and the loops that rely on the vectoriser ship optimised.
+        # Which tile `auto` is on this runner, first: without avx512f the
+        # 12x32 tile is exercised by nothing below (its properties print
+        # "skipped"), and the log should say so.
+        cargo test -p minidnn --release -q --lib -- --exact --nocapture \
+            tensor::matmul::simd::tests::auto_is_the_widest_tile_detected
+        # The `test` stage compiles minidnn unoptimised; the `unsafe` SIMD
+        # tiles and the loops that rely on the vectoriser ship optimised.
         cargo test -p minidnn --release -q
         # And with the scalar kernel as the process-wide default, so the
         # tests that pin no kernel of their own run on it too.
         CANNIKIN_SIMD=off cargo test -p minidnn --release -q
+        # And with the 6x16 tile pinned: where `auto` is the AVX-512 tile
+        # the narrow one is otherwise reached only through explicit guards.
+        CANNIKIN_SIMD=avx2 cargo test -p minidnn --release -q
         ;;
     clippy) cargo clippy --workspace --all-targets -- -D warnings ;;
     doc) RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ;;
