@@ -316,8 +316,9 @@ impl ParallelTrainerBuilder {
         self
     }
 
-    /// Per-node slowdown factors (1.0 = full speed); the length sets the
-    /// node count.
+    /// Per-node slowdown factors, each finite and `>= 1.0` (1.0 = full
+    /// speed; `build` rejects anything else); the length sets the node
+    /// count.
     #[must_use]
     pub fn slowdowns(mut self, slowdowns: Vec<f64>) -> Self {
         self.slowdowns = Some(slowdowns);
@@ -429,8 +430,9 @@ impl ParallelTrainerBuilder {
     /// # Errors
     ///
     /// [`CannikinError::InvalidConfig`] when the dataset or model factory
-    /// is missing, the node set is empty, the batch range cannot cover it,
-    /// the dataset is smaller than two base batches, or
+    /// is missing, the node set is empty or holds a slowdown that is not a
+    /// finite factor `>= 1`, the batch range cannot cover it, the learning
+    /// rate is not positive, the dataset is smaller than two base batches, or
     /// `CANNIKIN_TRANSPORT` / `CANNIKIN_POLICY` holds an unparseable value.
     pub fn build(self) -> Result<ParallelTrainer, CannikinError> {
         let dataset = self
@@ -495,6 +497,15 @@ impl ParallelTrainerBuilder {
             return Err(CannikinError::InvalidConfig(format!(
                 "max batch {} is below base batch {}",
                 config.max_batch, config.base_batch
+            )));
+        }
+        // A rank sleeps `compute x (slowdown - 1)` and reports its times
+        // scaled by the factor: a non-finite one panics inside the rank
+        // thread, and one below 1 scales the analyzer's inputs by a factor
+        // no sleep backs.
+        if let Some((i, s)) = config.slowdowns.iter().enumerate().find(|(_, s)| !(s.is_finite() && **s >= 1.0)) {
+            return Err(CannikinError::InvalidConfig(format!(
+                "slowdown {s} of node {i} is not a finite factor >= 1"
             )));
         }
         // The ranks' optimizers are built on the caller's thread, where a
@@ -631,6 +642,23 @@ mod tests {
             .build()
             .expect_err("a zero rate never moves the weights");
         assert!(err.to_string().contains("learning rate"), "{err}");
+        let with_slowdown = |x: f64| {
+            ParallelTrainer::builder()
+                .dataset(gaussian_blobs(64, 4, 10, 3))
+                .model(|seed| mlp_classifier(10, 16, 4, seed))
+                .slowdowns(vec![1.0, x])
+                .base_batch(8)
+                .transport(TransportKind::InProcess)
+                .build()
+        };
+        for x in [f64::INFINITY, f64::NAN, 0.5, -1.0] {
+            let err = with_slowdown(x).expect_err("a factor no rank can sleep for");
+            assert!(matches!(err, CannikinError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains(&format!("slowdown {x} of node 1")), "{err}");
+        }
+        for x in [1.0, 4.0] {
+            with_slowdown(x).expect("a finite factor >= 1 builds");
+        }
 
         let mut t = ParallelTrainer::builder()
             .dataset(gaussian_blobs(256, 4, 10, 3))

@@ -67,8 +67,8 @@ use std::time::{Duration, Instant};
 /// Configuration of a functional training run.
 #[derive(Debug, Clone)]
 pub struct ParallelConfig {
-    /// Per-node slowdown factors (1.0 = full speed); the length sets the
-    /// node count.
+    /// Per-node slowdown factors, each finite and `>= 1.0` (1.0 = full
+    /// speed); the length sets the node count.
     pub slowdowns: Vec<f64>,
     /// Reference/initial total batch size B₀.
     pub base_batch: u64,
@@ -986,8 +986,8 @@ fn evaluate(model: &mut Sequential, dataset: &ClassificationDataset) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minidnn::data::gaussian_blobs;
-    use minidnn::models::mlp_classifier;
+    use minidnn::data::{gaussian_blob_images, gaussian_blobs};
+    use minidnn::models::{mini_cnn, mlp_classifier};
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn config(adaptive: bool) -> ParallelConfig {
@@ -1017,17 +1017,38 @@ mod tests {
             .expect("valid config")
     }
 
+    /// The two models the trainer is held to on both step paths: the MLP
+    /// over flat blobs, and the CNN over image blobs — a 4-D dataset,
+    /// per-layer buckets of very different sizes, and parameterless layers
+    /// (`Relu`, `AvgPool2d`) that must put no collective on any rank.
+    fn subjects(overlap: bool, codec: Codec) -> [(&'static str, ParallelTrainer); 2] {
+        let build = |ds, factory: fn(u64) -> Sequential, mut cfg: ParallelConfig| {
+            cfg.overlap = overlap;
+            cfg.codec = codec;
+            ParallelTrainer::builder().dataset(ds).model(factory).config(cfg).build().expect("valid config")
+        };
+        let mut cnn = config(false);
+        cnn.slowdowns = vec![1.0, 2.0, 4.0];
+        cnn.base_batch = 24;
+        [
+            ("mlp", build(gaussian_blobs(640, 4, 10, 3), |seed| mlp_classifier(10, 24, 4, seed), config(false))),
+            ("cnn", build(gaussian_blob_images(192, 4, 3, 8, 3), |seed| mini_cnn(3, 8, 4, seed), cnn)),
+        ]
+    }
+
+    fn four_epochs(t: &mut ParallelTrainer) -> Vec<ParallelEpochReport> {
+        (0..4).map(|_| t.run_epoch().expect("epoch")).collect()
+    }
+
     #[test]
     fn replicas_learn_the_task() {
-        let mut t = trainer(false);
-        let mut last = None;
-        for _ in 0..4 {
-            last = Some(t.run_epoch().expect("epoch"));
+        for (subject, mut t) in subjects(false, Codec::None) {
+            let report = four_epochs(&mut t).pop().unwrap();
+            assert!(report.comm_bytes > 0, "{subject}: gradient exchange must move bytes");
+            assert!(report.accuracy > 0.9, "{subject}: accuracy {}", report.accuracy);
+            assert!(report.mean_loss < 0.5, "{subject}: loss {}", report.mean_loss);
+            assert_replicas_agree(&t);
         }
-        let report = last.unwrap();
-        assert!(report.comm_bytes > 0, "gradient exchange must move bytes");
-        assert!(report.accuracy > 0.9, "accuracy {}", report.accuracy);
-        assert!(report.mean_loss < 0.5, "loss {}", report.mean_loss);
     }
 
     #[test]
@@ -1188,53 +1209,39 @@ mod tests {
 
     #[test]
     fn overlapped_exchange_learns_and_reports_hidden_comm() {
-        let ds = gaussian_blobs(640, 4, 10, 3);
-        let mut cfg = config(false);
-        cfg.overlap = true;
-        let mut t = ParallelTrainer::builder()
-            .dataset(ds)
-            .model(|seed| mlp_classifier(10, 24, 4, seed))
-            .config(cfg)
-            .build()
-            .expect("valid config");
-        let mut overlap_total = 0.0;
-        let mut last = None;
-        for _ in 0..4 {
-            let r = t.run_epoch().expect("epoch");
-            overlap_total += r.comm_overlap;
-            last = Some(r);
+        for (subject, mut t) in subjects(true, Codec::None) {
+            let session = telemetry::Session::start();
+            let reports = four_epochs(&mut t);
+            let overlap_total: f64 = reports.iter().map(|r| r.comm_overlap).sum();
+            let report = reports.last().unwrap();
+            assert!(report.comm_bytes > 0, "{subject}: bucketed exchange still moves bytes");
+            assert!(report.accuracy > 0.9, "{subject}: accuracy {}", report.accuracy);
+            assert!(
+                overlap_total > 0.0,
+                "{subject}: per-layer buckets must hide some communication behind backward compute"
+            );
+            assert_replicas_agree(&t);
+            // One collective per layer that has parameters, per step, per
+            // rank — and none for the layers that have not.
+            let with_params =
+                t.driver.exec.ranks[0].model.layers().iter().filter(|l| !l.parameters().is_empty()).count();
+            let records = session.drain();
+            let count = |wanted: fn(&Event) -> bool| records.iter().filter(|r| wanted(&r.event)).count();
+            let rank_steps = count(|e| matches!(e, Event::StepTiming(_)));
+            assert_eq!(with_params, 3, "{subject}");
+            assert_eq!(count(|e| matches!(e, Event::AllReduceBucket(_))), with_params * rank_steps, "{subject}");
         }
-        let report = last.unwrap();
-        assert!(report.comm_bytes > 0, "bucketed exchange still moves bytes");
-        assert!(report.accuracy > 0.9, "accuracy {}", report.accuracy);
-        assert!(
-            overlap_total > 0.0,
-            "per-layer buckets must hide some communication behind backward compute"
-        );
     }
 
     #[test]
     fn overlapped_lossy_exchange_keeps_replicas_consistent() {
-        // The strongest cross-check: overlap + bf16 + error feedback, with
-        // replica agreement enforced implicitly (a divergent replica would
-        // wreck accuracy within an epoch or two).
-        let ds = gaussian_blobs(640, 4, 10, 3);
-        let mut cfg = config(false);
-        cfg.overlap = true;
-        cfg.codec = Codec::Bf16;
-        let mut t = ParallelTrainer::builder()
-            .dataset(ds)
-            .model(|seed| mlp_classifier(10, 24, 4, seed))
-            .config(cfg)
-            .build()
-            .expect("valid config");
-        let mut last = None;
-        for _ in 0..4 {
-            last = Some(t.run_epoch().expect("epoch"));
+        // The strongest cross-check: overlap + bf16 + error feedback.
+        for (subject, mut t) in subjects(true, Codec::Bf16) {
+            let report = four_epochs(&mut t).pop().unwrap();
+            assert!(report.accuracy > 0.9, "{subject}: accuracy {}", report.accuracy);
+            assert!(report.mean_loss < 0.5, "{subject}: loss {}", report.mean_loss);
+            assert_replicas_agree(&t);
         }
-        let report = last.unwrap();
-        assert!(report.accuracy > 0.9, "accuracy {}", report.accuracy);
-        assert!(report.mean_loss < 0.5, "loss {}", report.mean_loss);
     }
 
     /// Identity layer that panics in the first forward pass after the test

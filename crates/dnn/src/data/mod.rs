@@ -1,18 +1,16 @@
 //! Synthetic datasets and batch iteration.
 //!
 //! The reproduction cannot ship ImageNet, LibriSpeech, SQuAD or MovieLens;
-//! instead these generators produce deterministic synthetic datasets with
-//! the same *interface* (classification over dense features / images,
-//! implicit-feedback interactions) so that the functional training path —
-//! real gradients, real losses, real gradient-noise measurements — is
-//! exercised end to end.
+//! instead two generators produce deterministic Gaussian-blob
+//! classification sets — dense features for the MLP, `[n, c, h, w]` images
+//! for the CNN — so that the functional training path (real gradients,
+//! real losses, real gradient-noise measurements) is exercised end to end.
+//! [`EpochPlan`] deals an epoch's shuffled indices into uneven per-node
+//! shards.
 
 mod synthetic;
 
-pub use synthetic::{
-    frame_sequences, gaussian_blob_images, gaussian_blobs, token_sequences,
-    two_tower_interactions, InteractionDataset, SequenceDataset,
-};
+pub use synthetic::{gaussian_blob_images, gaussian_blobs};
 
 use crate::rng;
 use crate::tensor::Tensor;
@@ -22,7 +20,6 @@ use crate::tensor::Tensor;
 pub struct ClassificationDataset {
     features: Tensor,
     labels: Vec<usize>,
-    classes: usize,
 }
 
 impl ClassificationDataset {
@@ -35,7 +32,7 @@ impl ClassificationDataset {
     pub fn new(features: Tensor, labels: Vec<usize>, classes: usize) -> Self {
         assert_eq!(features.rows(), labels.len(), "feature/label count mismatch");
         assert!(labels.iter().all(|&l| l < classes), "label out of range");
-        ClassificationDataset { features, labels, classes }
+        ClassificationDataset { features, labels }
     }
 
     /// Number of samples.
@@ -46,11 +43,6 @@ impl ClassificationDataset {
     /// Whether the dataset is empty.
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
     }
 
     /// Shape of a single sample (the feature shape without the leading
@@ -81,28 +73,6 @@ impl ClassificationDataset {
     /// All labels (for accuracy computation).
     pub fn labels(&self) -> &[usize] {
         &self.labels
-    }
-
-    /// Deterministically split into `(train, validation)` with
-    /// `holdout_fraction` of the samples (shuffled by `seed`) held out.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < holdout_fraction < 1` leaves both sides
-    /// non-empty.
-    pub fn split(&self, holdout_fraction: f64, seed: u64) -> (ClassificationDataset, ClassificationDataset) {
-        assert!(holdout_fraction > 0.0 && holdout_fraction < 1.0, "holdout fraction must be in (0, 1)");
-        let n = self.len();
-        let holdout = ((n as f64 * holdout_fraction).round() as usize).clamp(1, n - 1);
-        let mut indices: Vec<usize> = (0..n).collect();
-        let mut r = rng::seeded(seed);
-        rng::shuffle(&mut r, &mut indices);
-        let (val_idx, train_idx) = indices.split_at(holdout);
-        let gather = |idx: &[usize]| {
-            let (features, labels) = self.batch(idx);
-            ClassificationDataset::new(features, labels, self.classes)
-        };
-        (gather(train_idx), gather(val_idx))
     }
 }
 
@@ -220,18 +190,6 @@ mod tests {
         let (x, y) = ds.batch(&[0, 5, 19]);
         assert_eq!(x.shape(), &[3, 4]);
         assert_eq!(y.len(), 3);
-    }
-
-    #[test]
-    fn split_partitions_cleanly() {
-        let ds = gaussian_blobs(100, 4, 5, 2);
-        let (train, val) = ds.split(0.2, 3);
-        assert_eq!(train.len(), 80);
-        assert_eq!(val.len(), 20);
-        assert_eq!(train.classes(), 4);
-        // Deterministic.
-        let (train2, _) = ds.split(0.2, 3);
-        assert_eq!(train.batch(&[0]).0, train2.batch(&[0]).0);
     }
 
     #[test]

@@ -4,8 +4,6 @@ use super::ClassificationDataset;
 use crate::rng;
 use crate::tensor::Tensor;
 
-use rand::RngExt;
-
 /// Gaussian-blob classification: `classes` well-separated clusters in
 /// `dim`-dimensional space. Stands in for the dense-feature workloads.
 ///
@@ -44,99 +42,6 @@ pub fn gaussian_blob_images(n: usize, classes: usize, channels: usize, side: usi
     let (features, _) = flat.batch(&(0..n).collect::<Vec<_>>());
     let features = features.reshape(&[n, channels, side, side]);
     ClassificationDataset::new(features, labels, classes)
-}
-
-/// An implicit-feedback interaction dataset for the NeuMF-style
-/// recommendation workload: `(user, item, label)` triples generated from
-/// latent factors, with one sampled negative per positive.
-#[derive(Debug, Clone)]
-pub struct InteractionDataset {
-    users: Vec<usize>,
-    items: Vec<usize>,
-    labels: Vec<f32>,
-    num_users: usize,
-    num_items: usize,
-}
-
-impl InteractionDataset {
-    /// Number of interactions.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Whether the dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
-    /// Number of distinct users.
-    pub fn num_users(&self) -> usize {
-        self.num_users
-    }
-
-    /// Number of distinct items.
-    pub fn num_items(&self) -> usize {
-        self.num_items
-    }
-
-    /// Gather a batch by indices: `(users, items, labels)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn batch(&self, indices: &[usize]) -> (Vec<usize>, Vec<usize>, Tensor) {
-        let mut u = Vec::with_capacity(indices.len());
-        let mut it = Vec::with_capacity(indices.len());
-        let mut l = Vec::with_capacity(indices.len());
-        for &i in indices {
-            assert!(i < self.len(), "interaction index {i} out of range");
-            u.push(self.users[i]);
-            it.push(self.items[i]);
-            l.push(self.labels[i]);
-        }
-        (u, it, Tensor::from_slice(&l))
-    }
-}
-
-/// Generate a two-tower interaction dataset: users and items get latent
-/// vectors; a positive interaction is sampled where the dot product is
-/// high, and each positive is paired with a random negative.
-///
-/// # Panics
-///
-/// Panics if any argument is zero.
-pub fn two_tower_interactions(num_users: usize, num_items: usize, positives: usize, seed: u64) -> InteractionDataset {
-    assert!(num_users > 0 && num_items > 0 && positives > 0, "dataset dimensions must be positive");
-    let dim = 8;
-    let mut r = rng::seeded(seed);
-    let uf: Vec<Vec<f32>> = (0..num_users).map(|_| (0..dim).map(|_| rng::normal(&mut r)).collect()).collect();
-    let itf: Vec<Vec<f32>> = (0..num_items).map(|_| (0..dim).map(|_| rng::normal(&mut r)).collect()).collect();
-    let mut users = Vec::with_capacity(positives * 2);
-    let mut items = Vec::with_capacity(positives * 2);
-    let mut labels = Vec::with_capacity(positives * 2);
-    for _ in 0..positives {
-        let u = r.random_range(0..num_users);
-        // Pick the best item among a small candidate set: a cheap proxy for
-        // "user interacted with something they like".
-        let mut best = r.random_range(0..num_items);
-        let mut best_score = f32::NEG_INFINITY;
-        for _ in 0..4 {
-            let cand = r.random_range(0..num_items);
-            let score: f32 = uf[u].iter().zip(&itf[cand]).map(|(a, b)| a * b).sum();
-            if score > best_score {
-                best_score = score;
-                best = cand;
-            }
-        }
-        users.push(u);
-        items.push(best);
-        labels.push(1.0);
-        // Random negative.
-        users.push(u);
-        items.push(r.random_range(0..num_items));
-        labels.push(0.0);
-    }
-    InteractionDataset { users, items, labels, num_users, num_items }
 }
 
 #[cfg(test)]
@@ -191,208 +96,9 @@ mod tests {
     }
 
     #[test]
-    fn interactions_are_balanced() {
-        let ds = two_tower_interactions(50, 80, 200, 7);
-        assert_eq!(ds.len(), 400);
-        let (_, _, labels) = ds.batch(&(0..ds.len()).collect::<Vec<_>>());
-        let positives = labels.data().iter().filter(|&&l| l == 1.0).count();
-        assert_eq!(positives, 200);
-    }
-
-    #[test]
     fn generators_are_deterministic() {
         let a = gaussian_blobs(30, 3, 5, 9);
         let b = gaussian_blobs(30, 3, 5, 9);
         assert_eq!(a.batch(&[3]).0, b.batch(&[3]).0);
-    }
-}
-
-/// A synthetic token-sequence classification dataset (the SQuAD/BERT
-/// stand-in): each class draws tokens preferentially from its own
-/// "signature" vocabulary slice, so the label is recoverable from token
-/// statistics — and a small transformer learns it quickly.
-#[derive(Debug, Clone)]
-pub struct SequenceDataset {
-    sequences: Vec<Vec<usize>>,
-    labels: Vec<usize>,
-    vocab: usize,
-    classes: usize,
-}
-
-impl SequenceDataset {
-    /// Number of sequences.
-    pub fn len(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// Whether the dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Number of classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Sequence length (uniform across the dataset).
-    pub fn seq_len(&self) -> usize {
-        self.sequences.first().map_or(0, Vec::len)
-    }
-
-    /// Gather a batch by indices: `(sequences, labels)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn batch(&self, indices: &[usize]) -> (Vec<Vec<usize>>, Vec<usize>) {
-        let seqs = indices.iter().map(|&i| self.sequences[i].clone()).collect();
-        let labels = indices.iter().map(|&i| self.labels[i]).collect();
-        (seqs, labels)
-    }
-}
-
-/// Generate class-conditional token sequences.
-///
-/// # Panics
-///
-/// Panics if any argument is zero or `vocab < 2 * classes`.
-pub fn token_sequences(n: usize, vocab: usize, seq_len: usize, classes: usize, seed: u64) -> SequenceDataset {
-    assert!(n > 0 && vocab > 0 && seq_len > 0 && classes > 0, "dataset dimensions must be positive");
-    assert!(vocab >= 2 * classes, "vocabulary too small for {classes} class signatures");
-    let mut r = rng::seeded(seed);
-    let signature_width = vocab / (2 * classes);
-    let mut sequences = Vec::with_capacity(n);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        let sig_base = class * signature_width;
-        let seq: Vec<usize> = (0..seq_len)
-            .map(|_| {
-                if r.random::<f64>() < 0.5 {
-                    // Signature token for this class.
-                    sig_base + r.random_range(0..signature_width)
-                } else {
-                    // Background token from the shared upper half.
-                    vocab / 2 + r.random_range(0..vocab / 2)
-                }
-            })
-            .collect();
-        sequences.push(seq);
-        labels.push(class);
-    }
-    SequenceDataset { sequences, labels, vocab, classes }
-}
-
-#[cfg(test)]
-mod sequence_tests {
-    use super::*;
-
-    #[test]
-    fn sequences_have_uniform_shape() {
-        let ds = token_sequences(40, 64, 12, 4, 8);
-        assert_eq!(ds.len(), 40);
-        assert_eq!(ds.seq_len(), 12);
-        let (seqs, labels) = ds.batch(&[0, 5, 39]);
-        assert_eq!(seqs.len(), 3);
-        assert!(seqs.iter().all(|s| s.len() == 12));
-        assert!(labels.iter().all(|&l| l < 4));
-        assert!(seqs.iter().flatten().all(|&t| t < 64));
-    }
-
-    #[test]
-    fn signature_tokens_identify_the_class() {
-        // Counting signature-slice hits should classify most sequences.
-        let classes = 4;
-        let ds = token_sequences(200, 64, 16, classes, 9);
-        let width = 64 / (2 * classes);
-        let (seqs, labels) = ds.batch(&(0..200).collect::<Vec<_>>());
-        let mut correct = 0;
-        for (seq, &label) in seqs.iter().zip(&labels) {
-            let best = (0..classes)
-                .max_by_key(|c| seq.iter().filter(|&&t| t >= c * width && t < (c + 1) * width).count())
-                .unwrap();
-            if best == label {
-                correct += 1;
-            }
-        }
-        assert!(correct > 180, "{correct}/200 classified by counting");
-    }
-}
-
-/// Synthetic "utterances" for the DeepSpeech2 stand-in: each sample is a
-/// `[time, features]` frame sequence whose frames oscillate at a
-/// class-specific frequency plus noise; features are returned as a dense
-/// `[n, time, features]` tensor inside a [`ClassificationDataset`].
-///
-/// # Panics
-///
-/// Panics if any argument is zero.
-pub fn frame_sequences(n: usize, time: usize, features: usize, classes: usize, seed: u64) -> ClassificationDataset {
-    assert!(n > 0 && time > 0 && features > 0 && classes > 0, "dataset dimensions must be positive");
-    let mut r = rng::seeded(seed);
-    let mut data = Vec::with_capacity(n * time * features);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        // Class-specific temporal frequency and phase jitter.
-        let freq = 0.5 + class as f64;
-        let phase = rng::normal(&mut r) as f64 * 0.2;
-        labels.push(class);
-        for t in 0..time {
-            let carrier = (freq * t as f64 * 0.7 + phase).sin() as f32;
-            for f in 0..features {
-                let tone = carrier * ((f % (class + 1)) as f32 + 1.0) / (class + 1) as f32;
-                data.push(tone + 0.3 * rng::normal(&mut r));
-            }
-        }
-    }
-    let features_t = Tensor::from_vec(data, &[n, time, features]).expect("frame shape");
-    ClassificationDataset::new(features_t, labels, classes)
-}
-
-#[cfg(test)]
-mod frame_tests {
-    use super::*;
-
-    #[test]
-    fn frames_are_three_dimensional() {
-        let ds = frame_sequences(12, 9, 5, 3, 4);
-        assert_eq!(ds.sample_shape(), &[9, 5]);
-        let (x, y) = ds.batch(&[0, 1, 2]);
-        assert_eq!(x.shape(), &[3, 9, 5]);
-        assert_eq!(y, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn classes_have_distinct_temporal_statistics() {
-        // The mean absolute frame-to-frame delta grows with the class
-        // frequency, so the label is recoverable from dynamics.
-        let time = 24;
-        let feats = 4;
-        let ds = frame_sequences(60, time, feats, 2, 5);
-        let (x, y) = ds.batch(&(0..60).collect::<Vec<_>>());
-        let mut deltas = [0.0f64; 2];
-        let mut counts = [0usize; 2];
-        for i in 0..60 {
-            let mut d = 0.0f64;
-            for t in 1..time {
-                for f in 0..feats {
-                    let a = x.data()[(i * time + t) * feats + f];
-                    let b = x.data()[(i * time + t - 1) * feats + f];
-                    d += f64::from((a - b).abs());
-                }
-            }
-            deltas[y[i]] += d;
-            counts[y[i]] += 1;
-        }
-        let d0 = deltas[0] / counts[0] as f64;
-        let d1 = deltas[1] / counts[1] as f64;
-        assert!(d1 > d0 * 1.2, "class-1 dynamics {d1} should exceed class-0 {d0}");
     }
 }

@@ -8,34 +8,14 @@
 //! micro-batches before an optimizer step, mirroring PyTorch semantics.
 
 mod activations;
-mod attention;
-mod batchnorm;
 mod conv;
-mod dropout;
-mod embedding;
-mod gru;
 mod linear;
-mod norm;
 mod pool;
-mod residual;
-mod softmax_layer;
-mod timedist;
-mod transformer;
 
-pub use activations::{Gelu, Relu, Sigmoid, Tanh};
-pub use attention::MultiHeadSelfAttention;
-pub use batchnorm::BatchNorm2d;
+pub use activations::Relu;
 pub use conv::Conv2d;
-pub use dropout::Dropout;
-pub use embedding::Embedding;
-pub use gru::Gru;
 pub use linear::Linear;
-pub use norm::LayerNorm;
-pub use pool::{AvgPool2d, MaxPool2d};
-pub use residual::BasicBlock;
-pub use softmax_layer::Softmax;
-pub use timedist::{MeanOverTime, TimeDistributed};
-pub use transformer::TransformerBlock;
+pub use pool::AvgPool2d;
 
 use crate::tensor::Tensor;
 
@@ -89,8 +69,8 @@ impl Param {
 /// The trait is object-safe so models can be composed as
 /// `Vec<Box<dyn Layer>>` (see [`Sequential`]).
 pub trait Layer: Send {
-    /// Run the forward pass. `train` enables training-only behaviour such as
-    /// dropout.
+    /// Run the forward pass. `train` marks a training pass; no layer kept
+    /// here behaves differently under it.
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
     /// Run the backward pass for the most recent `forward` call, returning
@@ -149,13 +129,6 @@ impl Sequential {
     #[must_use]
     pub fn push<L: Layer + 'static>(mut self, layer: L) -> Self {
         self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Append a boxed layer.
-    #[must_use]
-    pub fn push_boxed(mut self, layer: Box<dyn Layer>) -> Self {
-        self.layers.push(layer);
         self
     }
 
@@ -239,8 +212,7 @@ pub fn flatten_grads_into(params: &[&Param], out: &mut Vec<f32>) {
     }
 }
 
-/// Scatter a flat gradient slice back into the parameter gradients — the
-/// slice-input form of [`assign_grads`].
+/// Scatter a flat gradient slice back into the parameter gradients.
 ///
 /// # Panics
 ///
@@ -254,15 +226,6 @@ pub fn assign_grads_from(params: &mut [&mut Param], flat: &[f32]) {
         p.grad.data_mut().copy_from_slice(&flat[off..off + n]);
         off += n;
     }
-}
-
-/// Scatter a flat gradient vector back into the parameter gradients.
-///
-/// # Panics
-///
-/// Panics if `flat.len()` differs from the total parameter count.
-pub fn assign_grads(params: &mut [&mut Param], flat: &Tensor) {
-    assign_grads_from(params, flat.data());
 }
 
 /// Flatten all parameter values into a single 1-D tensor.
@@ -325,7 +288,7 @@ mod tests {
         let flat = flatten_grads(&net.parameters());
         assert_eq!(flat.len(), 3 * 2 + 2);
         let doubled = flat.scale(2.0);
-        assign_grads(&mut net.parameters_mut(), &doubled);
+        assign_grads_from(&mut net.parameters_mut(), doubled.data());
         let back = flatten_grads(&net.parameters());
         assert_eq!(back, doubled);
     }

@@ -1,84 +1,7 @@
-//! Spatial pooling layers.
+//! Global average pooling.
 
 use super::{Layer, Param};
 use crate::tensor::Tensor;
-
-/// Max pooling over `[batch, c, h, w]` inputs with a square window.
-#[derive(Debug)]
-pub struct MaxPool2d {
-    kernel: usize,
-    stride: usize,
-    cache: Option<PoolCache>,
-}
-
-#[derive(Debug)]
-struct PoolCache {
-    in_shape: Vec<usize>,
-    argmax: Vec<usize>,
-}
-
-impl MaxPool2d {
-    /// Create a max-pool layer with the given square kernel and stride.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel == 0` or `stride == 0`.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(kernel > 0 && stride > 0, "pool kernel and stride must be positive");
-        MaxPool2d { kernel, stride, cache: None }
-    }
-}
-
-impl Layer for MaxPool2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let shape = x.shape();
-        assert_eq!(shape.len(), 4, "pool input must be [batch, c, h, w]");
-        let (batch, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        assert!(h >= self.kernel && w >= self.kernel, "input smaller than pool kernel");
-        let oh = (h - self.kernel) / self.stride + 1;
-        let ow = (w - self.kernel) / self.stride + 1;
-        let mut out = Vec::with_capacity(batch * c * oh * ow);
-        let mut argmax = Vec::with_capacity(batch * c * oh * ow);
-        for b in 0..batch {
-            for ch in 0..c {
-                let plane = (b * c + ch) * h * w;
-                for oi in 0..oh {
-                    for oj in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for ki in 0..self.kernel {
-                            for kj in 0..self.kernel {
-                                let idx = plane + (oi * self.stride + ki) * w + oj * self.stride + kj;
-                                if x.data()[idx] > best {
-                                    best = x.data()[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        out.push(best);
-                        argmax.push(best_idx);
-                    }
-                }
-            }
-        }
-        self.cache = Some(PoolCache { in_shape: shape.to_vec(), argmax });
-        Tensor::from_vec(out, &[batch, c, oh, ow]).expect("maxpool output shape")
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward called before forward");
-        let mut dx = vec![0.0f32; cache.in_shape.iter().product()];
-        assert_eq!(grad_out.len(), cache.argmax.len(), "pool backward shape mismatch");
-        for (g, &idx) in grad_out.data().iter().zip(&cache.argmax) {
-            dx[idx] += g;
-        }
-        Tensor::from_vec(dx, &cache.in_shape).expect("maxpool dx shape")
-    }
-
-    fn parameters(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-}
 
 /// Average pooling over the full spatial extent (global average pool),
 /// producing `[batch, c]`.
@@ -132,33 +55,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn maxpool_known_values() {
-        let x = Tensor::from_vec(
-            vec![
-                1.0, 2.0, 3.0, 4.0, //
-                5.0, 6.0, 7.0, 8.0, //
-                9.0, 10.0, 11.0, 12.0, //
-                13.0, 14.0, 15.0, 16.0,
-            ],
-            &[1, 1, 4, 4],
-        )
-        .unwrap();
-        let mut pool = MaxPool2d::new(2, 2);
-        let y = pool.forward(&x, true);
-        assert_eq!(y.shape(), &[1, 1, 2, 2]);
-        assert_eq!(y.data(), &[6.0, 8.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn maxpool_backward_routes_to_argmax() {
-        let x = Tensor::from_vec(vec![1.0, 9.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
-        let mut pool = MaxPool2d::new(2, 2);
-        let _ = pool.forward(&x, true);
-        let dx = pool.backward(&Tensor::from_vec(vec![5.0], &[1, 1, 1, 1]).unwrap());
-        assert_eq!(dx.data(), &[0.0, 5.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn avgpool_forward_backward() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
         let mut pool = AvgPool2d::new();
@@ -167,16 +63,5 @@ mod tests {
         assert_eq!(y.data(), &[2.5]);
         let dx = pool.backward(&Tensor::from_vec(vec![4.0], &[1, 1]).unwrap());
         assert_eq!(dx.data(), &[1.0, 1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn maxpool_gradient_conservation() {
-        // Sum of routed gradients equals sum of incoming gradients.
-        let x = Tensor::randn(&[2, 3, 6, 6], 31);
-        let mut pool = MaxPool2d::new(2, 2);
-        let y = pool.forward(&x, true);
-        let g = Tensor::randn(y.shape(), 32);
-        let dx = pool.backward(&g);
-        assert!((dx.sum() - g.sum()).abs() < 1e-4);
     }
 }

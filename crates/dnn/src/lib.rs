@@ -1,28 +1,28 @@
 //! # minidnn — a from-scratch CPU deep-learning library
 //!
-//! `minidnn` provides the numerical substrate of the Cannikin reproduction:
-//! dense tensors, explicitly differentiated neural-network layers, losses,
-//! optimizers and learning-rate scalers, plus synthetic datasets that stand
-//! in for the paper's ImageNet/CIFAR-10/LibriSpeech/SQuAD/MovieLens
-//! workloads at laptop scale.
-//!
-//! The library intentionally mirrors the subset of PyTorch that the paper's
-//! training loops rely on:
+//! `minidnn` is the numerical substrate of the Cannikin reproduction: what
+//! the functional trainer (`cannikin_core::engine::ParallelTrainer`) needs
+//! to produce real gradients on real replicas, and nothing it does not
+//! train. Cannikin consumes per-node timings and flat gradients, and its
+//! estimators do not depend on the model's shape, so two small models stand
+//! in for the paper's five workloads (whose *timing* is
+//! `cannikin_workloads::profiles`):
 //!
 //! - [`tensor::Tensor`] — contiguous row-major `f32` tensors with the usual
 //!   elementwise, reduction and matrix-multiplication kernels;
 //! - [`layers`] — a [`layers::Layer`] trait with cached-activation
-//!   forward/backward passes (linear, conv2d, embedding, layer norm,
-//!   activations, pooling, dropout, sequential composition);
-//! - [`loss`] — cross-entropy, mean-squared-error and binary cross-entropy
-//!   losses that produce both the scalar loss and the input gradient;
-//! - [`optim`] — SGD with momentum, Adam and AdamW;
-//! - [`lr`] — the AdaScale and square-root learning-rate scalers used in
-//!   Table 5 of the paper;
-//! - [`data`] — deterministic synthetic datasets and batch loaders,
-//!   including uneven (heterogeneity-aware) partitioned loading;
-//! - [`models`] — small reference models (MLP, CNN, NeuMF-style two-tower)
-//!   used by the examples and the functional integration tests.
+//!   forward/backward passes: [`layers::Linear`], [`layers::Conv2d`],
+//!   [`layers::Relu`], [`layers::AvgPool2d`], composed by
+//!   [`layers::Sequential`];
+//! - [`loss`] — softmax cross-entropy and mean squared error, each giving
+//!   the scalar loss and the input gradient;
+//! - [`optim`] — SGD with momentum and weight decay;
+//! - [`lr`] — the AdaScale, square-root and linear learning-rate scalers
+//!   of Table 5;
+//! - [`data`] — deterministic Gaussian-blob datasets (flat and
+//!   image-shaped) and uneven (heterogeneity-aware) partitioned loading;
+//! - [`models`] — an MLP and a small CNN, the two models the trainer's
+//!   tests hold on both of its step paths.
 //!
 //! ## Example
 //!

@@ -76,31 +76,6 @@ impl Loss<Tensor> for Mse {
     }
 }
 
-/// Binary cross-entropy on logits (sigmoid folded in for stability),
-/// targets in `{0, 1}` (or soft labels in `[0, 1]`).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BceWithLogits;
-
-impl Loss<Tensor> for BceWithLogits {
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    fn loss(&self, input: &Tensor, target: &Tensor) -> (f32, Tensor) {
-        assert_eq!(input.shape(), target.shape(), "bce shape mismatch");
-        let n = input.len() as f32;
-        let mut total = 0.0f64;
-        let mut grad = Tensor::zeros(input.shape());
-        for (idx, (&x, &t)) in input.data().iter().zip(target.data()).enumerate() {
-            // log(1 + e^{-|x|}) + max(x, 0) - x·t  is the stable form.
-            let loss = (1.0 + (-x.abs()).exp()).ln() + x.max(0.0) - x * t;
-            total += f64::from(loss);
-            let sigmoid = 1.0 / (1.0 + (-x).exp());
-            grad.data_mut()[idx] = (sigmoid - t) / n;
-        }
-        ((total / f64::from(n)) as f32, grad)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,33 +124,5 @@ mod tests {
         let (loss, grad) = Mse.loss(&x, &t);
         assert!((loss - 2.5).abs() < 1e-6);
         assert_eq!(grad.data(), &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn bce_stability_at_extreme_logits() {
-        let x = Tensor::from_slice(&[100.0, -100.0]);
-        let t = Tensor::from_slice(&[1.0, 0.0]);
-        let (loss, grad) = BceWithLogits.loss(&x, &t);
-        assert!(loss.is_finite() && loss < 1e-6);
-        assert!(grad.data().iter().all(|g| g.is_finite()));
-        // Wrong confident predictions produce large loss but stay finite.
-        let (loss, _) = BceWithLogits.loss(&x, &Tensor::from_slice(&[0.0, 1.0]));
-        assert!(loss.is_finite() && loss > 50.0);
-    }
-
-    #[test]
-    fn bce_gradcheck() {
-        let x = Tensor::randn(&[6], 52);
-        let t = Tensor::from_slice(&[1.0, 0.0, 1.0, 1.0, 0.0, 0.0]);
-        let (_, grad) = BceWithLogits.loss(&x, &t);
-        let eps = 1e-2f32;
-        for idx in 0..x.len() {
-            let mut xp = x.clone();
-            xp.data_mut()[idx] += eps;
-            let mut xm = x.clone();
-            xm.data_mut()[idx] -= eps;
-            let numeric = (BceWithLogits.loss(&xp, &t).0 - BceWithLogits.loss(&xm, &t).0) / (2.0 * eps);
-            assert!((numeric - grad.data()[idx]).abs() < 1e-3);
-        }
     }
 }

@@ -118,129 +118,3 @@ mod tests {
         }
     }
 }
-
-/// A learning-rate schedule over optimizer steps, composed *on top of* the
-/// batch-size gain of [`LrScaler`]: canonical recipes warm up linearly and
-/// then decay (ResNet: steps; BERT: linear; modern defaults: cosine).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LrSchedule {
-    /// Constant learning rate.
-    Constant,
-    /// Linear warmup over `warmup_steps`, then flat.
-    Warmup {
-        /// Steps to ramp from 0 to the base rate.
-        warmup_steps: u64,
-    },
-    /// Linear warmup, then cosine decay to `floor × base` at `total_steps`.
-    WarmupCosine {
-        /// Steps to ramp from 0 to the base rate.
-        warmup_steps: u64,
-        /// Total steps of the schedule (clamped afterwards).
-        total_steps: u64,
-        /// Final rate as a fraction of the base rate.
-        floor: f64,
-    },
-    /// Multiply the rate by `gamma` every `every` steps (classic ResNet
-    /// staircase).
-    Step {
-        /// Interval between decays.
-        every: u64,
-        /// Multiplicative decay per interval.
-        gamma: f64,
-    },
-}
-
-impl LrSchedule {
-    /// Multiplier to apply to the base learning rate at optimizer step
-    /// `step` (0-based).
-    ///
-    /// # Panics
-    ///
-    /// Panics on degenerate parameters (zero intervals, `floor` outside
-    /// `[0, 1]`, `gamma` outside `(0, 1]`).
-    pub fn factor(&self, step: u64) -> f64 {
-        match *self {
-            LrSchedule::Constant => 1.0,
-            LrSchedule::Warmup { warmup_steps } => {
-                assert!(warmup_steps > 0, "warmup must cover at least one step");
-                ((step + 1) as f64 / warmup_steps as f64).min(1.0)
-            }
-            LrSchedule::WarmupCosine { warmup_steps, total_steps, floor } => {
-                assert!(warmup_steps > 0 && total_steps > warmup_steps, "schedule must be longer than warmup");
-                assert!((0.0..=1.0).contains(&floor), "floor must be in [0, 1]");
-                if step < warmup_steps {
-                    return (step + 1) as f64 / warmup_steps as f64;
-                }
-                let progress = ((step - warmup_steps) as f64 / (total_steps - warmup_steps) as f64).min(1.0);
-                floor + (1.0 - floor) * 0.5 * (1.0 + (std::f64::consts::PI * progress).cos())
-            }
-            LrSchedule::Step { every, gamma } => {
-                assert!(every > 0, "decay interval must be positive");
-                assert!(gamma > 0.0 && gamma <= 1.0, "gamma must be in (0, 1]");
-                gamma.powi((step / every) as i32)
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod schedule_tests {
-    use super::*;
-
-    #[test]
-    fn constant_is_one() {
-        for step in [0u64, 10, 1_000_000] {
-            assert_eq!(LrSchedule::Constant.factor(step), 1.0);
-        }
-    }
-
-    #[test]
-    fn warmup_ramps_then_flattens() {
-        let s = LrSchedule::Warmup { warmup_steps: 4 };
-        assert!((s.factor(0) - 0.25).abs() < 1e-12);
-        assert!((s.factor(3) - 1.0).abs() < 1e-12);
-        assert_eq!(s.factor(100), 1.0);
-    }
-
-    #[test]
-    fn warmup_cosine_hits_floor() {
-        let s = LrSchedule::WarmupCosine { warmup_steps: 10, total_steps: 110, floor: 0.1 };
-        assert!(s.factor(0) < 0.2);
-        assert!((s.factor(9) - 1.0).abs() < 1e-12, "end of warmup");
-        // Midpoint of the cosine: halfway between 1 and floor.
-        let mid = s.factor(60);
-        assert!((mid - 0.55).abs() < 0.01, "midpoint {mid}");
-        assert!((s.factor(110) - 0.1).abs() < 1e-9);
-        assert!((s.factor(10_000) - 0.1).abs() < 1e-9, "clamped after the horizon");
-    }
-
-    #[test]
-    fn cosine_is_monotone_after_warmup() {
-        let s = LrSchedule::WarmupCosine { warmup_steps: 5, total_steps: 105, floor: 0.0 };
-        let mut prev = s.factor(5);
-        for step in 6..105 {
-            let f = s.factor(step);
-            assert!(f <= prev + 1e-12, "step {step}: {f} > {prev}");
-            prev = f;
-        }
-    }
-
-    #[test]
-    fn step_decay_staircase() {
-        let s = LrSchedule::Step { every: 30, gamma: 0.1 };
-        assert_eq!(s.factor(0), 1.0);
-        assert_eq!(s.factor(29), 1.0);
-        assert!((s.factor(30) - 0.1).abs() < 1e-12);
-        assert!((s.factor(89) - 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn composes_with_batch_gain() {
-        // The schedule multiplies the AdaScale-scaled rate.
-        let scaler = LrScaler::AdaScale;
-        let schedule = LrSchedule::Step { every: 10, gamma: 0.5 };
-        let base = scaler.scaled_lr(0.1, 64, 256, Some(500.0));
-        let at_step_25 = base * schedule.factor(25);
-        assert!((at_step_25 - base * 0.25).abs() < 1e-12);
-    }
-}

@@ -1,11 +1,11 @@
-//! Small reference models used by examples and integration tests.
+//! The two models the functional trainer trains: an MLP (three near-equal
+//! `Linear` buckets) and a small CNN (two small conv buckets, parameterless
+//! layers between them, a linear head) — the second being the shape with
+//! strongly uneven per-layer gradient buckets that the overlapped step is
+//! measured against.
 
-use crate::layers::{
-    AvgPool2d, BasicBlock, BatchNorm2d, Conv2d, Embedding, Gru, Layer, Linear, MeanOverTime,
-    Param, Relu, Sequential, TimeDistributed, TransformerBlock,
-};
-use crate::loss::{BceWithLogits, Loss};
-use crate::tensor::{matmul, Tensor};
+use crate::layers::{AvgPool2d, Conv2d, Layer, Linear, Relu, Sequential};
+use crate::tensor::Tensor;
 
 /// Build a multi-layer perceptron classifier: `dim → hidden → hidden → classes`.
 ///
@@ -31,7 +31,8 @@ pub fn mlp_classifier(dim: usize, hidden: usize, classes: usize, seed: u64) -> S
 
 /// Build a small CNN for `[batch, channels, side, side]` images: two conv
 /// blocks, global average pooling and a linear head. A miniature stand-in
-/// for ResNet-18 in the functional tests.
+/// for ResNet-18 in the functional tests; every piece of its state is a
+/// parameter, so replicas rebuilt from a checkpoint are bitwise equal.
 pub fn mini_cnn(channels: usize, side: usize, classes: usize, seed: u64) -> Sequential {
     let _ = side; // architecture is size-agnostic thanks to global pooling
     Sequential::new()
@@ -43,142 +44,6 @@ pub fn mini_cnn(channels: usize, side: usize, classes: usize, seed: u64) -> Sequ
         .push(Linear::new(16, classes, seed.wrapping_add(2)))
 }
 
-/// A miniature NeuMF-style two-tower recommender: user and item embeddings
-/// feed an elementwise (GMF) branch and an MLP branch whose outputs are
-/// summed into a single interaction logit.
-///
-/// The model composes [`Embedding`] tables explicitly (they take id lists,
-/// not tensors) and therefore does not implement [`Layer`]; use
-/// [`NeuMf::train_step`] / [`NeuMf::score`].
-#[derive(Debug)]
-pub struct NeuMf {
-    user_emb: Embedding,
-    item_emb: Embedding,
-    mlp: Sequential,
-    gmf_head: Linear,
-    dim: usize,
-    cache: Option<NeuMfCache>,
-}
-
-#[derive(Debug)]
-struct NeuMfCache {
-    u: Tensor,
-    v: Tensor,
-}
-
-impl NeuMf {
-    /// Create a NeuMF model with embedding dimension `dim`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    pub fn new(num_users: usize, num_items: usize, dim: usize, seed: u64) -> Self {
-        NeuMf {
-            user_emb: Embedding::new(num_users, dim, seed),
-            item_emb: Embedding::new(num_items, dim, seed.wrapping_add(1)),
-            mlp: Sequential::new()
-                .push(Linear::new(2 * dim, dim, seed.wrapping_add(2)))
-                .push(Relu::new())
-                .push(Linear::new(dim, 1, seed.wrapping_add(3))),
-            gmf_head: Linear::new(dim, 1, seed.wrapping_add(4)),
-            dim,
-            cache: None,
-        }
-    }
-
-    /// Forward pass: interaction logits `[batch]` for user/item id pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `users.len() != items.len()`.
-    pub fn forward(&mut self, users: &[usize], items: &[usize]) -> Tensor {
-        assert_eq!(users.len(), items.len(), "user/item batch mismatch");
-        let u = self.user_emb.forward(users); // [b, d]
-        let v = self.item_emb.forward(items); // [b, d]
-        let gmf = u.mul(&v);
-        let gmf_logit = self.gmf_head.forward(&gmf, true); // [b, 1]
-        let concat = concat_cols(&u, &v);
-        let mlp_logit = self.mlp.forward(&concat, true); // [b, 1]
-        self.cache = Some(NeuMfCache { u, v });
-        gmf_logit.add(&mlp_logit).reshape(&[users.len()])
-    }
-
-    /// One training step on a batch: computes BCE-with-logits loss,
-    /// backpropagates and accumulates gradients. Returns the loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics if batch lengths disagree.
-    pub fn train_step(&mut self, users: &[usize], items: &[usize], labels: &Tensor) -> f32 {
-        let logits = self.forward(users, items);
-        let (loss, grad) = BceWithLogits.loss(&logits, labels);
-        self.backward(&grad.reshape(&[users.len(), 1]));
-        loss
-    }
-
-    fn backward(&mut self, grad_logit: &Tensor) {
-        let cache = self.cache.as_ref().expect("backward called before forward");
-        let (u, v) = (cache.u.clone(), cache.v.clone());
-        // Both heads receive the same upstream gradient (their outputs add).
-        let d_gmf = self.gmf_head.backward(grad_logit); // [b, d]
-        let d_concat = self.mlp.backward(grad_logit); // [b, 2d]
-        let (d_u_mlp, d_v_mlp) = split_cols(&d_concat, self.dim);
-        // GMF branch: d/du (u∘v) = grad ∘ v.
-        let d_u = d_gmf.mul(&v).add(&d_u_mlp);
-        let d_v = d_gmf.mul(&u).add(&d_v_mlp);
-        self.user_emb.backward(&d_u);
-        self.item_emb.backward(&d_v);
-    }
-
-    /// Score user/item pairs without caching training state.
-    pub fn score(&mut self, users: &[usize], items: &[usize]) -> Tensor {
-        self.forward(users, items)
-    }
-
-    /// All trainable parameters.
-    pub fn parameters_mut(&mut self) -> Vec<&mut Param> {
-        let mut out = vec![self.user_emb.param_mut(), self.item_emb.param_mut()];
-        out.extend(self.mlp.parameters_mut());
-        out.extend(self.gmf_head.parameters_mut());
-        out
-    }
-
-    /// Immutable access to all trainable parameters.
-    pub fn parameters(&self) -> Vec<&Param> {
-        let mut out = vec![self.user_emb.param(), self.item_emb.param()];
-        out.extend(self.mlp.parameters());
-        out.extend(self.gmf_head.parameters());
-        out
-    }
-}
-
-fn concat_cols(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rows(), b.rows(), "concat_cols row mismatch");
-    let (ac, bc) = (a.cols(), b.cols());
-    let mut out = Vec::with_capacity(a.rows() * (ac + bc));
-    for i in 0..a.rows() {
-        out.extend_from_slice(&a.data()[i * ac..(i + 1) * ac]);
-        out.extend_from_slice(&b.data()[i * bc..(i + 1) * bc]);
-    }
-    Tensor::from_vec(out, &[a.rows(), ac + bc]).expect("concat shape")
-}
-
-fn split_cols(x: &Tensor, at: usize) -> (Tensor, Tensor) {
-    let c = x.cols();
-    assert!(at <= c, "split point {at} beyond width {c}");
-    let rows = x.rows();
-    let mut left = Vec::with_capacity(rows * at);
-    let mut right = Vec::with_capacity(rows * (c - at));
-    for i in 0..rows {
-        left.extend_from_slice(&x.data()[i * c..i * c + at]);
-        right.extend_from_slice(&x.data()[i * c + at..(i + 1) * c]);
-    }
-    (
-        Tensor::from_vec(left, &[rows, at]).expect("split left"),
-        Tensor::from_vec(right, &[rows, c - at]).expect("split right"),
-    )
-}
-
 /// Classification accuracy of a model over a feature/label batch.
 pub fn accuracy(model: &mut dyn Layer, x: &Tensor, labels: &[usize]) -> f64 {
     let logits = model.forward(x, false);
@@ -187,32 +52,13 @@ pub fn accuracy(model: &mut dyn Layer, x: &Tensor, labels: &[usize]) -> f64 {
     correct as f64 / labels.len() as f64
 }
 
-/// Top-k classification accuracy of a model over a feature/label batch
-/// (ImageNet recipes report top-1 and top-5).
-///
-/// # Panics
-///
-/// Panics if `k` is zero or exceeds the class count.
-pub fn topk_accuracy(model: &mut dyn Layer, x: &Tensor, labels: &[usize], k: usize) -> f64 {
-    let logits = model.forward(x, false);
-    let top = logits.topk_rows(k);
-    let correct = top.iter().zip(labels).filter(|(t, l)| t.contains(l)).count();
-    correct as f64 / labels.len() as f64
-}
-
-/// Matrix-factorization helper kept for the recommendation examples: score
-/// every item for one user embedding via a single matmul.
-pub fn score_all_items(user_vec: &Tensor, item_table: &Tensor) -> Tensor {
-    matmul(user_vec, &item_table.transpose2d())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::{gaussian_blobs, two_tower_interactions};
+    use crate::data::gaussian_blobs;
     use crate::layers::zero_grads;
-    use crate::loss::SoftmaxCrossEntropy;
-    use crate::optim::{Adam, Optimizer, Sgd};
+    use crate::loss::{Loss, SoftmaxCrossEntropy};
+    use crate::optim::{Optimizer, Sgd};
 
     #[test]
     fn mlp_learns_blobs() {
@@ -242,350 +88,5 @@ mod tests {
         net.backward(&grad);
         let mut opt = Sgd::new(0.01);
         opt.step(&mut net.parameters_mut());
-    }
-
-    #[test]
-    fn neumf_learns_interactions() {
-        let ds = two_tower_interactions(30, 40, 300, 5);
-        let mut model = NeuMf::new(30, 40, 8, 6);
-        let mut opt = Adam::new(0.01);
-        let idx: Vec<usize> = (0..ds.len()).collect();
-        let (users, items, labels) = ds.batch(&idx);
-        let mut first = 0.0;
-        let mut last = 0.0;
-        for step in 0..80 {
-            for p in model.parameters_mut() {
-                p.zero_grad();
-            }
-            let loss = model.train_step(&users, &items, &labels);
-            if step == 0 {
-                first = loss;
-            }
-            last = loss;
-            opt.step(&mut model.parameters_mut());
-        }
-        assert!(last < first * 0.8, "loss did not decrease: {first} -> {last}");
-    }
-
-    #[test]
-    fn concat_split_roundtrip() {
-        let a = Tensor::randn(&[3, 2], 7);
-        let b = Tensor::randn(&[3, 4], 8);
-        let c = concat_cols(&a, &b);
-        let (a2, b2) = split_cols(&c, 2);
-        assert_eq!(a, a2);
-        assert_eq!(b, b2);
-    }
-}
-
-/// Build a miniature CIFAR-style ResNet: a stem convolution followed by
-/// three residual stages (8→16→32 channels, downsampling twice), global
-/// average pooling and a linear head — the structural shape of ResNet-18
-/// at toy scale, batch norm and projection shortcuts included.
-pub fn mini_resnet(channels: usize, classes: usize, seed: u64) -> Sequential {
-    Sequential::new()
-        .push(Conv2d::new(channels, 8, 3, 1, 1, seed))
-        .push(BatchNorm2d::new(8))
-        .push(Relu::new())
-        .push(BasicBlock::new(8, 8, 1, seed.wrapping_add(1)))
-        .push(BasicBlock::new(8, 16, 2, seed.wrapping_add(2)))
-        .push(BasicBlock::new(16, 32, 2, seed.wrapping_add(3)))
-        .push(AvgPool2d::new())
-        .push(Linear::new(32, classes, seed.wrapping_add(4)))
-}
-
-/// A miniature BERT-style sequence classifier: token + learned positional
-/// embeddings, a stack of pre-norm [`TransformerBlock`]s, mean pooling
-/// over the sequence and a linear head.
-///
-/// Like [`NeuMf`], the model composes [`Embedding`] tables explicitly (its
-/// input is token ids, not a tensor) and therefore exposes
-/// [`MiniBert::train_step`] / [`MiniBert::logits`] instead of implementing
-/// [`Layer`].
-pub struct MiniBert {
-    token_emb: Embedding,
-    pos_emb: Embedding,
-    blocks: Vec<TransformerBlock>,
-    head: Linear,
-    dim: usize,
-    seq_len: usize,
-    last_batch: usize,
-}
-
-impl std::fmt::Debug for MiniBert {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MiniBert({} blocks, dim {}, seq {})", self.blocks.len(), self.dim, self.seq_len)
-    }
-}
-
-impl MiniBert {
-    /// Create a model for sequences of exactly `seq_len` tokens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero or `dim` is not a multiple of
-    /// `heads`.
-    pub fn new(vocab: usize, seq_len: usize, dim: usize, heads: usize, layers: usize, classes: usize, seed: u64) -> Self {
-        assert!(layers > 0 && seq_len > 0, "model dimensions must be positive");
-        MiniBert {
-            token_emb: Embedding::new(vocab, dim, seed),
-            pos_emb: Embedding::new(seq_len, dim, seed.wrapping_add(1)),
-            blocks: (0..layers)
-                .map(|l| TransformerBlock::new(dim, heads, seed.wrapping_add(100 + l as u64)))
-                .collect(),
-            head: Linear::new(dim, classes, seed.wrapping_add(2)),
-            dim,
-            seq_len,
-            last_batch: 0,
-        }
-    }
-
-    /// Forward pass: classification logits `[batch, classes]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sequence length differs from the configured one.
-    pub fn logits(&mut self, sequences: &[Vec<usize>]) -> Tensor {
-        let batch = sequences.len();
-        assert!(sequences.iter().all(|s| s.len() == self.seq_len), "sequence length mismatch");
-        self.last_batch = batch;
-        let flat_tokens: Vec<usize> = sequences.iter().flatten().copied().collect();
-        let positions: Vec<usize> = (0..batch).flat_map(|_| 0..self.seq_len).collect();
-        let tok = self.token_emb.forward(&flat_tokens); // [batch·seq, dim]
-        let pos = self.pos_emb.forward(&positions);
-        let mut x = tok.add(&pos).reshape(&[batch, self.seq_len, self.dim]);
-        for block in &mut self.blocks {
-            x = block.forward(&x, true);
-        }
-        // Mean-pool over the sequence.
-        let flat = x.reshape(&[batch * self.seq_len, self.dim]);
-        let mut pooled = Tensor::zeros(&[batch, self.dim]);
-        for b in 0..batch {
-            for t in 0..self.seq_len {
-                for d in 0..self.dim {
-                    pooled.data_mut()[b * self.dim + d] +=
-                        flat.data()[(b * self.seq_len + t) * self.dim + d] / self.seq_len as f32;
-                }
-            }
-        }
-        self.head.forward(&pooled, true)
-    }
-
-    /// One training step: softmax cross-entropy loss, full backward pass,
-    /// gradient accumulation. Returns the loss.
-    pub fn train_step(&mut self, sequences: &[Vec<usize>], labels: &[usize]) -> f32 {
-        let logits = self.logits(sequences);
-        let (loss, grad) = crate::loss::SoftmaxCrossEntropy.loss(&logits, labels);
-        self.backward(&grad);
-        loss
-    }
-
-    fn backward(&mut self, grad_logits: &Tensor) {
-        let batch = self.last_batch;
-        let d_pooled = self.head.backward(grad_logits); // [batch, dim]
-        // Un-pool: every timestep receives grad/seq_len.
-        let mut dx = Tensor::zeros(&[batch * self.seq_len, self.dim]);
-        for b in 0..batch {
-            for t in 0..self.seq_len {
-                for d in 0..self.dim {
-                    dx.data_mut()[(b * self.seq_len + t) * self.dim + d] =
-                        d_pooled.data()[b * self.dim + d] / self.seq_len as f32;
-                }
-            }
-        }
-        let mut g = dx.reshape(&[batch, self.seq_len, self.dim]);
-        for block in self.blocks.iter_mut().rev() {
-            g = block.backward(&g);
-        }
-        let flat = g.reshape(&[batch * self.seq_len, self.dim]);
-        self.token_emb.backward(&flat);
-        self.pos_emb.backward(&flat);
-    }
-
-    /// All trainable parameters.
-    pub fn parameters_mut(&mut self) -> Vec<&mut Param> {
-        let mut out = vec![self.token_emb.param_mut(), self.pos_emb.param_mut()];
-        for block in &mut self.blocks {
-            out.extend(block.parameters_mut());
-        }
-        out.extend(self.head.parameters_mut());
-        out
-    }
-
-    /// Immutable access to all trainable parameters.
-    pub fn parameters(&self) -> Vec<&Param> {
-        let mut out = vec![self.token_emb.param(), self.pos_emb.param()];
-        for block in &self.blocks {
-            out.extend(block.parameters());
-        }
-        out.extend(self.head.parameters());
-        out
-    }
-
-    /// Classification accuracy over a batch of sequences.
-    pub fn accuracy(&mut self, sequences: &[Vec<usize>], labels: &[usize]) -> f64 {
-        let logits = self.logits(sequences);
-        let preds = logits.argmax_rows();
-        preds.iter().zip(labels).filter(|(p, l)| p == l).count() as f64 / labels.len() as f64
-    }
-}
-
-#[cfg(test)]
-mod zoo_tests {
-    use super::*;
-    use crate::data::{gaussian_blob_images, token_sequences};
-    use crate::layers::zero_grads;
-    use crate::loss::SoftmaxCrossEntropy;
-    use crate::optim::{AdamW, Optimizer, Sgd};
-
-    #[test]
-    fn mini_resnet_learns_blob_images() {
-        let ds = gaussian_blob_images(96, 3, 3, 8, 81);
-        let idx: Vec<usize> = (0..96).collect();
-        let (x, y) = ds.batch(&idx);
-        let mut net = mini_resnet(3, 3, 82);
-        let mut opt = Sgd::new(0.05).momentum(0.9);
-        let mut first = 0.0;
-        let mut last = 0.0;
-        for step in 0..25 {
-            zero_grads(&mut net.parameters_mut());
-            let logits = net.forward(&x, true);
-            let (loss, grad) = SoftmaxCrossEntropy.loss(&logits, &y);
-            net.backward(&grad);
-            opt.step(&mut net.parameters_mut());
-            if step == 0 {
-                first = loss;
-            }
-            last = loss;
-        }
-        assert!(last < first * 0.5, "resnet loss {first} -> {last}");
-        let acc = accuracy(&mut net, &x, &y);
-        assert!(acc > 0.8, "train accuracy {acc}");
-    }
-
-    #[test]
-    fn mini_bert_learns_token_signatures() {
-        let ds = token_sequences(128, 32, 8, 4, 83);
-        let idx: Vec<usize> = (0..128).collect();
-        let (seqs, labels) = ds.batch(&idx);
-        let mut model = MiniBert::new(32, 8, 16, 2, 2, 4, 84);
-        let mut opt = AdamW::new(5e-3);
-        let mut first = 0.0;
-        let mut last = 0.0;
-        for step in 0..40 {
-            for p in model.parameters_mut() {
-                p.zero_grad();
-            }
-            let loss = model.train_step(&seqs, &labels);
-            opt.step(&mut model.parameters_mut());
-            if step == 0 {
-                first = loss;
-            }
-            last = loss;
-        }
-        assert!(last < first * 0.5, "bert loss {first} -> {last}");
-        assert!(model.accuracy(&seqs, &labels) > 0.8);
-    }
-
-    #[test]
-    fn mini_bert_gradients_flow_to_every_parameter() {
-        let ds = token_sequences(8, 16, 6, 2, 85);
-        let (seqs, labels) = ds.batch(&(0..8).collect::<Vec<_>>());
-        let mut model = MiniBert::new(16, 6, 8, 2, 1, 2, 86);
-        let _ = model.train_step(&seqs, &labels);
-        for p in model.parameters() {
-            assert!(p.grad.sq_l2() > 0.0, "no gradient reached {}", p.name);
-        }
-    }
-}
-
-/// Build a miniature DeepSpeech2-style utterance classifier for
-/// `[batch, time, features]` frame sequences: a per-frame linear
-/// featurizer, a GRU over time, mean pooling and a linear head. (The real
-/// DeepSpeech2 ends in CTC over characters; the reproduction's synthetic
-/// speech task is utterance classification, which exercises the same
-/// conv/recurrent compute shape.)
-pub fn mini_deepspeech(features: usize, hidden: usize, classes: usize, seed: u64) -> Sequential {
-    Sequential::new()
-        .push(TimeDistributed::new(Linear::new(features, hidden, seed)))
-        .push(Relu::new())
-        .push(Gru::new(hidden, hidden, seed.wrapping_add(1)))
-        .push(MeanOverTime::new())
-        .push(Linear::new(hidden, classes, seed.wrapping_add(2)))
-}
-
-#[cfg(test)]
-mod speech_tests {
-    use super::*;
-    use crate::data::frame_sequences;
-    use crate::layers::zero_grads;
-    use crate::loss::SoftmaxCrossEntropy;
-    use crate::optim::{Optimizer, Sgd};
-
-    #[test]
-    fn mini_deepspeech_learns_frame_dynamics() {
-        let ds = frame_sequences(96, 16, 6, 3, 87);
-        let idx: Vec<usize> = (0..96).collect();
-        let (x, y) = ds.batch(&idx);
-        let mut net = mini_deepspeech(6, 16, 3, 88);
-        let mut opt = Sgd::new(0.08).momentum(0.9);
-        let mut first = 0.0;
-        let mut last = 0.0;
-        for step in 0..60 {
-            zero_grads(&mut net.parameters_mut());
-            let logits = net.forward(&x, true);
-            let (loss, grad) = SoftmaxCrossEntropy.loss(&logits, &y);
-            net.backward(&grad);
-            opt.step(&mut net.parameters_mut());
-            if step == 0 {
-                first = loss;
-            }
-            last = loss;
-        }
-        assert!(last < first * 0.5, "speech loss {first} -> {last}");
-        let acc = accuracy(&mut net, &x, &y);
-        assert!(acc > 0.7, "train accuracy {acc}");
-    }
-
-    #[test]
-    fn mini_deepspeech_shapes() {
-        let mut net = mini_deepspeech(5, 8, 4, 89);
-        let x = Tensor::randn(&[3, 7, 5], 90);
-        let y = net.forward(&x, true);
-        assert_eq!(y.shape(), &[3, 4]);
-        let gx = net.backward(&Tensor::ones(y.shape()));
-        assert_eq!(gx.shape(), x.shape());
-    }
-}
-
-#[cfg(test)]
-mod topk_tests {
-    use super::*;
-    use crate::data::gaussian_blobs;
-    use crate::layers::zero_grads;
-    use crate::loss::SoftmaxCrossEntropy;
-    use crate::optim::{Optimizer, Sgd};
-
-    #[test]
-    fn topk_accuracy_dominates_top1() {
-        let ds = gaussian_blobs(200, 5, 6, 21);
-        let idx: Vec<usize> = (0..200).collect();
-        let (x, y) = ds.batch(&idx);
-        let mut net = mlp_classifier(6, 16, 5, 22);
-        // A few steps: partially trained, so top-1 < top-3 < 1.
-        let mut opt = Sgd::new(0.05);
-        for _ in 0..5 {
-            zero_grads(&mut net.parameters_mut());
-            let logits = net.forward(&x, true);
-            let (_, grad) = SoftmaxCrossEntropy.loss(&logits, &y);
-            net.backward(&grad);
-            opt.step(&mut net.parameters_mut());
-        }
-        let top1 = topk_accuracy(&mut net, &x, &y, 1);
-        let top3 = topk_accuracy(&mut net, &x, &y, 3);
-        let top5 = topk_accuracy(&mut net, &x, &y, 5);
-        assert!(top1 <= top3 + 1e-12 && top3 <= top5 + 1e-12);
-        assert!((top5 - 1.0).abs() < 1e-12, "top-5 of 5 classes is always 1");
-        assert!((top1 - accuracy(&mut net, &x, &y)).abs() < 1e-12, "top-1 equals plain accuracy");
     }
 }

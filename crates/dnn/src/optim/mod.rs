@@ -1,14 +1,14 @@
-//! Optimizers.
+//! The optimizer.
 //!
-//! The three optimizers used in Table 5 of the paper: SGD (with momentum)
-//! for the vision and speech tasks, AdamW for BERT/SQuAD and Adam for
-//! NeuMF/MovieLens. All optimizers key their per-parameter state by
-//! position in the parameter list, which is stable for a fixed model.
+//! SGD with momentum and weight decay is the one optimizer the trainer
+//! steps with (`cannikin_core::engine::ParallelTrainer`), so it is the one
+//! kept; Table 5's Adam/AdamW workloads exist here as timing profiles
+//! (`cannikin_workloads::profiles`), not as training recipes. [`Sgd`] keys
+//! its velocity by position in the parameter list, which is stable for a
+//! fixed model.
 
-mod adam;
 mod sgd;
 
-pub use adam::{Adam, AdamW};
 pub use sgd::Sgd;
 
 use crate::layers::Param;
@@ -49,57 +49,5 @@ pub(crate) mod test_util {
             last = loss;
         }
         last
-    }
-}
-
-/// Clip the global L2 norm of a parameter set's gradients to `max_norm`
-/// (the DeepSpeech2/BERT recipes' stabilizer). Returns the pre-clip norm.
-///
-/// # Panics
-///
-/// Panics if `max_norm` is not positive.
-pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f64) -> f64 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let total: f64 = params.iter().map(|p| p.grad.sq_l2()).sum();
-    let norm = total.sqrt();
-    if norm > max_norm {
-        let scale = (max_norm / norm) as f32;
-        for p in params.iter_mut() {
-            p.grad.scale_assign(scale);
-        }
-    }
-    norm
-}
-
-#[cfg(test)]
-mod clip_tests {
-    use super::*;
-    use crate::tensor::Tensor;
-
-    #[test]
-    fn clips_only_when_above_threshold() {
-        let mut a = Param::new(Tensor::zeros(&[3]), "a");
-        a.grad = Tensor::from_slice(&[3.0, 0.0, 4.0]); // norm 5
-        let norm = clip_grad_norm(&mut [&mut a], 10.0);
-        assert_eq!(norm, 5.0);
-        assert_eq!(a.grad.data(), &[3.0, 0.0, 4.0], "below threshold: untouched");
-
-        let norm = clip_grad_norm(&mut [&mut a], 2.5);
-        assert_eq!(norm, 5.0);
-        let clipped: f64 = a.grad.sq_l2().sqrt();
-        assert!((clipped - 2.5).abs() < 1e-6, "clipped norm {clipped}");
-    }
-
-    #[test]
-    fn clips_across_multiple_params() {
-        let mut a = Param::new(Tensor::zeros(&[2]), "a");
-        let mut b = Param::new(Tensor::zeros(&[2]), "b");
-        a.grad = Tensor::from_slice(&[3.0, 0.0]);
-        b.grad = Tensor::from_slice(&[0.0, 4.0]);
-        clip_grad_norm(&mut [&mut a, &mut b], 1.0);
-        let total = (a.grad.sq_l2() + b.grad.sq_l2()).sqrt();
-        assert!((total - 1.0).abs() < 1e-6);
-        // Direction preserved.
-        assert!(a.grad.data()[0] > 0.0 && b.grad.data()[1] > 0.0);
     }
 }

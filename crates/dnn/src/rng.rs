@@ -30,21 +30,6 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     (mag * (2.0 * std::f64::consts::PI * u2).cos()) as f32
 }
 
-/// Draw a normal sample with the given mean and standard deviation.
-pub fn normal_with<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
-    mean + std_dev * f64::from(normal(rng))
-}
-
-/// Draw a log-normal sample whose *median* is 1.0 and whose log-space
-/// standard deviation is `sigma`.
-///
-/// This is the multiplicative noise model used by the cluster simulator for
-/// per-batch timing jitter: the returned factor multiplies a deterministic
-/// duration.
-pub fn lognormal_factor<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
-    (sigma * f64::from(normal(rng))).exp()
-}
-
 /// Fisher–Yates shuffle of a slice of indices.
 pub fn shuffle<R: Rng + ?Sized, T>(rng: &mut R, items: &mut [T]) {
     for i in (1..items.len()).rev() {
@@ -75,28 +60,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn lognormal_is_positive_and_centered() {
-        let mut rng = seeded(2);
-        let n = 10_000;
-        let mut above = 0;
-        for _ in 0..n {
-            let f = lognormal_factor(&mut rng, 0.05);
-            assert!(f > 0.0);
-            if f > 1.0 {
-                above += 1;
-            }
-        }
-        // Median 1.0 => roughly half the samples above 1.0.
-        assert!((above as f64 / n as f64 - 0.5).abs() < 0.03);
-    }
-
-    #[test]
-    fn lognormal_zero_sigma_is_identity() {
-        let mut rng = seeded(3);
-        assert_eq!(lognormal_factor(&mut rng, 0.0), 1.0);
     }
 
     #[test]

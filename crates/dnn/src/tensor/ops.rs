@@ -75,11 +75,6 @@ impl Tensor {
         }
     }
 
-    /// Add a scalar to every element, returning a new tensor.
-    pub fn add_scalar(&self, s: f32) -> Tensor {
-        self.map(|x| x + s)
-    }
-
     /// Apply `f` to every element, returning a new tensor.
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }

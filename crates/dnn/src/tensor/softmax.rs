@@ -1,7 +1,4 @@
-//! Row-wise softmax utilities.
-//!
-//! Shared by the attention layer, the cross-entropy loss and downstream
-//! users that need calibrated probabilities (e.g. top-k metrics).
+//! Row-wise softmax, log-softmax and top-k over a 2-D-viewed tensor.
 
 use super::Tensor;
 

@@ -60,11 +60,6 @@ impl NodePool {
         &self.nodes[id].spec
     }
 
-    /// The pool id of the node with this name, if any.
-    pub fn id_of(&self, name: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| n.spec.name == name)
-    }
-
     /// Live, unassigned node ids — fastest first (descending effective
     /// FLOPS, name as the deterministic tie-break), so grants hand out
     /// the most productive spare capacity.

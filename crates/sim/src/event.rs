@@ -89,12 +89,6 @@ impl Simulator {
         self.faults.as_mut().map(FaultState::take_pending_joins).unwrap_or_default()
     }
 
-    /// Whether a [`FaultPlan`] is attached (the engine switches to its
-    /// fault-aware per-step loop when one is).
-    pub fn has_fault_plan(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Enable transient stragglers (builder style): with probability
     /// `prob` per node per batch, that node's compute for the batch is
     /// stretched by `factor` — the GC pauses, page faults and preemption

@@ -336,11 +336,6 @@ impl SeriesStore {
         }
     }
 
-    /// Number of distinct `(name, labels)` series.
-    pub fn series_count(&self) -> usize {
-        self.inner.lock().series.len()
-    }
-
     /// Distinct metric names, sorted.
     pub fn names(&self) -> Vec<String> {
         let inner = self.inner.lock();

@@ -11,6 +11,7 @@
 #              (auto, off, avx2), after saying which tile auto is here
 #   clippy     warnings-as-errors clippy pass over library, test and example code
 #   doc        warnings-as-errors rustdoc
+#   examples   every example built optimised and run to exit 0 (seconds)
 #   chaos      every fault schedule (CANNIKIN_CHAOS_SCHEDULE narrows it)
 #   policy     policy equivalence + determinism
 #   fleet      fleet control plane
@@ -24,7 +25,7 @@ cd "$(dirname "$0")/.."
 # says otherwise should fail here, not reach for a registry.
 export CARGO_NET_OFFLINE=true
 
-ALL="benchmark build test kernels clippy doc chaos policy fleet gate report"
+ALL="benchmark build test kernels clippy doc examples chaos policy fleet gate report"
 
 stage() {
     case "$1" in
@@ -72,6 +73,21 @@ stage() {
         ;;
     clippy) cargo clippy --workspace --all-targets -- -D warnings ;;
     doc) RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ;;
+    examples)
+        # clippy --all-targets only type-checks them; the README sends a
+        # reader here first, so each one must also run to the end. Two of
+        # them write a trace and a report to the temp dir: keep that inside
+        # the checkout.
+        cargo build --release --examples
+        mkdir -p target/examples-tmp
+        for src in examples/*.rs; do
+            name=$(basename "$src" .rs)
+            TMPDIR="$PWD/target/examples-tmp" cargo run --release -q --example "$name" >/dev/null || {
+                echo "tier1.sh: example $name did not exit 0" >&2
+                exit 1
+            }
+        done
+        ;;
     chaos) cargo test --test chaos --release -q ;;
     policy) cargo test --test policy --release -q ;;
     fleet) cargo test -p cannikin-fleet --release -q ;;

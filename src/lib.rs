@@ -8,8 +8,9 @@
 //!   models, the *OptPerf* solver (Algorithm 1), the heterogeneity-correct
 //!   gradient-noise-scale estimators (Theorem 4.1), the goodput engine and
 //!   the [`core::engine::CannikinTrainer`] orchestration loop.
-//! - [`dnn`] (`minidnn`) — a from-scratch CPU tensor/autograd library with
-//!   layers, losses, optimizers and learning-rate scalers.
+//! - [`dnn`] (`minidnn`) — a from-scratch CPU tensor library and what the
+//!   functional trainer trains with it: the layers of an MLP and a small
+//!   CNN, softmax cross-entropy, SGD and the learning-rate scalers.
 //! - [`collectives`] (`cannikin-collectives`) — in-process bucketed ring
 //!   all-reduce and the batch-ratio-weighted gradient aggregation of Eq. (9).
 //! - [`sim`] (`hetsim`) — a discrete-event heterogeneous GPU cluster
