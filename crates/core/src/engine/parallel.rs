@@ -10,13 +10,15 @@
 //! GPU would produce).
 //!
 //! Every step is the DDP bucketed step (§3.2.3 of the paper): each rank
-//! drives the backward pass layer by layer from the loss side, copies each
-//! layer's gradients into its slice of one flat buffer, and hands each
-//! bucket of that buffer to a per-step communication worker as soon as
-//! backward has passed the bucket's lowest layer. The bucket layout is the
-//! only thing [`ParallelConfig::overlap`] selects. Off (the default), one
-//! bucket spans the whole gradient and is reduced after backpropagation,
-//! so the timing model is the all-compute-bottleneck special case
+//! drives the backward pass layer by layer from the loss side, each layer
+//! storing its gradients straight into its window of one flat buffer
+//! (DDP's gradient-as-bucket-view: no zeroing pass, no copy), and hands
+//! each bucket of that buffer to a per-step communication worker as soon
+//! as backward has passed the bucket's lowest layer. The optimizer steps
+//! from the reduced buffer, so no replica holds `Param::grad` at all. The
+//! bucket layout is the only thing [`ParallelConfig::overlap`] selects.
+//! Off (the default), one bucket spans the whole gradient and is reduced
+//! after backpropagation, so the timing model is the all-compute-bottleneck special case
 //! `T = max_i t_compute^i + T_comm` (`T_o ≈ 0`, `T_u ≈ T_comm`), under
 //! which the OptPerf solver's Check 1 (equal compute times) is exact. On,
 //! each layer with parameters is its own bucket, all-reduce time hides
@@ -54,9 +56,7 @@ use hetsim::trace::{BatchTrace, NodeObservation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use minidnn::data::ClassificationDataset;
-use minidnn::layers::{
-    assign_grads_from, assign_values, flatten_values, num_elements, zero_grads, Layer, Sequential,
-};
+use minidnn::layers::{assign_values, flatten_values, num_elements, Grads, Layer, Sequential};
 use minidnn::loss::{Loss, SoftmaxCrossEntropy};
 use minidnn::lr::LrScaler;
 use minidnn::optim::{Optimizer, Sgd};
@@ -363,6 +363,11 @@ impl ThreadedExecutor {
         match &self.checkpoint {
             Some(weights) => assign_values(&mut model.parameters_mut(), weights),
             None => self.checkpoint = Some(flatten_values(&model.parameters())),
+        }
+        // Backward stores into the step's flat buffer and the optimizer
+        // steps from it: the replica never reads its gradient tensors.
+        for p in model.parameters_mut() {
+            p.release_grad();
         }
         let opt = match self.ranks.first() {
             Some(first) => first.opt.clone(),
@@ -717,8 +722,9 @@ fn run_rank(
     let mut comm_retries = 0u32;
     // The endpoint's byte counter runs for its lifetime, not the epoch's.
     let bytes_before = comm.bytes_sent();
-    // Flat gradient buffer reused across every step of the epoch (not kept
-    // between epochs: an idle trainer should hold no dead copy of the model).
+    // The flat gradient every step's backward stores into, reused across
+    // the epoch (not kept between epochs: an idle trainer should hold no
+    // dead copy of the model).
     let mut g: Vec<f32> = Vec::new();
     for (step, batch_indices) in batches.iter().take(steps).enumerate() {
         let _step_span = telemetry::span("step");
@@ -744,23 +750,21 @@ fn run_rank(
         };
         let Exchanged { p_time: p_elapsed, comm_time, overlap, local_sq } =
             backward_and_exchange(model, &grad, &mut g, buckets, link, slowdown, a_elapsed)?;
-        let global_sq = sq_norm(&g);
 
-        // Gather (bᵢ, |gᵢ|²) from every rank for Eq. (10).
+        // Gather (bᵢ, |gᵢ|²) from every rank for Eq. (10); rank 0 estimates.
         let rows = comm.gather(&[batch_indices.len() as f64, local_sq])?;
         if rank == 0 {
             let samples: Vec<GradientSample> = rows
                 .iter()
                 .map(|r| GradientSample { local_batch: r[0] as u64, local_sq_norm: r[1] })
                 .collect();
-            if let Ok(est) = estimate_gns(&samples, global_sq, Aggregation::MinimumVariance) {
+            if let Ok(est) = estimate_gns(&samples, sq_norm(&g), Aggregation::MinimumVariance) {
                 gns_estimates.push(est);
             }
         }
 
         // Apply the identical global gradient on every replica.
-        assign_grads_from(&mut model.parameters_mut(), &g);
-        opt.step(&mut model.parameters_mut());
+        opt.step_from(&mut model.parameters_mut(), &g);
 
         losses.push(f64::from(loss));
         if telemetry::enabled() {
@@ -780,11 +784,6 @@ fn run_rank(
             comm_time,
             overlap,
         });
-    }
-    // Dead until the next step zeroes them: an idle replica keeps weights,
-    // velocity and residual, not a fourth copy of the model.
-    for p in model.parameters_mut() {
-        p.release_grad();
     }
     let output = RankOutput {
         losses,
@@ -824,11 +823,11 @@ struct Exchanged {
     local_sq: f64,
 }
 
-/// The step's backward pass and gradient exchange. Backward zeroes the
-/// gradients, then runs layer by layer from the loss side; as soon as it
-/// has passed a bucket's lowest layer, the gradients of the bucket's layers
-/// are copied into its window of the flat buffer `g` (every value of which
-/// is overwritten each step) and the bucket goes to a comm worker thread
+/// The step's backward pass and gradient exchange. Backward runs layer by
+/// layer from the loss side, each layer storing its gradients into its
+/// window of the flat buffer `g` (so every value of `g` is overwritten each
+/// step, and nothing is zeroed or copied); as soon as it has passed a
+/// bucket's lowest layer, the bucket's window goes to a comm worker thread
 /// that all-reduces it while earlier layers still compute. An emulated
 /// slow node sleeps the stretch it owes so far (its forward pass included)
 /// right before each hand-off and once more at the end of backward, so the
@@ -861,39 +860,41 @@ fn backward_and_exchange(
     // Tail-first: the bucket nearest the loss is complete (and on the wire)
     // first.
     let mut windows = windows.into_iter().rev();
-    let t = Instant::now();
-    zero_grads(&mut model.parameters_mut());
     // When this rank's backward, stretched by its slowdown, last computed.
     let mut computed = Instant::now();
-    let mut p_time = (computed - t).as_secs_f64();
-    let stretch = slowdown - 1.0;
-    let mut owed = (forward_elapsed + p_time) * stretch;
+    let (mut p_time, stretch) = (0.0, slowdown - 1.0);
+    let mut owed = forward_elapsed * stretch;
     let mut local_sq = 0.0f64;
     let busy = thread::scope(|s| {
         let (tx, rx) = mpsc::channel::<(usize, &mut [f32])>();
         let worker = s.spawn(move || reduce_buckets(rx, link));
         let mut next = windows.next();
+        // The current bucket's window still to fill, from its start:
+        // backward reaches its layers last to first, each taking the tail.
+        let mut unfilled = next.as_ref().map_or(0, |(bucket, _)| bucket.len);
         let layers = model.layers_mut();
-        // One past the last layer of the bucket backward is completing.
-        let mut upper = layers.len();
         let mut cur = loss_grad.clone();
         for index in (0..layers.len()).rev() {
+            let len = num_elements(&layers[index].parameters());
             let t = Instant::now();
-            cur = layers[index].backward(&cur);
+            let grads = match &mut next {
+                Some((_, window)) => {
+                    unfilled -= len;
+                    Grads::Store(&mut window[unfilled..unfilled + len])
+                }
+                None => Grads::Store(&mut []),
+            };
+            cur = layers[index].backward_to(&cur, grads);
             computed = Instant::now();
             let elapsed = (computed - t).as_secs_f64();
             p_time += elapsed;
             owed += elapsed * stretch;
             if let Some((bucket, grads)) = next.take_if(|(bucket, _)| bucket.first_layer == index) {
                 settle(&mut owed, &mut computed);
-                let mut at = 0;
-                for p in layers[index..upper].iter().flat_map(|l| l.parameters()) {
-                    grads[at..at + p.len()].copy_from_slice(p.grad.data());
-                    at += p.len();
-                }
                 local_sq += sq_norm(grads);
                 tx.send((bucket.offset, grads)).expect("comm worker alive");
-                (next, upper) = (windows.next(), index);
+                next = windows.next();
+                unfilled = next.as_ref().map_or(0, |(bucket, _)| bucket.len);
             }
         }
         settle(&mut owed, &mut computed);
@@ -1071,6 +1072,22 @@ mod tests {
             ("mlp", build(gaussian_blobs(640, 4, 10, 3), |seed| mlp_classifier(10, 24, 4, seed), config(false))),
             ("cnn", build(gaussian_blob_images(192, 4, 3, 8, 3), |seed| mini_cnn(3, 8, 4, seed), cnn)),
         ]
+    }
+
+    /// The MLP at the width the benchmark runs: a 1.2 MB gradient, every
+    /// product far over `SMALL_WORK`, and 12–24 rows per rank across even
+    /// and odd steps of an even split of B = 48 — the skinny rows the
+    /// kernels' row rules choose between.
+    fn wide_mlp(overlap: bool) -> ParallelTrainerBuilder {
+        let mut cfg = config(false);
+        cfg.slowdowns = vec![1.0, 2.0, 4.0];
+        cfg.base_batch = 48;
+        cfg.overlap = overlap;
+        cfg.codec = Codec::Bf16;
+        ParallelTrainer::builder()
+            .dataset(gaussian_blobs(96, 4, 64, 3))
+            .model(|seed| mlp_classifier(64, 512, 4, seed))
+            .config(cfg)
     }
 
     fn four_epochs(t: &mut ParallelTrainer) -> Vec<ParallelEpochReport> {
@@ -1336,7 +1353,7 @@ mod tests {
             x.clone()
         }
 
-        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        fn backward_to(&mut self, grad_out: &Tensor, _: Grads<'_>) -> Tensor {
             grad_out.clone()
         }
     }
@@ -1430,7 +1447,8 @@ mod tests {
 
     /// The real path, bit for bit: one line per epoch of every cell — the
     /// `subjects()` pair × both bucket layouts × {raw `f32`, bf16 + error
-    /// feedback} in process, plus the MLP's sequential bf16 cell over TCP —
+    /// feedback} in process, plus the MLP's sequential bf16 cell over TCP,
+    /// plus `wide_mlp` under bf16 + error feedback on both layouts —
     /// holding the bits of every weight and of every rank's residual,
     /// `mean_loss`, `noise_scale` and `comm_bytes`. Under
     /// `PolicyKind::Even` with a fixed batch no split reads a clock, so the
@@ -1465,6 +1483,9 @@ mod tests {
         }
         let [(subject, tcp_cell), _] = subject_builders(false, Codec::Bf16);
         cells.push((subject, false, Codec::Bf16, TransportKind::tcp(), tcp_cell));
+        for overlap in [false, true] {
+            cells.push(("wide", overlap, Codec::Bf16, TransportKind::InProcess, wide_mlp(overlap)));
+        }
         let mut lines = Vec::new();
         for (subject, overlap, codec, transport, builder) in cells {
             let wire = transport.label();

@@ -1,6 +1,6 @@
 //! The elementwise activation layer.
 
-use super::Layer;
+use super::{Grads, Layer};
 use crate::tensor::Tensor;
 
 /// Rectified linear unit: `max(0, x)`.
@@ -22,7 +22,7 @@ impl Layer for Relu {
         x.map(|v| v.max(0.0))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_to(&mut self, grad_out: &Tensor, _: Grads<'_>) -> Tensor {
         let x = self.input.as_ref().expect("backward called before forward");
         grad_out.mul(&x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }))
     }

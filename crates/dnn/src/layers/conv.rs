@@ -1,6 +1,6 @@
 //! 2-D convolution via im2col.
 
-use super::{Layer, Param};
+use super::{add_or_store, Grads, Layer, Param};
 use crate::tensor::{gemm, gemm_a_bt, gemm_at_b, scratch, Tensor};
 
 /// 2-D convolution over `[batch, in_c, h, w]` inputs.
@@ -180,7 +180,7 @@ impl Layer for Conv2d {
         Tensor::from_vec(out, &[batch, self.out_channels, oh, ow]).expect("conv output shape")
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_to(&mut self, grad_out: &Tensor, grads: Grads<'_>) -> Tensor {
         let cache = self.cache.as_ref().expect("backward called before forward");
         let (oh, ow) = cache.out_hw;
         let in_shape = cache.in_shape.clone();
@@ -200,16 +200,18 @@ impl Layer for Conv2d {
         let rows = self.in_channels * self.kernel * self.kernel;
         let spatial = oh * ow;
         let sample = self.in_channels * h * w;
+        let lens = (self.weight.len(), self.bias.len());
+        let (dw, db, accumulate) = grads.weight_and_bias(&mut self.weight.grad, &mut self.bias.grad, lens);
         let mut dx = vec![0.0f32; batch * sample];
         let mut dcol = scratch::take(rows * spatial);
         for b in 0..batch {
             let g = &grad_out.data()[b * self.out_channels * spatial..][..self.out_channels * spatial];
             let col = &self.col_buf[b * rows * spatial..][..rows * spatial];
-            // dW += g colᵀ ; db += Σ_spatial g ; dcol = Wᵀ g
-            gemm_a_bt(self.out_channels, rows, spatial, g, col, self.weight.grad.data_mut(), true);
-            for (oc, g_oc) in g.chunks_exact(spatial).enumerate() {
-                self.bias.grad.data_mut()[oc] += g_oc.iter().sum::<f32>();
-            }
+            // dW (+)= g colᵀ ; db (+)= Σ_spatial g ; dcol = Wᵀ g — the
+            // first sample stores unless accumulating, the rest add.
+            let accumulate = accumulate || b > 0;
+            gemm_a_bt(self.out_channels, rows, spatial, g, col, dw, accumulate);
+            add_or_store(db, g.chunks_exact(spatial).map(|g_oc| g_oc.iter().sum::<f32>()), accumulate);
             gemm_at_b(rows, spatial, self.out_channels, self.weight.value.data(), g, dcol.as_mut_slice(), false);
             col2im(dcol.as_slice(), geom, &mut dx[b * sample..][..sample]);
         }

@@ -1,6 +1,6 @@
 //! Fully-connected layer.
 
-use super::{Layer, Param};
+use super::{add_or_store, Grads, Layer, Param};
 use crate::tensor::{gemm_a_bt, gemm_at_b, matmul, Tensor};
 
 /// A fully-connected layer: `y = x W + b`, `x: [batch, in]`,
@@ -57,16 +57,18 @@ impl Layer for Linear {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_to(&mut self, grad_out: &Tensor, grads: Grads<'_>) -> Tensor {
         let x = self.input.as_ref().expect("backward called before forward");
         assert_eq!(grad_out.rows(), x.rows(), "linear backward batch mismatch");
         assert_eq!(grad_out.cols(), self.out_features, "linear backward width mismatch");
+        let lens = (self.weight.len(), self.bias.len());
+        let (dw, db, accumulate) = grads.weight_and_bias(&mut self.weight.grad, &mut self.bias.grad, lens);
         // `grad_out` is read in place as `[rows, out]`, whatever its shape
-        // says: dW += xᵀ g (accumulated, no temporary), db += Σ_rows g,
+        // says: dW (+)= xᵀ g (no temporary), db (+)= Σ_rows g,
         // dx = g Wᵀ (onto fresh zeros, exactly what `matmul_a_bt` does).
         let (rows, g) = (grad_out.rows(), grad_out.data());
-        gemm_at_b(self.in_features, self.out_features, rows, x.data(), g, self.weight.grad.data_mut(), true);
-        self.bias.grad.add_assign(&grad_out.sum_rows());
+        gemm_at_b(self.in_features, self.out_features, rows, x.data(), g, dw, accumulate);
+        add_or_store(db, grad_out.sum_rows().into_data(), accumulate);
         let mut dx = vec![0.0f32; rows * self.in_features];
         gemm_a_bt(rows, self.in_features, self.out_features, g, self.weight.value.data(), &mut dx, true);
         Tensor::from_vec(dx, &[rows, self.in_features]).expect("linear input-gradient shape")

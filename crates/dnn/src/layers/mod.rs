@@ -1,11 +1,24 @@
 //! Neural-network layers with explicit forward/backward passes.
 //!
 //! Every layer implements [`Layer`]: `forward` caches whatever activations
-//! its backward pass needs, `backward` consumes the gradient w.r.t. the
-//! layer output and returns the gradient w.r.t. the layer input while
-//! *accumulating* parameter gradients into each [`Param`]. Accumulation (as
-//! opposed to overwriting) is what lets a worker process several
-//! micro-batches before an optimizer step, mirroring PyTorch semantics.
+//! its backward pass needs, and the backward pass consumes the gradient
+//! w.r.t. the layer output and returns the gradient w.r.t. the layer input.
+//! Where the parameter gradients go is an argument of that one pass
+//! ([`Grads`]):
+//!
+//! - [`Layer::backward`] *accumulates* them into each [`Param::grad`].
+//!   Accumulation (as opposed to overwriting) is what lets a worker process
+//!   several micro-batches before an optimizer step, mirroring PyTorch
+//!   semantics; the caller zeroes the gradients between steps
+//!   ([`zero_grads`]).
+//! - [`Layer::backward_to`] with [`Grads::Store`] *stores* them into a
+//!   window of the caller's flat buffer, in parameter order, and leaves
+//!   `Param::grad` alone: each value is what accumulating onto a zeroed
+//!   gradient gives, bit for bit, with no zeroing pass and no copy out.
+//!   This is how a data-parallel step writes each layer's gradients
+//!   straight into the buffer it exchanges — DDP's gradient-as-bucket-view
+//!   — and the optimizer steps from that buffer
+//!   ([`Sgd::step_from`](crate::optim::Sgd::step_from)).
 
 mod activations;
 mod conv;
@@ -24,7 +37,8 @@ use crate::tensor::Tensor;
 pub struct Param {
     /// Current parameter value.
     pub value: Tensor,
-    /// Accumulated gradient (same shape as `value`).
+    /// Accumulated gradient (same shape as `value`, or empty after
+    /// [`Param::release_grad`]).
     pub grad: Tensor,
     /// Human-readable name, used in debugging output.
     pub name: String,
@@ -47,8 +61,9 @@ impl Param {
         }
     }
 
-    /// Free the gradient buffer: a replica that idles between epochs holds
-    /// no use for it. The next [`Param::zero_grad`] brings it back.
+    /// Free the gradient buffer, for a model whose backward passes store
+    /// their gradients elsewhere ([`Grads::Store`]). The next
+    /// [`Param::zero_grad`] brings it back.
     pub fn release_grad(&mut self) {
         self.grad = Tensor::zeros(&[0]);
     }
@@ -64,6 +79,52 @@ impl Param {
     }
 }
 
+/// Where a backward pass puts the gradients of a layer's parameters.
+#[derive(Debug)]
+pub enum Grads<'a> {
+    /// Added into each [`Param::grad`].
+    Accumulate,
+    /// Stored into this window of a flat buffer — one value per parameter
+    /// element, in parameter order — overwriting whatever it held, with
+    /// `Param::grad` untouched. Each value is `0 + g`: what adding `g` onto
+    /// a zeroed gradient gives, a −0 landing as +0 included.
+    Store(&'a mut [f32]),
+}
+
+impl<'a> Grads<'a> {
+    /// A weight-and-bias layer's two destinations: its `Param::grad`s to
+    /// add into, or the `Store` window split after the weight's
+    /// `lens.0` values to store into — and whether to add.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `Store` window is not `lens.0 + lens.1` long.
+    pub(crate) fn weight_and_bias(
+        self,
+        weight: &'a mut Tensor,
+        bias: &'a mut Tensor,
+        lens: (usize, usize),
+    ) -> (&'a mut [f32], &'a mut [f32], bool) {
+        match self {
+            Grads::Accumulate => (weight.data_mut(), bias.data_mut(), true),
+            Grads::Store(window) => {
+                assert_eq!(window.len(), lens.0 + lens.1, "gradient window length mismatch");
+                let (weight, bias) = window.split_at_mut(lens.0);
+                (weight, bias, false)
+            }
+        }
+    }
+}
+
+/// `dst (+)= src` elementwise: added when `accumulate`, else stored as
+/// `0 + src` — what adding onto a zeroed gradient gives. For gradients a
+/// layer sums itself (a bias, say); products go through the GEMM's `acc`.
+pub(crate) fn add_or_store(dst: &mut [f32], src: impl IntoIterator<Item = f32>, accumulate: bool) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = if accumulate { *d } else { 0.0 } + s;
+    }
+}
+
 /// A differentiable module.
 ///
 /// The trait is object-safe so models can be composed as
@@ -75,12 +136,24 @@ pub trait Layer: Send {
 
     /// Run the backward pass for the most recent `forward` call, returning
     /// the gradient with respect to the layer input and accumulating
-    /// parameter gradients.
+    /// parameter gradients into each [`Param::grad`].
     ///
     /// # Panics
     ///
     /// Implementations panic if called before `forward`.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_to(grad_out, Grads::Accumulate)
+    }
+
+    /// The backward pass with the parameter gradients' destination named:
+    /// the one body both destinations run. Layers without parameters
+    /// ignore `grads` (a `Store` window for them is empty).
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if called before `forward`, or if a `Store`
+    /// window's length is not the layer's parameter count.
+    fn backward_to(&mut self, grad_out: &Tensor, grads: Grads<'_>) -> Tensor;
 
     /// Immutable access to the layer's parameters (empty for stateless
     /// layers).
@@ -146,8 +219,9 @@ impl Sequential {
     /// engines use this to drive the backward pass layer by layer so
     /// gradient buckets can be communicated while earlier layers still
     /// compute (compute/communication overlap); calling
-    /// `layer.backward(...)` over this slice in reverse is equivalent to
-    /// [`Sequential`]'s own `backward`.
+    /// `layer.backward_to(...)` over this slice in reverse, each layer with
+    /// its window of the flat gradient, is equivalent to [`Sequential`]'s
+    /// own `backward_to`.
     pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
     }
@@ -167,10 +241,22 @@ impl Layer for Sequential {
         cur
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_to(&mut self, grad_out: &Tensor, mut grads: Grads<'_>) -> Tensor {
+        if let Grads::Store(window) = &grads {
+            assert_eq!(window.len(), num_elements(&self.parameters()), "gradient window length mismatch");
+        }
         let mut cur = grad_out.clone();
         for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
+            let layer_grads = match &mut grads {
+                Grads::Accumulate => Grads::Accumulate,
+                Grads::Store(window) => {
+                    let at = window.len() - num_elements(&layer.parameters());
+                    let (rest, mine) = std::mem::take(window).split_at_mut(at);
+                    *window = rest;
+                    Grads::Store(mine)
+                }
+            };
+            cur = layer.backward_to(&cur, layer_grads);
         }
         cur
     }
@@ -202,8 +288,9 @@ pub fn flatten_grads(params: &[&Param]) -> Tensor {
 }
 
 /// Flatten all parameter gradients into a caller-owned buffer, reusing its
-/// capacity — the allocation-free form of [`flatten_grads`] for training
-/// loops that flatten every step.
+/// capacity — the allocation-free form of [`flatten_grads`]. Kept solely
+/// for the frozen benchmark (`crates/benchmark/src/real.rs`); a training
+/// step stores its gradients flat to begin with ([`Grads::Store`]).
 pub fn flatten_grads_into(params: &[&Param], out: &mut Vec<f32>) {
     out.clear();
     out.reserve(params.iter().map(|p| p.len()).sum());
@@ -212,7 +299,10 @@ pub fn flatten_grads_into(params: &[&Param], out: &mut Vec<f32>) {
     }
 }
 
-/// Scatter a flat gradient slice back into the parameter gradients.
+/// Scatter a flat gradient slice back into the parameter gradients. Kept
+/// solely for the frozen benchmark (`crates/benchmark/src/real.rs`); an
+/// optimizer steps from the flat slice itself
+/// ([`Sgd::step_from`](crate::optim::Sgd::step_from)).
 ///
 /// # Panics
 ///
@@ -329,6 +419,48 @@ mod tests {
         assert!(flatten_grads(&net.parameters()).sq_l2() > 0.0);
         zero_grads(&mut net.parameters_mut());
         assert_eq!(flatten_grads(&net.parameters()).sq_l2(), 0.0);
+    }
+
+    /// Storing into a window gives, bit for bit, what zeroing the
+    /// gradients and accumulating gives, on both models the trainer trains
+    /// — Linear and Conv2d storing natively, the parameterless layers
+    /// between them, Sequential splitting the window — whatever the window
+    /// held, and without touching a released `Param::grad`. Wide enough
+    /// that the products leave the kernels' unpacked path.
+    #[test]
+    fn store_is_bitwise_accumulate_onto_zero() {
+        use crate::models::{mini_cnn, mlp_classifier};
+        let cases = [
+            (mlp_classifier(64, 256, 4, 1), Tensor::randn(&[12, 64], 2)),
+            (mlp_classifier(64, 256, 4, 1), Tensor::randn(&[3, 64], 3)),
+            (mini_cnn(3, 8, 4, 4), Tensor::randn(&[5, 3, 8, 8], 5)),
+        ];
+        for (mut net, x) in cases {
+            let y = net.forward(&x, true);
+            // A loss gradient with exact zeros in it, as ReLU's backward makes.
+            let g = Tensor::randn(y.shape(), 6).map(|v| if v > 0.5 { 0.0 } else { v });
+            zero_grads(&mut net.parameters_mut());
+            net.backward(&g);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let accumulated = bits(flatten_grads(&net.parameters()).data());
+
+            for p in net.parameters_mut() {
+                p.release_grad();
+            }
+            let mut window = vec![f32::NAN; accumulated.len()];
+            net.forward(&x, true);
+            net.backward_to(&g, Grads::Store(&mut window));
+            assert_eq!(bits(&window), accumulated, "{net:?}");
+            assert!(net.parameters().iter().all(|p| p.grad.is_empty()), "Param::grad left alone");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient window length mismatch")]
+    fn store_rejects_a_window_of_the_wrong_length() {
+        let mut net = Sequential::new().push(Linear::new(3, 2, 1));
+        let y = net.forward(&Tensor::randn(&[2, 3], 9), true);
+        net.backward_to(&Tensor::ones(y.shape()), Grads::Store(&mut [0.0; 7]));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Global average pooling.
 
-use super::{Layer, Param};
+use super::{Grads, Layer, Param};
 use crate::tensor::Tensor;
 
 /// Average pooling over the full spatial extent (global average pool),
@@ -31,7 +31,7 @@ impl Layer for AvgPool2d {
         Tensor::from_vec(out, &[batch, c]).expect("avgpool output shape")
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_to(&mut self, grad_out: &Tensor, _: Grads<'_>) -> Tensor {
         let shape = self.in_shape.as_ref().expect("backward called before forward");
         let (batch, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         assert_eq!(grad_out.len(), batch * c, "avgpool backward shape mismatch");

@@ -15,7 +15,11 @@ use crate::layers::Param;
 
 /// An optimizer updates parameters in place from their accumulated
 /// gradients. Gradients are *not* cleared by `step`; call
-/// [`crate::layers::zero_grads`] explicitly, mirroring PyTorch.
+/// [`crate::layers::zero_grads`] explicitly, mirroring PyTorch. A step
+/// whose backward pass stored its gradients flat
+/// ([`Grads::Store`](crate::layers::Grads::Store)) clears nothing: it
+/// steps from that buffer ([`Sgd::step_from`]), and the next backward
+/// pass overwrites it.
 pub trait Optimizer: Send {
     /// Apply one update step.
     fn step(&mut self, params: &mut [&mut Param]);

@@ -40,10 +40,24 @@ impl Sgd {
         self.momentum = mu;
         self
     }
-}
 
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
+    /// One step with the gradient read from `grads` — every parameter's, in
+    /// parameter order, as [`Grads::Store`](crate::layers::Grads::Store)
+    /// writes them — instead of from each [`Param::grad`], which is not
+    /// read and may be released. The same update as [`Optimizer::step`],
+    /// bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grads.len()` differs from the total parameter count.
+    pub fn step_from(&mut self, params: &mut [&mut Param], grads: &[f32]) {
+        assert_eq!(grads.len(), params.iter().map(|p| p.len()).sum::<usize>(), "flat gradient length mismatch");
+        self.update(params, Some(grads));
+    }
+
+    /// The one update loop: each parameter's gradient is its window of
+    /// `flat`, or its `Param::grad` without one.
+    fn update(&mut self, params: &mut [&mut Param], flat: Option<&[f32]>) {
         // A different parameter list (count or any shape) is a different
         // model: its momentum starts over rather than zip-truncating.
         if self.velocity.len() != params.len()
@@ -51,14 +65,26 @@ impl Optimizer for Sgd {
         {
             self.velocity = params.iter().map(|p| Tensor::zeros(p.value.shape())).collect();
         }
+        let (mu, lr) = (self.momentum as f32, self.lr as f32);
+        let mut offset = 0;
         for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            let mu = self.momentum as f32;
-            let lr = self.lr as f32;
-            for ((vv, &g), th) in v.data_mut().iter_mut().zip(p.grad.data()).zip(p.value.data_mut()) {
+            let Param { value, grad, .. } = &mut **p;
+            let grad = match flat {
+                Some(flat) => &flat[offset..offset + value.len()],
+                None => grad.data(),
+            };
+            offset += value.len();
+            for ((vv, &g), th) in v.data_mut().iter_mut().zip(grad).zip(value.data_mut()) {
                 *vv = mu * *vv + g;
                 *th -= lr * *vv;
             }
         }
+    }
+}
+
+impl Optimizer for Sgd {
+    fn step(&mut self, params: &mut [&mut Param]) {
+        self.update(params, None);
     }
 
     fn learning_rate(&self) -> f64 {
@@ -108,6 +134,31 @@ mod tests {
         // Same shapes again: the velocity now carries (v = 0.9 * 1 + 1).
         opt.step(&mut [&mut wide]);
         assert!(wide.value.data().iter().all(|&v| (v + 0.29).abs() < 1e-6), "{:?}", wide.value.data());
+    }
+
+    #[test]
+    fn step_from_a_flat_gradient_is_bitwise_step() {
+        let params = |seed: u64| -> Vec<Param> {
+            vec![Param::new(Tensor::randn(&[3, 4], seed), "w"), Param::new(Tensor::randn(&[4], seed + 1), "b")]
+        };
+        let (mut assigned, mut flat) = (params(1), params(1));
+        for p in &mut flat {
+            p.release_grad();
+        }
+        let (mut a, mut b) = (Sgd::new(0.1).momentum(0.9), Sgd::new(0.1).momentum(0.9));
+        for step in 0..3u64 {
+            let g = Tensor::randn(&[16], 10 + step);
+            let (dw, db) = g.data().split_at(12);
+            assigned[0].grad.data_mut().copy_from_slice(dw);
+            assigned[1].grad.data_mut().copy_from_slice(db);
+            a.step(&mut assigned.iter_mut().collect::<Vec<_>>());
+            b.step_from(&mut flat.iter_mut().collect::<Vec<_>>(), g.data());
+        }
+        for (x, y) in assigned.iter().zip(&flat) {
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x.value), bits(&y.value), "{}", x.name);
+            assert!(y.grad.is_empty(), "the flat step leaves a released gradient released");
+        }
     }
 
     #[test]

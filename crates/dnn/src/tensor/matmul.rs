@@ -66,9 +66,10 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
 }
 
 /// Slice-level `C (+)= A × B` for row-major `a: [m, k]`, `b: [k, n]`,
-/// `c: [m, n]`. With `acc = false` the output is overwritten; with
-/// `acc = true` the product is added to the existing contents (the form
-/// parameter-gradient accumulation wants).
+/// `c: [m, n]`. With `acc = false` the output is overwritten — bit for bit
+/// what zeroing `c` and accumulating gives, so a −0 product lands as +0;
+/// with `acc = true` the product is added to the existing contents (the
+/// form parameter-gradient accumulation wants).
 ///
 /// # Panics
 ///

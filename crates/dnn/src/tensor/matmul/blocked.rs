@@ -13,11 +13,11 @@
 //!   contiguously and zero-padded to full panel width, so the microkernel
 //!   is branch-free and every load is unit-stride.
 //! - The microkernel keeps an `MR × NR` accumulator in registers and walks
-//!   the packed panels with a fully unrolled multiply-add body.
+//!   the panels with a fully unrolled multiply-add body.
 //!
-//! There is one loop nest (`gemm_serial`), one macro-kernel and one pair of
-//! packers, generic over `(MR, NR, MC, NC)` and the [`MicroKernel`] they
-//! call; `packed` plugs in the tile of the resolved [`Kernel`]:
+//! There is one loop nest (`gemm_serial`) and one pair of packers, generic
+//! over `(MR, NR, MC, NC)` and the [`MicroKernel`] they call; `tiled` plugs
+//! in the tile of the resolved [`Kernel`]:
 //!
 //! | kernel | tile | `MC × NC` | microkernel |
 //! |---|---|---|---|
@@ -30,6 +30,12 @@
 //! that cut `k` at the same places and fuse their multiply-adds round the
 //! same way: the two SIMD tiles agree to the bit ([`simd`] has the
 //! argument), and `MR`, `NR`, `MC` and `NC` are free to differ.
+//!
+//! With `acc = false` the first slice is *stored* where later ones add, as
+//! `0 + sum`: the bits clearing C and then adding would give, a −0 sum
+//! landing as +0 included, without the clearing pass. The unpacked nests
+//! store their first term the same way, so on every path `acc = false` is
+//! `acc = true` onto a zeroed C.
 //!
 //! Packing buffers come from the thread-local [`scratch`] arena, so a
 //! steady-state training loop performs no kernel allocations at all.
@@ -59,15 +65,32 @@
 //! skinny products keep one set of SIMD bits); they run on the calling
 //! thread and take nothing from [`scratch`].
 //!
-//! A wide tile pays for width C does not have: at `n ≤ 16` — a classifier
-//! head — the 32-wide tile would pad every B panel to twice the live
-//! columns, so under `Avx512` the packed core runs the 16-wide AVX2 tile
+//! Above those rows, up to `IN_PLACE_ROWS` — the fast rank's share of a
+//! small batch — the tiles win but packing the big operand does not pay:
+//! the tiles read it where it lies and only the small one is packed
+//! ([`Layout`]). Where B's rows are contiguous (`A·B`, `Aᵀ·B`), the
+//! tile's vector side walks them at B's row stride. Where B's columns are
+//! (`A·Bᵀ`, a layer's `g·Wᵀ`), the product is computed as its transpose
+//! `Cᵀ = B·Aᵀ`: W's contiguous rows feed the broadcast side and C is
+//! written down its columns. A tile's sum does not depend on where its
+//! operands lie — each C element is still one in-order multiply-add chain
+//! per `KC` slice, added to C slice by slice, and a product of two floats
+//! is the same whichever is broadcast — so each tile family gives the bits
+//! of its own packed path. Only whole panels are read in place; the
+//! partial edge panel is packed and zero-padded as before.
+//!
+//! A wide tile pays for width it does not use: at a vector side of
+//! `≤ 16` columns — C's columns, or its rows when transposed; a classifier
+//! head — the 32-wide tile would pad every panel to twice the live
+//! columns, so under `Avx512` the blocked core runs the 16-wide AVX2 tile
 //! there instead (measured at m = 346, this rule on → off: 512→10 `A·B`
 //! 166 → 193 µs and `Aᵀ·B` 174 → 193 µs, 1024→10 330 → 403 µs and
-//! 377 → 435 µs). The choice reads `n` alone, and the bits are the same
-//! either way.
+//! 377 → 435 µs). The choice reads the shape alone, and the bits are the
+//! same either way.
 
 use super::simd::{self, Kernel};
+#[cfg(target_arch = "x86_64")]
+use super::simd::{micro_12x32, micro_6x16};
 use crate::tensor::{scratch, threads};
 
 /// Scalar microkernel rows (panel height of packed A).
@@ -82,8 +105,8 @@ const NC: usize = 256;
 /// slices are where a C element's sum is cut into separately rounded
 /// pieces, so one `KC` is what makes the two SIMD tiles bit-identical.
 const KC: usize = 256;
-/// Widest C the AVX-512 kernel hands to the 16-wide tile instead (see the
-/// module note).
+/// Widest vector side the AVX-512 kernel hands to the 16-wide tile instead
+/// (see the module note).
 const NARROW: usize = simd::AVX2_NR;
 
 /// Below this `m·n·k`, skip blocking/packing entirely.
@@ -105,6 +128,14 @@ const SKINNY_DEPTH: usize = 4;
 /// loop overhead and the dot's lane fold cost more than packing a B that
 /// small, and the packed path is up to 3× ahead (a 1024→10 head, say).
 const MIN_RUN: usize = 128;
+/// Most rows of C the tiles take with the big operand read in place, from
+/// `SKINNY_ROWS + 1` on (see [`Layout`]). Measured (CHANGES.md) on
+/// 1024×1024, 256×1024 and 512×512 operands, one thread: in place, the
+/// SIMD tiles are 1.2–6× their packed path at every row count up to 64 and
+/// every product; at 96 the 12×32 tile's transposed `A·Bᵀ` falls behind
+/// (0.93–0.96). The scalar tile, whose packed path costs the least to
+/// skip, is level at 64 (0.81–1.15) and 1.2–1.8× ahead up to 16.
+const IN_PLACE_ROWS: usize = 64;
 /// Minimum `m·n·k` assigned to each additional thread.
 const WORK_PER_THREAD: usize = 128 * 1024;
 
@@ -132,9 +163,8 @@ pub(super) fn gemm_strided(
 }
 
 /// [`gemm_strided`] with the choice its callers' `acc` flag makes:
-/// `C = A · B` when `acc` is false, whatever `C` held. The unpacked path
-/// stores its first term instead of clearing `C` first; the packed paths
-/// clear it here.
+/// `C = A · B` when `acc` is false, whatever `C` held — bit for bit what
+/// zeroing `C` and accumulating gives (see the module note).
 #[allow(clippy::too_many_arguments)]
 pub(super) fn gemm_strided_acc(
     m: usize,
@@ -185,14 +215,13 @@ pub(super) fn gemm_strided_acc(
         }
         return;
     }
-    if !acc {
-        c.fill(0.0);
-    }
-    let kernel = if kernel == Kernel::Avx512 && n <= NARROW { Kernel::Avx2 } else { kernel };
+    let layout = Layout::of(m, b_rs, b_cs);
+    let width = if layout == Layout::Transposed { m } else { n };
+    let kernel = if kernel == Kernel::Avx512 && width <= NARROW { Kernel::Avx2 } else { kernel };
     let mr = kernel.mr();
     let t = threads::effective_threads().min(m.div_ceil(mr)).min(1 + work / WORK_PER_THREAD);
     if t <= 1 {
-        packed(kernel, m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c);
+        tiled(kernel, layout, m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, acc);
         return;
     }
     // mr-aligned row chunks, one per thread; the spawning thread takes the
@@ -207,13 +236,40 @@ pub(super) fn gemm_strided_acc(
             rest = tail;
             let a_chunk = &a[i0 * a_rs..];
             if i0 + rows >= m {
-                packed(kernel, rows, n, k, a_chunk, a_rs, a_cs, b, b_rs, b_cs, chunk);
+                tiled(kernel, layout, rows, n, k, a_chunk, a_rs, a_cs, b, b_rs, b_cs, chunk, acc);
             } else {
-                s.spawn(move || packed(kernel, rows, n, k, a_chunk, a_rs, a_cs, b, b_rs, b_cs, chunk));
+                s.spawn(move || tiled(kernel, layout, rows, n, k, a_chunk, a_rs, a_cs, b, b_rs, b_cs, chunk, acc));
             }
             i0 += rows;
         }
     });
+}
+
+/// Which operand the blocked core reads where it lies instead of
+/// packing. The choice reads C's row count and B's strides, nothing else;
+/// every layout gives the same bits per tile family (see the module note).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// Both operands packed into panels.
+    Packed,
+    /// B's contiguous rows feed the vector side in place; A is packed.
+    BRows,
+    /// `Cᵀ = B·Aᵀ`: B's contiguous columns feed the broadcast side in
+    /// place, Aᵀ is packed, and C is written down its columns.
+    Transposed,
+}
+
+impl Layout {
+    /// The layout of a product with `m` rows of C and B's element `(p, j)`
+    /// at `p·b_rs + j·b_cs`: in place from `SKINNY_ROWS + 1` to
+    /// `IN_PLACE_ROWS` rows when one of B's strides is 1, packed otherwise.
+    fn of(m: usize, b_rs: usize, b_cs: usize) -> Layout {
+        match (SKINNY_ROWS < m && m <= IN_PLACE_ROWS, b_cs == 1, b_rs == 1) {
+            (true, true, _) => Layout::BRows,
+            (true, false, true) => Layout::Transposed,
+            _ => Layout::Packed,
+        }
+    }
 }
 
 /// Accumulators a dot product is split over: four `ymm` registers' worth,
@@ -232,7 +288,7 @@ fn madd<const FMA: bool>(a: f32, b: f32, c: f32) -> f32 {
     }
 }
 
-/// `crow (+)= av · brow`, storing instead of adding when `acc` is false.
+/// `crow (+)= av · brow`, storing `av · brow + 0` when `acc` is false.
 #[inline(always)]
 fn axpy<const FMA: bool>(crow: &mut [f32], av: f32, brow: &[f32], acc: bool) {
     if acc {
@@ -241,7 +297,7 @@ fn axpy<const FMA: bool>(crow: &mut [f32], av: f32, brow: &[f32], acc: bool) {
         }
     } else {
         for (cv, &bv) in crow.iter_mut().zip(brow) {
-            *cv = av * bv;
+            *cv = madd::<FMA>(av, bv, 0.0);
         }
     }
 }
@@ -341,27 +397,95 @@ pub(super) fn unpacked<const FMA: bool>(
             for i in 0..m {
                 let sum = dot::<FMA>(&a[i * a_rs..][..k], bcol);
                 let cv = &mut c[i * n + j];
-                *cv = if acc { *cv + sum } else { sum };
+                *cv = if acc { *cv } else { 0.0 } + sum;
             }
         }
     }
 }
 
-/// A register tile: `C[r][j] += Σ ap[kk·MR + r] · bp[kk·NR + j]` over
-/// `kk < kc`, for the live `mr × nr` corner of the `MR × NR` tile whose
-/// first element is `c[0]` and whose rows are `ldc` apart. `ap` and `bp`
-/// are one packed panel each. `unsafe` only for the target features the
-/// SIMD tiles are compiled with: a tile is called only under the
-/// [`Kernel`] that names it, which is only resolved where the CPU has them.
-pub(super) type MicroKernel =
-    unsafe fn(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize);
+/// One register-tile call: `kc` steps of `C(r, j) += Σ A(r, kk)·B(kk, j)`
+/// over the live `mr × nr` corner of an `MR × NR` tile. Read in place, A's
+/// `(r, kk)` lies at `a[r·a_rs + kk]` and B's `(kk, j)` at `b[kk·ldb + j]`;
+/// a packed panel is read at its own strides, `kk·MR + r` or `kk·NR + j`,
+/// whatever these say. C's `(r, j)` lies at `c[r·c_rs + j·c_cs]`. With
+/// `store` the sum is written as `0 + sum` instead of added: the first
+/// slice of an `acc = false` product.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Tile {
+    pub(super) kc: usize,
+    pub(super) mr: usize,
+    pub(super) nr: usize,
+    pub(super) a_rs: usize,
+    pub(super) ldb: usize,
+    pub(super) c_rs: usize,
+    pub(super) c_cs: usize,
+    pub(super) store: bool,
+}
 
-/// Single-threaded packed GEMM over the full `[m, n]` output: the one
-/// blocked driver, instantiated with the register tile and block sizes of
-/// the resolved [`Kernel`].
+impl Tile {
+    /// A's `(row, column)` strides: along its rows when read in place,
+    /// else the packed panel's.
+    #[inline(always)]
+    pub(super) fn a_strides<const IN_PLACE: bool, const MR: usize>(&self) -> (usize, usize) {
+        if IN_PLACE {
+            (self.a_rs, 1)
+        } else {
+            (1, MR)
+        }
+    }
+
+    /// B's row stride: its own when read in place, else the packed panel's.
+    #[inline(always)]
+    pub(super) fn b_stride<const IN_PLACE: bool, const NR: usize>(&self) -> usize {
+        if IN_PLACE {
+            self.ldb
+        } else {
+            NR
+        }
+    }
+
+    /// `*c = c + sum`, or `0 + sum` under `store` — clearing, then adding.
+    #[inline(always)]
+    pub(super) fn put(&self, c: &mut f32, sum: f32) {
+        *c = if self.store { 0.0 } else { *c } + sum;
+    }
+}
+
+/// A register tile over the operands one [`Tile`] describes, the first
+/// element of each at the start of its slice. `unsafe` only for the
+/// target features the SIMD tiles are compiled with: a tile is called only
+/// under the [`Kernel`] that names it, which is only resolved where the
+/// CPU has them. Each tile is instantiated as `<A_IN_PLACE, B_IN_PLACE>`:
+/// `<false, false>` for two packed panels, and one more per in-place
+/// [`Layout`], so a stride only the in-place reads need is a constant in
+/// the packed loop.
+pub(super) type MicroKernel = unsafe fn(t: &Tile, a: &[f32], b: &[f32], c: &mut [f32]);
+
+/// One operand of the blocked core: element `(i, j)` at
+/// `data[i·rs + j·cs]`, and whether its whole panels are read where they
+/// lie — along rows, so `cs == 1` — instead of packed.
+#[derive(Debug, Clone, Copy)]
+struct Operand<'a> {
+    data: &'a [f32],
+    rs: usize,
+    cs: usize,
+    in_place: bool,
+}
+
+impl<'a> Operand<'a> {
+    fn new(data: &'a [f32], rs: usize, cs: usize, in_place: bool) -> Self {
+        assert!(!in_place || cs == 1, "an operand read in place is walked along its rows");
+        Operand { data, rs, cs, in_place }
+    }
+}
+
+/// Single-threaded blocked GEMM over the full `[m, n]` output: the one
+/// loop nest, instantiated with the register tile and block sizes of the
+/// resolved [`Kernel`] and what `layout` reads in place.
 #[allow(clippy::too_many_arguments)]
-fn packed(
+fn tiled(
     kernel: Kernel,
+    layout: Layout,
     m: usize,
     n: usize,
     k: usize,
@@ -372,21 +496,36 @@ fn packed(
     b_rs: usize,
     b_cs: usize,
     c: &mut [f32],
+    acc: bool,
 ) {
+    // The problem the loop nest solves: `Cᵀ = B·Aᵀ` when transposed, B's
+    // columns then being the broadcast side's rows and C written down its
+    // columns.
+    let (m, n, a, b, c_strides) = match layout {
+        Layout::Packed => (m, n, Operand::new(a, a_rs, a_cs, false), Operand::new(b, b_rs, b_cs, false), (n, 1)),
+        Layout::BRows => (m, n, Operand::new(a, a_rs, a_cs, false), Operand::new(b, b_rs, b_cs, true), (n, 1)),
+        Layout::Transposed => (n, m, Operand::new(b, b_cs, b_rs, true), Operand::new(a, a_cs, a_rs, false), (1, n)),
+    };
     // One instantiation of the driver per tile: its microkernel, then
     // `MR, NR, MC, NC`.
     macro_rules! tile {
-        ($micro:expr, $mr:expr, $nr:expr, $mc:expr, $nc:expr) => {
-            gemm_serial::<{ $mr }, { $nr }, { $mc }, { $nc }>($micro, m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c)
-        };
+        ($micro:ident, $mr:expr, $nr:expr, $mc:expr, $nc:expr) => {{
+            let in_place: MicroKernel = match layout {
+                Layout::Packed => $micro::<false, false>,
+                Layout::BRows => $micro::<false, true>,
+                Layout::Transposed => $micro::<true, false>,
+            };
+            let micros = ($micro::<false, false> as MicroKernel, in_place);
+            gemm_serial::<{ $mr }, { $nr }, { $mc }, { $nc }>(micros, m, n, k, a, b, c, c_strides, acc)
+        }};
     }
     match kernel {
         Kernel::Scalar => tile!(micro_2x16, MR, NR, MC, NC),
         #[cfg(target_arch = "x86_64")]
-        Kernel::Avx2 => tile!(simd::micro_6x16, simd::AVX2_MR, simd::AVX2_NR, simd::AVX2_MC, simd::AVX2_NC),
+        Kernel::Avx2 => tile!(micro_6x16, simd::AVX2_MR, simd::AVX2_NR, simd::AVX2_MC, simd::AVX2_NC),
         #[cfg(target_arch = "x86_64")]
         Kernel::Avx512 => {
-            tile!(simd::micro_12x32, simd::AVX512_MR, simd::AVX512_NR, simd::AVX512_MC, simd::AVX512_NC)
+            tile!(micro_12x32, simd::AVX512_MR, simd::AVX512_NR, simd::AVX512_MC, simd::AVX512_NC)
         }
         #[cfg(not(target_arch = "x86_64"))]
         Kernel::Avx2 | Kernel::Avx512 => unreachable!("SIMD kernel resolved on a non-x86_64 target"),
@@ -394,39 +533,70 @@ fn packed(
 }
 
 /// The `jc → pc → ic` loop nest over `MC × NC` blocks of C and `KC`-deep
-/// slices, for any `MR × NR` register tile.
+/// slices, for any `MR × NR` register tile, with C's `(i, j)` at
+/// `c[i·c_rs + j·c_cs]`. Within a block the tile walks B's panels, then
+/// A's. A whole panel of an in-place operand is read where it lies, by the
+/// `in_place` tile; the rest — all of a packed operand, the partial edge
+/// of an in-place one — is packed and read by the `packed` tile.
 ///
-/// Never inlined: each tile's nest (packers and macro-kernel inlined into
-/// it) is then optimised as a function of its own. Folded together into
-/// `packed`, the three nests shared one register allocation and the 6×16
-/// one came out 5 % slower than it was alone (`Aᵀ·B`, 1024→10, m = 346).
+/// Never inlined: each tile's nest (packers inlined into it) is then
+/// optimised as a function of its own. Folded together into `tiled`, the
+/// three nests shared one register allocation and the 6×16 one came out
+/// 5 % slower than it was alone (`Aᵀ·B`, 1024→10, m = 346).
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn gemm_serial<const MR: usize, const NR: usize, const MC: usize, const NC: usize>(
-    micro: MicroKernel,
+    (packed, in_place): (MicroKernel, MicroKernel),
     m: usize,
     n: usize,
     k: usize,
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    b: &[f32],
-    b_rs: usize,
-    b_cs: usize,
+    a: Operand<'_>,
+    b: Operand<'_>,
     c: &mut [f32],
+    (c_rs, c_cs): (usize, usize),
+    acc: bool,
 ) {
     const { assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NR), "cache blocks hold whole panels") };
     let mut apack = scratch::take(MC * KC);
     let mut bpack = scratch::take(KC * NC);
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
+        let b_whole = if b.in_place { nc / NR } else { 0 };
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b_panels::<NR>(bpack.as_mut_slice(), b, b_rs, b_cs, pc, jc, kc, nc);
+            pack_b_panels::<NR>(bpack.as_mut_slice(), b, pc, jc + b_whole * NR, kc, nc - b_whole * NR);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                pack_a_panels::<MR>(apack.as_mut_slice(), a, a_rs, a_cs, ic, pc, kc, mc);
-                macro_kernel::<MR, NR>(micro, apack.as_slice(), bpack.as_slice(), c, ic, jc, mc, nc, kc, n);
+                let a_whole = if a.in_place { mc / MR } else { 0 };
+                pack_a_panels::<MR>(apack.as_mut_slice(), a, ic + a_whole * MR, pc, kc, mc - a_whole * MR);
+                for q in 0..nc.div_ceil(NR) {
+                    let bp = match q.checked_sub(b_whole) {
+                        None => &b.data[pc * b.rs + jc + q * NR..],
+                        Some(q) => &bpack[q * kc * NR..][..kc * NR],
+                    };
+                    for p in 0..mc.div_ceil(MR) {
+                        let ap = match p.checked_sub(a_whole) {
+                            None => &a.data[(ic + p * MR) * a.rs + pc..],
+                            Some(p) => &apack[p * kc * MR..][..kc * MR],
+                        };
+                        let micro = if p < a_whole || q < b_whole { in_place } else { packed };
+                        let tile = Tile {
+                            kc,
+                            mr: MR.min(mc - p * MR),
+                            nr: NR.min(nc - q * NR),
+                            a_rs: a.rs,
+                            ldb: b.rs,
+                            c_rs,
+                            c_cs,
+                            store: !acc && pc == 0,
+                        };
+                        let c0 = (ic + p * MR) * c_rs + (jc + q * NR) * c_cs;
+                        // SAFETY: `micro` is a tile of the kernel `tiled`
+                        // matched on, whose target features the CPU was
+                        // detected to have.
+                        unsafe { micro(&tile, ap, bp, &mut c[c0..]) };
+                    }
+                }
             }
         }
     }
@@ -436,25 +606,15 @@ fn gemm_serial<const MR: usize, const NR: usize, const MC: usize, const NC: usiz
 /// panel (`dst[panel][kk·P + r]`), zero-padding the final partial panel.
 /// Const-generic over the panel height, so each tile gets its own
 /// monomorphized packer with the inner loop unrolled.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS-style (ptr, rs, cs, block offsets) shape
-fn pack_a_panels<const P: usize>(
-    dst: &mut [f32],
-    a: &[f32],
-    a_rs: usize,
-    a_cs: usize,
-    ic: usize,
-    pc: usize,
-    kc: usize,
-    mc: usize,
-) {
+fn pack_a_panels<const P: usize>(dst: &mut [f32], a: Operand<'_>, ic: usize, pc: usize, kc: usize, mc: usize) {
     let mut d = 0;
     for p in 0..mc.div_ceil(P) {
         let rbase = ic + p * P;
         let rmax = P.min(mc - p * P);
         for kk in 0..kc {
-            let col = (pc + kk) * a_cs;
+            let col = (pc + kk) * a.cs;
             for r in 0..P {
-                dst[d] = if r < rmax { a[(rbase + r) * a_rs + col] } else { 0.0 };
+                dst[d] = if r < rmax { a.data[(rbase + r) * a.rs + col] } else { 0.0 };
                 d += 1;
             }
         }
@@ -463,78 +623,75 @@ fn pack_a_panels<const P: usize>(
 
 /// Pack a `kc × nc` block of B into `P`-column panels, k-major within each
 /// panel (`dst[panel][kk·P + j]`), zero-padding the final partial panel.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS-style (ptr, rs, cs, block offsets) shape
-fn pack_b_panels<const P: usize>(
-    dst: &mut [f32],
-    b: &[f32],
-    b_rs: usize,
-    b_cs: usize,
-    pc: usize,
-    jc: usize,
-    kc: usize,
-    nc: usize,
-) {
+fn pack_b_panels<const P: usize>(dst: &mut [f32], b: Operand<'_>, pc: usize, jc: usize, kc: usize, nc: usize) {
     let mut d = 0;
     for q in 0..nc.div_ceil(P) {
         let cbase = jc + q * P;
         let cmax = P.min(nc - q * P);
         for kk in 0..kc {
-            let row = (pc + kk) * b_rs;
+            let row = (pc + kk) * b.rs;
             for j in 0..P {
-                dst[d] = if j < cmax { b[row + (cbase + j) * b_cs] } else { 0.0 };
+                dst[d] = if j < cmax { b.data[row + (cbase + j) * b.cs] } else { 0.0 };
                 d += 1;
             }
         }
     }
 }
 
-/// Multiply one packed A block against one packed B block, accumulating
-/// into the `mc × nc` region of C at `(ic, jc)`, one register tile at a time.
-#[allow(clippy::too_many_arguments)]
-fn macro_kernel<const MR: usize, const NR: usize>(
-    micro: MicroKernel,
-    apack: &[f32],
-    bpack: &[f32],
-    c: &mut [f32],
-    ic: usize,
-    jc: usize,
-    mc: usize,
-    nc: usize,
-    kc: usize,
-    ldc: usize,
+/// What every tile checks before it reads without bounds checks: read at
+/// the strides the tile uses, A and B cover `kc` steps of the whole
+/// `MR × NR` tile, and the live `mr × nr` corner of C lies inside `c`.
+#[inline(always)]
+pub(super) fn assert_tile_in_bounds<const MR: usize, const NR: usize>(
+    t: &Tile,
+    (a_rs, a_cs): (usize, usize),
+    ldb: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &[f32],
 ) {
-    for q in 0..nc.div_ceil(NR) {
-        let bp = &bpack[q * kc * NR..][..kc * NR];
-        let nr = NR.min(nc - q * NR);
-        for p in 0..mc.div_ceil(MR) {
-            let ap = &apack[p * kc * MR..][..kc * MR];
-            let mr = MR.min(mc - p * MR);
-            let c0 = (ic + p * MR) * ldc + jc + q * NR;
-            // SAFETY: `micro` is the tile of the kernel `packed` matched on,
-            // whose target features the CPU was detected to have.
-            unsafe { micro(kc, ap, bp, &mut c[c0..], ldc, mr, nr) };
-        }
-    }
+    let (kc, mr, nr) = (t.kc, t.mr, t.nr);
+    assert!(kc > 0, "a tile sums at least one step");
+    assert!(a.len() > (MR - 1) * a_rs + (kc - 1) * a_cs && b.len() >= (kc - 1) * ldb + NR, "operands shorter than kc steps");
+    assert!((1..=MR).contains(&mr) && (1..=NR).contains(&nr), "live corner {mr}x{nr} outside the {MR}x{NR} tile");
+    assert!(c.len() > (mr - 1) * t.c_rs + (nr - 1) * t.c_cs, "tile runs past the end of C");
 }
 
 /// The scalar register tile, a [`MicroKernel`]. Panels are zero-padded, so
 /// the accumulate loop has no edge branches; its fixed-size body unrolls
 /// and autovectorizes. Every multiply is rounded before its add.
-fn micro_2x16(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
+///
+/// Loads go unchecked behind one bounds assert, as in the SIMD tiles:
+/// indexed with checks, the loop ran 1.45× slower. Where C's rows are
+/// contiguous it is updated by zipping each accumulator row with its C
+/// row: with the strided form alone, LLVM split the accumulators into
+/// scalars and the loop came out shuffling lanes, 1.4× slower again.
+fn micro_2x16<const A_IN_PLACE: bool, const B_IN_PLACE: bool>(t: &Tile, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let (a_rs, a_cs) = t.a_strides::<A_IN_PLACE, MR>();
+    let ldb = t.b_stride::<B_IN_PLACE, NR>();
+    assert_tile_in_bounds::<MR, NR>(t, (a_rs, a_cs), ldb, a, b, c);
     let mut acc = [[0.0f32; NR]; MR];
-    for (af, bf) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc) {
-        let bv: [f32; NR] = bf.try_into().expect("NR-wide panel fragment");
-        for r in 0..MR {
-            let ar = af[r];
-            for (av, &b) in acc[r].iter_mut().zip(&bv) {
+    for kk in 0..t.kc {
+        // SAFETY: `kk < kc`, `r < MR` and `j < NR` stay inside `a` and `b`
+        // at these strides, by the assert above.
+        let bv: [f32; NR] = std::array::from_fn(|j| unsafe { *b.get_unchecked(kk * ldb + j) });
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            // SAFETY: as for `bv`, by the same assert.
+            let ar = unsafe { *a.get_unchecked(r * a_rs + kk * a_cs) };
+            for (av, &b) in acc_row.iter_mut().zip(&bv) {
                 *av += ar * b;
             }
         }
     }
-    for (r, acc_row) in acc.iter().enumerate().take(mr) {
-        let crow = &mut c[r * ldc..][..nr];
-        for (cv, av) in crow.iter_mut().zip(acc_row) {
-            *cv += av;
+    for (r, acc_row) in acc.iter().enumerate().take(t.mr) {
+        if t.c_cs == 1 {
+            for (cv, &sum) in c[r * t.c_rs..][..t.nr].iter_mut().zip(acc_row) {
+                t.put(cv, sum);
+            }
+        } else {
+            for (j, &sum) in acc_row.iter().enumerate().take(t.nr) {
+                t.put(&mut c[r * t.c_rs + j * t.c_cs], sum);
+            }
         }
     }
 }
@@ -696,5 +853,107 @@ mod tests {
         let after = scratch::stats();
         assert_eq!(after.allocations, before.allocations, "warm gemm must reuse its packing buffers");
         assert!(after.reuses > before.reuses);
+    }
+
+    /// The tile families this CPU has: the scalar tile, then the AVX2 and
+    /// AVX-512 tiles where detected.
+    fn families() -> Vec<(Kernel, usize)> {
+        let mut out = vec![(Kernel::Scalar, NR)];
+        if simd::avx2_available() {
+            out.push((Kernel::Avx2, simd::AVX2_NR));
+        }
+        if simd::avx512_available() {
+            out.push((Kernel::Avx512, simd::AVX512_NR));
+        }
+        out
+    }
+
+    /// The three products over an `m·k` and a `k·n` buffer, as
+    /// `(name, a_rs, a_cs, b_rs, b_cs)` and the layout each takes in place.
+    fn products(m: usize, n: usize, k: usize) -> [(&'static str, [usize; 4], Layout); 3] {
+        [("A·B", [k, 1, n, 1], Layout::BRows), ("Aᵀ·B", [1, m, n, 1], Layout::BRows), ("A·Bᵀ", [k, 1, 1, k], Layout::Transposed)]
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Each tile family reads the big operand in place and gives the bits
+    /// of its own packed path, for all three products, accumulating or not,
+    /// from the first row count the in-place layouts take to the first they
+    /// do not, across the panel edges (`NR ± 1`, and W's `MR` edges when
+    /// transposed), the `KC` cuts and the narrow rule — and what
+    /// `gemm_strided_acc` does at each shape gives them too. An unoptimised
+    /// build (the `test` stage; `kernels` runs it all, optimised) checks the
+    /// three boundary row counts at three of the shapes.
+    #[test]
+    fn in_place_is_bitwise_the_packed_path() {
+        let quick = cfg!(debug_assertions);
+        for (kernel, nr) in families() {
+            for m in SKINNY_ROWS + 1..=IN_PLACE_ROWS + 1 {
+                let edge = m == SKINNY_ROWS + 1 || m >= IN_PLACE_ROWS;
+                let shapes: Vec<(usize, usize)> = if quick {
+                    if !edge {
+                        continue;
+                    }
+                    vec![(nr - 1, KC + 1), (nr + 1, KC - 1), (NARROW, KC)]
+                } else {
+                    let mut shapes = Vec::new();
+                    for n in [nr - 1, nr, nr + 1, NARROW] {
+                        shapes.extend([KC - 1, KC, KC + 1].map(|k| (n, k)));
+                    }
+                    if edge || m % 8 == 0 {
+                        shapes.extend([(1024, KC + 1), (nr + 1, 1024), (1024, 1024)]);
+                    }
+                    shapes
+                };
+                for (n, k) in shapes {
+                    let (a, b) = (fill((m * 31 + n) as u64, m * k), fill((k * 17 + n) as u64, k * n));
+                    for (name, [a_rs, a_cs, b_rs, b_cs], in_place) in products(m, n, k) {
+                        let expected = if m <= IN_PLACE_ROWS { in_place } else { Layout::Packed };
+                        assert_eq!(Layout::of(m, b_rs, b_cs), expected, "{name} at {m} rows");
+                        for acc in [false, true] {
+                            // What C held before: stale under a store, summed onto otherwise.
+                            let before = if acc { fill((m + n + k) as u64, m * n) } else { vec![f32::NAN; m * n] };
+                            let run = |layout: Option<Layout>| {
+                                let mut c = before.clone();
+                                match layout {
+                                    Some(layout) => tiled(kernel, layout, m, n, k, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut c, acc),
+                                    None => simd::with_kernel(kernel, || {
+                                        gemm_strided_acc(m, n, k, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut c, acc)
+                                    }),
+                                }
+                                bits(&c)
+                            };
+                            let packed = run(Some(Layout::Packed));
+                            let label = format!("{kernel} {name} {m}x{n}x{k} acc={acc}");
+                            assert!(packed.iter().all(|&v| !f32::from_bits(v).is_nan()), "{label}: C leaked through");
+                            assert!(run(Some(in_place)) == packed, "{label}: in place departs from packed");
+                            assert!(run(None) == packed, "{label}: the dispatch departs from packed");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `acc = false` writes `0 + sum` on every path — the unpacked nests, a
+    /// layout in place and the packed one — so products that are all −0
+    /// come out +0, the bits clearing C and then adding give, whatever C
+    /// held before.
+    #[test]
+    fn store_first_turns_negative_zero_products_into_positive_zero() {
+        // Skinny and small (unpacked), in place, packed.
+        for (kernel, _) in families() {
+            for (m, n, k) in [(2, 200, 300), (4, 4, 4), (16, 64, 300), (80, 40, 300)] {
+                let (a, b) = (vec![0.0f32; m * k], vec![-1.0f32; k * n]);
+                for (name, [a_rs, a_cs, b_rs, b_cs], _) in products(m, n, k) {
+                    let mut c = vec![-0.0f32; m * n];
+                    c[0] = f32::NAN;
+                    simd::with_kernel(kernel, || gemm_strided_acc(m, n, k, &a, a_rs, a_cs, &b, b_rs, b_cs, &mut c, false));
+                    assert!(bits(&c).iter().all(|&v| v == 0), "{kernel} {name} {m}x{n}x{k}: {:?}", &c[..4]);
+                }
+            }
+        }
     }
 }

@@ -43,9 +43,10 @@
 //! worker threads as a value, so an override installed on the calling
 //! thread governs the whole operation, spawned workers included.
 //!
-//! The packers, the loop nest and the macro-kernel are the scalar core's,
-//! instantiated per tile; only the register tile and the block sizes
-//! differ. The unpacked path (`blocked::unpacked`, for small and skinny
+//! The packers and the loop nest are the scalar core's, instantiated per
+//! tile; only the register tile and the block sizes differ. Each tile also
+//! reads an operand in place for the skinny layouts (`blocked::Layout`),
+//! as one more const-generic instantiation of the same body. The unpacked path (`blocked::unpacked`, for small and skinny
 //! products) is one body for all kernels: here it is inlined into
 //! `unpacked_avx2`, whose target features widen its loops to `ymm` and
 //! fuse its multiply-adds, and [`Kernel::Avx512`] runs that same build, so
@@ -56,6 +57,9 @@
 
 use std::cell::Cell;
 use std::sync::OnceLock;
+
+#[cfg(target_arch = "x86_64")]
+use super::blocked::{assert_tile_in_bounds, Tile};
 
 /// Environment variable selecting the GEMM kernel policy.
 pub const SIMD_ENV: &str = "CANNIKIN_SIMD";
@@ -315,27 +319,9 @@ pub(super) unsafe fn unpacked_avx2(
     super::blocked::unpacked::<true>(m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c, acc);
 }
 
-/// What every SIMD tile checks before it drops to raw pointers: the packed
-/// panels cover `kc` steps and the live `mr × nr` corner lies inside `c`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn assert_tile_in_bounds<const MR: usize, const NR: usize>(
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    c: &[f32],
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    assert!(ap.len() >= kc * MR && bp.len() >= kc * NR, "packed panels shorter than kc steps");
-    assert!((1..=MR).contains(&mr) && (1..=NR).contains(&nr), "live corner {mr}x{nr} outside the {MR}x{NR} tile");
-    assert!(c.len() >= (mr - 1) * ldc + nr, "tile runs past the end of C");
-}
-
 /// 6×16 AVX2+FMA register tile, a [`MicroKernel`](super::blocked::MicroKernel):
-/// `acc[r][j] += ap[kk·6 + r] · bp[kk·16 + j]` over `kk < kc`, then
-/// `C[r][j] += acc[r][j]` for the live `mr × nr` corner.
+/// `acc[r][j] += A(r, kk) · B(kk, j)` over `kk < kc`, then
+/// `C(r, j) += acc[r][j]` for the live `mr × nr` corner.
 ///
 /// Register budget per `k` step: 12 accumulators + 2 B lanes + 1 broadcast
 /// A value = 15 of the 16 `ymm` registers, so nothing spills.
@@ -345,39 +331,52 @@ fn assert_tile_in_bounds<const MR: usize, const NR: usize>(
 /// Caller must ensure AVX2 and FMA are available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-pub(super) unsafe fn micro_6x16(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
+pub(super) unsafe fn micro_6x16<const A_IN_PLACE: bool, const B_IN_PLACE: bool>(
+    t: &Tile,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     use std::arch::x86_64::*;
-    assert_tile_in_bounds::<AVX2_MR, AVX2_NR>(kc, ap, bp, c, ldc, mr, nr);
-    let (ap, bp, c) = (ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
-    // SAFETY (the pointer arithmetic below): reads stay under `kc·6` /
-    // `kc·16` floats of the panels and writes land at `r·ldc + j` with
-    // `r < mr`, `j < nr`, all inside the slices by the asserts above.
+    let (a_rs, a_cs) = t.a_strides::<A_IN_PLACE, AVX2_MR>();
+    let ldb = t.b_stride::<B_IN_PLACE, AVX2_NR>();
+    assert_tile_in_bounds::<AVX2_MR, AVX2_NR>(t, (a_rs, a_cs), ldb, a, b, c);
+    let (ap, bp, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    // SAFETY (the pointer arithmetic below): reads stay within `kc` steps
+    // of the tile at the strides above and writes land at
+    // `r·c_rs + j·c_cs` with `r < mr`, `j < nr`, all inside the slices by
+    // the asserts above.
     let mut acc = [[_mm256_setzero_ps(); 2]; AVX2_MR];
-    for kk in 0..kc {
-        let b0 = _mm256_loadu_ps(bp.add(kk * AVX2_NR));
-        let b1 = _mm256_loadu_ps(bp.add(kk * AVX2_NR + 8));
+    for kk in 0..t.kc {
+        let b0 = _mm256_loadu_ps(bp.add(kk * ldb));
+        let b1 = _mm256_loadu_ps(bp.add(kk * ldb + 8));
         for (r, acc_row) in acc.iter_mut().enumerate() {
-            let av = _mm256_set1_ps(*ap.add(kk * AVX2_MR + r));
+            let av = _mm256_set1_ps(*ap.add(r * a_rs + kk * a_cs));
             acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
             acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
         }
     }
-    if mr == AVX2_MR && nr == AVX2_NR {
-        // Full tile: straight vector read-modify-write of the C rows.
+    if t.mr == AVX2_MR && t.nr == AVX2_NR && t.c_cs == 1 {
+        // Full tile along C's rows: straight vector read-modify-write.
         for (r, acc_row) in acc.iter().enumerate() {
-            let crow = c.add(r * ldc);
-            _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), acc_row[0]));
-            _mm256_storeu_ps(crow.add(8), _mm256_add_ps(_mm256_loadu_ps(crow.add(8)), acc_row[1]));
+            let crow = c.add(r * t.c_rs);
+            let (c0, c1) = if t.store {
+                (_mm256_setzero_ps(), _mm256_setzero_ps())
+            } else {
+                (_mm256_loadu_ps(crow), _mm256_loadu_ps(crow.add(8)))
+            };
+            _mm256_storeu_ps(crow, _mm256_add_ps(c0, acc_row[0]));
+            _mm256_storeu_ps(crow.add(8), _mm256_add_ps(c1, acc_row[1]));
         }
     } else {
-        // Edge tile: spill the accumulators and add only the live lanes.
+        // Edge tile, or C written down its columns: spill the accumulators
+        // and put only the live lanes.
         let mut tmp = [0.0f32; AVX2_NR];
-        for (r, acc_row) in acc.iter().enumerate().take(mr) {
+        for (r, acc_row) in acc.iter().enumerate().take(t.mr) {
             _mm256_storeu_ps(tmp.as_mut_ptr(), acc_row[0]);
             _mm256_storeu_ps(tmp.as_mut_ptr().add(8), acc_row[1]);
-            let crow = c.add(r * ldc);
-            for (j, &v) in tmp.iter().enumerate().take(nr) {
-                *crow.add(j) += v;
+            for (j, &sum) in tmp.iter().enumerate().take(t.nr) {
+                t.put(&mut *c.add(r * t.c_rs + j * t.c_cs), sum);
             }
         }
     }
@@ -390,43 +389,64 @@ pub(super) unsafe fn micro_6x16(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32]
 /// to the bit.
 ///
 /// Register budget per `k` step: 24 accumulators + 2 B lanes + 1 broadcast
-/// A value = 27 of the 32 `zmm` registers. Write masks cover the column
-/// edge, so there is no spill path.
+/// A value = 27 of the 32 `zmm` registers. Along C's rows, write masks
+/// cover the column edge; only C written down its columns spills.
 ///
 /// # Safety
 ///
 /// Caller must ensure AVX-512F, AVX2 and FMA are available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-pub(super) unsafe fn micro_12x32(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
+pub(super) unsafe fn micro_12x32<const A_IN_PLACE: bool, const B_IN_PLACE: bool>(
+    t: &Tile,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
     use std::arch::x86_64::*;
-    assert_tile_in_bounds::<AVX512_MR, AVX512_NR>(kc, ap, bp, c, ldc, mr, nr);
-    let (ap, bp, c) = (ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
+    let (a_rs, a_cs) = t.a_strides::<A_IN_PLACE, AVX512_MR>();
+    let ldb = t.b_stride::<B_IN_PLACE, AVX512_NR>();
+    assert_tile_in_bounds::<AVX512_MR, AVX512_NR>(t, (a_rs, a_cs), ldb, a, b, c);
+    let (ap, bp, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
     // SAFETY (the pointer arithmetic below): as in `micro_6x16`; a masked
     // load or store touches only the lanes its mask names, `j < nr`.
     let mut acc = [[_mm512_setzero_ps(); 2]; AVX512_MR];
-    for kk in 0..kc {
-        let b0 = _mm512_loadu_ps(bp.add(kk * AVX512_NR));
-        let b1 = _mm512_loadu_ps(bp.add(kk * AVX512_NR + 16));
+    for kk in 0..t.kc {
+        let b0 = _mm512_loadu_ps(bp.add(kk * ldb));
+        let b1 = _mm512_loadu_ps(bp.add(kk * ldb + 16));
         for (r, acc_row) in acc.iter_mut().enumerate() {
-            let av = _mm512_set1_ps(*ap.add(kk * AVX512_MR + r));
+            let av = _mm512_set1_ps(*ap.add(r * a_rs + kk * a_cs));
             acc_row[0] = _mm512_fmadd_ps(av, b0, acc_row[0]);
             acc_row[1] = _mm512_fmadd_ps(av, b1, acc_row[1]);
         }
     }
+    if t.c_cs != 1 {
+        // C written down its columns: spill the accumulators and put the
+        // live lanes one by one.
+        let mut tmp = [0.0f32; AVX512_NR];
+        for (r, acc_row) in acc.iter().enumerate().take(t.mr) {
+            _mm512_storeu_ps(tmp.as_mut_ptr(), acc_row[0]);
+            _mm512_storeu_ps(tmp.as_mut_ptr().add(16), acc_row[1]);
+            for (j, &sum) in tmp.iter().enumerate().take(t.nr) {
+                t.put(&mut *c.add(r * t.c_rs + j * t.c_cs), sum);
+            }
+        }
+        return;
+    }
     // `break`s, not `take`: with constant trip counts the loops unroll and
     // the accumulators are stored from their registers, not via the stack.
     for (r, acc_row) in acc.iter().enumerate() {
-        if r >= mr {
+        if r >= t.mr {
             break;
         }
         for (lane, &sum) in acc_row.iter().enumerate() {
-            if 16 * lane >= nr {
+            if 16 * lane >= t.nr {
                 break;
             }
-            let live: __mmask16 = 0xFFFF >> (16 - (nr - 16 * lane).min(16));
-            let cv = c.add(r * ldc + 16 * lane);
-            _mm512_mask_storeu_ps(cv, live, _mm512_add_ps(_mm512_maskz_loadu_ps(live, cv), sum));
+            let live: __mmask16 = 0xFFFF >> (16 - (t.nr - 16 * lane).min(16));
+            let cv = c.add(r * t.c_rs + 16 * lane);
+            let old = if t.store { _mm512_setzero_ps() } else { _mm512_maskz_loadu_ps(live, cv) };
+            _mm512_mask_storeu_ps(cv, live, _mm512_add_ps(old, sum));
         }
     }
 }
