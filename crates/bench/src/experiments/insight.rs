@@ -1,8 +1,9 @@
 //! The `insight` experiment: the §6 contention scenario watched live by
 //! `cannikin-insight` — five healthy epochs on cluster B, a mid-run
-//! contention injection on node 0, the monitor's straggler verdict and
-//! the engine's forced re-profile, then an offline replay of the drained
-//! trace showing the detectors reproduce their online verdicts exactly.
+//! contention injection on node 0, the analyzer's regime change (which
+//! re-profiles the node) reported as a straggler, then an offline replay
+//! of the drained trace showing the detectors reproduce their online
+//! verdicts exactly.
 
 use crate::row;
 use cannikin_core::engine::{CannikinTrainer, TrainerConfig};
@@ -33,8 +34,7 @@ pub fn insight_run() -> String {
         .build()
         .expect("valid config");
 
-    trainer.attach_monitor(Monitor::install(InsightConfig::default()));
-
+    let monitor = Monitor::install(InsightConfig::default());
     let session = telemetry::Session::start();
     let mut epochs = trainer.run_epochs(HEALTHY_EPOCHS).expect("healthy run");
     // §6: node 0 (an A100) loses 60% of its compute to a co-located job.
@@ -43,7 +43,7 @@ pub fn insight_run() -> String {
     let records = session.drain();
     drop(session);
 
-    let report = trainer.health().expect("monitor attached");
+    let report = monitor.report();
     let rerun = replay::analyze(&records, InsightConfig::default());
 
     let mut out = format!(
@@ -71,9 +71,9 @@ pub fn insight_run() -> String {
         );
     }
 
-    // The split's reaction: node 0's share collapses once the monitor
-    // forces its re-profile, then the model re-engages on the slowed
-    // coefficients.
+    // The split's reaction: node 0's share collapses once the analyzer
+    // drops its stale law and re-profiles it, then the model re-engages on
+    // the slowed coefficients.
     out.push('\n');
     let widths = [6, 7, 8, 11, 10];
     out += &row(

@@ -1,14 +1,14 @@
 //! The `slo` experiment: fleet mission control end-to-end. A pinned
-//! fleet trace runs with the live SLO monitor and the time-series
-//! recorder attached; afterwards the drained trace is replayed offline
-//! and the report shows (a) the exported gauge values, (b) the SLO
-//! compliance table, and (c) the online/offline verdict agreement the
-//! determinism contract promises.
+//! fleet trace runs with the live SLO monitor attached; afterwards the
+//! drained trace is replayed offline and the report shows (a) the final
+//! gauge values the trace carries, (b) the SLO compliance table, and (c)
+//! the online/offline verdict agreement the determinism contract
+//! promises.
 
 use super::fleet::fleet_pool;
 use cannikin_fleet::{synthetic_trace, AllocPolicy, FleetController};
-use cannikin_insight::{replay_slos, SloMonitor};
-use cannikin_telemetry::{self as telemetry, Labels, SeriesRecorder};
+use cannikin_insight::{report, InsightConfig, SloMonitor};
+use cannikin_telemetry as telemetry;
 
 /// Seed of the pinned arrival trace (the first `gate fleet` seed).
 const SEED: u64 = 7;
@@ -30,31 +30,26 @@ pub fn slo() -> String {
     let rules = controller.slo_rules();
 
     let monitor = SloMonitor::install(rules.clone());
-    let series = SeriesRecorder::install();
     let session = telemetry::Session::start();
     controller.run_to_completion(50_000).expect("stream drains");
     let records = session.drain();
     drop(session);
 
-    let store = series.store();
-    let none = Labels::default();
+    let fleet = report::build(&records, InsightConfig::default(), &rules);
     let mut out = format!(
         "slo — fleet mission control over the s{SEED} trace ({} events, {} rules)\n\n",
         records.len(),
         rules.len()
     );
-    out += "final gauges (series store):\n";
+    out += "final gauges:\n";
     for name in ["fleet_goodput", "fleet_fairness", "fleet_pool_util", "fleet_queue_depth"] {
-        if let Some(value) = store.last(name, &none) {
+        if let Some((_, value)) = fleet.gauges.iter().find(|(gauge, _)| gauge == name) {
             out += &format!("  {name} = {value:.4}\n");
         }
     }
-    out += &format!(
-        "  fleet_decisions_total = {}\n\n",
-        store.counter_total("fleet_decisions_total", &none).unwrap_or(0.0)
-    );
+    out += &format!("  fleet_decisions_total = {}\n\n", fleet.decisions);
 
-    let offline = replay_slos(&records, &rules);
+    let offline = &fleet.slo;
     out += &offline.render();
     let online = monitor.violations();
     out += &format!(

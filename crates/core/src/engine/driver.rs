@@ -1,13 +1,12 @@
 //! The one epoch loop of Fig. 4: ask the [`Policy`] for a plan, have an
-//! [`Executor`] run it, tell the policy what happened, act on the health
-//! verdicts.
+//! [`Executor`] run it, tell the policy what happened.
 //!
 //! This is the kurobako split: the policy is the *solver*, the executor
 //! is the *problem*. `SimExecutor` (`trainer.rs`) answers with hetsim
 //! physics, `ThreadedExecutor` (`parallel.rs`) with real gradients on
 //! rank threads; everything that does not depend on how a
 //! step is executed — the [`PolicyContext`], the decision telemetry, the
-//! analyzer, the monitor, the epoch counter and the last split — lives
+//! analyzer, the epoch counter and the last split — lives
 //! here once. The trait is crate-private: it exists so the loop is
 //! written once and a test can script an executor, not as an extension
 //! point.
@@ -16,8 +15,7 @@ use crate::error::CannikinError;
 use crate::perf::Analyzer;
 use crate::policy::{EpochObservation, EpochPlan, Policy, PolicyContext};
 
-use cannikin_insight::{HealthReport, Monitor};
-use cannikin_telemetry::{self as telemetry, AnomalyKind, Event, PolicyDecision, SplitDecision};
+use cannikin_telemetry::{self as telemetry, Event, PolicyDecision, SplitDecision};
 use std::time::Instant;
 
 /// The batch-size envelope an executor trains within.
@@ -79,7 +77,6 @@ pub(crate) struct Driver<E: Executor> {
     pub exec: E,
     pub analyzer: Analyzer,
     pub policy: Box<dyn Policy>,
-    pub monitor: Option<Monitor>,
     /// Epochs run so far (the next epoch's index).
     pub epoch: usize,
     /// The split the previous epoch finished with (empty before epoch 0
@@ -90,12 +87,7 @@ pub(crate) struct Driver<E: Executor> {
 impl<E: Executor> Driver<E> {
     pub fn new(exec: E, policy: Box<dyn Policy>) -> Self {
         let analyzer = exec.new_analyzer();
-        Driver { exec, analyzer, policy, monitor: None, epoch: 0, last_split: Vec::new() }
-    }
-
-    /// The attached monitor's current health report, if one is installed.
-    pub fn health(&self) -> Option<HealthReport> {
-        self.monitor.as_ref().map(|m| m.report())
+        Driver { exec, analyzer, policy, epoch: 0, last_split: Vec::new() }
     }
 
     /// The node set changed between epochs: the policy drops state keyed
@@ -105,7 +97,7 @@ impl<E: Executor> Driver<E> {
         self.last_split.clear();
     }
 
-    /// Run one epoch: ask → execute → tell → health.
+    /// Run one epoch: ask → execute → tell.
     ///
     /// # Errors
     ///
@@ -156,40 +148,9 @@ impl<E: Executor> Driver<E> {
             self.policy.on_membership_change(self.exec.nodes());
         }
         self.policy.tell(&ran.observation);
-        self.apply_health();
         self.epoch += 1;
         self.last_split = ran.observation.local;
         Ok(ran.report)
-    }
-
-    /// End-of-epoch health pass: flush this thread's telemetry buffer so
-    /// the monitor has seen everything the epoch emitted (rank threads
-    /// flush on exit), then act on the verdicts. A straggler flag means
-    /// the node's fitted `t = c·b + d` law no longer matches reality (e.g.
-    /// the §6 contention scenario), so trusting the learned model would
-    /// keep handing it an oversized share; clearing its observations makes
-    /// `solver_input()` fail and routes the next epochs through the
-    /// bootstrap re-profiling path.
-    fn apply_health(&mut self) {
-        let Some(monitor) = &self.monitor else { return };
-        telemetry::flush_thread();
-        let fresh = monitor.drain_new();
-        if fresh.is_empty() {
-            return;
-        }
-        telemetry::counter("health_anomalies", fresh.len() as f64);
-        let mut flagged: Vec<u32> = fresh
-            .iter()
-            .filter(|a| a.kind == AnomalyKind::Straggler)
-            .filter_map(|a| a.node)
-            .collect();
-        flagged.sort_unstable();
-        flagged.dedup();
-        for node in flagged {
-            if (node as usize) < self.analyzer.len() {
-                self.analyzer.reset_node(node as usize);
-            }
-        }
     }
 }
 
@@ -198,7 +159,6 @@ mod tests {
     use super::*;
     use crate::perf::MeasurementAggregation;
     use crate::policy::{build_sim_policy, PolicyKind};
-    use cannikin_insight::InsightConfig;
     use cannikin_telemetry::Session;
     use hetsim::trace::{BatchTrace, NodeObservation};
     use std::sync::{Arc, Mutex};
@@ -314,9 +274,7 @@ mod tests {
             .drain()
             .into_iter()
             .filter_map(|r| match r.event {
-                Event::Counter(c) if ["ask", "execute", "tell", "health_anomalies"].contains(&c.name.as_str()) => {
-                    Some(c.name)
-                }
+                Event::Counter(c) if ["ask", "execute", "tell"].contains(&c.name.as_str()) => Some(c.name),
                 _ => None,
             })
             .collect()
@@ -334,32 +292,21 @@ mod tests {
             };
             let exec = Scripted { per_sample: vec![0.001, 0.002, 0.004], finished: Vec::new() };
             let mut driver = Driver::new(exec, Box::new(policy));
-            driver.monitor = Some(Monitor::install(InsightConfig::default()));
             let session = Session::start();
 
-            // Two healthy epochs, then node 1 slows 3x: its third slowed
-            // step trips the straggler detector inside epoch 2.
+            // Two healthy epochs, then node 1 slows 3x: the next ask must
+            // see the per-sample times the slowed epoch ended with.
             let mut seen_per_sample = Vec::new();
             for epoch in 0..3 {
                 if epoch == 2 {
                     driver.exec.per_sample[1] *= 3.0;
                 }
                 driver.run_epoch().expect("scripted epoch");
-                let mut expected = vec!["ask", "execute", "tell"];
-                if epoch == 2 {
-                    expected.push("health_anomalies");
-                }
-                assert_eq!(phases(&session), expected, "{kind}: epoch {epoch} phase order");
+                assert_eq!(phases(&session), ["ask", "execute", "tell"], "{kind}: epoch {epoch} phase order");
                 seen_per_sample.push(
                     (0..3).map(|i| driver.analyzer.per_sample_time(i).unwrap_or(1.0)).collect::<Vec<f64>>(),
                 );
             }
-
-            // The verdict reset exactly the flagged node's history.
-            assert!(driver.analyzer.node_model(0).is_ok(), "{kind}: node 0 keeps its model");
-            assert!(driver.analyzer.node_model(1).is_err(), "{kind}: the straggler re-profiles");
-            assert!(driver.analyzer.node_model(2).is_ok(), "{kind}: node 2 keeps its model");
-            assert_eq!(driver.health().expect("monitor attached").straggling_nodes, vec![1]);
 
             // What one epoch ended with is what the next ask sees.
             {

@@ -1,10 +1,9 @@
 //! Training engines.
 //!
 //! Fig. 4 is one control loop — ask the [`Policy`](crate::policy::Policy)
-//! for a plan, run it, tell the policy what happened, act on the health
-//! verdicts — and it is written once, in the crate-private `driver`
-//! module. What differs between the two public engines is only the
-//! *executor* behind that loop:
+//! for a plan, run it, tell the policy what happened — and it is written
+//! once, in the crate-private `driver` module. What differs between the
+//! two public engines is only the *executor* behind that loop:
 //!
 //! - [`CannikinTrainer`] drives a [`hetsim::Simulator`] at paper scale
 //!   (16-GPU clusters, ImageNet-sized jobs): batch timings come from the

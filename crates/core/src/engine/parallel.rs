@@ -50,7 +50,6 @@ use crate::policy::{EpochObservation, Policy};
 use cannikin_collectives::{
     Codec, CommError, CommFaultPlan, CommGroup, Communicator, ErrorFeedback, RetryPolicy, TransportKind,
 };
-use cannikin_insight::{HealthReport, Monitor};
 use cannikin_telemetry::{self as telemetry, AllReduceBucket, Event, RecoveryAction, RecoveryKind, StepTiming};
 use hetsim::trace::{BatchTrace, NodeObservation};
 use rand::rngs::StdRng;
@@ -194,19 +193,6 @@ impl ParallelTrainer {
             ranks: Vec::new(),
         };
         ParallelTrainer { driver: Driver::new(exec, policy) }
-    }
-
-    /// Attach an online [`Monitor`]: after every epoch the trainer drains
-    /// its fresh anomalies, records a `health_anomalies` counter, and
-    /// discards the compute-law observations of any rank flagged as a
-    /// straggler so the next epochs re-profile it via the bootstrap path.
-    pub fn attach_monitor(&mut self, monitor: Monitor) {
-        self.driver.monitor = Some(monitor);
-    }
-
-    /// The attached monitor's current health report, if one is installed.
-    pub fn health(&self) -> Option<HealthReport> {
-        self.driver.health()
     }
 
     /// Smoothed gradient noise scale, if available.

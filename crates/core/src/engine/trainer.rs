@@ -9,7 +9,6 @@ use crate::perf::{Analyzer, MeasurementAggregation};
 use crate::policy::{EpochObservation, Policy};
 
 use cannikin_collectives::CommError;
-use cannikin_insight::{HealthReport, Monitor};
 use cannikin_telemetry::{
     self as telemetry, Event, FaultKind, RecoveryAction, RecoveryKind, SplitDecision, SplitSource,
 };
@@ -78,21 +77,6 @@ impl CannikinTrainer {
     ) -> Self {
         let exec = SimExecutor { sim, noise, config, effective_epochs: 0.0, cumulative_time: 0.0 };
         CannikinTrainer { driver: Driver::new(exec, policy) }
-    }
-
-    /// Attach an online [`Monitor`]: at the end of every epoch the trainer
-    /// drains its fresh anomalies, records a `health_anomalies` counter,
-    /// and forces a re-profile of any node the monitor flagged as a
-    /// straggler (its compute-law observations are discarded, so the next
-    /// epoch falls back to the Eq. (8) bootstrap and re-measures before
-    /// the OptPerf model re-engages).
-    pub fn attach_monitor(&mut self, monitor: Monitor) {
-        self.driver.monitor = Some(monitor);
-    }
-
-    /// The attached monitor's current health report, if one is installed.
-    pub fn health(&self) -> Option<HealthReport> {
-        self.driver.health()
     }
 
     /// Warm-start from a checkpointed model (a `SolverInput` saved from a

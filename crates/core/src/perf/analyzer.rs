@@ -6,6 +6,7 @@ use crate::error::CannikinError;
 use crate::linalg::fit_line_weighted;
 use crate::optperf::{NodePerf, SolverInput};
 
+use cannikin_telemetry::{self as telemetry, Event, RegimeChange};
 use hetsim::trace::BatchTrace;
 use std::collections::BTreeMap;
 
@@ -29,14 +30,15 @@ struct NodeHistory {
 }
 
 impl NodeHistory {
-    fn observe(&mut self, b: u64, a: f64, p: f64, now: usize) {
+    fn observe(&mut self, node: usize, b: u64, a: f64, p: f64, now: usize) {
         // Change-point detection with outlier gating: a >30% deviation at
         // an already-warm batch size is either a transient straggler spike
         // (GC pause, preemption — exclude it from the mean entirely) or,
         // if it *persists* for several consecutive batches, a regime
         // change (a co-located workload appeared or left, §6) — then every
         // cached size is from the old regime, so drop the history and
-        // relearn.
+        // relearn. This is the one place the workspace decides that a
+        // node's law changed; the `regime_change` event reports it.
         let mut gated = false;
         if let Some(e) = self.by_batch.get_mut(&b) {
             if e.count >= 8.0 {
@@ -49,6 +51,14 @@ impl NodeHistory {
                     e.outlier_streak = 0;
                 }
                 if e.outlier_streak >= 5 {
+                    if telemetry::enabled() {
+                        telemetry::emit(Event::RegimeChange(RegimeChange {
+                            node: node as u32,
+                            b_i: b,
+                            expected: e.mean_a + e.mean_p,
+                            observed: a + p,
+                        }));
+                    }
                     self.by_batch.clear();
                     gated = false; // the observation seeds the new regime
                 }
@@ -228,7 +238,7 @@ impl Analyzer {
     pub fn observe_batch(&mut self, trace: &BatchTrace) {
         assert_eq!(trace.observations.len(), self.nodes.len(), "trace node count mismatch");
         for obs in &trace.observations {
-            self.nodes[obs.node].observe(obs.local_batch, obs.a_time, obs.p_time, self.batches_seen);
+            self.nodes[obs.node].observe(obs.node, obs.local_batch, obs.a_time, obs.p_time, self.batches_seen);
             self.gamma.observe(obs.gamma_obs, obs.rel_variance);
             self.t_comm.observe(obs.t_comm_obs, obs.rel_variance);
             self.t_u.observe(obs.t_u_obs, obs.rel_variance);
@@ -247,21 +257,6 @@ impl Analyzer {
             .fit(self.batches_seen)
             .ok_or(CannikinError::ModelNotReady { node })?;
         Ok(NodePerf { q, s, k, m, max_batch: self.max_batches[node] })
-    }
-
-    /// Discard one node's learned compute model — the hook an external
-    /// monitor (e.g. a `cannikin-insight` straggler detector) uses to force
-    /// a re-profile: with the history cleared, [`Analyzer::node_model`]
-    /// reports not-ready, the engine falls back to the Eq. (8) bootstrap,
-    /// and the node is relearned in its new regime. The smoothed per-sample
-    /// time is kept (the bootstrap divides by it, and it keeps tracking the
-    /// node's current speed), as are the cluster-wide communication fusers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn reset_node(&mut self, node: usize) {
-        self.nodes[node].by_batch.clear();
     }
 
     /// Evict a node (crash or graceful leave): its history and memory cap
@@ -486,16 +481,30 @@ mod tests {
 #[cfg(test)]
 mod straggler_robustness {
     use super::*;
+    use cannikin_telemetry::Session;
     use hetsim::catalog::Gpu;
     use hetsim::cluster::{ClusterSpec, NodeSpec};
     use hetsim::job::JobSpec;
     use hetsim::Simulator;
+
+    /// The `regime_change` verdicts a session recorded, in order.
+    fn regime_changes(session: &Session) -> Vec<RegimeChange> {
+        session
+            .drain()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                Event::RegimeChange(change) => Some(change),
+                _ => None,
+            })
+            .collect()
+    }
 
     /// Transient straggler spikes (isolated 3x batches) must neither clear
     /// the learned history (they are not a regime change) nor drag the
     /// fitted model far from the truth.
     #[test]
     fn transient_stragglers_do_not_destroy_the_model() {
+        let session = Session::start();
         let cluster = ClusterSpec::new(
             "t",
             vec![NodeSpec::new("a", Gpu::A100), NodeSpec::new("v", Gpu::V100), NodeSpec::new("r", Gpu::Rtx6000)],
@@ -517,12 +526,14 @@ mod straggler_robustness {
             assert!((learned.k / truth.k - 1.0).abs() < 0.35, "node {node} k: {} vs {}", learned.k, truth.k);
             assert!(learned.q > 0.0 && learned.k > 0.0);
         }
+        assert_eq!(regime_changes(&session), [], "a spike is not a regime change");
     }
 
     /// A *sustained* slowdown, by contrast, must reset the history so the
     /// model tracks the new regime (the §6 contention scenario).
     #[test]
     fn sustained_slowdown_resets_and_relearns() {
+        let session = Session::start();
         let cluster = ClusterSpec::new("t", vec![NodeSpec::new("a", Gpu::Rtx6000), NodeSpec::new("b", Gpu::Rtx6000)]);
         let job = JobSpec::resnet18_cifar10();
         let mut sim = Simulator::new(cluster, job, 42);
@@ -548,5 +559,12 @@ mod straggler_robustness {
             (k_after / k_before - 2.0).abs() < 0.3,
             "slope should double after 50% contention: {k_before} -> {k_after}"
         );
+        // The reset is reported once, for the slowed node, at about 2x.
+        let changes = regime_changes(&session);
+        assert_eq!(changes.len(), 1, "{changes:?}");
+        let change = changes[0];
+        assert_eq!((change.node, change.b_i), (0, 48));
+        let severity = change.observed / change.expected;
+        assert!((severity - 2.0).abs() < 0.3, "severity {severity} should be near 2x");
     }
 }

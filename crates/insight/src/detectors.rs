@@ -1,14 +1,14 @@
 //! The anomaly detectors — one pass over a [`Record`] stream, online or
 //! offline.
 //!
-//! Every detector is a small incremental model over one event kind:
+//! Every detector is a small incremental pass over one event kind:
 //!
-//! * **Straggler** — per-node least-squares fit of the paper's
-//!   `t = c·b + d` compute law over `StepTiming` observations; an
-//!   observation far above the fitted line starts a streak, and a streak
-//!   of `straggler_patience` consecutive outliers fires (so a sustained
-//!   slowdown is flagged within `straggler_patience` steps while an
-//!   isolated GC-pause spike is not).
+//! * **Straggler** — not a model of its own: the analyzer in
+//!   `cannikin-core` is the one place that decides a node's `t = c·b + d`
+//!   law changed (a >30% deviation at a warm batch size, five batches in a
+//!   row, clears the node's history). Each `RegimeChange` it emits in
+//!   which the node got slower is reported as one straggler, stamped with
+//!   the last step seen; a node that got faster is not a straggler.
 //! * **Calibration** — each `SplitDecision` carries the solver's
 //!   `predicted_t`; the realized step times under that plan are averaged
 //!   and compared against the prediction when the *next* decision
@@ -32,19 +32,9 @@ use std::collections::BTreeMap;
 
 /// Detection thresholds. The defaults are deliberately loose: every band
 /// is far wider than the simulator's measurement noise, so a healthy run
-/// stays silent while a genuine regime change (the §6 contention
-/// scenario) fires within a few steps.
+/// stays silent while a genuine drift fires within a few observations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InsightConfig {
-    /// Relative band above the fitted compute law before a `StepTiming`
-    /// counts as an outlier.
-    pub straggler_band: f64,
-    /// Consecutive outlier steps before a [`AnomalyKind::Straggler`]
-    /// fires (the "detect within N steps" bound).
-    pub straggler_patience: u32,
-    /// Observations a node's fit needs (at two or more distinct batch
-    /// sizes) before it can judge outliers.
-    pub straggler_min_points: usize,
     /// Relative OptPerf prediction error before
     /// [`AnomalyKind::CalibrationDrift`] fires.
     pub calibration_band: f64,
@@ -66,9 +56,6 @@ pub struct InsightConfig {
 impl Default for InsightConfig {
     fn default() -> Self {
         InsightConfig {
-            straggler_band: 0.40,
-            straggler_patience: 3,
-            straggler_min_points: 8,
             calibration_band: 0.35,
             gns_band: 1.0,
             gns_warmup: 5,
@@ -77,57 +64,6 @@ impl Default for InsightConfig {
             bucket_warmup: 64,
             bucket_patience: 3,
         }
-    }
-}
-
-/// Incremental least-squares fit of `t_compute = c·b + d` for one node,
-/// with an outlier streak counter.
-#[derive(Debug, Clone, Default)]
-struct StragglerFit {
-    n: f64,
-    sum_b: f64,
-    sum_bb: f64,
-    sum_t: f64,
-    sum_bt: f64,
-    b_min: f64,
-    b_max: f64,
-    streak: u32,
-}
-
-impl StragglerFit {
-    fn absorb(&mut self, b: f64, t: f64) {
-        if self.n == 0.0 {
-            self.b_min = b;
-            self.b_max = b;
-        } else {
-            self.b_min = self.b_min.min(b);
-            self.b_max = self.b_max.max(b);
-        }
-        self.n += 1.0;
-        self.sum_b += b;
-        self.sum_bb += b * b;
-        self.sum_t += t;
-        self.sum_bt += b * t;
-    }
-
-    /// Predicted compute time at batch size `b`, once the fit has enough
-    /// leverage (two distinct sizes) and is physically plausible.
-    fn predict(&self, b: f64, min_points: usize) -> Option<f64> {
-        if self.n < min_points as f64 || self.b_max <= self.b_min {
-            return None;
-        }
-        let denom = self.n * self.sum_bb - self.sum_b * self.sum_b;
-        if denom.abs() < 1e-12 {
-            return None;
-        }
-        let slope = (self.n * self.sum_bt - self.sum_b * self.sum_t) / denom;
-        let intercept = (self.sum_t - slope * self.sum_b) / self.n;
-        let pred = slope * b + intercept;
-        (pred > 0.0).then_some(pred)
-    }
-
-    fn reset(&mut self) {
-        *self = StragglerFit::default();
     }
 }
 
@@ -197,7 +133,6 @@ struct BucketTrack {
 #[derive(Debug, Clone)]
 pub struct DetectorSet {
     config: InsightConfig,
-    stragglers: BTreeMap<u32, StragglerFit>,
     calibration: CalibrationTrack,
     gns: GnsTrack,
     buckets: BucketTrack,
@@ -211,17 +146,11 @@ impl DetectorSet {
     pub fn new(config: InsightConfig) -> Self {
         DetectorSet {
             config,
-            stragglers: BTreeMap::new(),
             calibration: CalibrationTrack::default(),
             gns: GnsTrack::default(),
             buckets: BucketTrack::default(),
             last_step: 0,
         }
-    }
-
-    /// The thresholds this suite runs under.
-    pub fn config(&self) -> &InsightConfig {
-        &self.config
     }
 
     /// Relative OptPerf error of the most recently completed plan.
@@ -242,8 +171,15 @@ impl DetectorSet {
             Event::StepTiming(t) => {
                 self.last_step = t.step;
                 self.calibration.observe_step(t.step, t.t_compute, t.t_comm, t.overlap);
-                self.observe_compute(t.rank, t.step, t.b_i as f64, t.t_compute, &mut out);
             }
+            Event::RegimeChange(r) if r.observed > r.expected => out.push(AnomalyDetected {
+                kind: AnomalyKind::Straggler,
+                node: Some(r.node),
+                step: self.last_step,
+                expected: r.expected,
+                observed: r.observed,
+                severity: r.observed / r.expected,
+            }),
             Event::SplitDecision(d) => {
                 self.evaluate_calibration(&mut out);
                 self.calibration.pending = d.predicted_t;
@@ -257,40 +193,6 @@ impl DetectorSet {
             _ => {}
         }
         out
-    }
-
-    fn observe_compute(&mut self, rank: u32, step: u64, b: f64, t: f64, out: &mut Vec<AnomalyDetected>) {
-        if b <= 0.0 || !t.is_finite() || t <= 0.0 {
-            return;
-        }
-        let band = self.config.straggler_band;
-        let patience = self.config.straggler_patience;
-        let min_points = self.config.straggler_min_points;
-        let fit = self.stragglers.entry(rank).or_default();
-        match fit.predict(b, min_points) {
-            Some(pred) if t > pred * (1.0 + band) => {
-                // Outside the band: extend the streak without letting the
-                // outlier drag the fit toward the new regime.
-                fit.streak += 1;
-                if fit.streak >= patience {
-                    out.push(AnomalyDetected {
-                        kind: AnomalyKind::Straggler,
-                        node: Some(rank),
-                        step,
-                        expected: pred,
-                        observed: t,
-                        severity: t / pred,
-                    });
-                    // The old law is dead; relearn in the new regime.
-                    fit.reset();
-                    fit.absorb(b, t);
-                }
-            }
-            _ => {
-                fit.streak = 0;
-                fit.absorb(b, t);
-            }
-        }
     }
 
     fn evaluate_calibration(&mut self, out: &mut Vec<AnomalyDetected>) {
@@ -373,7 +275,7 @@ impl DetectorSet {
                 *streak = 0;
             }
             // Slow observations stay out of the baseline, mirroring the
-            // straggler fit's outlier gating.
+            // analyzer's outlier gating.
             return;
         }
         self.buckets.streaks.insert(bucket, 0);
@@ -385,9 +287,7 @@ impl DetectorSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cannikin_telemetry::{
-        AllReduceBucket, GnsEstimated, SplitDecision, SplitSource, StepTiming,
-    };
+    use cannikin_telemetry::{AllReduceBucket, GnsEstimated, RegimeChange, SplitDecision, SplitSource, StepTiming};
 
     fn rec(event: Event) -> Record {
         Record { ts_ns: 0, node: 0, rank: 0, event }
@@ -397,81 +297,38 @@ mod tests {
         rec(Event::StepTiming(StepTiming { step, rank, b_i: b, t_compute: t, t_comm: 0.0, overlap: 0.0 }))
     }
 
-    /// Feed a clean linear law at two batch sizes, then slow the node 2x:
-    /// the straggler must fire on exactly the `straggler_patience`-th
-    /// slowed step.
-    #[test]
-    fn straggler_fires_within_patience_steps() {
-        let mut set = DetectorSet::new(InsightConfig::default());
-        let law = |b: f64| 0.01 * b + 0.05;
-        let mut step = 0u64;
-        for _ in 0..6 {
-            for b in [32u64, 48] {
-                assert!(set.observe(&timing(step, 0, b, law(b as f64))).is_empty());
-                step += 1;
-            }
-        }
-        // Node slows down 2x.
-        let mut fired_at = None;
-        for i in 0..5u64 {
-            let anomalies = set.observe(&timing(step, 0, 32, 2.0 * law(32.0)));
-            step += 1;
-            if !anomalies.is_empty() {
-                fired_at = Some((i + 1, anomalies));
-                break;
-            }
-        }
-        let (slow_steps, anomalies) = fired_at.expect("straggler must fire");
-        assert_eq!(slow_steps, 3, "fires on the patience-th slowed step");
-        assert_eq!(anomalies.len(), 1);
-        let a = &anomalies[0];
-        assert_eq!(a.kind, AnomalyKind::Straggler);
-        assert_eq!(a.node, Some(0));
-        assert!((a.severity - 2.0).abs() < 0.1, "severity {} should be near 2x", a.severity);
+    fn regime(node: u32, expected: f64, observed: f64) -> Record {
+        rec(Event::RegimeChange(RegimeChange { node, b_i: 32, expected, observed }))
     }
 
-    /// One isolated spike (a GC pause) must not fire, and must not poison
-    /// the fit for subsequent healthy steps.
+    /// The analyzer's verdict that a node slowed is one straggler, stamped
+    /// with the last step seen before it.
     #[test]
-    fn isolated_spike_does_not_fire() {
+    fn a_slower_regime_is_one_straggler_at_the_last_step() {
         let mut set = DetectorSet::new(InsightConfig::default());
-        let law = |b: f64| 0.01 * b + 0.05;
-        let mut step = 0u64;
-        for _ in 0..6 {
-            for b in [32u64, 48] {
-                assert!(set.observe(&timing(step, 0, b, law(b as f64))).is_empty());
-                step += 1;
-            }
+        for step in 0..7u64 {
+            assert!(set.observe(&timing(step, 1, 32, 0.37)).is_empty());
         }
-        assert!(set.observe(&timing(step, 0, 32, 3.0 * law(32.0))).is_empty(), "one spike is not a straggler");
-        for i in 0..10u64 {
-            let b = if i % 2 == 0 { 32 } else { 48 };
-            assert!(set.observe(&timing(step + 1 + i, 0, b, law(b as f64))).is_empty());
-        }
+        let fired = set.observe(&regime(1, 0.37, 0.74));
+        assert_eq!(
+            fired,
+            [AnomalyDetected {
+                kind: AnomalyKind::Straggler,
+                node: Some(1),
+                step: 6,
+                expected: 0.37,
+                observed: 0.74,
+                severity: 2.0,
+            }]
+        );
     }
 
-    /// Per-node isolation: slowing node 1 must not implicate node 0.
+    /// A node whose law changed because it got faster is not a straggler.
     #[test]
-    fn stragglers_are_tracked_per_node() {
+    fn a_faster_regime_raises_nothing() {
         let mut set = DetectorSet::new(InsightConfig::default());
-        let mut step = 0u64;
-        for _ in 0..6 {
-            for b in [32u64, 48] {
-                for rank in 0..2u32 {
-                    let t = (0.01 + 0.005 * f64::from(rank)) * b as f64 + 0.05;
-                    assert!(set.observe(&timing(step, rank, b, t)).is_empty());
-                }
-                step += 1;
-            }
-        }
-        let mut fired = Vec::new();
-        for _ in 0..4 {
-            assert!(set.observe(&timing(step, 0, 32, 0.01 * 32.0 + 0.05)).is_empty());
-            fired.extend(set.observe(&timing(step, 1, 32, 3.0 * (0.015 * 32.0 + 0.05))));
-            step += 1;
-        }
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].node, Some(1));
+        assert!(set.observe(&timing(3, 0, 32, 0.74)).is_empty());
+        assert!(set.observe(&regime(0, 0.74, 0.37)).is_empty());
     }
 
     fn decision(predicted: Option<f64>) -> Record {
@@ -573,6 +430,7 @@ mod tests {
             let slow = if step >= 14 { 2.5 } else { 1.0 };
             records.push(timing(step, 0, b, slow * law(b as f64)));
         }
+        records.push(regime(0, law(32.0), 2.5 * law(32.0)));
         records.push(decision(Some(0.4)));
         let run = |records: &[Record]| {
             let mut set = DetectorSet::new(InsightConfig::default());

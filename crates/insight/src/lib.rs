@@ -4,19 +4,20 @@
 //! calibrated*: the OptPerf model must keep matching realized step times
 //! (§3), the GNS trajectory must stay smooth enough to drive batch
 //! sizing (§4), and a node whose compute law changed (the §6 contention
-//! scenario) must be re-profiled rather than trusted. This crate watches
-//! the `cannikin-telemetry` event stream for exactly those failure
-//! modes, in two interchangeable forms:
+//! scenario) must be re-profiled rather than trusted. That last verdict
+//! is the analyzer's own: `cannikin-core` clears the node's history and
+//! emits a `RegimeChange`, and this crate *reports* it as a straggler
+//! when the node got slower. This crate watches the `cannikin-telemetry`
+//! event stream for those failure modes, in two interchangeable forms:
 //!
 //! * **Online** — [`Monitor::install`] taps the recorder's sink via the
-//!   subscriber API and runs the [`DetectorSet`] live: per-node
-//!   straggler detection against the fitted `t = c·b + d` law,
-//!   predicted-vs-observed plan calibration, GNS drift, and all-reduce
-//!   bucket imbalance. Anomalies are injected back into the stream as
-//!   typed [`AnomalyDetected`](cannikin_telemetry::AnomalyDetected)
-//!   events, and the engine polls [`Monitor::drain_new`] /
-//!   [`Monitor::report`] per epoch to force a re-profile of flagged
-//!   nodes.
+//!   subscriber API and runs the [`DetectorSet`] live: stragglers from
+//!   the analyzer's regime changes, predicted-vs-observed plan
+//!   calibration, GNS drift, and all-reduce bucket imbalance. Anomalies
+//!   are injected back into the stream as typed
+//!   [`AnomalyDetected`](cannikin_telemetry::AnomalyDetected) events, and
+//!   [`Monitor::report`] summarizes them. Nothing flows back into
+//!   training: the monitor observes, the analyzer decides.
 //! * **Offline** — [`replay::analyze`] reconstructs per-node/per-plan
 //!   timelines from a drained session or a parsed JSONL export and
 //!   replays the *same* detectors, so the `cannikin-insight` CLI can

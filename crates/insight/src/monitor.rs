@@ -5,10 +5,10 @@
 //! on every flushed batch runs through the [`DetectorSet`] on the
 //! emitting thread. Each anomaly is injected back into the event stream
 //! as a typed [`AnomalyDetected`] record (plus an `insight_anomalies`
-//! counter), so exported traces carry the online verdicts, and is queued
-//! for the engine: [`Monitor::drain_new`] hands back anomalies found
-//! since the last drain, and [`Monitor::report`] summarizes the whole
-//! run as a [`HealthReport`].
+//! counter), so exported traces carry the online verdicts, and
+//! [`Monitor::report`] summarizes the whole run as a [`HealthReport`].
+//! Mid-run readers call `telemetry::flush_thread()` first, so the
+//! calling thread's buffered events have reached the detectors.
 //!
 //! Emission from inside the subscriber callback uses
 //! [`cannikin_telemetry::inject`] exclusively — callbacks can run during
@@ -25,8 +25,6 @@ struct State {
     events_seen: u64,
     /// Every anomaly since installation (the cumulative report).
     anomalies: Vec<AnomalyDetected>,
-    /// Anomalies since the last [`Monitor::drain_new`].
-    fresh: Vec<AnomalyDetected>,
 }
 
 struct Inner {
@@ -45,8 +43,7 @@ impl Subscriber for Inner {
                     record.rank,
                     Event::AnomalyDetected(anomaly.clone()),
                 );
-                state.anomalies.push(anomaly.clone());
-                state.fresh.push(anomaly);
+                state.anomalies.push(anomaly);
                 telemetry::inject(
                     record.node,
                     record.rank,
@@ -79,18 +76,10 @@ impl Monitor {
                 set: DetectorSet::new(config),
                 events_seen: 0,
                 anomalies: Vec::new(),
-                fresh: Vec::new(),
             }),
         });
         let guard = telemetry::subscribe(inner.clone() as Arc<dyn Subscriber>);
         Monitor { inner, _guard: Arc::new(guard) }
-    }
-
-    /// Anomalies detected since the previous call (the engine's per-epoch
-    /// poll). Call `telemetry::flush_thread()` first so the current
-    /// thread's buffered events have reached the detectors.
-    pub fn drain_new(&self) -> Vec<AnomalyDetected> {
-        std::mem::take(&mut self.inner.state.lock().fresh)
     }
 
     /// Cumulative health summary since installation.
@@ -118,7 +107,7 @@ impl std::fmt::Debug for Monitor {
 }
 
 /// What the monitor knows about the run's health — the summary the
-/// engine logs per epoch and tests assert on.
+/// experiments render and tests assert on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthReport {
     /// Records observed since installation.
@@ -179,7 +168,7 @@ impl HealthReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cannikin_telemetry::{Session, StepTiming};
+    use cannikin_telemetry::{RegimeChange, Session, StepTiming};
 
     fn emit_timing(step: u64, rank: u32, b: u64, t: f64) {
         telemetry::emit(Event::StepTiming(StepTiming {
@@ -196,30 +185,20 @@ mod tests {
     fn monitor_detects_and_injects_anomalies_online() {
         let monitor = Monitor::install(InsightConfig::default());
         let session = Session::start();
-        let law = |b: f64| 0.01 * b + 0.05;
-        let mut step = 0u64;
-        for _ in 0..6 {
-            for b in [32u64, 48] {
-                emit_timing(step, 0, b, law(b as f64));
-                step += 1;
-            }
+        for step in 0..6u64 {
+            emit_timing(step, 0, 32, 0.37);
         }
-        for _ in 0..4 {
-            emit_timing(step, 0, 32, 2.0 * law(32.0));
-            step += 1;
-        }
+        // The analyzer's verdicts: node 0 slowed 2x, node 1 sped up.
+        telemetry::emit(Event::RegimeChange(RegimeChange { node: 0, b_i: 32, expected: 0.37, observed: 0.74 }));
+        telemetry::emit(Event::RegimeChange(RegimeChange { node: 1, b_i: 32, expected: 0.74, observed: 0.37 }));
         telemetry::flush_thread();
-
-        let fresh = monitor.drain_new();
-        assert_eq!(fresh.len(), 1);
-        assert_eq!(fresh[0].kind, AnomalyKind::Straggler);
-        assert_eq!(fresh[0].node, Some(0));
-        assert!(monitor.drain_new().is_empty(), "drain_new must not replay");
 
         let report = monitor.report();
         assert!(!report.healthy());
         assert_eq!(report.straggling_nodes, vec![0]);
-        assert_eq!(report.anomalies, fresh, "report keeps what drain_new handed out");
+        assert_eq!(report.anomalies.len(), 1);
+        let straggler = &report.anomalies[0];
+        assert_eq!((straggler.kind, straggler.node, straggler.step), (AnomalyKind::Straggler, Some(0), 5));
 
         // The anomaly (and its counter) were injected into the stream.
         let records = session.drain();
@@ -230,8 +209,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(injected.len(), 1);
-        assert_eq!(*injected[0], fresh[0]);
+        assert_eq!(injected, [straggler]);
         assert!(records.iter().any(|r| matches!(
             &r.event,
             Event::Counter(c) if c.name == "insight_anomalies" && (c.value - 1.0).abs() < 1e-12

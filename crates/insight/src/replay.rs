@@ -267,7 +267,7 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cannikin_telemetry::{SplitDecision, SplitSource, StepTiming};
+    use cannikin_telemetry::{RegimeChange, SplitDecision, SplitSource, StepTiming};
 
     fn timing(step: u64, rank: u32, b: u64, t: f64) -> Record {
         Record {
@@ -326,24 +326,21 @@ mod tests {
 
     #[test]
     fn offline_detectors_reproduce_recorded_anomalies() {
-        // A trace with a straggler signature and the matching online
-        // verdict, as the live monitor would have injected it.
-        let mut records = Vec::new();
+        // A trace in which the analyzer saw node 0 slow down 2x, and the
+        // matching online verdict, as the live monitor would have
+        // injected it.
         let law = |b: f64| 0.01 * b + 0.05;
-        let mut step = 0u64;
-        for _ in 0..6 {
-            for b in [32u64, 48] {
-                records.push(timing(step, 0, b, law(b as f64)));
-                step += 1;
-            }
-        }
-        for _ in 0..3 {
-            records.push(timing(step, 0, 32, 2.0 * law(32.0)));
-            step += 1;
-        }
+        let mut records: Vec<Record> = (0..9u64).map(|step| timing(step, 0, 32, law(32.0))).collect();
+        records.push(Record {
+            ts_ns: 90,
+            node: 0,
+            rank: 0,
+            event: Event::RegimeChange(RegimeChange { node: 0, b_i: 32, expected: law(32.0), observed: 2.0 * law(32.0) }),
+        });
         // First pass tells us what the online monitor would have found.
         let first = analyze(&records, InsightConfig::default());
         assert_eq!(first.offline.len(), 1);
+        assert_eq!((first.offline[0].step, first.offline[0].severity), (8, 2.0));
         assert!(!first.anomalies_match(), "trace carries no online verdicts yet");
         // Embed the verdicts as the live monitor does and re-analyze.
         for a in &first.offline {

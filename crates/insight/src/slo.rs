@@ -191,7 +191,6 @@ fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
 struct SloState {
     engine: SloEngine,
     violations: Vec<SloViolation>,
-    fresh: Vec<SloViolation>,
 }
 
 struct SloInner {
@@ -207,8 +206,7 @@ impl Subscriber for SloInner {
                 // thread-exit flush, and injected records must not loop
                 // back through subscribers (see the module docs).
                 telemetry::inject(record.node, record.rank, Event::SloViolation(violation.clone()));
-                state.violations.push(violation.clone());
-                state.fresh.push(violation);
+                state.violations.push(violation);
             }
         }
     }
@@ -229,20 +227,15 @@ impl SloMonitor {
     /// thread starts.
     pub fn install(rules: Vec<SloRule>) -> SloMonitor {
         let inner = Arc::new(SloInner {
-            state: Mutex::new(SloState { engine: SloEngine::new(rules), violations: Vec::new(), fresh: Vec::new() }),
+            state: Mutex::new(SloState { engine: SloEngine::new(rules), violations: Vec::new() }),
         });
         let guard = telemetry::subscribe(inner.clone() as Arc<dyn Subscriber>);
         SloMonitor { inner, _guard: Arc::new(guard) }
     }
 
-    /// Violations since the previous call. Call
-    /// `telemetry::flush_thread()` first so buffered events have reached
-    /// the engine.
-    pub fn drain_new(&self) -> Vec<SloViolation> {
-        std::mem::take(&mut self.inner.state.lock().fresh)
-    }
-
-    /// Every violation since installation, in detection order.
+    /// Every violation since installation, in detection order. Mid-run
+    /// readers call `telemetry::flush_thread()` first so buffered events
+    /// have reached the engine.
     pub fn violations(&self) -> Vec<SloViolation> {
         self.inner.state.lock().violations.clone()
     }
@@ -453,11 +446,9 @@ mod tests {
             telemetry::emit(Event::Counter(Counter { name: "fleet_goodput".into(), value: 0.25 }));
             telemetry::flush_thread();
         }
-        let fresh = monitor.drain_new();
-        assert_eq!(fresh.len(), 1);
-        assert_eq!(fresh[0].rule, "goodput_floor");
-        assert!(monitor.drain_new().is_empty(), "drain_new must not replay");
-        assert_eq!(monitor.violations(), fresh);
+        let fired = monitor.violations();
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].rule, "goodput_floor");
         let records = session.drain();
         // The verdict is stamped with its trigger's identity.
         let online: Vec<(u32, u32, &SloViolation)> = records
@@ -467,6 +458,6 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(online, [(3, 5, &fresh[0])]);
+        assert_eq!(online, [(3, 5, &fired[0])]);
     }
 }

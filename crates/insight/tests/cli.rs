@@ -3,7 +3,7 @@
 //! and the report text carries the detector verdicts.
 
 use cannikin_telemetry::export::write_jsonl;
-use cannikin_telemetry::{Event, Record, StepTiming};
+use cannikin_telemetry::{Event, Record, RegimeChange, StepTiming};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -11,9 +11,10 @@ fn timing(step: u64, b: u64, t: f64) -> Event {
     Event::StepTiming(StepTiming { step, rank: 0, b_i: b, t_compute: t, t_comm: 0.0, overlap: 0.0 })
 }
 
-/// A synthetic single-node trace following `t = 0.01·b + 0.05`, with
-/// `slow_steps` trailing steps at twice the law.
-fn trace(name: &str, slow_steps: u64) -> PathBuf {
+/// A synthetic single-node trace following `t = 0.01·b + 0.05`; when
+/// `slowed`, five trailing steps at twice the law and the analyzer's
+/// `regime_change` verdict on the fifth.
+fn trace(name: &str, slowed: bool) -> PathBuf {
     let law = |b: f64| 0.01 * b + 0.05;
     let mut records = Vec::new();
     let mut step = 0u64;
@@ -23,14 +24,18 @@ fn trace(name: &str, slow_steps: u64) -> PathBuf {
             step += 1;
         }
     }
-    for _ in 0..slow_steps {
-        records.push(Record {
-            ts_ns: step * 1_000,
-            node: 0,
-            rank: 0,
-            event: timing(step, 32, 2.0 * law(32.0)),
-        });
-        step += 1;
+    if slowed {
+        for _ in 0..5 {
+            records.push(Record {
+                ts_ns: step * 1_000,
+                node: 0,
+                rank: 0,
+                event: timing(step, 32, 2.0 * law(32.0)),
+            });
+            step += 1;
+        }
+        let verdict = RegimeChange { node: 0, b_i: 32, expected: law(32.0), observed: 2.0 * law(32.0) };
+        records.push(Record { ts_ns: step * 1_000, node: 0, rank: 0, event: Event::RegimeChange(verdict) });
     }
     let dir = std::env::temp_dir().join("cannikin-insight-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
@@ -50,7 +55,7 @@ fn run(args: &[&str]) -> (i32, String, String) {
 
 #[test]
 fn healthy_trace_exits_zero_with_exact_agreement() {
-    let path = trace("healthy.jsonl", 0);
+    let path = trace("healthy.jsonl", false);
     let (code, stdout, _) = run(&[path.to_str().unwrap()]);
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("agreement: EXACT"), "{stdout}");
@@ -59,7 +64,7 @@ fn healthy_trace_exits_zero_with_exact_agreement() {
 
 #[test]
 fn straggling_trace_exits_two_and_names_the_straggler() {
-    let path = trace("straggler.jsonl", 4);
+    let path = trace("straggler.jsonl", true);
     let (code, stdout, _) = run(&[path.to_str().unwrap()]);
     assert_eq!(code, 2, "{stdout}");
     assert!(stdout.contains("straggler"), "{stdout}");

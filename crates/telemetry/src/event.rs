@@ -241,8 +241,8 @@ tag_enum! {
     /// The class of misbehavior an [`AnomalyDetected`] event reports.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum AnomalyKind {
-        /// A node's observed compute time left the band of its fitted
-        /// `t = c·b + d` law for several consecutive steps.
+        /// The analyzer reported a [`RegimeChange`] in which the node got
+        /// slower.
         Straggler = "straggler",
         /// The realized batch time drifted beyond the calibration band around
         /// the solver's `SplitDecision::predicted_t`.
@@ -441,8 +441,28 @@ events! {
         SolverInvocation = "solver_invocation",
     }
 
+    /// The analyzer stopped trusting a node's learned `t = c·b + d`: its
+    /// step time at an already-warm local batch size stayed far from that
+    /// size's running mean for several batches in a row, so the node's
+    /// history was cleared and will be relearned.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct RegimeChange {
+        /// The node whose law changed.
+        pub node as "regime_node": u32,
+        /// The warm local batch size the change was seen at.
+        pub b_i: u64,
+        /// That size's running mean compute time (`a + P`), s.
+        pub expected: f64,
+        /// The compute time of the batch that confirmed the change, s.
+        pub observed: f64,
+    } => {
+        /// The analyzer detected a regime change on one node.
+        RegimeChange = "regime_change",
+    }
+
     /// A detector's verdict that the run left its expected envelope (emitted
-    /// by `cannikin-insight` monitors, online or during offline replay).
+    /// by `cannikin-insight` monitors, online or during offline replay; a
+    /// straggler is the report of a slowing [`RegimeChange`]).
     #[derive(Debug, Clone, PartialEq)]
     pub struct AnomalyDetected {
         /// What kind of anomaly fired.
@@ -783,8 +803,13 @@ mod tests {
             Event::Counter(Counter { name: "epoch_time_s".into(), value: 12.5 }),
             Event::SpanBegin(Span { name: "epoch".into() }),
             Event::SpanEnd(Span { name: "epoch".into() }),
+            Event::RegimeChange(RegimeChange { node: 2, b_i: 48, expected: 0.1875, observed: 0.375 }),
         ]
     }
+
+    /// Events of the corpus that precede its non-finite record. Kinds added
+    /// later follow that record, so the committed fixture lines never move.
+    const BEFORE_NON_FINITE: usize = 25;
 
     /// The corpus as records under distinct envelopes, plus a non-finite
     /// measurement.
@@ -794,7 +819,7 @@ mod tests {
             .enumerate()
             .map(|(i, event)| Record { ts_ns: 1_000 + i as u64, node: 1, rank: i as u32, event })
             .collect();
-        records.push(Record {
+        records.insert(BEFORE_NON_FINITE, Record {
             ts_ns: 5,
             node: 0,
             rank: 0,

@@ -2,24 +2,9 @@
 //!
 //! The bucket layout is chosen at construction time ([`Histogram::linear`]
 //! or [`Histogram::exponential`]) and never changes, so recording is a
-//! branchless-ish binary search plus one counter increment, and two
-//! histograms with the same layout [`merge`](Histogram::merge) by adding
-//! counts. Quantiles interpolate linearly within the containing bucket,
-//! which is the usual fixed-bucket trade-off: cheap and mergeable, with
-//! error bounded by bucket width.
-
-/// Error returned by [`Histogram::merge`] when the two histograms were
-/// built with different bucket layouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayoutMismatch;
-
-impl std::fmt::Display for LayoutMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("can only merge histograms with identical bucket layouts")
-    }
-}
-
-impl std::error::Error for LayoutMismatch {}
+//! branchless-ish binary search plus one counter increment. Quantiles
+//! interpolate linearly within the containing bucket, which is the usual
+//! fixed-bucket trade-off: cheap, with error bounded by bucket width.
 
 /// A histogram over `f64` samples with immutable bucket bounds.
 ///
@@ -184,24 +169,6 @@ impl Histogram {
         Some(*self.bounds.last().expect("non-empty bounds"))
     }
 
-    /// Add another histogram's counts into this one.
-    ///
-    /// Merging is only meaningful bucket-by-bucket, so the two layouts
-    /// (`min` and every bound) must be identical; otherwise `self` is left
-    /// untouched and a [`LayoutMismatch`] is returned.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), LayoutMismatch> {
-        if self.min != other.min || self.bounds != other.bounds {
-            return Err(LayoutMismatch);
-        }
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.sum += other.sum;
-        Ok(())
-    }
-
     /// Samples that fell at or above the last bound.
     pub fn overflow(&self) -> u64 {
         self.overflow
@@ -255,51 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts_and_preserves_quantiles() {
-        let mut a = Histogram::linear(0.0, 10.0, 20);
-        let mut b = Histogram::linear(0.0, 10.0, 20);
-        for i in 0..50 {
-            a.record(i as f64 % 5.0);
-            b.record(5.0 + i as f64 % 5.0);
-        }
-        let a_only_median = a.quantile(0.5).unwrap();
-        a.merge(&b).unwrap();
-        assert_eq!(a.count(), 100);
-        let merged_median = a.quantile(0.5).unwrap();
-        assert!(merged_median > a_only_median, "merge should pull the median up");
-        let mean = a.mean().unwrap();
-        assert!((mean - 4.5).abs() < 1e-9, "mean={mean}");
-    }
-
-    #[test]
-    fn merging_mismatched_layouts_is_rejected() {
-        let mut a = Histogram::linear(0.0, 10.0, 10);
-        a.record(1.0);
-        let snapshot = a.clone();
-        // Different bounds.
-        assert_eq!(a.merge(&Histogram::linear(0.0, 20.0, 10)), Err(LayoutMismatch));
-        // Same bounds, different min.
-        assert_eq!(a.merge(&Histogram::with_bounds(-1.0, (1..=10).map(f64::from).collect())), Err(LayoutMismatch));
-        // Different bucket count.
-        assert_eq!(a.merge(&Histogram::linear(0.0, 10.0, 5)), Err(LayoutMismatch));
-        assert_eq!(a, snapshot, "failed merge must leave the target untouched");
-    }
-
-    #[test]
-    fn merging_empty_histograms_is_a_noop() {
-        let mut a = Histogram::linear(0.0, 10.0, 10);
-        a.record(3.0);
-        let before = a.clone();
-        a.merge(&Histogram::linear(0.0, 10.0, 10)).unwrap();
-        assert_eq!(a, before);
-        // Empty ← non-empty adopts the source's contents.
-        let mut empty = Histogram::linear(0.0, 10.0, 10);
-        empty.merge(&a).unwrap();
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.quantile(0.5), a.quantile(0.5));
-    }
-
-    #[test]
     fn single_bucket_histogram_quantiles_are_monotone() {
         let mut h = Histogram::with_bounds(0.0, vec![10.0]);
         for s in [1.0, 5.0, 9.0] {
@@ -322,12 +244,6 @@ mod tests {
         for q in [0.0, 0.5, 1.0] {
             assert_eq!(h.quantile(q).unwrap(), 10.0, "overflow-only clamps to last bound");
         }
-        // Merging two overflow-only histograms keeps the clamp and the counts.
-        let mut other = Histogram::linear(0.0, 10.0, 4);
-        other.record(50.0);
-        h.merge(&other).unwrap();
-        assert_eq!(h.overflow(), 6);
-        assert_eq!(h.quantile(0.5).unwrap(), 10.0);
     }
 
     #[test]

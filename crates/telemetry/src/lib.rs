@@ -12,14 +12,11 @@
 //!   only the threads that belong to the live [`Session`];
 //! - typed [`event`]s for the quantities the paper reasons about:
 //!   [`StepTiming`], [`SplitDecision`], [`GnsEstimated`], [`GoodputEval`],
-//!   [`AllReduceBucket`], [`SolverInvocation`], plus generic counters and
-//!   `B`/`E` spans;
-//! - a fixed-bucket [`Histogram`] with quantile queries and merging, for
-//!   summarizing drained runs;
-//! - a ring-buffer time-[`series`] store (labelled counters/gauges/
-//!   histograms, windowed aggregates, quantiles, Prometheus-style text
-//!   exposition) fed by a [`SeriesRecorder`] subscriber, plus the
-//!   declarative [`slo`] rule specs that `cannikin-insight` evaluates;
+//!   [`AllReduceBucket`], [`SolverInvocation`], the analyzer's
+//!   [`RegimeChange`] verdict, plus generic counters and `B`/`E` spans;
+//! - a fixed-bucket [`Histogram`] with quantile queries, for summarizing
+//!   drained runs;
+//! - the declarative [`slo`] rule specs that `cannikin-insight` evaluates;
 //! - two [`export`]ers: JSONL for offline analysis and Chrome
 //!   `trace_event` JSON (`pid` = node, `tid` = rank) loadable in
 //!   `chrome://tracing` / Perfetto;
@@ -49,7 +46,6 @@ pub mod export;
 pub mod hist;
 pub mod json;
 pub mod recorder;
-pub mod series;
 pub mod slo;
 pub mod trace;
 
@@ -57,11 +53,10 @@ pub use env::{export_from_env, export_to, parse_targets, ExportTarget};
 pub use event::{
     AllReduceBucket, AnomalyDetected, AnomalyKind, Counter, Event, FaultInjected, FaultKind, FleetDecision,
     FleetJobSample, GnsEstimated, GoodputEval, JobAdmitted, JobPreempted, NodeGranted, PolicyDecision, PreemptKind,
-    Record, RecoveryAction, RecoveryKind, SloViolation, SolverInvocation, Span, SplitDecision, SplitSource,
-    StepTiming,
+    Record, RecoveryAction, RecoveryKind, RegimeChange, SloViolation, SolverInvocation, Span, SplitDecision,
+    SplitSource, StepTiming,
 };
-pub use hist::{Histogram, LayoutMismatch};
-pub use series::{Labels, SeriesRecorder, SeriesStore, WindowStats};
+pub use hist::Histogram;
 pub use slo::{default_fleet_slos, SloRule};
 pub use json::Json;
 pub use recorder::{

@@ -5,19 +5,19 @@
 //! cargo run --release --example fleet_observability
 //! ```
 //!
-//! A seeded 6-job arrival trace runs on the 8-node mixed pool with three
-//! subscribers tapping the telemetry stream at once: the time-series
-//! recorder (Prometheus-style metrics), the SLO monitor (typed
-//! violations injected back into the trace) and the anomaly monitor.
-//! Afterwards the drained trace is replayed offline and the fleet report
-//! — allocation timelines, SLO compliance, anomalies — is printed, plus
-//! a self-contained HTML page. Same seed, same bytes, every run.
+//! A seeded 6-job arrival trace runs on the 8-node mixed pool with two
+//! subscribers tapping the telemetry stream at once: the SLO monitor
+//! (typed violations injected back into the trace) and the anomaly
+//! monitor. Afterwards the drained trace is replayed offline and the
+//! fleet report — final gauges, allocation timelines, SLO compliance,
+//! anomalies — is printed, plus a self-contained HTML page. Same seed,
+//! same bytes, every run.
 
 use cannikin::fleet::{synthetic_trace, AllocPolicy, FleetController};
 use cannikin::insight::{report, InsightConfig, Monitor, SloMonitor};
 use cannikin::sim::catalog::Gpu;
 use cannikin::sim::cluster::NodeSpec;
-use cannikin::telemetry::{self, Labels, SeriesRecorder};
+use cannikin::telemetry;
 
 fn main() {
     let pool: Vec<NodeSpec> = [(Gpu::A100, 2), (Gpu::V100, 2), (Gpu::Rtx6000, 4)]
@@ -34,7 +34,6 @@ fn main() {
     // clean keeps the trace complete from the first decision.
     let slos = SloMonitor::install(rules.clone());
     let monitor = Monitor::install(InsightConfig::default());
-    let series = SeriesRecorder::install();
     let session = telemetry::Session::start();
     controller.run_to_completion(50_000).expect("stream drains");
     telemetry::flush_thread();
@@ -48,21 +47,8 @@ fn main() {
         monitor.report().anomalies.len()
     );
 
-    let store = series.store();
-    let none = Labels::default();
-    println!("live gauges at completion:");
-    for name in ["fleet_goodput", "fleet_fairness", "fleet_pool_util", "fleet_queue_depth"] {
-        if let Some(v) = store.last(name, &none) {
-            println!("  {name} = {v:.4}");
-        }
-    }
-    println!("\nPrometheus exposition (first lines):");
-    for line in store.render_prometheus().lines().take(8) {
-        println!("  {line}");
-    }
-
     let fleet = report::build(&records, InsightConfig::default(), &rules);
-    println!("\n{}", fleet.render_text());
+    println!("{}", fleet.render_text());
 
     let html_path = std::env::temp_dir().join("cannikin_fleet_report.html");
     std::fs::write(&html_path, fleet.render_html()).expect("write html");

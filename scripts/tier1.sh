@@ -55,6 +55,12 @@ stage() {
             echo "tier1.sh: Cargo.lock names a non-workspace package (above); the workspace builds from path crates only" >&2
             exit 1
         fi
+        # Insight reports what the analyzer decided; training never reads
+        # a diagnostics verdict, so core must not link the insight crate.
+        if cargo tree -p cannikin-core -e normal --prefix none | grep -n '^cannikin-insight '; then
+            echo "tier1.sh: cannikin-core depends on cannikin-insight again (above)" >&2
+            exit 1
+        fi
         ;;
     test) cargo test --workspace -q ;;
     kernels)

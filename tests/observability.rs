@@ -7,14 +7,12 @@ use std::sync::{Arc, Mutex};
 
 use cannikin::core::engine::TrainerConfig;
 use cannikin::fleet::{synthetic_trace, AllocPolicy, FleetController, FleetJobSpec};
-use cannikin::insight::{replay_slos, InsightConfig, Monitor, SloMonitor};
+use cannikin::insight::{replay, replay_slos, report, InsightConfig, Monitor, SloMonitor};
 use cannikin::sim::catalog::Gpu;
 use cannikin::sim::cluster::NodeSpec;
 use cannikin::sim::job::JobSpec;
 use cannikin::sim::FaultPlan;
-use cannikin::telemetry::{
-    self as telemetry, Event, Labels, Record, SeriesRecorder, SloRule, Subscriber,
-};
+use cannikin::telemetry::{self as telemetry, AnomalyKind, Event, Record, SloRule, Subscriber};
 
 /// A raw subscriber that keeps every record of every batch delivered.
 #[derive(Default)]
@@ -60,18 +58,17 @@ fn key(r: &Record) -> Option<String> {
 
 #[test]
 fn concurrent_subscribers_see_fleet_events_exactly_once_in_order() {
-    // Three observers at once: the raw counting subscriber, the series
-    // recorder and the anomaly monitor — plus the sink itself.
+    // Three observers at once: the raw counting subscriber, the SLO
+    // monitor and the anomaly monitor — plus the sink itself.
+    let mut controller = FleetController::new(pool4(), two_jobs(), AllocPolicy::Cannikin).expect("valid fleet");
+    let rules = controller.slo_rules();
     let counting = Arc::new(Counting::default());
     let _guard = telemetry::subscribe(counting.clone() as Arc<dyn Subscriber>);
-    let series = SeriesRecorder::install();
+    let slos = SloMonitor::install(rules.clone());
     let monitor = Monitor::install(InsightConfig::default());
 
     let session = telemetry::Session::start();
-    FleetController::new(pool4(), two_jobs(), AllocPolicy::Cannikin)
-        .expect("valid fleet")
-        .run_to_completion(50_000)
-        .expect("stream drains");
+    controller.run_to_completion(50_000).expect("stream drains");
     let records = session.drain();
     drop(session);
 
@@ -94,17 +91,30 @@ fn concurrent_subscribers_see_fleet_events_exactly_once_in_order() {
         .collect();
     assert_eq!(decisions, (1..=decisions.len() as u64).collect::<Vec<_>>());
 
-    // The series store folded the same stream: its totals equal the
-    // sink's event counts.
-    let store = series.store();
-    let none = Labels::default();
-    assert_eq!(store.counter_total("fleet_decisions_total", &none), Some(decisions.len() as f64));
-    let grants = truth.iter().filter(|k| k.starts_with("grant:")).count();
-    let granted_total: f64 = ["alpha", "beta"]
-        .iter()
-        .filter_map(|j| store.counter_total("fleet_node_grants_total", &none.clone().with("job", *j)))
-        .sum();
-    assert_eq!(granted_total, grants as f64);
+    // The fleet report folded from what the subscriber saw equals the one
+    // folded from the sink: the same decision total and, per job, the same
+    // granted nodes at every decision and the same admissions.
+    let from_sink = report::build(&records, InsightConfig::default(), &rules);
+    let from_tap = report::build(&counting.seen.lock().unwrap(), InsightConfig::default(), &rules);
+    assert_eq!(from_sink.decisions, decisions.len() as u64);
+    assert_eq!(from_tap.decisions, from_sink.decisions);
+    assert_eq!(from_tap.jobs, from_sink.jobs);
+    let admitted = records.iter().filter(|r| matches!(r.event, Event::JobAdmitted(_))).count() as u64;
+    assert_eq!(from_sink.jobs.iter().map(|j| j.admissions).sum::<u64>(), admitted);
+    // Every node a job held at a decision was granted to it first.
+    for job in &from_sink.jobs {
+        let grants = truth.iter().filter(|k| k.starts_with(&format!("grant:{}:", job.name))).count();
+        assert!(
+            job.peak_granted > 0 && job.peak_granted as usize <= grants,
+            "{}: held {} nodes at once after {grants} grants",
+            job.name,
+            job.peak_granted
+        );
+    }
+
+    // The SLO monitor's verdicts are the ones the trace carries.
+    assert_eq!(slos.violations(), from_sink.slo.online);
+    assert!(from_sink.slo.verdicts_match());
 
     // The monitor saw every *emitted* record exactly once. Injected
     // records (its own anomalies and their counter) reach the sink but
@@ -258,6 +268,12 @@ fn a_fleet_trace_holds_no_profiling_replays() {
     let planned = records.iter().filter(|r| matches!(r.event, Event::PolicyDecision(_))).count();
     let epochs: usize = report.jobs.iter().map(|j| j.epochs_run).sum();
     assert_eq!(planned, epochs, "one policy decision per epoch a job really ran");
+
+    // No node's law changed in this trace, so nothing is a straggler —
+    // however different the laws of the jobs sharing a rank index are.
+    let replayed = replay::analyze(&records, InsightConfig::default());
+    let stragglers: Vec<_> = replayed.offline.iter().filter(|a| a.kind == AnomalyKind::Straggler).collect();
+    assert!(stragglers.is_empty(), "{stragglers:?}");
 
     // Wall-clock readings aside, the trace is a function of the seed.
     let masked = |records: Vec<Record>| -> Vec<String> {
