@@ -5,9 +5,16 @@
 //! `cannikin-collectives`, aggregates them with the Eq. (9) batch-ratio
 //! weights, and estimates the gradient noise scale live with Eq. (10) +
 //! Theorem 4.1. CPU threads are equally fast, so hardware heterogeneity is
-//! emulated with per-node *slowdown factors* (a slow node sleeps in
-//! proportion to its measured compute time — the same observable a slower
-//! GPU would produce).
+//! emulated with per-node *slowdown factors*, charged on a node clock: a
+//! node `s` times slower sleeps, at each bucket hand-off and at the end of
+//! backward, until the step's start plus `s ×` the CPU time its thread has
+//! spent on the step — the observable a slower GPU would produce. Time the
+//! rank spent waiting for one of the host's cores is not CPU time, so it
+//! is not multiplied by `s`: a slow rank pays for its own work, not the
+//! host's. It reports `s·cpu` as its compute time, the deadline the sleep
+//! realises whenever the host leaves it the room, so the analyzer fits
+//! what the emulated node costs and not what the run queue added — on a
+//! full-speed rank as on a slow one.
 //!
 //! Every step is the DDP bucketed step (§3.2.3 of the paper): each rank
 //! drives the backward pass layer by layer from the loss side, each layer
@@ -59,6 +66,7 @@ use minidnn::layers::{assign_values, flatten_values, num_elements, Grads, Layer,
 use minidnn::loss::{Loss, SoftmaxCrossEntropy};
 use minidnn::lr::LrScaler;
 use minidnn::optim::{Optimizer, Sgd};
+use minidnn::tensor::threads::thread_cpu_time;
 use minidnn::tensor::Tensor;
 
 use std::sync::{mpsc, Arc};
@@ -283,10 +291,10 @@ impl ParallelTrainer {
     }
 }
 
-/// Whether a rank can emulate `slowdown`: it sleeps `compute × (slowdown −
-/// 1)` and reports its times scaled by the factor, so a non-finite one
-/// panics inside the rank thread and one below 1 scales the analyzer's
-/// inputs by a factor no sleep backs.
+/// Whether a rank can emulate `slowdown`: it sleeps until `slowdown ×` its
+/// CPU time and reports that product, so a non-finite one panics inside
+/// the rank thread and one below 1 would report CPU times scaled by a
+/// factor no sleep backs.
 pub(crate) fn is_slowdown(slowdown: f64) -> bool {
     slowdown.is_finite() && slowdown >= 1.0
 }
@@ -313,8 +321,8 @@ pub(crate) struct ThreadedExecutor {
     dataset: ClassificationDataset,
     config: ParallelConfig,
     /// Rank 0's flat weights at the end of the last epoch that completed
-    /// (the first replica's initial weights before that): what a new rank,
-    /// and every rank after a failed epoch, starts from.
+    /// (the first replica's initial weights before that): what the first
+    /// replica is rebuilt from after a failed epoch.
     checkpoint: Option<Tensor>,
     tracker: GnsTracker,
     loader: HeteroDataLoader,
@@ -326,9 +334,11 @@ pub(crate) struct ThreadedExecutor {
 
 impl ThreadedExecutor {
     /// Form a ring over the current membership. Ranks that have state keep
-    /// everything but their endpoint; the rest are built from the
-    /// checkpoint and rank 0's optimizer state, so every replica applies
-    /// the same update to the same weights from the first step on.
+    /// everything but their endpoint; the rest are copies of the first
+    /// replica and its optimizer state, so every replica applies the same
+    /// update to the same weights from the first step on. The model factory
+    /// runs only when no replica exists — the first epoch and the one after
+    /// a failed epoch — and the checkpoint, if any, overwrites what it drew.
     fn regroup(&mut self) -> Result<(), CommError> {
         let config = &self.config;
         let comms =
@@ -345,19 +355,25 @@ impl ThreadedExecutor {
     }
 
     fn new_rank(&mut self, comm: Communicator) -> RankState {
-        let mut model = (self.model_factory)(self.config.seed);
-        match &self.checkpoint {
-            Some(weights) => assign_values(&mut model.parameters_mut(), weights),
-            None => self.checkpoint = Some(flatten_values(&model.parameters())),
-        }
-        // Backward stores into the step's flat buffer and the optimizer
-        // steps from it: the replica never reads its gradient tensors.
-        for p in model.parameters_mut() {
-            p.release_grad();
-        }
-        let opt = match self.ranks.first() {
-            Some(first) => first.opt.clone(),
-            None => Sgd::new(self.config.base_lr).momentum(0.9),
+        let (model, opt) = match self.ranks.first() {
+            // Between epochs the first replica holds the checkpoint's
+            // weights, so a copy is what the factory plus the checkpoint
+            // would build, without drawing a random init to overwrite.
+            Some(first) => (first.model.replicate(), first.opt.clone()),
+            None => {
+                let mut model = (self.model_factory)(self.config.seed);
+                match &self.checkpoint {
+                    Some(weights) => assign_values(&mut model.parameters_mut(), weights),
+                    None => self.checkpoint = Some(flatten_values(&model.parameters())),
+                }
+                // Backward stores into the step's flat buffer and the
+                // optimizer steps from it: no replica reads its gradient
+                // tensors (and copies inherit the released ones).
+                for p in model.parameters_mut() {
+                    p.release_grad();
+                }
+                (model, Sgd::new(self.config.base_lr).momentum(0.9))
+            }
         };
         let feedback = self.config.codec.is_lossy().then(|| ErrorFeedback::new(num_elements(&model.parameters())));
         RankState { model, opt, feedback, comm }
@@ -715,12 +731,12 @@ fn run_rank(
     for (step, batch_indices) in batches.iter().take(steps).enumerate() {
         let _step_span = telemetry::span("step");
         let ratio = batch_indices.len() as f64 / step_totals[step % 2] as f64;
-        // Forward (+ data load) — the `a_i` phase.
-        let t0 = Instant::now();
+        // Forward (+ data load) — the `a_i` phase — on the node's clock.
+        let mut clock = NodeClock::start(slowdown);
         let (x, y) = dataset.batch(batch_indices);
         let logits = model.forward(&x, true);
         let (loss, grad) = SoftmaxCrossEntropy.loss(&logits, &y);
-        let a_elapsed = t0.elapsed().as_secs_f64();
+        let a_time = clock.read();
 
         // Backward — the `P_i` phase — with the Eq. (9) weighted exchange
         // of each bucket riding along.
@@ -734,8 +750,8 @@ fn run_rank(
             session,
             retries: &mut comm_retries,
         };
-        let Exchanged { p_time: p_elapsed, comm_time, overlap, local_sq } =
-            backward_and_exchange(model, &grad, &mut g, buckets, link, slowdown, a_elapsed)?;
+        let Exchanged { compute, comm_time, overlap, local_sq } =
+            backward_and_exchange(model, &grad, &mut g, buckets, link, &mut clock)?;
 
         // Gather (bᵢ, |gᵢ|²) from every rank for Eq. (10); rank 0 estimates.
         let rows = comm.gather(&[batch_indices.len() as f64, local_sq])?;
@@ -758,15 +774,15 @@ fn run_rank(
                 step: step as u64,
                 rank: rank as u32,
                 b_i: batch_indices.len() as u64,
-                t_compute: (a_elapsed + p_elapsed) * slowdown,
+                t_compute: compute,
                 t_comm: comm_time,
                 overlap,
             }));
         }
         measurements.push(StepMeasurement {
             batch_size: batch_indices.len() as u64,
-            a_time: a_elapsed * slowdown,
-            p_time: p_elapsed * slowdown,
+            a_time,
+            p_time: compute - a_time,
             comm_time,
             overlap,
         });
@@ -798,8 +814,8 @@ struct Link<'a> {
 
 /// What one step's backward pass and exchange measured.
 struct Exchanged {
-    /// Pure backward compute, s (unscaled — the caller applies `slowdown`).
-    p_time: f64,
+    /// The step's forward and backward compute on the node's clock, s.
+    compute: f64,
     /// Total communication busy time, s.
     comm_time: f64,
     /// Portion of `comm_time` that ran while backward still computed, s.
@@ -815,10 +831,11 @@ struct Exchanged {
 /// step, and nothing is zeroed or copied); as soon as it has passed a
 /// bucket's lowest layer, the bucket's window goes to a comm worker thread
 /// that all-reduces it while earlier layers still compute. An emulated
-/// slow node sleeps the stretch it owes so far (its forward pass included)
-/// right before each hand-off and once more at the end of backward, so the
-/// worker overlaps with the stretched compute as it would on genuinely
-/// slower hardware, and the one-bucket layout sleeps once a step.
+/// slow node settles its clock (sleeps to its CPU-time deadline, its
+/// forward pass included) right before each hand-off and once more at the
+/// end of backward, so the worker overlaps with the stretched compute as it
+/// would on genuinely slower hardware, and the one-bucket layout sleeps
+/// once a step.
 ///
 /// Buckets are produced and reduced in the same order on every rank,
 /// preserving the SPMD contract. The first bucket that fails is the step's
@@ -830,8 +847,7 @@ fn backward_and_exchange(
     g: &mut Vec<f32>,
     buckets: &[Bucket],
     link: Link<'_>,
-    slowdown: f64,
-    forward_elapsed: f64,
+    clock: &mut NodeClock,
 ) -> Result<Exchanged, CommError> {
     let total = buckets.iter().map(|b| b.len).sum();
     g.resize(total, 0.0);
@@ -846,12 +862,8 @@ fn backward_and_exchange(
     // Tail-first: the bucket nearest the loss is complete (and on the wire)
     // first.
     let mut windows = windows.into_iter().rev();
-    // When this rank's backward, stretched by its slowdown, last computed.
-    let mut computed = Instant::now();
-    let (mut p_time, stretch) = (0.0, slowdown - 1.0);
-    let mut owed = forward_elapsed * stretch;
     let mut local_sq = 0.0f64;
-    let busy = thread::scope(|s| {
+    let (busy, compute, computed) = thread::scope(|s| {
         let (tx, rx) = mpsc::channel::<(usize, &mut [f32])>();
         let worker = s.spawn(move || reduce_buckets(rx, link));
         let mut next = windows.next();
@@ -860,9 +872,11 @@ fn backward_and_exchange(
         let mut unfilled = next.as_ref().map_or(0, |(bucket, _)| bucket.len);
         let layers = model.layers_mut();
         let mut cur = loss_grad.clone();
+        // The node-clock compute and the instant of the last settle, while
+        // no layer has run after it.
+        let mut settled = None;
         for index in (0..layers.len()).rev() {
             let len = num_elements(&layers[index].parameters());
-            let t = Instant::now();
             let grads = match &mut next {
                 Some((_, window)) => {
                     unfilled -= len;
@@ -871,38 +885,98 @@ fn backward_and_exchange(
                 None => Grads::Store(&mut []),
             };
             cur = layers[index].backward_to(&cur, grads);
-            computed = Instant::now();
-            let elapsed = (computed - t).as_secs_f64();
-            p_time += elapsed;
-            owed += elapsed * stretch;
+            settled = None;
             if let Some((bucket, grads)) = next.take_if(|(bucket, _)| bucket.first_layer == index) {
-                settle(&mut owed, &mut computed);
                 local_sq += sq_norm(grads);
+                settled = Some((clock.settle(), Instant::now()));
                 tx.send((bucket.offset, grads)).expect("comm worker alive");
                 next = windows.next();
                 unfilled = next.as_ref().map_or(0, |(bucket, _)| bucket.len);
             }
         }
-        settle(&mut owed, &mut computed);
+        // When this rank's backward, stretched by its slowdown, ended: the
+        // last hand-off's settle, unless layers ran after it.
+        let (compute, computed) = settled.unwrap_or_else(|| (clock.settle(), Instant::now()));
         drop(tx);
-        worker.join().expect("comm worker panicked")
-    })?;
+        (worker.join().expect("comm worker panicked"), compute, computed)
+    });
+    let busy = busy?;
     // Hidden is what the worker reduced before backward was done. The
     // instants are taken before each hand-off, so a bucket handed over at
     // the end hides nothing even when its worker preempts the rank.
     let comm_time = busy.iter().map(|&(start, end)| (end - start).as_secs_f64()).sum();
     let overlap =
         busy.iter().map(|&(start, end)| end.min(computed).saturating_duration_since(start).as_secs_f64()).sum();
-    Ok(Exchanged { p_time, comm_time, overlap, local_sq })
+    Ok(Exchanged { compute, comm_time, overlap, local_sq })
 }
 
-/// Sleep off the slowdown stretch owed so far, if there is any, and move
-/// `computed` to when the stretched compute ends.
-fn settle(owed: &mut f64, computed: &mut Instant) {
-    if *owed > 0.0 {
-        thread::sleep(Duration::from_secs_f64(std::mem::take(owed)));
-        *computed = Instant::now();
+/// A rank's emulated compute clock for one step. A node `slowdown` times
+/// slower has, by each settle, taken `slowdown ×` the CPU time its thread
+/// has spent on the step since [`NodeClock::start`]: a deadline, so time
+/// the thread lost waiting for a core is not multiplied (it only sleeps
+/// less), and an oversleep at one settle is absorbed by the next. Where
+/// the thread CPU clock is unavailable, the CPU time is the wall time not
+/// spent asleep here, which stretches the wall compute by `slowdown`.
+///
+/// The clock reads `slowdown · cpu`, not the wall time a settle ends at:
+/// the two differ only when the host kept the thread from a core for
+/// longer than its slack, always so at full speed, and that wait is the
+/// host's, not the emulated node's.
+struct NodeClock {
+    slowdown: f64,
+    /// The step's start on the wall clock and, if readable, the thread's
+    /// CPU clock.
+    wall: Instant,
+    cpu: Option<Duration>,
+    /// Wall time spent in [`NodeClock::settle`]'s sleeps.
+    slept: Duration,
+}
+
+impl NodeClock {
+    fn start(slowdown: f64) -> Self {
+        // Wall before CPU here and CPU before wall in `spent`: the CPU span
+        // then lies inside the wall span, so a full-speed node never owes.
+        let wall = Instant::now();
+        NodeClock { slowdown, wall, cpu: thread_cpu_time(), slept: Duration::ZERO }
     }
+
+    /// `(cpu, wall)` spent on the step so far.
+    fn spent(&self) -> (Duration, Duration) {
+        let cpu = self.cpu.zip(thread_cpu_time()).map(|(start, now)| now.saturating_sub(start));
+        let wall = self.wall.elapsed();
+        (cpu.unwrap_or_else(|| wall.saturating_sub(self.slept)), wall)
+    }
+
+    /// The step's compute so far on the emulated node, s: `slowdown ·
+    /// cpu`, the deadline a settle now would sleep to.
+    fn read(&self) -> f64 {
+        self.spent().0.as_secs_f64() * self.slowdown
+    }
+
+    /// Sleep until the deadline, if it is ahead; returns the emulated
+    /// compute it was set from, as [`read`] would.
+    ///
+    /// [`read`]: NodeClock::read
+    fn settle(&mut self) -> f64 {
+        let (cpu, wall) = self.spent();
+        let owed = owed(self.slowdown, cpu, wall);
+        if !owed.is_zero() {
+            let asleep = Instant::now();
+            thread::sleep(owed);
+            self.slept += asleep.elapsed();
+        }
+        cpu.as_secs_f64() * self.slowdown
+    }
+}
+
+/// What a node `slowdown` times slower still owes after spending `cpu` of
+/// its own work in `wall`: `max(0, slowdown · cpu − wall)`. A full-speed
+/// node owes nothing, whatever the clocks read.
+fn owed(slowdown: f64, cpu: Duration, wall: Duration) -> Duration {
+    if slowdown <= 1.0 {
+        return Duration::ZERO;
+    }
+    cpu.mul_f64(slowdown).saturating_sub(wall)
 }
 
 /// A rank's comm worker for one step: all-reduces each bucket the backward
@@ -1342,6 +1416,10 @@ mod tests {
         fn backward_to(&mut self, grad_out: &Tensor, _: Grads<'_>) -> Tensor {
             grad_out.clone()
         }
+
+        fn replicate(&self) -> Box<dyn Layer> {
+            Box::new(Tripwire(Arc::clone(&self.0)))
+        }
     }
 
     #[test]
@@ -1362,7 +1440,7 @@ mod tests {
             .expect("valid config");
         let first = t.run_epoch().expect("epoch 0 is healthy");
         let healthy = t.run_epoch().expect("epoch 1 is healthy");
-        assert_eq!(built.load(Ordering::SeqCst), 3, "one replica per rank for the trainer's lifetime");
+        assert_eq!(built.load(Ordering::SeqCst), 1, "one model for the trainer's lifetime, copied per rank");
         let checkpoint = t.driver.exec.checkpoint.clone();
 
         // The panicked rank's endpoint drops with it; its neighbours'
@@ -1378,7 +1456,7 @@ mod tests {
         // rebuilds states and ring from the checkpoint and trains on from
         // where the last good epoch stopped, not from scratch.
         let recovered = t.run_epoch().expect("recovery epoch");
-        assert_eq!(built.load(Ordering::SeqCst), 6, "n more replicas after the failed epoch");
+        assert_eq!(built.load(Ordering::SeqCst), 2, "one more model after the failed epoch");
         assert_eq!(recovered.epoch, healthy.epoch + 1, "the failed epoch is not counted");
         assert!(
             recovered.mean_loss < first.mean_loss.min(1.5 * healthy.mean_loss + 0.05),
@@ -1388,6 +1466,81 @@ mod tests {
             recovered.mean_loss
         );
         assert_replicas_agree(&t);
+    }
+
+    #[test]
+    fn model_factory_runs_only_when_no_replica_exists() {
+        let built = Arc::new(AtomicUsize::new(0));
+        let armed = Arc::new(AtomicBool::new(false));
+        let (count, wire) = (Arc::clone(&built), Arc::clone(&armed));
+        let mut cfg = config(false);
+        cfg.slowdowns = vec![1.0, 2.0, 4.0];
+        let mut t = ParallelTrainer::builder()
+            .dataset(gaussian_blobs(640, 4, 10, 3))
+            .model(move |seed| {
+                count.fetch_add(1, Ordering::SeqCst);
+                mlp_classifier(10, 24, 4, seed).push(Tripwire(Arc::clone(&wire)))
+            })
+            .config(cfg)
+            .build()
+            .expect("valid config");
+        let calls = || built.load(Ordering::SeqCst);
+        t.run_epoch().expect("epoch");
+        assert_eq!(calls(), 1, "the first epoch builds one model and copies it to the other ranks");
+        t.add_rank(1.0);
+        t.run_epoch().expect("epoch");
+        assert_eq!(calls(), 1, "a joining rank copies the first replica");
+        assert_replicas_agree(&t);
+        armed.store(true, Ordering::SeqCst);
+        t.run_epoch().expect_err("a panicked rank fails the epoch");
+        t.run_epoch().expect("recovery epoch");
+        assert_eq!(calls(), 2, "after a failed epoch one model is built, from the checkpoint");
+        assert_replicas_agree(&t);
+    }
+
+    /// Durations in milliseconds, for the node-clock cases.
+    fn ms(v: u64) -> Duration {
+        Duration::from_millis(v)
+    }
+
+    #[test]
+    fn a_full_speed_node_never_sleeps() {
+        for (cpu, wall) in [(0, 0), (10, 10), (10, 25), (25, 10)] {
+            assert_eq!(owed(1.0, ms(cpu), ms(wall)), Duration::ZERO, "cpu {cpu} ms, wall {wall} ms");
+        }
+    }
+
+    #[test]
+    fn a_slow_node_owes_its_stretched_cpu_time_less_the_wall_time() {
+        assert_eq!(owed(4.0, ms(10), ms(10)), ms(30));
+        assert_eq!(owed(4.0, ms(10), ms(25)), ms(15));
+        assert_eq!(owed(2.0, ms(10), ms(25)), Duration::ZERO, "past the deadline already");
+        assert_eq!(owed(2.5, ms(8), ms(8)), ms(12));
+    }
+
+    #[test]
+    fn time_lost_to_the_run_queue_is_slept_less_not_multiplied() {
+        // The same 10 ms of work, once on a free core and once after
+        // waiting X ms for one: the deadline does not move.
+        for lost in [1, 5, 20] {
+            let free = owed(4.0, ms(10), ms(10));
+            let queued = owed(4.0, ms(10), ms(10 + lost));
+            assert_eq!(free - queued, ms(lost), "lost {lost} ms");
+        }
+    }
+
+    #[test]
+    fn an_oversleep_is_absorbed_by_the_next_settle() {
+        // s = 3: 10 ms of work, then a settle that owes 20 ms but sleeps
+        // `over` ms longer, then 10 ms more work (run unhindered).
+        for over in [0, 4, 15] {
+            let first = owed(3.0, ms(10), ms(10));
+            assert_eq!(first, ms(20));
+            let wall = ms(10) + first + ms(over) + ms(10);
+            let second = owed(3.0, ms(20), wall);
+            assert_eq!(second, ms(20 - over), "oversleep {over} ms");
+            assert_eq!(wall + second, ms(60), "the step still ends at 3 × its CPU time");
+        }
     }
 
     #[test]
@@ -1530,7 +1683,7 @@ mod tests {
                 .expect("valid config");
             let reported: u64 = (0..4).map(|_| t.run_epoch().expect("epoch").comm_bytes).sum();
             assert_replicas_agree(&t);
-            assert_eq!(built.load(Ordering::SeqCst), 3, "{label}: replicas are built once");
+            assert_eq!(built.load(Ordering::SeqCst), 1, "{label}: replicas are built once, from one model");
             // The endpoints' lifetime counters add up to what the four
             // epochs reported: no epoch started on a new ring.
             let lifetime: u64 = t.driver.exec.ranks.iter().map(|s| s.comm.bytes_sent()).sum();

@@ -26,6 +26,10 @@ impl Layer for Relu {
         let x = self.input.as_ref().expect("backward called before forward");
         grad_out.mul(&x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }))
     }
+
+    fn replicate(&self) -> Box<dyn Layer> {
+        Box::new(Relu::new())
+    }
 }
 
 #[cfg(test)]

@@ -225,6 +225,16 @@ impl Layer for Conv2d {
     fn parameters_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
+
+    fn replicate(&self) -> Box<dyn Layer> {
+        Box::new(Conv2d {
+            weight: self.weight.clone(),
+            bias: self.bias.clone(),
+            cache: None,
+            col_buf: Vec::new(),
+            ..*self
+        })
+    }
 }
 
 #[cfg(test)]

@@ -81,6 +81,10 @@ impl Layer for Linear {
     fn parameters_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
+
+    fn replicate(&self) -> Box<dyn Layer> {
+        Box::new(Linear { weight: self.weight.clone(), bias: self.bias.clone(), input: None, ..*self })
+    }
 }
 
 #[cfg(test)]

@@ -165,6 +165,11 @@ pub trait Layer: Send {
     fn parameters_mut(&mut self) -> Vec<&mut Param> {
         Vec::new()
     }
+
+    /// A new layer holding copies of this one's parameters and none of
+    /// what a forward pass cached: what constructing it again and
+    /// assigning these weights would give, without drawing them anew.
+    fn replicate(&self) -> Box<dyn Layer>;
 }
 
 /// Composition of layers applied in sequence.
@@ -230,6 +235,12 @@ impl Sequential {
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
+
+    /// [`Layer::replicate`] of every layer: a model with these weights and
+    /// no cached activations, as a `Sequential`.
+    pub fn replicate(&self) -> Sequential {
+        Sequential { layers: self.layers.iter().map(|l| l.replicate()).collect() }
+    }
 }
 
 impl Layer for Sequential {
@@ -267,6 +278,10 @@ impl Layer for Sequential {
 
     fn parameters_mut(&mut self) -> Vec<&mut Param> {
         self.layers.iter_mut().flat_map(|l| l.parameters_mut()).collect()
+    }
+
+    fn replicate(&self) -> Box<dyn Layer> {
+        Box::new(Sequential::replicate(self))
     }
 }
 
@@ -476,5 +491,27 @@ mod tests {
         for (a, b) in once.data().iter().zip(twice.data()) {
             assert!((b - 2.0 * a).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn a_replica_is_a_fresh_model_with_the_same_weights() {
+        use crate::models::mini_cnn;
+        let bits = |t: Tensor| -> Vec<u32> { t.data().iter().map(|v| v.to_bits()).collect() };
+        // The original has run a pass, so it holds cached activations and
+        // a filled im2col buffer; its replica holds neither.
+        let mut original = mini_cnn(3, 6, 4, 5);
+        let y = original.forward(&Tensor::randn(&[2, 3, 6, 6], 1), true);
+        original.backward(&Tensor::ones(y.shape()));
+        let mut replica = original.replicate();
+        assert_eq!(bits(flatten_values(&replica.parameters())), bits(flatten_values(&original.parameters())));
+        let ones = Tensor::ones(y.shape());
+        let cached = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| replica.backward(&ones)));
+        assert!(cached.is_err(), "a replica has no forward pass to run backward from");
+        // From here on both compute the same bits.
+        let x = Tensor::randn(&[3, 3, 6, 6], 2);
+        assert_eq!(bits(replica.forward(&x, true)), bits(original.forward(&x, true)));
+        let g = Tensor::randn(&[3, 4], 3);
+        assert_eq!(bits(replica.backward(&g)), bits(original.backward(&g)));
+        assert_eq!(bits(flatten_grads(&replica.parameters())), bits(flatten_grads(&original.parameters())));
     }
 }

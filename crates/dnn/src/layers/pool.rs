@@ -48,6 +48,10 @@ impl Layer for AvgPool2d {
     fn parameters(&self) -> Vec<&Param> {
         Vec::new()
     }
+
+    fn replicate(&self) -> Box<dyn Layer> {
+        Box::new(AvgPool2d::new())
+    }
 }
 
 #[cfg(test)]

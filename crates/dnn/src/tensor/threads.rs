@@ -13,9 +13,17 @@
 //!    not multiply over it (see [`replica_share`]).
 //! 3. The kernels themselves shrink the budget further when the matrix is
 //!    too small for the fan-out to pay for itself.
+//!
+//! It also reads the calling thread's CPU clock ([`thread_cpu_time`]),
+//! which a replica charges its emulated slowdown on: the kernels run on
+//! that thread, which computes the last row chunk of every fan-out itself
+//! while its helpers compute the others, so its CPU time tracks how long
+//! the replica's work takes on free cores, without the time the thread
+//! spent waiting for one.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 /// Environment variable controlling the process-wide kernel thread cap.
 pub const THREADS_ENV: &str = "CANNIKIN_THREADS";
@@ -99,6 +107,37 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// CPU time the calling thread has consumed so far, from Linux's
+/// `CLOCK_THREAD_CPUTIME_ID`: it advances while the thread runs and stands
+/// still while it sleeps, blocks or waits in the run queue. `None` where
+/// that clock is unavailable (another OS, or the call failing).
+pub fn thread_cpu_time() -> Option<Duration> {
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::{c_int, c_long};
+        /// `struct timespec` (`time_t` is a `long` on Linux).
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: c_long,
+            tv_nsec: c_long,
+        }
+        extern "C" {
+            fn clock_gettime(clock: c_int, now: *mut Timespec) -> c_int;
+        }
+        const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+        let mut now = Timespec { tv_sec: 0, tv_nsec: 0 };
+        // SAFETY: `clock_gettime` only writes one `timespec` through the
+        // pointer, which is a live, exclusively borrowed local of that
+        // layout.
+        let status = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut now) };
+        let secs = u64::try_from(now.tv_sec).ok()?;
+        let nanos = u32::try_from(now.tv_nsec).ok()?;
+        (status == 0).then(|| Duration::new(secs, nanos))
+    }
+    #[cfg(not(target_os = "linux"))]
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,5 +177,29 @@ mod tests {
             let inner = std::thread::spawn(effective_threads).join().unwrap();
             assert_eq!(inner, configured_threads());
         });
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn cpu_clock_runs_with_work_and_stands_still_in_sleep() {
+        let cpu = || thread_cpu_time().expect("Linux has a thread CPU clock");
+        let spin = std::time::Instant::now();
+        let before = cpu();
+        let mut x = 0u64;
+        while spin.elapsed() < Duration::from_millis(30) {
+            x = std::hint::black_box(x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1));
+        }
+        let busy = cpu() - before;
+        let wall = spin.elapsed();
+        // Preemption can only take CPU from the loop, never add to it (up
+        // to the two clocks' granularity), and a loaded host still gives
+        // it some.
+        let charged = format!("{wall:?} of busy loop charged {busy:?}");
+        assert!(busy > Duration::ZERO && busy <= wall + Duration::from_micros(50), "{charged}");
+
+        let before = cpu();
+        std::thread::sleep(Duration::from_millis(30));
+        let asleep = cpu() - before;
+        assert!(asleep < Duration::from_millis(3), "a 30 ms sleep charged {asleep:?}");
     }
 }

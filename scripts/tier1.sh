@@ -5,7 +5,8 @@
 # Usage: scripts/tier1.sh [stage...]
 #   benchmark  the frozen benchmark's own tests, then all four workloads
 #              at smoke size (plain rustc, ~50 s)
-#   build      release build, and proof that it resolved no registry crate
+#   build      release build, proof that it resolved no registry crate, and
+#              that crates/core/src holds no unsafe
 #   test       full workspace test suite
 #   kernels    minidnn's suite again, optimised, under each GEMM kernel policy
 #              (auto, off, avx2), after saying which tile auto is here; then
@@ -59,6 +60,12 @@ stage() {
         # a diagnostics verdict, so core must not link the insight crate.
         if cargo tree -p cannikin-core -e normal --prefix none | grep -n '^cannikin-insight '; then
             echo "tier1.sh: cannikin-core depends on cannikin-insight again (above)" >&2
+            exit 1
+        fi
+        # The engine reads the thread CPU clock through minidnn's one FFI
+        # call; core itself holds no `unsafe`.
+        if git grep -n unsafe crates/core/src; then
+            echo "tier1.sh: crates/core/src says unsafe (above); keep FFI and unsafe code in minidnn" >&2
             exit 1
         fi
         ;;
