@@ -38,14 +38,9 @@
 //! trajectory instead of drifting.
 
 use std::fmt;
-use std::str::FromStr;
 
-/// Gradient wire codec, selected per communicator group.
-///
-/// Parsed from the `CANNIKIN_CODEC` environment variable by
-/// `core::runtime::codec_from_env` (`none`, `bf16`, `f16`, or
-/// `topk:PERMILLE`); builder settings take precedence over the environment,
-/// which takes precedence over the [`Codec::None`] default.
+/// Gradient wire codec, selected per communicator group; the trainer
+/// builders default to [`Codec::None`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Codec {
     /// Raw little-endian `f32` frames — the lossless legacy format.
@@ -57,8 +52,8 @@ pub enum Codec {
     F16,
     /// Keep only the `permille`/1000 largest-magnitude entries per frame.
     TopK {
-        /// Kept fraction in thousandths, clamped to `1..=1000` at parse
-        /// time. `100` keeps the top 10%.
+        /// Kept fraction in thousandths, `1..=1000`. `100` keeps the top
+        /// 10%.
         permille: u16,
     },
 }
@@ -226,46 +221,6 @@ impl Codec {
             Codec::None => len * 4,
             Codec::Bf16 | Codec::F16 => len * 2,
             Codec::TopK { permille } => 8 + topk_count(len, *permille) * 8,
-        }
-    }
-}
-
-/// Error from parsing a [`Codec`] spec string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseCodecError {
-    value: String,
-}
-
-impl fmt::Display for ParseCodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown codec `{}` (expected `none`, `bf16`, `f16` or `topk:PERMILLE` with PERMILLE in 1..=1000)",
-            self.value
-        )
-    }
-}
-
-impl std::error::Error for ParseCodecError {}
-
-impl FromStr for Codec {
-    type Err = ParseCodecError;
-
-    /// Parse `none`/`off`, `bf16`, `f16`/`fp16`/`half`, or `topk:N` with
-    /// `N` in thousandths (1..=1000).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let t = s.trim();
-        match t.to_ascii_lowercase().as_str() {
-            "none" | "off" | "raw" | "f32" => Ok(Codec::None),
-            "bf16" | "bfloat16" => Ok(Codec::Bf16),
-            "f16" | "fp16" | "half" => Ok(Codec::F16),
-            lower => match lower.split_once(':') {
-                Some(("topk", arg)) => match arg.parse::<u16>() {
-                    Ok(p) if (1..=1000).contains(&p) => Ok(Codec::TopK { permille: p }),
-                    _ => Err(ParseCodecError { value: t.to_string() }),
-                },
-                _ => Err(ParseCodecError { value: t.to_string() }),
-            },
         }
     }
 }
@@ -678,32 +633,9 @@ mod tests {
     }
 
     #[test]
-    fn parse_and_display_round_trip() {
-        for (s, want) in [
-            ("none", Codec::None),
-            ("off", Codec::None),
-            ("BF16", Codec::Bf16),
-            ("f16", Codec::F16),
-            ("fp16", Codec::F16),
-            (" half ", Codec::F16),
-            ("topk:100", Codec::TopK { permille: 100 }),
-            ("topk:1000", Codec::TopK { permille: 1000 }),
-        ] {
-            assert_eq!(s.parse::<Codec>().unwrap(), want, "{s}");
-        }
-        for codec in [Codec::None, Codec::Bf16, Codec::F16, Codec::TopK { permille: 37 }] {
-            assert_eq!(codec.to_string().parse::<Codec>().unwrap(), codec);
-        }
-    }
-
-    #[test]
-    fn parse_error_lists_valid_values() {
-        for bad in ["gzip", "topk", "topk:0", "topk:1001", "topk:abc", ""] {
-            let err = bad.parse::<Codec>().unwrap_err().to_string();
-            for needle in ["`none`", "`bf16`", "`f16`", "`topk:PERMILLE`"] {
-                assert!(err.contains(needle), "error for {bad:?} must list {needle}: {err}");
-            }
-        }
+    fn display_names_the_codec() {
+        let shown = [Codec::None, Codec::Bf16, Codec::F16, Codec::TopK { permille: 37 }].map(|c| c.to_string());
+        assert_eq!(shown, ["none", "bf16", "f16", "topk:37"]);
     }
 
     /// The residual as a vector (compensating zeros reads it out).

@@ -64,7 +64,7 @@ mod ring;
 pub mod tcp;
 pub mod transport;
 
-pub use codec::{Codec, ErrorFeedback, ParseCodecError};
+pub use codec::{Codec, ErrorFeedback};
 pub use resilience::{CommError, CommFaultPlan, RetryPolicy};
 pub use ring::{CommGroup, Communicator};
 pub use tcp::{Rendezvous, TcpTransport};

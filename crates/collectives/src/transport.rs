@@ -70,12 +70,8 @@ pub trait Transport: Send + fmt::Debug {
     fn bytes_received(&self) -> u64;
 }
 
-/// Which transport backs a [`crate::CommGroup`].
-///
-/// Parsed from the `CANNIKIN_TRANSPORT` environment variable by
-/// `core::runtime::transport_from_env` (`inprocess`, `tcp`, or
-/// `tcp:HOST:PORT`); builder settings take precedence over the environment,
-/// which takes precedence over the [`TransportKind::InProcess`] default.
+/// Which transport backs a [`crate::CommGroup`]; the trainer builders
+/// default to [`TransportKind::InProcess`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// `std::sync::mpsc` channels between threads of this process.
@@ -101,25 +97,6 @@ impl TransportKind {
         match self {
             TransportKind::InProcess => "inprocess",
             TransportKind::Tcp { .. } => "tcp",
-        }
-    }
-}
-
-impl std::str::FromStr for TransportKind {
-    type Err = String;
-
-    /// Parse `inprocess` / `in-process` / `local`, `tcp`, or `tcp:ADDR`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let s = s.trim();
-        match s.to_ascii_lowercase().as_str() {
-            "inprocess" | "in-process" | "local" | "channel" => Ok(TransportKind::InProcess),
-            "tcp" => Ok(TransportKind::tcp()),
-            _ => match s.split_once(':') {
-                Some(("tcp", addr)) if !addr.is_empty() => {
-                    Ok(TransportKind::Tcp { rendezvous: addr.to_string() })
-                }
-                _ => Err(format!("unknown transport `{s}` (expected `inprocess`, `tcp` or `tcp:HOST:PORT`)")),
-            },
         }
     }
 }
@@ -258,33 +235,10 @@ mod tests {
     }
 
     #[test]
-    fn transport_kind_parses_and_displays() {
-        use std::str::FromStr;
-        assert_eq!(TransportKind::from_str("inprocess").unwrap(), TransportKind::InProcess);
-        assert_eq!(TransportKind::from_str("In-Process").unwrap(), TransportKind::InProcess);
-        assert_eq!(TransportKind::from_str("tcp").unwrap(), TransportKind::tcp());
-        assert_eq!(
-            TransportKind::from_str("tcp:127.0.0.1:4040").unwrap(),
-            TransportKind::Tcp { rendezvous: "127.0.0.1:4040".to_string() }
-        );
-        assert!(TransportKind::from_str("carrier-pigeon").is_err());
+    fn transport_kind_displays() {
         assert_eq!(TransportKind::tcp().to_string(), "tcp:127.0.0.1:0");
+        assert_eq!(TransportKind::InProcess.to_string(), "inprocess");
         assert_eq!(TransportKind::InProcess.label(), "inprocess");
-    }
-
-    #[test]
-    fn transport_parse_error_names_the_value_and_lists_alternatives() {
-        use std::str::FromStr;
-        // The message is user-facing (it surfaces verbatim through
-        // CANNIKIN_TRANSPORT config errors), so it must echo the rejected
-        // value and enumerate every accepted spelling.
-        for bad in ["carrier-pigeon", "udp", "tcp:", ""] {
-            let err = TransportKind::from_str(bad).unwrap_err();
-            assert!(err.contains(&format!("`{}`", bad.trim())), "value missing from: {err}");
-            for accepted in ["`inprocess`", "`tcp`", "`tcp:HOST:PORT`"] {
-                assert!(err.contains(accepted), "{accepted} missing from: {err}");
-            }
-        }
     }
 
     #[test]

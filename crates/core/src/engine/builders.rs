@@ -6,20 +6,8 @@
 //! `build()` instead of a panic deep inside a constructor, and the
 //! gradient exchange's collective transport can be chosen per
 //! [`ParallelTrainer`] ([`TransportKind::InProcess`] channels or
-//! [`TransportKind::tcp`] sockets).
-//!
-//! Transport precedence is **builder > env > default**: an explicit
-//! [`transport`](ParallelTrainerBuilder::transport) call (or a full
-//! [`config`](ParallelTrainerBuilder::config)) always wins; otherwise the
-//! `CANNIKIN_TRANSPORT` variable is consulted via
-//! [`runtime::transport_from_env`]; otherwise the in-process backend is
-//! used. The gradient codec follows the same ladder through
-//! [`codec`](ParallelTrainerBuilder::codec) and `CANNIKIN_CODEC`, ending
-//! at the lossless raw-`f32` default. The adaptation policy follows it
-//! too: [`policy`](CannikinTrainerBuilder::policy) (or
-//! [`policy_boxed`](CannikinTrainerBuilder::policy_boxed) for a custom
-//! [`Policy`] implementation) > `CANNIKIN_POLICY` >
-//! [`PolicyKind::OptPerf`].
+//! [`TransportKind::tcp`] sockets). A knob no setter touches keeps the
+//! default its setter documents.
 //!
 //! ```
 //! use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth};
@@ -49,7 +37,6 @@ use super::NoiseModel;
 use crate::error::CannikinError;
 use crate::optperf::SolverInput;
 use crate::policy::{self, Policy, PolicyKind};
-use crate::runtime;
 
 use cannikin_collectives::{Codec, CommFaultPlan, TransportKind};
 use hetsim::Simulator;
@@ -159,8 +146,8 @@ impl CannikinTrainerBuilder {
         self
     }
 
-    /// Which built-in adaptation policy plans each epoch (default: builder
-    /// > `CANNIKIN_POLICY` > [`PolicyKind::OptPerf`]).
+    /// Which built-in adaptation policy plans each epoch (default:
+    /// [`PolicyKind::OptPerf`]).
     #[must_use]
     pub fn policy(mut self, kind: PolicyKind) -> Self {
         self.policy_kind = Some(kind);
@@ -168,7 +155,7 @@ impl CannikinTrainerBuilder {
     }
 
     /// A custom [`Policy`] implementation; overrides
-    /// [`policy`](Self::policy) and `CANNIKIN_POLICY`.
+    /// [`policy`](Self::policy).
     #[must_use]
     pub fn policy_boxed(mut self, policy: Box<dyn Policy>) -> Self {
         self.policy = Some(policy);
@@ -179,9 +166,8 @@ impl CannikinTrainerBuilder {
     ///
     /// # Errors
     ///
-    /// [`CannikinError::InvalidConfig`] when the simulator is missing, the
-    /// batch range cannot cover the cluster, or `CANNIKIN_POLICY` holds an
-    /// unparseable value.
+    /// [`CannikinError::InvalidConfig`] when the simulator is missing or
+    /// the batch range cannot cover the cluster.
     pub fn build(self) -> Result<CannikinTrainer, CannikinError> {
         let sim = self
             .sim
@@ -214,18 +200,10 @@ impl CannikinTrainerBuilder {
         }
         let noise: Box<dyn NoiseModel> =
             self.noise.unwrap_or_else(|| Box::new(super::LinearNoiseGrowth { initial: 300.0, rate: 1.0 }));
-        // Builder > environment: a variable the builder overrides is never
-        // read, so a malformed one cannot fail the build.
-        let policy: Box<dyn Policy> = match self.policy {
-            Some(p) => p,
-            None => {
-                let kind = match self.policy_kind {
-                    Some(kind) => kind,
-                    None => runtime::policy_from_env()?.unwrap_or_default(),
-                };
-                policy::build_sim_policy(kind, config.base_batch, sim.cluster().len(), config.max_batch)
-            }
-        };
+        let policy: Box<dyn Policy> = self.policy.unwrap_or_else(|| {
+            let kind = self.policy_kind.unwrap_or_default();
+            policy::build_sim_policy(kind, config.base_batch, sim.cluster().len(), config.max_batch)
+        });
         let mut trainer = CannikinTrainer::from_parts(sim, noise, config, policy);
         if let Some(checkpoint) = &self.warm_start {
             trainer.warm_start(checkpoint);
@@ -365,17 +343,16 @@ impl ParallelTrainerBuilder {
         self
     }
 
-    /// Collective transport for the gradient exchange (default: builder >
-    /// `CANNIKIN_TRANSPORT` > in-process channels).
+    /// Collective transport for the gradient exchange (default: in-process
+    /// channels).
     #[must_use]
     pub fn transport(mut self, kind: TransportKind) -> Self {
         self.transport = Some(kind);
         self
     }
 
-    /// Gradient compression codec for the exchange (default: builder >
-    /// `CANNIKIN_CODEC` > lossless raw `f32`). Lossy codecs run with
-    /// persistent per-rank error feedback.
+    /// Gradient compression codec for the exchange (default: lossless raw
+    /// `f32`). Lossy codecs run with persistent per-rank error feedback.
     #[must_use]
     pub fn codec(mut self, codec: Codec) -> Self {
         self.codec = Some(codec);
@@ -391,8 +368,8 @@ impl ParallelTrainerBuilder {
         self
     }
 
-    /// Which built-in adaptation policy plans each epoch (default: builder
-    /// > `CANNIKIN_POLICY` > [`PolicyKind::OptPerf`]).
+    /// Which built-in adaptation policy plans each epoch (default:
+    /// [`PolicyKind::OptPerf`]).
     #[must_use]
     pub fn policy(mut self, kind: PolicyKind) -> Self {
         self.policy_kind = Some(kind);
@@ -400,7 +377,7 @@ impl ParallelTrainerBuilder {
     }
 
     /// A custom [`Policy`] implementation; overrides
-    /// [`policy`](Self::policy) and `CANNIKIN_POLICY`.
+    /// [`policy`](Self::policy).
     #[must_use]
     pub fn policy_boxed(mut self, policy: Box<dyn Policy>) -> Self {
         self.policy = Some(policy);
@@ -414,8 +391,7 @@ impl ParallelTrainerBuilder {
     /// [`CannikinError::InvalidConfig`] when the dataset or model factory
     /// is missing, the node set is empty or holds a slowdown that is not a
     /// finite factor `>= 1`, the batch range cannot cover it, the learning
-    /// rate is not positive, the dataset is smaller than two base batches, or
-    /// `CANNIKIN_TRANSPORT` / `CANNIKIN_POLICY` holds an unparseable value.
+    /// rate is not positive, or the dataset is smaller than two base batches.
     pub fn build(self) -> Result<ParallelTrainer, CannikinError> {
         let dataset = self
             .dataset
@@ -423,8 +399,6 @@ impl ParallelTrainerBuilder {
         let factory = self
             .factory
             .ok_or_else(|| CannikinError::InvalidConfig("ParallelTrainerBuilder needs a model factory".into()))?;
-        let explicit_transport = self.transport.or_else(|| self.config.as_ref().map(|c| c.transport.clone()));
-        let explicit_codec = self.codec.or_else(|| self.config.as_ref().map(|c| c.codec));
         let mut config = self
             .config
             .unwrap_or_else(|| ParallelConfig::hetero_default(self.base_batch.unwrap_or(32)));
@@ -455,16 +429,12 @@ impl ParallelTrainerBuilder {
         if let Some(v) = self.overlap {
             config.overlap = v;
         }
-        // Builder > environment > default: a variable the builder overrides
-        // is never read, so a malformed one cannot fail the build.
-        config.transport = match explicit_transport {
-            Some(kind) => kind,
-            None => runtime::transport_from_env()?.unwrap_or_default(),
-        };
-        config.codec = match explicit_codec {
-            Some(codec) => codec,
-            None => runtime::codec_from_env()?.unwrap_or_default(),
-        };
+        if let Some(v) = self.transport {
+            config.transport = v;
+        }
+        if let Some(v) = self.codec {
+            config.codec = v;
+        }
         let n = config.slowdowns.len();
         if n == 0 {
             return Err(CannikinError::InvalidConfig("need at least one node".into()));
@@ -506,16 +476,10 @@ impl ParallelTrainerBuilder {
             )));
         }
         config.max_batch = config.max_batch.min(epoch_cap);
-        let policy: Box<dyn Policy> = match self.policy {
-            Some(p) => p,
-            None => {
-                let kind = match self.policy_kind {
-                    Some(kind) => kind,
-                    None => runtime::policy_from_env()?.unwrap_or_default(),
-                };
-                policy::build_sim_policy(kind, config.base_batch, n, config.max_batch)
-            }
-        };
+        let policy: Box<dyn Policy> = self.policy.unwrap_or_else(|| {
+            let kind = self.policy_kind.unwrap_or_default();
+            policy::build_sim_policy(kind, config.base_batch, n, config.max_batch)
+        });
         Ok(ParallelTrainer::from_parts(dataset, factory, config, policy))
     }
 }

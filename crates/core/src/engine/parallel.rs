@@ -1596,7 +1596,9 @@ mod tests {
     /// ones, so each line is keyed by the family that wrote it, and a host
     /// whose family has no line says so and skips. `CANNIKIN_BLESS=1`
     /// rewrites the compiled-in family's lines and keeps the others; the
-    /// committed lines were written by the step this one replaced.
+    /// committed lines were written by the step this one replaced. The
+    /// switch is read when the test is compiled (cargo rebuilds it when the
+    /// variable changes): the core crate reads no environment.
     #[test]
     fn epochs_match_the_golden_digests() {
         use minidnn::tensor::simd::{configured_kernel, Kernel};
@@ -1605,7 +1607,7 @@ mod tests {
             Kernel::Scalar => "scalar",
             Kernel::Avx2 | Kernel::Avx512 => "simd",
         };
-        let bless = std::env::var_os("CANNIKIN_BLESS").is_some();
+        let bless = option_env!("CANNIKIN_BLESS").is_some();
         let fixture = std::fs::read_to_string(&path).unwrap_or_default();
         let (golden, others): (Vec<&str>, Vec<&str>) =
             fixture.lines().partition(|line| line.split(' ').next() == Some(family));

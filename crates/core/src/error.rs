@@ -28,8 +28,8 @@ pub enum CannikinError {
     /// An estimator received invalid inputs (e.g. a local batch equal to
     /// the global batch, for which Eq. (10) is undefined).
     InvalidEstimate(String),
-    /// A builder or runtime option was rejected before any training ran
-    /// (bad env value, batch smaller than the node count, …).
+    /// A builder option was rejected before any training ran (batch
+    /// smaller than the node count, …).
     InvalidConfig(String),
     /// The collective layer failed (socket setup, dropped peer, exhausted
     /// retries). Wraps the transport's [`CommError`] so engine recovery

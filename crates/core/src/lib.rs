@@ -52,6 +52,5 @@ pub mod linalg;
 pub mod optperf;
 pub mod perf;
 pub mod policy;
-pub mod runtime;
 
 pub use error::CannikinError;

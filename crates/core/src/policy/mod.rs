@@ -147,9 +147,7 @@ pub trait Policy: Send {
     fn on_membership_change(&mut self, _nodes: usize) {}
 }
 
-/// Which built-in policy to construct — the parse/display surface behind
-/// the builders' `.policy()` knob and the `CANNIKIN_POLICY` environment
-/// variable.
+/// Which built-in policy to construct — the builders' `.policy()` knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// The paper's planner: OptPerf splits + goodput-maximizing `B`.
@@ -172,22 +170,6 @@ impl PolicyKind {
             PolicyKind::Even => "even",
             PolicyKind::LbBsp => "lbbsp",
             PolicyKind::Rl => "rl",
-        }
-    }
-}
-
-impl std::str::FromStr for PolicyKind {
-    type Err = String;
-
-    /// Parse `optperf` / `cannikin`, `even` / `adaptdl`, `lbbsp` /
-    /// `lb-bsp`, or `rl` / `bandit`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "optperf" | "cannikin" | "goodput" => Ok(PolicyKind::OptPerf),
-            "even" | "even-split" | "adaptdl" => Ok(PolicyKind::Even),
-            "lbbsp" | "lb-bsp" => Ok(PolicyKind::LbBsp),
-            "rl" | "bandit" => Ok(PolicyKind::Rl),
-            other => Err(format!("unknown policy `{other}` (expected `optperf`, `even`, `lbbsp` or `rl`)")),
         }
     }
 }
@@ -218,27 +200,13 @@ pub fn build_sim_policy(kind: PolicyKind, base_batch: u64, nodes: usize, max_bat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::str::FromStr;
 
     #[test]
-    fn kind_parse_display_roundtrip() {
+    fn kind_displays_as_its_label() {
         for kind in [PolicyKind::OptPerf, PolicyKind::Even, PolicyKind::LbBsp, PolicyKind::Rl] {
-            assert_eq!(PolicyKind::from_str(&kind.to_string()).unwrap(), kind);
             assert_eq!(kind.to_string(), kind.label());
         }
-        assert_eq!(PolicyKind::from_str("AdaptDL").unwrap(), PolicyKind::Even);
-        assert_eq!(PolicyKind::from_str(" lb-bsp ").unwrap(), PolicyKind::LbBsp);
-        assert_eq!(PolicyKind::from_str("bandit").unwrap(), PolicyKind::Rl);
         assert_eq!(PolicyKind::default(), PolicyKind::OptPerf);
-    }
-
-    #[test]
-    fn kind_parse_error_lists_alternatives() {
-        let err = PolicyKind::from_str("alphago").unwrap_err();
-        for alt in ["optperf", "even", "lbbsp", "rl"] {
-            assert!(err.contains(alt), "{err} should list `{alt}`");
-        }
-        assert!(err.contains("alphago"), "{err} should echo the bad value");
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! `AnomalyDetected` records (a replayed trace already contains the
 //! online verdicts).
 
+use crate::observer::Observer;
 use cannikin_telemetry::{AnomalyDetected, AnomalyKind, Event, Record};
 use std::collections::BTreeMap;
 
@@ -68,7 +69,8 @@ impl Default for InsightConfig {
 }
 
 /// Plan-calibration state: the pending prediction and the realized step
-/// aggregates accumulated under it.
+/// aggregates accumulated under it (under any plan, predicted or not:
+/// the replay table prints every plan's realized time).
 #[derive(Debug, Clone, Default)]
 struct CalibrationTrack {
     /// `predicted_t` of the plan currently being executed.
@@ -163,6 +165,12 @@ impl DetectorSet {
         self.gns.ewma
     }
 
+    /// Mean realized batch time of the steps since the last
+    /// `SplitDecision` — the plan the next decision closes.
+    pub(crate) fn open_plan_realized(&self) -> Option<f64> {
+        self.calibration.realized().map(|(realized, _)| realized)
+    }
+
     /// Feed one record through every detector; returns the anomalies it
     /// triggered (usually none).
     pub fn observe(&mut self, record: &Record) -> Vec<AnomalyDetected> {
@@ -201,10 +209,9 @@ impl DetectorSet {
         else {
             return;
         };
-        if predicted <= 0.0 {
+        let Some(rel_err) = relative_error(predicted, realized) else {
             return;
-        }
-        let rel_err = (realized - predicted).abs() / predicted;
+        };
         self.calibration.last_error = Some(rel_err);
         if rel_err > self.config.calibration_band {
             out.push(AnomalyDetected {
@@ -281,6 +288,34 @@ impl DetectorSet {
         self.buckets.streaks.insert(bucket, 0);
         self.buckets.count += 1;
         self.buckets.mean_npe += (npe - self.buckets.mean_npe) / self.buckets.count as f64;
+    }
+}
+
+/// OptPerf's relative prediction error, `|realized − predicted| /
+/// predicted`; none for a non-positive prediction.
+pub(crate) fn relative_error(predicted: f64, realized: f64) -> Option<f64> {
+    (predicted > 0.0).then(|| (realized - predicted).abs() / predicted)
+}
+
+impl Observer for DetectorSet {
+    type Verdict = AnomalyDetected;
+
+    /// Traces carry the run's anomaly count next to each verdict.
+    const TALLY: Option<&'static str> = Some("insight_anomalies");
+
+    fn observe(&mut self, record: &Record) -> Vec<AnomalyDetected> {
+        DetectorSet::observe(self, record)
+    }
+
+    fn event(anomaly: &AnomalyDetected) -> (Option<u32>, Event) {
+        (anomaly.node, Event::AnomalyDetected(anomaly.clone()))
+    }
+
+    fn recorded(event: &Event) -> Option<&AnomalyDetected> {
+        match event {
+            Event::AnomalyDetected(a) => Some(a),
+            _ => None,
+        }
     }
 }
 

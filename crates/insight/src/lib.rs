@@ -8,22 +8,28 @@
 //! is the analyzer's own: `cannikin-core` clears the node's history and
 //! emits a `RegimeChange`, and this crate *reports* it as a straggler
 //! when the node got slower. This crate watches the `cannikin-telemetry`
-//! event stream for those failure modes, in two interchangeable forms:
+//! event stream for those failure modes — and judges fleet SLOs — with
+//! two engines of one shape: the anomaly [`DetectorSet`] (stragglers from
+//! the analyzer's regime changes, predicted-vs-observed plan calibration,
+//! GNS drift, all-reduce bucket imbalance) and the [`SloEngine`]. Each
+//! turns records into verdicts and runs in two interchangeable forms:
 //!
-//! * **Online** — [`Monitor::install`] taps the recorder's sink via the
-//!   subscriber API and runs the [`DetectorSet`] live: stragglers from
-//!   the analyzer's regime changes, predicted-vs-observed plan
-//!   calibration, GNS drift, and all-reduce bucket imbalance. Anomalies
-//!   are injected back into the stream as typed
-//!   [`AnomalyDetected`](cannikin_telemetry::AnomalyDetected) events, and
-//!   [`Monitor::report`] summarizes them. Nothing flows back into
-//!   training: the monitor observes, the analyzer decides.
-//! * **Offline** — [`replay::analyze`] reconstructs per-node/per-plan
-//!   timelines from a drained session or a parsed JSONL export and
-//!   replays the *same* detectors, so the `cannikin-insight` CLI can
-//!   post-mortem any run exported with `CANNIKIN_TELEMETRY=jsonl:…` —
-//!   and the round-trip tests assert the offline rerun reproduces the
-//!   online verdicts byte-for-byte.
+//! * **Online** — one live tap, the crate's only recorder subscriber:
+//!   [`Monitor::install`] and [`SloMonitor::install`] run the engine over
+//!   every flushed batch and inject each verdict back into the stream as
+//!   a typed [`AnomalyDetected`](cannikin_telemetry::AnomalyDetected) or
+//!   [`SloViolation`](cannikin_telemetry::SloViolation) record;
+//!   [`Monitor::report`] and [`SloMonitor::violations`] summarize them.
+//!   Nothing flows back into training: the monitor observes, the analyzer
+//!   decides.
+//! * **Offline** — one replay: [`replay::analyze`] and [`replay_slos`]
+//!   rerun the *same* engine over a drained session or a parsed JSONL
+//!   export and set its verdicts next to the ones recorded in the trace;
+//!   [`replay::analyze`] also reconstructs per-node and per-plan
+//!   timelines. So the `cannikin-insight` CLI can post-mortem any run
+//!   exported with `CANNIKIN_TELEMETRY=jsonl:…`, and the round-trip tests
+//!   assert the offline rerun reproduces the online verdicts
+//!   byte-for-byte.
 //!
 //! ```
 //! use cannikin_insight::{InsightConfig, Monitor};
@@ -41,6 +47,7 @@
 
 pub mod detectors;
 pub mod monitor;
+mod observer;
 pub mod replay;
 pub mod report;
 pub mod slo;

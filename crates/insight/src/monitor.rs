@@ -1,5 +1,4 @@
-//! The live monitor: a recorder [`Subscriber`] hosting the detector
-//! suite.
+//! The live monitor: the one live tap, hosting the detector suite.
 //!
 //! [`Monitor::install`] registers a tap on the telemetry sink; from then
 //! on every flushed batch runs through the [`DetectorSet`] on the
@@ -9,60 +8,16 @@
 //! [`Monitor::report`] summarizes the whole run as a [`HealthReport`].
 //! Mid-run readers call `telemetry::flush_thread()` first, so the
 //! calling thread's buffered events have reached the detectors.
-//!
-//! Emission from inside the subscriber callback uses
-//! [`cannikin_telemetry::inject`] exclusively — callbacks can run during
-//! a thread-exit flush, where touching the thread-local buffer would be
-//! undefined (see the recorder docs).
 
 use crate::detectors::{DetectorSet, InsightConfig};
-use cannikin_telemetry::{self as telemetry, AnomalyDetected, AnomalyKind, Counter, Event, Record, Subscriber};
-use parking_lot::Mutex;
-use std::sync::Arc;
-
-struct State {
-    set: DetectorSet,
-    events_seen: u64,
-    /// Every anomaly since installation (the cumulative report).
-    anomalies: Vec<AnomalyDetected>,
-}
-
-struct Inner {
-    state: Mutex<State>,
-}
-
-impl Subscriber for Inner {
-    fn on_records(&self, batch: &[Record]) {
-        let mut state = self.state.lock();
-        for record in batch {
-            state.events_seen += 1;
-            let found = state.set.observe(record);
-            for anomaly in found {
-                telemetry::inject(
-                    anomaly.node.unwrap_or(record.node),
-                    record.rank,
-                    Event::AnomalyDetected(anomaly.clone()),
-                );
-                state.anomalies.push(anomaly);
-                telemetry::inject(
-                    record.node,
-                    record.rank,
-                    Event::Counter(Counter {
-                        name: "insight_anomalies".to_string(),
-                        value: state.anomalies.len() as f64,
-                    }),
-                );
-            }
-        }
-    }
-}
+use crate::observer::Tap;
+use cannikin_telemetry::{AnomalyDetected, AnomalyKind};
 
 /// A live diagnostics tap on the telemetry stream. Cheap to clone; the
 /// subscription lasts until the last clone drops.
 #[derive(Clone)]
 pub struct Monitor {
-    inner: Arc<Inner>,
-    _guard: Arc<telemetry::SubscriberGuard>,
+    tap: Tap<DetectorSet>,
 }
 
 impl Monitor {
@@ -71,38 +26,30 @@ impl Monitor {
     /// starts (recording itself still requires a live
     /// `telemetry::Session`).
     pub fn install(config: InsightConfig) -> Monitor {
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State {
-                set: DetectorSet::new(config),
-                events_seen: 0,
-                anomalies: Vec::new(),
-            }),
-        });
-        let guard = telemetry::subscribe(inner.clone() as Arc<dyn Subscriber>);
-        Monitor { inner, _guard: Arc::new(guard) }
+        Monitor { tap: Tap::install(DetectorSet::new(config)) }
     }
 
     /// Cumulative health summary since installation.
     pub fn report(&self) -> HealthReport {
-        let state = self.inner.state.lock();
+        let tapped = self.tap.lock();
         let mut straggling: Vec<u32> =
-            state.anomalies.iter().filter(|a| a.kind == AnomalyKind::Straggler).filter_map(|a| a.node).collect();
+            tapped.verdicts.iter().filter(|a| a.kind == AnomalyKind::Straggler).filter_map(|a| a.node).collect();
         straggling.sort_unstable();
         straggling.dedup();
         HealthReport {
-            events_seen: state.events_seen,
-            anomalies: state.anomalies.clone(),
+            events_seen: tapped.events_seen,
+            anomalies: tapped.verdicts.clone(),
             straggling_nodes: straggling,
-            latest_calibration_error: state.set.latest_calibration_error(),
-            latest_noise_scale: state.set.smoothed_noise_scale(),
+            latest_calibration_error: tapped.observer.latest_calibration_error(),
+            latest_noise_scale: tapped.observer.smoothed_noise_scale(),
         }
     }
 }
 
 impl std::fmt::Debug for Monitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.inner.state.lock();
-        write!(f, "Monitor({} events, {} anomalies)", state.events_seen, state.anomalies.len())
+        let tapped = self.tap.lock();
+        write!(f, "Monitor({} events, {} anomalies)", tapped.events_seen, tapped.verdicts.len())
     }
 }
 
@@ -168,7 +115,7 @@ impl HealthReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cannikin_telemetry::{RegimeChange, Session, StepTiming};
+    use cannikin_telemetry::{self as telemetry, Event, RegimeChange, Session, StepTiming};
 
     fn emit_timing(step: u64, rank: u32, b: u64, t: f64) {
         telemetry::emit(Event::StepTiming(StepTiming {
@@ -234,18 +181,5 @@ mod tests {
         assert_eq!(report.events_seen, 30);
         assert!(report.render().contains("healthy"));
         drop(session);
-    }
-
-    #[test]
-    fn dropped_monitor_unsubscribes() {
-        let session = Session::start();
-        {
-            let _monitor = Monitor::install(InsightConfig::default());
-        }
-        emit_timing(0, 0, 32, 0.5);
-        telemetry::flush_thread();
-        // No panic, no injected events: the tap is gone.
-        let records = session.drain();
-        assert_eq!(records.len(), 1);
     }
 }

@@ -4,14 +4,17 @@
 //! [`analyze`] consumes the records of a drained session (or a parsed
 //! JSONL export), builds per-node timing timelines and per-plan
 //! calibration summaries, and replays the [`DetectorSet`] over the
-//! stream. Because a drained stream is timestamp-sorted and a single
-//! driver thread's emission order survives that sort, the offline
-//! detectors see exactly the sequence the online monitor saw — so
+//! stream through the crate's one replay, the one
+//! [`replay_slos`](crate::replay_slos) runs the SLO engine through.
+//! Because a drained stream is timestamp-sorted and a single driver
+//! thread's emission order survives that sort, the offline detectors see
+//! exactly the sequence the online monitor saw — so
 //! [`ReplayReport::anomalies_match`] can demand byte-for-byte agreement
 //! between the `offline` rerun and the `online` verdicts recorded in the
 //! trace.
 
-use crate::detectors::{DetectorSet, InsightConfig};
+use crate::detectors::{relative_error, DetectorSet, InsightConfig};
+use crate::observer;
 use cannikin_telemetry::{AnomalyDetected, Event, Histogram, Record};
 use std::collections::BTreeMap;
 
@@ -134,37 +137,6 @@ impl ReplayReport {
     }
 }
 
-/// Per-plan accumulation while scanning the trace.
-#[derive(Debug, Default)]
-struct PlanAccum {
-    steps: BTreeMap<u64, (f64, f64, f64, u64)>, // max_compute, max_comm, sum_overlap, count
-}
-
-impl PlanAccum {
-    fn observe(&mut self, step: u64, t_compute: f64, t_comm: f64, overlap: f64) {
-        let e = self.steps.entry(step).or_insert((0.0, 0.0, 0.0, 0));
-        e.0 = e.0.max(t_compute);
-        e.1 = e.1.max(t_comm);
-        e.2 += overlap;
-        e.3 += 1;
-    }
-
-    fn realized(&self) -> Option<f64> {
-        if self.steps.is_empty() {
-            return None;
-        }
-        let total: f64 = self
-            .steps
-            .values()
-            .map(|&(compute, comm, overlap_sum, count)| {
-                let overlap = if count > 0 { overlap_sum / count as f64 } else { 0.0 };
-                compute + (1.0 - overlap.clamp(0.0, 1.0)) * comm
-            })
-            .sum();
-        Some(total / self.steps.len() as f64)
-    }
-}
-
 struct NodeAccum {
     hist: Histogram,
     steps: u64,
@@ -189,29 +161,20 @@ impl NodeAccum {
 /// Pass the records in drain order (a drained session or a parsed JSONL
 /// export is already timestamp-sorted).
 pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
-    let mut set = DetectorSet::new(config);
     let mut kind_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut nodes: BTreeMap<u32, NodeAccum> = BTreeMap::new();
     let mut plans: Vec<PlanSummary> = Vec::new();
-    let mut accum: Option<PlanAccum> = None;
-    let mut offline = Vec::new();
-    let mut online = Vec::new();
-    let mut events = 0u64;
-
-    fn finalize_plan(plans: &mut [PlanSummary], accum: &mut Option<PlanAccum>) {
-        if let (Some(acc), Some(plan)) = (accum.take(), plans.last_mut()) {
-            plan.realized_t = acc.realized();
-            plan.rel_error = match (plan.predicted_t, plan.realized_t) {
-                (Some(p), Some(r)) if p > 0.0 => Some((r - p).abs() / p),
-                _ => None,
-            };
+    // A plan's realized time is the detectors' calibration fold over its
+    // steps, read as the next decision (or the end of the trace) closes it.
+    let close = |plan: Option<&mut PlanSummary>, set: &DetectorSet| {
+        if let Some(plan) = plan {
+            plan.realized_t = set.open_plan_realized();
+            plan.rel_error = plan.predicted_t.zip(plan.realized_t).and_then(|(p, r)| relative_error(p, r));
         }
-    }
-
-    for record in records {
-        events += 1;
+    };
+    let mut set = DetectorSet::new(config);
+    let (offline, online) = observer::replay(&mut set, records, |set, record| {
         *kind_counts.entry(record.event.kind()).or_insert(0) += 1;
-        offline.extend(set.observe(record));
         match &record.event {
             Event::StepTiming(t) => {
                 let node = nodes.entry(t.rank).or_insert_with(NodeAccum::new);
@@ -219,12 +182,9 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
                 node.steps += 1;
                 node.batch_sum += t.b_i as f64;
                 node.compute_max = node.compute_max.max(t.t_compute);
-                if let Some(acc) = accum.as_mut() {
-                    acc.observe(t.step, t.t_compute, t.t_comm, t.overlap);
-                }
             }
             Event::SplitDecision(d) => {
-                finalize_plan(&mut plans, &mut accum);
+                close(plans.last_mut(), set);
                 plans.push(PlanSummary {
                     index: plans.len(),
                     source: d.source.as_str().to_string(),
@@ -234,13 +194,11 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
                     realized_t: None,
                     rel_error: None,
                 });
-                accum = Some(PlanAccum::default());
             }
-            Event::AnomalyDetected(a) => online.push(a.clone()),
             _ => {}
         }
-    }
-    finalize_plan(&mut plans, &mut accum);
+    });
+    close(plans.last_mut(), &set);
 
     let nodes = nodes
         .into_iter()
@@ -255,7 +213,7 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
         .collect();
 
     ReplayReport {
-        events,
+        events: records.len() as u64,
         kind_counts: kind_counts.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         nodes,
         plans,
@@ -267,7 +225,7 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cannikin_telemetry::{RegimeChange, SplitDecision, SplitSource, StepTiming};
+    use cannikin_telemetry::{SplitDecision, SplitSource, StepTiming};
 
     fn timing(step: u64, rank: u32, b: u64, t: f64) -> Record {
         Record {
@@ -324,35 +282,19 @@ mod tests {
         assert!(report.render().contains("EXACT"));
     }
 
+    /// Every plan gets the realized time of its own steps, with or without
+    /// a prediction; steps before the first decision belong to no plan.
     #[test]
-    fn offline_detectors_reproduce_recorded_anomalies() {
-        // A trace in which the analyzer saw node 0 slow down 2x, and the
-        // matching online verdict, as the live monitor would have
-        // injected it.
-        let law = |b: f64| 0.01 * b + 0.05;
-        let mut records: Vec<Record> = (0..9u64).map(|step| timing(step, 0, 32, law(32.0))).collect();
-        records.push(Record {
-            ts_ns: 90,
-            node: 0,
-            rank: 0,
-            event: Event::RegimeChange(RegimeChange { node: 0, b_i: 32, expected: law(32.0), observed: 2.0 * law(32.0) }),
-        });
-        // First pass tells us what the online monitor would have found.
-        let first = analyze(&records, InsightConfig::default());
-        assert_eq!(first.offline.len(), 1);
-        assert_eq!((first.offline[0].step, first.offline[0].severity), (8, 2.0));
-        assert!(!first.anomalies_match(), "trace carries no online verdicts yet");
-        // Embed the verdicts as the live monitor does and re-analyze.
-        for a in &first.offline {
-            records.push(Record {
-                ts_ns: u64::MAX,
-                node: a.node.unwrap_or(0),
-                rank: 0,
-                event: Event::AnomalyDetected(a.clone()),
-            });
-        }
-        let second = analyze(&records, InsightConfig::default());
-        assert_eq!(second.online, first.offline);
-        assert!(second.anomalies_match());
+    fn each_plan_realizes_its_own_steps() {
+        let mut records = vec![timing(0, 0, 32, 9.0), decision(None, vec![32, 32])];
+        records.extend((1..4).map(|step| timing(step, 0, 32, 0.2)));
+        records.push(decision(Some(0.4), vec![32, 32]));
+        records.extend((4..8).map(|step| timing(step, 0, 32, 0.8)));
+        let report = analyze(&records, InsightConfig::default());
+        let realized: Vec<f64> = report.plans.iter().map(|p| p.realized_t.expect("steps ran")).collect();
+        assert!((realized[0] - 0.205).abs() < 1e-12 && (realized[1] - 0.805).abs() < 1e-12, "{realized:?}");
+        assert_eq!(report.plans[0].rel_error, None, "no prediction, no error");
+        assert!((report.plans[1].rel_error.expect("predicted") - 1.0125).abs() < 1e-12);
+        assert!(report.render().contains("  0.20500  -\n"), "{}", report.render());
     }
 }

@@ -1,6 +1,6 @@
 //! The SLO engine: evaluates declarative [`SloRule`]s against the event
-//! stream, online (as a recorder [`Subscriber`]) and offline (over a
-//! drained trace), with byte-identical verdicts.
+//! stream, online (in a live tap, [`SloMonitor`]) and offline (over a
+//! drained trace, [`replay_slos`]), with byte-identical verdicts.
 //!
 //! ## Determinism contract
 //!
@@ -25,11 +25,8 @@
 //! its job's ceiling, a single slow crash recovery) fire per offending
 //! event.
 
-use cannikin_telemetry::{
-    self as telemetry, Event, FaultKind, Record, RecoveryKind, SloRule, SloViolation, Subscriber,
-};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use crate::observer::{self, Observer, Tap};
+use cannikin_telemetry::{Event, FaultKind, Record, RecoveryKind, SloRule, SloViolation};
 
 /// Evaluates a rule set against a record sequence. Feed records in
 /// emission order via [`SloEngine::observe`]; equal sequences produce
@@ -188,26 +185,21 @@ fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-struct SloState {
-    engine: SloEngine,
-    violations: Vec<SloViolation>,
-}
+impl Observer for SloEngine {
+    type Verdict = SloViolation;
 
-struct SloInner {
-    state: Mutex<SloState>,
-}
+    fn observe(&mut self, record: &Record) -> Vec<SloViolation> {
+        SloEngine::observe(self, record)
+    }
 
-impl Subscriber for SloInner {
-    fn on_records(&self, batch: &[Record]) {
-        let mut state = self.state.lock();
-        for record in batch {
-            for violation in state.engine.observe(record) {
-                // `inject`, not `emit`: callbacks may run during a
-                // thread-exit flush, and injected records must not loop
-                // back through subscribers (see the module docs).
-                telemetry::inject(record.node, record.rank, Event::SloViolation(violation.clone()));
-                state.violations.push(violation);
-            }
+    fn event(violation: &SloViolation) -> (Option<u32>, Event) {
+        (None, Event::SloViolation(violation.clone()))
+    }
+
+    fn recorded(event: &Event) -> Option<&SloViolation> {
+        match event {
+            Event::SloViolation(v) => Some(v),
+            _ => None,
         }
     }
 }
@@ -218,33 +210,28 @@ impl Subscriber for SloInner {
 /// the subscription lasts until the last clone drops.
 #[derive(Clone)]
 pub struct SloMonitor {
-    inner: Arc<SloInner>,
-    _guard: Arc<telemetry::SubscriberGuard>,
+    tap: Tap<SloEngine>,
 }
 
 impl SloMonitor {
     /// Register a monitor over `rules`; it judges the sessions the calling
     /// thread starts.
     pub fn install(rules: Vec<SloRule>) -> SloMonitor {
-        let inner = Arc::new(SloInner {
-            state: Mutex::new(SloState { engine: SloEngine::new(rules), violations: Vec::new() }),
-        });
-        let guard = telemetry::subscribe(inner.clone() as Arc<dyn Subscriber>);
-        SloMonitor { inner, _guard: Arc::new(guard) }
+        SloMonitor { tap: Tap::install(SloEngine::new(rules)) }
     }
 
     /// Every violation since installation, in detection order. Mid-run
     /// readers call `telemetry::flush_thread()` first so buffered events
     /// have reached the engine.
     pub fn violations(&self) -> Vec<SloViolation> {
-        self.inner.state.lock().violations.clone()
+        self.tap.lock().verdicts.clone()
     }
 }
 
 impl std::fmt::Debug for SloMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.inner.state.lock();
-        write!(f, "SloMonitor({} rules, {} violations)", state.engine.rules.len(), state.violations.len())
+        let tapped = self.tap.lock();
+        write!(f, "SloMonitor({} rules, {} violations)", tapped.observer.rules.len(), tapped.verdicts.len())
     }
 }
 
@@ -313,22 +300,14 @@ impl SloReport {
 /// verdicts stored in it. The engine ignores `SloViolation` records, so
 /// feeding a trace that already carries online verdicts is safe.
 pub fn replay_slos(records: &[Record], rules: &[SloRule]) -> SloReport {
-    let mut engine = SloEngine::new(rules.to_vec());
-    let mut offline = Vec::new();
-    let mut online = Vec::new();
-    for record in records {
-        if let Event::SloViolation(v) = &record.event {
-            online.push(v.clone());
-        }
-        offline.extend(engine.observe(record));
-    }
+    let (offline, online) = observer::replay(&mut SloEngine::new(rules.to_vec()), records, |_, _| {});
     SloReport { rules: rules.to_vec(), offline, online }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cannikin_telemetry::{Counter, FaultInjected, JobAdmitted, RecoveryAction, Session};
+    use cannikin_telemetry::{Counter, FaultInjected, JobAdmitted, RecoveryAction};
 
     fn rec(event: Event) -> Record {
         Record { ts_ns: 0, node: 0, rank: 0, event }
@@ -409,55 +388,5 @@ mod tests {
         assert_eq!(fired[0].at, 2);
         // A shrink without a pending crash (e.g. a scheduled leave) is ignored.
         assert!(engine.observe(&shrink(31)).is_empty());
-    }
-
-    #[test]
-    fn replay_reproduces_online_verdicts_and_detects_tampering() {
-        let rules = vec![SloRule::GoodputFloor { floor: 1.0 }];
-        // Build the trace the way the online path would: engine-fired
-        // violations appear as records after their trigger.
-        let mut engine = SloEngine::new(rules.clone());
-        let mut trace = Vec::new();
-        for v in [5.0, 0.2, 4.0] {
-            let r = goodput(v);
-            let fired = engine.observe(&r);
-            trace.push(r);
-            trace.extend(fired.into_iter().map(|v| rec(Event::SloViolation(v))));
-        }
-        let report = replay_slos(&trace, &rules);
-        assert_eq!(report.offline.len(), 1);
-        assert_eq!(report.online.len(), 1);
-        assert!(report.verdicts_match());
-        assert_eq!(report.count_for("goodput_floor", None), 1);
-        assert!(report.render().contains("verdicts agree"));
-        // Drop the online record: the replay notices.
-        let stripped: Vec<Record> =
-            trace.iter().filter(|r| !matches!(r.event, Event::SloViolation(_))).cloned().collect();
-        assert!(!replay_slos(&stripped, &rules).verdicts_match());
-    }
-
-    #[test]
-    fn monitor_injects_violations_online() {
-        let monitor = SloMonitor::install(vec![SloRule::GoodputFloor { floor: 1.0 }]);
-        let session = Session::start();
-        {
-            let _id = telemetry::set_thread_identity(3, 5);
-            telemetry::emit(Event::Counter(Counter { name: "fleet_goodput".into(), value: 8.0 }));
-            telemetry::emit(Event::Counter(Counter { name: "fleet_goodput".into(), value: 0.25 }));
-            telemetry::flush_thread();
-        }
-        let fired = monitor.violations();
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].rule, "goodput_floor");
-        let records = session.drain();
-        // The verdict is stamped with its trigger's identity.
-        let online: Vec<(u32, u32, &SloViolation)> = records
-            .iter()
-            .filter_map(|r| match &r.event {
-                Event::SloViolation(v) => Some((r.node, r.rank, v)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(online, [(3, 5, &fired[0])]);
     }
 }

@@ -83,3 +83,15 @@ fn usage_and_parse_errors_exit_one() {
     let (code, _, stderr) = run(&[garbage.to_str().unwrap()]);
     assert_eq!(code, 1, "{stderr}");
 }
+
+#[test]
+fn a_hostile_line_exits_one_with_a_message() {
+    let dir = std::env::temp_dir().join("cannikin-insight-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let deep = dir.join("deep.jsonl");
+    // Deep enough to overflow the stack of a parser without a depth limit.
+    std::fs::write(&deep, "[".repeat(50_000) + "\n").expect("write deep line");
+    let (code, _, stderr) = run(&[deep.to_str().unwrap()]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("cannot parse") && stderr.contains("nesting deeper than 128"), "{stderr}");
+}

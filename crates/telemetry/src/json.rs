@@ -59,7 +59,8 @@ impl Json {
     /// number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => Some(*v as u64),
+            // `u64::MAX as f64` is 2^64 itself, one past the range.
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < u64::MAX as f64 => Some(*v as u64),
             _ => None,
         }
     }
@@ -132,12 +133,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset of the first syntax error.
+    /// Returns a message with the byte offset of the first syntax error,
+    /// of a number that is not finite, or of an array or object nested
+    /// more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -182,11 +185,20 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so a hostile line of brackets must end in an error, not in a
+/// stack overflow; telemetry records nest three levels at most.
+const MAX_DEPTH: usize = 128;
+
+/// `depth` counts the arrays and objects already open around the value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     match bytes.get(*pos) {
         None => Err(format!("unexpected end of input at byte {pos}", pos = *pos)),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -213,7 +225,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "non-utf8 number".to_string())?;
-    text.parse::<f64>().map(Json::Num).map_err(|_| format!("invalid number `{text}` at byte {start}"))
+    match text.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+        Ok(_) => Err(format!("number `{text}` at byte {start} is not finite")),
+        Err(_) => Err(format!("invalid number `{text}` at byte {start}")),
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -265,7 +281,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     debug_assert_eq!(bytes[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -276,7 +292,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
     loop {
         skip_ws(bytes, pos);
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -289,7 +305,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     debug_assert_eq!(bytes[*pos], b'{');
     *pos += 1;
     let mut members = Vec::new();
@@ -310,7 +326,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -372,5 +388,34 @@ mod tests {
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // Deep enough to overflow the stack of a parser without the limit.
+        assert!(Json::parse(&"[".repeat(50_000)).is_err());
+    }
+
+    #[test]
+    fn numbers_that_are_not_finite_are_rejected() {
+        for text in ["1e400", "-1e400", "[0,1e999]"] {
+            let err = Json::parse(text).expect_err(text);
+            assert!(err.contains("is not finite"), "{text}: {err}");
+        }
+        assert_eq!(Json::parse("1.7976931348623157e308").unwrap().as_f64(), Some(f64::MAX));
+    }
+
+    #[test]
+    fn as_u64_rejects_two_to_the_64() {
+        let two_64 = Json::parse("18446744073709551616").unwrap();
+        assert_eq!(two_64.as_u64(), None, "2^64 does not fit in a u64");
+        // The largest double below 2^64 still does.
+        let below = Json::parse("18446744073709549568").unwrap();
+        assert_eq!(below.as_u64(), Some(18_446_744_073_709_549_568));
     }
 }

@@ -6,7 +6,8 @@
 #   benchmark  the frozen benchmark's own tests, then all four workloads
 #              at smoke size (plain rustc, ~50 s)
 #   build      release build, proof that it resolved no registry crate, and
-#              that crates/core/src holds no unsafe
+#              that crates/core/src holds no unsafe and reads no environment,
+#              and that insight subscribes to the recorder once
 #   test       full workspace test suite
 #   kernels    minidnn's suite again, optimised, under each GEMM kernel policy
 #              (auto, off, avx2), after saying which tile auto is here; then
@@ -66,6 +67,19 @@ stage() {
         # call; core itself holds no `unsafe`.
         if git grep -n unsafe crates/core/src; then
             echo "tier1.sh: crates/core/src says unsafe (above); keep FFI and unsafe code in minidnn" >&2
+            exit 1
+        fi
+        # Insight's engines share one live tap; a second subscriber is a
+        # second copy of it. The tap's own impl is generic over the observer.
+        subscriber_impls='impl(<[^>]*>)? +Subscriber for'
+        if [ "$(git grep -hE "$subscriber_impls" crates/insight/src | wc -l)" -gt 1 ]; then
+            git grep -nE "$subscriber_impls" crates/insight/src
+            echo "tier1.sh: crates/insight/src implements Subscriber more than once (above); observers go through the one tap" >&2
+            exit 1
+        fi
+        # The builders resolve builder > default; core reads no environment.
+        if git grep -n 'std::env' crates/core/src; then
+            echo "tier1.sh: crates/core/src reads the environment (above); knobs are builder settings" >&2
             exit 1
         fi
         ;;
