@@ -247,7 +247,9 @@ impl Executor for SimExecutor {
     /// steps whose gradient exchange was lost. A failed step contributes
     /// simulated wall time but no observations and no samples, so nothing
     /// is double-counted. Without a fault plan no batch carries a fault and
-    /// the loop degenerates to `steps` plain batches.
+    /// the loop degenerates to `steps` plain steps, which `hetsim` simulates
+    /// a block at a time on every core; the analyzer, the telemetry and the
+    /// fit timing still see each of them here, in order.
     fn execute(&mut self, round: Round<'_>) -> Result<Executed<EpochRecord>, CannikinError> {
         let Round { epoch, plan, plan_seconds, analyzer } = round;
         let phi = self.noise_scale_now();
@@ -279,14 +281,19 @@ impl Executor for SimExecutor {
         let mut micros = Vec::new();
         // The epoch's last completed batch, as its nodes observed it.
         let mut last_observed = Vec::new();
+        // Steps simulated ahead and not yet taken: a whole block of them
+        // without a fault plan, one step with one.
+        let mut block = Vec::new().into_iter();
         while completed < steps {
-            micros.clear();
-            for _ in 1..accumulation {
-                let micro = self.sim.simulate_microbatch(&local);
-                epoch_time += micro.batch_time;
-                micros.push(micro);
+            if block.len() == 0 {
+                block = self.sim.simulate_steps(&local, accumulation as usize, steps - completed).into_iter();
             }
-            let mut batch = self.sim.simulate_batch(&local);
+            micros.clear();
+            micros.extend(block.by_ref().take(accumulation as usize - 1));
+            let mut batch = block.next().expect("a simulated step ends with its batch");
+            for micro in &micros {
+                epoch_time += micro.batch_time;
+            }
             epoch_time += batch.batch_time;
             faults_seen += batch.faults.len() as u32;
             for fault in &batch.faults {
@@ -348,6 +355,7 @@ impl Executor for SimExecutor {
                 step_changed = true;
             }
             if step_changed {
+                debug_assert_eq!(block.len(), 0, "a fault plan hands out one step at a time");
                 membership_changed = true;
                 let replan_started = Instant::now();
                 local = self.replan_split(total, analyzer);

@@ -24,6 +24,26 @@
 //! `γ`, `T_comm` and `T_u` measurements. A log-normal with `σ = 0` draws
 //! nothing. Every seeded result in the workspace is a function of this
 //! order, so a change that moves it re-blesses every golden.
+//!
+//! Read as generator words — a uniform is one word, a Box–Muller
+//! log-normal two — a synchronized batch on `n` nodes and `K` buckets
+//! draws
+//!
+//! ```text
+//! n·(s + 4·c) + 2·K·m + Σ_i 6·[σ_i ≠ 0]
+//! ```
+//!
+//! and a no-sync micro-batch `n·(s + 4·c)`, where `s` is 1 when stragglers
+//! are enabled, `c` is 1 when the compute noise is not zero and `m` is 1
+//! when the communication noise is not zero. None of these depends on a
+//! drawn value, so a fault-free step — `accumulation − 1` micro-batches,
+//! then a batch — draws a count fixed before it starts. That makes a seam
+//! between steps exact: a generator stepped forward by whole steps' worth
+//! of words is the generator the serial run would hold there, and
+//! [`Simulator::simulate_steps`] simulates the parts of a run of steps on
+//! every core with every bit of the stream unchanged. A fault plan draws
+//! from its own generator but can change the membership between steps, so
+//! a simulator with one attached steps one at a time.
 
 use crate::cluster::ClusterSpec;
 use crate::fault::{CommOutcome, FaultPlan, FaultState};
@@ -32,7 +52,24 @@ use crate::timing::{comm_times, node_coefficients, ComputeCoeffs};
 use crate::trace::{BatchTrace, EpochTrace, NodeObservation};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::thread;
+
+/// Node-steps a block must hold per thread before it runs on more than
+/// one; a node-step is one node's share of one optimizer step. It is also
+/// the length of a block, per core, so what a block returns at once stays
+/// bounded. On the two-core x86-64 host this was sized on, a scoped spawn +
+/// join took 20–50 µs and a node-step 0.28–0.40 µs of simulation, so a
+/// thread's share carries about ten times what its spawn costs.
+pub const THREAD_NODE_STEPS: usize = 1_700;
+
+/// Node-steps of the contiguous part of a block a thread claims at a time:
+/// about 30–40 µs of simulation, against one atomic add per claim, and the
+/// most a finished thread waits on a slow one for at the end of a block.
+pub const PART_NODE_STEPS: usize = THREAD_NODE_STEPS / 16;
 
 /// Ground-truth simulator for one (cluster, job) pair.
 ///
@@ -55,7 +92,13 @@ pub struct Simulator {
 impl Simulator {
     /// Create a simulator with default noise levels (2% compute jitter,
     /// 5% communication jitter).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the job has no gradient bucket (`num_buckets == 0`): its
+    /// gradients would never be exchanged and every batch would be free.
     pub fn new(cluster: ClusterSpec, job: JobSpec, seed: u64) -> Self {
+        assert!(job.num_buckets >= 1, "a job needs at least one gradient bucket");
         let coeffs = cluster.nodes.iter().map(|n| node_coefficients(n, &job)).collect();
         let (t_comm, _t_o, t_u) = comm_times(&cluster, &job);
         Simulator {
@@ -245,7 +288,7 @@ impl Simulator {
         let n = self.cluster.len();
         let t_comm = self.t_comm;
         let fx = match self.faults.as_mut() {
-            None => return self.simulate_batch_core(local, None),
+            None => return self.drawing(|sim, rng| sim.batch(rng, local, None)),
             Some(state) => state.on_batch_start(n, t_comm),
         };
         for &(node, fraction) in &fx.toggles {
@@ -257,7 +300,7 @@ impl Simulator {
             let batch_time = crate::fault::DETECT_TIMEOUT_FACTOR * self.ideal_batch_time(local);
             return BatchTrace { observations: Vec::new(), batch_time, bucket_sync_end: Vec::new(), faults: fx.faults };
         }
-        let mut trace = self.simulate_batch_core(local, Some(&fx.slowdown));
+        let mut trace = self.drawing(|sim, rng| sim.batch(rng, local, Some(&fx.slowdown)));
         match fx.comm {
             CommOutcome::Clean => {}
             CommOutcome::Recovered { penalty, .. } => trace.batch_time += penalty,
@@ -271,27 +314,27 @@ impl Simulator {
         trace
     }
 
-    /// The fault-free batch shared by the healthy and faulty paths;
-    /// `slowdown` optionally stretches per-node compute. One pass per
-    /// phase, each writing straight into what is returned — the draw order
-    /// is the module header's.
-    fn simulate_batch_core(&mut self, local: &[u64], slowdown: Option<&[f64]>) -> BatchTrace {
+    /// The fault-free batch shared by the healthy and faulty paths, written
+    /// into `trace`, a [`Simulator::shell`]; `slowdown` optionally
+    /// stretches per-node compute. One pass per phase, each writing straight
+    /// into what is returned — the draw order is the module header's.
+    fn fill_batch(&self, rng: &mut StdRng, local: &[u64], slowdown: Option<&[f64]>, trace: &mut BatchTrace) {
         let gamma = self.job.gamma;
         let k = self.job.num_buckets;
 
         // Per-node noisy realizations of a_i and P_i, with occasional
         // transient straggler spikes. The three measurement fields are
         // filled by the last pass, once the buckets have been reduced.
-        let mut observations = Vec::with_capacity(local.len());
+        let observations = &mut trace.observations;
         for (i, (c, &b)) in self.coeffs.iter().zip(local).enumerate() {
-            let spike = if self.straggler_prob > 0.0 && uniform(&mut self.rng) < self.straggler_prob {
+            let spike = if self.straggler_prob > 0.0 && uniform(rng) < self.straggler_prob {
                 self.straggler_factor
             } else {
                 1.0
             };
             let stretch = slowdown.map_or(1.0, |s| s[i]);
-            let a = c.a(b as f64) * lognormal(&mut self.rng, self.compute_noise) * spike * stretch;
-            let p = c.p(b as f64) * lognormal(&mut self.rng, self.compute_noise) * spike * stretch;
+            let a = c.a(b as f64) * lognormal(rng, self.compute_noise) * spike * stretch;
+            let p = c.p(b as f64) * lognormal(rng, self.compute_noise) * spike * stretch;
             let sigma = self.cluster.nodes[i].measurement_sigma;
             observations.push(NodeObservation {
                 node: i,
@@ -308,11 +351,11 @@ impl Simulator {
 
         // Bucket all-reduces serialize; each takes a noisy T_comm/K.
         let t_bucket_base = self.t_comm / k as f64;
-        let (rng, comm_noise) = (&mut self.rng, self.comm_noise);
-        let mut bucket_end = Vec::with_capacity(k);
+        let comm_noise = self.comm_noise;
+        let bucket_end = &mut trace.bucket_sync_end;
         let mut total_comm = 0.0;
         let mut last_bucket_time = 0.0;
-        let end = bucket_schedule(
+        trace.batch_time = bucket_schedule(
             observations.iter().map(|o| (o.a_time, o.p_time)),
             gamma,
             k,
@@ -329,12 +372,22 @@ impl Simulator {
         for (obs, node) in observations.iter_mut().zip(&self.cluster.nodes) {
             let sigma = node.measurement_sigma;
             let bias = 1.0 + node.measurement_bias;
-            obs.gamma_obs = gamma * bias * lognormal(&mut self.rng, sigma);
-            obs.t_comm_obs = total_comm * bias * lognormal(&mut self.rng, sigma);
-            obs.t_u_obs = last_bucket_time * bias * lognormal(&mut self.rng, sigma);
+            obs.gamma_obs = gamma * bias * lognormal(rng, sigma);
+            obs.t_comm_obs = total_comm * bias * lognormal(rng, sigma);
+            obs.t_u_obs = last_bucket_time * bias * lognormal(rng, sigma);
         }
+    }
 
-        BatchTrace { observations, batch_time: end, bucket_sync_end: bucket_end, faults: Vec::new() }
+    /// An empty trace with room for one batch's observations — and, for a
+    /// synchronized one, its bucket ends — that a step fills in place.
+    fn shell(&self, synchronized: bool) -> BatchTrace {
+        let buckets = if synchronized { self.job.num_buckets } else { 0 };
+        BatchTrace {
+            observations: Vec::with_capacity(self.cluster.len()),
+            batch_time: 0.0,
+            bucket_sync_end: Vec::with_capacity(buckets),
+            faults: Vec::new(),
+        }
     }
 
     /// Simulate one *no-sync* micro-batch (gradient accumulation): every
@@ -348,20 +401,26 @@ impl Simulator {
     /// Panics if `local.len()` differs from the node count.
     pub fn simulate_microbatch(&mut self, local: &[u64]) -> BatchTrace {
         assert_eq!(local.len(), self.cluster.len(), "one local batch per node");
+        self.drawing(|sim, rng| {
+            let mut trace = sim.shell(false);
+            sim.fill_microbatch(rng, local, &mut trace);
+            trace
+        })
+    }
+
+    fn fill_microbatch(&self, rng: &mut StdRng, local: &[u64], trace: &mut BatchTrace) {
         let gamma = self.job.gamma;
-        let n = self.cluster.len();
-        let mut observations = Vec::with_capacity(n);
         let mut end = 0.0f64;
         for (i, (c, &b)) in self.coeffs.iter().zip(local).enumerate() {
-            let spike = if self.straggler_prob > 0.0 && uniform(&mut self.rng) < self.straggler_prob {
+            let spike = if self.straggler_prob > 0.0 && uniform(rng) < self.straggler_prob {
                 self.straggler_factor
             } else {
                 1.0
             };
-            let a = c.a(b as f64) * lognormal(&mut self.rng, self.compute_noise) * spike;
-            let p = c.p(b as f64) * lognormal(&mut self.rng, self.compute_noise) * spike;
+            let a = c.a(b as f64) * lognormal(rng, self.compute_noise) * spike;
+            let p = c.p(b as f64) * lognormal(rng, self.compute_noise) * spike;
             end = end.max(a + p);
-            observations.push(NodeObservation {
+            trace.observations.push(NodeObservation {
                 node: i,
                 local_batch: b,
                 a_time: a,
@@ -373,21 +432,216 @@ impl Simulator {
                 rel_variance: self.cluster.nodes[i].measurement_sigma.powi(2),
             });
         }
-        BatchTrace { observations, batch_time: end, bucket_sync_end: Vec::new(), faults: Vec::new() }
+        trace.batch_time = end;
+    }
+
+    fn batch(&self, rng: &mut StdRng, local: &[u64], slowdown: Option<&[f64]>) -> BatchTrace {
+        let mut trace = self.shell(true);
+        self.fill_batch(rng, local, slowdown, &mut trace);
+        trace
+    }
+
+    /// Run `step` on this simulator with its generator held apart, so the
+    /// step reads the physics through `&self` while it draws.
+    fn drawing<R>(&mut self, step: impl FnOnce(&Self, &mut StdRng) -> R) -> R {
+        let mut rng = self.rng.clone();
+        let out = step(self, &mut rng);
+        self.rng = rng;
+        out
+    }
+
+    /// Simulate the next optimizer steps of a run under a fixed local-batch
+    /// assignment. Each step is `accumulation − 1` no-sync micro-batches,
+    /// then a synchronized batch; the traces come back in that order, step
+    /// after step — every bit what the same sequence of
+    /// [`Simulator::simulate_microbatch`] and [`Simulator::simulate_batch`]
+    /// calls returns, and the generator ends where theirs would.
+    ///
+    /// Returns the traces of the first `s` steps, `1 ≤ s ≤ steps`, so the
+    /// caller loops until its run is done:
+    /// - with a [`FaultPlan`] attached, `s` is 1, so a membership change
+    ///   lands before the next step is drawn;
+    /// - otherwise the run is cut into blocks of [`THREAD_NODE_STEPS`]
+    ///   node-steps per core, and a block that fills two or more cores is
+    ///   simulated on them (see [`Simulator::simulate_steps_on`]). A run
+    ///   too short for that is simulated on the caller's thread, a part of
+    ///   [`PART_NODE_STEPS`] at a time, so its traces stay in cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `accumulation` or `steps` is zero or the assignment length
+    /// is wrong.
+    pub fn simulate_steps(&mut self, local: &[u64], accumulation: usize, steps: usize) -> Vec<BatchTrace> {
+        assert!(accumulation >= 1 && steps >= 1, "a run needs at least one step of at least one batch");
+        if self.faults.is_some() {
+            assert_eq!(local.len(), self.cluster.len(), "one local batch per node");
+            let mut traces = Vec::with_capacity(accumulation);
+            for _ in 1..accumulation {
+                traces.push(self.simulate_microbatch(local));
+            }
+            traces.push(self.simulate_batch(local));
+            return traces;
+        }
+        let n = self.cluster.len();
+        let per_thread = THREAD_NODE_STEPS.div_ceil(n);
+        let threads = cores().min(steps / per_thread).max(1);
+        let block = if threads > 1 { threads * per_thread } else { PART_NODE_STEPS.div_ceil(n) };
+        self.simulate_steps_on(threads, local, accumulation, steps.min(block))
+    }
+
+    /// Simulate exactly `steps` fault-free optimizer steps on up to
+    /// `threads` threads: the caller's and scoped workers. The steps are
+    /// cut into contiguous parts of [`PART_NODE_STEPS`] node-steps, and each
+    /// thread claims the next part until none is left, so a thread slowed
+    /// by another process on its core leaves its share to the others. A
+    /// thread starts each part from the caller's generator stepped forward
+    /// by the whole steps before it. The traces and the generator's end
+    /// state are the same for every `threads`; [`Simulator::simulate_steps`]
+    /// sizes the count from the cores, and this entry point lets the
+    /// equivalence be tested at any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault plan is attached, if `threads`, `accumulation` or
+    /// `steps` is zero, or if the assignment length is wrong. Panics naming
+    /// the block if a part would start in a generator state other than the
+    /// one the part before it ended in: the stream would then differ from
+    /// the serial one, and that is never returned.
+    pub fn simulate_steps_on(
+        &mut self,
+        threads: usize,
+        local: &[u64],
+        accumulation: usize,
+        steps: usize,
+    ) -> Vec<BatchTrace> {
+        let words = self.step_words(accumulation);
+        self.simulate_block(threads, local, accumulation, steps, words)
+    }
+
+    /// Generator words one fault-free optimizer step draws: the module
+    /// header's count, from its draw order.
+    fn step_words(&self, accumulation: usize) -> usize {
+        let drawn = |sigma: f64| if sigma == 0.0 { 0 } else { 2 };
+        let per_node = usize::from(self.straggler_prob > 0.0) + 2 * drawn(self.compute_noise);
+        let buckets = self.job.num_buckets * drawn(self.comm_noise);
+        let measurements: usize = self.cluster.nodes.iter().map(|node| 3 * drawn(node.measurement_sigma)).sum();
+        accumulation * self.cluster.len() * per_node + buckets + measurements
+    }
+
+    /// [`Simulator::simulate_steps_on`] with the words per step given, so a
+    /// test can break the count and watch a seam catch it.
+    fn simulate_block(
+        &mut self,
+        threads: usize,
+        local: &[u64],
+        accumulation: usize,
+        steps: usize,
+        words: usize,
+    ) -> Vec<BatchTrace> {
+        assert!(self.faults.is_none(), "a block runs fault-free steps only");
+        assert!(threads >= 1 && accumulation >= 1 && steps >= 1, "a block needs a thread, a step and a batch");
+        assert_eq!(local.len(), self.cluster.len(), "one local batch per node");
+        let part = PART_NODE_STEPS.div_ceil(local.len());
+        let parts = steps.div_ceil(part);
+        let threads = threads.min(parts);
+        // Every trace is allocated here, on the caller's thread, and filled
+        // in place by whichever thread claims its part: a worker allocates
+        // nothing, and what the caller later frees is its own.
+        let mut traces: Vec<BatchTrace> = (1..=steps * accumulation).map(|i| self.shell(i % accumulation == 0)).collect();
+        if threads == 1 {
+            self.drawing(|sim, rng| sim.run_steps(rng, local, accumulation, &mut traces));
+            return traces;
+        }
+        // Part `p`'s traces, and the generator it began and ended in once run.
+        type Slot<'a> = Mutex<(&'a mut [BatchTrace], Option<(StdRng, StdRng)>)>;
+        let slots: Vec<Slot> = traces.chunks_mut(part * accumulation).map(|traces| Mutex::new((traces, None))).collect();
+        let start = self.rng.clone();
+        let unclaimed = AtomicUsize::new(0);
+        let sim = &*self;
+        let share = &|| {
+            let (mut rng, mut at) = (start.clone(), 0);
+            loop {
+                let p = unclaimed.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(p) else { break };
+                let (traces, ran) = &mut *slot.lock().expect("a part is claimed once");
+                let from = p * part;
+                for _ in 0..(from - at) * words {
+                    rng.next_u64();
+                }
+                let begin = rng.clone();
+                sim.run_steps(&mut rng, local, accumulation, traces);
+                *ran = Some((begin, rng.clone()));
+                at = from + traces.len() / accumulation;
+            }
+        };
+        thread::scope(|scope| {
+            let workers: Vec<_> = (1..threads).map(|_| scope.spawn(share)).collect();
+            share();
+            for worker in workers {
+                worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            }
+        });
+        // Which thread ran which part is up to the scheduler, so the word
+        // count every skip rests on is checked on the first part, and each
+        // part's start against the end of the one before it.
+        let mut counted = start.clone();
+        for _ in 0..part.min(steps) * words {
+            counted.next_u64();
+        }
+        let mut end = start;
+        for (p, slot) in slots.into_iter().enumerate() {
+            let (_, ran) = slot.into_inner().expect("a part's thread finished");
+            let (begin, part_end) = ran.expect("every part of a block is run");
+            let seamless = if p == 0 { counted == part_end } else { begin == end };
+            assert!(
+                seamless,
+                "noise-stream seam mismatch in the block of steps 0..{steps} (accumulation {accumulation}, {} nodes, \
+                 {threads} threads): the part from step {} does not start where the one before it ended",
+                local.len(),
+                p.max(1) * part,
+            );
+            end = part_end;
+        }
+        self.rng = end;
+        traces
+    }
+
+    /// Fills `traces`, whole steps of [`Simulator::shell`]s, with steps
+    /// drawn from `rng`: `accumulation − 1` micro-batches, then a batch.
+    fn run_steps(&self, rng: &mut StdRng, local: &[u64], accumulation: usize, traces: &mut [BatchTrace]) {
+        for step in traces.chunks_exact_mut(accumulation) {
+            let (batch, micros) = step.split_last_mut().expect("a step ends with its batch");
+            for micro in micros {
+                self.fill_microbatch(rng, local, micro);
+            }
+            self.fill_batch(rng, local, None, batch);
+        }
     }
 
     /// Simulate `steps` consecutive batches (one epoch) under a fixed
-    /// local-batch assignment.
+    /// local-batch assignment: [`Simulator::simulate_steps`] at
+    /// accumulation 1 until the epoch is done.
     ///
     /// # Panics
     ///
     /// Panics if `steps == 0` or the assignment length is wrong.
     pub fn simulate_epoch(&mut self, local: &[u64], steps: usize) -> EpochTrace {
         assert!(steps > 0, "epoch needs at least one step");
-        let batches: Vec<BatchTrace> = (0..steps).map(|_| self.simulate_batch(local)).collect();
+        let mut batches = self.simulate_steps(local, 1, steps);
+        while batches.len() < steps {
+            let block = self.simulate_steps(local, 1, steps - batches.len());
+            batches.extend(block);
+        }
         let epoch_time = batches.iter().map(|b| b.batch_time).sum();
         EpochTrace { batches, epoch_time }
     }
+}
+
+/// The machine's core count, read once: it sizes how many threads a block
+/// runs on, never what they compute.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// The batch recurrence, shared by the noisy step and the noise-free
@@ -565,6 +819,43 @@ mod tests {
             .fold(0.0f64, f64::max)
             + sim.true_comm().0;
         assert!((t - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "a job needs at least one gradient bucket")]
+    fn a_job_without_buckets_is_rejected() {
+        let mut job = JobSpec::resnet18_cifar10();
+        job.num_buckets = 0;
+        let _ = Simulator::new(small_cluster(), job, 12);
+    }
+
+    #[test]
+    fn step_words_are_what_a_step_draws() {
+        for (stragglers, compute, comm) in [(false, 0.02, 0.05), (true, 0.0, 0.05), (true, 0.02, 0.0), (false, 0.0, 0.0)] {
+            let cluster = small_cluster();
+            let mut sim = Simulator::new(cluster, JobSpec::bert_squad(), 13).with_noise(compute, comm);
+            if stragglers {
+                sim = sim.with_stragglers(0.1, 2.0);
+            }
+            sim.cluster.nodes[1].measurement_sigma = 0.0;
+            let mut skipped = sim.rng.clone();
+            for _ in 0..sim.step_words(3) {
+                skipped.next_u64();
+            }
+            sim.simulate_microbatch(&[8, 8, 8]);
+            sim.simulate_microbatch(&[8, 8, 8]);
+            sim.simulate_batch(&[8, 8, 8]);
+            assert_eq!(sim.rng, skipped, "stragglers {stragglers}, noise ({compute}, {comm})");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "noise-stream seam mismatch in the block of steps 0..200 (accumulation 1, 3 nodes, 2 threads): \
+                               the part from step 36 does not start")]
+    fn a_miscounted_seam_panics_naming_the_block() {
+        let mut sim = Simulator::new(small_cluster(), JobSpec::resnet18_cifar10(), 14);
+        let words = sim.step_words(1);
+        sim.simulate_block(2, &[8, 8, 8], 1, 200, words + 1);
     }
 
     #[test]

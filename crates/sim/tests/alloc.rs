@@ -1,4 +1,5 @@
-//! A simulated step allocates what it returns and nothing else.
+//! A simulated step allocates what it returns and nothing else, on the
+//! caller's thread and on the workers of a block alike.
 //!
 //! The counting allocator is process-wide, which is why this test has a
 //! binary to itself and a single `#[test]`: nothing else may run while the
@@ -42,35 +43,61 @@ static GLOBAL: Counting = Counting;
 
 const MEASURED: usize = 50;
 
-/// Allocator calls per warm `simulate_batch` and per warm
-/// `simulate_microbatch` on `n` nodes and `buckets` gradient buckets.
-fn allocations_per_step(n: usize, buckets: usize) -> (usize, usize) {
+fn simulator(n: usize, buckets: usize) -> Simulator {
     let gpus = [Gpu::A100, Gpu::V100, Gpu::Rtx6000];
     let nodes = (0..n).map(|i| NodeSpec::new(format!("n{i}"), gpus[i % 3])).collect();
     let mut job = JobSpec::resnet18_cifar10();
     job.num_buckets = buckets;
-    let mut sim = Simulator::new(ClusterSpec::new("alloc", nodes), job, 7).with_stragglers(0.05, 3.0);
-    let local = vec![16u64; n];
-    let mut count = |step: &mut dyn FnMut(&mut Simulator)| {
-        step(&mut sim);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for _ in 0..MEASURED {
-            step(&mut sim);
-        }
-        let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        assert_eq!(allocated % MEASURED, 0, "every warm step allocates alike");
-        allocated / MEASURED
-    };
-    let batch = count(&mut |sim| drop(std::hint::black_box(sim.simulate_batch(&local))));
-    let micro = count(&mut |sim| drop(std::hint::black_box(sim.simulate_microbatch(&local))));
-    (batch, micro)
+    Simulator::new(ClusterSpec::new("alloc", nodes), job, 7).with_stragglers(0.05, 3.0)
+}
+
+/// Allocator calls per warm call of `call`, which must allocate alike
+/// every time.
+fn allocations_per_call(sim: &mut Simulator, mut call: impl FnMut(&mut Simulator)) -> usize {
+    call(sim);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..MEASURED {
+        call(sim);
+    }
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(allocated % MEASURED, 0, "every warm call allocates alike");
+    allocated / MEASURED
 }
 
 #[test]
 fn a_warm_step_allocates_only_what_it_returns() {
     for (n, buckets) in [(2usize, 1usize), (16, 24)] {
-        let (batch, micro) = allocations_per_step(n, buckets);
+        let mut sim = simulator(n, buckets);
+        let local = vec![16u64; n];
+        let batch = allocations_per_call(&mut sim, |sim| drop(std::hint::black_box(sim.simulate_batch(&local))));
+        let micro = allocations_per_call(&mut sim, |sim| drop(std::hint::black_box(sim.simulate_microbatch(&local))));
         assert_eq!(batch, 2, "simulate_batch at (n, K) = ({n}, {buckets}): observations and bucket ends");
         assert_eq!(micro, 1, "simulate_microbatch at n = {n}: observations");
+
+        // A block of steps allocates what its traces hold, plus a constant
+        // per block. Two block lengths tell the two apart, so a temporary
+        // per step fails here whether the caller's thread or a worker
+        // makes it.
+        let accumulation = 2;
+        let per_step = (accumulation - 1) * micro + batch;
+        for threads in [1usize, 2, 3] {
+            let [short, long] = [160usize, 480].map(|steps| {
+                allocations_per_call(&mut sim, |sim| {
+                    drop(std::hint::black_box(sim.simulate_steps_on(threads, &local, accumulation, steps)))
+                })
+            });
+            assert_eq!(
+                long - short,
+                (480 - 160) * per_step,
+                "a block on {threads} threads at (n, K) = ({n}, {buckets}) allocates more per step than its traces hold"
+            );
+            let per_block = short - 160 * per_step;
+            // The list; with workers also its parts' slots, the scope and
+            // the handles, and per worker what `spawn` allocates (three, five
+            // while the test harness captures output). Workers allocate no
+            // trace: the caller's thread makes them all.
+            let bound = if threads == 1 { 1 } else { 4 + 5 * (threads - 1) };
+            assert!(per_block <= bound, "a block on {threads} threads allocates {per_block} times besides its steps");
+        }
     }
 }

@@ -16,7 +16,8 @@
 #   doc        warnings-as-errors rustdoc
 #   examples   every example built optimised and run to exit 0 (seconds)
 #   chaos      every fault schedule (CANNIKIN_CHAOS_SCHEDULE narrows it)
-#   policy     policy equivalence + determinism
+#   policy     policy equivalence + determinism, and fig7's ordering; then
+#              the goldens again on one CPU
 #   fleet      fleet control plane
 #   gate       fleet and scenario reports vs the committed BENCH_*.json; the
 #              fleet report must be byte-equal
@@ -126,7 +127,14 @@ stage() {
         done
         ;;
     chaos) cargo test --test chaos --release -q ;;
-    policy) cargo test --test policy --release -q ;;
+    policy)
+        cargo test --test policy --release -q
+        # A long run of simulated steps is cut into parts, one per core
+        # (hetsim's `simulate_steps`). On one CPU the same goldens must
+        # come out of the one-part path.
+        taskset -c 0 cargo test -p hetsim --release -q --test batch_digests
+        taskset -c 0 cargo test --test policy --release -q
+        ;;
     fleet) cargo test -p cannikin-fleet --release -q ;;
     gate)
         # The tolerance (2% on the simulated fleet and scenario numbers)
