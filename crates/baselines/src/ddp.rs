@@ -1,6 +1,7 @@
 //! PyTorch DistributedDataParallel baseline.
 
-use cannikin_core::engine::{EpochRecord, NoiseModel};
+use cannikin_core::engine::{EpochRecord, NoiseModel, TrainingSubject};
+use cannikin_core::error::CannikinError;
 use cannikin_core::gns::statistical_efficiency;
 use cannikin_core::optperf::even_split;
 use hetsim::Simulator;
@@ -43,8 +44,33 @@ impl DdpTrainer {
         }
     }
 
-    /// Run one epoch.
-    pub fn run_epoch(&mut self) -> EpochRecord {
+    /// React to `node` crashing partway through an epoch.
+    ///
+    /// Static DDP cannot shrink a collective in flight: the process group
+    /// aborts, the partial epoch is discarded, and the scheduler restarts
+    /// the job on the survivors from the last epoch-boundary checkpoint.
+    /// `lost_fraction` (clamped to `0..=1`) is how far into the doomed
+    /// epoch the crash hit — that simulated time is charged with zero
+    /// statistical progress — and `restart_overhead` covers detection,
+    /// rescheduling, checkpoint reload and process-group re-init.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range or it is the last node standing.
+    pub fn handle_crash(&mut self, node: usize, lost_fraction: f64, restart_overhead: f64) {
+        let n = self.sim.cluster().len();
+        assert!(node < n, "node {node} out of range for {n}-node cluster");
+        assert!(n > 1, "cannot survive losing the last node");
+        let local = even_split(self.total_batch, n);
+        let steps = (self.dataset_size / self.total_batch as usize).max(1);
+        let lost = self.sim.ideal_batch_time(&local) * steps as f64 * lost_fraction.clamp(0.0, 1.0);
+        self.cumulative_time += lost + restart_overhead.max(0.0);
+        self.sim.remove_node(node);
+    }
+}
+
+impl TrainingSubject for DdpTrainer {
+    fn next_epoch(&mut self) -> Result<EpochRecord, CannikinError> {
         let n = self.sim.cluster().len();
         let phi = self.noise.noise_scale(self.effective_epochs);
         let local = even_split(self.total_batch, n);
@@ -72,51 +98,7 @@ impl DdpTrainer {
             recoveries: 0,
         };
         self.epoch += 1;
-        record
-    }
-
-    /// React to `node` crashing partway through an epoch.
-    ///
-    /// Static DDP cannot shrink a collective in flight: the process group
-    /// aborts, the partial epoch is discarded, and the scheduler restarts
-    /// the job on the survivors from the last epoch-boundary checkpoint.
-    /// `lost_fraction` (clamped to `0..=1`) is how far into the doomed
-    /// epoch the crash hit — that wall time is charged with zero
-    /// statistical progress — and `restart_overhead` covers detection,
-    /// rescheduling, checkpoint reload and process-group re-init.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range or it is the last node standing.
-    pub fn handle_crash(&mut self, node: usize, lost_fraction: f64, restart_overhead: f64) {
-        let n = self.sim.cluster().len();
-        assert!(node < n, "node {node} out of range for {n}-node cluster");
-        assert!(n > 1, "cannot survive losing the last node");
-        let local = even_split(self.total_batch, n);
-        let steps = (self.dataset_size / self.total_batch as usize).max(1);
-        let lost = self.sim.ideal_batch_time(&local) * steps as f64 * lost_fraction.clamp(0.0, 1.0);
-        self.cumulative_time += lost + restart_overhead.max(0.0);
-        self.sim.remove_node(node);
-    }
-
-    /// Run until `target` effective epochs or `max_epochs`.
-    pub fn train_until(&mut self, target: f64, max_epochs: usize) -> Vec<EpochRecord> {
-        let mut out = Vec::new();
-        while self.effective_epochs < target && out.len() < max_epochs {
-            out.push(self.run_epoch());
-        }
-        out
-    }
-
-    /// Run a fixed number of epochs.
-    pub fn run_epochs(&mut self, n: usize) -> Vec<EpochRecord> {
-        (0..n).map(|_| self.run_epoch()).collect()
-    }
-}
-
-impl cannikin_core::engine::TrainingSubject for DdpTrainer {
-    fn next_epoch(&mut self) -> Result<EpochRecord, cannikin_core::error::CannikinError> {
-        Ok(self.run_epoch())
+        Ok(record)
     }
 
     fn progress(&self) -> f64 {
@@ -155,7 +137,7 @@ mod tests {
         let noise = Box::new(LinearNoiseGrowth { initial: 100.0, rate: 0.5 });
         let mut t = DdpTrainer::new(sim(), noise, 10_000, 120, 120);
         for _ in 0..3 {
-            let r = t.run_epoch();
+            let r = t.next_epoch().unwrap();
             assert_eq!(r.total_batch, 120);
             assert_eq!(r.local_batches, vec![40, 40, 40]);
             assert!((r.efficiency - 1.0).abs() < 1e-12, "B = B0 gives unit efficiency");
@@ -166,22 +148,15 @@ mod tests {
     fn crash_costs_wall_time_and_shrinks_the_split() {
         let noise = Box::new(LinearNoiseGrowth { initial: 100.0, rate: 0.5 });
         let mut t = DdpTrainer::new(sim(), noise, 10_000, 120, 120);
-        let before = t.run_epoch();
+        let before = t.next_epoch().unwrap();
         t.handle_crash(1, 0.5, 30.0);
-        let after = t.run_epoch();
+        let after = t.next_epoch().unwrap();
         assert_eq!(after.local_batches, vec![60, 60], "even split over the survivors");
-        // The lost half-epoch plus the restart round trip showed up as
-        // wall time without any effective-epoch progress.
-        let wall = after.cumulative_time - before.cumulative_time;
-        assert!(wall > after.epoch_time + 30.0 - 1e-9, "wall {wall} must include lost work + restart");
+        // The lost half-epoch plus the restart round trip showed up on
+        // the clock without any effective-epoch progress.
+        let clock = after.cumulative_time - before.cumulative_time;
+        assert!(clock > after.epoch_time + 30.0 - 1e-9, "clock {clock} must include lost work + restart");
         assert!(after.effective_epochs > before.effective_epochs);
     }
 
-    #[test]
-    fn progress_accumulates() {
-        let noise = Box::new(LinearNoiseGrowth { initial: 100.0, rate: 0.5 });
-        let mut t = DdpTrainer::new(sim(), noise, 10_000, 120, 120);
-        let records = t.train_until(2.0, 50);
-        assert!(records.last().unwrap().effective_epochs >= 2.0);
-    }
 }

@@ -1,6 +1,7 @@
 //! HetPipe baseline (pipelined model parallelism).
 
-use cannikin_core::engine::{EpochRecord, NoiseModel};
+use cannikin_core::engine::{EpochRecord, NoiseModel, TrainingSubject};
+use cannikin_core::error::CannikinError;
 use cannikin_core::gns::statistical_efficiency;
 use hetsim::timing::node_coefficients;
 use hetsim::Simulator;
@@ -121,9 +122,10 @@ impl HetPipeTrainer {
         let ps_sync = (ps_total - 0.5 * pipeline).max(0.0);
         pipeline + ps_sync
     }
+}
 
-    /// Run one epoch.
-    pub fn run_epoch(&mut self) -> EpochRecord {
+impl TrainingSubject for HetPipeTrainer {
+    fn next_epoch(&mut self) -> Result<EpochRecord, CannikinError> {
         let phi = self.noise.noise_scale(self.effective_epochs);
         let steps = (self.dataset_size / self.total_batch as usize).max(1);
         let batch_time = self.batch_time();
@@ -150,27 +152,7 @@ impl HetPipeTrainer {
             recoveries: 0,
         };
         self.epoch += 1;
-        record
-    }
-
-    /// Run until `target` effective epochs or `max_epochs`.
-    pub fn train_until(&mut self, target: f64, max_epochs: usize) -> Vec<EpochRecord> {
-        let mut out = Vec::new();
-        while self.effective_epochs < target && out.len() < max_epochs {
-            out.push(self.run_epoch());
-        }
-        out
-    }
-
-    /// Run a fixed number of epochs.
-    pub fn run_epochs(&mut self, n: usize) -> Vec<EpochRecord> {
-        (0..n).map(|_| self.run_epoch()).collect()
-    }
-}
-
-impl cannikin_core::engine::TrainingSubject for HetPipeTrainer {
-    fn next_epoch(&mut self) -> Result<EpochRecord, cannikin_core::error::CannikinError> {
-        Ok(self.run_epoch())
+        Ok(record)
     }
 
     fn progress(&self) -> f64 {
@@ -237,15 +219,7 @@ mod tests {
     fn fixed_batch_never_changes() {
         let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
         let mut t = HetPipeTrainer::new(sim(), noise, 12_800, 128, 128);
-        let records = t.run_epochs(5);
+        let records = t.run_epochs(5).unwrap();
         assert!(records.iter().all(|r| r.total_batch == 128));
-    }
-
-    #[test]
-    fn progress_accumulates() {
-        let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
-        let mut t = HetPipeTrainer::new(sim(), noise, 12_800, 128, 128);
-        let records = t.train_until(2.0, 100);
-        assert!(records.last().unwrap().effective_epochs >= 2.0);
     }
 }

@@ -1,21 +1,25 @@
-//! # cannikin-baselines — the comparison systems of the evaluation (§5.1)
+//! # cannikin-baselines — the compared systems of the evaluation (§5.1)
 //!
-//! The four baselines Cannikin is measured against, all driving the same
-//! [`hetsim::Simulator`] and producing the same
-//! [`cannikin_core::engine::EpochRecord`]s so that every figure harness
-//! can compare like for like.
+//! One table, [`System`], names every simulated system the figures and
+//! the scenario matrix compare — Cannikin, the four baselines it is
+//! measured against, and two Cannikin variants — and [`System::build`] is
+//! the one place each is constructed. Every row drives the same
+//! [`hetsim::Simulator`], produces the same
+//! [`EpochRecord`]s and comes back as a
+//! [`TrainingSubject`], so every harness runs any of them through the
+//! same loop and compares like for like.
 //!
-//! Two of them differ from Cannikin only in *what they plan*, so they are
-//! not trainers of their own but `(executor, policy)` pairs — a
-//! [`CannikinTrainer`] over the same simulated executor and epoch loop,
-//! configured with the baseline's policy:
+//! Two baselines differ from Cannikin only in *what they plan*, so they
+//! are not trainers of their own but a [`CannikinTrainer`] over the same
+//! simulated executor and epoch loop, configured with the baseline's
+//! policy:
 //!
-//! - [`adaptdl`] — AdaptDL/Pollux: goodput-adaptive *total* batch size,
-//!   but the homogeneous assumption keeps local splits even
+//! - [`System::AdaptDl`] — AdaptDL/Pollux: goodput-adaptive *total* batch
+//!   size, but the homogeneous assumption keeps local splits even
 //!   ([`PolicyKind::Even`]) and cluster constants are fused by a naive
 //!   mean — in a heterogeneous cluster its batch time equals DDP's for
 //!   the same total.
-//! - [`lbbsp`] — LB-BSP: fixed total batch, local splits tuned
+//! - [`System::LbBsp`] — LB-BSP: fixed total batch, local splits tuned
 //!   iteratively (step size Δ = 5, as in the paper's experiments) toward
 //!   equal compute times ([`PolicyKind::LbBsp`]); no
 //!   communication/computation-overlap model.
@@ -28,10 +32,8 @@
 //!   speed-proportional stage partitioning; excellent utilization but a
 //!   pipeline-fill bubble and a fixed batch size.
 //!
-//! All four implement
-//! [`TrainingSubject`](cannikin_core::engine::TrainingSubject), so the
-//! scenario-matrix harness can drive any of them — and Cannikin itself —
-//! through one uniform epoch loop.
+//! A new controller to compare is one more row here plus the subject it
+//! builds.
 
 mod ddp;
 mod hetpipe;
@@ -39,52 +41,103 @@ mod hetpipe;
 pub use ddp::DdpTrainer;
 pub use hetpipe::HetPipeTrainer;
 
-use cannikin_core::engine::{CannikinTrainer, EpochRecord, NoiseModel, TrainerConfig};
+use cannikin_core::engine::{CannikinTrainer, EpochRecord, NoiseModel, TrainerConfig, TrainingSubject};
 use cannikin_core::perf::MeasurementAggregation;
 use cannikin_core::policy::PolicyKind;
 use cannikin_core::CannikinError;
 use hetsim::Simulator;
 
-/// The state-of-the-art *homogeneous* adaptive system (§5.1): AdaptDL
-/// adapts the total batch over `[base_batch, max_batch]` by maximizing
-/// goodput — exactly like Cannikin — but assumes a homogeneous cluster,
-/// so every rank receives `B/n` samples.
-///
-/// # Errors
-///
-/// [`CannikinError::InvalidConfig`] when `base_batch` cannot give every
-/// node one sample or exceeds `max_batch`.
-pub fn adaptdl(
-    sim: Simulator,
-    noise: Box<dyn NoiseModel>,
-    dataset_size: usize,
-    base_batch: u64,
-    max_batch: u64,
-) -> Result<CannikinTrainer, CannikinError> {
-    let mut config = TrainerConfig::new(dataset_size, base_batch, max_batch);
-    config.aggregation = MeasurementAggregation::NaiveMean;
-    CannikinTrainer::builder().simulator(sim).noise_boxed(noise).config(config).policy(PolicyKind::Even).build()
+/// Every simulated system the evaluation compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum System {
+    /// This paper's system: adaptive batch, OptPerf split, elastic recovery.
+    Cannikin,
+    /// Cannikin with the total batch pinned at B₀ (adaptive split, static
+    /// total).
+    CannikinFixed,
+    /// AdaptDL/Pollux: adaptive total batch, homogeneous even split.
+    AdaptDl,
+    /// PyTorch DistributedDataParallel: fixed total batch, even split.
+    Ddp,
+    /// LB-BSP: fixed total batch, split tuned iteratively (Δ = 5).
+    LbBsp,
+    /// HetPipe: pipelined model parallelism, fixed batch, analytic batch
+    /// time.
+    HetPipe,
+    /// The Cannikin engine planning through the seeded bandit policy
+    /// ([`cannikin_core::policy::RlBatchPolicy`]).
+    Rl,
 }
 
-/// LB-BSP at fixed `total_batch`: local batch sizes are rebalanced toward
-/// equal *compute* times, each node moving at most Δ = 5 samples per
-/// epoch. The structural gaps versus Cannikin (slow convergence from an
-/// even start, overlap-blind balance target) are documented on
-/// [`LbBspIterative`](cannikin_core::policy::LbBspIterative).
-///
-/// # Errors
-///
-/// [`CannikinError::InvalidConfig`] when `total_batch` cannot give every
-/// node one sample.
-pub fn lbbsp(
-    sim: Simulator,
-    noise: Box<dyn NoiseModel>,
-    dataset_size: usize,
-    total_batch: u64,
-) -> Result<CannikinTrainer, CannikinError> {
-    let mut config = TrainerConfig::new(dataset_size, total_batch, total_batch);
-    config.adaptive_batch = false;
-    CannikinTrainer::builder().simulator(sim).noise_boxed(noise).config(config).policy(PolicyKind::LbBsp).build()
+impl System {
+    /// The five systems of the paper's figures, in figure order.
+    pub const PAPER: [System; 5] = [System::Ddp, System::AdaptDl, System::LbBsp, System::HetPipe, System::Cannikin];
+
+    /// Every row of the table.
+    pub const ALL: [System; 7] = [
+        System::Cannikin,
+        System::CannikinFixed,
+        System::AdaptDl,
+        System::Ddp,
+        System::LbBsp,
+        System::HetPipe,
+        System::Rl,
+    ];
+
+    /// Display name used in figure output.
+    pub fn label(self) -> &'static str {
+        match self {
+            System::Cannikin => "Cannikin",
+            System::CannikinFixed => "Cannikin-fixed",
+            System::AdaptDl => "AdaptDL",
+            System::Ddp => "PyTorch-DDP",
+            System::LbBsp => "LB-BSP",
+            System::HetPipe => "HetPipe",
+            System::Rl => "Cannikin-RL",
+        }
+    }
+
+    /// Build this system on `sim`. A fixed-batch system trains at
+    /// `base_batch`; an adaptive one moves over `[base_batch, max_batch]`.
+    /// Statistical efficiency is referenced to `base_batch` throughout.
+    ///
+    /// # Errors
+    ///
+    /// [`CannikinError::InvalidConfig`] when `base_batch` cannot give every
+    /// node one sample, or — on the rows the Cannikin engine runs —
+    /// `max_batch` is below it.
+    pub fn build(
+        self,
+        sim: Simulator,
+        noise: Box<dyn NoiseModel>,
+        dataset_size: usize,
+        base_batch: u64,
+        max_batch: u64,
+    ) -> Result<Box<dyn TrainingSubject>, CannikinError> {
+        let nodes = sim.cluster().len();
+        if base_batch < nodes as u64 {
+            return Err(CannikinError::InvalidConfig(format!("base batch {base_batch} cannot cover {nodes} nodes")));
+        }
+        let policy = match self {
+            System::Ddp => return Ok(Box::new(DdpTrainer::new(sim, noise, dataset_size, base_batch, base_batch))),
+            System::HetPipe => {
+                return Ok(Box::new(HetPipeTrainer::new(sim, noise, dataset_size, base_batch, base_batch)))
+            }
+            System::Cannikin | System::CannikinFixed => PolicyKind::OptPerf,
+            System::AdaptDl => PolicyKind::Even,
+            System::LbBsp => PolicyKind::LbBsp,
+            System::Rl => PolicyKind::Rl,
+        };
+        // LB-BSP's range is the one batch it trains at.
+        let max_batch = if self == System::LbBsp { base_batch } else { max_batch };
+        let mut config = TrainerConfig::new(dataset_size, base_batch, max_batch);
+        config.adaptive_batch = !matches!(self, System::CannikinFixed | System::LbBsp);
+        if self == System::AdaptDl {
+            config.aggregation = MeasurementAggregation::NaiveMean;
+        }
+        let builder = CannikinTrainer::builder().simulator(sim).noise_boxed(noise);
+        Ok(Box::new(builder.config(config).policy(policy).build()?))
+    }
 }
 
 /// Convergence summary shared by all trainers: the wall-clock time at
@@ -142,10 +195,51 @@ mod tests {
         Simulator::new(cluster, job, seed)
     }
 
+    fn subject(system: System) -> Box<dyn TrainingSubject> {
+        let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+        system.build(sim(JobSpec::resnet18_cifar10(), 8), noise, 6_400, 64, 512).expect("valid config")
+    }
+
+    #[test]
+    fn every_system_runs_the_one_loop() {
+        for system in System::ALL {
+            // `run_epochs(n)` is n single steps, record for record.
+            let batched = subject(system).run_epochs(4).expect("run");
+            let mut stepped = subject(system);
+            let single: Vec<EpochRecord> = (0..4).map(|_| stepped.next_epoch().expect("epoch")).collect();
+            assert_eq!(batched.len(), 4, "{}", system.label());
+            for (a, b) in batched.iter().zip(&single) {
+                let (mut a, mut b) = (a.clone(), b.clone());
+                // Measured host time is the one field two runs may differ in.
+                a.overhead_seconds = 0.0;
+                b.overhead_seconds = 0.0;
+                assert_eq!(a, b, "{}", system.label());
+            }
+            // `train_until` stops at the target, or at the cap first.
+            let mut run = subject(system);
+            let records = run.train_until(1.5, 60).expect("run");
+            assert!(run.progress() >= 1.5, "{} stopped short", system.label());
+            let crossed = records.iter().position(|r| r.effective_epochs >= 1.5);
+            assert_eq!(crossed, Some(records.len() - 1), "{} ran past the target", system.label());
+            let capped = subject(system).train_until(1e9, 3).expect("run");
+            assert_eq!(capped.len(), 3, "{} ignored the cap", system.label());
+        }
+    }
+
+    #[test]
+    fn build_rejects_a_batch_below_the_node_count() {
+        for system in System::ALL {
+            let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+            let built = system.build(sim(JobSpec::resnet18_cifar10(), 8), noise, 6_400, 2, 512);
+            assert!(matches!(built, Err(CannikinError::InvalidConfig(_))), "{}", system.label());
+        }
+    }
+
     #[test]
     fn adaptdl_splits_stay_even_while_batch_adapts() {
         let noise = Box::new(LinearNoiseGrowth { initial: 500.0, rate: 2.0 });
-        let mut t = adaptdl(sim(JobSpec::resnet18_cifar10(), 4), noise, 50_000, 64, 4096).expect("valid config");
+        let mut t =
+            System::AdaptDl.build(sim(JobSpec::resnet18_cifar10(), 4), noise, 50_000, 64, 4096).expect("valid config");
         let records = t.run_epochs(8).expect("run");
         for r in &records {
             let max = *r.local_batches.iter().max().unwrap();
@@ -158,20 +252,19 @@ mod tests {
 
     #[test]
     fn adaptdl_beats_ddp_on_convergence() {
-        let noise = || Box::new(LinearNoiseGrowth { initial: 800.0, rate: 3.0 });
-        let job = JobSpec::resnet18_cifar10;
-        let mut adaptive = adaptdl(sim(job(), 4), noise(), 50_000, 64, 4096).expect("valid config");
-        let mut ddp = DdpTrainer::new(sim(job(), 4), noise(), 50_000, 64, 64);
-        let a = adaptive.train_until(5.0, 300).expect("run");
-        let d = ddp.train_until(5.0, 300);
-        let ta = a.last().unwrap().cumulative_time;
-        let td = d.last().unwrap().cumulative_time;
+        let run = |system: System| {
+            let noise = Box::new(LinearNoiseGrowth { initial: 800.0, rate: 3.0 });
+            let mut t =
+                system.build(sim(JobSpec::resnet18_cifar10(), 4), noise, 50_000, 64, 4096).expect("valid config");
+            t.train_until(5.0, 300).expect("run").last().unwrap().cumulative_time
+        };
+        let (ta, td) = (run(System::AdaptDl), run(System::Ddp));
         assert!(ta < td, "AdaptDL {ta} should converge faster than DDP {td}");
     }
 
-    fn lbbsp_trainer() -> CannikinTrainer {
+    fn lbbsp_trainer() -> Box<dyn TrainingSubject> {
         let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
-        lbbsp(sim(JobSpec::resnet50_imagenet(), 5), noise, 12_800, 128).expect("valid config")
+        System::LbBsp.build(sim(JobSpec::resnet50_imagenet(), 5), noise, 12_800, 128, 128).expect("valid config")
     }
 
     #[test]

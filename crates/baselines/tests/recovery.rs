@@ -9,8 +9,8 @@
 //!    crash in-band (evict, re-solve, continue) while static DDP pays a
 //!    checkpoint-restart round trip — is asserted end to end.
 
-use cannikin_baselines::{lbbsp, time_to_target, DdpTrainer, HetPipeTrainer};
-use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig};
+use cannikin_baselines::{time_to_target, DdpTrainer, HetPipeTrainer, System};
+use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig, TrainingSubject};
 use cannikin_core::optperf::even_split;
 use hetsim::catalog::Gpu;
 use hetsim::cluster::{ClusterSpec, NodeSpec};
@@ -48,7 +48,7 @@ fn ddp_mean_batch_time_tracks_the_ideal_model() {
     let sim = Simulator::new(cluster(), JobSpec::resnet50_imagenet(), 7);
     let ideal = sim.ideal_batch_time(&even_split(120, 3));
     let mut ddp = DdpTrainer::new(sim, noise(), 12_000, 120, 120);
-    let r = ddp.run_epoch();
+    let r = ddp.next_epoch().expect("epoch");
     let rel = (r.mean_batch_time - ideal).abs() / ideal;
     assert!(rel < 0.25, "measured {} vs ideal {ideal}: off by {rel}", r.mean_batch_time);
 }
@@ -61,8 +61,8 @@ fn hetpipe_step_time_model_is_closed_form() {
     assert!(pinned > 0.0);
     // A fixed-batch pipeline has no run-to-run variance: every epoch's
     // mean batch time equals the closed-form model exactly.
-    let r0 = hp.run_epoch();
-    let r1 = hp.run_epoch();
+    let r0 = hp.next_epoch().expect("epoch");
+    let r1 = hp.next_epoch().expect("epoch");
     assert_eq!(r0.mean_batch_time, pinned);
     assert_eq!(r1.mean_batch_time, pinned);
 }
@@ -70,7 +70,7 @@ fn hetpipe_step_time_model_is_closed_form() {
 #[test]
 fn lbbsp_rebalancing_reduces_step_time() {
     let sim = Simulator::new(cluster(), JobSpec::resnet50_imagenet(), 7);
-    let mut lb = lbbsp(sim, noise(), 12_000, 120).expect("valid config");
+    let mut lb = System::LbBsp.build(sim, noise(), 12_000, 120, 120).expect("valid config");
     let records = lb.run_epochs(12).expect("run");
     let first = records[0].mean_batch_time;
     let settled: f64 = records[9..].iter().map(|r| r.mean_batch_time).sum::<f64>() / 3.0;
@@ -106,9 +106,9 @@ fn cannikin_recovers_from_a_crash_faster_than_static_ddp() {
     // training resumes (even split) on the survivors.
     let sim = Simulator::new(cluster(), job, 21);
     let mut ddp = DdpTrainer::new(sim, noise(), 6_400, 64, 64);
-    let mut ddp_records = vec![ddp.run_epoch()];
+    let mut ddp_records = vec![ddp.next_epoch().expect("epoch")];
     ddp.handle_crash(1, 0.5, 30.0);
-    ddp_records.extend(ddp.train_until(target, 60));
+    ddp_records.extend(ddp.train_until(target, 60).expect("ddp run"));
     let t_ddp = time_to_target(&ddp_records, target).expect("ddp reaches the target");
 
     assert!(

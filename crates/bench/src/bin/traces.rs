@@ -9,7 +9,8 @@
 //! CIFAR-10 and ImageNet. Columns are self-describing; feed them to any
 //! plotting tool to recreate the paper's visuals from this reproduction.
 
-use cannikin_bench::runners::{run_to_target, System};
+use cannikin_baselines::System;
+use cannikin_bench::runners::run_to_target;
 use cannikin_workloads::{clusters, profiles};
 use std::fs;
 use std::io::Write;
@@ -22,8 +23,8 @@ fn main() -> std::io::Result<()> {
 
     for profile in [profiles::cifar10_resnet18(), profiles::imagenet_resnet50()] {
         let slug = profile.name().replace('/', "_").to_lowercase();
-        for system in System::all() {
-            let records = run_to_target(system, &profile, &cluster, 7, 20_000);
+        for system in System::PAPER {
+            let records = run_to_target(system, &profile, &cluster, 7, 20_000).map_err(std::io::Error::other)?;
             let path = Path::new(&out_dir).join(format!("{}_{}.csv", slug, system.label().to_lowercase().replace('-', "_")));
             let mut file = fs::File::create(&path)?;
             writeln!(

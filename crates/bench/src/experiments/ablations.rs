@@ -1,9 +1,9 @@
 //! Ablations beyond the paper's figures: what each design choice buys.
 
-use crate::runners::noiseless_sim;
+use crate::runners::{equal_compute_split, noiseless_sim};
 use crate::{fmt, row};
 use cannikin_core::engine::{CannikinTrainer, TrainerConfig};
-use cannikin_core::optperf::{bootstrap_split, even_split, OptPerfSolver, SolverInput};
+use cannikin_core::optperf::{even_split, OptPerfSolver, SolverInput};
 use cannikin_workloads::{clusters, profiles};
 use hetsim::catalog::Gpu;
 use hetsim::cluster::{NetworkSpec, NodeSpec};
@@ -50,22 +50,6 @@ pub fn ablation_overlap() -> String {
     }
     out += "\n(blind/opt > 1 only in mixed/communication-bound regimes — the overlap\n model's contribution, peaking near the bottleneck transition; at large B\n both policies coincide, as §5.2.2 notes. In this substrate the penalty is\n small in absolute terms because T_comm dominates exactly where the splits\n differ — see EXPERIMENTS.md deviation note 2.)\n";
     out
-}
-
-/// The overlap-blind fixed point: equalize per-sample *total compute* only.
-fn equal_compute_split(sim: &Simulator, total: u64) -> Vec<u64> {
-    let n = sim.cluster().len();
-    let mut split = even_split(total, n);
-    for _ in 0..12 {
-        let t: Vec<f64> = (0..n)
-            .map(|i| {
-                let c = sim.true_coefficients(i);
-                c.compute(split[i].max(1) as f64) / split[i].max(1) as f64
-            })
-            .collect();
-        split = bootstrap_split(&t, total);
-    }
-    split
 }
 
 /// Ablation: warm-started overlap-state search (§4.5).

@@ -1,8 +1,9 @@
 //! The §6 discussion experiments: heterogeneity-degree sweep and the
 //! sharing-induced-heterogeneity cluster C.
 
-use crate::runners::{convergence_time, run_to_target, System};
+use crate::runners::run_to_target;
 use crate::{fmt, row};
+use cannikin_baselines::{time_to_target, System};
 use cannikin_core::optperf::{even_split, predict_batch_time, NodePerf, OptPerfSolver, SolverInput};
 use cannikin_workloads::{clusters, profiles};
 use hetsim::Simulator;
@@ -56,10 +57,12 @@ pub fn cluster_c_experiment() -> String {
     out += &row(&["cluster".into(), "Cannikin (s)".into(), "DDP (s)".into(), "reduction".into()], &widths);
     out.push('\n');
     for (name, cluster) in [("B", clusters::cluster_b()), ("C", clusters::cluster_c_default())] {
-        let can = run_to_target(System::Cannikin, &profile, &cluster, 151, 2000);
-        let ddp = run_to_target(System::Ddp, &profile, &cluster, 151, 2000);
-        let tc = convergence_time(&can, &profile).expect("cannikin converged");
-        let td = convergence_time(&ddp, &profile).expect("ddp converged");
+        let converged = |system: System| {
+            let records = run_to_target(system, &profile, &cluster, 151, 2000).expect("run");
+            time_to_target(&records, profile.target_effective_epochs())
+        };
+        let tc = converged(System::Cannikin).expect("cannikin converged");
+        let td = converged(System::Ddp).expect("ddp converged");
         out += &row(
             &[name.into(), fmt(tc), fmt(td), format!("{:.0}%", (1.0 - tc / td) * 100.0)],
             &widths,

@@ -1,10 +1,9 @@
 //! Figures 5–10.
 
-use crate::runners::{convergence_time, metric_trajectory, run_to_target, System};
+use crate::runners::{equal_compute_split, metric_trajectory, run_to_target};
 use crate::{fmt, row};
-use cannikin_core::engine::{CannikinTrainer, TrainerConfig};
-use cannikin_core::optperf::{bootstrap_split, even_split, OptPerfSolver, SolverInput};
-use cannikin_baselines::lbbsp;
+use cannikin_baselines::{time_to_target, System};
+use cannikin_core::optperf::{even_split, OptPerfSolver, SolverInput};
 use cannikin_workloads::{clusters, profiles, WorkloadProfile};
 use hetsim::Simulator;
 
@@ -14,16 +13,7 @@ use hetsim::Simulator;
 /// shifting as nodes cross between communication- and compute-bottleneck.
 pub fn fig5() -> String {
     let profile = profiles::cifar10_resnet18();
-    let cluster = clusters::cluster_b();
-    let sim = Simulator::new(cluster, profile.job.clone(), 41);
-    let config = TrainerConfig::new(profile.dataset_size, profile.base_batch, profile.max_batch);
-    let mut trainer = CannikinTrainer::builder()
-        .simulator(sim)
-        .noise_boxed(Box::new(profile.noise))
-        .config(config)
-        .build()
-        .expect("valid config");
-    let records = trainer.train_until(profile.target_effective_epochs(), 400).expect("run");
+    let records = run_to_target(System::Cannikin, &profile, &clusters::cluster_b(), 41, 400).expect("cannikin run");
 
     let mut out = String::from("Fig 5 — batch sizes during CIFAR-10 training on cluster B (Cannikin)\n");
     let widths = [6, 8, 10, 10, 10];
@@ -54,8 +44,8 @@ pub fn fig5() -> String {
 pub fn fig6() -> String {
     let profile = profiles::cifar10_resnet18();
     let cluster = clusters::cluster_b();
-    let cannikin = run_to_target(System::Cannikin, &profile, &cluster, 61, 1000);
-    let adaptdl = run_to_target(System::Adaptdl, &profile, &cluster, 61, 1000);
+    let cannikin = run_to_target(System::Cannikin, &profile, &cluster, 61, 1000).expect("cannikin run");
+    let adaptdl = run_to_target(System::AdaptDl, &profile, &cluster, 61, 1000).expect("adaptdl run");
 
     let mut out = String::from("Fig 6 — Cannikin vs AdaptDL, CIFAR-10 on cluster B\n");
     let widths = [6, 9, 9, 9, 9, 10, 10];
@@ -91,8 +81,8 @@ pub fn fig6() -> String {
         );
         out.push('\n');
     }
-    let tc = convergence_time(&cannikin, &profile).expect("cannikin converged");
-    let ta = convergence_time(&adaptdl, &profile).expect("adaptdl converged");
+    let tc = time_to_target(&cannikin, profile.target_effective_epochs()).expect("cannikin converged");
+    let ta = time_to_target(&adaptdl, profile.target_effective_epochs()).expect("adaptdl converged");
     out += &format!(
         "time to 94% top-1: Cannikin {}s, AdaptDL {}s (reduction {:.0}%)\n",
         fmt(tc),
@@ -109,8 +99,8 @@ pub fn fig7() -> String {
     for profile in [profiles::cifar10_resnet18(), profiles::imagenet_resnet50()] {
         out += &format!("\n[{}] metric vs time (sampled)\n", profile.name());
         let cluster = clusters::cluster_b();
-        for system in System::all() {
-            let records = run_to_target(system, &profile, &cluster, 71, 5000);
+        for system in System::PAPER {
+            let records = run_to_target(system, &profile, &cluster, 71, 5000).expect("run");
             let traj = metric_trajectory(&records, &profile);
             let stride = (traj.len() / 8).max(1);
             let series: Vec<String> = traj
@@ -118,7 +108,7 @@ pub fn fig7() -> String {
                 .step_by(stride)
                 .map(|(t, m)| format!("({}, {})", fmt(*t), fmt(*m)))
                 .collect();
-            let conv = convergence_time(&records, &profile)
+            let conv = time_to_target(&records, profile.target_effective_epochs())
                 .map_or("did not converge".into(), |t| format!("target at {}s", fmt(t)));
             out += &format!("  {:12} {}  [{}]\n", system.label(), conv, series.join(" "));
         }
@@ -132,17 +122,17 @@ pub fn fig8() -> String {
     let mut out = String::from("Fig 8 — normalized convergence time, cluster B (DDP = 1.0)\n");
     let widths = [24, 12, 12, 12, 12, 12];
     let mut header = vec!["task".to_string()];
-    header.extend(System::all().iter().map(|s| s.label().to_string()));
+    header.extend(System::PAPER.iter().map(|s| s.label().to_string()));
     out += &row(&header, &widths);
     out.push('\n');
+    let ddp_column = System::PAPER.iter().position(|&s| s == System::Ddp).expect("DDP is a paper system");
     for profile in profiles::all() {
         let cluster = clusters::cluster_b();
-        let mut times = Vec::new();
-        for system in System::all() {
-            let records = run_to_target(system, &profile, &cluster, 81, 20_000);
-            times.push(convergence_time(&records, &profile));
-        }
-        let ddp = times[0].expect("DDP converged");
+        let times = System::PAPER.map(|system| {
+            let records = run_to_target(system, &profile, &cluster, 81, 20_000).expect("run");
+            time_to_target(&records, profile.target_effective_epochs())
+        });
+        let ddp = times[ddp_column].expect("DDP converged");
         let mut cells = vec![profile.name()];
         cells.extend(times.iter().map(|t| t.map_or("-".into(), |t| fmt(t / ddp))));
         out += &row(&cells, &widths);
@@ -163,20 +153,13 @@ pub fn fig9() -> String {
     // convergence, so 40 batches per epoch keeps it cheap.
     let dataset = 128 * 40;
 
-    let sim = Simulator::new(cluster.clone(), profile.job.clone(), 91);
-    let mut config = TrainerConfig::new(dataset, 128, 128);
-    config.adaptive_batch = false;
-    let mut cannikin = CannikinTrainer::builder()
-        .simulator(sim)
-        .noise_boxed(Box::new(profile.noise))
-        .config(config)
-        .build()
-        .expect("valid config");
-    let can_records = cannikin.run_epochs(epochs).expect("cannikin run");
-
-    let sim = Simulator::new(cluster.clone(), profile.job.clone(), 91);
-    let mut lb = lbbsp(sim, Box::new(profile.noise), dataset, 128).expect("valid config");
-    let lb_records = lb.run_epochs(epochs).expect("lbbsp run");
+    let run = |system: System| {
+        let sim = Simulator::new(cluster.clone(), profile.job.clone(), 91);
+        let mut subject = system.build(sim, Box::new(profile.noise), dataset, 128, 128).expect("valid config");
+        subject.run_epochs(epochs).expect("run")
+    };
+    let can_records = run(System::CannikinFixed);
+    let lb_records = run(System::LbBsp);
 
     // Oracle OptPerf for reference.
     let oracle_sim = Simulator::new(cluster.clone(), profile.job.clone(), 0).with_noise(0.0, 0.0);
@@ -245,13 +228,13 @@ pub fn fig10_series(profile: &WorkloadProfile) -> Vec<(u64, [f64; 4])> {
         let opt = sim.ideal_batch_time(&plan.local_batches);
 
         // LB-BSP's asymptote: equal compute times, overlap-blind.
-        let lb_split = lbbsp_balanced_split(&sim, b);
+        let lb_split = equal_compute_split(&sim, b);
         let lb = sim.ideal_batch_time(&lb_split);
 
         // LB-BSP right after the batch grew by 10% of the range: it still
         // uses the (rescaled) split balanced for the previous size.
         let prev = (b as f64 - 0.1 * range_width).max(n as f64) as u64;
-        let prev_split = lbbsp_balanced_split(&sim, prev.max(n as u64));
+        let prev_split = equal_compute_split(&sim, prev.max(n as u64));
         let prev_total: u64 = prev_split.iter().sum();
         let mut scaled: Vec<u64> = prev_split
             .iter()
@@ -278,24 +261,6 @@ pub fn fig10_series(profile: &WorkloadProfile) -> Vec<(u64, [f64; 4])> {
         out.push((b, [1.0, lb / opt, lb_adapt / opt, ddp / opt]));
     }
     out
-}
-
-/// LB-BSP's fixed point: local batches inversely proportional to the
-/// per-sample compute time at the operating point (iterated to settle the
-/// batch-size dependence of per-sample time).
-fn lbbsp_balanced_split(sim: &Simulator, total: u64) -> Vec<u64> {
-    let n = sim.cluster().len();
-    let mut split = even_split(total, n);
-    for _ in 0..12 {
-        let t_sample: Vec<f64> = (0..n)
-            .map(|i| {
-                let c = sim.true_coefficients(i);
-                c.compute(split[i].max(1) as f64) / split[i].max(1) as f64
-            })
-            .collect();
-        split = bootstrap_split(&t_sample, total);
-    }
-    split
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! verdicts exactly.
 
 use crate::row;
-use cannikin_core::engine::{CannikinTrainer, TrainerConfig};
+use cannikin_core::engine::{CannikinTrainer, TrainerConfig, TrainingSubject};
 use cannikin_insight::{replay, InsightConfig, Monitor};
 use cannikin_telemetry as telemetry;
 use cannikin_workloads::{clusters, profiles};

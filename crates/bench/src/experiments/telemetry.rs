@@ -4,7 +4,7 @@
 //! Chrome-trace viewer would show, rendered as text.
 
 use crate::row;
-use cannikin_core::engine::{CannikinTrainer, TrainerConfig};
+use cannikin_core::engine::{CannikinTrainer, TrainerConfig, TrainingSubject};
 use cannikin_telemetry::{self as telemetry, Event, Histogram, Record};
 use cannikin_workloads::{clusters, profiles};
 use hetsim::Simulator;

@@ -24,7 +24,6 @@ pub mod registry;
 pub mod runner;
 
 pub use registry::{
-    compatible, matrix, registry, subjects, Capability, ScenarioKind, ScenarioSpec, SimSystem, SubjectKind,
-    SubjectSpec,
+    compatible, matrix, registry, subjects, Capability, ScenarioKind, ScenarioSpec, SubjectKind, SubjectSpec,
 };
 pub use runner::{run_cell, scenario_report, CellResult, ScenarioBenchReport, SCENARIO_SEED};

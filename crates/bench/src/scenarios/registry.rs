@@ -8,6 +8,7 @@
 //! sim-only scenario requires [`Capability::SimDriven`], which no real
 //! trainer declares, so kind mismatches can never pair up.
 
+use cannikin_baselines::System;
 use cannikin_collectives::{Codec, CommFaultPlan};
 use hetsim::catalog::Gpu;
 use hetsim::cluster::NodeSpec;
@@ -100,33 +101,11 @@ pub struct ScenarioSpec {
     pub kind: ScenarioKind,
 }
 
-/// Which simulator-driven trainer a subject constructs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimSystem {
-    /// Cannikin with adaptive batch sizing (the paper's full system).
-    Cannikin,
-    /// Cannikin with the batch pinned (adaptive split, static total).
-    CannikinFixed,
-    /// AdaptDL/Pollux: adaptive total, homogeneous even split.
-    AdaptDl,
-    /// PyTorch DDP: fixed total, even split.
-    Ddp,
-    /// LB-BSP: fixed total, iteratively tuned split.
-    LbBsp,
-    /// HetPipe: pipelined model parallelism, analytic batch time.
-    HetPipe,
-    /// The Cannikin engine planning through the seeded bandit policy
-    /// ([`cannikin_core::policy::RlBatchPolicy`]) — the one shipped policy
-    /// with no baseline twin (`Even` is [`SimSystem::AdaptDl`], `LbBsp`
-    /// is [`SimSystem::LbBsp`], `OptPerf` is [`SimSystem::Cannikin`]).
-    Rl,
-}
-
 /// How a subject is constructed.
 #[derive(Debug, Clone)]
 pub enum SubjectKind {
-    /// A simulator-driven trainer.
-    Sim(SimSystem),
+    /// A simulator-driven system, built from its row of the one table.
+    Sim(System),
     /// A real [`ParallelTrainer`](cannikin_core::engine::ParallelTrainer):
     /// `tcp` picks the loopback-TCP transport over in-process channels.
     Real {
@@ -254,43 +233,43 @@ pub fn subjects() -> Vec<SubjectSpec> {
             name: "cannikin",
             description: "full system: adaptive batch + optimal split + elastic recovery",
             provides: vec![SimDriven, FaultInjection, Elastic, CommRetry, AdaptiveBatch],
-            kind: SubjectKind::Sim(SimSystem::Cannikin),
+            kind: SubjectKind::Sim(System::Cannikin),
         },
         SubjectSpec {
             name: "cannikin-fixed",
             description: "Cannikin with the total batch pinned (static reference)",
             provides: vec![SimDriven, FaultInjection, Elastic, CommRetry],
-            kind: SubjectKind::Sim(SimSystem::CannikinFixed),
+            kind: SubjectKind::Sim(System::CannikinFixed),
         },
         SubjectSpec {
             name: "adaptdl",
             description: "AdaptDL/Pollux: adaptive total, even split",
             provides: vec![SimDriven, FaultInjection, AdaptiveBatch],
-            kind: SubjectKind::Sim(SimSystem::AdaptDl),
+            kind: SubjectKind::Sim(System::AdaptDl),
         },
         SubjectSpec {
             name: "ddp",
             description: "PyTorch DDP: fixed total, even split",
             provides: vec![SimDriven, FaultInjection],
-            kind: SubjectKind::Sim(SimSystem::Ddp),
+            kind: SubjectKind::Sim(System::Ddp),
         },
         SubjectSpec {
             name: "lbbsp",
             description: "LB-BSP: fixed total, tuned split",
             provides: vec![SimDriven, FaultInjection],
-            kind: SubjectKind::Sim(SimSystem::LbBsp),
+            kind: SubjectKind::Sim(System::LbBsp),
         },
         SubjectSpec {
             name: "hetpipe",
             description: "HetPipe: pipelined model parallelism (analytic batch time)",
             provides: vec![SimDriven],
-            kind: SubjectKind::Sim(SimSystem::HetPipe),
+            kind: SubjectKind::Sim(System::HetPipe),
         },
         SubjectSpec {
             name: "policy-rl",
             description: "Cannikin engine planning through the seeded bandit policy",
             provides: vec![SimDriven, FaultInjection, AdaptiveBatch],
-            kind: SubjectKind::Sim(SimSystem::Rl),
+            kind: SubjectKind::Sim(System::Rl),
         },
         SubjectSpec {
             name: "parallel-inproc",
@@ -405,6 +384,18 @@ mod tests {
             let subs: Vec<&str> =
                 cells.iter().filter(|(s, _)| s.name == name).map(|(_, s)| s.name).collect();
             assert_eq!(subs, vec!["cannikin", "cannikin-fixed"], "{name} must only run elastic subjects");
+        }
+    }
+
+    #[test]
+    fn every_system_backs_exactly_one_sim_subject() {
+        for system in System::ALL {
+            let backing: Vec<&str> = subjects()
+                .iter()
+                .filter(|s| matches!(s.kind, SubjectKind::Sim(row) if row == system))
+                .map(|s| s.name)
+                .collect();
+            assert_eq!(backing.len(), 1, "{} backs {backing:?}", system.label());
         }
     }
 

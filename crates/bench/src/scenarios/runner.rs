@@ -11,11 +11,8 @@
 
 use std::collections::BTreeMap;
 
-use cannikin_baselines::{adaptdl, lbbsp, DdpTrainer, HetPipeTrainer};
-use cannikin_core::engine::{
-    CannikinTrainer, EpochRecord, NoiseModel, ParallelTrainer, TrainerConfig, TrainingSubject,
-};
-use cannikin_core::policy::PolicyKind;
+use cannikin_baselines::{time_to_target, System};
+use cannikin_core::engine::{EpochRecord, ParallelTrainer};
 use cannikin_collectives::TransportKind;
 use cannikin_telemetry::{Json, Record, Session};
 use cannikin_workloads::profiles;
@@ -27,7 +24,7 @@ use minidnn::models::mlp_classifier;
 
 use crate::gate::{compare_metric_maps, Bound, GateCheck};
 
-use super::registry::{matrix, ScenarioKind, ScenarioSpec, SimSystem, SubjectKind, SubjectSpec};
+use super::registry::{matrix, subjects, Capability, ScenarioKind, ScenarioSpec, SubjectKind, SubjectSpec};
 
 /// Pinned seed of every cell in the scenario matrix.
 pub const SCENARIO_SEED: u64 = 29;
@@ -58,7 +55,7 @@ pub struct ScenarioBenchReport {
     /// Every compatible cell, in matrix order.
     pub cells: Vec<CellResult>,
     /// Per-scenario `adaptive_vs_static` goodput ratios (Cannikin over
-    /// the strongest static subject in the same scenario).
+    /// the best static subject in the same scenario).
     pub ratios: BTreeMap<String, f64>,
 }
 
@@ -73,40 +70,9 @@ fn sim_cluster() -> ClusterSpec {
     )
 }
 
-fn build_sim_subject(system: SimSystem, scenario: &ScenarioSpec) -> Box<dyn TrainingSubject> {
-    let profile = profiles::cifar10_resnet18();
-    let plan = match &scenario.kind {
-        ScenarioKind::Sim { plan, .. } => plan.map(|build| build(SCENARIO_SEED)),
-        ScenarioKind::Real { .. } => unreachable!("sim subject paired with a real scenario"),
-    };
-    let mut sim = Simulator::new(sim_cluster(), profile.job.clone(), SCENARIO_SEED);
-    if let Some(plan) = plan {
-        sim = sim.with_fault_plan(plan);
-    }
-    let noise: Box<dyn NoiseModel> = Box::new(profile.noise);
-    match system {
-        SimSystem::Cannikin | SimSystem::CannikinFixed | SimSystem::Rl => {
-            let mut config = TrainerConfig::new(SIM_DATASET, SIM_BASE_BATCH, SIM_MAX_BATCH);
-            config.adaptive_batch = system != SimSystem::CannikinFixed;
-            let mut builder = CannikinTrainer::builder().simulator(sim).noise_boxed(noise).config(config);
-            if system == SimSystem::Rl {
-                builder = builder.policy(PolicyKind::Rl);
-            }
-            Box::new(builder.build().expect("valid scenario config"))
-        }
-        SimSystem::AdaptDl => {
-            Box::new(adaptdl(sim, noise, SIM_DATASET, SIM_BASE_BATCH, SIM_MAX_BATCH).expect("valid scenario config"))
-        }
-        SimSystem::Ddp => Box::new(DdpTrainer::new(sim, noise, SIM_DATASET, SIM_BASE_BATCH, SIM_BASE_BATCH)),
-        SimSystem::LbBsp => Box::new(lbbsp(sim, noise, SIM_DATASET, SIM_BASE_BATCH).expect("valid scenario config")),
-        SimSystem::HetPipe => Box::new(HetPipeTrainer::new(sim, noise, SIM_DATASET, SIM_BASE_BATCH, SIM_BASE_BATCH)),
-    }
-}
-
-/// Reduce a sim run to wall-clock-free metrics. Simulated seconds are a
-/// sum of `epoch_time` (pure physics) — never `cumulative_time`, which
-/// for Cannikin includes real solver wall time and would break the
-/// byte-identical contract.
+/// Reduce a sim run to wall-clock-free metrics: simulated seconds come
+/// from the simulated clock (`epoch_time`, `cumulative_time`), which no
+/// host measurement reaches.
 fn sim_metrics(records: &[EpochRecord], target: f64, drained: &[Record]) -> BTreeMap<String, f64> {
     let mut metrics = BTreeMap::new();
     let sim_time: f64 = records.iter().map(|r| r.epoch_time).sum();
@@ -118,13 +84,8 @@ fn sim_metrics(records: &[EpochRecord], target: f64, drained: &[Record]) -> BTre
     if sim_time > 0.0 {
         metrics.insert("goodput_eff_epochs_per_hour".into(), final_eff / sim_time * 3_600.0);
     }
-    let mut elapsed = 0.0;
-    for r in records {
-        elapsed += r.epoch_time;
-        if r.effective_epochs >= target {
-            metrics.insert("time_to_target_s".into(), elapsed);
-            break;
-        }
+    if let Some(t) = time_to_target(records, target) {
+        metrics.insert("time_to_target_s".into(), t);
     }
     metrics.insert("faults".into(), records.iter().map(|r| f64::from(r.faults)).sum());
     metrics.insert("recoveries".into(), records.iter().map(|r| f64::from(r.recoveries)).sum());
@@ -138,15 +99,22 @@ fn sim_metrics(records: &[EpochRecord], target: f64, drained: &[Record]) -> BTre
     metrics
 }
 
-fn run_sim_cell(scenario: &ScenarioSpec, subject: &SubjectSpec, system: SimSystem) -> BTreeMap<String, f64> {
-    let (target, max_epochs) = match &scenario.kind {
-        ScenarioKind::Sim { target, max_epochs, .. } => (*target, *max_epochs),
+fn run_sim_cell(scenario: &ScenarioSpec, subject: &SubjectSpec, system: System) -> BTreeMap<String, f64> {
+    let (plan, target, max_epochs) = match &scenario.kind {
+        ScenarioKind::Sim { plan, target, max_epochs } => (*plan, *target, *max_epochs),
         ScenarioKind::Real { .. } => unreachable!("checked by the caller"),
     };
     let session = Session::start();
-    let mut trainer = build_sim_subject(system, scenario);
+    let profile = profiles::cifar10_resnet18();
+    let mut sim = Simulator::new(sim_cluster(), profile.job, SCENARIO_SEED);
+    if let Some(build) = plan {
+        sim = sim.with_fault_plan(build(SCENARIO_SEED));
+    }
+    let mut trainer = system
+        .build(sim, Box::new(profile.noise), SIM_DATASET, SIM_BASE_BATCH, SIM_MAX_BATCH)
+        .expect("valid scenario config");
     let records = trainer
-        .drive_until(target, max_epochs)
+        .train_until(target, max_epochs)
         .unwrap_or_else(|e| panic!("{}/{} failed: {e}", scenario.name, subject.name));
     drop(trainer); // flush every worker's telemetry before draining
     let drained = session.drain();
@@ -223,15 +191,21 @@ fn goodput(cells: &[CellResult], scenario: &str, subject: &str) -> Option<f64> {
         .and_then(|c| c.metrics.get("goodput_eff_epochs_per_hour").copied())
 }
 
-/// Per-scenario goodput of Cannikin over the strongest *static* subject
-/// present in the same scenario (DDP where it runs, otherwise the
-/// fixed-batch Cannikin reference).
+/// Per-scenario goodput of Cannikin over the best *static* subject in
+/// the same scenario: the highest goodput among the cells whose subject
+/// does not provide [`Capability::AdaptiveBatch`].
 pub fn adaptive_vs_static(cells: &[CellResult]) -> BTreeMap<String, f64> {
+    let adaptive_subjects: Vec<&str> =
+        subjects().into_iter().filter(|s| s.provides.contains(&Capability::AdaptiveBatch)).map(|s| s.name).collect();
     let mut ratios = BTreeMap::new();
     for scenario in RATIO_SCENARIOS {
         let adaptive = goodput(cells, scenario, "cannikin");
-        let static_ref = goodput(cells, scenario, "ddp").or_else(|| goodput(cells, scenario, "cannikin-fixed"));
-        if let (Some(a), Some(s)) = (adaptive, static_ref) {
+        let best_static = cells
+            .iter()
+            .filter(|c| c.scenario == scenario && !adaptive_subjects.contains(&c.subject.as_str()))
+            .filter_map(|c| c.metrics.get("goodput_eff_epochs_per_hour").copied())
+            .reduce(f64::max);
+        if let (Some(a), Some(s)) = (adaptive, best_static) {
             if s > 0.0 {
                 ratios.insert(scenario.to_string(), a / s);
             }
@@ -423,6 +397,31 @@ mod tests {
             let even = cell(scenario, "adaptdl").metrics["goodput_eff_epochs_per_hour"];
             assert!(rl >= even, "{scenario}: policy-rl goodput {rl} should be >= adaptdl {even}");
         }
+    }
+
+    #[test]
+    fn the_ratio_divides_by_the_best_static_subject() {
+        let cell = |scenario: &str, subject: &str, goodput: f64| CellResult {
+            scenario: scenario.into(),
+            subject: subject.into(),
+            metrics: BTreeMap::from([("goodput_eff_epochs_per_hour".to_string(), goodput)]),
+        };
+        let cells = vec![
+            cell("straggler-onset", "cannikin", 600.0),
+            cell("straggler-onset", "cannikin-fixed", 400.0),
+            cell("straggler-onset", "adaptdl", 550.0),
+            cell("straggler-onset", "ddp", 300.0),
+            cell("straggler-onset", "lbbsp", 500.0),
+            cell("straggler-onset", "policy-rl", 590.0),
+            cell("spot-preemption", "cannikin", 450.0),
+            cell("spot-preemption", "cannikin-fixed", 300.0),
+        ];
+        let ratios = adaptive_vs_static(&cells);
+        // LB-BSP beats DDP and the fixed-batch reference; the adaptive
+        // subjects (AdaptDL, the bandit) are not static references.
+        assert_eq!(ratios["straggler-onset"], 600.0 / 500.0);
+        assert_eq!(ratios["spot-preemption"], 450.0 / 300.0);
+        assert_eq!(ratios.len(), 2, "a scenario without cells has no ratio");
     }
 
     #[test]

@@ -36,7 +36,7 @@ use super::trainer::{CannikinTrainer, TrainerConfig};
 use super::NoiseModel;
 use crate::error::CannikinError;
 use crate::optperf::SolverInput;
-use crate::policy::{self, Policy, PolicyKind};
+use crate::policy::{self, PolicyKind};
 
 use cannikin_collectives::{Codec, CommFaultPlan, TransportKind};
 use hetsim::Simulator;
@@ -63,7 +63,6 @@ pub struct CannikinTrainerBuilder {
     adaptive_batch: Option<bool>,
     warm_start: Option<SolverInput>,
     policy_kind: Option<PolicyKind>,
-    policy: Option<Box<dyn Policy>>,
 }
 
 impl CannikinTrainerBuilder {
@@ -110,24 +109,13 @@ impl CannikinTrainerBuilder {
         self
     }
 
-    /// Initial/reference total batch size B₀.
+    /// The total-batch range: the initial/reference batch B₀ and the
+    /// upper end the adaptive batch may reach.
     #[must_use]
-    pub fn base_batch(mut self, base: u64) -> Self {
+    pub fn batch_range(mut self, base: u64, max: u64) -> Self {
         self.base_batch = Some(base);
-        self
-    }
-
-    /// Upper end of the admissible total-batch range.
-    #[must_use]
-    pub fn max_batch(mut self, max: u64) -> Self {
         self.max_batch = Some(max);
         self
-    }
-
-    /// Both ends of the total-batch range at once.
-    #[must_use]
-    pub fn batch_range(self, base: u64, max: u64) -> Self {
-        self.base_batch(base).max_batch(max)
     }
 
     /// Whether the total batch size adapts via goodput (`false` pins it to
@@ -151,14 +139,6 @@ impl CannikinTrainerBuilder {
     #[must_use]
     pub fn policy(mut self, kind: PolicyKind) -> Self {
         self.policy_kind = Some(kind);
-        self
-    }
-
-    /// A custom [`Policy`] implementation; overrides
-    /// [`policy`](Self::policy).
-    #[must_use]
-    pub fn policy_boxed(mut self, policy: Box<dyn Policy>) -> Self {
-        self.policy = Some(policy);
         self
     }
 
@@ -200,10 +180,8 @@ impl CannikinTrainerBuilder {
         }
         let noise: Box<dyn NoiseModel> =
             self.noise.unwrap_or_else(|| Box::new(super::LinearNoiseGrowth { initial: 300.0, rate: 1.0 }));
-        let policy: Box<dyn Policy> = self.policy.unwrap_or_else(|| {
-            let kind = self.policy_kind.unwrap_or_default();
-            policy::build_sim_policy(kind, config.base_batch, sim.cluster().len(), config.max_batch)
-        });
+        let kind = self.policy_kind.unwrap_or_default();
+        let policy = policy::build_sim_policy(kind, config.base_batch, sim.cluster().len(), config.max_batch);
         let mut trainer = CannikinTrainer::from_parts(sim, noise, config, policy);
         if let Some(checkpoint) = &self.warm_start {
             trainer.warm_start(checkpoint);
@@ -243,7 +221,6 @@ pub struct ParallelTrainerBuilder {
     codec: Option<Codec>,
     overlap: Option<bool>,
     policy_kind: Option<PolicyKind>,
-    policy: Option<Box<dyn Policy>>,
 }
 
 impl ParallelTrainerBuilder {
@@ -285,25 +262,14 @@ impl ParallelTrainerBuilder {
         self
     }
 
-    /// Reference/initial total batch size B₀.
-    #[must_use]
-    pub fn base_batch(mut self, base: u64) -> Self {
-        self.base_batch = Some(base);
-        self
-    }
-
-    /// Upper bound of the adaptive batch range (`build` caps it at half
+    /// The total-batch range: the reference/initial batch B₀ and the
+    /// upper bound of the adaptive range (`build` caps the bound at half
     /// the dataset: an epoch must hold one even and one odd step).
     #[must_use]
-    pub fn max_batch(mut self, max: u64) -> Self {
+    pub fn batch_range(mut self, base: u64, max: u64) -> Self {
+        self.base_batch = Some(base);
         self.max_batch = Some(max);
         self
-    }
-
-    /// Both ends of the total-batch range at once.
-    #[must_use]
-    pub fn batch_range(self, base: u64, max: u64) -> Self {
-        self.base_batch(base).max_batch(max)
     }
 
     /// Whether the total batch size adapts via goodput.
@@ -373,14 +339,6 @@ impl ParallelTrainerBuilder {
     #[must_use]
     pub fn policy(mut self, kind: PolicyKind) -> Self {
         self.policy_kind = Some(kind);
-        self
-    }
-
-    /// A custom [`Policy`] implementation; overrides
-    /// [`policy`](Self::policy).
-    #[must_use]
-    pub fn policy_boxed(mut self, policy: Box<dyn Policy>) -> Self {
-        self.policy = Some(policy);
         self
     }
 
@@ -476,10 +434,8 @@ impl ParallelTrainerBuilder {
             )));
         }
         config.max_batch = config.max_batch.min(epoch_cap);
-        let policy: Box<dyn Policy> = self.policy.unwrap_or_else(|| {
-            let kind = self.policy_kind.unwrap_or_default();
-            policy::build_sim_policy(kind, config.base_batch, n, config.max_batch)
-        });
+        let kind = self.policy_kind.unwrap_or_default();
+        let policy = policy::build_sim_policy(kind, config.base_batch, n, config.max_batch);
         Ok(ParallelTrainer::from_parts(dataset, factory, config, policy))
     }
 }
@@ -522,7 +478,7 @@ mod tests {
     fn batch_range_is_validated_not_panicked() {
         let err = CannikinTrainer::builder()
             .simulator(sim())
-            .base_batch(1)
+            .batch_range(1, 4096)
             .build()
             .expect_err("1 < 2 nodes");
         assert!(err.to_string().contains("cannot cover"));
@@ -559,7 +515,7 @@ mod tests {
             .dataset(gaussian_blobs(64, 4, 10, 3))
             .model(|seed| mlp_classifier(10, 16, 4, seed))
             .slowdowns(vec![1.0; 40])
-            .base_batch(8)
+            .batch_range(8, 64)
             .transport(TransportKind::InProcess)
             .build()
             .expect_err("8 < 40 nodes");
@@ -567,7 +523,7 @@ mod tests {
         let err = ParallelTrainer::builder()
             .dataset(gaussian_blobs(48, 4, 10, 3))
             .model(|seed| mlp_classifier(10, 16, 4, seed))
-            .base_batch(32)
+            .batch_range(32, 256)
             .transport(TransportKind::InProcess)
             .build()
             .expect_err("48 samples cannot hold an even and an odd step of 32");
@@ -585,7 +541,7 @@ mod tests {
                 .dataset(gaussian_blobs(64, 4, 10, 3))
                 .model(|seed| mlp_classifier(10, 16, 4, seed))
                 .slowdowns(vec![1.0, x])
-                .base_batch(8)
+                .batch_range(8, 64)
                 .transport(TransportKind::InProcess)
                 .build()
         };

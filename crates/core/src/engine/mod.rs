@@ -88,7 +88,10 @@ pub struct EpochRecord {
     pub efficiency: f64,
     /// Cumulative effective epochs of progress *after* this epoch.
     pub effective_epochs: f64,
-    /// Cumulative wall time after this epoch, s.
+    /// The simulated clock after this epoch, s: the epochs' simulated
+    /// times plus modelled charges such as a restart. Measured host time
+    /// (`overhead_seconds`) is never added, so the clock is reproducible
+    /// under seed.
     pub cumulative_time: f64,
     /// Real wall-clock time spent in the optimizer for this epoch —
     /// split planning *plus* performance-model fitting (the Table 6

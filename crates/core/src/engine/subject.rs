@@ -1,15 +1,16 @@
-//! Uniform drive adapter over every epoch-oriented trainer.
+//! The one run loop over every epoch-oriented trainer.
 //!
-//! The scenario-matrix harness (`cannikin-bench`) needs to drive Cannikin
+//! The figures and the scenario matrix (`cannikin-bench`) drive Cannikin
 //! and every baseline through the same loop — construct, step epochs,
 //! read statistical progress — without caring which system is behind the
-//! handle. [`TrainingSubject`] is that adapter: one fallible `next_epoch`
-//! plus a `progress` accessor, with the run-to-target loop provided once
-//! instead of re-implemented per system.
+//! handle. [`TrainingSubject`] is that loop: one fallible `next_epoch`
+//! plus a `progress` accessor, with "run `n` epochs" and "run to the
+//! target" provided here once instead of re-implemented per system.
 //!
 //! `cannikin-core` implements it for [`CannikinTrainer`] (which is also
 //! what the AdaptDL and LB-BSP baselines are); `cannikin-baselines`
-//! implements it for the DDP and HetPipe trainers.
+//! implements it for the DDP and HetPipe trainers and builds every
+//! compared system from one `System` row.
 
 use super::{CannikinTrainer, EpochRecord};
 use crate::error::CannikinError;
@@ -28,13 +29,23 @@ pub trait TrainingSubject {
     /// Cumulative statistically-effective epochs of progress so far.
     fn progress(&self) -> f64;
 
-    /// Drive until `target` effective epochs are reached or `max_epochs`
-    /// have run, whichever comes first.
+    /// Run `n` epochs.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`TrainingSubject::next_epoch`] failure.
-    fn drive_until(&mut self, target: f64, max_epochs: usize) -> Result<Vec<EpochRecord>, CannikinError> {
+    /// Stops at the first failed [`TrainingSubject::next_epoch`].
+    fn run_epochs(&mut self, n: usize) -> Result<Vec<EpochRecord>, CannikinError> {
+        (0..n).map(|_| self.next_epoch()).collect()
+    }
+
+    /// Run until `target` effective epochs of statistical progress have
+    /// accumulated (the convergence experiments) or `max_epochs` have run,
+    /// whichever comes first.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first failed [`TrainingSubject::next_epoch`].
+    fn train_until(&mut self, target: f64, max_epochs: usize) -> Result<Vec<EpochRecord>, CannikinError> {
         let mut records = Vec::new();
         while self.progress() < target && records.len() < max_epochs {
             records.push(self.next_epoch()?);
@@ -76,9 +87,9 @@ mod tests {
     }
 
     #[test]
-    fn drive_until_stops_at_target_or_cap() {
+    fn train_until_stops_at_target_or_cap() {
         let mut trainer = subject();
-        let records = trainer.drive_until(2.0, 40).expect("run");
+        let records = trainer.train_until(2.0, 40).expect("run");
         assert!(!records.is_empty());
         assert!(records.len() <= 40);
         let trait_progress = TrainingSubject::progress(&trainer);

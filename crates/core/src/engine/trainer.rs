@@ -123,8 +123,9 @@ impl CannikinTrainer {
         self.driver.exec.effective_epochs
     }
 
-    /// Cumulative wall time (simulated epoch time plus measured optimizer
-    /// overhead) so far, s.
+    /// The simulated clock so far, s: every epoch's simulated time. The
+    /// host's measured planning overhead is not on it (each record's
+    /// `overhead_seconds` carries that), so same-seed runs agree bit for bit.
     pub fn cumulative_time(&self) -> f64 {
         self.driver.exec.cumulative_time
     }
@@ -162,29 +163,6 @@ impl CannikinTrainer {
     /// split.
     pub fn run_epoch(&mut self) -> Result<EpochRecord, CannikinError> {
         self.driver.run_epoch()
-    }
-
-    /// Run `n` epochs.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failed epoch.
-    pub fn run_epochs(&mut self, n: usize) -> Result<Vec<EpochRecord>, CannikinError> {
-        (0..n).map(|_| self.run_epoch()).collect()
-    }
-
-    /// Run until `target` effective epochs of statistical progress have
-    /// accumulated (the convergence experiments) or `max_epochs` elapse.
-    ///
-    /// # Errors
-    ///
-    /// Stops at the first failed epoch.
-    pub fn train_until(&mut self, target: f64, max_epochs: usize) -> Result<Vec<EpochRecord>, CannikinError> {
-        let mut out = Vec::new();
-        while self.effective_epochs() < target && out.len() < max_epochs {
-            out.push(self.run_epoch()?);
-        }
-        Ok(out)
     }
 }
 
@@ -392,7 +370,7 @@ impl Executor for SimExecutor {
         let efficiency = statistical_efficiency(phi, self.config.base_batch, total);
         let effective = steps as f64 * total as f64 * efficiency / self.config.dataset_size as f64;
         self.effective_epochs += effective;
-        self.cumulative_time += epoch_time + overhead_seconds;
+        self.cumulative_time += epoch_time;
         let report = EpochRecord {
             epoch,
             total_batch: total,
@@ -457,6 +435,7 @@ impl SimExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::TrainingSubject;
     use crate::engine::LinearNoiseGrowth;
     use hetsim::catalog::Gpu;
     use hetsim::cluster::{ClusterSpec, NodeSpec};
@@ -562,6 +541,20 @@ mod tests {
     }
 
     #[test]
+    fn same_seed_runs_keep_the_same_clock() {
+        // The clock is simulated time only: the host's planning overhead,
+        // which differs run to run, stays in `overhead_seconds`.
+        let clock = |mut t: CannikinTrainer| {
+            let records = t.run_epochs(6).unwrap();
+            let times: Vec<u64> = records.iter().map(|r| r.cumulative_time.to_bits()).collect();
+            (times, t.cumulative_time().to_bits())
+        };
+        let (a, b) = (clock(trainer(true)), clock(trainer(true)));
+        assert_eq!(a, b);
+        assert_eq!(a.1, a.0[5], "the trainer's clock is the last record's");
+    }
+
+    #[test]
     fn train_until_reaches_target() {
         let mut t = trainer(true);
         let records = t.train_until(3.0, 100).unwrap();
@@ -582,6 +575,7 @@ mod tests {
 #[cfg(test)]
 mod elastic_tests {
     use super::*;
+    use crate::engine::TrainingSubject;
     use hetsim::catalog::Gpu;
     use hetsim::cluster::{ClusterSpec, NodeSpec};
     use hetsim::job::JobSpec;
@@ -654,6 +648,7 @@ mod elastic_tests {
 #[cfg(test)]
 mod fault_recovery_tests {
     use super::*;
+    use crate::engine::TrainingSubject;
     use hetsim::catalog::Gpu;
     use hetsim::cluster::{ClusterSpec, NodeSpec};
     use hetsim::job::JobSpec;
@@ -773,6 +768,7 @@ mod fault_recovery_tests {
 #[cfg(test)]
 mod warm_start_tests {
     use super::*;
+    use crate::engine::TrainingSubject;
     use crate::optperf::SolverInput;
     use hetsim::catalog::Gpu;
     use hetsim::cluster::{ClusterSpec, NodeSpec};

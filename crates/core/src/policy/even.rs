@@ -3,6 +3,7 @@
 use super::{EpochPlan, EpochObservation, Policy, PolicyContext};
 use crate::error::CannikinError;
 use crate::gns::goodput;
+use crate::goodput::GoodputEngine;
 use crate::optperf::{even_split, predict_batch_time};
 use cannikin_telemetry::SplitSource;
 
@@ -20,17 +21,6 @@ impl EvenSplit {
     }
 }
 
-/// The same geometric candidate grid Cannikin's goodput engine uses, for
-/// a fair comparison.
-fn candidates(base_batch: u64, max_batch: u64, n: usize) -> Vec<u64> {
-    let lo = (base_batch.max(n as u64)) as f64;
-    let hi = max_batch as f64;
-    let count = ((hi / lo).log10() * 12.0).ceil().clamp(2.0, 40.0) as usize;
-    let mut out: Vec<u64> = (0..=count).map(|i| (lo * (hi / lo).powf(i as f64 / count as f64)).round() as u64).collect();
-    out.dedup();
-    out
-}
-
 impl Policy for EvenSplit {
     fn name(&self) -> &'static str {
         "even"
@@ -42,9 +32,14 @@ impl Policy for EvenSplit {
         let total = if !ctx.adaptive {
             ctx.base_batch
         } else if let (Some(input), Some(phi)) = (&ctx.solver_input, ctx.phi) {
-            // Goodput over candidates, throughput predicted for the
-            // homogeneous (even) split.
-            candidates(ctx.base_batch, ctx.max_batch, n)
+            // Goodput over Cannikin's own candidate grid, for a fair
+            // comparison (the floor `OptPerfGoodput` uses), throughput
+            // predicted for the homogeneous (even) split. A floor above
+            // `max_batch` (nodes joined past it) is the one candidate: no
+            // smaller total gives every node a sample.
+            let floor = ctx.base_batch.max(n as u64);
+            GoodputEngine::new(ctx.base_batch, floor, ctx.max_batch.max(floor))
+                .candidates()
                 .into_iter()
                 .max_by(|&a, &b| {
                     let ga = goodput(phi, ctx.base_batch, a, predict_batch_time(input, &even_split(a, n)));
@@ -75,5 +70,33 @@ impl Policy for EvenSplit {
 
     fn tell(&mut self, _obs: &EpochObservation) {
         // Stateless: the fitted models arrive through the next context.
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::optperf::SolverInput;
+    use hetsim::catalog::Gpu;
+    use hetsim::cluster::{ClusterSpec, NodeSpec};
+    use hetsim::job::JobSpec;
+
+    #[test]
+    fn nodes_past_the_ceiling_leave_the_floor_as_the_one_total() {
+        let cluster = ClusterSpec::new("wide", (0..5).map(|i| NodeSpec::new(format!("v{i}"), Gpu::V100)).collect());
+        let ctx = PolicyContext {
+            epoch: 3,
+            nodes: 5,
+            adaptive: true,
+            base_batch: 2,
+            max_batch: 4,
+            dataset_size: 1_000,
+            phi: Some(100.0),
+            last_split: vec![1; 5],
+            solver_input: Some(SolverInput::from_ground_truth(&cluster, &JobSpec::resnet18_cifar10())),
+            per_sample_times: Vec::new(),
+        };
+        let plan = EvenSplit::new().ask(&ctx).expect("a plan");
+        assert_eq!((plan.total, plan.local), (5, vec![1; 5]));
     }
 }

@@ -9,7 +9,7 @@
 //! adaptation only), and full Cannikin (goodput-adaptive batch + OptPerf
 //! splits) — and prints time-to-target for each.
 
-use cannikin::baselines::DdpTrainer;
+use cannikin::baselines::System;
 use cannikin::prelude::*;
 use cannikin::workloads::{clusters, profiles};
 
@@ -19,34 +19,21 @@ fn main() {
     let target = profile.target_effective_epochs();
     println!("{} on cluster {}: target {} = {:.0}%\n", profile.name(), cluster.name, profile.target.name, profile.target.value * 100.0);
 
-    let noise = || Box::new(LinearNoiseGrowth { initial: profile.noise.initial, rate: profile.noise.rate });
-
-    // 1. PyTorch DDP: fixed B = 64, even split.
-    let mut ddp = DdpTrainer::new(Simulator::new(cluster.clone(), profile.job.clone(), 5), noise(), profile.dataset_size, 64, 64);
-    let ddp_records = ddp.train_until(target, 5000);
-    let t_ddp = ddp_records.last().expect("ran").cumulative_time;
-
+    // Every system trains the same job on the same cluster and seed,
+    // from B = 64; only the adaptive one may grow it.
+    let run = |system: System| {
+        let sim = Simulator::new(cluster.clone(), profile.job.clone(), 5);
+        let mut subject = system
+            .build(sim, Box::new(profile.noise), profile.dataset_size, 64, profile.max_batch)
+            .expect("valid configuration");
+        subject.train_until(target, 5000).expect("run")
+    };
+    // 1. PyTorch DDP: fixed B, even split.
+    let t_ddp = run(System::Ddp).last().expect("ran").cumulative_time;
     // 2. Cannikin, batch pinned: only the local split adapts.
-    let mut fixed = CannikinTrainer::builder()
-        .simulator(Simulator::new(cluster.clone(), profile.job.clone(), 5))
-        .noise_boxed(noise())
-        .dataset_size(profile.dataset_size)
-        .batch_range(64, profile.max_batch)
-        .adaptive_batch(false)
-        .build()
-        .expect("valid configuration");
-    let fixed_records = fixed.train_until(target, 5000).expect("run");
-    let t_fixed = fixed_records.last().expect("ran").cumulative_time;
-
+    let t_fixed = run(System::CannikinFixed).last().expect("ran").cumulative_time;
     // 3. Full Cannikin.
-    let mut full = CannikinTrainer::builder()
-        .simulator(Simulator::new(cluster.clone(), profile.job.clone(), 5))
-        .noise_boxed(noise())
-        .dataset_size(profile.dataset_size)
-        .batch_range(64, profile.max_batch)
-        .build()
-        .expect("valid configuration");
-    let full_records = full.train_until(target, 5000).expect("run");
+    let full_records = run(System::Cannikin);
     let t_full = full_records.last().expect("ran").cumulative_time;
     let b_final = full_records.last().expect("ran").total_batch;
 

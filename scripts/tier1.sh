@@ -7,7 +7,8 @@
 #              at smoke size (plain rustc, ~50 s)
 #   build      release build, proof that it resolved no registry crate, and
 #              that crates/core/src holds no unsafe and reads no environment,
-#              and that insight subscribes to the recorder once
+#              that insight subscribes to the recorder once, and that only
+#              TrainingSubject defines the run loops
 #   test       full workspace test suite
 #   kernels    minidnn's suite again, optimised, under each GEMM kernel policy
 #              (auto, off, avx2), after saying which tile auto is here; then
@@ -76,6 +77,14 @@ stage() {
         if [ "$(git grep -hE "$subscriber_impls" crates/insight/src | wc -l)" -gt 1 ]; then
             git grep -nE "$subscriber_impls" crates/insight/src
             echo "tier1.sh: crates/insight/src implements Subscriber more than once (above); observers go through the one tap" >&2
+            exit 1
+        fi
+        # One run loop: `TrainingSubject` provides "run n epochs" and "run
+        # to the target" for every trainer; a definition anywhere else is a
+        # second copy of it.
+        loops='fn +(train_until|run_epochs|drive_until) *[(<]'
+        if git grep -nE "$loops" -- ':!crates/core/src/engine/subject.rs'; then
+            echo "tier1.sh: a run loop is defined outside engine/subject.rs (above); implement TrainingSubject" >&2
             exit 1
         fi
         # The builders resolve builder > default; core reads no environment.

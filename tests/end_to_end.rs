@@ -2,8 +2,8 @@
 //! analyzer → solver → goodput engine → trainer) against the baselines on
 //! the paper's clusters.
 
-use cannikin::baselines::{adaptdl, lbbsp, DdpTrainer};
-use cannikin::core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig};
+use cannikin::baselines::System;
+use cannikin::core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig, TrainingSubject};
 use cannikin::core::optperf::{OptPerfSolver, SolverInput};
 use cannikin::core::perf::MeasurementAggregation;
 use cannikin::sim::Simulator;
@@ -81,24 +81,16 @@ fn cannikin_beats_every_baseline_on_cifar_cluster_b() {
     let cluster = clusters::cluster_b();
     let target = profile.target_effective_epochs();
 
-    let sim = || Simulator::new(cluster.clone(), profile.job.clone(), 73);
-    let config = TrainerConfig::new(profile.dataset_size, 64, profile.max_batch);
-    let mut cannikin = CannikinTrainer::builder()
-        .simulator(sim())
-        .noise_boxed(noise(&profile))
-        .config(config)
-        .build()
-        .expect("valid config");
-    let t_cannikin = cannikin.train_until(target, 3000).expect("run").last().unwrap().cumulative_time;
-
-    let mut ad = adaptdl(sim(), noise(&profile), profile.dataset_size, 64, profile.max_batch).expect("valid config");
-    let t_adaptdl = ad.train_until(target, 3000).expect("run").last().unwrap().cumulative_time;
-
-    let mut ddp = DdpTrainer::new(sim(), noise(&profile), profile.dataset_size, 64, 64);
-    let t_ddp = ddp.train_until(target, 3000).last().unwrap().cumulative_time;
-
-    let mut lb = lbbsp(sim(), noise(&profile), profile.dataset_size, 64).expect("valid config");
-    let t_lbbsp = lb.train_until(target, 3000).expect("run").last().unwrap().cumulative_time;
+    let time = |system: System| {
+        let sim = Simulator::new(cluster.clone(), profile.job.clone(), 73);
+        let mut subject =
+            system.build(sim, noise(&profile), profile.dataset_size, 64, profile.max_batch).expect("valid config");
+        subject.train_until(target, 3000).expect("run").last().unwrap().cumulative_time
+    };
+    let t_cannikin = time(System::Cannikin);
+    let t_adaptdl = time(System::AdaptDl);
+    let t_ddp = time(System::Ddp);
+    let t_lbbsp = time(System::LbBsp);
 
     assert!(t_cannikin < t_adaptdl, "vs AdaptDL: {t_cannikin} vs {t_adaptdl}");
     assert!(t_cannikin < t_ddp * 0.35, "vs DDP: {t_cannikin} vs {t_ddp}");

@@ -2,7 +2,7 @@
 //! and jobs: whatever the hardware mix, the engine must stay within its
 //! invariants and end up no worse than the even split.
 
-use cannikin::core::engine::{CannikinTrainer, LinearNoiseGrowth, TrainerConfig};
+use cannikin::core::engine::{CannikinTrainer, LinearNoiseGrowth, TrainerConfig, TrainingSubject};
 use cannikin::core::optperf::even_split;
 use cannikin::sim::catalog::Gpu;
 use cannikin::sim::cluster::{ClusterSpec, NodeSpec};

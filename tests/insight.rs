@@ -9,7 +9,7 @@
 //! Single test function: the telemetry recorder is process-global, and
 //! this binary is its own process.
 
-use cannikin::core::engine::{CannikinTrainer, LinearNoiseGrowth, TrainerConfig};
+use cannikin::core::engine::{CannikinTrainer, LinearNoiseGrowth, TrainerConfig, TrainingSubject};
 use cannikin::core::optperf::{OptPerfSolver, SolverInput};
 use cannikin::insight::{replay, InsightConfig, Monitor};
 use cannikin::sim::catalog::Gpu;

@@ -22,8 +22,9 @@
 //! What is canonicalized away before comparison, and why:
 //! - record `ts_ns` and the `overhead_s` counter are wall-clock
 //!   measurements of the host machine, not planner outputs;
-//! - `EpochRecord::{overhead_seconds, cumulative_time}` likewise embed
-//!   wall-clock optimizer overhead;
+//! - `EpochRecord::overhead_seconds` likewise is wall-clock optimizer
+//!   overhead; `cumulative_time` is left out as the running sum of the
+//!   compared `epoch_time`s;
 //! - `policy_decision` telemetry lines are skipped: the event only
 //!   *names* the policy that produced the adjacent (fully compared)
 //!   `split_decision`.
@@ -62,9 +63,10 @@ fn hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
 
-/// One canonical line per epoch, every float as its bit pattern. The two
-/// wall-clock-derived fields (`overhead_seconds`, `cumulative_time`) are
-/// excluded; everything else the planner influences is included.
+/// One canonical line per epoch, every float as its bit pattern.
+/// `overhead_seconds` (wall clock) and `cumulative_time` (a sum of the
+/// `epoch_time`s) are excluded; everything else the planner influences is
+/// included.
 fn record_line(r: &EpochRecord) -> String {
     format!(
         "epoch={} total={} local={:?} steps={} accum={} t={} mbt={} phi={} eff={} eff_epochs={} pattern={:?} used_model={} faults={} recoveries={}",
@@ -268,19 +270,28 @@ fn optperf_goodput_fault_run_matches_golden() {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "ten runs to target; the release policy stage runs it")]
 fn fig7_orders_the_systems_as_the_paper_does() {
-    use cannikin_bench::runners::{convergence_time, run_to_target, System};
+    use cannikin::baselines::{time_to_target, System};
+    use cannikin_bench::runners::run_to_target;
     use cannikin_workloads::{clusters, profiles};
 
     let cluster = clusters::cluster_b();
     for profile in [profiles::cifar10_resnet18(), profiles::imagenet_resnet50()] {
-        let order = [System::Cannikin, System::Adaptdl, System::HetPipe, System::LbBsp, System::Ddp];
+        let order = [System::Cannikin, System::AdaptDl, System::HetPipe, System::LbBsp, System::Ddp];
         let times = order.map(|system| {
-            let records = run_to_target(system, &profile, &cluster, 71, 5000);
-            convergence_time(&records, &profile)
+            let records = run_to_target(system, &profile, &cluster, 71, 5000).expect("run");
+            time_to_target(&records, profile.target_effective_epochs())
                 .unwrap_or_else(|| panic!("{} did not reach the target on {}", system.label(), profile.name()))
         });
         let ranked = times[..4].windows(2).all(|pair| pair[0] < pair[1]) && times[3] <= times[4];
         let table: Vec<String> = order.iter().zip(&times).map(|(system, t)| format!("{} {t:.1} s", system.label())).collect();
         assert!(ranked, "{}: want Cannikin < AdaptDL < HetPipe < LB-BSP <= DDP, got {}", profile.name(), table.join(", "));
     }
+}
+
+/// Fig. 6 prints each system's simulated clock, which no host measurement
+/// reaches, so the figure is the same text on every run.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "two runs to target; the release policy stage runs it")]
+fn fig6_is_reproducible_under_seed() {
+    assert_eq!(cannikin_bench::experiments::fig6(), cannikin_bench::experiments::fig6());
 }

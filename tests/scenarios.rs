@@ -8,9 +8,10 @@
 //! scenario demanding something it did not declare, for arbitrary
 //! capability sets, not just the shipped registry.
 
+use cannikin::baselines::System;
 use cannikin_bench::scenarios::{
-    compatible, matrix, scenario_report, Capability, ScenarioKind, ScenarioSpec, SimSystem,
-    SubjectKind, SubjectSpec, SCENARIO_SEED,
+    compatible, matrix, scenario_report, Capability, ScenarioKind, ScenarioSpec, SubjectKind, SubjectSpec,
+    SCENARIO_SEED,
 };
 use propcheck::{check, Gen};
 
@@ -65,7 +66,7 @@ fn synthetic_subject(provides: Vec<Capability>) -> SubjectSpec {
         name: "synthetic-subject",
         description: "property-test fixture",
         provides,
-        kind: SubjectKind::Sim(SimSystem::Ddp),
+        kind: SubjectKind::Sim(System::Ddp),
     }
 }
 
