@@ -129,47 +129,45 @@ struct ManagedJob {
     records: Vec<EpochRecord>,
     fifo_rank: usize,
     slice: usize,
-    /// Measured time-to-target per node count (entry `k - 1` = `k`
-    /// nodes), profiled once on first demand and cached — the realized
-    /// scaling knee that caps the job's GNS-driven ask.
-    scaling_curve: Option<Vec<f64>>,
-    /// The last [`demand::profiled_nodes`] answer, with what it was asked.
-    profiled: Option<ProfiledDemand>,
+    /// The measured scaling knee that caps the job's GNS-driven ask, or
+    /// the pool to measure it on; `None` before the job's first decision
+    /// and under the baseline policies.
+    scaling: Option<ScalingCurve>,
+    /// Warm demand pricing over the ranked live pool ids it was built on.
+    pricing: Option<(Vec<usize>, demand::DemandModel)>,
 }
 
-/// One [`demand::profiled_nodes`] answer and every argument of the call
-/// that can change within a controller's life (the job and its trainer
-/// configuration cannot): while a job's φ has not moved and no node has
-/// died, asking again would only repeat up to `cap` cold solver sweeps.
-struct ProfiledDemand {
-    phi_bits: u64,
-    min_nodes: usize,
-    cap: usize,
-    /// Pool ids of the live nodes, fastest first.
-    ranked: Vec<usize>,
-    want: usize,
+/// A job's realized scaling, measured the first time it can change a
+/// decision.
+enum ScalingCurve {
+    /// The ranked live pool ids at the job's first decision: the curve is
+    /// measured on this pool, whenever that is.
+    Unmeasured(Vec<usize>),
+    /// Time-to-target per node count (entry `k - 1` = `k` nodes).
+    Measured(Vec<f64>),
 }
 
 impl ManagedJob {
-    /// GNS-justified node demand at noise scale `phi` — `ranked` are the
-    /// specs of the pool nodes `ranked_ids`.
-    fn profiled_nodes(
+    /// GNS-justified node demand at noise scale `phi` over the pool nodes
+    /// `ranked_ids`, fastest first. The pricing model is rebuilt only when
+    /// the ranking moved (a node died).
+    fn statistical_nodes(
         &mut self,
+        pool: &NodePool,
         ranked_ids: &[usize],
-        ranked: &[NodeSpec],
         phi: f64,
         min_nodes: usize,
         cap: usize,
     ) -> usize {
-        let phi_bits = phi.to_bits();
-        if let Some(p) = &self.profiled {
-            if p.phi_bits == phi_bits && p.min_nodes == min_nodes && p.cap == cap && p.ranked == ranked_ids {
-                return p.want;
+        let pricing = match &mut self.pricing {
+            Some((ids, model)) if ids.as_slice() == ranked_ids => model,
+            stale => {
+                let ranked: Vec<NodeSpec> = ranked_ids.iter().map(|&id| pool.spec(id).clone()).collect();
+                let model = demand::DemandModel::new(&self.spec.job, &self.spec.config, &ranked);
+                &mut stale.insert((ranked_ids.to_vec(), model)).1
             }
-        }
-        let want = demand::profiled_nodes(&self.spec.job, &self.spec.config, ranked, phi, min_nodes, cap);
-        self.profiled = Some(ProfiledDemand { phi_bits, min_nodes, cap, ranked: ranked_ids.to_vec(), want });
-        want
+        };
+        pricing.want(phi, min_nodes, cap)
     }
 }
 
@@ -189,9 +187,11 @@ impl FleetController {
     ///
     /// # Errors
     ///
-    /// Rejects an empty pool, duplicate job names, non-positive targets,
-    /// a `min_nodes` no allocation could ever satisfy, and a `min_nodes`
-    /// larger than the job's base batch (every node needs ≥ 1 sample).
+    /// Rejects an empty pool, duplicate job names, a non-finite arrival,
+    /// non-positive targets, a node range with `min_nodes` zero or above
+    /// `max_nodes`, a `min_nodes` no allocation could ever satisfy, and a
+    /// `min_nodes` larger than the job's base batch (every node needs ≥ 1
+    /// sample).
     pub fn new(
         nodes: Vec<NodeSpec>,
         specs: Vec<FleetJobSpec>,
@@ -207,6 +207,16 @@ impl FleetController {
             return Err(FleetError::InvalidSpec("job names must be unique".into()));
         }
         for s in &specs {
+            // NaN-safe: a job that never arrives would idle the fleet forever.
+            if !s.arrival.is_finite() {
+                return Err(FleetError::InvalidSpec(format!("job {}: arrival must be finite", s.name)));
+            }
+            if s.min_nodes == 0 || s.min_nodes > s.max_nodes {
+                return Err(FleetError::InvalidSpec(format!(
+                    "job {}: node range [{}, {}] must satisfy 1 <= min <= max",
+                    s.name, s.min_nodes, s.max_nodes
+                )));
+            }
             if s.min_nodes > pool.len() {
                 return Err(FleetError::InvalidSpec(format!(
                     "job {} needs {} nodes but the pool has {}",
@@ -278,8 +288,8 @@ impl FleetController {
                 records: Vec::new(),
                 fifo_rank: rank[i],
                 slice: slice_base + usize::from(rank[i] < slice_extra),
-                scaling_curve: None,
-                profiled: None,
+                scaling: None,
+                pricing: None,
             })
             .collect();
         Ok(FleetController {
@@ -498,35 +508,6 @@ impl FleetController {
         // nodes fastest-first, independent of current ownership, so a
         // job's demand doesn't wobble with who holds what.
         let ranked_ids = self.pool.ranked_live();
-        let ranked: Vec<_> = ranked_ids.iter().map(|&id| self.pool.spec(id).clone()).collect();
-        // Profile each admitted job's realized scaling curve once (only
-        // the adaptive policy reads `want`; the baselines skip the cost).
-        if self.policy == AllocPolicy::Cannikin {
-            for i in 0..self.jobs.len() {
-                let job = &self.jobs[i];
-                if !matches!(job.state, JobState::Queued | JobState::Running(_))
-                    || job.scaling_curve.is_some()
-                {
-                    continue;
-                }
-                let cap = job
-                    .spec
-                    .max_nodes
-                    .min(self.pool.len())
-                    .min(job.spec.config.base_batch as usize)
-                    .max(1);
-                let curve = demand::measured_scaling_curve(
-                    &job.spec.job,
-                    &job.spec.config,
-                    job.spec.noise,
-                    job.spec.seed,
-                    job.spec.target_effective_epochs,
-                    &ranked,
-                    cap,
-                );
-                self.jobs[i].scaling_curve = Some(curve);
-            }
-        }
         let mut demands: Vec<JobDemand> = Vec::new();
         for (i, job) in self.jobs.iter_mut().enumerate() {
             let (phi, held, running) = match &job.state {
@@ -551,11 +532,33 @@ impl FleetController {
             // GNS-justified parallelism, capped by the measured knee:
             // never ask past what the noise scale can absorb, nor past
             // where realized scaling stopped paying.
-            let statistical = job.profiled_nodes(&ranked_ids, &ranked, phi, min_eff, cap);
-            let want = match &job.scaling_curve {
-                Some(curve) => statistical.min(demand::scaling_knee(curve, min_eff, cap)),
-                None => statistical,
-            };
+            let statistical = job.statistical_nodes(&self.pool, &ranked_ids, phi, min_eff, cap);
+            // Only the adaptive policy reads the knee. It is at least the
+            // floor, so it cannot bind while the ask is the floor: the
+            // curve is measured the first time the ask rises above it, on
+            // the pool of the job's first decision.
+            let mut want = statistical;
+            if self.policy == AllocPolicy::Cannikin {
+                let scaling = job.scaling.get_or_insert_with(|| ScalingCurve::Unmeasured(ranked_ids.clone()));
+                if statistical > min_eff {
+                    if let ScalingCurve::Unmeasured(ids) = scaling {
+                        let pool: Vec<NodeSpec> = ids.iter().map(|&id| self.pool.spec(id).clone()).collect();
+                        let spec = &job.spec;
+                        *scaling = ScalingCurve::Measured(demand::measured_scaling_curve(
+                            &spec.job,
+                            &spec.config,
+                            spec.noise,
+                            spec.seed,
+                            spec.target_effective_epochs,
+                            &pool,
+                            cap,
+                        ));
+                    }
+                    if let ScalingCurve::Measured(curve) = scaling {
+                        want = statistical.min(demand::scaling_knee(curve, min_eff, cap));
+                    }
+                }
+            }
             demands.push(JobDemand {
                 job: i,
                 weight: job.spec.priority.weight(),
@@ -1039,6 +1042,7 @@ impl FleetController {
             let job = &mut self.jobs[i];
             job.finished_at = job.frontier;
             job.state = JobState::Finished;
+            job.pricing = None;
             let ids = std::mem::take(&mut job.node_ids);
             for id in ids {
                 self.pool.release(id);
@@ -1151,13 +1155,14 @@ mod tests {
     }
 
     #[test]
-    fn demand_is_reprofiled_only_for_the_job_whose_inputs_moved() {
+    fn a_phi_move_costs_one_solve_per_priced_node_count() {
         let mut jobs = two_jobs();
         jobs[1].arrival = 0.0;
         let mut fleet = FleetController::new(nodes4(), jobs, AllocPolicy::Cannikin).unwrap();
         let session = telemetry::Session::start();
-        // Tick 1 profiles both arrivals and runs cifar's first epoch;
-        // tick 2 finds cifar's φ moved and neumf's where it was.
+        // Tick 1 prices both arrivals cold and runs cifar's first epoch;
+        // tick 2 prices both warm, cifar at a moved φ and neumf at the φ it
+        // was last priced at.
         assert!(fleet.step().unwrap());
         let first = profiling_solves(&session.drain());
         assert!(fleet.step().unwrap());
@@ -1165,40 +1170,113 @@ mod tests {
 
         let ranked: Vec<NodeSpec> =
             fleet.pool.ranked_live().into_iter().map(|id| fleet.pool.spec(id).clone()).collect();
-        // What one call of the pure function costs, replayed from a key.
-        let price = |job: &ManagedJob, phi: f64| {
-            let asked = job.profiled.as_ref().expect("profiled on its first tick");
-            demand::profiled_nodes(&job.spec.job, &job.spec.config, &ranked, phi, asked.min_nodes, asked.cap);
+        // Both jobs price k = 1..=4: floor 1, cap the four-node pool.
+        let cold = |job: &ManagedJob| {
+            let phi = job.spec.noise.noise_scale(0.0);
+            demand::profiled_nodes(&job.spec.job, &job.spec.config, &ranked, phi, 1, 4);
             profiling_solves(&session.drain())
         };
         let [cifar, neumf] = &fleet.jobs[..] else { panic!("two jobs") };
-        let moved = f64::from_bits(cifar.profiled.as_ref().unwrap().phi_bits);
-        assert_ne!(moved, cifar.spec.noise.noise_scale(0.0), "cifar's key follows its φ");
-        let held = f64::from_bits(neumf.profiled.as_ref().unwrap().phi_bits);
-        assert_eq!(held, neumf.spec.noise.noise_scale(0.0), "neumf's key is still its admission φ");
-        assert_eq!(first, price(cifar, cifar.spec.noise.noise_scale(0.0)) + price(neumf, held));
-        assert_eq!(second, price(cifar, moved), "tick 2 profiled cifar and nobody else");
-        assert!(second > 0 && price(neumf, held) > 0);
+        let JobState::Running(trainer) = &cifar.state else { panic!("cifar runs") };
+        assert_ne!(trainer.noise_scale_now(), cifar.spec.noise.noise_scale(0.0), "cifar's φ moved");
+        assert_eq!(first, cold(cifar) + cold(neumf), "tick 1 swept every node count of both jobs");
+        assert_eq!(second, 4, "tick 2 re-solved one winner per node count of cifar, none of neumf");
+        assert!(first > 8 * second, "a sweep is many solves: {first} vs {second}");
     }
 
     #[test]
-    fn every_input_of_the_demand_key_forces_a_miss() {
+    fn pricing_is_rebuilt_only_when_the_ranking_moves() {
         let mut fleet = FleetController::new(nodes4(), two_jobs(), AllocPolicy::Cannikin).unwrap();
         let ids = fleet.pool.ranked_live();
         let ranked: Vec<NodeSpec> = ids.iter().map(|&id| fleet.pool.spec(id).clone()).collect();
+        let (spec_job, config) = (fleet.jobs[0].spec.job.clone(), fleet.jobs[0].spec.config.clone());
+        let pool = &fleet.pool;
         let session = telemetry::Session::start();
-        let job = &mut fleet.jobs[0];
-        let mut solves = |ids: &[usize], phi: f64, min_nodes: usize, cap: usize| {
-            job.profiled_nodes(ids, &ranked[..ids.len()], phi, min_nodes, cap);
+        let cold = |ranked: &[NodeSpec], phi: f64, min_nodes: usize, cap: usize| {
+            demand::profiled_nodes(&spec_job, &config, ranked, phi, min_nodes, cap);
             profiling_solves(&session.drain())
         };
-        assert!(solves(&ids, 300.0, 1, 4) > 0, "nothing cached yet");
-        assert_eq!(solves(&ids, 300.0, 1, 4), 0, "same inputs, same answer, no solve");
-        assert!(solves(&ids, 300.5, 1, 4) > 0, "φ moved");
-        assert!(solves(&ids, 300.5, 2, 4) > 0, "the floor moved");
-        assert!(solves(&ids, 300.5, 2, 3) > 0, "the cap moved");
-        assert!(solves(&ids[..3], 300.5, 2, 3) > 0, "a node left the ranking");
-        assert_eq!(solves(&ids[..3], 300.5, 2, 3), 0);
+        let job = &mut fleet.jobs[0];
+        let mut solves = |ids: &[usize], phi: f64, min_nodes: usize, cap: usize| {
+            job.statistical_nodes(pool, ids, phi, min_nodes, cap);
+            profiling_solves(&session.drain())
+        };
+        assert_eq!(solves(&ids[..2], 300.0, 1, 4), cold(&ranked[..2], 300.0, 1, 4), "first price: a sweep per count");
+        assert_eq!(solves(&ids, 300.0, 1, 4), cold(&ranked, 300.0, 1, 4), "a node joined the ranking");
+        assert_eq!(solves(&ids, 300.0, 1, 4), 0, "same φ: the last prices stand");
+        assert_eq!(solves(&ids, 300.5, 1, 4), 4, "φ moved: one solve per count");
+        assert_eq!(solves(&ids, 9_000.0, 2, 3), 2, "a φ jump, a narrower range: one solve per count priced");
+        assert_eq!(solves(&ids[..3], 9_000.0, 1, 3), cold(&ranked[..3], 9_000.0, 1, 3), "a node left the ranking");
+        assert_eq!(solves(&ids[..3], 300.5, 1, 3), 3);
+    }
+
+    #[test]
+    fn a_job_whose_demand_never_leaves_its_floor_never_replays() {
+        let mut fleet = FleetController::new(nodes4(), two_jobs(), AllocPolicy::Cannikin).unwrap();
+        fleet.run_to_completion(2_000).unwrap();
+        let [cifar, neumf] = &fleet.jobs[..] else { panic!("two jobs") };
+        assert!(matches!(cifar.scaling, Some(ScalingCurve::Measured(_))), "compute-bound cifar asked past one node");
+        assert!(matches!(neumf.scaling, Some(ScalingCurve::Unmeasured(_))), "comm-bound neumf never did");
+        assert!(fleet.jobs.iter().all(|j| j.pricing.is_none()), "a finished job drops its pricing");
+
+        let mut fifo = FleetController::new(nodes4(), two_jobs(), AllocPolicy::Fifo).unwrap();
+        fifo.run_to_completion(2_000).unwrap();
+        assert!(fifo.jobs.iter().all(|j| j.scaling.is_none()), "only the adaptive policy reads the knee");
+    }
+
+    #[test]
+    fn a_curve_first_needed_after_a_death_is_measured_on_the_first_decisions_pool() {
+        // cifar-0 is admitted on all eight live nodes asking no more than
+        // its floor of two; 100 steps in it loses one of them, its floor
+        // drops to one, and its next ask is the first its knee can cap.
+        let mut nodes = Vec::new();
+        for (gpu, count) in [(Gpu::A100, 2), (Gpu::V100, 2), (Gpu::Rtx6000, 4)] {
+            nodes.extend((0..count).map(|i| NodeSpec::new(format!("{gpu}-{i}"), gpu)));
+        }
+        let first_pool = NodePool::new(nodes.clone());
+        let first_pool: Vec<NodeSpec> =
+            first_pool.ranked_live().into_iter().map(|id| first_pool.spec(id).clone()).collect();
+        let mut trace = crate::synthetic_trace(0, 6, 30.0);
+        let victim = trace.remove(0).node_range(2, 8).fault_plan(hetsim::FaultPlan::new(5).crash_at(100, 0));
+        trace.insert(0, victim);
+        let mut fleet = FleetController::new(nodes, trace, AllocPolicy::Cannikin).unwrap();
+        let measured = |fleet: &FleetController| matches!(fleet.jobs[0].scaling, Some(ScalingCurve::Measured(_)));
+        while !measured(&fleet) {
+            assert!(fleet.step().unwrap(), "cifar-0 needs its curve before the stream drains");
+        }
+        assert!(fleet.decisions() > 1 && fleet.pool.live() == 7, "needed after its first decision and the death");
+        let Some(ScalingCurve::Measured(curve)) = &fleet.jobs[0].scaling else { unreachable!() };
+        let spec = &fleet.jobs[0].spec;
+        let expected = demand::measured_scaling_curve(
+            &spec.job,
+            &spec.config,
+            spec.noise,
+            spec.seed,
+            spec.target_effective_epochs,
+            &first_pool,
+            8,
+        );
+        let bits = |curve: &[f64]| curve.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(curve), bits(&expected), "measured on the eight nodes of its first decision");
+    }
+
+    #[test]
+    fn malformed_specs_are_rejected() {
+        let spec = || FleetJobSpec::new("x", JobSpec::resnet18_cifar10(), TrainerConfig::new(6_400, 64, 512), 1.0);
+        let rejected = |s: FleetJobSpec| {
+            matches!(FleetController::new(nodes4(), vec![s], AllocPolicy::Cannikin), Err(FleetError::InvalidSpec(_)))
+        };
+        for arrival in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(rejected(spec().arrival(arrival)), "arrival {arrival}");
+        }
+        let mut empty = spec();
+        empty.min_nodes = 0;
+        assert!(rejected(empty), "min_nodes 0");
+        let mut inverted = spec();
+        inverted.min_nodes = 3;
+        inverted.max_nodes = 2;
+        assert!(rejected(inverted), "min_nodes above max_nodes");
+        assert!(!rejected(spec().arrival(-5.0)), "a finite arrival in the past is fine");
     }
 
     #[test]

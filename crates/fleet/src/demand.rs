@@ -15,8 +15,7 @@
 //! and the job wants few nodes; as the gradient noise scale grows, B\*
 //! grows as √φ and the job is *starved of statistical efficiency* on a
 //! small allocation. The closed form reads this as node demand directly:
-//! a job wants ⌈B\*/B₀⌉ nodes, one reference batch per node
-//! ([`desired_nodes`]).
+//! a job wants ⌈B\*/B₀⌉ nodes, one reference batch per node.
 //!
 //! The closed form is blind to communication, though: on small workloads
 //! an extra node's all-reduce overhead can cost more step time than its
@@ -38,14 +37,26 @@
 //! replays the job's own trainer to target on the pool's `k` fastest
 //! nodes (deterministic, same seed the job will run with) and
 //! [`scaling_knee`] reads off the smallest `k` within diminishing returns
-//! of the fastest completion. That is `cap` full trainings per admitted
-//! job — about 2.5 ms of simulated steps for the eight-node pool, by far
-//! the dearest thing the control plane does — so the replays are fanned
-//! out over the host's cores, off the controller's thread and outside any
-//! telemetry session it belongs to (about 1 ms on two cores). The
-//! controller takes `min(profiled, knee)` — a job never asks past what
-//! its gradient noise justifies *or* past where realized scaling stops
-//! paying.
+//! of the fastest completion. The controller takes `min(profiled, knee)`
+//! — a job never asks past what its gradient noise justifies *or* past
+//! where realized scaling stops paying.
+//!
+//! What this costs, on a two-core AVX-512 host (`fleet-stream`'s traced
+//! run and a loop over one job on the eight-node pool):
+//!
+//! - A scaling curve is `cap` full trainings, by far the dearest thing the
+//!   control plane does: 2.8–3.3 ms for the eight-node pool with the
+//!   replays fanned out over both cores, off the controller's thread and
+//!   outside any telemetry session it belongs to. The knee is at least the
+//!   job's floor and the profiled ask never falls below it, so the curve
+//!   cannot bind while the ask is the floor; the controller measures it
+//!   the first time the ask rises above the floor, on the pool of the
+//!   job's first decision. In `fleet-stream`'s drain at seed 29, 285 of the
+//!   1,200 jobs never leave their floor and never replay.
+//! - A cold [`profiled_nodes`] runs one goodput sweep per node count,
+//!   about 12 solves each: 0.08–0.18 ms over eight counts. A warm
+//!   [`DemandModel`] re-prices a moved φ at one solve per count, about
+//!   11 µs over eight, and an unmoved φ at none.
 
 use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, TrainerConfig};
 use cannikin_core::goodput::GoodputEngine;
@@ -58,38 +69,13 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-/// The goodput-optimal total batch √(φ·B₀), clamped into `[base, max]`.
-pub fn optimal_batch(phi: f64, base: u64, max: u64) -> u64 {
-    let b = (phi.max(0.0) * base as f64).sqrt().round() as u64;
-    b.clamp(base, max.max(base))
-}
-
-/// GNS-driven desired node count: the goodput-optimal batch at one
-/// reference batch `B₀` per node, clamped into the job's `[min, max]`
-/// node range.
-pub fn desired_nodes(phi: f64, base: u64, max_batch: u64, min_nodes: usize, max_nodes: usize) -> usize {
-    let b_star = optimal_batch(phi, base, max_batch);
-    let want = b_star.div_ceil(base.max(1)) as usize;
-    want.clamp(min_nodes.max(1), max_nodes.max(min_nodes.max(1)))
-}
-
 /// Keep asking for nodes only while each one buys at least this much
 /// predicted goodput relative to the best candidate. 5% stops jobs from
 /// hoarding nodes for marginal gains another tenant could use outright.
 pub const DIMINISHING_RETURNS: f64 = 0.95;
 
-/// Predicted-goodput node demand: score every candidate node count
-/// `k ∈ [min_nodes, cap]` by the goodput the job's own machinery (an
-/// OptPerf solve per batch candidate, ranked by the goodput engine at
-/// noise scale `phi`) predicts on the `k` fastest pool nodes, and return
-/// the smallest `k` within [`DIMINISHING_RETURNS`] of the best score.
-///
-/// `ranked_pool` is the pool's live nodes, fastest first (see
-/// `NodePool::ranked_live`) — a reference ranking, not the exact nodes
-/// the job will receive; it keeps the demand signal independent of who
-/// currently holds what, which keeps allocations stable. Candidates the
-/// solver rejects outright score zero; if every candidate is rejected
-/// the job asks for its minimum.
+/// Predicted-goodput node demand, cold: [`DemandModel::want`] on a model
+/// built for this one call. See there for what is scored.
 pub fn profiled_nodes(
     job: &JobSpec,
     config: &TrainerConfig,
@@ -98,25 +84,101 @@ pub fn profiled_nodes(
     min_nodes: usize,
     cap: usize,
 ) -> usize {
-    let cap = cap.min(ranked_pool.len()).max(1);
-    let min_nodes = min_nodes.clamp(1, cap);
-    let mut scores: Vec<(usize, f64)> = Vec::with_capacity(cap - min_nodes + 1);
-    let mut best = 0.0f64;
-    for k in min_nodes..=cap {
-        let cluster = ClusterSpec::new("fleet-demand", ranked_pool[..k].to_vec());
-        let mut solver = OptPerfSolver::new(SolverInput::from_ground_truth(&cluster, job));
-        let mut engine = GoodputEngine::new(config.base_batch, config.base_batch, config.max_batch);
-        let goodput = engine.select(&mut solver, phi).map_or(0.0, |sel| sel.goodput);
-        best = best.max(goodput);
-        scores.push((k, goodput));
+    DemandModel::new(job, config, ranked_pool).want(phi, min_nodes, cap)
+}
+
+/// One job's demand pricing over one ranked live pool, kept warm across
+/// noise scales.
+///
+/// For each node count `k` it holds an OptPerf solver over the pool's `k`
+/// fastest nodes and a goodput engine over the job's batch range, built
+/// the first time `k` is priced. The first price of `k` runs the engine's
+/// full candidate sweep (`OptPerf_init`, §4.5); a later one at another φ
+/// re-ranks the cached predictions and re-solves only the winner, and one
+/// at the φ it last priced costs nothing. The models are the ground truth,
+/// so the sweep never goes stale: a warm price is the cold one bit for bit.
+#[derive(Debug, Clone)]
+pub struct DemandModel {
+    job: JobSpec,
+    base_batch: u64,
+    max_batch: u64,
+    ranked_pool: Vec<NodeSpec>,
+    /// Entry `k - 1` prices the `k` fastest nodes.
+    priced: Vec<Option<Priced>>,
+}
+
+/// The warm state of one node count, and the last price it gave.
+#[derive(Debug, Clone)]
+struct Priced {
+    solver: OptPerfSolver,
+    engine: GoodputEngine,
+    /// `(φ bits, goodput)` of the last price.
+    last: Option<(u64, f64)>,
+}
+
+impl DemandModel {
+    /// A model for `job` over `ranked_pool`, the pool's live nodes fastest
+    /// first (see `NodePool::ranked_live`). Nothing is solved yet.
+    pub fn new(job: &JobSpec, config: &TrainerConfig, ranked_pool: &[NodeSpec]) -> Self {
+        DemandModel {
+            job: job.clone(),
+            base_batch: config.base_batch,
+            max_batch: config.max_batch,
+            ranked_pool: ranked_pool.to_vec(),
+            priced: vec![None; ranked_pool.len()],
+        }
     }
-    if best <= 0.0 {
-        return min_nodes;
+
+    /// Score every candidate node count `k ∈ [min_nodes, cap]` by the
+    /// goodput the job's own machinery (OptPerf solves ranked by the
+    /// goodput engine at noise scale `phi`) predicts on the `k` fastest
+    /// pool nodes, and return the smallest `k` within
+    /// [`DIMINISHING_RETURNS`] of the best score.
+    ///
+    /// The ranking is a reference, not the exact nodes the job will
+    /// receive; it keeps the demand signal independent of who currently
+    /// holds what, which keeps allocations stable. Candidates the solver
+    /// rejects outright score zero; if every candidate is rejected the job
+    /// asks for its minimum.
+    pub fn want(&mut self, phi: f64, min_nodes: usize, cap: usize) -> usize {
+        let cap = cap.min(self.ranked_pool.len()).max(1);
+        let min_nodes = min_nodes.clamp(1, cap);
+        let mut scores: Vec<(usize, f64)> = Vec::with_capacity(cap - min_nodes + 1);
+        let mut best = 0.0f64;
+        for k in min_nodes..=cap {
+            let goodput = self.goodput(k, phi);
+            best = best.max(goodput);
+            scores.push((k, goodput));
+        }
+        if best <= 0.0 {
+            return min_nodes;
+        }
+        scores
+            .iter()
+            .find(|(_, g)| *g >= DIMINISHING_RETURNS * best)
+            .map_or(min_nodes, |&(k, _)| k)
     }
-    scores
-        .iter()
-        .find(|(_, g)| *g >= DIMINISHING_RETURNS * best)
-        .map_or(min_nodes, |&(k, _)| k)
+
+    /// Predicted goodput on the `k` fastest nodes at noise scale `phi`.
+    fn goodput(&mut self, k: usize, phi: f64) -> f64 {
+        let DemandModel { job, base_batch, max_batch, ranked_pool, priced } = self;
+        let priced = priced[k - 1].get_or_insert_with(|| {
+            let cluster = ClusterSpec::new("fleet-demand", ranked_pool[..k].to_vec());
+            Priced {
+                solver: OptPerfSolver::new(SolverInput::from_ground_truth(&cluster, job)),
+                engine: GoodputEngine::new(*base_batch, *base_batch, *max_batch),
+                last: None,
+            }
+        });
+        match priced.last {
+            Some((bits, goodput)) if bits == phi.to_bits() => goodput,
+            _ => {
+                let goodput = priced.engine.select(&mut priced.solver, phi).map_or(0.0, |sel| sel.goodput);
+                priced.last = Some((phi.to_bits(), goodput));
+                goodput
+            }
+        }
+    }
 }
 
 /// Epoch cap for one scaling-curve replay; a job that cannot reach its
@@ -218,6 +280,21 @@ mod tests {
     use super::*;
     use hetsim::catalog::Gpu;
 
+    /// The closed form's goodput-optimal total batch √(φ·B₀), clamped into
+    /// `[base, max]`.
+    fn optimal_batch(phi: f64, base: u64, max: u64) -> u64 {
+        let b = (phi.max(0.0) * base as f64).sqrt().round() as u64;
+        b.clamp(base, max.max(base))
+    }
+
+    /// The closed form's node demand: the goodput-optimal batch at one
+    /// reference batch `B₀` per node, clamped into `[min, max]` nodes.
+    fn desired_nodes(phi: f64, base: u64, max_batch: u64, min_nodes: usize, max_nodes: usize) -> usize {
+        let b_star = optimal_batch(phi, base, max_batch);
+        let want = b_star.div_ceil(base.max(1)) as usize;
+        want.clamp(min_nodes.max(1), max_nodes.max(min_nodes.max(1)))
+    }
+
     #[test]
     fn optimal_batch_grows_as_sqrt_of_noise() {
         let base = 64;
@@ -274,6 +351,37 @@ mod tests {
         assert!(early >= 2, "compute-bound job wants real parallelism: {early}");
         let late = profiled_nodes(&JobSpec::resnet50_imagenet(), &config, &pool, 6_400.0, 1, 8);
         assert!(late >= early, "demand is monotone in φ here: {early} → {late}");
+    }
+
+    #[test]
+    fn warm_pricing_is_the_cold_one_bit_for_bit() {
+        let pool = mixed_pool();
+        let mut templates = std::collections::BTreeSet::new();
+        propcheck::check(32, |g| {
+            let spec = crate::synthetic_trace(g.u64(0..1_000), 8, 30.0).swap_remove(g.usize(0..8));
+            templates.insert(spec.name.split('-').next().expect("template label").to_owned());
+            let ranked = &pool[..g.usize(1..9)];
+            let mut warm = DemandModel::new(&spec.job, &spec.config, ranked);
+            // φ drifts up as training progresses, stands still while the
+            // job waits, and jumps either way (a requeued job) in between.
+            let mut phi = spec.noise.initial;
+            for step in 0..10 {
+                phi = match g.usize(0..3) {
+                    0 => g.f64(10.0..50_000.0),
+                    1 => phi * g.f64(1.0..1.5),
+                    _ => phi,
+                };
+                let cap = g.usize(1..10);
+                let min_nodes = g.usize(1..cap + 1);
+                for k in min_nodes..=cap.min(ranked.len()) {
+                    let cold = DemandModel::new(&spec.job, &spec.config, ranked).goodput(k, phi);
+                    assert_eq!(warm.goodput(k, phi).to_bits(), cold.to_bits(), "{} step {step}, k {k}, φ {phi}", spec.name);
+                }
+                let cold = profiled_nodes(&spec.job, &spec.config, ranked, phi, min_nodes, cap);
+                assert_eq!(warm.want(phi, min_nodes, cap), cold, "{} step {step}, φ {phi}", spec.name);
+            }
+        });
+        assert_eq!(templates.len(), 4, "every trace template was drawn: {templates:?}");
     }
 
     /// What `measured_scaling_curve` must return: the replays one after the

@@ -10,8 +10,16 @@
 //! curves serially on its own thread; a change to how often or where that
 //! work runs must reproduce them. `CANNIKIN_BLESS=1` only makes sense from
 //! a checkout of a controller you trust with this file copied in.
+//!
+//! `tests/golden/digests.txt` widens the net at one line per drained trace:
+//! an FNV-1a digest of the schedule log, the assignment history and every
+//! bit of the report, for seeds 0..25 under each policy, plus a trace where
+//! a node dies after a job's first decision and before the first decision
+//! its scaling curve can bind — the curve must still be measured on the
+//! pool of that first decision. Its fixture was written by the controller
+//! that measured every admitted job's curve eagerly at its first decision.
 
-use cannikin_fleet::{synthetic_trace, AllocPolicy, FleetController, FleetJobSpec};
+use cannikin_fleet::{synthetic_trace, AllocPolicy, FleetController, FleetJobSpec, FleetReport};
 use hetsim::catalog::Gpu;
 use hetsim::cluster::NodeSpec;
 use hetsim::FaultPlan;
@@ -28,14 +36,50 @@ fn fleet_pool() -> Vec<NodeSpec> {
 }
 
 fn drained(trace: Vec<FleetJobSpec>) -> String {
-    let mut fleet = FleetController::new(fleet_pool(), trace, AllocPolicy::Cannikin).expect("valid fleet");
-    let report = fleet.run_to_completion(50_000).expect("stream drains");
+    let (fleet, report) = drain(trace, AllocPolicy::Cannikin);
     let mut text = String::new();
     for (line, owners) in fleet.schedule_log().iter().zip(fleet.assignment_history()) {
         text.push_str(&format!("{line} | {owners:?}\n"));
     }
     text.push_str(&format!("{report:#?}\n"));
     text
+}
+
+fn drain(trace: Vec<FleetJobSpec>, policy: AllocPolicy) -> (FleetController, FleetReport) {
+    let mut fleet = FleetController::new(fleet_pool(), trace, policy).expect("valid fleet");
+    let report = fleet.run_to_completion(50_000).expect("stream drains");
+    (fleet, report)
+}
+
+/// FNV-1a over the schedule log, the assignment history and every field
+/// of the report, floats by their bits.
+fn digest(trace: Vec<FleetJobSpec>, policy: AllocPolicy) -> u64 {
+    let (fleet, report) = drain(trace, policy);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (line, owners) in fleet.schedule_log().iter().zip(fleet.assignment_history()) {
+        eat(format!("{line} | {owners:?}\n").as_bytes());
+    }
+    let FleetReport { policy, makespan, aggregate_goodput, mean_queue_delay, fairness, decisions, jobs } = &report;
+    eat(format!("{policy:?}").as_bytes());
+    for x in [*makespan, *aggregate_goodput, *mean_queue_delay, *fairness] {
+        eat(&x.to_bits().to_le_bytes());
+    }
+    eat(&decisions.to_le_bytes());
+    for j in jobs {
+        eat(j.name.as_bytes());
+        eat(j.priority.as_bytes());
+        for x in [j.arrival, j.admitted_at, j.finished_at, j.effective_epochs, j.service] {
+            eat(&x.to_bits().to_le_bytes());
+        }
+        eat(&(j.epochs_run as u64).to_le_bytes());
+        eat(&(j.preemptions as u64).to_le_bytes());
+    }
+    hash
 }
 
 fn check(name: &str, text: &str) {
@@ -70,4 +114,23 @@ fn a_node_death_mid_run_matches_the_golden_schedule() {
     let last = granted.iter().rposition(|&g| g).expect("the fastest node serves someone");
     assert!(0 < last && last < granted.len() / 2, "it dies mid-run: last granted at decision {}", last + 1);
     check("schedule_death.txt", &text);
+}
+
+#[test]
+fn synthetic_traces_match_the_golden_digests() {
+    let mut text = String::new();
+    for policy in [AllocPolicy::Cannikin, AllocPolicy::Fifo, AllocPolicy::Static] {
+        for seed in 0..25 {
+            text.push_str(&format!("{policy:?} s{seed} {:016x}\n", digest(synthetic_trace(seed, 6, 30.0), policy)));
+        }
+    }
+    // cifar-0 is admitted on eight live nodes asking no more than its
+    // floor of two; 100 steps in it loses one of them, its floor drops to
+    // one, and its next ask is the first its scaling knee can cap.
+    let mut trace = synthetic_trace(0, 6, 30.0);
+    let victim = trace.remove(0).node_range(2, 8).fault_plan(FaultPlan::new(5).crash_at(100, 0));
+    assert_eq!(victim.name, "cifar-0");
+    trace.insert(0, victim);
+    text.push_str(&format!("Cannikin s0-death {:016x}\n", digest(trace, AllocPolicy::Cannikin)));
+    check("digests.txt", &text);
 }

@@ -17,7 +17,10 @@
 # the summary gives each side's median with quartiles, the ratio of the
 # medians, and how many pairs the change won and lost (a tie is neither). A
 # run whose setup_s is more than twice its side's median is flagged as
-# stalled, and the pairs it is in are left out of the wins.
+# stalled, and the pairs it is in are left out of the wins. Per side it
+# then prints the share of attempted operations that failed over the pairs
+# and every distinct result_goodput a run of that side reported — the
+# other two things a comparison is judged by besides the claimed metric.
 set -euo pipefail
 
 usage() {
@@ -57,7 +60,7 @@ metrics=$(sed -n '/"end_to_end"/p' "$change/BENCHMARK.json" |
 [[ -n $metrics ]] || { echo "ab.sh: no end_to_end metrics in $change/BENCHMARK.json" >&2; exit 3; }
 
 # run <side> <pair> <position>: one untraced run; prints
-# "side pair position failed correct value..." and keeps it in $runs.
+# "side pair position attempted failed correct value..." and keeps it in $runs.
 runs=""
 run() {
     local side=$1 root result row name
@@ -67,7 +70,7 @@ run() {
         echo "ab.sh: the $side checkout printed no result; run crates/benchmark/run.sh --workload $workload in $root to see why" >&2
         exit 1
     }
-    row="$side $2 $3 $(grep -o '"failed":[0-9]*' <<<"$result" | cut -d: -f2) $(grep -o '"correct":[a-z]*' <<<"$result" | cut -d: -f2)"
+    row="$side $2 $3 $(grep -o '"attempted":[0-9]*' <<<"$result" | cut -d: -f2) $(grep -o '"failed":[0-9]*' <<<"$result" | cut -d: -f2) $(grep -o '"correct":[a-z]*' <<<"$result" | cut -d: -f2)"
     for name in $metrics; do
         row+=" $(grep -o "\"${name%%:*}\":{\"value\":[^,]*" <<<"$result" | sed 's/.*://')"
     done
@@ -76,7 +79,7 @@ run() {
 }
 
 echo "ab.sh: $workload, seed $seed, ${seconds} s, $pairs pairs; parent $parent ($(git -C "$parent" rev-parse --short HEAD 2>/dev/null || echo '?')), change $change"
-echo "columns: side pair position failed correct $(sed 's/:[a-z]*//g' <<<"$metrics")"
+echo "columns: side pair position attempted failed correct $(sed 's/:[a-z]*//g' <<<"$metrics")"
 run parent 0 warm-up
 run change 0 warm-up
 for ((pair = 1; pair <= pairs; pair++)); do
@@ -90,6 +93,13 @@ for ((pair = 1; pair <= pairs; pair++)); do
 done
 
 awk -v metrics="$metrics" '
+BEGIN {  # a row is side, pair, position, attempted, failed, correct, then the metrics
+    m = split(metrics, spec, " ")
+    for (c = 1; c <= m; c++) {
+        if (spec[c] ~ /^setup_s:/) setup = c + 6
+        if (spec[c] ~ /^result_goodput:/) goodput = c + 6
+    }
+}
 function quantile(v, n, q,    h, lo) {  # linear interpolation between order statistics
     h = (n - 1) * q; lo = int(h)
     return lo + 1 < n ? v[lo + 1] + (h - lo) * (v[lo + 2] - v[lo + 1]) : v[n]
@@ -103,14 +113,16 @@ function summary(side, col, out,    n, v, p, i, x) {
     }
     out["q1"] = quantile(v, n, 0.25); out["median"] = quantile(v, n, 0.5); out["q3"] = quantile(v, n, 0.75)
 }
+{
+    if (!(($1, $goodput) in seen)) { seen[$1, $goodput] = 1; goodputs[$1] = goodputs[$1] " " $goodput }
+}
 $2 > 0 {
     if ($2 > pairs) pairs = $2
-    for (c = 6; c <= NF; c++) value[$1, $2, c] = $c
-    if ($4 != 0 || $5 != "true") bad = bad sprintf("  %s run of pair %d: failed %s, correct %s\n", $1, $2, $4, $5)
+    for (c = 7; c <= NF; c++) value[$1, $2, c] = $c
+    attempted[$1] += $4; failed[$1] += $5
+    if ($5 != 0 || $6 != "true") bad = bad sprintf("  %s run of pair %d: failed %s, correct %s\n", $1, $2, $5, $6)
 }
 END {
-    m = split(metrics, spec, " ")
-    for (c = 1; c <= m; c++) if (spec[c] ~ /^setup_s:/) setup = c + 5
     for (s = 1; s <= 2; s++) {
         side = s == 1 ? "parent" : "change"
         summary(side, setup, q)
@@ -121,7 +133,7 @@ END {
     }
     printf "\n%-16s %-34s %-34s %-8s %s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "pairs the change"
     for (c = 1; c <= m; c++) {
-        split(spec[c], nd, ":"); col = c + 5
+        split(spec[c], nd, ":"); col = c + 6
         summary("parent", col, a); summary("change", col, b)
         wins = losses = counted = 0
         for (p = 1; p <= pairs; p++) if (!(p in stalled)) {
@@ -136,5 +148,11 @@ END {
             a["median"] != 0 ? sprintf("x%.3f", b["median"] / a["median"]) : "-", wins, losses, counted, nd[2]
     }
     printf "stalled runs (setup_s > 2x the side median; their pairs are not counted):\n%s", flags == "" ? "  none\n" : flags
+    printf "failed / attempted operations over the pairs:\n"
+    for (s = 1; s <= 2; s++) {
+        side = s == 1 ? "parent" : "change"
+        printf "  %s %d / %d (%.4g%%)\n", side, failed[side], attempted[side], attempted[side] ? 100 * failed[side] / attempted[side] : 0
+    }
+    printf "distinct result_goodput values, warm-up included:\n  parent%s\n  change%s\n", goodputs["parent"], goodputs["change"]
     if (bad != "") printf "runs with failed operations or a failed check:\n%s", bad
 }' <<<"$runs"

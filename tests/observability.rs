@@ -232,9 +232,9 @@ fn slo_verdicts_replay_exactly_over_a_crash_trace() {
     );
 }
 
-/// A fleet trace is the controller's decisions and the admitted jobs' real
-/// epochs, and nothing else: the admission profiler replays every job's
-/// whole training `cap` times, and none of that happened.
+/// A fleet trace is the controller's decisions, its demand pricing and the
+/// admitted jobs' real epochs, and no training that did not happen: the
+/// scaling-curve profiler replays a job's whole training `cap` times.
 #[test]
 fn a_fleet_trace_holds_no_profiling_replays() {
     let pool = || {
