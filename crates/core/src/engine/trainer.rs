@@ -225,9 +225,10 @@ impl Executor for SimExecutor {
     /// steps whose gradient exchange was lost. A failed step contributes
     /// simulated wall time but no observations and no samples, so nothing
     /// is double-counted. Without a fault plan no batch carries a fault and
-    /// the loop degenerates to `steps` plain steps, which `hetsim` simulates
-    /// a block at a time on every core; the analyzer, the telemetry and the
-    /// fit timing still see each of them here, in order.
+    /// the loop degenerates to one `hetsim` run of `steps` plain steps,
+    /// simulated on every core while this thread visits them: the
+    /// analyzer, the telemetry and the fit timing still see each of them
+    /// here, in order.
     fn execute(&mut self, round: Round<'_>) -> Result<Executed<EpochRecord>, CannikinError> {
         let Round { epoch, plan, plan_seconds, analyzer } = round;
         let phi = self.noise_scale_now();
@@ -256,52 +257,56 @@ impl Executor for SimExecutor {
         let mut epoch_time = 0.0;
         let mut completed = 0usize;
         let mut consecutive_failures = 0u32;
-        let mut micros = Vec::new();
-        // The epoch's last completed batch, as its nodes observed it.
+        // The epoch's last completed batch, as its nodes observed it: the
+        // step that completes the epoch, since a failed one completes none.
         let mut last_observed = Vec::new();
-        // Steps simulated ahead and not yet taken: a whole block of them
-        // without a fault plan, one step with one.
-        let mut block = Vec::new().into_iter();
+        let mut gone: Vec<usize> = Vec::new();
         while completed < steps {
-            if block.len() == 0 {
-                block = self.sim.simulate_steps(&local, accumulation as usize, steps - completed).into_iter();
-            }
-            micros.clear();
-            micros.extend(block.by_ref().take(accumulation as usize - 1));
-            let mut batch = block.next().expect("a simulated step ends with its batch");
-            for micro in &micros {
-                epoch_time += micro.batch_time;
-            }
-            epoch_time += batch.batch_time;
-            faults_seen += batch.faults.len() as u32;
-            for fault in &batch.faults {
-                telemetry::emit(Event::FaultInjected(*fault));
-            }
-            let failed = batch.is_failed();
+            // Without a fault plan one call visits every step left; with
+            // one it visits a single step, so what it changed in the
+            // membership lands below before the next is drawn.
+            let mut failed = false;
+            self.sim.simulate_run(&local, accumulation as usize, steps - completed, |step| {
+                let (batch, micros) = step.split_last().expect("a simulated step ends with its batch");
+                for micro in micros {
+                    epoch_time += micro.batch_time;
+                }
+                epoch_time += batch.batch_time;
+                faults_seen += batch.faults.len() as u32;
+                for fault in &batch.faults {
+                    telemetry::emit(Event::FaultInjected(*fault));
+                }
+                failed = batch.is_failed();
+                if !failed {
+                    // Only a completed step feeds the models — a retried
+                    // step's micro-batches would otherwise be seen twice.
+                    for micro in micros {
+                        observe(analyzer, micro, completed);
+                    }
+                    observe(analyzer, batch, completed);
+                    completed += 1;
+                    if completed == steps {
+                        last_observed.clone_from(&batch.observations);
+                    }
+                }
+                // Membership changes: crashed nodes (their step already
+                // failed) and graceful leavers (their step completed).
+                gone.extend(
+                    batch
+                        .faults
+                        .iter()
+                        .filter(|f| matches!(f.kind, FaultKind::NodeCrash | FaultKind::NodeLeave))
+                        .filter_map(|f| f.node.map(|n| n as usize)),
+                );
+            });
             if failed {
                 consecutive_failures += 1;
                 if consecutive_failures >= MAX_CONSECUTIVE_FAILURES {
                     return Err(CannikinError::Comm(CommError::RetriesExhausted { attempts: consecutive_failures }));
                 }
             } else {
-                // Only a completed step feeds the models — a retried
-                // step's micro-batches would otherwise be seen twice.
-                for micro in &micros {
-                    observe(analyzer, micro, completed);
-                }
-                observe(analyzer, &batch, completed);
-                last_observed = std::mem::take(&mut batch.observations);
-                completed += 1;
                 consecutive_failures = 0;
             }
-            // Membership changes: crashed nodes (their step already
-            // failed) and graceful leavers (their step completed).
-            let mut gone: Vec<usize> = batch
-                .faults
-                .iter()
-                .filter(|f| matches!(f.kind, FaultKind::NodeCrash | FaultKind::NodeLeave))
-                .filter_map(|f| f.node.map(|n| n as usize))
-                .collect();
             gone.sort_unstable();
             gone.dedup();
             let recovery = |kind, node: Option<usize>, attempt| {
@@ -324,6 +329,7 @@ impl Executor for SimExecutor {
                 recovery(RecoveryKind::GroupShrink, Some(node), 1);
                 step_changed = true;
             }
+            gone.clear();
             for spec in self.sim.take_pending_joins() {
                 self.sim.add_node(spec);
                 let new_idx = self.sim.cluster().len() - 1;
@@ -333,7 +339,6 @@ impl Executor for SimExecutor {
                 step_changed = true;
             }
             if step_changed {
-                debug_assert_eq!(block.len(), 0, "a fault plan hands out one step at a time");
                 membership_changed = true;
                 let replan_started = Instant::now();
                 local = self.replan_split(total, analyzer);

@@ -40,31 +40,30 @@ impl NodeHistory {
         // relearn. This is the one place the workspace decides that a
         // node's law changed; the `regime_change` event reports it.
         let mut gated = false;
-        if let Some(e) = self.by_batch.get_mut(&b) {
-            if e.count >= 8.0 {
-                let da = (a - e.mean_a).abs() / e.mean_a.max(1e-12);
-                let dp = (p - e.mean_p).abs() / e.mean_p.max(1e-12);
-                if da > 0.30 || dp > 0.30 {
-                    e.outlier_streak += 1;
-                    gated = true;
-                } else {
-                    e.outlier_streak = 0;
+        let mut entry = self.by_batch.entry(b).or_default();
+        if entry.count >= 8.0 {
+            let da = (a - entry.mean_a).abs() / entry.mean_a.max(1e-12);
+            let dp = (p - entry.mean_p).abs() / entry.mean_p.max(1e-12);
+            if da > 0.30 || dp > 0.30 {
+                entry.outlier_streak += 1;
+                gated = true;
+            } else {
+                entry.outlier_streak = 0;
+            }
+            if entry.outlier_streak >= 5 {
+                if telemetry::enabled() {
+                    telemetry::emit(Event::RegimeChange(RegimeChange {
+                        node: node as u32,
+                        b_i: b,
+                        expected: entry.mean_a + entry.mean_p,
+                        observed: a + p,
+                    }));
                 }
-                if e.outlier_streak >= 5 {
-                    if telemetry::enabled() {
-                        telemetry::emit(Event::RegimeChange(RegimeChange {
-                            node: node as u32,
-                            b_i: b,
-                            expected: e.mean_a + e.mean_p,
-                            observed: a + p,
-                        }));
-                    }
-                    self.by_batch.clear();
-                    gated = false; // the observation seeds the new regime
-                }
+                self.by_batch.clear();
+                entry = self.by_batch.entry(b).or_default();
+                gated = false; // the observation seeds the new regime
             }
         }
-        let entry = self.by_batch.entry(b).or_default();
         entry.last_seen = now;
         if !gated {
             entry.count += 1.0;

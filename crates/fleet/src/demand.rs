@@ -65,7 +65,6 @@ use hetsim::cluster::{ClusterSpec, NodeSpec};
 use hetsim::job::JobSpec;
 use hetsim::Simulator;
 
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -198,7 +197,7 @@ const MEASURE_EPOCH_BUDGET: usize = 10_000;
 /// plane measures here in about a millisecond of host time per job.
 ///
 /// The `cap` replays are independent, so they run on
-/// `min(available_parallelism, cap)` scoped workers that claim node
+/// `min(hetsim::cores(), cap)` scoped workers that claim node
 /// counts from one shared counter, largest first (a replay's cost grows
 /// with `k`); each entry lands at its own index, so the curve does not
 /// depend on which worker ran what. The caller only joins: the workers
@@ -245,7 +244,7 @@ pub fn measured_scaling_curve(
         }
         measured
     };
-    let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get).min(cap);
+    let workers = hetsim::cores().min(cap);
     let mut times = vec![f64::INFINITY; cap];
     thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();

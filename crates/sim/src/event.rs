@@ -40,36 +40,47 @@
 //! then a batch — draws a count fixed before it starts. That makes a seam
 //! between steps exact: a generator stepped forward by whole steps' worth
 //! of words is the generator the serial run would hold there, and
-//! [`Simulator::simulate_steps`] simulates the parts of a run of steps on
-//! every core with every bit of the stream unchanged. A fault plan draws
-//! from its own generator but can change the membership between steps, so
-//! a simulator with one attached steps one at a time.
+//! [`Simulator::simulate_run`] simulates the parts of a run of steps on
+//! every core while the caller visits them in order, with every bit of the
+//! stream unchanged. Each part's start is checked against the end of the
+//! part before it when the caller visits it. A fault plan draws from its
+//! own generator but can change the membership between steps, so a
+//! simulator with one attached steps one at a time.
 
 use crate::cluster::ClusterSpec;
 use crate::fault::{CommOutcome, FaultPlan, FaultState};
 use crate::job::JobSpec;
+use crate::stream::{Draw, Run};
 use crate::timing::{comm_times, node_coefficients, ComputeCoeffs};
 use crate::trace::{BatchTrace, EpochTrace, NodeObservation};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::thread;
 
-/// Node-steps a block must hold per thread before it runs on more than
-/// one; a node-step is one node's share of one optimizer step. It is also
-/// the length of a block, per core, so what a block returns at once stays
-/// bounded. On the two-core x86-64 host this was sized on, a scoped spawn +
-/// join took 20–50 µs and a node-step 0.28–0.40 µs of simulation, so a
-/// thread's share carries about ten times what its spawn costs.
-pub const THREAD_NODE_STEPS: usize = 1_700;
+/// Node-batches a run must hold per thread before it runs on more than
+/// one; a node-batch is one node's share of one simulated batch, so a step
+/// at accumulation `A` is `A` of them per node. Workers start once per run:
+/// on the two-core x86-64 host this was sized on, a scoped spawn + join
+/// took 20–50 µs and a node-batch 0.28–0.40 µs of simulation, so a thread's
+/// share carries about five times its spawn. Every `fleet-stream` epoch
+/// (at most 800 node-batches) and the 64-step, 16-node probe behind
+/// `sim.simulate_us_per_step` stay on one thread.
+pub const THREAD_NODE_BATCHES: usize = 850;
 
-/// Node-steps of the contiguous part of a block a thread claims at a time:
-/// about 30–40 µs of simulation, against one atomic add per claim, and the
-/// most a finished thread waits on a slow one for at the end of a block.
-pub const PART_NODE_STEPS: usize = THREAD_NODE_STEPS / 16;
+/// Node-batches of the contiguous part of a run a thread claims at a time,
+/// rounded down to whole steps and at least one: about 30–40 µs of
+/// simulation against one atomic claim, and the unit the window of traces
+/// is counted in.
+pub const PART_NODE_BATCHES: usize = 106;
+
+/// Parts each thread of a run may simulate ahead of the caller's visits:
+/// enough that a worker seldom waits on a visit, few enough that the
+/// window stays in cache (16 nodes on two threads: 8 parts of 6 steps,
+/// ≈ 60 KB of observations). A run on one thread holds one part.
+pub const WINDOW_PARTS_PER_THREAD: usize = 4;
 
 /// Ground-truth simulator for one (cluster, job) pair.
 ///
@@ -315,12 +326,14 @@ impl Simulator {
     }
 
     /// The fault-free batch shared by the healthy and faulty paths, written
-    /// into `trace`, a [`Simulator::shell`]; `slowdown` optionally
+    /// over `trace`, a [`Simulator::shell`]; `slowdown` optionally
     /// stretches per-node compute. One pass per phase, each writing straight
     /// into what is returned — the draw order is the module header's.
     fn fill_batch(&self, rng: &mut StdRng, local: &[u64], slowdown: Option<&[f64]>, trace: &mut BatchTrace) {
         let gamma = self.job.gamma;
         let k = self.job.num_buckets;
+        trace.observations.clear();
+        trace.bucket_sync_end.clear();
 
         // Per-node noisy realizations of a_i and P_i, with occasional
         // transient straggler spikes. The three measurement fields are
@@ -380,7 +393,7 @@ impl Simulator {
 
     /// An empty trace with room for one batch's observations — and, for a
     /// synchronized one, its bucket ends — that a step fills in place.
-    fn shell(&self, synchronized: bool) -> BatchTrace {
+    pub(crate) fn shell(&self, synchronized: bool) -> BatchTrace {
         let buckets = if synchronized { self.job.num_buckets } else { 0 };
         BatchTrace {
             observations: Vec::with_capacity(self.cluster.len()),
@@ -411,6 +424,7 @@ impl Simulator {
     fn fill_microbatch(&self, rng: &mut StdRng, local: &[u64], trace: &mut BatchTrace) {
         let gamma = self.job.gamma;
         let mut end = 0.0f64;
+        trace.observations.clear();
         for (i, (c, &b)) in self.coeffs.iter().zip(local).enumerate() {
             let spike = if self.straggler_prob > 0.0 && uniform(rng) < self.straggler_prob {
                 self.straggler_factor
@@ -451,71 +465,78 @@ impl Simulator {
     }
 
     /// Simulate the next optimizer steps of a run under a fixed local-batch
-    /// assignment. Each step is `accumulation − 1` no-sync micro-batches,
-    /// then a synchronized batch; the traces come back in that order, step
-    /// after step — every bit what the same sequence of
-    /// [`Simulator::simulate_microbatch`] and [`Simulator::simulate_batch`]
-    /// calls returns, and the generator ends where theirs would.
+    /// assignment and hand each to `visit`, in order. A step is
+    /// `accumulation − 1` no-sync micro-batches, then a synchronized batch,
+    /// and `visit` gets its `accumulation` traces in that order — every bit
+    /// what the same sequence of [`Simulator::simulate_microbatch`] and
+    /// [`Simulator::simulate_batch`] calls returns; the generator ends where
+    /// theirs would. The traces are borrowed from a window that is refilled
+    /// in place from step to step.
     ///
-    /// Returns the traces of the first `s` steps, `1 ≤ s ≤ steps`, so the
-    /// caller loops until its run is done:
+    /// Returns how many steps it visited, `1 ≤ s ≤ steps`, so the caller
+    /// loops until its run is done:
     /// - with a [`FaultPlan`] attached, `s` is 1, so a membership change
     ///   lands before the next step is drawn;
-    /// - otherwise the run is cut into blocks of [`THREAD_NODE_STEPS`]
-    ///   node-steps per core, and a block that fills two or more cores is
-    ///   simulated on them (see [`Simulator::simulate_steps_on`]). A run
-    ///   too short for that is simulated on the caller's thread, a part of
-    ///   [`PART_NODE_STEPS`] at a time, so its traces stay in cache.
+    /// - otherwise `s` is `steps`, and a run of at least
+    ///   [`THREAD_NODE_BATCHES`] node-batches per thread is simulated on up
+    ///   to [`cores`] threads while this one visits (see
+    ///   [`Simulator::simulate_run_on`]).
     ///
     /// # Panics
     ///
     /// Panics if `accumulation` or `steps` is zero or the assignment length
     /// is wrong.
-    pub fn simulate_steps(&mut self, local: &[u64], accumulation: usize, steps: usize) -> Vec<BatchTrace> {
-        assert!(accumulation >= 1 && steps >= 1, "a run needs at least one step of at least one batch");
-        if self.faults.is_some() {
-            assert_eq!(local.len(), self.cluster.len(), "one local batch per node");
-            let mut traces = Vec::with_capacity(accumulation);
-            for _ in 1..accumulation {
-                traces.push(self.simulate_microbatch(local));
-            }
-            traces.push(self.simulate_batch(local));
-            return traces;
-        }
-        let n = self.cluster.len();
-        let per_thread = THREAD_NODE_STEPS.div_ceil(n);
-        let threads = cores().min(steps / per_thread).max(1);
-        let block = if threads > 1 { threads * per_thread } else { PART_NODE_STEPS.div_ceil(n) };
-        self.simulate_steps_on(threads, local, accumulation, steps.min(block))
+    pub fn simulate_run(
+        &mut self,
+        local: &[u64],
+        accumulation: usize,
+        steps: usize,
+        visit: impl FnMut(&[BatchTrace]),
+    ) -> usize {
+        let node_batches = local.len() * accumulation * steps;
+        let threads = cores().min(node_batches / THREAD_NODE_BATCHES).max(1);
+        self.simulate_run_on(threads, local, accumulation, steps, visit)
     }
 
-    /// Simulate exactly `steps` fault-free optimizer steps on up to
-    /// `threads` threads: the caller's and scoped workers. The steps are
-    /// cut into contiguous parts of [`PART_NODE_STEPS`] node-steps, and each
-    /// thread claims the next part until none is left, so a thread slowed
-    /// by another process on its core leaves its share to the others. A
-    /// thread starts each part from the caller's generator stepped forward
-    /// by the whole steps before it. The traces and the generator's end
-    /// state are the same for every `threads`; [`Simulator::simulate_steps`]
-    /// sizes the count from the cores, and this entry point lets the
-    /// equivalence be tested at any.
+    /// [`Simulator::simulate_run`] on `threads` threads — the caller's and
+    /// scoped workers — whatever the run's length or the core count, so the
+    /// equivalence can be tested at any. The fault-free steps are cut into
+    /// contiguous parts of about [`PART_NODE_BATCHES`] node-batches. A thread
+    /// claims the next part only while it lies within a window of parts
+    /// ahead of the next one to visit, and starts it from the caller's
+    /// generator stepped forward by the whole steps before it; the caller
+    /// visits the parts in order and simulates one itself whenever the next
+    /// is not ready. Workers start once and are joined once per call.
     ///
     /// # Panics
     ///
-    /// Panics if a fault plan is attached, if `threads`, `accumulation` or
-    /// `steps` is zero, or if the assignment length is wrong. Panics naming
-    /// the block if a part would start in a generator state other than the
-    /// one the part before it ended in: the stream would then differ from
-    /// the serial one, and that is never returned.
-    pub fn simulate_steps_on(
+    /// As [`Simulator::simulate_run`], and if `threads` is zero. Panics
+    /// naming the part and the run if a part starts in a generator state
+    /// other than the one the part before it ended in: the stream would
+    /// then differ from the serial one, and that is never visited.
+    #[doc(hidden)]
+    pub fn simulate_run_on(
         &mut self,
         threads: usize,
         local: &[u64],
         accumulation: usize,
         steps: usize,
-    ) -> Vec<BatchTrace> {
+        mut visit: impl FnMut(&[BatchTrace]),
+    ) -> usize {
+        assert!(threads >= 1 && accumulation >= 1 && steps >= 1, "a run needs a thread and a step of a batch");
+        assert_eq!(local.len(), self.cluster.len(), "one local batch per node");
+        if self.faults.is_some() {
+            let mut step = Vec::with_capacity(accumulation);
+            for _ in 1..accumulation {
+                step.push(self.simulate_microbatch(local));
+            }
+            step.push(self.simulate_batch(local));
+            visit(&step);
+            return 1;
+        }
         let words = self.step_words(accumulation);
-        self.simulate_block(threads, local, accumulation, steps, words)
+        self.stream(threads, local, accumulation, steps, words, &mut visit);
+        steps
     }
 
     /// Generator words one fault-free optimizer step draws: the module
@@ -528,87 +549,40 @@ impl Simulator {
         accumulation * self.cluster.len() * per_node + buckets + measurements
     }
 
-    /// [`Simulator::simulate_steps_on`] with the words per step given, so a
-    /// test can break the count and watch a seam catch it.
-    fn simulate_block(
+    /// The fault-free run of [`Simulator::simulate_run_on`] with the words
+    /// per step given, so a test can break the count and watch a seam
+    /// catch it.
+    fn stream(
         &mut self,
         threads: usize,
         local: &[u64],
         accumulation: usize,
         steps: usize,
         words: usize,
-    ) -> Vec<BatchTrace> {
-        assert!(self.faults.is_none(), "a block runs fault-free steps only");
-        assert!(threads >= 1 && accumulation >= 1 && steps >= 1, "a block needs a thread, a step and a batch");
-        assert_eq!(local.len(), self.cluster.len(), "one local batch per node");
-        let part = PART_NODE_STEPS.div_ceil(local.len());
-        let parts = steps.div_ceil(part);
-        let threads = threads.min(parts);
-        // Every trace is allocated here, on the caller's thread, and filled
-        // in place by whichever thread claims its part: a worker allocates
-        // nothing, and what the caller later frees is its own.
-        let mut traces: Vec<BatchTrace> = (1..=steps * accumulation).map(|i| self.shell(i % accumulation == 0)).collect();
-        if threads == 1 {
-            self.drawing(|sim, rng| sim.run_steps(rng, local, accumulation, &mut traces));
-            return traces;
-        }
-        // Part `p`'s traces, and the generator it began and ended in once run.
-        type Slot<'a> = Mutex<(&'a mut [BatchTrace], Option<(StdRng, StdRng)>)>;
-        let slots: Vec<Slot> = traces.chunks_mut(part * accumulation).map(|traces| Mutex::new((traces, None))).collect();
+        visit: &mut dyn FnMut(&[BatchTrace]),
+    ) {
         let start = self.rng.clone();
-        let unclaimed = AtomicUsize::new(0);
-        let sim = &*self;
-        let share = &|| {
-            let (mut rng, mut at) = (start.clone(), 0);
-            loop {
-                let p = unclaimed.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = slots.get(p) else { break };
-                let (traces, ran) = &mut *slot.lock().expect("a part is claimed once");
-                let from = p * part;
-                for _ in 0..(from - at) * words {
-                    rng.next_u64();
+        let draw = Draw { sim: self, local, start: &start, words };
+        let run = Run::new(&draw, threads, accumulation, steps);
+        let end = if run.threads == 1 {
+            run.visit_all(&draw, visit)
+        } else {
+            thread::scope(|scope| {
+                let workers: Vec<_> = (1..run.threads).map(|_| scope.spawn(|| run.work(&draw))).collect();
+                let end = run.visit_all(&draw, visit);
+                for worker in workers {
+                    worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
                 }
-                let begin = rng.clone();
-                sim.run_steps(&mut rng, local, accumulation, traces);
-                *ran = Some((begin, rng.clone()));
-                at = from + traces.len() / accumulation;
-            }
+                end
+            })
         };
-        thread::scope(|scope| {
-            let workers: Vec<_> = (1..threads).map(|_| scope.spawn(share)).collect();
-            share();
-            for worker in workers {
-                worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            }
-        });
-        // Which thread ran which part is up to the scheduler, so the word
-        // count every skip rests on is checked on the first part, and each
-        // part's start against the end of the one before it.
-        let mut counted = start.clone();
-        for _ in 0..part.min(steps) * words {
-            counted.next_u64();
-        }
-        let mut end = start;
-        for (p, slot) in slots.into_iter().enumerate() {
-            let (_, ran) = slot.into_inner().expect("a part's thread finished");
-            let (begin, part_end) = ran.expect("every part of a block is run");
-            let seamless = if p == 0 { counted == part_end } else { begin == end };
-            assert!(
-                seamless,
-                "noise-stream seam mismatch in the block of steps 0..{steps} (accumulation {accumulation}, {} nodes, \
-                 {threads} threads): the part from step {} does not start where the one before it ended",
-                local.len(),
-                p.max(1) * part,
-            );
-            end = part_end;
-        }
-        self.rng = end;
-        traces
+        self.rng = end.expect("a run halts only when one of its threads panics");
     }
 
-    /// Fills `traces`, whole steps of [`Simulator::shell`]s, with steps
-    /// drawn from `rng`: `accumulation − 1` micro-batches, then a batch.
-    fn run_steps(&self, rng: &mut StdRng, local: &[u64], accumulation: usize, traces: &mut [BatchTrace]) {
+    /// Refills `traces`, whole steps of [`Simulator::shell`]s, in place with
+    /// steps drawn from `rng`: `accumulation − 1` micro-batches, then a
+    /// batch.
+    pub(crate) fn run_steps(&self, rng: &mut StdRng, local: &[u64], accumulation: usize, traces: &mut [BatchTrace]) {
         for step in traces.chunks_exact_mut(accumulation) {
             let (batch, micros) = step.split_last_mut().expect("a step ends with its batch");
             for micro in micros {
@@ -619,27 +593,26 @@ impl Simulator {
     }
 
     /// Simulate `steps` consecutive batches (one epoch) under a fixed
-    /// local-batch assignment: [`Simulator::simulate_steps`] at
-    /// accumulation 1 until the epoch is done.
+    /// local-batch assignment: [`Simulator::simulate_run`] at accumulation
+    /// 1 until the epoch is done, each batch collected.
     ///
     /// # Panics
     ///
     /// Panics if `steps == 0` or the assignment length is wrong.
     pub fn simulate_epoch(&mut self, local: &[u64], steps: usize) -> EpochTrace {
         assert!(steps > 0, "epoch needs at least one step");
-        let mut batches = self.simulate_steps(local, 1, steps);
+        let mut batches = Vec::with_capacity(steps);
         while batches.len() < steps {
-            let block = self.simulate_steps(local, 1, steps - batches.len());
-            batches.extend(block);
+            self.simulate_run(local, 1, steps - batches.len(), |step| batches.extend_from_slice(step));
         }
         let epoch_time = batches.iter().map(|b| b.batch_time).sum();
         EpochTrace { batches, epoch_time }
     }
 }
 
-/// The machine's core count, read once: it sizes how many threads a block
-/// runs on, never what they compute.
-fn cores() -> usize {
+/// The machine's core count, read once: it sizes how many threads a run or
+/// a fan-out uses, never what they compute.
+pub fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
@@ -696,6 +669,7 @@ mod tests {
     use super::*;
     use crate::catalog::Gpu;
     use crate::cluster::NodeSpec;
+    use rand::Rng;
 
     fn small_cluster() -> ClusterSpec {
         ClusterSpec::new(
@@ -850,12 +824,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "noise-stream seam mismatch in the block of steps 0..200 (accumulation 1, 3 nodes, 2 threads): \
-                               the part from step 36 does not start")]
-    fn a_miscounted_seam_panics_naming_the_block() {
+    #[should_panic(expected = "noise-stream seam mismatch at part 1 of the run of 200 steps (accumulation 1, 3 nodes, \
+                               2 threads): the part from step 35 does not start")]
+    fn a_miscounted_seam_panics_naming_the_part() {
         let mut sim = Simulator::new(small_cluster(), JobSpec::resnet18_cifar10(), 14);
         let words = sim.step_words(1);
-        sim.simulate_block(2, &[8, 8, 8], 1, 200, words + 1);
+        sim.stream(2, &[8, 8, 8], 1, 200, words + 1, &mut |_| {});
     }
 
     #[test]

@@ -45,9 +45,10 @@ pub mod cluster;
 pub mod event;
 pub mod fault;
 pub mod job;
+mod stream;
 pub mod timing;
 pub mod trace;
 
-pub use event::Simulator;
+pub use event::{cores, Simulator};
 pub use fault::{FaultEvent, FaultPlan};
 pub use trace::{BatchTrace, NodeObservation};

@@ -138,10 +138,13 @@ stage() {
     chaos) cargo test --test chaos --release -q ;;
     policy)
         cargo test --test policy --release -q
-        # A long run of simulated steps is cut into parts, one per core
-        # (hetsim's `simulate_steps`). On one CPU the same goldens must
-        # come out of the one-part path.
-        taskset -c 0 cargo test -p hetsim --release -q --test batch_digests
+        # A long run of simulated steps streams through a window of parts
+        # on every core (hetsim's `simulate_run`). On one CPU the same
+        # goldens must come out of the one-thread path, and the streaming
+        # equivalence test, which forces two to four threads, must finish:
+        # a thread waiting for room in the window has to give the core
+        # back to the one that visits.
+        taskset -c 0 cargo test -p hetsim --release -q --test batch_digests --test stream
         taskset -c 0 cargo test --test policy --release -q
         ;;
     fleet) cargo test -p cannikin-fleet --release -q ;;
