@@ -2,7 +2,7 @@
 
 use cannikin_core::engine::{EpochRecord, NoiseModel, TrainingSubject};
 use cannikin_core::error::CannikinError;
-use cannikin_core::gns::statistical_efficiency;
+use cannikin_core::gns::{epoch_progress, statistical_efficiency};
 use cannikin_core::optperf::even_split;
 use hetsim::Simulator;
 
@@ -77,7 +77,7 @@ impl TrainingSubject for DdpTrainer {
         let steps = (self.dataset_size / self.total_batch as usize).max(1);
         let trace = self.sim.simulate_epoch(&local, steps);
         let efficiency = statistical_efficiency(phi, self.base_batch, self.total_batch);
-        self.effective_epochs += steps as f64 * self.total_batch as f64 * efficiency / self.dataset_size as f64;
+        self.effective_epochs += epoch_progress(steps, self.total_batch, efficiency, self.dataset_size);
         self.cumulative_time += trace.epoch_time;
         let record = EpochRecord {
             epoch: self.epoch,
@@ -87,7 +87,7 @@ impl TrainingSubject for DdpTrainer {
             accumulation: 1,
             epoch_time: trace.epoch_time,
             mean_batch_time: trace.mean_batch_time(),
-            noise_scale: phi,
+            noise_scale: Some(phi),
             efficiency,
             effective_epochs: self.effective_epochs,
             cumulative_time: self.cumulative_time,
@@ -96,6 +96,10 @@ impl TrainingSubject for DdpTrainer {
             used_model: false,
             faults: 0,
             recoveries: 0,
+            mean_loss: f64::NAN,
+            accuracy: f64::NAN,
+            comm_bytes: 0,
+            comm_overlap: 0.0,
         };
         self.epoch += 1;
         Ok(record)

@@ -41,7 +41,9 @@ mod hetpipe;
 pub use ddp::DdpTrainer;
 pub use hetpipe::HetPipeTrainer;
 
-use cannikin_core::engine::{CannikinTrainer, EpochRecord, NoiseModel, TrainerConfig, TrainingSubject};
+use cannikin_core::engine::{
+    check_dataset_size, CannikinTrainer, EpochRecord, NoiseModel, TrainerConfig, TrainingSubject,
+};
 use cannikin_core::perf::MeasurementAggregation;
 use cannikin_core::policy::PolicyKind;
 use cannikin_core::CannikinError;
@@ -104,8 +106,8 @@ impl System {
     /// # Errors
     ///
     /// [`CannikinError::InvalidConfig`] when `base_batch` cannot give every
-    /// node one sample, or — on the rows the Cannikin engine runs —
-    /// `max_batch` is below it.
+    /// node one sample, the dataset cannot hold one base batch, or — on
+    /// the rows the Cannikin engine runs — `max_batch` is below it.
     pub fn build(
         self,
         sim: Simulator,
@@ -118,6 +120,7 @@ impl System {
         if base_batch < nodes as u64 {
             return Err(CannikinError::InvalidConfig(format!("base batch {base_batch} cannot cover {nodes} nodes")));
         }
+        check_dataset_size(dataset_size, base_batch)?;
         let policy = match self {
             System::Ddp => return Ok(Box::new(DdpTrainer::new(sim, noise, dataset_size, base_batch, base_batch))),
             System::HetPipe => {
@@ -159,7 +162,7 @@ mod tests {
             accumulation: 1,
             epoch_time: time,
             mean_batch_time: time,
-            noise_scale: 1.0,
+            noise_scale: Some(1.0),
             efficiency: 1.0,
             effective_epochs: effective,
             cumulative_time: time,
@@ -168,6 +171,10 @@ mod tests {
             used_model: false,
             faults: 0,
             recoveries: 0,
+            mean_loss: f64::NAN,
+            accuracy: f64::NAN,
+            comm_bytes: 0,
+            comm_overlap: 0.0,
         }
     }
 
@@ -196,8 +203,12 @@ mod tests {
     }
 
     fn subject(system: System) -> Box<dyn TrainingSubject> {
+        subject_on(system, 6_400)
+    }
+
+    fn subject_on(system: System, dataset_size: usize) -> Box<dyn TrainingSubject> {
         let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
-        system.build(sim(JobSpec::resnet18_cifar10(), 8), noise, 6_400, 64, 512).expect("valid config")
+        system.build(sim(JobSpec::resnet18_cifar10(), 8), noise, dataset_size, 64, 512).expect("valid config")
     }
 
     #[test]
@@ -213,7 +224,7 @@ mod tests {
                 // Measured host time is the one field two runs may differ in.
                 a.overhead_seconds = 0.0;
                 b.overhead_seconds = 0.0;
-                assert_eq!(a, b, "{}", system.label());
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{}", system.label());
             }
             // `train_until` stops at the target, or at the cap first.
             let mut run = subject(system);
@@ -233,6 +244,31 @@ mod tests {
             let built = system.build(sim(JobSpec::resnet18_cifar10(), 8), noise, 6_400, 2, 512);
             assert!(matches!(built, Err(CannikinError::InvalidConfig(_))), "{}", system.label());
         }
+    }
+
+    /// A dataset smaller than one base batch would credit its first epoch
+    /// infinite progress, and `train_until` would stop as if the target
+    /// were reached.
+    #[test]
+    fn build_rejects_a_dataset_below_one_base_batch() {
+        for dataset_size in [0, 63] {
+            for system in System::ALL {
+                let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+                let built = system.build(sim(JobSpec::resnet18_cifar10(), 8), noise, dataset_size, 64, 512);
+                let err = built.err().unwrap_or_else(|| panic!("{} built on {dataset_size} samples", system.label()));
+                assert!(err.to_string().contains("cannot hold one base batch"), "{}: {err}", system.label());
+            }
+            let err = CannikinTrainer::builder()
+                .simulator(sim(JobSpec::resnet18_cifar10(), 8))
+                .dataset_size(dataset_size)
+                .batch_range(64, 512)
+                .build()
+                .expect_err("the builder accepted a dataset below one base batch");
+            assert!(matches!(err, CannikinError::InvalidConfig(_)), "{err}");
+        }
+        let mut exact = subject_on(System::Cannikin, 64);
+        let first = exact.next_epoch().expect("one batch fills the dataset");
+        assert!(first.effective_epochs.is_finite(), "{}", first.effective_epochs);
     }
 
     #[test]

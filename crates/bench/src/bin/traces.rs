@@ -43,7 +43,7 @@ fn main() -> std::io::Result<()> {
                     r.cumulative_time,
                     r.effective_epochs,
                     r.efficiency,
-                    r.noise_scale,
+                    r.noise_scale.unwrap_or(f64::NAN),
                     profile.metric_at(r.effective_epochs),
                 )?;
             }

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use cannikin_baselines::{time_to_target, System};
-use cannikin_core::engine::{EpochRecord, ParallelTrainer};
+use cannikin_core::engine::{EpochRecord, ParallelTrainer, TrainingSubject};
 use cannikin_collectives::TransportKind;
 use cannikin_telemetry::{Json, Record, Session};
 use cannikin_workloads::profiles;
@@ -95,7 +95,7 @@ fn sim_metrics(records: &[EpochRecord], target: f64, drained: &[Record]) -> BTre
     metrics.insert("solver_invocations".into(), count("solver_invocation"));
     // A simulated run moves no bytes; the metric is there so every cell of
     // the report carries the same gated pair.
-    metrics.insert("comm_bytes".into(), 0.0);
+    metrics.insert("comm_bytes".into(), records.iter().map(|r| r.comm_bytes as f64).sum());
     metrics
 }
 
@@ -144,23 +144,21 @@ fn run_real_cell(scenario: &ScenarioSpec, subject: &SubjectSpec, tcp: bool) -> B
     if let Some(build) = faults {
         builder = builder.comm_faults(build(SCENARIO_SEED));
     }
-    let mut trainer = builder.build().expect("valid scenario config");
-    let reports: Vec<_> = (0..epochs)
-        .map(|_| {
-            trainer
-                .run_epoch()
-                .unwrap_or_else(|e| panic!("{}/{} failed: {e}", scenario.name, subject.name))
-        })
-        .collect();
+    let records = builder
+        .build()
+        .expect("valid scenario config")
+        .run_epochs(epochs)
+        .unwrap_or_else(|e| panic!("{}/{} failed: {e}", scenario.name, subject.name));
 
     let mut metrics = BTreeMap::new();
-    let last = reports.last().expect("at least one epoch");
-    metrics.insert("epochs".into(), reports.len() as f64);
+    let last = records.last().expect("at least one epoch");
+    metrics.insert("epochs".into(), records.len() as f64);
     metrics.insert("final_mean_loss".into(), last.mean_loss);
     metrics.insert("final_accuracy".into(), last.accuracy);
     metrics.insert("final_total_batch".into(), last.total_batch as f64);
-    metrics.insert("comm_bytes".into(), reports.iter().map(|r| r.comm_bytes as f64).sum());
-    metrics.insert("comm_retries".into(), reports.iter().map(|r| f64::from(r.comm_retries)).sum());
+    metrics.insert("comm_bytes".into(), records.iter().map(|r| r.comm_bytes as f64).sum());
+    // The real path's recoveries are its gradient-exchange retries.
+    metrics.insert("comm_retries".into(), records.iter().map(|r| f64::from(r.recoveries)).sum());
     metrics
 }
 

@@ -52,17 +52,24 @@ use std::sync::Arc;
 /// the standard workload configuration (50 000-sample dataset, batch range
 /// 64–4096, inverse-variance measurement fusion, adaptive total batch,
 /// linear noise growth φ₀ = 300, rate 1).
-#[derive(Default)]
 pub struct CannikinTrainerBuilder {
     sim: Option<Simulator>,
-    noise: Option<Box<dyn NoiseModel>>,
-    config: Option<TrainerConfig>,
-    dataset_size: Option<usize>,
-    base_batch: Option<u64>,
-    max_batch: Option<u64>,
-    adaptive_batch: Option<bool>,
+    noise: Box<dyn NoiseModel>,
+    config: TrainerConfig,
     warm_start: Option<SolverInput>,
-    policy_kind: Option<PolicyKind>,
+    policy_kind: PolicyKind,
+}
+
+impl Default for CannikinTrainerBuilder {
+    fn default() -> Self {
+        CannikinTrainerBuilder {
+            sim: None,
+            noise: Box::new(super::LinearNoiseGrowth { initial: 300.0, rate: 1.0 }),
+            config: TrainerConfig::new(50_000, 64, 4096),
+            warm_start: None,
+            policy_kind: PolicyKind::default(),
+        }
+    }
 }
 
 impl CannikinTrainerBuilder {
@@ -81,31 +88,30 @@ impl CannikinTrainerBuilder {
     /// The gradient-noise evolution model (default: linear growth,
     /// φ₀ = 300, rate 1 per effective epoch).
     #[must_use]
-    pub fn noise(mut self, noise: impl NoiseModel + 'static) -> Self {
-        self.noise = Some(Box::new(noise));
-        self
+    pub fn noise(self, noise: impl NoiseModel + 'static) -> Self {
+        self.noise_boxed(Box::new(noise))
     }
 
     /// Like [`noise`](Self::noise), accepting an already-boxed model
     /// (e.g. a `Box<dyn NoiseModel>` chosen at runtime).
     #[must_use]
     pub fn noise_boxed(mut self, noise: Box<dyn NoiseModel>) -> Self {
-        self.noise = Some(noise);
+        self.noise = noise;
         self
     }
 
-    /// Start from a complete [`TrainerConfig`]; the individual setters
-    /// below still override its fields.
+    /// Replace the whole [`TrainerConfig`]; a setter called after this
+    /// changes its one field.
     #[must_use]
     pub fn config(mut self, config: TrainerConfig) -> Self {
-        self.config = Some(config);
+        self.config = config;
         self
     }
 
     /// Samples per (synthetic) dataset epoch.
     #[must_use]
     pub fn dataset_size(mut self, samples: usize) -> Self {
-        self.dataset_size = Some(samples);
+        self.config.dataset_size = samples;
         self
     }
 
@@ -113,8 +119,8 @@ impl CannikinTrainerBuilder {
     /// upper end the adaptive batch may reach.
     #[must_use]
     pub fn batch_range(mut self, base: u64, max: u64) -> Self {
-        self.base_batch = Some(base);
-        self.max_batch = Some(max);
+        self.config.base_batch = base;
+        self.config.max_batch = max;
         self
     }
 
@@ -122,7 +128,7 @@ impl CannikinTrainerBuilder {
     /// `base_batch`).
     #[must_use]
     pub fn adaptive_batch(mut self, adaptive: bool) -> Self {
-        self.adaptive_batch = Some(adaptive);
+        self.config.adaptive_batch = adaptive;
         self
     }
 
@@ -138,7 +144,7 @@ impl CannikinTrainerBuilder {
     /// [`PolicyKind::OptPerf`]).
     #[must_use]
     pub fn policy(mut self, kind: PolicyKind) -> Self {
-        self.policy_kind = Some(kind);
+        self.policy_kind = kind;
         self
     }
 
@@ -146,48 +152,52 @@ impl CannikinTrainerBuilder {
     ///
     /// # Errors
     ///
-    /// [`CannikinError::InvalidConfig`] when the simulator is missing or
-    /// the batch range cannot cover the cluster.
+    /// [`CannikinError::InvalidConfig`] when the simulator is missing, the
+    /// batch range cannot cover the cluster, or the dataset cannot hold
+    /// one base batch.
     pub fn build(self) -> Result<CannikinTrainer, CannikinError> {
         let sim = self
             .sim
             .ok_or_else(|| CannikinError::InvalidConfig("CannikinTrainerBuilder needs a simulator".into()))?;
-        let mut config = self.config.unwrap_or_else(|| TrainerConfig::new(50_000, 64, 4096));
-        if let Some(v) = self.dataset_size {
-            config.dataset_size = v;
-        }
-        if let Some(v) = self.base_batch {
-            config.base_batch = v;
-        }
-        if let Some(v) = self.max_batch {
-            config.max_batch = v;
-        }
-        if let Some(v) = self.adaptive_batch {
-            config.adaptive_batch = v;
-        }
-        let n = sim.cluster().len() as u64;
-        if config.base_batch < n {
-            return Err(CannikinError::InvalidConfig(format!(
-                "base batch {} cannot cover {n} nodes",
-                config.base_batch
-            )));
-        }
-        if config.max_batch < config.base_batch {
-            return Err(CannikinError::InvalidConfig(format!(
-                "max batch {} is below base batch {}",
-                config.max_batch, config.base_batch
-            )));
-        }
-        let noise: Box<dyn NoiseModel> =
-            self.noise.unwrap_or_else(|| Box::new(super::LinearNoiseGrowth { initial: 300.0, rate: 1.0 }));
-        let kind = self.policy_kind.unwrap_or_default();
-        let policy = policy::build_sim_policy(kind, config.base_batch, sim.cluster().len(), config.max_batch);
-        let mut trainer = CannikinTrainer::from_parts(sim, noise, config, policy);
+        let config = self.config;
+        let n = sim.cluster().len();
+        check_batches(config.base_batch, config.max_batch, n)?;
+        check_dataset_size(config.dataset_size, config.base_batch)?;
+        let policy = policy::build_sim_policy(self.policy_kind, config.base_batch, n, config.max_batch);
+        let mut trainer = CannikinTrainer::from_parts(sim, self.noise, config, policy);
         if let Some(checkpoint) = &self.warm_start {
             trainer.warm_start(checkpoint);
         }
         Ok(trainer)
     }
+}
+
+/// The batch range's rules every engine shares: B₀ gives each of `nodes`
+/// one sample, and the range is not inverted.
+fn check_batches(base_batch: u64, max_batch: u64, nodes: usize) -> Result<(), CannikinError> {
+    if base_batch < nodes as u64 {
+        return Err(CannikinError::InvalidConfig(format!("base batch {base_batch} cannot cover {nodes} nodes")));
+    }
+    if max_batch < base_batch {
+        return Err(CannikinError::InvalidConfig(format!("max batch {max_batch} is below base batch {base_batch}")));
+    }
+    Ok(())
+}
+
+/// An epoch is `|D| / B` steps and credits `steps·B·η/|D|` effective
+/// epochs, so a dataset smaller than one base batch would make the
+/// progress of its first epoch infinite.
+///
+/// # Errors
+///
+/// [`CannikinError::InvalidConfig`] when `dataset_size < base_batch`.
+pub fn check_dataset_size(dataset_size: usize, base_batch: u64) -> Result<(), CannikinError> {
+    if (dataset_size as u64) < base_batch {
+        return Err(CannikinError::InvalidConfig(format!(
+            "a dataset of {dataset_size} samples cannot hold one base batch of {base_batch}"
+        )));
+    }
+    Ok(())
 }
 
 impl std::fmt::Debug for CannikinTrainerBuilder {
@@ -204,23 +214,22 @@ impl std::fmt::Debug for CannikinTrainerBuilder {
 /// Required: [`dataset`](Self::dataset) and [`model`](Self::model).
 /// Everything else defaults to [`ParallelConfig::hetero_default`] with
 /// B₀ = 32.
-#[derive(Default)]
 pub struct ParallelTrainerBuilder {
     dataset: Option<ClassificationDataset>,
     factory: Option<Arc<dyn Fn(u64) -> Sequential + Send + Sync>>,
-    config: Option<ParallelConfig>,
-    slowdowns: Option<Vec<f64>>,
-    base_batch: Option<u64>,
-    max_batch: Option<u64>,
-    adaptive: Option<bool>,
-    base_lr: Option<f64>,
-    lr_scaler: Option<LrScaler>,
-    seed: Option<u64>,
-    comm_faults: Option<CommFaultPlan>,
-    transport: Option<TransportKind>,
-    codec: Option<Codec>,
-    overlap: Option<bool>,
-    policy_kind: Option<PolicyKind>,
+    config: ParallelConfig,
+    policy_kind: PolicyKind,
+}
+
+impl Default for ParallelTrainerBuilder {
+    fn default() -> Self {
+        ParallelTrainerBuilder {
+            dataset: None,
+            factory: None,
+            config: ParallelConfig::hetero_default(32),
+            policy_kind: PolicyKind::default(),
+        }
+    }
 }
 
 impl ParallelTrainerBuilder {
@@ -244,12 +253,11 @@ impl ParallelTrainerBuilder {
         self
     }
 
-    /// Start from a complete [`ParallelConfig`] (its `transport` field
-    /// counts as an explicit builder-level choice); the individual setters
-    /// below still override its fields.
+    /// Replace the whole [`ParallelConfig`]; a setter called after this
+    /// changes its one field.
     #[must_use]
     pub fn config(mut self, config: ParallelConfig) -> Self {
-        self.config = Some(config);
+        self.config = config;
         self
     }
 
@@ -258,7 +266,7 @@ impl ParallelTrainerBuilder {
     /// count.
     #[must_use]
     pub fn slowdowns(mut self, slowdowns: Vec<f64>) -> Self {
-        self.slowdowns = Some(slowdowns);
+        self.config.slowdowns = slowdowns;
         self
     }
 
@@ -267,36 +275,36 @@ impl ParallelTrainerBuilder {
     /// the dataset: an epoch must hold one even and one odd step).
     #[must_use]
     pub fn batch_range(mut self, base: u64, max: u64) -> Self {
-        self.base_batch = Some(base);
-        self.max_batch = Some(max);
+        self.config.base_batch = base;
+        self.config.max_batch = max;
         self
     }
 
     /// Whether the total batch size adapts via goodput.
     #[must_use]
     pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = Some(adaptive);
+        self.config.adaptive = adaptive;
         self
     }
 
     /// Base learning rate at B₀.
     #[must_use]
     pub fn base_lr(mut self, lr: f64) -> Self {
-        self.base_lr = Some(lr);
+        self.config.base_lr = lr;
         self
     }
 
     /// Learning-rate scaling rule for grown batches.
     #[must_use]
     pub fn lr_scaler(mut self, scaler: LrScaler) -> Self {
-        self.lr_scaler = Some(scaler);
+        self.config.lr_scaler = scaler;
         self
     }
 
     /// RNG seed (model init and shuffling).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
+        self.config.seed = seed;
         self
     }
 
@@ -305,7 +313,7 @@ impl ParallelTrainerBuilder {
     /// retry-with-backoff, restore-on-error).
     #[must_use]
     pub fn comm_faults(mut self, plan: CommFaultPlan) -> Self {
-        self.comm_faults = Some(plan);
+        self.config.comm_faults = Some(plan);
         self
     }
 
@@ -313,7 +321,7 @@ impl ParallelTrainerBuilder {
     /// channels).
     #[must_use]
     pub fn transport(mut self, kind: TransportKind) -> Self {
-        self.transport = Some(kind);
+        self.config.transport = kind;
         self
     }
 
@@ -321,7 +329,7 @@ impl ParallelTrainerBuilder {
     /// `f32`). Lossy codecs run with persistent per-rank error feedback.
     #[must_use]
     pub fn codec(mut self, codec: Codec) -> Self {
-        self.codec = Some(codec);
+        self.config.codec = codec;
         self
     }
 
@@ -330,7 +338,7 @@ impl ParallelTrainerBuilder {
     /// synchronize after the full backward pass).
     #[must_use]
     pub fn overlap(mut self, overlap: bool) -> Self {
-        self.overlap = Some(overlap);
+        self.config.overlap = overlap;
         self
     }
 
@@ -338,7 +346,7 @@ impl ParallelTrainerBuilder {
     /// [`PolicyKind::OptPerf`]).
     #[must_use]
     pub fn policy(mut self, kind: PolicyKind) -> Self {
-        self.policy_kind = Some(kind);
+        self.policy_kind = kind;
         self
     }
 
@@ -357,58 +365,12 @@ impl ParallelTrainerBuilder {
         let factory = self
             .factory
             .ok_or_else(|| CannikinError::InvalidConfig("ParallelTrainerBuilder needs a model factory".into()))?;
-        let mut config = self
-            .config
-            .unwrap_or_else(|| ParallelConfig::hetero_default(self.base_batch.unwrap_or(32)));
-        if let Some(v) = self.slowdowns {
-            config.slowdowns = v;
-        }
-        if let Some(v) = self.base_batch {
-            config.base_batch = v;
-        }
-        if let Some(v) = self.max_batch {
-            config.max_batch = v;
-        }
-        if let Some(v) = self.adaptive {
-            config.adaptive = v;
-        }
-        if let Some(v) = self.base_lr {
-            config.base_lr = v;
-        }
-        if let Some(v) = self.lr_scaler {
-            config.lr_scaler = v;
-        }
-        if let Some(v) = self.seed {
-            config.seed = v;
-        }
-        if let Some(v) = self.comm_faults {
-            config.comm_faults = Some(v);
-        }
-        if let Some(v) = self.overlap {
-            config.overlap = v;
-        }
-        if let Some(v) = self.transport {
-            config.transport = v;
-        }
-        if let Some(v) = self.codec {
-            config.codec = v;
-        }
+        let mut config = self.config;
         let n = config.slowdowns.len();
         if n == 0 {
             return Err(CannikinError::InvalidConfig("need at least one node".into()));
         }
-        if config.base_batch < n as u64 {
-            return Err(CannikinError::InvalidConfig(format!(
-                "base batch {} cannot cover {n} nodes",
-                config.base_batch
-            )));
-        }
-        if config.max_batch < config.base_batch {
-            return Err(CannikinError::InvalidConfig(format!(
-                "max batch {} is below base batch {}",
-                config.max_batch, config.base_batch
-            )));
-        }
+        check_batches(config.base_batch, config.max_batch, n)?;
         if let Some((i, s)) = config.slowdowns.iter().enumerate().find(|(_, s)| !is_slowdown(**s)) {
             return Err(CannikinError::InvalidConfig(format!(
                 "slowdown {s} of node {i} is not a finite factor >= 1"
@@ -434,8 +396,7 @@ impl ParallelTrainerBuilder {
             )));
         }
         config.max_batch = config.max_batch.min(epoch_cap);
-        let kind = self.policy_kind.unwrap_or_default();
-        let policy = policy::build_sim_policy(kind, config.base_batch, n, config.max_batch);
+        let policy = policy::build_sim_policy(self.policy_kind, config.base_batch, n, config.max_batch);
         Ok(ParallelTrainer::from_parts(dataset, factory, config, policy))
     }
 }
@@ -445,7 +406,6 @@ impl std::fmt::Debug for ParallelTrainerBuilder {
         f.debug_struct("ParallelTrainerBuilder")
             .field("dataset", &self.dataset.is_some())
             .field("config", &self.config)
-            .field("transport", &self.transport)
             .finish_non_exhaustive()
     }
 }

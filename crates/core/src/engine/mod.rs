@@ -8,17 +8,19 @@
 //! - [`CannikinTrainer`] drives a [`hetsim::Simulator`] at paper scale
 //!   (16-GPU clusters, ImageNet-sized jobs): batch timings come from the
 //!   simulator, gradient-noise evolution from a pluggable [`NoiseModel`],
-//!   and injected faults are handled mid-epoch. It reports
-//!   [`EpochRecord`]s, the unit every figure harness consumes.
+//!   and injected faults are handled mid-epoch.
 //! - [`parallel::ParallelTrainer`] trains *real* `minidnn` models on OS
 //!   threads with ring all-reduce gradient exchange, Eq. (9) weighted
 //!   aggregation and live Theorem 4.1 GNS estimation — the functional
 //!   path that proves the algorithms work on real gradients, not only on
-//!   simulated clocks. It reports [`ParallelEpochReport`]s.
+//!   simulated clocks.
 //!
-//! Both are thin shells (builders, accessors, report types) over the same
-//! driver; the baselines that differ from Cannikin only in their policy
-//! are `CannikinTrainer`s too (`cannikin-baselines`).
+//! Both report one [`EpochRecord`] per epoch, the unit every figure
+//! harness and the scenario matrix consume, and both are
+//! [`TrainingSubject`]s. The driver turns each executed epoch into
+//! statistical progress in one place. Both are thin shells (builders,
+//! accessors) over that driver; the baselines that differ from Cannikin
+//! only in their policy are `CannikinTrainer`s too (`cannikin-baselines`).
 
 mod builders;
 mod driver;
@@ -27,7 +29,7 @@ pub mod parallel;
 mod subject;
 mod trainer;
 
-pub use builders::{CannikinTrainerBuilder, ParallelTrainerBuilder};
+pub use builders::{check_dataset_size, CannikinTrainerBuilder, ParallelTrainerBuilder};
 pub use loader::HeteroDataLoader;
 pub use parallel::{ParallelConfig, ParallelEpochReport, ParallelTrainer};
 pub use subject::TrainingSubject;
@@ -64,8 +66,15 @@ impl NoiseModel for LinearNoiseGrowth {
     }
 }
 
-/// Everything recorded about one training epoch.
-#[derive(Debug, Clone, PartialEq)]
+/// Everything recorded about one training epoch, by either engine.
+///
+/// A field an engine does not measure holds a neutral value that says so:
+/// a simulated epoch moves no bytes (`comm_bytes = 0`, `comm_overlap =
+/// 0.0`) and trains no model (`mean_loss` and `accuracy` are `NaN`, never
+/// `0.0`). `NaN` compares unequal to itself, so the type has no
+/// `PartialEq`: compare the fields, or the `{:?}` text, which is
+/// bit-exact for every finite field.
+#[derive(Debug, Clone)]
 pub struct EpochRecord {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -78,20 +87,24 @@ pub struct EpochRecord {
     /// Gradient-accumulation factor (micro-steps per optimizer step;
     /// 1 = plain synchronous training).
     pub accumulation: u64,
-    /// Simulated (or measured) wall time of the epoch, s.
+    /// Time of the epoch, s: simulated on the simulated path, measured
+    /// wall time (emulated slowdowns included) on the real one.
     pub epoch_time: f64,
     /// Mean batch processing time, s.
     pub mean_batch_time: f64,
-    /// Gradient noise scale in effect during the epoch.
-    pub noise_scale: f64,
-    /// Statistical efficiency η(B) relative to the reference batch.
+    /// Gradient noise scale φ of the epoch: the noise model's value in
+    /// effect during a simulated epoch, the real path's smoothed estimate
+    /// after it — `None` while that estimate is not yet warm.
+    pub noise_scale: Option<f64>,
+    /// Statistical efficiency η(B) relative to the reference batch (1.0
+    /// while φ is unknown).
     pub efficiency: f64,
     /// Cumulative effective epochs of progress *after* this epoch.
     pub effective_epochs: f64,
-    /// The simulated clock after this epoch, s: the epochs' simulated
-    /// times plus modelled charges such as a restart. Measured host time
-    /// (`overhead_seconds`) is never added, so the clock is reproducible
-    /// under seed.
+    /// The engine's clock after this epoch, s: the epochs' times plus
+    /// modelled charges such as a restart. On the simulated path measured
+    /// host time (`overhead_seconds`) is never added, so the clock is
+    /// reproducible under seed.
     pub cumulative_time: f64,
     /// Real wall-clock time spent in the optimizer for this epoch —
     /// split planning *plus* performance-model fitting (the Table 6
@@ -101,11 +114,27 @@ pub struct EpochRecord {
     pub pattern: Option<Vec<Bottleneck>>,
     /// Whether the learned model (vs the bootstrap) produced the split.
     pub used_model: bool,
-    /// Faults observed (injected or genuine) during the epoch.
+    /// Faults observed (injected or genuine) during the epoch. The real
+    /// path counts a failed gradient exchange only in `recoveries`.
     pub faults: u32,
-    /// Recovery actions taken (retries, group membership changes,
-    /// mid-epoch replans) during the epoch.
+    /// Recovery actions taken during the epoch: retries, group membership
+    /// changes and mid-epoch replans on the simulated path; gradient-
+    /// exchange retries on the real one (injected-failure recoveries, plus
+    /// every attempt of a bucket whose budget ran out and was sent again).
     pub recoveries: u32,
+    /// Mean training loss across the epoch's steps (`NaN`: not measured).
+    pub mean_loss: f64,
+    /// Training accuracy measured after the epoch on rank 0's replica
+    /// (`NaN`: not measured).
+    pub accuracy: f64,
+    /// Bytes moved on the wire by the epoch's collectives, summed over
+    /// ranks (payload only for the in-process backend; payload plus frame
+    /// headers over TCP).
+    pub comm_bytes: u64,
+    /// Communication time hidden behind backward compute, summed over
+    /// ranks and steps, s (0 unless the real path's `overlap` layout is
+    /// on: a single bucket is handed over only once backward is done).
+    pub comm_overlap: f64,
 }
 
 impl EpochRecord {
@@ -138,7 +167,7 @@ mod tests {
             accumulation: 1,
             epoch_time: 9.0,
             mean_batch_time: 9.0,
-            noise_scale: 1.0,
+            noise_scale: Some(1.0),
             efficiency: 1.0,
             effective_epochs: 1.0,
             cumulative_time: 9.0,
@@ -147,6 +176,10 @@ mod tests {
             used_model: false,
             faults: 0,
             recoveries: 0,
+            mean_loss: f64::NAN,
+            accuracy: f64::NAN,
+            comm_bytes: 0,
+            comm_overlap: 0.0,
         };
         assert!((r.overhead_fraction() - 0.1).abs() < 1e-12);
     }

@@ -49,10 +49,11 @@
 
 use super::driver::{Bounds, Driver, Executed, Executor, Round};
 use super::loader::HeteroDataLoader;
+use super::{EpochRecord, TrainingSubject};
 use crate::error::CannikinError;
-use crate::gns::{estimate_gns, Aggregation, GnsEstimate, GnsTracker, GradientSample};
+use crate::gns::{estimate_gns, statistical_efficiency, Aggregation, GnsEstimate, GnsTracker, GradientSample};
 use crate::perf::{Analyzer, MeasurementAggregation};
-use crate::policy::{EpochObservation, Policy};
+use crate::policy::Policy;
 
 use cannikin_collectives::{
     Codec, CommError, CommFaultPlan, CommGroup, Communicator, ErrorFeedback, RetryPolicy, TransportKind,
@@ -135,42 +136,16 @@ impl ParallelConfig {
     }
 }
 
-/// Per-epoch outcome of the functional trainer.
-#[derive(Debug, Clone)]
-pub struct ParallelEpochReport {
-    /// Epoch index.
-    pub epoch: usize,
-    /// Total batch size used.
-    pub total_batch: u64,
-    /// Per-node local batches.
-    pub local_batches: Vec<u64>,
-    /// Measured wall time of the epoch, s (including emulated slowdowns).
-    pub epoch_time: f64,
-    /// Mean training loss across steps.
-    pub mean_loss: f64,
-    /// Training accuracy measured after the epoch (rank 0 replica).
-    pub accuracy: f64,
-    /// Smoothed gradient noise scale after the epoch, if estimable.
-    pub noise_scale: Option<f64>,
-    /// Whether the learned performance model produced the split.
-    pub used_model: bool,
-    /// Gradient-exchange retries this epoch (injected-failure recoveries,
-    /// plus every attempt of a bucket whose budget ran out and was sent
-    /// again; 0 without `comm_faults`).
-    pub comm_retries: u32,
-    /// Bytes moved on the wire by this epoch's collectives, summed over
-    /// ranks (payload only for the in-process backend; payload plus frame
-    /// headers over TCP).
-    pub comm_bytes: u64,
-    /// Communication time hidden behind backward compute this epoch,
-    /// summed over ranks and steps, in seconds (0 unless
-    /// [`ParallelConfig::overlap`] is enabled: a single bucket is handed
-    /// over only once backward is done).
-    pub comm_overlap: f64,
-}
+/// The functional trainer's per-epoch record, which is the one
+/// [`EpochRecord`]. The alias is kept only because the frozen benchmark
+/// (`crates/benchmark/src/real.rs`) names it; the benchmark's migration
+/// (ROADMAP item 8) deletes it.
+pub type ParallelEpochReport = EpochRecord;
 
 /// Functional Cannikin trainer over OS threads — a thin shell over the
-/// shared epoch `Driver` with a `ThreadedExecutor` behind it.
+/// shared epoch `Driver` with a `ThreadedExecutor` behind it, and a
+/// [`TrainingSubject`] whose progress is the effective epochs the live GNS
+/// estimate credits.
 pub struct ParallelTrainer {
     driver: Driver<ThreadedExecutor>,
 }
@@ -203,11 +178,6 @@ impl ParallelTrainer {
         ParallelTrainer { driver: Driver::new(exec, policy) }
     }
 
-    /// Smoothed gradient noise scale, if available.
-    pub fn noise_scale(&self) -> Option<f64> {
-        self.driver.exec.tracker.noise_scale()
-    }
-
     /// The analyzer's current state (inspection/tests).
     pub fn analyzer(&self) -> &Analyzer {
         &self.driver.analyzer
@@ -218,7 +188,8 @@ impl ParallelTrainer {
         self.driver.exec.nodes()
     }
 
-    /// The effective configuration (after builder/env resolution).
+    /// The configuration the builder resolved (with `max_batch` capped at
+    /// half the dataset).
     pub fn config(&self) -> &ParallelConfig {
         &self.driver.exec.config
     }
@@ -286,8 +257,20 @@ impl ParallelTrainer {
     /// TCP rendezvous failure), a rank's gradient exchange fails beyond
     /// recovery — the error is the [`CommError`] that rank observed — or a
     /// rank thread panics (every rank is joined first).
-    pub fn run_epoch(&mut self) -> Result<ParallelEpochReport, CannikinError> {
+    pub fn run_epoch(&mut self) -> Result<EpochRecord, CannikinError> {
         self.driver.run_epoch()
+    }
+}
+
+impl TrainingSubject for ParallelTrainer {
+    fn next_epoch(&mut self) -> Result<EpochRecord, CannikinError> {
+        self.run_epoch()
+    }
+
+    /// Each epoch's `steps·B·η/|D|`, with η at the GNS estimate after that
+    /// epoch (1.0 while there is none).
+    fn progress(&self) -> f64 {
+        self.driver.effective_epochs
     }
 }
 
@@ -381,8 +364,6 @@ impl ThreadedExecutor {
 }
 
 impl Executor for ThreadedExecutor {
-    type Report = ParallelEpochReport;
-
     fn nodes(&self) -> usize {
         self.config.slowdowns.len()
     }
@@ -396,7 +377,7 @@ impl Executor for ThreadedExecutor {
         }
     }
 
-    fn phi(&self) -> Option<f64> {
+    fn phi(&self, _progress: f64) -> Option<f64> {
         self.tracker.noise_scale()
     }
 
@@ -404,8 +385,8 @@ impl Executor for ThreadedExecutor {
         Analyzer::new(self.nodes(), MeasurementAggregation::InverseVariance)
     }
 
-    fn execute(&mut self, round: Round<'_>) -> Result<Executed<ParallelEpochReport>, CannikinError> {
-        let Round { epoch, plan, analyzer, .. } = round;
+    fn execute(&mut self, round: Round<'_>) -> Result<Executed, CannikinError> {
+        let Round { epoch, plan, plan_seconds, analyzer, .. } = round;
         let n = self.nodes();
         let (total, local) = (plan.total, plan.local);
 
@@ -499,7 +480,9 @@ impl Executor for ThreadedExecutor {
 
         // ---- Absorb measurements (discarding thread warm-up steps:
         // freshly spawned ranks run their first batches with cold caches,
-        // which would poison the linear fit). ----
+        // which would poison the linear fit). Fitting is optimizer work:
+        // it counts toward the Table 6 overhead, as on the simulated path.
+        let fit_started = Instant::now();
         let warmup = if steps > 6 { 3 } else { 0 };
         for step in warmup..steps {
             let observations = rank_outputs
@@ -531,23 +514,16 @@ impl Executor for ThreadedExecutor {
                 faults: Vec::new(),
             });
         }
+        let overhead_seconds = plan_seconds + fit_started.elapsed().as_secs_f64();
         let rank0 = &rank_outputs[0];
         for est in &rank0.gns_estimates {
             self.tracker.observe(*est);
         }
 
-        // Reward is the measured goodput of this epoch: statistical
-        // efficiency at the fresh φ estimate times raw throughput (plain
-        // samples/s while no estimate exists yet).
-        let mean_batch_time = epoch_time / steps as f64;
+        // Statistical efficiency at the fresh φ estimate (1.0 while no
+        // estimate exists yet).
         let fresh_phi = self.tracker.noise_scale();
-        let (efficiency, realized_goodput) = match fresh_phi {
-            Some(phi) => (
-                crate::gns::statistical_efficiency(phi, self.config.base_batch, total),
-                crate::gns::goodput(phi, self.config.base_batch, total, mean_batch_time),
-            ),
-            None => (1.0, total as f64 / mean_batch_time),
-        };
+        let efficiency = fresh_phi.map_or(1.0, |phi| statistical_efficiency(phi, self.config.base_batch, total));
         let per_sample_times = rank_outputs
             .iter()
             .map(|r| {
@@ -565,31 +541,30 @@ impl Executor for ThreadedExecutor {
         self.checkpoint = Some(flatten_values(&replica.parameters()));
         let accuracy = evaluate(replica, &self.dataset);
 
-        let report = ParallelEpochReport {
+        let record = EpochRecord {
             epoch,
             total_batch: total,
-            local_batches: local.clone(),
+            local_batches: local,
+            steps,
+            accumulation: 1,
             epoch_time,
+            mean_batch_time: epoch_time / steps as f64,
+            noise_scale: fresh_phi,
+            efficiency,
+            // Progress is the driver's to account.
+            effective_epochs: 0.0,
+            cumulative_time: 0.0,
+            overhead_seconds,
+            pattern: plan.pattern,
+            used_model: plan.used_model,
+            faults: 0,
+            recoveries: rank0.comm_retries,
             mean_loss,
             accuracy,
-            noise_scale: fresh_phi,
-            used_model: plan.used_model,
-            comm_retries: rank0.comm_retries,
             comm_bytes,
             comm_overlap,
         };
-        let observation = EpochObservation {
-            epoch,
-            total,
-            local,
-            epoch_time,
-            mean_batch_time,
-            efficiency,
-            goodput: realized_goodput,
-            phi: fresh_phi,
-            per_sample_times,
-        };
-        Ok(Executed { observation, membership_changed: false, report })
+        Ok(Executed { record, per_sample_times, membership_changed: false })
     }
 }
 
@@ -1150,7 +1125,7 @@ mod tests {
             .config(cfg)
     }
 
-    fn four_epochs(t: &mut ParallelTrainer) -> Vec<ParallelEpochReport> {
+    fn four_epochs(t: &mut ParallelTrainer) -> Vec<EpochRecord> {
         (0..4).map(|_| t.run_epoch().expect("epoch")).collect()
     }
 
@@ -1293,8 +1268,8 @@ mod tests {
             };
             let (clean, _, clean_t) = run(config(false));
             let (faulty, records, faulty_t) = run(with_faults(config(false)));
-            assert!(faulty.comm_retries > 0, "overlap {overlap}: the seeded plan must inject failures");
-            assert_eq!(clean.comm_retries, 0);
+            assert!(faulty.recoveries > 0, "overlap {overlap}: the seeded plan must inject failures");
+            assert_eq!(clean.recoveries, 0);
             assert_eq!(clean.mean_loss, faulty.mean_loss, "losses computed before the exchange");
             assert_eq!(clean.noise_scale, faulty.noise_scale, "GNS inputs must be unaffected");
             let weights = |t: &ParallelTrainer| weight_bits(&t.driver.exec.ranks[0].model);
@@ -1701,7 +1676,7 @@ mod tests {
             .config(with_faults(config(false)))
             .build()
             .expect("valid config");
-        let retries: Vec<u32> = (0..3).map(|_| t.run_epoch().expect("epoch").comm_retries).collect();
+        let retries: Vec<u32> = (0..3).map(|_| t.run_epoch().expect("epoch").recoveries).collect();
         assert_eq!(retries, vec![4, 4, 4], "the plan fires at the same exchanges of every epoch");
     }
 

@@ -6,7 +6,7 @@ use crate::error::CannikinError;
 use crate::gns::statistical_efficiency;
 use crate::optperf::{bootstrap_split, even_split, OptPerfSolver};
 use crate::perf::{Analyzer, MeasurementAggregation};
-use crate::policy::{EpochObservation, Policy};
+use crate::policy::Policy;
 
 use cannikin_collectives::CommError;
 use cannikin_telemetry::{
@@ -75,7 +75,7 @@ impl CannikinTrainer {
         config: TrainerConfig,
         policy: Box<dyn Policy>,
     ) -> Self {
-        let exec = SimExecutor { sim, noise, config, effective_epochs: 0.0, cumulative_time: 0.0 };
+        let exec = SimExecutor { sim, noise, config };
         CannikinTrainer { driver: Driver::new(exec, policy) }
     }
 
@@ -120,14 +120,14 @@ impl CannikinTrainer {
 
     /// Cumulative statistically-effective epochs so far.
     pub fn effective_epochs(&self) -> f64 {
-        self.driver.exec.effective_epochs
+        self.driver.effective_epochs
     }
 
     /// The simulated clock so far, s: every epoch's simulated time. The
     /// host's measured planning overhead is not on it (each record's
     /// `overhead_seconds` carries that), so same-seed runs agree bit for bit.
     pub fn cumulative_time(&self) -> f64 {
-        self.driver.exec.cumulative_time
+        self.driver.cumulative_time
     }
 
     /// Epochs run so far (the next epoch's index).
@@ -139,7 +139,7 @@ impl CannikinTrainer {
     /// the demand signal a fleet-level allocator reads to decide whether
     /// this job is starved of statistical efficiency or past its knee.
     pub fn noise_scale_now(&self) -> f64 {
-        self.driver.exec.noise_scale_now()
+        self.driver.exec.noise.noise_scale(self.driver.effective_epochs)
     }
 
     /// Restore checkpointed statistical progress after a full preemption:
@@ -149,8 +149,8 @@ impl CannikinTrainer {
     /// bootstrap (or a [`CannikinTrainer::warm_start`], when the membership
     /// is unchanged).
     pub fn restore_progress(&mut self, effective_epochs: f64, cumulative_time: f64, epochs_run: usize) {
-        self.driver.exec.effective_epochs = effective_epochs;
-        self.driver.exec.cumulative_time = cumulative_time;
+        self.driver.effective_epochs = effective_epochs;
+        self.driver.cumulative_time = cumulative_time;
         self.driver.epoch = epochs_run;
     }
 
@@ -187,13 +187,9 @@ pub(crate) struct SimExecutor {
     sim: Simulator,
     noise: Box<dyn NoiseModel>,
     config: TrainerConfig,
-    effective_epochs: f64,
-    cumulative_time: f64,
 }
 
 impl Executor for SimExecutor {
-    type Report = EpochRecord;
-
     fn nodes(&self) -> usize {
         self.sim.cluster().len()
     }
@@ -207,8 +203,8 @@ impl Executor for SimExecutor {
         }
     }
 
-    fn phi(&self) -> Option<f64> {
-        Some(self.noise_scale_now())
+    fn phi(&self, progress: f64) -> Option<f64> {
+        Some(self.noise.noise_scale(progress))
     }
 
     fn new_analyzer(&self) -> Analyzer {
@@ -229,9 +225,9 @@ impl Executor for SimExecutor {
     /// simulated on every core while this thread visits them: the
     /// analyzer, the telemetry and the fit timing still see each of them
     /// here, in order.
-    fn execute(&mut self, round: Round<'_>) -> Result<Executed<EpochRecord>, CannikinError> {
-        let Round { epoch, plan, plan_seconds, analyzer } = round;
-        let phi = self.noise_scale_now();
+    fn execute(&mut self, round: Round<'_>) -> Result<Executed, CannikinError> {
+        let Round { epoch, progress, plan, plan_seconds, analyzer } = round;
+        let phi = self.noise.noise_scale(progress);
         let (mut total, mut local) = (plan.total, plan.local);
         let accumulation = plan.accumulation;
         let steps = (self.config.dataset_size / total as usize).max(1);
@@ -372,51 +368,34 @@ impl Executor for SimExecutor {
         telemetry::counter("epoch_time_s", epoch_time);
         telemetry::counter("overhead_s", overhead_seconds);
 
-        let efficiency = statistical_efficiency(phi, self.config.base_batch, total);
-        let effective = steps as f64 * total as f64 * efficiency / self.config.dataset_size as f64;
-        self.effective_epochs += effective;
-        self.cumulative_time += epoch_time;
-        let report = EpochRecord {
+        let record = EpochRecord {
             epoch,
             total_batch: total,
-            local_batches: local.clone(),
+            local_batches: local,
             steps,
             accumulation,
             epoch_time,
             mean_batch_time,
-            noise_scale: phi,
-            efficiency,
-            effective_epochs: self.effective_epochs,
-            cumulative_time: self.cumulative_time,
+            noise_scale: Some(phi),
+            efficiency: statistical_efficiency(phi, self.config.base_batch, total),
+            // Progress is the driver's to account.
+            effective_epochs: 0.0,
+            cumulative_time: 0.0,
             overhead_seconds,
             pattern: plan.pattern,
             used_model: plan.used_model,
             faults: faults_seen,
             recoveries,
+            mean_loss: f64::NAN,
+            accuracy: f64::NAN,
+            comm_bytes: 0,
+            comm_overlap: 0.0,
         };
-        // The goodput reward is effective epochs gained per *simulated*
-        // second — excluding wall-clock optimizer overhead keeps learning
-        // policies deterministic under seed.
-        let observation = EpochObservation {
-            epoch,
-            total,
-            local,
-            epoch_time,
-            mean_batch_time,
-            efficiency,
-            goodput: effective / epoch_time,
-            phi: Some(phi),
-            per_sample_times: tell_per_sample,
-        };
-        Ok(Executed { observation, membership_changed, report })
+        Ok(Executed { record, per_sample_times: tell_per_sample, membership_changed })
     }
 }
 
 impl SimExecutor {
-    fn noise_scale_now(&self) -> f64 {
-        self.noise.noise_scale(self.effective_epochs)
-    }
-
     /// Mid-epoch split re-solve after an elastic membership change: keep
     /// the same total batch (clamped into the new cluster's feasible
     /// range), prefer the surviving nodes' learned models, and fall back

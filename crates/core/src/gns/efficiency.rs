@@ -38,6 +38,13 @@ pub fn goodput(noise_scale: f64, base_batch: u64, batch: u64, batch_time: f64) -
     throughput * statistical_efficiency(noise_scale, base_batch, batch)
 }
 
+/// Statistical progress of one epoch, in effective epochs: `steps`
+/// batches of `batch` samples, each sample worth `efficiency` reference
+/// samples, over a dataset of `dataset_size` samples — `steps·B·η/|D|`.
+pub fn epoch_progress(steps: usize, batch: u64, efficiency: f64, dataset_size: usize) -> f64 {
+    steps as f64 * batch as f64 * efficiency / dataset_size as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

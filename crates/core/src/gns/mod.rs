@@ -23,7 +23,7 @@ mod efficiency;
 mod estimators;
 mod weighting;
 
-pub use efficiency::{goodput, statistical_efficiency};
+pub use efficiency::{epoch_progress, goodput, statistical_efficiency};
 pub use estimators::{local_estimates, GnsEstimate, GradientSample, LocalEstimates};
 pub use weighting::{optimal_weights, WeightKind};
 

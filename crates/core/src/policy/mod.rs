@@ -106,10 +106,12 @@ pub struct EpochObservation {
     pub mean_batch_time: f64,
     /// Statistical efficiency at the epoch's φ and `B`.
     pub efficiency: f64,
-    /// Realized goodput — effective epochs gained per second of training
-    /// time (the RL reward signal).
+    /// Realized goodput, in effective epochs per second: the epoch's gain
+    /// `steps·B·η/|D|` over its `epoch_time` (simulated seconds on the
+    /// simulated path, measured wall seconds on the real one). The RL
+    /// reward signal.
     pub goodput: f64,
-    /// φ the epoch planned under, when known.
+    /// The epoch's φ, when known (its record's `noise_scale`).
     pub phi: Option<f64>,
     /// Observed per-sample time per node from the epoch's last batch.
     pub per_sample_times: Vec<f64>,

@@ -7,8 +7,9 @@
 #              at smoke size (plain rustc, ~50 s)
 #   build      release build, proof that it resolved no registry crate, and
 #              that crates/core/src holds no unsafe and reads no environment,
-#              that insight subscribes to the recorder once, and that only
-#              TrainingSubject defines the run loops
+#              that insight subscribes to the recorder once, that only
+#              TrainingSubject defines the run loops, and that EpochRecord
+#              is the one epoch record
 #   test       full workspace test suite
 #   kernels    minidnn's suite again, optimised, under each GEMM kernel policy
 #              (auto, off, avx2), after saying which tile auto is here; then
@@ -85,6 +86,15 @@ stage() {
         loops='fn +(train_until|run_epochs|drive_until) *[(<]'
         if git grep -nE "$loops" -- ':!crates/core/src/engine/subject.rs'; then
             echo "tier1.sh: a run loop is defined outside engine/subject.rs (above); implement TrainingSubject" >&2
+            exit 1
+        fi
+        # One epoch record: both engines and every baseline report
+        # `EpochRecord`; a second per-epoch record type is a second copy of
+        # it. (The frozen benchmark is outside the check.)
+        records=$(git grep -nE 'struct +\w*Epoch(Report|Record)\b' -- '*.rs' ':!crates/benchmark')
+        if [ "$(printf '%s\n' "$records" | wc -l)" -ne 1 ] || [[ "$records" != crates/core/src/engine/mod.rs:*'struct EpochRecord '* ]]; then
+            printf '%s\n' "$records"
+            echo "tier1.sh: the epoch record types are above; EpochRecord in crates/core/src/engine/mod.rs must be the only one" >&2
             exit 1
         fi
         # The builders resolve builder > default; core reads no environment.

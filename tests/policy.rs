@@ -77,7 +77,7 @@ fn record_line(r: &EpochRecord) -> String {
         r.accumulation,
         hex(r.epoch_time),
         hex(r.mean_batch_time),
-        hex(r.noise_scale),
+        hex(r.noise_scale.expect("a simulated epoch knows its φ")),
         hex(r.efficiency),
         hex(r.effective_epochs),
         r.pattern,
