@@ -45,7 +45,7 @@
 //! run and a loop over one job on the eight-node pool):
 //!
 //! - A scaling curve is `cap` full trainings, by far the dearest thing the
-//!   control plane does: 2.8–3.3 ms for the eight-node pool with the
+//!   control plane does: about 2.0 ms for the eight-node pool with the
 //!   replays fanned out over both cores, off the controller's thread and
 //!   outside any telemetry session it belongs to. The knee is at least the
 //!   job's floor and the profiled ask never falls below it, so the curve
@@ -54,7 +54,7 @@
 //!   job's first decision. In `fleet-stream`'s drain at seed 29, 285 of the
 //!   1,200 jobs never leave their floor and never replay.
 //! - A cold [`profiled_nodes`] runs one goodput sweep per node count,
-//!   about 12 solves each: 0.08–0.18 ms over eight counts. A warm
+//!   about 12 solves each: 0.07–0.10 ms over eight counts. A warm
 //!   [`DemandModel`] re-prices a moved φ at one solve per count, about
 //!   11 µs over eight, and an unmoved φ at none.
 

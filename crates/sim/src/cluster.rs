@@ -74,10 +74,10 @@ impl NodeSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `sigma` is negative.
+    /// Panics if `sigma` is negative or not finite.
     #[must_use]
     pub fn with_measurement_sigma(mut self, sigma: f64) -> Self {
-        assert!(sigma >= 0.0, "measurement sigma must be non-negative");
+        assert!((0.0..f64::INFINITY).contains(&sigma), "measurement sigma must be non-negative");
         self.measurement_sigma = sigma;
         self
     }
@@ -87,10 +87,10 @@ impl NodeSpec {
     ///
     /// # Panics
     ///
-    /// Panics if `bias < 0`.
+    /// Panics if `bias < 0` or it is not finite.
     #[must_use]
     pub fn with_measurement_bias(mut self, bias: f64) -> Self {
-        assert!(bias >= 0.0, "measurement bias must be non-negative");
+        assert!((0.0..f64::INFINITY).contains(&bias), "measurement bias must be non-negative");
         self.measurement_bias = bias;
         self
     }
@@ -247,6 +247,18 @@ mod tests {
             vec![NodeSpec::new("a", Gpu::V100), NodeSpec::new("b", Gpu::V100)],
         );
         assert!(c.is_homogeneous());
+    }
+
+    #[test]
+    #[should_panic(expected = "measurement sigma must be non-negative")]
+    fn infinite_measurement_sigma_rejected() {
+        let _ = NodeSpec::new("x", Gpu::V100).with_measurement_sigma(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "measurement bias must be non-negative")]
+    fn infinite_measurement_bias_rejected() {
+        let _ = NodeSpec::new("x", Gpu::V100).with_measurement_bias(f64::INFINITY);
     }
 
     #[test]

@@ -25,15 +25,15 @@
 //! nothing. Every seeded result in the workspace is a function of this
 //! order, so a change that moves it re-blesses every golden.
 //!
-//! Read as generator words — a uniform is one word, a Box–Muller
-//! log-normal two — a synchronized batch on `n` nodes and `K` buckets
-//! draws
+//! Read as generator words — a uniform is one word, and so is a
+//! log-normal, the inverse normal CDF of one uniform — a synchronized
+//! batch on `n` nodes and `K` buckets draws
 //!
 //! ```text
-//! n·(s + 4·c) + 2·K·m + Σ_i 6·[σ_i ≠ 0]
+//! n·(s + 2·c) + K·m + Σ_i 3·[σ_i ≠ 0]
 //! ```
 //!
-//! and a no-sync micro-batch `n·(s + 4·c)`, where `s` is 1 when stragglers
+//! and a no-sync micro-batch `n·(s + 2·c)`, where `s` is 1 when stragglers
 //! are enabled, `c` is 1 when the compute noise is not zero and `m` is 1
 //! when the communication noise is not zero. None of these depends on a
 //! drawn value, so a fault-free step — `accumulation − 1` micro-batches,
@@ -64,14 +64,15 @@ use std::thread;
 /// one; a node-batch is one node's share of one simulated batch, so a step
 /// at accumulation `A` is `A` of them per node. Workers start once per run:
 /// on the two-core x86-64 host this was sized on, a scoped spawn + join
-/// took 20–50 µs and a node-batch 0.28–0.40 µs of simulation, so a thread's
-/// share carries about five times its spawn. Every `fleet-stream` epoch
+/// took 20–50 µs and a node-batch 0.20–0.31 µs of simulation, so a thread's
+/// share carries three to five times its spawn; a threshold and part a
+/// third larger measured the same. Every `fleet-stream` epoch
 /// (at most 800 node-batches) and the 64-step, 16-node probe behind
 /// `sim.simulate_us_per_step` stay on one thread.
 pub const THREAD_NODE_BATCHES: usize = 850;
 
 /// Node-batches of the contiguous part of a run a thread claims at a time,
-/// rounded down to whole steps and at least one: about 30–40 µs of
+/// rounded down to whole steps and at least one: about 20–35 µs of
 /// simulation against one atomic claim, and the unit the window of traces
 /// is counted in.
 pub const PART_NODE_BATCHES: usize = 106;
@@ -151,11 +152,11 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 <= prob < 1` and `factor >= 1`.
+    /// Panics unless `0 <= prob < 1` and `1 <= factor < ∞`.
     #[must_use]
     pub fn with_stragglers(mut self, prob: f64, factor: f64) -> Self {
         assert!((0.0..1.0).contains(&prob), "straggler probability must be in [0, 1)");
-        assert!(factor >= 1.0, "straggler factor must be >= 1");
+        assert!((1.0..f64::INFINITY).contains(&factor), "straggler factor must be >= 1");
         self.straggler_prob = prob;
         self.straggler_factor = factor;
         self
@@ -165,10 +166,11 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if either value is negative.
+    /// Panics if either value is negative or not finite.
     #[must_use]
     pub fn with_noise(mut self, compute: f64, comm: f64) -> Self {
-        assert!(compute >= 0.0 && comm >= 0.0, "noise levels must be non-negative");
+        let level = 0.0..f64::INFINITY;
+        assert!(level.contains(&compute) && level.contains(&comm), "noise levels must be non-negative");
         self.compute_noise = compute;
         self.comm_noise = comm;
         self
@@ -542,7 +544,7 @@ impl Simulator {
     /// Generator words one fault-free optimizer step draws: the module
     /// header's count, from its draw order.
     fn step_words(&self, accumulation: usize) -> usize {
-        let drawn = |sigma: f64| if sigma == 0.0 { 0 } else { 2 };
+        let drawn = |sigma: f64| usize::from(sigma != 0.0);
         let per_node = usize::from(self.straggler_prob > 0.0) + 2 * drawn(self.compute_noise);
         let buckets = self.job.num_buckets * drawn(self.comm_noise);
         let measurements: usize = self.cluster.nodes.iter().map(|node| 3 * drawn(node.measurement_sigma)).sum();
@@ -648,20 +650,108 @@ fn uniform(rng: &mut StdRng) -> f64 {
     rng.random::<f64>()
 }
 
+/// `exp(σ·z)` for a standard normal `z` drawn from one generator word;
+/// `σ = 0` draws nothing.
 fn lognormal(rng: &mut StdRng, sigma: f64) -> f64 {
+    use rand::Rng;
     if sigma == 0.0 {
         return 1.0;
     }
-    minidnn_normal(rng, sigma).exp()
+    (sigma * standard_normal(rng.next_u64())).exp()
 }
 
-/// Box–Muller standard normal scaled by sigma (duplicated from `minidnn`
-/// to keep `hetsim` dependency-free of the DNN crate).
-fn minidnn_normal(rng: &mut StdRng, sigma: f64) -> f64 {
-    use rand::RngExt;
-    let u1: f64 = 1.0 - rng.random::<f64>();
-    let u2: f64 = rng.random::<f64>();
-    sigma * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+/// The standard normal quantile of `u = (k + ½)·2⁻⁵³ ∈ (0, 1)`, where `k`
+/// is the word's top 53 bits. The upper half is drawn as the mirror of the
+/// lower one — `k` and `2⁵³ − 1 − k` give `−z` and `z` — so `u` is never
+/// rounded to 1 and both tails end at `|z| ≈ 8.29`.
+fn standard_normal(word: u64) -> f64 {
+    const HALF: u64 = 1 << 52;
+    let k = word >> 11;
+    let upper = k / HALF;
+    let lower = if upper == 1 { 2 * HALF - 1 - k } else { k };
+    let z = inverse_normal_cdf((lower as f64 + 0.5) / (2 * HALF) as f64);
+    f64::from_bits(z.to_bits() ^ (upper << 63))
+}
+
+/// `Φ⁻¹(p)` for `p ∈ (0, 1)`: Wichura's AS 241 (PPND16), about 1e-16
+/// relative. One rational function of `(p − ½)²` covers the central 85 %
+/// of `p`; in the tails two more are in `√(−ln min(p, 1 − p))`.
+fn inverse_normal_cdf(p: f64) -> f64 {
+    const A: [f64; 8] = [
+        3.3871328727963665,
+        133.14166789178438,
+        1971.5909503065513,
+        13731.69376550946,
+        45921.95393154987,
+        67265.7709270087,
+        33430.57558358813,
+        2509.0809287301227,
+    ];
+    const B: [f64; 8] = [
+        1.0,
+        42.31333070160091,
+        687.1870074920579,
+        5394.196021424751,
+        21213.794301586597,
+        39307.89580009271,
+        28729.085735721943,
+        5226.495278852854,
+    ];
+    const C: [f64; 8] = [
+        1.4234371107496835,
+        4.630337846156546,
+        5.769497221460691,
+        3.6478483247632045,
+        1.2704582524523684,
+        0.2417807251774506,
+        0.022723844989269184,
+        0.0007745450142783414,
+    ];
+    const D: [f64; 8] = [
+        1.0,
+        2.053191626637759,
+        1.6763848301838038,
+        0.6897673349851,
+        0.14810397642748008,
+        0.015198666563616457,
+        0.0005475938084995345,
+        1.0507500716444169e-9,
+    ];
+    const E: [f64; 8] = [
+        6.657904643501103,
+        5.463784911164114,
+        1.7848265399172913,
+        0.29656057182850487,
+        0.026532189526576124,
+        0.0012426609473880784,
+        2.7115555687434876e-5,
+        2.0103343992922881e-7,
+    ];
+    const F: [f64; 8] = [
+        1.0,
+        0.599832206555888,
+        0.1369298809227358,
+        0.014875361290850615,
+        0.0007868691311456133,
+        1.8463183175100548e-5,
+        1.421511758316446e-7,
+        2.0442631033899397e-15,
+    ];
+    let rational = |num: &[f64; 8], den: &[f64; 8], r: f64| {
+        let horner = |c: &[f64; 8]| c[..7].iter().rev().fold(c[7], |acc, &ci| acc * r + ci);
+        horner(num) / horner(den)
+    };
+    let q = p - 0.5;
+    if q.abs() <= 0.425 {
+        return q * rational(&A, &B, 0.180625 - q * q);
+    }
+    let r = (-(if q < 0.0 { p } else { 1.0 - p }).ln()).sqrt();
+    let x = if r <= 5.0 { rational(&C, &D, r - 1.6) } else { rational(&E, &F, r - 5.0) };
+    if q < 0.0 {
+        -x
+    } else {
+        x
+    }
 }
 
 #[cfg(test)]
@@ -830,6 +920,67 @@ mod tests {
         let mut sim = Simulator::new(small_cluster(), JobSpec::resnet18_cifar10(), 14);
         let words = sim.step_words(1);
         sim.stream(2, &[8, 8, 8], 1, 200, words + 1, &mut |_| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "noise levels must be non-negative")]
+    fn infinite_noise_is_rejected() {
+        let _ = Simulator::new(small_cluster(), JobSpec::resnet18_cifar10(), 15).with_noise(0.02, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "straggler factor must be >= 1")]
+    fn infinite_straggler_factor_is_rejected() {
+        let _ = Simulator::new(small_cluster(), JobSpec::resnet18_cifar10(), 16).with_stragglers(0.1, f64::INFINITY);
+    }
+
+    #[test]
+    fn inverse_normal_cdf_matches_reference_quantiles() {
+        // Φ⁻¹ of each f64 `p` exactly, to 25 digits (mpmath, 50-digit
+        // arithmetic), rounded to the nearest f64.
+        let phi_of_one = 0.8413447460685429;
+        for (p, reference) in [
+            (1e-10, -6.361340902404056),
+            (1e-3, -3.0902323061678136),
+            (0.025, -1.9599639845400543),
+            (0.7, 0.5244005127080407),
+            (0.975, 1.9599639845400538),
+            (0.999, 3.090232306167813),
+            (phi_of_one, 0.9999999999999999),
+        ] {
+            let z = inverse_normal_cdf(p);
+            assert!(((z - reference) / reference).abs() <= 4e-16, "Φ⁻¹({p}) = {z}, reference {reference}");
+        }
+    }
+
+    #[test]
+    fn extreme_words_give_finite_mirrored_tails() {
+        let (low, high) = (standard_normal(0), standard_normal(u64::MAX));
+        assert!(low.is_finite() && low < -8.0 && low > -8.6, "word 0 gives {low}");
+        assert_eq!(high, -low, "the top word mirrors the bottom one");
+        assert_eq!(standard_normal(0x8000_0000_0000_0000), -standard_normal(0x7FFF_FFFF_FFFF_FFFF));
+    }
+
+    #[test]
+    fn a_million_draws_have_the_normal_moments() {
+        // Bounds are five standard errors at n = 10⁶: the mean's is 1e-3,
+        // the variance's √2·1e-3, and exp(σz)'s mean's ≈ σ·1e-3.
+        let mut rng = StdRng::seed_from_u64(17);
+        let (n, sigma) = (1_000_000, 0.05);
+        let (mut sum, mut sum_sq, mut sum_exp) = (0.0, 0.0, 0.0);
+        for _ in 0..n {
+            let z = standard_normal(rng.next_u64());
+            sum += z;
+            sum_sq += z * z;
+            sum_exp += (sigma * z).exp();
+        }
+        let mean = sum / n as f64;
+        let variance = sum_sq / n as f64 - mean * mean;
+        let exp_mean = sum_exp / n as f64;
+        assert!(mean.abs() < 5e-3, "mean {mean}");
+        assert!((variance - 1.0).abs() < 7.1e-3, "variance {variance}");
+        let lognormal_mean = (sigma * sigma / 2.0).exp();
+        assert!((exp_mean / lognormal_mean - 1.0).abs() < 2.5e-4, "E[exp(σz)] {exp_mean} vs {lognormal_mean}");
     }
 
     #[test]

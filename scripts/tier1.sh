@@ -8,8 +8,9 @@
 #   build      release build, proof that it resolved no registry crate, and
 #              that crates/core/src holds no unsafe and reads no environment,
 #              that insight subscribes to the recorder once, that only
-#              TrainingSubject defines the run loops, and that EpochRecord
-#              is the one epoch record
+#              TrainingSubject defines the run loops, that EpochRecord
+#              is the one epoch record, and that the simulator draws its
+#              normals without trig
 #   test       full workspace test suite
 #   kernels    minidnn's suite again, optimised, under each GEMM kernel policy
 #              (auto, off, avx2), after saying which tile auto is here; then
@@ -95,6 +96,12 @@ stage() {
         if [ "$(printf '%s\n' "$records" | wc -l)" -ne 1 ] || [[ "$records" != crates/core/src/engine/mod.rs:*'struct EpochRecord '* ]]; then
             printf '%s\n' "$records"
             echo "tier1.sh: the epoch record types are above; EpochRecord in crates/core/src/engine/mod.rs must be the only one" >&2
+            exit 1
+        fi
+        # One normal sampler in the simulator: its log-normal noise is the
+        # inverse normal CDF of one generator word (event.rs), with no trig.
+        if git grep -nE '\.(sin|cos|sin_cos)\(' -- crates/sim/src; then
+            echo "tier1.sh: crates/sim/src calls trig (above); hetsim draws its normals through event.rs's inverse normal CDF" >&2
             exit 1
         fi
         # The builders resolve builder > default; core reads no environment.
