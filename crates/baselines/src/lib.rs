@@ -9,11 +9,16 @@
 //! [`TrainingSubject`], so every harness runs any of them through the
 //! same loop and compares like for like.
 //!
-//! Two baselines differ from Cannikin only in *what they plan*, so they
+//! Three baselines differ from Cannikin only in *what they plan*, so they
 //! are not trainers of their own but a [`CannikinTrainer`] over the same
 //! simulated executor and epoch loop, configured with the baseline's
 //! policy:
 //!
+//! - [`System::Ddp`] — PyTorch DistributedDataParallel: Cannikin with the
+//!   heterogeneity awareness taken out, an even local split
+//!   ([`PolicyKind::Even`]) at a fixed total batch. A crash is a
+//!   checkpoint-restart: the caller removes the node and charges the lost
+//!   work through [`CannikinTrainer::restore_progress`].
 //! - [`System::AdaptDl`] — AdaptDL/Pollux: goodput-adaptive *total* batch
 //!   size, but the homogeneous assumption keeps local splits even
 //!   ([`PolicyKind::Even`]) and cluster constants are fused by a naive
@@ -24,10 +29,8 @@
 //!   equal compute times ([`PolicyKind::LbBsp`]); no
 //!   communication/computation-overlap model.
 //!
-//! The other two model different physics and keep their own structs:
+//! One models different physics and keeps its own struct:
 //!
-//! - [`DdpTrainer`] — PyTorch DistributedDataParallel: fixed total batch,
-//!   even local split, checkpoint-restart on a crash.
 //! - [`HetPipeTrainer`] — HetPipe: pipelined model parallelism with
 //!   speed-proportional stage partitioning; excellent utilization but a
 //!   pipeline-fill bubble and a fixed batch size.
@@ -35,10 +38,8 @@
 //! A new controller to compare is one more row here plus the subject it
 //! builds.
 
-mod ddp;
 mod hetpipe;
 
-pub use ddp::DdpTrainer;
 pub use hetpipe::HetPipeTrainer;
 
 use cannikin_core::engine::{
@@ -107,7 +108,8 @@ impl System {
     ///
     /// [`CannikinError::InvalidConfig`] when `base_batch` cannot give every
     /// node one sample, the dataset cannot hold one base batch, or — on
-    /// the rows the Cannikin engine runs — `max_batch` is below it.
+    /// the rows that read `max_batch`, all but DDP, LB-BSP and HetPipe —
+    /// `max_batch` is below it.
     pub fn build(
         self,
         sim: Simulator,
@@ -122,19 +124,18 @@ impl System {
         }
         check_dataset_size(dataset_size, base_batch)?;
         let policy = match self {
-            System::Ddp => return Ok(Box::new(DdpTrainer::new(sim, noise, dataset_size, base_batch, base_batch))),
             System::HetPipe => {
                 return Ok(Box::new(HetPipeTrainer::new(sim, noise, dataset_size, base_batch, base_batch)))
             }
             System::Cannikin | System::CannikinFixed => PolicyKind::OptPerf,
-            System::AdaptDl => PolicyKind::Even,
+            System::AdaptDl | System::Ddp => PolicyKind::Even,
             System::LbBsp => PolicyKind::LbBsp,
             System::Rl => PolicyKind::Rl,
         };
-        // LB-BSP's range is the one batch it trains at.
-        let max_batch = if self == System::LbBsp { base_batch } else { max_batch };
+        // DDP's and LB-BSP's range is the one batch they train at.
+        let max_batch = if matches!(self, System::Ddp | System::LbBsp) { base_batch } else { max_batch };
         let mut config = TrainerConfig::new(dataset_size, base_batch, max_batch);
-        config.adaptive_batch = !matches!(self, System::CannikinFixed | System::LbBsp);
+        config.adaptive_batch = !matches!(self, System::CannikinFixed | System::Ddp | System::LbBsp);
         if self == System::AdaptDl {
             config.aggregation = MeasurementAggregation::NaiveMean;
         }
@@ -186,9 +187,11 @@ mod tests {
     }
 
     use cannikin_core::engine::LinearNoiseGrowth;
+    use cannikin_telemetry::{Event, Session};
     use hetsim::catalog::Gpu;
     use hetsim::cluster::{ClusterSpec, NodeSpec};
     use hetsim::job::JobSpec;
+    use hetsim::FaultPlan;
 
     fn sim(job: JobSpec, seed: u64) -> Simulator {
         let cluster = ClusterSpec::new(
@@ -273,17 +276,43 @@ mod tests {
 
     #[test]
     fn adaptdl_splits_stay_even_while_batch_adapts() {
-        let noise = Box::new(LinearNoiseGrowth { initial: 500.0, rate: 2.0 });
-        let mut t =
-            System::AdaptDl.build(sim(JobSpec::resnet18_cifar10(), 4), noise, 50_000, 64, 4096).expect("valid config");
-        let records = t.run_epochs(8).expect("run");
-        for r in &records {
-            let max = *r.local_batches.iter().max().unwrap();
-            let min = *r.local_batches.iter().min().unwrap();
-            assert!(max - min <= 1, "even split violated: {:?}", r.local_batches);
+        for system in [System::AdaptDl, System::Ddp] {
+            let noise = Box::new(LinearNoiseGrowth { initial: 500.0, rate: 2.0 });
+            let mut t = system.build(sim(JobSpec::resnet18_cifar10(), 4), noise, 50_000, 64, 4096).expect("valid config");
+            let records = t.run_epochs(8).expect("run");
+            for r in &records {
+                let max = *r.local_batches.iter().max().unwrap();
+                let min = *r.local_batches.iter().min().unwrap();
+                assert!(max - min <= 1, "{}: even split violated: {:?}", system.label(), r.local_batches);
+            }
+            if system == System::Ddp {
+                // DDP's batch is pinned at B0, whatever the range, so every
+                // epoch runs at unit statistical efficiency.
+                for r in &records {
+                    assert_eq!(r.total_batch, 64);
+                    assert!((r.efficiency - 1.0).abs() < 1e-12, "B = B0 gives unit efficiency");
+                }
+            } else {
+                // AdaptDL's batch size must eventually move off B0.
+                assert!(records.iter().any(|r| r.total_batch != 64));
+            }
         }
-        // Batch size must eventually move off B0.
-        assert!(records.iter().any(|r| r.total_batch != 64));
+    }
+
+    /// DDP steps through the same fault-aware loop as every other row, so
+    /// a straggler it trains through is counted on its records and in the
+    /// trace alike.
+    #[test]
+    fn ddp_reports_the_faults_it_trains_through() {
+        let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+        let sim = sim(JobSpec::resnet18_cifar10(), 8).with_fault_plan(FaultPlan::straggler_onset(8, 2, 100, 2.5));
+        let mut ddp = System::Ddp.build(sim, noise, 6_400, 64, 512).expect("valid config");
+        let session = Session::start();
+        let records = ddp.run_epochs(3).expect("run");
+        let injected = session.drain().iter().filter(|r| matches!(r.event, Event::FaultInjected(_))).count();
+        let faults: u32 = records.iter().map(|r| r.faults).sum();
+        assert!(faults > 0, "the straggler after step 100 must register");
+        assert_eq!(faults as usize, injected, "records and trace disagree");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!    crash in-band (evict, re-solve, continue) while static DDP pays a
 //!    checkpoint-restart round trip — is asserted end to end.
 
-use cannikin_baselines::{time_to_target, DdpTrainer, HetPipeTrainer, System};
+use cannikin_baselines::{time_to_target, HetPipeTrainer, System};
 use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig, TrainingSubject};
 use cannikin_core::optperf::even_split;
+use cannikin_core::policy::PolicyKind;
 use hetsim::catalog::Gpu;
 use hetsim::cluster::{ClusterSpec, NodeSpec};
 use hetsim::job::JobSpec;
@@ -47,7 +48,7 @@ fn even_split_is_bottlenecked_by_the_slowest_node() {
 fn ddp_mean_batch_time_tracks_the_ideal_model() {
     let sim = Simulator::new(cluster(), JobSpec::resnet50_imagenet(), 7);
     let ideal = sim.ideal_batch_time(&even_split(120, 3));
-    let mut ddp = DdpTrainer::new(sim, noise(), 12_000, 120, 120);
+    let mut ddp = System::Ddp.build(sim, noise(), 12_000, 120, 120).expect("valid config");
     let r = ddp.next_epoch().expect("epoch");
     let rel = (r.mean_batch_time - ideal).abs() / ideal;
     assert!(rel < 0.25, "measured {} vs ideal {ideal}: off by {rel}", r.mean_batch_time);
@@ -101,15 +102,37 @@ fn cannikin_recovers_from_a_crash_faster_than_static_ddp() {
     assert!(records.iter().any(|r| r.faults > 0), "the crash must register");
     assert_eq!(records.last().unwrap().local_batches.len(), 2, "survivor split");
 
-    // Static DDP: the same crash kills the job halfway through epoch 1;
-    // the half epoch is lost and a restart round trip is charged before
-    // training resumes (even split) on the survivors.
+    // Static DDP — `System::Ddp`'s configuration, kept concrete to reach
+    // the simulator: the same crash kills the job halfway through epoch
+    // 1. A collective cannot shrink in flight, so the process group
+    // aborts, the half epoch is lost, and the job restarts on the
+    // survivors from the epoch-0 checkpoint after a 30 s round trip
+    // (detection, rescheduling, checkpoint reload, process-group re-init).
     let sim = Simulator::new(cluster(), job, 21);
-    let mut ddp = DdpTrainer::new(sim, noise(), 6_400, 64, 64);
+    let mut config = TrainerConfig::new(6_400, 64, 64);
+    config.adaptive_batch = false;
+    let mut ddp = CannikinTrainer::builder()
+        .simulator(sim)
+        .noise_boxed(noise())
+        .config(config)
+        .policy(PolicyKind::Even)
+        .build()
+        .expect("valid config");
     let mut ddp_records = vec![ddp.next_epoch().expect("epoch")];
-    ddp.handle_crash(1, 0.5, 30.0);
+    let steps = 6_400 / 64;
+    let lost = ddp.simulator_mut().ideal_batch_time(&even_split(64, 3)) * steps as f64 * 0.5;
+    ddp.simulator_mut().remove_node(1);
+    ddp.on_cluster_change();
+    let restart = lost + 30.0;
+    ddp.restore_progress(ddp.effective_epochs(), ddp.cumulative_time() + restart, ddp.epochs_run());
     ddp_records.extend(ddp.train_until(target, 60).expect("ddp run"));
     let t_ddp = time_to_target(&ddp_records, target).expect("ddp reaches the target");
+    let resumed = &ddp_records[1];
+    assert_eq!(resumed.local_batches, vec![32, 32], "even split over the survivors");
+    // The lost half epoch and the restart are on the clock, with no
+    // statistical progress for them.
+    let clock = resumed.cumulative_time - ddp_records[0].cumulative_time;
+    assert!(clock > resumed.epoch_time + 30.0 - 1e-9, "clock {clock} must include lost work + restart");
 
     assert!(
         t_cannikin < t_ddp,

@@ -398,7 +398,7 @@ impl Executor for ThreadedExecutor {
         let odd = measurement_variant(&local);
         let schedule = self.loader.next_epoch_alternating(&local, &odd);
         let steps = schedule.steps().max(1);
-        let step_totals = [local.iter().sum::<u64>(), odd.iter().sum::<u64>()];
+        let step_total = local.iter().sum::<u64>();
         let phi = self.tracker.noise_scale();
         let lr = self.config.lr_scaler.scaled_lr(self.config.base_lr, self.config.base_batch, total, phi);
         // A fault plan's presence is what arms the exchange's retry.
@@ -416,7 +416,7 @@ impl Executor for ThreadedExecutor {
         }
         let shared = EpochArgs {
             dataset: &self.dataset,
-            step_totals,
+            step_total,
             seed: self.config.seed,
             steps,
             // Each replica thread gets a proportional share of the kernel
@@ -571,8 +571,9 @@ impl Executor for ThreadedExecutor {
 /// What every rank of one epoch is handed, besides its own state.
 struct EpochArgs<'a> {
     dataset: &'a ClassificationDataset,
-    /// Total batch of even and of odd steps.
-    step_totals: [u64; 2],
+    /// Total batch of every step: the odd steps' measurement variant
+    /// moves samples between nodes, never in or out.
+    step_total: u64,
     seed: u64,
     steps: usize,
     kernel_threads: usize,
@@ -677,7 +678,7 @@ fn run_rank(
     slowdown: f64,
     shared: &EpochArgs<'_>,
 ) -> Result<(RankState, RankOutput), CommError> {
-    let &EpochArgs { dataset, step_totals, seed, steps, kernel_threads, retry, epoch, ref buckets, session } = shared;
+    let &EpochArgs { dataset, step_total, seed, steps, kernel_threads, retry, epoch, ref buckets, session } = shared;
     let RankState { model, opt, feedback, comm } = &mut state;
     // Cap this replica's matmul fan-out at its share of the budget for the
     // lifetime of the rank thread.
@@ -705,7 +706,7 @@ fn run_rank(
     let mut g: Vec<f32> = Vec::new();
     for (step, batch_indices) in batches.iter().take(steps).enumerate() {
         let _step_span = telemetry::span("step");
-        let ratio = batch_indices.len() as f64 / step_totals[step % 2] as f64;
+        let ratio = batch_indices.len() as f64 / step_total as f64;
         // Forward (+ data load) — the `a_i` phase — on the node's clock.
         let mut clock = NodeClock::start(slowdown);
         let (x, y) = dataset.batch(batch_indices);
@@ -1515,6 +1516,22 @@ mod tests {
             let second = owed(3.0, ms(20), wall);
             assert_eq!(second, ms(20 - over), "oversleep {over} ms");
             assert_eq!(wall + second, ms(60), "the step still ends at 3 × its CPU time");
+        }
+    }
+
+    /// Every step of an epoch weighs its gradient by one total, so the
+    /// odd steps' variant must keep the split's length and sum, and give
+    /// no node fewer than one sample.
+    #[test]
+    fn measurement_variant_keeps_length_sum_and_floor() {
+        for n in 1..=4u32 {
+            for code in 0..12u64.pow(n) {
+                let split: Vec<u64> = (0..n).map(|i| code / 12u64.pow(i) % 12 + 1).collect();
+                let odd = measurement_variant(&split);
+                assert_eq!(odd.len(), split.len(), "{split:?} -> {odd:?}");
+                assert_eq!(odd.iter().sum::<u64>(), split.iter().sum::<u64>(), "{split:?} -> {odd:?}");
+                assert!(odd.iter().all(|&b| b >= 1), "{split:?} -> {odd:?}");
+            }
         }
     }
 

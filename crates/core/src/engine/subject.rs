@@ -8,11 +8,12 @@
 //! target" provided here once instead of re-implemented per system.
 //!
 //! `cannikin-core` implements it for [`CannikinTrainer`] (which is also
-//! what the AdaptDL and LB-BSP baselines are) and, in `parallel.rs`, for
-//! the real-gradient [`ParallelTrainer`](super::ParallelTrainer);
-//! `cannikin-baselines` implements it for the DDP and
-//! HetPipe trainers and builds every compared simulated system from one
-//! `System` row.
+//! what the DDP, AdaptDL and LB-BSP baselines are: a policy row over the
+//! same loop) and, in `parallel.rs`, for the real-gradient
+//! [`ParallelTrainer`](super::ParallelTrainer); `cannikin-baselines`
+//! implements it only for the HetPipe trainer, whose pipeline physics
+//! differ, and builds every compared simulated system from one `System`
+//! row.
 
 use super::{CannikinTrainer, EpochRecord};
 use crate::error::CannikinError;
@@ -24,8 +25,9 @@ pub trait TrainingSubject {
     /// # Errors
     ///
     /// Implementations with a fallible epoch (a fault plan that wedges the
-    /// run) propagate that error; the
-    /// DDP and HetPipe baselines are infallible and always return `Ok`.
+    /// run) propagate that error — every policy row over
+    /// [`CannikinTrainer`], DDP's included; the HetPipe baseline is
+    /// infallible and always returns `Ok`.
     fn next_epoch(&mut self) -> Result<EpochRecord, CannikinError>;
 
     /// Cumulative statistically-effective epochs of progress so far.

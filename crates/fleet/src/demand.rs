@@ -58,7 +58,7 @@
 //!   [`DemandModel`] re-prices a moved φ at one solve per count, about
 //!   11 µs over eight, and an unmoved φ at none.
 
-use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, TrainerConfig};
+use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, TrainerConfig, TrainingSubject};
 use cannikin_core::goodput::GoodputEngine;
 use cannikin_core::optperf::{OptPerfSolver, SolverInput};
 use hetsim::cluster::{ClusterSpec, NodeSpec};
@@ -224,14 +224,8 @@ pub fn measured_scaling_curve(
             .build()
             .ok()
             .and_then(|mut trainer| {
-                let mut elapsed = 0.0;
-                for _ in 0..MEASURE_EPOCH_BUDGET {
-                    elapsed += trainer.run_epoch().ok()?.epoch_time;
-                    if trainer.effective_epochs() >= target_effective_epochs {
-                        return Some(elapsed);
-                    }
-                }
-                None
+                trainer.train_until(target_effective_epochs, MEASURE_EPOCH_BUDGET).ok()?;
+                (trainer.progress() >= target_effective_epochs).then(|| trainer.cumulative_time())
             })
             .unwrap_or(f64::INFINITY)
     };

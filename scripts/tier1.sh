@@ -8,9 +8,10 @@
 #   build      release build, proof that it resolved no registry crate, and
 #              that crates/core/src holds no unsafe and reads no environment,
 #              that insight subscribes to the recorder once, that only
-#              TrainingSubject defines the run loops, that EpochRecord
-#              is the one epoch record, and that the simulator draws its
-#              normals without trig
+#              TrainingSubject defines the run loops, that only HetPipe
+#              implements it outside core, that EpochRecord is the one
+#              epoch record, and that the simulator draws its normals
+#              without trig
 #   test       full workspace test suite
 #   kernels    minidnn's suite again, optimised, under each GEMM kernel policy
 #              (auto, off, avx2), after saying which tile auto is here; then
@@ -87,6 +88,14 @@ stage() {
         loops='fn +(train_until|run_epochs|drive_until) *[(<]'
         if git grep -nE "$loops" -- ':!crates/core/src/engine/subject.rs'; then
             echo "tier1.sh: a run loop is defined outside engine/subject.rs (above); implement TrainingSubject" >&2
+            exit 1
+        fi
+        # One epoch loop: every compared system that steps data-parallel
+        # batches is a policy row over CannikinTrainer (crates/baselines
+        # `System::build`); outside core only HetPipe, whose pipeline
+        # physics differ, is a TrainingSubject of its own.
+        if git grep -nE 'impl +TrainingSubject +for' -- '*.rs' ':!crates/core' ':!crates/baselines/src/hetpipe.rs'; then
+            echo "tier1.sh: a TrainingSubject is implemented outside crates/core (above); build the system as a System row over CannikinTrainer" >&2
             exit 1
         fi
         # One epoch record: both engines and every baseline report
