@@ -129,45 +129,21 @@ struct ManagedJob {
     records: Vec<EpochRecord>,
     fifo_rank: usize,
     slice: usize,
-    /// The measured scaling knee that caps the job's GNS-driven ask, or
-    /// the pool to measure it on; `None` before the job's first decision
-    /// and under the baseline policies.
-    scaling: Option<ScalingCurve>,
-    /// Warm demand pricing over the ranked live pool ids it was built on.
+    /// Warm demand pricing and the predicted scaling curve over the ranked
+    /// live pool ids they were built on.
     pricing: Option<(Vec<usize>, demand::DemandModel)>,
 }
 
-/// A job's realized scaling, measured the first time it can change a
-/// decision.
-enum ScalingCurve {
-    /// The ranked live pool ids at the job's first decision: the curve is
-    /// measured on this pool, whenever that is.
-    Unmeasured(Vec<usize>),
-    /// Time-to-target per node count (entry `k - 1` = `k` nodes).
-    Measured(Vec<f64>),
-}
-
 impl ManagedJob {
-    /// GNS-justified node demand at noise scale `phi` over the pool nodes
-    /// `ranked_ids`, fastest first. The pricing model is rebuilt only when
-    /// the ranking moved (a node died).
-    fn statistical_nodes(
-        &mut self,
-        pool: &NodePool,
-        ranked_ids: &[usize],
-        phi: f64,
-        min_nodes: usize,
-        cap: usize,
-    ) -> usize {
-        let pricing = match &mut self.pricing {
-            Some((ids, model)) if ids.as_slice() == ranked_ids => model,
-            stale => {
-                let ranked: Vec<NodeSpec> = ranked_ids.iter().map(|&id| pool.spec(id).clone()).collect();
-                let model = demand::DemandModel::new(&self.spec.job, &self.spec.config, &ranked);
-                &mut stale.insert((ranked_ids.to_vec(), model)).1
-            }
-        };
-        pricing.want(phi, min_nodes, cap)
+    /// The job's demand model over the pool nodes `ranked_ids`, fastest
+    /// first, rebuilt only when the ranking moved (a node died).
+    fn demand_model(&mut self, pool: &NodePool, ranked_ids: &[usize]) -> &mut demand::DemandModel {
+        if !matches!(&self.pricing, Some((ids, _)) if ids.as_slice() == ranked_ids) {
+            let ranked: Vec<NodeSpec> = ranked_ids.iter().map(|&id| pool.spec(id).clone()).collect();
+            let model = demand::DemandModel::new(&self.spec.job, &self.spec.config, &ranked);
+            self.pricing = Some((ranked_ids.to_vec(), model));
+        }
+        &mut self.pricing.as_mut().expect("built above").1
     }
 }
 
@@ -188,7 +164,10 @@ impl FleetController {
     /// # Errors
     ///
     /// Rejects an empty pool, duplicate job names, a non-finite arrival,
-    /// non-positive targets, a node range with `min_nodes` zero or above
+    /// a target that is not positive and finite, a noise growth whose φ
+    /// could fall to zero or leave the finite range (an `initial` that is
+    /// not positive and finite, a `rate` that is negative or not finite),
+    /// a node range with `min_nodes` zero or above
     /// `max_nodes`, a `min_nodes` no allocation could ever satisfy, and a
     /// `min_nodes` larger than the job's base batch (every node needs ≥ 1
     /// sample).
@@ -231,11 +210,21 @@ impl FleetController {
                     s.name, s.min_nodes, s.config.base_batch
                 )));
             }
-            // NaN-safe: only a strictly positive finite target passes.
-            if s.target_effective_epochs.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+            // NaN-safe: only a strictly positive finite target passes. An
+            // infinite one would train, and predict its knee, forever.
+            if !(s.target_effective_epochs.is_finite() && s.target_effective_epochs > 0.0) {
                 return Err(FleetError::InvalidSpec(format!(
-                    "job {}: target effective epochs must be positive",
+                    "job {}: target effective epochs must be positive and finite",
                     s.name
+                )));
+            }
+            // φ = initial·(1 + rate·t) must stay positive and finite for
+            // every t ≥ 0, or pricing a statistical efficiency panics.
+            let noise = s.noise;
+            if !(noise.initial.is_finite() && noise.initial > 0.0 && noise.rate.is_finite() && noise.rate >= 0.0) {
+                return Err(FleetError::InvalidSpec(format!(
+                    "job {}: noise growth needs a positive finite initial scale and a finite rate >= 0, got ({}, {})",
+                    s.name, noise.initial, noise.rate
                 )));
             }
             // The trainer runs without gradient accumulation, so a job
@@ -288,7 +277,6 @@ impl FleetController {
                 records: Vec::new(),
                 fifo_rank: rank[i],
                 slice: slice_base + usize::from(rank[i] < slice_extra),
-                scaling: None,
                 pricing: None,
             })
             .collect();
@@ -529,35 +517,20 @@ impl FleetController {
             } else {
                 job.spec.min_nodes.min(cap)
             };
-            // GNS-justified parallelism, capped by the measured knee:
+            // GNS-justified parallelism, capped by the predicted knee:
             // never ask past what the noise scale can absorb, nor past
-            // where realized scaling stopped paying.
-            let statistical = job.statistical_nodes(&self.pool, &ranked_ids, phi, min_eff, cap);
+            // where scaling stops paying.
+            let spec = &job.spec;
+            let (policy, noise, target) = (spec.policy, spec.noise, spec.target_effective_epochs);
+            let model = job.demand_model(&self.pool, &ranked_ids);
+            let statistical = model.want(phi, min_eff, cap);
             // Only the adaptive policy reads the knee. It is at least the
             // floor, so it cannot bind while the ask is the floor: the
-            // curve is measured the first time the ask rises above it, on
-            // the pool of the job's first decision.
+            // curve is predicted the first time the ask rises above it.
             let mut want = statistical;
-            if self.policy == AllocPolicy::Cannikin {
-                let scaling = job.scaling.get_or_insert_with(|| ScalingCurve::Unmeasured(ranked_ids.clone()));
-                if statistical > min_eff {
-                    if let ScalingCurve::Unmeasured(ids) = scaling {
-                        let pool: Vec<NodeSpec> = ids.iter().map(|&id| self.pool.spec(id).clone()).collect();
-                        let spec = &job.spec;
-                        *scaling = ScalingCurve::Measured(demand::measured_scaling_curve(
-                            &spec.job,
-                            &spec.config,
-                            spec.noise,
-                            spec.seed,
-                            spec.target_effective_epochs,
-                            &pool,
-                            cap,
-                        ));
-                    }
-                    if let ScalingCurve::Measured(curve) = scaling {
-                        want = statistical.min(demand::scaling_knee(curve, min_eff, cap));
-                    }
-                }
+            if self.policy == AllocPolicy::Cannikin && statistical > min_eff {
+                let curve = model.scaling_curve(policy, noise, target, cap);
+                want = statistical.min(demand::scaling_knee(curve, min_eff, cap));
             }
             demands.push(JobDemand {
                 job: i,
@@ -1057,6 +1030,7 @@ mod tests {
     use super::*;
     use crate::spec::Priority;
     use cannikin_core::engine::TrainerConfig;
+    use cannikin_core::policy::PolicyKind;
     use hetsim::catalog::Gpu;
     use hetsim::job::JobSpec;
 
@@ -1126,7 +1100,6 @@ mod tests {
 
     #[test]
     fn per_job_adaptation_policies_drain() {
-        use cannikin_core::policy::PolicyKind;
         let specs = vec![
             FleetJobSpec::new("opt", JobSpec::resnet18_cifar10(), TrainerConfig::new(6_400, 64, 512), 1.0)
                 .seed(1),
@@ -1170,16 +1143,25 @@ mod tests {
 
         let ranked: Vec<NodeSpec> =
             fleet.pool.ranked_live().into_iter().map(|id| fleet.pool.spec(id).clone()).collect();
-        // Both jobs price k = 1..=4: floor 1, cap the four-node pool.
-        let cold = |job: &ManagedJob| {
+        // Both jobs price k = 1..=4: floor 1, cap the four-node pool; a job
+        // asking past its floor also predicts its scaling curve, once.
+        let cold = |job: &ManagedJob, curve: bool| {
             let phi = job.spec.noise.noise_scale(0.0);
-            demand::profiled_nodes(&job.spec.job, &job.spec.config, &ranked, phi, 1, 4);
+            let mut model = demand::DemandModel::new(&job.spec.job, &job.spec.config, &ranked);
+            assert_eq!(model.want(phi, 1, 4) > 1, curve, "{} asks past its floor", job.spec.name);
+            if curve {
+                model.scaling_curve(job.spec.policy, job.spec.noise, job.spec.target_effective_epochs, 4);
+            }
             profiling_solves(&session.drain())
         };
         let [cifar, neumf] = &fleet.jobs[..] else { panic!("two jobs") };
         let JobState::Running(trainer) = &cifar.state else { panic!("cifar runs") };
         assert_ne!(trainer.noise_scale_now(), cifar.spec.noise.noise_scale(0.0), "cifar's φ moved");
-        assert_eq!(first, cold(cifar) + cold(neumf), "tick 1 swept every node count of both jobs");
+        assert_eq!(
+            first,
+            cold(cifar, true) + cold(neumf, false),
+            "tick 1 swept every node count of both jobs and predicted cifar's curve"
+        );
         assert_eq!(second, 4, "tick 2 re-solved one winner per node count of cifar, none of neumf");
         assert!(first > 8 * second, "a sweep is many solves: {first} vs {second}");
     }
@@ -1198,7 +1180,7 @@ mod tests {
         };
         let job = &mut fleet.jobs[0];
         let mut solves = |ids: &[usize], phi: f64, min_nodes: usize, cap: usize| {
-            job.statistical_nodes(pool, ids, phi, min_nodes, cap);
+            job.demand_model(pool, ids).want(phi, min_nodes, cap);
             profiling_solves(&session.drain())
         };
         assert_eq!(solves(&ids[..2], 300.0, 1, 4), cold(&ranked[..2], 300.0, 1, 4), "first price: a sweep per count");
@@ -1210,22 +1192,55 @@ mod tests {
         assert_eq!(solves(&ids[..3], 300.5, 1, 3), 3);
     }
 
-    #[test]
-    fn a_job_whose_demand_never_leaves_its_floor_never_replays() {
-        let mut fleet = FleetController::new(nodes4(), two_jobs(), AllocPolicy::Cannikin).unwrap();
-        fleet.run_to_completion(2_000).unwrap();
-        let [cifar, neumf] = &fleet.jobs[..] else { panic!("two jobs") };
-        assert!(matches!(cifar.scaling, Some(ScalingCurve::Measured(_))), "compute-bound cifar asked past one node");
-        assert!(matches!(neumf.scaling, Some(ScalingCurve::Unmeasured(_))), "comm-bound neumf never did");
-        assert!(fleet.jobs.iter().all(|j| j.pricing.is_none()), "a finished job drops its pricing");
+    /// Whether job `i` holds a predicted scaling curve right now.
+    fn has_curve(fleet: &FleetController, i: usize) -> bool {
+        fleet.jobs[i].pricing.as_ref().is_some_and(|(_, model)| model.curve.is_some())
+    }
 
-        let mut fifo = FleetController::new(nodes4(), two_jobs(), AllocPolicy::Fifo).unwrap();
-        fifo.run_to_completion(2_000).unwrap();
-        assert!(fifo.jobs.iter().all(|j| j.scaling.is_none()), "only the adaptive policy reads the knee");
+    /// Step `fleet` until job `i` holds a predicted scaling curve.
+    fn step_until_curve(fleet: &mut FleetController, i: usize) {
+        while !has_curve(fleet, i) {
+            assert!(fleet.step().unwrap(), "job {i} needs its curve before the stream drains");
+        }
+    }
+
+    /// The curve a fresh demand model predicts for `spec` planning with
+    /// `policy` over `ranked`, by its bits.
+    fn fresh_curve(spec: &FleetJobSpec, policy: PolicyKind, ranked: &[NodeSpec], cap: usize) -> Vec<u64> {
+        demand::DemandModel::new(&spec.job, &spec.config, ranked)
+            .scaling_curve(policy, spec.noise, spec.target_effective_epochs, cap)
+            .iter()
+            .map(|t| t.to_bits())
+            .collect()
+    }
+
+    /// The curve job `i` holds, by its bits.
+    fn held_curve(fleet: &FleetController, i: usize) -> Vec<u64> {
+        let (_, model) = fleet.jobs[i].pricing.as_ref().expect("a demand model");
+        model.curve.as_ref().expect("a curve").iter().map(|t| t.to_bits()).collect()
     }
 
     #[test]
-    fn a_curve_first_needed_after_a_death_is_measured_on_the_first_decisions_pool() {
+    fn a_job_whose_demand_never_leaves_its_floor_never_predicts_a_curve() {
+        for policy in [AllocPolicy::Cannikin, AllocPolicy::Fifo] {
+            let mut fleet = FleetController::new(nodes4(), two_jobs(), policy).unwrap();
+            let mut predicted = [false; 2];
+            while fleet.step().unwrap() {
+                for (i, seen) in predicted.iter_mut().enumerate() {
+                    *seen |= has_curve(&fleet, i);
+                }
+            }
+            assert!(fleet.jobs.iter().all(|j| j.pricing.is_none()), "a finished job drops its pricing");
+            if policy == AllocPolicy::Cannikin {
+                assert_eq!(predicted, [true, false], "compute-bound cifar asked past one node, comm-bound neumf never did");
+            } else {
+                assert_eq!(predicted, [false; 2], "only the adaptive policy reads the knee");
+            }
+        }
+    }
+
+    #[test]
+    fn a_curve_first_needed_after_a_death_is_read_on_the_surviving_pool() {
         // cifar-0 is admitted on all eight live nodes asking no more than
         // its floor of two; 100 steps in it loses one of them, its floor
         // drops to one, and its next ask is the first its knee can cap.
@@ -1233,31 +1248,37 @@ mod tests {
         for (gpu, count) in [(Gpu::A100, 2), (Gpu::V100, 2), (Gpu::Rtx6000, 4)] {
             nodes.extend((0..count).map(|i| NodeSpec::new(format!("{gpu}-{i}"), gpu)));
         }
-        let first_pool = NodePool::new(nodes.clone());
-        let first_pool: Vec<NodeSpec> =
-            first_pool.ranked_live().into_iter().map(|id| first_pool.spec(id).clone()).collect();
         let mut trace = crate::synthetic_trace(0, 6, 30.0);
         let victim = trace.remove(0).node_range(2, 8).fault_plan(hetsim::FaultPlan::new(5).crash_at(100, 0));
         trace.insert(0, victim);
         let mut fleet = FleetController::new(nodes, trace, AllocPolicy::Cannikin).unwrap();
-        let measured = |fleet: &FleetController| matches!(fleet.jobs[0].scaling, Some(ScalingCurve::Measured(_)));
-        while !measured(&fleet) {
-            assert!(fleet.step().unwrap(), "cifar-0 needs its curve before the stream drains");
-        }
+        step_until_curve(&mut fleet, 0);
         assert!(fleet.decisions() > 1 && fleet.pool.live() == 7, "needed after its first decision and the death");
-        let Some(ScalingCurve::Measured(curve)) = &fleet.jobs[0].scaling else { unreachable!() };
+        let surviving: Vec<NodeSpec> =
+            fleet.pool.ranked_live().into_iter().map(|id| fleet.pool.spec(id).clone()).collect();
         let spec = &fleet.jobs[0].spec;
-        let expected = demand::measured_scaling_curve(
-            &spec.job,
-            &spec.config,
-            spec.noise,
-            spec.seed,
-            spec.target_effective_epochs,
-            &first_pool,
-            8,
-        );
-        let bits = |curve: &[f64]| curve.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(curve), bits(&expected), "measured on the eight nodes of its first decision");
+        let expected = fresh_curve(spec, spec.policy, &surviving, 8);
+        assert_eq!(expected.len(), 7, "seven nodes survive");
+        assert_eq!(held_curve(&fleet, 0), expected, "read on the seven surviving nodes");
+    }
+
+    #[test]
+    fn a_job_s_knee_is_predicted_with_the_policy_it_trains_with() {
+        // The trainer replay in demand.rs runs the OptPerf planner whatever
+        // the job declares; the knee must follow the planner the job runs.
+        let specs = vec![FleetJobSpec::new("even", JobSpec::resnet18_cifar10(), TrainerConfig::new(6_400, 64, 512), 3.0)
+            .noise(300.0, 1.0)
+            .policy(PolicyKind::Even)
+            .seed(3)];
+        let mut fleet = FleetController::new(nodes4(), specs, AllocPolicy::Cannikin).unwrap();
+        let ranked: Vec<NodeSpec> =
+            fleet.pool.ranked_live().into_iter().map(|id| fleet.pool.spec(id).clone()).collect();
+        step_until_curve(&mut fleet, 0);
+        let spec = &fleet.jobs[0].spec;
+        let (even, optperf) = (fresh_curve(spec, PolicyKind::Even, &ranked, 4), fresh_curve(spec, PolicyKind::OptPerf, &ranked, 4));
+        assert_eq!(held_curve(&fleet, 0), even, "the even planner's prediction");
+        let time = |bits: &[u64]| bits.iter().map(|&b| f64::from_bits(b)).collect::<Vec<_>>();
+        assert_ne!(even, optperf, "the planners scale differently here: {:?} vs {:?}", time(&even), time(&optperf));
     }
 
     #[test]
@@ -1277,6 +1298,57 @@ mod tests {
         inverted.max_nodes = 2;
         assert!(rejected(inverted), "min_nodes above max_nodes");
         assert!(!rejected(spec().arrival(-5.0)), "a finite arrival in the past is fine");
+    }
+
+    fn rejected(spec: FleetJobSpec) -> bool {
+        matches!(FleetController::new(nodes4(), vec![spec], AllocPolicy::Cannikin), Err(FleetError::InvalidSpec(_)))
+    }
+
+    fn one_job() -> FleetJobSpec {
+        FleetJobSpec::new("x", JobSpec::resnet18_cifar10(), TrainerConfig::new(6_400, 64, 512), 1.0)
+    }
+
+    #[test]
+    fn an_infinite_target_is_rejected() {
+        let mut spec = one_job();
+        spec.target_effective_epochs = f64::INFINITY;
+        assert!(rejected(spec), "it would train, and predict its knee, forever");
+        for target in [0.0, -1.0, f64::NAN] {
+            let mut spec = one_job();
+            spec.target_effective_epochs = target;
+            assert!(rejected(spec), "target {target}");
+        }
+    }
+
+    #[test]
+    fn a_non_positive_initial_noise_scale_is_rejected() {
+        for initial in [0.0, -0.0, -300.0] {
+            assert!(rejected(one_job().noise(initial, 1.0)), "initial {initial}");
+        }
+        assert!(!rejected(one_job().noise(1e-9, 1.0)), "any positive scale is fine");
+    }
+
+    #[test]
+    fn a_non_finite_initial_noise_scale_is_rejected() {
+        for initial in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(rejected(one_job().noise(initial, 1.0)), "initial {initial}");
+        }
+    }
+
+    #[test]
+    fn a_negative_noise_growth_rate_is_rejected() {
+        // φ would fall to zero at t = 1/|rate| effective epochs.
+        for rate in [-1e-9, -0.5, -1.0] {
+            assert!(rejected(one_job().noise(300.0, rate)), "rate {rate}");
+        }
+        assert!(!rejected(one_job().noise(300.0, 0.0)), "a constant φ is fine");
+    }
+
+    #[test]
+    fn a_non_finite_noise_growth_rate_is_rejected() {
+        for rate in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(rejected(one_job().noise(300.0, rate)), "rate {rate}");
+        }
     }
 
     #[test]

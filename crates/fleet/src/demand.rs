@@ -33,34 +33,42 @@
 //! meaningful fraction of its life in the Eq. (8) bootstrap with
 //! suboptimal splits, and its batch follows the evolving φ rather than
 //! sitting at the prediction's optimum. So the production demand is
-//! clamped by a *measured* scaling knee: [`measured_scaling_curve`]
-//! replays the job's own trainer to target on the pool's `k` fastest
-//! nodes (deterministic, same seed the job will run with) and
-//! [`scaling_knee`] reads off the smallest `k` within diminishing returns
-//! of the fastest completion. The controller takes `min(profiled, knee)`
-//! — a job never asks past what its gradient noise justifies *or* past
-//! where realized scaling stops paying.
+//! clamped by a *predicted* scaling knee: [`DemandModel::scaling_curve`]
+//! walks the job's own planner (the policy it trains with, through
+//! `ask`/`tell`) epoch by epoch over the ground-truth laws of the pool's
+//! `k` fastest nodes, prices each epoch at the plan's Eq. (7) time, and
+//! records when the walk reaches the job's target; [`scaling_knee`] reads
+//! off the smallest `k` within diminishing returns of the fastest
+//! completion. The controller takes `min(profiled, knee)` — a job never
+//! asks past what its gradient noise justifies *or* past where scaling
+//! stops paying. No step is simulated: the target is crossed inside the
+//! last epoch by interpolation, because whether a *replayed* last epoch
+//! lands just past the target is the simulator's noise, not the pool's
+//! scaling.
 //!
-//! What this costs, on a two-core AVX-512 host (`fleet-stream`'s traced
-//! run and a loop over one job on the eight-node pool):
+//! What this costs, on a two-core AVX-512 host (`fleet-stream`'s drain and
+//! a loop over one job on the eight-node pool):
 //!
-//! - A scaling curve is `cap` full trainings, by far the dearest thing the
-//!   control plane does: about 2.0 ms for the eight-node pool with the
-//!   replays fanned out over both cores, off the controller's thread and
-//!   outside any telemetry session it belongs to. The knee is at least the
-//!   job's floor and the profiled ask never falls below it, so the curve
-//!   cannot bind while the ask is the floor; the controller measures it
-//!   the first time the ask rises above the floor, on the pool of the
-//!   job's first decision. In `fleet-stream`'s drain at seed 29, 285 of the
-//!   1,200 jobs never leave their floor and never replay.
+//! - A scaling curve is one planner walk per node count, a few dozen
+//!   warm solves in all: about 0.2 ms for the eight-node pool, on the
+//!   controller's thread. The knee is at least the job's floor and the
+//!   profiled ask never falls below it, so the curve cannot bind while the
+//!   ask is the floor; the model computes it the first time the ask rises
+//!   above the floor, once per ranked pool.
 //! - A cold [`profiled_nodes`] runs one goodput sweep per node count,
 //!   about 12 solves each: 0.07–0.10 ms over eight counts. A warm
 //!   [`DemandModel`] re-prices a moved φ at one solve per count, about
 //!   11 µs over eight, and an unmoved φ at none.
+//!
+//! [`measured_scaling_curve`] replays the job's trainer per node count
+//! instead, simulating every step; it is kept only as the prediction's
+//! test reference and for the benchmark probe that times it.
 
-use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, TrainerConfig, TrainingSubject};
+use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig, TrainingSubject};
+use cannikin_core::gns::{epoch_progress, statistical_efficiency};
 use cannikin_core::goodput::GoodputEngine;
-use cannikin_core::optperf::{OptPerfSolver, SolverInput};
+use cannikin_core::optperf::{compute_span, predict_batch_time, OptPerfSolver, SolverInput};
+use cannikin_core::policy::{build_sim_policy, EpochObservation, PolicyContext, PolicyKind};
 use hetsim::cluster::{ClusterSpec, NodeSpec};
 use hetsim::job::JobSpec;
 use hetsim::Simulator;
@@ -96,14 +104,18 @@ pub fn profiled_nodes(
 /// re-ranks the cached predictions and re-solves only the winner, and one
 /// at the φ it last priced costs nothing. The models are the ground truth,
 /// so the sweep never goes stale: a warm price is the cold one bit for bit.
+///
+/// It also predicts, at most once, the job's time to target per node count
+/// ([`DemandModel::scaling_curve`]), on the same ranked pool.
 #[derive(Debug, Clone)]
 pub struct DemandModel {
     job: JobSpec,
-    base_batch: u64,
-    max_batch: u64,
+    config: TrainerConfig,
     ranked_pool: Vec<NodeSpec>,
     /// Entry `k - 1` prices the `k` fastest nodes.
     priced: Vec<Option<Priced>>,
+    /// Predicted time to target, entry `k - 1` for `k` nodes, once read.
+    pub(crate) curve: Option<Vec<f64>>,
 }
 
 /// The warm state of one node count, and the last price it gave.
@@ -121,10 +133,10 @@ impl DemandModel {
     pub fn new(job: &JobSpec, config: &TrainerConfig, ranked_pool: &[NodeSpec]) -> Self {
         DemandModel {
             job: job.clone(),
-            base_batch: config.base_batch,
-            max_batch: config.max_batch,
+            config: config.clone(),
             ranked_pool: ranked_pool.to_vec(),
             priced: vec![None; ranked_pool.len()],
+            curve: None,
         }
     }
 
@@ -160,12 +172,12 @@ impl DemandModel {
 
     /// Predicted goodput on the `k` fastest nodes at noise scale `phi`.
     fn goodput(&mut self, k: usize, phi: f64) -> f64 {
-        let DemandModel { job, base_batch, max_batch, ranked_pool, priced } = self;
+        let DemandModel { job, config, ranked_pool, priced, .. } = self;
         let priced = priced[k - 1].get_or_insert_with(|| {
             let cluster = ClusterSpec::new("fleet-demand", ranked_pool[..k].to_vec());
             Priced {
                 solver: OptPerfSolver::new(SolverInput::from_ground_truth(&cluster, job)),
-                engine: GoodputEngine::new(*base_batch, *base_batch, *max_batch),
+                engine: GoodputEngine::new(config.base_batch, config.base_batch, config.max_batch),
                 last: None,
             }
         });
@@ -178,11 +190,116 @@ impl DemandModel {
             }
         }
     }
+
+    /// Predicted time to `target` effective epochs for every node count
+    /// `k ∈ [1, cap]` on the pool's `k` fastest nodes, for a job that plans
+    /// with `policy` under the noise growth `noise`. Entry `k - 1` holds
+    /// `k` nodes; a count the job cannot run on (`B₀ < k`), or on which it
+    /// does not get there within 10,000 epochs, holds `∞`.
+    ///
+    /// The curve is computed the first time it is asked for and kept: the
+    /// controller asks with the same job and node cap every time, and
+    /// builds a new model when the ranked pool changes.
+    ///
+    /// Each `k` walks the job's own planner, built by `build_sim_policy`
+    /// and driven through `ask`/`tell` exactly as the epoch loop drives it,
+    /// so its bootstrap and goodput choice are the ones the job will run:
+    ///
+    /// - the plan is asked at the φ the job's progress has reached, with
+    ///   the ground-truth laws as its models once every node has run two
+    ///   distinct local sizes (the analyzer's own readiness rule), and the
+    ///   per-sample times those laws give the previous split;
+    /// - an epoch is `|D| / B` steps of the plan's Eq. (7) time
+    ///   (`predict_batch_time`, plus the straggler's compute per extra
+    ///   accumulation micro-step), and gains `epoch_progress` at the
+    ///   plan's statistical efficiency;
+    /// - the target is crossed inside the last epoch, pro rata to its gain.
+    pub fn scaling_curve(&mut self, policy: PolicyKind, noise: LinearNoiseGrowth, target: f64, cap: usize) -> &[f64] {
+        let DemandModel { job, config, ranked_pool, curve, .. } = self;
+        curve.get_or_insert_with(|| {
+            let cap = cap.min(ranked_pool.len()).max(1);
+            (1..=cap).map(|k| predicted_time_to_target(job, config, policy, noise, target, &ranked_pool[..k])).collect()
+        })
+    }
 }
 
-/// Epoch cap for one scaling-curve replay; a job that cannot reach its
-/// target inside this many epochs on some node count scores `∞` there.
-const MEASURE_EPOCH_BUDGET: usize = 10_000;
+/// One [`DemandModel::scaling_curve`] entry: the planner's walk to `target`
+/// on `nodes`.
+fn predicted_time_to_target(
+    job: &JobSpec,
+    config: &TrainerConfig,
+    policy: PolicyKind,
+    noise: LinearNoiseGrowth,
+    target: f64,
+    nodes: &[NodeSpec],
+) -> f64 {
+    let k = nodes.len();
+    if config.base_batch < k as u64 {
+        return f64::INFINITY; // no split gives every node a sample
+    }
+    let laws = SolverInput::from_ground_truth(&ClusterSpec::new("fleet-predict", nodes.to_vec()), job);
+    let mut planner = build_sim_policy(policy, config.base_batch, k, config.max_batch);
+    // Each node's first local size, and whether it has run another since.
+    let mut first_split = Vec::new();
+    let mut fitted = vec![false; k];
+    let mut last_split = Vec::new();
+    let mut per_sample_times = vec![1.0; k];
+    let (mut progress, mut elapsed) = (0.0, 0.0);
+    for epoch in 0..EPOCH_BUDGET {
+        let phi = noise.noise_scale(progress);
+        let ctx = PolicyContext {
+            epoch,
+            nodes: k,
+            adaptive: config.adaptive_batch,
+            base_batch: config.base_batch,
+            max_batch: config.max_batch,
+            dataset_size: config.dataset_size,
+            phi: Some(phi),
+            last_split: last_split.clone(),
+            solver_input: fitted.iter().all(|&f| f).then(|| laws.clone()),
+            per_sample_times: per_sample_times.clone(),
+        };
+        let Ok(plan) = planner.ask(&ctx) else {
+            return f64::INFINITY;
+        };
+        let steps = (config.dataset_size / plan.total as usize).max(1);
+        let step_time = predict_batch_time(&laws, &plan.local)
+            + (plan.accumulation - 1) as f64 * compute_span(&laws, &plan.local);
+        let epoch_time = steps as f64 * step_time;
+        let efficiency = statistical_efficiency(phi, config.base_batch, plan.total);
+        let gain = epoch_progress(steps, plan.total, efficiency, config.dataset_size);
+        if progress + gain >= target {
+            // Pro rata inside the epoch that crosses the target.
+            return elapsed + epoch_time * (target - progress) / gain;
+        }
+        if epoch == 0 {
+            first_split.clone_from(&plan.local);
+        }
+        for (i, &b) in plan.local.iter().enumerate() {
+            fitted[i] |= b != first_split[i];
+            per_sample_times[i] = laws.nodes[i].compute(b as f64) / b as f64;
+        }
+        planner.tell(&EpochObservation {
+            epoch,
+            total: plan.total,
+            local: plan.local.clone(),
+            epoch_time,
+            mean_batch_time: step_time,
+            efficiency,
+            goodput: gain / epoch_time,
+            phi: Some(phi),
+            per_sample_times: per_sample_times.clone(),
+        });
+        progress += gain;
+        elapsed += epoch_time;
+        last_split = plan.local;
+    }
+    f64::INFINITY
+}
+
+/// Epoch cap for one scaling-curve walk or replay; a job that cannot reach
+/// its target inside this many epochs on some node count scores `∞` there.
+const EPOCH_BUDGET: usize = 10_000;
 
 /// Measured time-to-target for every node count `k ∈ [1, cap]`: replay
 /// the job's own trainer (bootstrap profiling, GNS-driven batch growth,
@@ -192,9 +309,11 @@ const MEASURE_EPOCH_BUDGET: usize = 10_000;
 /// hold `f64::INFINITY`.
 ///
 /// The replay is deterministic (the job's own seed) and runs entirely in
-/// simulated time, so it is the fleet's profiling pass: what Cannikin's
-/// adaptive profiler measures on hardware in a few epochs, the control
-/// plane measures here in about a millisecond of host time per job.
+/// simulated time, but it simulates every step of every epoch, about 2 ms
+/// of host time per curve on the eight-node pool. The controller reads
+/// [`DemandModel::scaling_curve`] instead, about a tenth of that; this
+/// stays as that prediction's test reference and for the benchmark probe
+/// that times it. It always replays the OptPerf planner.
 ///
 /// The `cap` replays are independent, so they run on
 /// `min(hetsim::cores(), cap)` scoped workers that claim node
@@ -224,7 +343,7 @@ pub fn measured_scaling_curve(
             .build()
             .ok()
             .and_then(|mut trainer| {
-                trainer.train_until(target_effective_epochs, MEASURE_EPOCH_BUDGET).ok()?;
+                trainer.train_until(target_effective_epochs, EPOCH_BUDGET).ok()?;
                 (trainer.progress() >= target_effective_epochs).then(|| trainer.cumulative_time())
             })
             .unwrap_or(f64::INFINITY)
@@ -389,7 +508,7 @@ mod tests {
                     return f64::INFINITY;
                 };
                 let mut elapsed = 0.0;
-                for _ in 0..MEASURE_EPOCH_BUDGET {
+                for _ in 0..EPOCH_BUDGET {
                     match trainer.run_epoch() {
                         Ok(record) => elapsed += record.epoch_time,
                         Err(_) => return f64::INFINITY,
@@ -426,6 +545,89 @@ mod tests {
                 );
                 assert_eq!(bits(curve), expected, "{} at cap {cap}", spec.name);
             }
+        });
+        assert_eq!(templates.len(), 4, "every trace template was drawn: {templates:?}");
+    }
+
+    /// Eq. (7) for one node, written out: its compute plus the last
+    /// bucket, or its sync start plus all of the communication.
+    fn one_node_batch_time(laws: &SolverInput, b: u64) -> f64 {
+        let law = laws.nodes[0];
+        (law.compute(b as f64) + laws.t_u).max(law.sync_start(b as f64, laws.gamma) + laws.t_comm())
+    }
+
+    #[test]
+    fn a_one_node_curve_is_its_bootstrap_by_hand() {
+        let pool = mixed_pool();
+        let (job, config) = (JobSpec::resnet18_cifar10(), TrainerConfig::new(6_400, 64, 512));
+        let noise = LinearNoiseGrowth { initial: 300.0, rate: 1.0 };
+        let laws = SolverInput::from_ground_truth(&ClusterSpec::new("one", pool[..1].to_vec()), &job);
+        // Epoch 0 runs B₀ = 64 for 100 steps at η = 1: one effective epoch.
+        let epoch0 = 100.0 * one_node_batch_time(&laws, 64);
+        // Epoch 1 runs 1.5·B₀ = 96 for ⌊6400/96⌋ = 66 steps at φ = 300·(1 + 1):
+        // η = (64 + 600)/(96 + 600).
+        let epoch1 = 66.0 * one_node_batch_time(&laws, 96);
+        let gain1 = 66.0 * 96.0 * (664.0 / 696.0) / 6_400.0;
+        let curve = |target: f64| DemandModel::new(&job, &config, &pool[..1]).scaling_curve(PolicyKind::OptPerf, noise, target, 8).to_vec();
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want;
+        for (target, want) in [(0.5, 0.5 * epoch0), (1.0, epoch0), (1.5, epoch0 + epoch1 * 0.5 / gain1)] {
+            let got = curve(target);
+            assert_eq!(got.len(), 1, "a one-node pool has one count");
+            assert!(close(got[0], want), "target {target}: {} vs {want}", got[0]);
+        }
+    }
+
+    #[test]
+    fn a_node_count_past_the_base_batch_reads_infinity() {
+        let pool = mixed_pool();
+        let config = TrainerConfig::new(6_400, 2, 512);
+        let noise = LinearNoiseGrowth { initial: 300.0, rate: 1.0 };
+        let curve = DemandModel::new(&JobSpec::resnet18_cifar10(), &config, &pool[..4])
+            .scaling_curve(PolicyKind::OptPerf, noise, 3.0, 8)
+            .to_vec();
+        assert_eq!(curve.len(), 4, "capped by the pool");
+        assert!(curve[..2].iter().all(|t| t.is_finite()), "B₀ = 2 covers two nodes: {curve:?}");
+        assert!(curve[2..].iter().all(|&t| t == f64::INFINITY), "no split of 2 covers more: {curve:?}");
+        assert_eq!(scaling_knee(&curve, 1, 4), scaling_knee(&curve[..2], 1, 2), "the knee ignores them");
+    }
+
+    /// How much longer the replayed training takes at the predicted knee
+    /// than at its own, where the two differ. Only ImageNet's differ over
+    /// traces 0–199 (980 of its 2,416 job/floor pairs, 1.07× median, 1.104×
+    /// at most): its replayed curve is flat past two nodes, and whether a
+    /// replay's last epoch lands just past the target is the simulator's
+    /// noise.
+    const KNEE_MISMATCH_BOUND: f64 = 1.12;
+
+    #[test]
+    fn predicted_knees_are_the_replayed_ones_or_cost_little() {
+        let pool = mixed_pool();
+        let mut templates = std::collections::BTreeSet::new();
+        propcheck::check(24, |g| {
+            let spec = crate::synthetic_trace(g.u64(0..1_000), 8, 30.0).swap_remove(g.usize(0..8));
+            let template = spec.name.split('-').next().expect("template label").to_owned();
+            let predicted = DemandModel::new(&spec.job, &spec.config, &pool)
+                .scaling_curve(spec.policy, spec.noise, spec.target_effective_epochs, 8)
+                .to_vec();
+            let replayed = measured_scaling_curve(
+                &spec.job,
+                &spec.config,
+                spec.noise,
+                spec.seed,
+                spec.target_effective_epochs,
+                &pool,
+                8,
+            );
+            for floor in 1..=8 {
+                let (p, r) = (scaling_knee(&predicted, floor, 8), scaling_knee(&replayed, floor, 8));
+                if template == "imagenet" {
+                    let cost = replayed[p - 1] / replayed[r - 1];
+                    assert!(cost <= KNEE_MISMATCH_BOUND, "{} floor {floor}: knee {p} costs {cost}× knee {r}", spec.name);
+                } else {
+                    assert_eq!(p, r, "{} floor {floor}: {predicted:?} vs {replayed:?}", spec.name);
+                }
+            }
+            templates.insert(template);
         });
         assert_eq!(templates.len(), 4, "every trace template was drawn: {templates:?}");
     }

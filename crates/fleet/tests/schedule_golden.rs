@@ -4,20 +4,19 @@
 //! history and the report of three drained traces: the two `gate fleet`
 //! traces (seeds 7 and 17 on the 8-node mixed pool), and seed 6 with a
 //! fault plan that kills the pool's fastest node mid-run — the case where
-//! every job's demand must be re-profiled against a pool it was not
-//! profiled on. The fixtures were written by the controller that
-//! re-profiled every job's demand on every tick and replayed admission
-//! curves serially on its own thread; a change to how often or where that
-//! work runs must reproduce them. `CANNIKIN_BLESS=1` only makes sense from
-//! a checkout of a controller you trust with this file copied in.
+//! every job's demand must be re-priced against a pool it was not priced
+//! on. The fixtures were written by the controller that predicts each
+//! job's scaling curve by walking its planner over the ground-truth laws;
+//! a change to how often or where demand work runs must reproduce them.
+//! `CANNIKIN_BLESS=1` only makes sense from a checkout of a controller you
+//! trust with this file copied in.
 //!
 //! `tests/golden/digests.txt` widens the net at one line per drained trace:
 //! an FNV-1a digest of the schedule log, the assignment history and every
 //! bit of the report, for seeds 0..25 under each policy, plus a trace where
 //! a node dies after a job's first decision and before the first decision
-//! its scaling curve can bind — the curve must still be measured on the
-//! pool of that first decision. Its fixture was written by the controller
-//! that measured every admitted job's curve eagerly at its first decision.
+//! its scaling curve can bind — the curve is then read on the surviving
+//! pool.
 
 use cannikin_fleet::{synthetic_trace, AllocPolicy, FleetController, FleetJobSpec, FleetReport};
 use hetsim::catalog::Gpu;
@@ -103,10 +102,10 @@ fn gate_fleet_traces_match_the_golden_schedules() {
 #[test]
 fn a_node_death_mid_run_matches_the_golden_schedule() {
     // The fourth tenant is admitted onto the freed A100-0 — node 0 of its
-    // simulator — and loses it 150 steps in, while two other tenants hold
-    // demands profiled against the eight-node pool.
+    // simulator — and loses it 50 steps in, in its first epoch, while
+    // three other tenants hold demands priced against the eight-node pool.
     let mut trace = synthetic_trace(6, 6, 30.0);
-    let victim = trace.remove(3).fault_plan(FaultPlan::new(5).crash_at(150, 0));
+    let victim = trace.remove(3).fault_plan(FaultPlan::new(5).crash_at(50, 0));
     trace.insert(3, victim);
     let text = drained(trace);
     let granted: Vec<bool> =

@@ -10,8 +10,9 @@
 #              that insight subscribes to the recorder once, that only
 #              TrainingSubject defines the run loops, that only HetPipe
 #              implements it outside core, that EpochRecord is the one
-#              epoch record, and that the simulator draws its normals
-#              without trig
+#              epoch record, that the simulator draws its normals
+#              without trig, and that nothing outside demand.rs and the
+#              benchmark calls the fleet's scaling-curve replay
 #   test       full workspace test suite
 #   kernels    minidnn's suite again, optimised, under each GEMM kernel policy
 #              (auto, off, avx2), after saying which tile auto is here; then
@@ -116,6 +117,14 @@ stage() {
         # The builders resolve builder > default; core reads no environment.
         if git grep -n 'std::env' crates/core/src; then
             echo "tier1.sh: crates/core/src reads the environment (above); knobs are builder settings" >&2
+            exit 1
+        fi
+        # The fleet predicts a job's scaling knee by walking its planner
+        # (DemandModel::scaling_curve); the replay is kept beside it only
+        # as the prediction's test reference and the frozen benchmark's
+        # probe, and nothing else may call it.
+        if git grep -n 'measured_scaling_curve' -- '*.rs' ':!crates/benchmark' ':!crates/fleet/src/demand.rs'; then
+            echo "tier1.sh: measured_scaling_curve is called outside demand.rs (above); read the knee off DemandModel::scaling_curve" >&2
             exit 1
         fi
         ;;
