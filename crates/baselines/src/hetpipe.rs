@@ -138,7 +138,6 @@ impl TrainingSubject for HetPipeTrainer {
             total_batch: self.total_batch,
             local_batches: vec![self.total_batch], // one pipeline, one logical replica
             steps,
-            accumulation: 1,
             epoch_time,
             mean_batch_time: batch_time,
             noise_scale: Some(phi),

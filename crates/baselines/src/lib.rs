@@ -160,7 +160,6 @@ mod tests {
             total_batch: 64,
             local_batches: vec![64],
             steps: 1,
-            accumulation: 1,
             epoch_time: time,
             mean_batch_time: time,
             noise_scale: Some(1.0),

@@ -29,15 +29,14 @@ fn main() -> std::io::Result<()> {
             let mut file = fs::File::create(&path)?;
             writeln!(
                 file,
-                "epoch,total_batch,accumulation,steps,epoch_time_s,cumulative_time_s,effective_epochs,efficiency,noise_scale,metric"
+                "epoch,total_batch,steps,epoch_time_s,cumulative_time_s,effective_epochs,efficiency,noise_scale,metric"
             )?;
             for r in &records {
                 writeln!(
                     file,
-                    "{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.3},{:.6}",
+                    "{},{},{},{:.6},{:.6},{:.6},{:.6},{:.3},{:.6}",
                     r.epoch,
                     r.total_batch,
-                    r.accumulation,
                     r.steps,
                     r.epoch_time,
                     r.cumulative_time,

@@ -126,58 +126,6 @@ pub fn elastic() -> String {
     out
 }
 
-/// Extension: gradient accumulation beyond GPU memory. On a memory-capped
-/// cluster the goodput engine escalates to no-sync micro-batches once the
-/// gradient noise scale justifies batches the GPUs cannot hold at once.
-pub fn accumulation() -> String {
-    let cluster = hetsim::cluster::ClusterSpec::new(
-        "tight",
-        vec![
-            NodeSpec::new("a100", Gpu::A100),
-            NodeSpec::new("v100", Gpu::V100),
-            NodeSpec::new("rtx", Gpu::Rtx6000),
-        ],
-    );
-    let profile = profiles::imagenet_resnet50();
-    let mut input = SolverInput::from_ground_truth(&cluster, &profile.job);
-    for node in input.nodes.iter_mut() {
-        node.max_batch = Some(100); // pretend each GPU fits only 100 samples
-    }
-    let mut solver = OptPerfSolver::new(input);
-    let mut engine = cannikin_core::goodput::GoodputEngine::new(64, 64, 2048).with_accumulation(8);
-
-    let mut out = String::from("Extension — gradient accumulation beyond memory (caps: 100/GPU, range to 2048)
-");
-    let widths = [12, 12, 8, 14, 16];
-    out += &row(
-        &["phi".into(), "B(effective)".into(), "accum".into(), "micro split".into(), "step time (s)".into()],
-        &widths,
-    );
-    out.push('\n');
-    for phi in [100.0f64, 1_000.0, 10_000.0, 100_000.0] {
-        let sel = engine.select(&mut solver, phi).expect("feasible");
-        let span = sel.plan.opt_perf
-            + (sel.accumulation - 1) as f64
-                * cannikin_core::optperf::compute_span(solver.input(), &sel.plan.local_batches);
-        out += &row(
-            &[
-                format!("{phi:.0}"),
-                sel.total.to_string(),
-                sel.accumulation.to_string(),
-                format!("{:?}", sel.plan.local_batches),
-                fmt(span),
-            ],
-            &widths,
-        );
-        out.push('\n');
-    }
-    out += "
-(the adaptive range extends past the 300-sample memory wall once phi makes
- large batches statistically worthwhile)
-";
-    out
-}
-
 /// Extension: multi-job scheduling over a shared heterogeneous pool
 /// (§6's "adapt to schedulers" discussion), now on the `cannikin-fleet`
 /// control plane. A short CIFAR job and a long production ImageNet job

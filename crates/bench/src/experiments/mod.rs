@@ -14,7 +14,7 @@ mod slo;
 mod tables;
 mod telemetry;
 
-pub use ablations::{ablation_overlap, ablation_warm_start, accumulation, elastic, multi_job};
+pub use ablations::{ablation_overlap, ablation_warm_start, elastic, multi_job};
 pub use discussion::{cluster_c_experiment, hetero_sweep};
 pub use figures::{fig10, fig5, fig6, fig7, fig8, fig9};
 pub use fleet::{fleet, fleet_pool, fleet_report, FleetBenchReport, PolicyOutcome, TraceOutcome, FLEET_SEEDS};
@@ -29,7 +29,7 @@ pub type Render = fn() -> String;
 
 /// Every experiment, in paper order: the id `figures` takes and the
 /// function that renders it.
-const EXPERIMENTS: [(&str, Render); 21] = [
+const EXPERIMENTS: [(&str, Render); 20] = [
     ("table1", table1),
     ("fig5", fig5),
     ("fig6", fig6),
@@ -44,7 +44,6 @@ const EXPERIMENTS: [(&str, Render); 21] = [
     ("ablation_overlap", ablation_overlap),
     ("ablation_warm_start", ablation_warm_start),
     ("elastic", elastic),
-    ("accumulation", accumulation),
     ("multi_job", multi_job),
     ("fleet", fleet),
     ("telemetry", telemetry_summary),

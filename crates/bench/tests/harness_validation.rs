@@ -79,21 +79,6 @@ fn elastic_experiment_recovers_near_oracle() {
 }
 
 #[test]
-fn accumulation_extension_escalates_with_noise() {
-    let text = experiments::accumulation();
-    let rows = parse_table_rows(&text, 2);
-    let accums: Vec<u64> = rows
-        .iter()
-        .map(|r| r[2].parse().expect("accum column"))
-        .collect();
-    assert!(accums.first() == Some(&1), "low noise should not accumulate: {accums:?}");
-    assert!(*accums.last().unwrap() > 1, "high noise should accumulate: {accums:?}");
-    for pair in accums.windows(2) {
-        assert!(pair[1] >= pair[0], "accumulation should be monotone in phi: {accums:?}");
-    }
-}
-
-#[test]
 fn experiment_registry_is_complete_and_consistent() {
     // Dispatch only: `by_id` hands back the function, nothing runs.
     let ids = experiments::ids();

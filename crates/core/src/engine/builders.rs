@@ -174,7 +174,12 @@ impl CannikinTrainerBuilder {
 
 /// The batch range's rules every engine shares: B₀ gives each of `nodes`
 /// one sample, and the range is not inverted.
-fn check_batches(base_batch: u64, max_batch: u64, nodes: usize) -> Result<(), CannikinError> {
+///
+/// # Errors
+///
+/// [`CannikinError::InvalidConfig`] when `base_batch < nodes` or
+/// `max_batch < base_batch`.
+pub fn check_batches(base_batch: u64, max_batch: u64, nodes: usize) -> Result<(), CannikinError> {
     if base_batch < nodes as u64 {
         return Err(CannikinError::InvalidConfig(format!("base batch {base_batch} cannot cover {nodes} nodes")));
     }

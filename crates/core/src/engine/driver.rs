@@ -261,7 +261,6 @@ mod tests {
                 total_batch: round.plan.total,
                 local_batches: local,
                 steps: 6,
-                accumulation: 1,
                 epoch_time,
                 mean_batch_time: epoch_time / 6.0,
                 noise_scale: Some(phi),

@@ -29,7 +29,7 @@ pub mod parallel;
 mod subject;
 mod trainer;
 
-pub use builders::{check_dataset_size, CannikinTrainerBuilder, ParallelTrainerBuilder};
+pub use builders::{check_batches, check_dataset_size, CannikinTrainerBuilder, ParallelTrainerBuilder};
 pub use loader::HeteroDataLoader;
 pub use parallel::{ParallelConfig, ParallelEpochReport, ParallelTrainer};
 pub use subject::TrainingSubject;
@@ -84,9 +84,6 @@ pub struct EpochRecord {
     pub local_batches: Vec<u64>,
     /// Number of optimizer steps (batches) in the epoch.
     pub steps: usize,
-    /// Gradient-accumulation factor (micro-steps per optimizer step;
-    /// 1 = plain synchronous training).
-    pub accumulation: u64,
     /// Time of the epoch, s: simulated on the simulated path, measured
     /// wall time (emulated slowdowns included) on the real one.
     pub epoch_time: f64,
@@ -164,7 +161,6 @@ mod tests {
             total_batch: 64,
             local_batches: vec![64],
             steps: 1,
-            accumulation: 1,
             epoch_time: 9.0,
             mean_batch_time: 9.0,
             noise_scale: Some(1.0),

@@ -546,7 +546,6 @@ impl Executor for ThreadedExecutor {
             total_batch: total,
             local_batches: local,
             steps,
-            accumulation: 1,
             epoch_time,
             mean_batch_time: epoch_time / steps as f64,
             noise_scale: fresh_phi,

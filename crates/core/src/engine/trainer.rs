@@ -213,15 +213,13 @@ impl Executor for SimExecutor {
         Analyzer::new(n, self.config.aggregation).with_max_batches(caps)
     }
 
-    /// One loop serves every epoch: each optimizer step is
-    /// `accumulation − 1` no-sync micro-batches then one synchronized
-    /// batch, and every batch may surface injected faults the engine must
-    /// react to *mid-epoch* — evict crashed or departing nodes, admit
-    /// joiners, re-solve the split at the same total batch, and retry
-    /// steps whose gradient exchange was lost. A failed step contributes
-    /// simulated wall time but no observations and no samples, so nothing
-    /// is double-counted. Without a fault plan no batch carries a fault and
-    /// the loop degenerates to one `hetsim` run of `steps` plain steps,
+    /// One loop serves every epoch: every batch may surface injected faults
+    /// the engine must react to *mid-epoch* — evict crashed or departing
+    /// nodes, admit joiners, re-solve the split at the same total batch,
+    /// and retry steps whose gradient exchange was lost. A failed step
+    /// contributes simulated wall time but no observations and no samples,
+    /// so nothing is double-counted. Without a fault plan no batch carries
+    /// a fault and the loop degenerates to one `hetsim` run of `steps` steps,
     /// simulated on every core while this thread visits them: the
     /// analyzer, the telemetry and the fit timing still see each of them
     /// here, in order.
@@ -229,7 +227,6 @@ impl Executor for SimExecutor {
         let Round { epoch, progress, plan, plan_seconds, analyzer } = round;
         let phi = self.noise.noise_scale(progress);
         let (mut total, mut local) = (plan.total, plan.local);
-        let accumulation = plan.accumulation;
         let steps = (self.config.dataset_size / total as usize).max(1);
         // Model fitting (absorbing batch observations into the analyzer) is
         // real optimizer work and counts toward the Table 6 overhead, even
@@ -262,11 +259,7 @@ impl Executor for SimExecutor {
             // one it visits a single step, so what it changed in the
             // membership lands below before the next is drawn.
             let mut failed = false;
-            self.sim.simulate_run(&local, accumulation as usize, steps - completed, |step| {
-                let (batch, micros) = step.split_last().expect("a simulated step ends with its batch");
-                for micro in micros {
-                    epoch_time += micro.batch_time;
-                }
+            self.sim.simulate_run(&local, steps - completed, |batch| {
                 epoch_time += batch.batch_time;
                 faults_seen += batch.faults.len() as u32;
                 for fault in &batch.faults {
@@ -274,11 +267,6 @@ impl Executor for SimExecutor {
                 }
                 failed = batch.is_failed();
                 if !failed {
-                    // Only a completed step feeds the models — a retried
-                    // step's micro-batches would otherwise be seen twice.
-                    for micro in micros {
-                        observe(analyzer, micro, completed);
-                    }
                     observe(analyzer, batch, completed);
                     completed += 1;
                     if completed == steps {
@@ -373,7 +361,6 @@ impl Executor for SimExecutor {
             total_batch: total,
             local_batches: local,
             steps,
-            accumulation,
             epoch_time,
             mean_batch_time,
             noise_scale: Some(phi),

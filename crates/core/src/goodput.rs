@@ -13,31 +13,25 @@
 
 use crate::error::CannikinError;
 use crate::gns::goodput;
-use crate::optperf::{compute_span, OptPerfSolver, Plan};
+use crate::optperf::{OptPerfSolver, Plan};
 use cannikin_telemetry::{self as telemetry, Event, GoodputEval};
 
 /// A cached OptPerf prediction for one total-batch-size candidate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct CachedCandidate {
-    /// Effective total batch (micro-batch × accumulation).
     total: u64,
-    /// Predicted time of one *optimizer step* (all micro-steps + sync), s.
+    /// Predicted time of one synchronized step, s.
     step_time: f64,
     boundary: usize,
-    /// Gradient-accumulation factor (1 = plain synchronous step).
-    accumulation: u64,
 }
 
 /// The outcome of one batch-size selection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Selection {
-    /// Chosen *effective* total batch size (micro-batch × accumulation).
+    /// Chosen total batch size.
     pub total: u64,
-    /// OptPerf plan for one micro-batch, solved with the current models.
+    /// OptPerf plan for that total, solved with the current models.
     pub plan: Plan,
-    /// Gradient-accumulation factor: micro-steps per optimizer step
-    /// (1 = plain synchronous training).
-    pub accumulation: u64,
     /// Predicted goodput at the chosen size (reference-batch samples/s).
     pub goodput: f64,
     /// Linear solves spent this selection (overhead accounting).
@@ -53,7 +47,6 @@ pub struct GoodputEngine {
     min_batch: u64,
     max_batch: u64,
     candidates_per_decade: usize,
-    max_accumulation: u64,
     cache: Option<Vec<CachedCandidate>>,
 }
 
@@ -67,23 +60,7 @@ impl GoodputEngine {
     pub fn new(base_batch: u64, min_batch: u64, max_batch: u64) -> Self {
         assert!(base_batch > 0, "base batch must be positive");
         assert!(min_batch > 0 && min_batch <= max_batch, "invalid batch range");
-        GoodputEngine { base_batch, min_batch, max_batch, candidates_per_decade: 12, max_accumulation: 1, cache: None }
-    }
-
-    /// Allow gradient accumulation up to `max` micro-steps per optimizer
-    /// step (builder style). Candidates whose batch exceeds the cluster's
-    /// memory capacity are then realized as several no-sync micro-batches
-    /// followed by one synchronized step — extending the adaptive range
-    /// beyond GPU memory, as Pollux does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max == 0`.
-    #[must_use]
-    pub fn with_accumulation(mut self, max: u64) -> Self {
-        assert!(max > 0, "accumulation factor must be at least 1");
-        self.max_accumulation = max;
-        self
+        GoodputEngine { base_batch, min_batch, max_batch, candidates_per_decade: 12, cache: None }
     }
 
     /// The reference batch size B₀.
@@ -147,8 +124,8 @@ impl GoodputEngine {
 
         // Re-solve the winner with the freshest models.
         solver.set_warm_boundary(best.boundary);
-        let micro = best.total / best.accumulation;
-        let plan = solver.solve(micro)?;
+        let mut total = best.total;
+        let mut plan = solver.solve(total)?;
         solves += plan.solves;
 
         // Overlap pattern changed since the sweep? Rebuild and re-pick.
@@ -156,56 +133,35 @@ impl GoodputEngine {
             self.rebuild_cache(solver, &mut solves)?;
             rebuilt = true;
             let cache = self.cache.as_ref().expect("cache just rebuilt");
-            let best2 = pick(cache).expect("cache non-empty after rebuild");
-            solver.set_warm_boundary(best2.boundary);
-            let micro2 = best2.total / best2.accumulation;
-            let plan2 = solver.solve(micro2)?;
-            solves += plan2.solves;
-            let step_time2 = plan2.opt_perf + (best2.accumulation - 1) as f64 * compute_span(solver.input(), &plan2.local_batches);
-            let g = goodput(phi, self.base_batch, best2.total, step_time2);
-            self.update_entry(best2.total, step_time2, &plan2);
-            self.emit_eval(phi, best2.total, g, best2.accumulation, rebuilt);
-            return Ok(Selection {
-                total: best2.total,
-                accumulation: best2.accumulation,
-                goodput: g,
-                plan: plan2,
-                solves,
-                cache_rebuilt: rebuilt,
-            });
+            let best = pick(cache).expect("cache non-empty after rebuild");
+            solver.set_warm_boundary(best.boundary);
+            total = best.total;
+            plan = solver.solve(total)?;
+            solves += plan.solves;
         }
 
-        let step_time = plan.opt_perf + (best.accumulation - 1) as f64 * compute_span(solver.input(), &plan.local_batches);
-        let g = goodput(phi, self.base_batch, best.total, step_time);
-        self.update_entry(best.total, step_time, &plan);
-        self.emit_eval(phi, best.total, g, best.accumulation, rebuilt);
-        Ok(Selection {
-            total: best.total,
-            accumulation: best.accumulation,
-            goodput: g,
-            plan,
-            solves,
-            cache_rebuilt: rebuilt,
-        })
+        let g = goodput(phi, self.base_batch, total, plan.opt_perf);
+        self.update_entry(total, &plan);
+        self.emit_eval(phi, total, g, rebuilt);
+        Ok(Selection { total, goodput: g, plan, solves, cache_rebuilt: rebuilt })
     }
 
-    fn emit_eval(&self, phi: f64, total: u64, goodput: f64, accumulation: u64, cache_rebuilt: bool) {
+    fn emit_eval(&self, phi: f64, total: u64, goodput: f64, cache_rebuilt: bool) {
         if telemetry::enabled() {
             telemetry::emit(Event::GoodputEval(GoodputEval {
                 phi,
                 total,
                 goodput,
-                accumulation,
                 candidates: self.cache.as_ref().map_or(0, Vec::len) as u32,
                 cache_rebuilt,
             }));
         }
     }
 
-    fn update_entry(&mut self, total: u64, step_time: f64, plan: &Plan) {
+    fn update_entry(&mut self, total: u64, plan: &Plan) {
         if let Some(cache) = self.cache.as_mut() {
             if let Some(entry) = cache.iter_mut().find(|c| c.total == total) {
-                entry.step_time = step_time;
+                entry.step_time = plan.opt_perf;
                 entry.boundary = plan.boundary;
             }
         }
@@ -230,39 +186,23 @@ impl GoodputEngine {
         Ok(())
     }
 
-    /// Evaluate one candidate, escalating to gradient accumulation when
-    /// the plain batch exceeds the memory caps. Returns `None` when no
-    /// accumulation factor within the limit makes it feasible.
+    /// Evaluate one candidate, raised to one sample per node. Returns
+    /// `None` when it exceeds the memory caps.
     fn evaluate_candidate(
         &self,
         solver: &mut OptPerfSolver,
         total: u64,
         solves: &mut usize,
     ) -> Result<Option<CachedCandidate>, CannikinError> {
-        let n = solver.input().len() as u64;
-        let mut accum = 1u64;
-        while accum <= self.max_accumulation {
-            let micro = (total / accum).max(n);
-            match solver.solve(micro) {
-                Ok(plan) => {
-                    *solves += plan.solves;
-                    let span = compute_span(solver.input(), &plan.local_batches);
-                    let step_time = plan.opt_perf + (accum - 1) as f64 * span;
-                    return Ok(Some(CachedCandidate {
-                        total: micro * accum,
-                        step_time,
-                        boundary: plan.boundary,
-                        accumulation: accum,
-                    }));
-                }
-                Err(CannikinError::InfeasibleBatch { .. }) => {
-                    accum *= 2;
-                    continue;
-                }
-                Err(e) => return Err(e),
+        let total = total.max(solver.input().len() as u64);
+        match solver.solve(total) {
+            Ok(plan) => {
+                *solves += plan.solves;
+                Ok(Some(CachedCandidate { total, step_time: plan.opt_perf, boundary: plan.boundary }))
             }
+            Err(CannikinError::InfeasibleBatch { .. }) => Ok(None),
+            Err(e) => Err(e),
         }
-        Ok(None)
     }
 }
 
@@ -344,9 +284,8 @@ mod tests {
     }
 
     #[test]
-    fn accumulation_unlocks_batches_beyond_memory() {
-        // Tighten every node's cap so the top of the range only fits via
-        // gradient accumulation.
+    fn memory_caps_bound_the_selection() {
+        // Tighten every node's cap so the top of the range is infeasible.
         let cluster = ClusterSpec::new(
             "tight",
             vec![
@@ -359,30 +298,13 @@ mod tests {
         for node in input.nodes.iter_mut() {
             node.max_batch = Some(100);
         }
-        let mut s = OptPerfSolver::new(input.clone());
-        // Without accumulation the engine cannot reach past 300.
-        let mut plain = GoodputEngine::new(64, 64, 2048);
-        let sel = plain.select(&mut s, 1e9).unwrap();
-        assert!(sel.total <= 300, "plain engine capped at {}", sel.total);
-        assert_eq!(sel.accumulation, 1);
-        // With accumulation, enormous noise pushes it beyond the caps.
-        let mut accum = GoodputEngine::new(64, 64, 2048).with_accumulation(8);
-        let sel = accum.select(&mut s, 1e9).unwrap();
-        assert!(sel.total > 300, "accumulation should unlock large batches: {}", sel.total);
-        assert!(sel.accumulation > 1);
-        // The micro-plan respects the caps and multiplies back to the total.
+        let mut s = OptPerfSolver::new(input);
+        // Even enormous noise cannot push the engine past 300.
+        let mut engine = GoodputEngine::new(64, 64, 2048);
+        let sel = engine.select(&mut s, 1e9).unwrap();
+        assert!(sel.total <= 300, "capped engine selected {}", sel.total);
         assert!(sel.plan.local_batches.iter().all(|&b| b <= 100));
-        assert_eq!(sel.plan.local_batches.iter().sum::<u64>() * sel.accumulation, sel.total);
-    }
-
-    #[test]
-    fn accumulation_is_never_preferred_when_plain_fits() {
-        // With generous caps the accumulated variant is strictly slower
-        // (extra compute passes, same sync), so it must not be selected.
-        let mut s = solver();
-        let mut engine = GoodputEngine::new(64, 64, 2048).with_accumulation(4);
-        let sel = engine.select(&mut s, 800.0).unwrap();
-        assert_eq!(sel.accumulation, 1, "plain batches fit; accumulation must stay off");
+        assert_eq!(sel.plan.local_batches.iter().sum::<u64>(), sel.total);
     }
 
     #[test]

@@ -34,7 +34,7 @@ mod bootstrap;
 mod solver;
 
 pub use bootstrap::{bootstrap_split, ensure_distinct_split, even_split, exploration_split};
-pub use solver::{compute_span, predict_batch_time, Bottleneck, OptPerfSolver, Plan};
+pub use solver::{predict_batch_time, Bottleneck, OptPerfSolver, Plan};
 
 use hetsim::cluster::ClusterSpec;
 use hetsim::job::JobSpec;

@@ -61,22 +61,6 @@ pub fn predict_batch_time(input: &SolverInput, local: &[u64]) -> f64 {
     t
 }
 
-/// The straggler's pure compute time for a split — the per-micro-step
-/// cost of gradient accumulation, where no all-reduce happens.
-///
-/// # Panics
-///
-/// Panics if `local.len()` differs from the node count.
-pub fn compute_span(input: &SolverInput, local: &[u64]) -> f64 {
-    assert_eq!(local.len(), input.nodes.len(), "one local batch per node");
-    input
-        .nodes
-        .iter()
-        .zip(local)
-        .map(|(node, &b)| node.compute(b as f64))
-        .fold(0.0, f64::max)
-}
-
 /// The OptPerf solver with warm-started boundary search.
 ///
 /// Construct once per (cluster, job) model snapshot; call

@@ -60,7 +60,6 @@ impl Policy for EvenSplit {
         Ok(EpochPlan {
             total,
             local: even_split(total, n),
-            accumulation: 1,
             source,
             used_model,
             pattern: None,

@@ -117,7 +117,6 @@ impl Policy for LbBspIterative {
         Ok(EpochPlan {
             total,
             local: self.local.clone(),
-            accumulation: 1,
             source: if first { SplitSource::EvenInit } else { SplitSource::Bootstrap },
             used_model: false,
             pattern: None,

@@ -79,8 +79,6 @@ pub struct EpochPlan {
     pub total: u64,
     /// Local batch per node, summing to `total`.
     pub local: Vec<u64>,
-    /// Gradient-accumulation factor (1 = none).
-    pub accumulation: u64,
     /// Provenance of the split, for the `split_decision` telemetry event.
     pub source: SplitSource,
     /// Whether fitted performance models informed the plan.

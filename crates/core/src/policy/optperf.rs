@@ -39,17 +39,16 @@ impl OptPerfGoodput {
         let mut solver = OptPerfSolver::new(input);
         let source = if self.warm_started { SplitSource::WarmStart } else { SplitSource::Solver };
         self.warm_started = false;
-        let (total, plan, accumulation) = match ctx.phi {
+        let (total, plan) = match ctx.phi {
             Some(phi) if ctx.adaptive => {
                 let sel = self.goodput.select(&mut solver, phi)?;
-                (sel.total, sel.plan, sel.accumulation)
+                (sel.total, sel.plan)
             }
-            _ => (ctx.base_batch, solver.solve(ctx.base_batch)?, 1),
+            _ => (ctx.base_batch, solver.solve(ctx.base_batch)?),
         };
         Ok(EpochPlan {
             total,
             local: plan.local_batches,
-            accumulation,
             source,
             used_model: true,
             pattern: Some(plan.pattern),
@@ -86,7 +85,7 @@ impl Policy for OptPerfGoodput {
             let split = bootstrap_split(&ctx.per_sample_times, total);
             (total, ensure_distinct_split(&ctx.last_split, split), SplitSource::Bootstrap)
         };
-        Ok(EpochPlan { total, local, accumulation: 1, source, used_model: false, pattern: None, predicted_t: None })
+        Ok(EpochPlan { total, local, source, used_model: false, pattern: None, predicted_t: None })
     }
 
     fn tell(&mut self, _obs: &EpochObservation) {

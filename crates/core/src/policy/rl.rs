@@ -153,7 +153,7 @@ impl Policy for RlBatchPolicy {
         } else {
             ensure_distinct_split(&ctx.last_split, bootstrap_split(&ctx.per_sample_times, total))
         };
-        Ok(EpochPlan { total, local, accumulation: 1, source, used_model, pattern, predicted_t })
+        Ok(EpochPlan { total, local, source, used_model, pattern, predicted_t })
     }
 
     fn tell(&mut self, obs: &EpochObservation) {

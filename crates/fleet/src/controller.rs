@@ -38,7 +38,7 @@ use crate::metrics::{jain_fairness, FleetReport, JobOutcome};
 use crate::pool::NodePool;
 use crate::spec::FleetJobSpec;
 
-use cannikin_core::engine::{CannikinTrainer, EpochRecord, NoiseModel};
+use cannikin_core::engine::{check_batches, check_dataset_size, CannikinTrainer, EpochRecord, NoiseModel};
 use cannikin_core::error::CannikinError;
 use cannikin_telemetry::{
     self as telemetry, Event, FleetDecision, FleetJobSample, JobAdmitted, JobPreempted, NodeGranted, PreemptKind, SloRule,
@@ -169,8 +169,9 @@ impl FleetController {
     /// not positive and finite, a `rate` that is negative or not finite),
     /// a node range with `min_nodes` zero or above
     /// `max_nodes`, a `min_nodes` no allocation could ever satisfy, and a
-    /// `min_nodes` larger than the job's base batch (every node needs ≥ 1
-    /// sample).
+    /// batch range or dataset the job's trainer would reject: a base batch
+    /// below `min_nodes` (every node needs ≥ 1 sample) or above the max
+    /// batch or the dataset.
     pub fn new(
         nodes: Vec<NodeSpec>,
         specs: Vec<FleetJobSpec>,
@@ -204,12 +205,9 @@ impl FleetController {
                     pool.len()
                 )));
             }
-            if s.min_nodes as u64 > s.config.base_batch {
-                return Err(FleetError::InvalidSpec(format!(
-                    "job {}: min_nodes {} exceeds base batch {}",
-                    s.name, s.min_nodes, s.config.base_batch
-                )));
-            }
+            check_batches(s.config.base_batch, s.config.max_batch, s.min_nodes)
+                .and_then(|()| check_dataset_size(s.config.dataset_size, s.config.base_batch))
+                .map_err(|e| FleetError::InvalidSpec(format!("job {}: {e}", s.name)))?;
             // NaN-safe: only a strictly positive finite target passes. An
             // infinite one would train, and predict its knee, forever.
             if !(s.target_effective_epochs.is_finite() && s.target_effective_epochs > 0.0) {
@@ -227,7 +225,7 @@ impl FleetController {
                     s.name, noise.initial, noise.rate
                 )));
             }
-            // The trainer runs without gradient accumulation, so a job
+            // A step holds the whole batch in memory at once, so a job
             // whose base batch cannot fit in the entire pool's memory
             // (at most `max_nodes` nodes of it) can never step.
             let mut caps: Vec<u64> = (0..pool.len())
@@ -741,7 +739,7 @@ impl FleetController {
             });
             let mut victims: Vec<usize> = pos.into_iter().take(lost).collect();
             // Never shrink past memory feasibility: the kept caps must
-            // still cover the base batch (no gradient accumulation).
+            // still cover the base batch.
             // Victims are slowest-first, so popping returns the fastest
             // (largest-memory) victims to the job first.
             {
@@ -907,8 +905,8 @@ impl FleetController {
         if k == 0 || k < min_needed {
             return Ok(0);
         }
-        // Memory-feasibility pad: the trainer runs without gradient
-        // accumulation, so the granted caps must cover the base batch.
+        // Memory-feasibility pad: a step holds the whole batch in
+        // memory at once, so the granted caps must cover the base batch.
         // Extend the grant with further free nodes until they do; if
         // even every free node cannot, the job stays queued.
         {
@@ -1349,6 +1347,25 @@ mod tests {
         for rate in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(rejected(one_job().noise(300.0, rate)), "rate {rate}");
         }
+    }
+
+    /// A one-job fleet on two A100s, rejected at construction or not.
+    fn rejected_on_two_nodes(config: TrainerConfig) -> bool {
+        let pool = vec![NodeSpec::new("a100-0", Gpu::A100), NodeSpec::new("a100-1", Gpu::A100)];
+        let spec = FleetJobSpec::new("x", JobSpec::resnet18_cifar10(), config, 1.0);
+        matches!(FleetController::new(pool, vec![spec], AllocPolicy::Cannikin), Err(FleetError::InvalidSpec(_)))
+    }
+
+    #[test]
+    fn a_max_batch_below_the_base_batch_is_rejected() {
+        // Its first pricing would panic the controller's thread.
+        assert!(rejected_on_two_nodes(TrainerConfig::new(6_400, 64, 32)));
+    }
+
+    #[test]
+    fn a_dataset_below_the_base_batch_is_rejected() {
+        // Its trainer would fail only at admission.
+        assert!(rejected_on_two_nodes(TrainerConfig::new(32, 64, 512)));
     }
 
     #[test]

@@ -67,7 +67,7 @@
 use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig, TrainingSubject};
 use cannikin_core::gns::{epoch_progress, statistical_efficiency};
 use cannikin_core::goodput::GoodputEngine;
-use cannikin_core::optperf::{compute_span, predict_batch_time, OptPerfSolver, SolverInput};
+use cannikin_core::optperf::{predict_batch_time, OptPerfSolver, SolverInput};
 use cannikin_core::policy::{build_sim_policy, EpochObservation, PolicyContext, PolicyKind};
 use hetsim::cluster::{ClusterSpec, NodeSpec};
 use hetsim::job::JobSpec;
@@ -210,9 +210,8 @@ impl DemandModel {
     ///   distinct local sizes (the analyzer's own readiness rule), and the
     ///   per-sample times those laws give the previous split;
     /// - an epoch is `|D| / B` steps of the plan's Eq. (7) time
-    ///   (`predict_batch_time`, plus the straggler's compute per extra
-    ///   accumulation micro-step), and gains `epoch_progress` at the
-    ///   plan's statistical efficiency;
+    ///   (`predict_batch_time`), and gains `epoch_progress` at the plan's
+    ///   statistical efficiency;
     /// - the target is crossed inside the last epoch, pro rata to its gain.
     pub fn scaling_curve(&mut self, policy: PolicyKind, noise: LinearNoiseGrowth, target: f64, cap: usize) -> &[f64] {
         let DemandModel { job, config, ranked_pool, curve, .. } = self;
@@ -263,8 +262,7 @@ fn predicted_time_to_target(
             return f64::INFINITY;
         };
         let steps = (config.dataset_size / plan.total as usize).max(1);
-        let step_time = predict_batch_time(&laws, &plan.local)
-            + (plan.accumulation - 1) as f64 * compute_span(&laws, &plan.local);
+        let step_time = predict_batch_time(&laws, &plan.local);
         let epoch_time = steps as f64 * step_time;
         let efficiency = statistical_efficiency(phi, config.base_batch, plan.total);
         let gain = epoch_progress(steps, plan.total, efficiency, config.dataset_size);

@@ -26,18 +26,17 @@
 //! order, so a change that moves it re-blesses every golden.
 //!
 //! Read as generator words — a uniform is one word, and so is a
-//! log-normal, the inverse normal CDF of one uniform — a synchronized
-//! batch on `n` nodes and `K` buckets draws
+//! log-normal, the inverse normal CDF of one uniform — a batch on `n`
+//! nodes and `K` buckets draws
 //!
 //! ```text
 //! n·(s + 2·c) + K·m + Σ_i 3·[σ_i ≠ 0]
 //! ```
 //!
-//! and a no-sync micro-batch `n·(s + 2·c)`, where `s` is 1 when stragglers
-//! are enabled, `c` is 1 when the compute noise is not zero and `m` is 1
-//! when the communication noise is not zero. None of these depends on a
-//! drawn value, so a fault-free step — `accumulation − 1` micro-batches,
-//! then a batch — draws a count fixed before it starts. That makes a seam
+//! where `s` is 1 when stragglers are enabled, `c` is 1 when the compute
+//! noise is not zero and `m` is 1 when the communication noise is not
+//! zero. None of these depends on a drawn value, so a fault-free step
+//! draws a count fixed before it starts. That makes a seam
 //! between steps exact: a generator stepped forward by whole steps' worth
 //! of words is the generator the serial run would hold there, and
 //! [`Simulator::simulate_run`] simulates the parts of a run of steps on
@@ -62,8 +61,8 @@ use std::thread;
 
 /// Node-batches a run must hold per thread before it runs on more than
 /// one; a node-batch is one node's share of one simulated batch, so a step
-/// at accumulation `A` is `A` of them per node. Workers start once per run:
-/// on the two-core x86-64 host this was sized on, a scoped spawn + join
+/// is one of them per node. Workers start once per run: on the two-core
+/// x86-64 host this was sized on, a scoped spawn + join
 /// took 20–50 µs and a node-batch 0.20–0.31 µs of simulation, so a thread's
 /// share carries three to five times its spawn; a threshold and part a
 /// third larger measured the same. Every `fleet-stream` epoch
@@ -393,66 +392,19 @@ impl Simulator {
         }
     }
 
-    /// An empty trace with room for one batch's observations — and, for a
-    /// synchronized one, its bucket ends — that a step fills in place.
-    pub(crate) fn shell(&self, synchronized: bool) -> BatchTrace {
-        let buckets = if synchronized { self.job.num_buckets } else { 0 };
+    /// An empty trace with room for one batch's observations and bucket
+    /// ends, that a step fills in place.
+    pub(crate) fn shell(&self) -> BatchTrace {
         BatchTrace {
             observations: Vec::with_capacity(self.cluster.len()),
             batch_time: 0.0,
-            bucket_sync_end: Vec::with_capacity(buckets),
+            bucket_sync_end: Vec::with_capacity(self.job.num_buckets),
             faults: Vec::new(),
         }
     }
 
-    /// Simulate one *no-sync* micro-batch (gradient accumulation): every
-    /// node computes forward+backward but skips the all-reduce, so the
-    /// micro-step time is the straggler's compute time alone. The returned
-    /// observations carry `NaN` communication estimates (the measurement
-    /// fuser ignores non-finite observations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local.len()` differs from the node count.
-    pub fn simulate_microbatch(&mut self, local: &[u64]) -> BatchTrace {
-        assert_eq!(local.len(), self.cluster.len(), "one local batch per node");
-        self.drawing(|sim, rng| {
-            let mut trace = sim.shell(false);
-            sim.fill_microbatch(rng, local, &mut trace);
-            trace
-        })
-    }
-
-    fn fill_microbatch(&self, rng: &mut StdRng, local: &[u64], trace: &mut BatchTrace) {
-        let gamma = self.job.gamma;
-        let mut end = 0.0f64;
-        trace.observations.clear();
-        for (i, (c, &b)) in self.coeffs.iter().zip(local).enumerate() {
-            let spike = if self.straggler_prob > 0.0 && uniform(rng) < self.straggler_prob {
-                self.straggler_factor
-            } else {
-                1.0
-            };
-            let a = c.a(b as f64) * lognormal(rng, self.compute_noise) * spike;
-            let p = c.p(b as f64) * lognormal(rng, self.compute_noise) * spike;
-            end = end.max(a + p);
-            trace.observations.push(NodeObservation {
-                node: i,
-                local_batch: b,
-                a_time: a,
-                p_time: p,
-                sync_start: a + gamma * p,
-                gamma_obs: f64::NAN,
-                t_comm_obs: f64::NAN,
-                t_u_obs: f64::NAN,
-                rel_variance: self.cluster.nodes[i].measurement_sigma.powi(2),
-            });
-        }
-        trace.batch_time = end;
-    }
-
     fn batch(&self, rng: &mut StdRng, local: &[u64], slowdown: Option<&[f64]>) -> BatchTrace {
-        let mut trace = self.shell(true);
+        let mut trace = self.shell();
         self.fill_batch(rng, local, slowdown, &mut trace);
         trace
     }
@@ -466,14 +418,11 @@ impl Simulator {
         out
     }
 
-    /// Simulate the next optimizer steps of a run under a fixed local-batch
-    /// assignment and hand each to `visit`, in order. A step is
-    /// `accumulation − 1` no-sync micro-batches, then a synchronized batch,
-    /// and `visit` gets its `accumulation` traces in that order — every bit
-    /// what the same sequence of [`Simulator::simulate_microbatch`] and
-    /// [`Simulator::simulate_batch`] calls returns; the generator ends where
-    /// theirs would. The traces are borrowed from a window that is refilled
-    /// in place from step to step.
+    /// Simulate the next steps of a run under a fixed local-batch
+    /// assignment and hand each step's batch to `visit`, in order — every
+    /// bit what the same sequence of [`Simulator::simulate_batch`] calls
+    /// returns; the generator ends where theirs would. The traces are
+    /// borrowed from a window that is refilled in place from step to step.
     ///
     /// Returns how many steps it visited, `1 ≤ s ≤ steps`, so the caller
     /// loops until its run is done:
@@ -486,18 +435,11 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if `accumulation` or `steps` is zero or the assignment length
-    /// is wrong.
-    pub fn simulate_run(
-        &mut self,
-        local: &[u64],
-        accumulation: usize,
-        steps: usize,
-        visit: impl FnMut(&[BatchTrace]),
-    ) -> usize {
-        let node_batches = local.len() * accumulation * steps;
+    /// Panics if `steps` is zero or the assignment length is wrong.
+    pub fn simulate_run(&mut self, local: &[u64], steps: usize, visit: impl FnMut(&BatchTrace)) -> usize {
+        let node_batches = local.len() * steps;
         let threads = cores().min(node_batches / THREAD_NODE_BATCHES).max(1);
-        self.simulate_run_on(threads, local, accumulation, steps, visit)
+        self.simulate_run_on(threads, local, steps, visit)
     }
 
     /// [`Simulator::simulate_run`] on `threads` threads — the caller's and
@@ -521,34 +463,28 @@ impl Simulator {
         &mut self,
         threads: usize,
         local: &[u64],
-        accumulation: usize,
         steps: usize,
-        mut visit: impl FnMut(&[BatchTrace]),
+        mut visit: impl FnMut(&BatchTrace),
     ) -> usize {
-        assert!(threads >= 1 && accumulation >= 1 && steps >= 1, "a run needs a thread and a step of a batch");
+        assert!(threads >= 1 && steps >= 1, "a run needs a thread and a step of a batch");
         assert_eq!(local.len(), self.cluster.len(), "one local batch per node");
         if self.faults.is_some() {
-            let mut step = Vec::with_capacity(accumulation);
-            for _ in 1..accumulation {
-                step.push(self.simulate_microbatch(local));
-            }
-            step.push(self.simulate_batch(local));
-            visit(&step);
+            visit(&self.simulate_batch(local));
             return 1;
         }
-        let words = self.step_words(accumulation);
-        self.stream(threads, local, accumulation, steps, words, &mut visit);
+        let words = self.step_words();
+        self.stream(threads, local, steps, words, &mut visit);
         steps
     }
 
-    /// Generator words one fault-free optimizer step draws: the module
-    /// header's count, from its draw order.
-    fn step_words(&self, accumulation: usize) -> usize {
+    /// Generator words one fault-free step draws: the module header's
+    /// count, from its draw order.
+    fn step_words(&self) -> usize {
         let drawn = |sigma: f64| usize::from(sigma != 0.0);
         let per_node = usize::from(self.straggler_prob > 0.0) + 2 * drawn(self.compute_noise);
         let buckets = self.job.num_buckets * drawn(self.comm_noise);
         let measurements: usize = self.cluster.nodes.iter().map(|node| 3 * drawn(node.measurement_sigma)).sum();
-        accumulation * self.cluster.len() * per_node + buckets + measurements
+        self.cluster.len() * per_node + buckets + measurements
     }
 
     /// The fault-free run of [`Simulator::simulate_run_on`] with the words
@@ -558,14 +494,13 @@ impl Simulator {
         &mut self,
         threads: usize,
         local: &[u64],
-        accumulation: usize,
         steps: usize,
         words: usize,
-        visit: &mut dyn FnMut(&[BatchTrace]),
+        visit: &mut dyn FnMut(&BatchTrace),
     ) {
         let start = self.rng.clone();
         let draw = Draw { sim: self, local, start: &start, words };
-        let run = Run::new(&draw, threads, accumulation, steps);
+        let run = Run::new(&draw, threads, steps);
         let end = if run.threads == 1 {
             run.visit_all(&draw, visit)
         } else {
@@ -581,22 +516,17 @@ impl Simulator {
         self.rng = end.expect("a run halts only when one of its threads panics");
     }
 
-    /// Refills `traces`, whole steps of [`Simulator::shell`]s, in place with
-    /// steps drawn from `rng`: `accumulation − 1` micro-batches, then a
-    /// batch.
-    pub(crate) fn run_steps(&self, rng: &mut StdRng, local: &[u64], accumulation: usize, traces: &mut [BatchTrace]) {
-        for step in traces.chunks_exact_mut(accumulation) {
-            let (batch, micros) = step.split_last_mut().expect("a step ends with its batch");
-            for micro in micros {
-                self.fill_microbatch(rng, local, micro);
-            }
+    /// Refills `traces`, [`Simulator::shell`]s, in place with one step each
+    /// drawn from `rng`.
+    pub(crate) fn run_steps(&self, rng: &mut StdRng, local: &[u64], traces: &mut [BatchTrace]) {
+        for batch in traces {
             self.fill_batch(rng, local, None, batch);
         }
     }
 
     /// Simulate `steps` consecutive batches (one epoch) under a fixed
-    /// local-batch assignment: [`Simulator::simulate_run`] at accumulation
-    /// 1 until the epoch is done, each batch collected.
+    /// local-batch assignment: [`Simulator::simulate_run`] until the epoch
+    /// is done, each batch collected.
     ///
     /// # Panics
     ///
@@ -605,7 +535,7 @@ impl Simulator {
         assert!(steps > 0, "epoch needs at least one step");
         let mut batches = Vec::with_capacity(steps);
         while batches.len() < steps {
-            self.simulate_run(local, 1, steps - batches.len(), |step| batches.extend_from_slice(step));
+            self.simulate_run(local, steps - batches.len(), |batch| batches.push(batch.clone()));
         }
         let epoch_time = batches.iter().map(|b| b.batch_time).sum();
         EpochTrace { batches, epoch_time }
@@ -903,23 +833,21 @@ mod tests {
             }
             sim.cluster.nodes[1].measurement_sigma = 0.0;
             let mut skipped = sim.rng.clone();
-            for _ in 0..sim.step_words(3) {
+            for _ in 0..sim.step_words() {
                 skipped.next_u64();
             }
-            sim.simulate_microbatch(&[8, 8, 8]);
-            sim.simulate_microbatch(&[8, 8, 8]);
             sim.simulate_batch(&[8, 8, 8]);
             assert_eq!(sim.rng, skipped, "stragglers {stragglers}, noise ({compute}, {comm})");
         }
     }
 
     #[test]
-    #[should_panic(expected = "noise-stream seam mismatch at part 1 of the run of 200 steps (accumulation 1, 3 nodes, \
-                               2 threads): the part from step 35 does not start")]
+    #[should_panic(expected = "noise-stream seam mismatch at part 1 of the run of 200 steps (3 nodes, 2 threads): \
+                               the part from step 35 does not start")]
     fn a_miscounted_seam_panics_naming_the_part() {
         let mut sim = Simulator::new(small_cluster(), JobSpec::resnet18_cifar10(), 14);
-        let words = sim.step_words(1);
-        sim.stream(2, &[8, 8, 8], 1, 200, words + 1, &mut |_| {});
+        let words = sim.step_words();
+        sim.stream(2, &[8, 8, 8], 200, words + 1, &mut |_| {});
     }
 
     #[test]
@@ -1034,32 +962,6 @@ mod straggler_tests {
         for _ in 0..20 {
             assert_eq!(a.simulate_batch(&[16, 16]).batch_time, b.simulate_batch(&[16, 16]).batch_time);
         }
-    }
-}
-
-#[cfg(test)]
-mod microbatch_tests {
-    use super::*;
-    use crate::catalog::Gpu;
-    use crate::cluster::{ClusterSpec, NodeSpec};
-
-    #[test]
-    fn microbatch_skips_communication() {
-        let cluster = ClusterSpec::new(
-            "t",
-            vec![NodeSpec::new("a", Gpu::A100), NodeSpec::new("b", Gpu::Rtx6000)],
-        );
-        let mut sim = Simulator::new(cluster, JobSpec::resnet50_imagenet(), 3).with_noise(0.0, 0.0);
-        let micro = sim.simulate_microbatch(&[32, 16]);
-        let full = sim.simulate_batch(&[32, 16]);
-        assert!(micro.batch_time < full.batch_time, "no-sync must be faster");
-        // The micro time is exactly the straggler's compute.
-        let expected = (0..2)
-            .map(|i| sim.true_coefficients(i).compute([32.0, 16.0][i]))
-            .fold(0.0f64, f64::max);
-        assert!((micro.batch_time - expected).abs() < 1e-12);
-        assert!(micro.observations.iter().all(|o| o.t_comm_obs.is_nan()));
-        assert!(micro.bucket_sync_end.is_empty());
     }
 }
 

@@ -40,8 +40,8 @@ pub(crate) struct Draw<'a> {
 impl Draw<'_> {
     /// Empty traces for `steps` steps, for a part to be filled into or
     /// copied into in place.
-    fn shells(&self, steps: usize, accumulation: usize) -> Vec<BatchTrace> {
-        (1..=steps * accumulation).map(|i| self.sim.shell(i % accumulation == 0)).collect()
+    fn shells(&self, steps: usize) -> Vec<BatchTrace> {
+        (0..steps).map(|_| self.sim.shell()).collect()
     }
 }
 
@@ -78,7 +78,6 @@ enum Claim {
 /// its threads share.
 pub(crate) struct Run {
     pub(crate) threads: usize,
-    accumulation: usize,
     steps: usize,
     /// Steps per part; the last part may hold fewer.
     part: usize,
@@ -101,8 +100,8 @@ impl Run {
     /// down to whole steps, at most `threads` threads, a window of
     /// [`WINDOW_PARTS_PER_THREAD`] parts per thread (one part alone) — and
     /// allocates its window on this thread.
-    pub(crate) fn new(draw: &Draw<'_>, threads: usize, accumulation: usize, steps: usize) -> Run {
-        let part = (PART_NODE_BATCHES / (draw.local.len() * accumulation)).clamp(1, steps);
+    pub(crate) fn new(draw: &Draw<'_>, threads: usize, steps: usize) -> Run {
+        let part = (PART_NODE_BATCHES / draw.local.len()).clamp(1, steps);
         let parts = steps.div_ceil(part);
         let threads = threads.min(parts);
         let window = if threads == 1 { 1 } else { (WINDOW_PARTS_PER_THREAD * threads).min(parts) };
@@ -110,7 +109,7 @@ impl Run {
             .map(|_| Slot {
                 filled: AtomicUsize::new(0),
                 part: Mutex::new(Part {
-                    traces: draw.shells(part, accumulation),
+                    traces: draw.shells(part),
                     begin: draw.start.clone(),
                     end: draw.start.clone(),
                 }),
@@ -118,7 +117,6 @@ impl Run {
             .collect();
         Run {
             threads,
-            accumulation,
             steps,
             part,
             parts,
@@ -135,7 +133,7 @@ impl Run {
     /// The caller's side: visits every step in order, simulating a part
     /// whenever the next one is not ready. Returns the generator the run
     /// ends in, or `None` if a worker panicked.
-    pub(crate) fn visit_all(&self, draw: &Draw<'_>, visit: &mut dyn FnMut(&[BatchTrace])) -> Option<StdRng> {
+    pub(crate) fn visit_all(&self, draw: &Draw<'_>, visit: &mut dyn FnMut(&BatchTrace)) -> Option<StdRng> {
         let _halt = HaltOnPanic(self);
         let mut cursor = Cursor { rng: draw.start.clone(), at: 0 };
         let mut end = draw.start.clone();
@@ -146,12 +144,7 @@ impl Run {
         // the two-core host this was sized on, the analyzer's fold of a
         // 16-node step fell from 1.16 to 0.50 µs with it (0.39 µs when one
         // thread fills and folds alike).
-        let mut own: Vec<BatchTrace> = if self.threads == 1 { Vec::new() } else { draw.shells(self.part, self.accumulation) };
-        let mut visit_steps = |traces: &[BatchTrace]| {
-            for step in traces.chunks_exact(self.accumulation) {
-                visit(step);
-            }
-        };
+        let mut own: Vec<BatchTrace> = if self.threads == 1 { Vec::new() } else { draw.shells(self.part) };
         for v in 0..self.parts {
             let slot = self.slot(v);
             let ready = || slot.filled.load(SeqCst) == v + 1;
@@ -165,12 +158,14 @@ impl Run {
                 }
             }
             let part = lock(&slot.part);
-            let traces = self.len(v) * self.accumulation;
+            let len = self.len(v);
             if self.threads == 1 {
-                visit_steps(&part.traces[..traces]);
+                for batch in &part.traces[..len] {
+                    visit(batch);
+                }
             } else {
                 self.check_seam(draw, v, &part, &end);
-                for (mine, filled) in own.iter_mut().zip(&part.traces[..traces]) {
+                for (mine, filled) in own.iter_mut().zip(&part.traces[..len]) {
                     mine.observations.clone_from(&filled.observations);
                     mine.bucket_sync_end.clone_from(&filled.bucket_sync_end);
                     mine.batch_time = filled.batch_time;
@@ -181,7 +176,9 @@ impl Run {
             self.visited.store(v + 1, SeqCst);
             self.notify();
             if self.threads > 1 {
-                visit_steps(&own[..traces]);
+                for batch in &own[..len] {
+                    visit(batch);
+                }
             }
         }
         Some(end)
@@ -204,10 +201,9 @@ impl Run {
         let q = v.max(1);
         assert!(
             seamless,
-            "noise-stream seam mismatch at part {q} of the run of {} steps (accumulation {}, {} nodes, {} threads): \
+            "noise-stream seam mismatch at part {q} of the run of {} steps ({} nodes, {} threads): \
              the part from step {} does not start where the one before it ended",
             self.steps,
-            self.accumulation,
             draw.local.len(),
             self.threads,
             q * self.part,
@@ -274,7 +270,7 @@ impl Run {
             }
             part.begin.clone_from(&cursor.rng);
             let len = self.len(p);
-            draw.sim.run_steps(&mut cursor.rng, draw.local, self.accumulation, &mut part.traces[..len * self.accumulation]);
+            draw.sim.run_steps(&mut cursor.rng, draw.local, &mut part.traces[..len]);
             part.end.clone_from(&cursor.rng);
             cursor.at = from + len;
         }

@@ -18,35 +18,23 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-/// Bytes allocated and not yet freed, and the most of them at once.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
 
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the counters are
-// statistics beside it.
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// statistic beside it.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        grow(layout.size());
         // SAFETY: the caller's contract is `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        grow(new_size);
         // SAFETY: the caller's contract is `System.realloc`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -84,22 +72,18 @@ fn a_warm_step_allocates_only_what_it_returns() {
         let mut sim = simulator(n, buckets);
         let local = vec![16u64; n];
         let batch = allocations_per_call(&mut sim, |sim| drop(std::hint::black_box(sim.simulate_batch(&local))));
-        let micro = allocations_per_call(&mut sim, |sim| drop(std::hint::black_box(sim.simulate_microbatch(&local))));
         assert_eq!(batch, 2, "simulate_batch at (n, K) = ({n}, {buckets}): observations and bucket ends");
-        assert_eq!(micro, 1, "simulate_microbatch at n = {n}: observations");
 
         // A run allocates its window once: no more for a run eight times
         // the window than for one twice it, so a temporary per step fails
         // here whether the caller's thread or a worker makes it.
-        let accumulation = 2;
-        let per_step = (accumulation - 1) * micro + batch;
-        let part = (PART_NODE_BATCHES / (n * accumulation)).max(1);
+        let part = (PART_NODE_BATCHES / n).max(1);
         for threads in [1usize, 2, 3] {
             let window = if threads == 1 { 1 } else { WINDOW_PARTS_PER_THREAD * threads };
             let [short, long] = [2, 8].map(|windows| {
                 allocations_per_call(&mut sim, |sim| {
-                    sim.simulate_run_on(threads, &local, accumulation, windows * window * part, |step| {
-                        std::hint::black_box(step);
+                    sim.simulate_run_on(threads, &local, windows * window * part, |batch| {
+                        std::hint::black_box(batch);
                     });
                 })
             });
@@ -110,23 +94,9 @@ fn a_warm_step_allocates_only_what_it_returns() {
             // while the test harness captures output). Workers allocate no
             // trace: the caller makes them all.
             let parts = if threads == 1 { window } else { window + 1 };
-            let traces = parts * (1 + part * per_step);
+            let traces = parts * (1 + part * batch);
             let bound = traces + if threads == 1 { 1 } else { 3 + 5 * (threads - 1) };
             assert!(short <= bound, "a run on {threads} threads allocates {short} times, more than {bound}");
         }
-
-        // Parts are counted in simulated batches, not steps: at four
-        // batches a step a run holds no more at once than at one.
-        let [one, four] = [1, 4].map(|accumulation| {
-            let steps = 40 * PART_NODE_BATCHES.div_ceil(n);
-            sim.simulate_run_on(2, &local, accumulation, steps, |_| {});
-            let before = LIVE.load(Ordering::Relaxed);
-            PEAK.store(before, Ordering::Relaxed);
-            sim.simulate_run_on(2, &local, accumulation, steps, |step| {
-                std::hint::black_box(step);
-            });
-            PEAK.load(Ordering::Relaxed) - before
-        });
-        assert!(four <= one, "at (n, K) = ({n}, {buckets}) a run holds {four} bytes at accumulation 4, {one} at 1");
     }
 }

@@ -5,11 +5,11 @@
 //! floats `Simulator::simulate_batch` returns and of the order in which it
 //! draws from its generator. `tests/golden/batch_digests.txt` holds one
 //! digest per configuration over every bit pattern of 200 consecutive
-//! steps (every eighth a no-sync micro-batch) plus the noise-free
-//! `ideal_batch_time`. The fixture was written by the simulator that built
-//! an `n × K` readiness matrix per step; a change to the step must
-//! reproduce it, and `CANNIKIN_BLESS=1` only makes sense from a checkout
-//! of a simulator you trust with this file copied in.
+//! steps plus the noise-free `ideal_batch_time`. The fixture was written by
+//! the simulator that still had a no-sync micro-batch step, with this file
+//! copied in; a change to the step must reproduce it, and
+//! `CANNIKIN_BLESS=1` only makes sense from a checkout of a simulator you
+//! trust with this file copied in.
 
 use hetsim::catalog::Gpu;
 use hetsim::cluster::{ClusterSpec, NodeSpec};
@@ -77,8 +77,8 @@ fn digest(n: usize, buckets: usize, stragglers: bool, faults: bool) -> (u64, u64
     }
     let local: Vec<u64> = (0..n).map(|i| 48 - 2 * (i as u64 % 8)).collect();
     let mut hash = 0xCBF2_9CE4_8422_2325;
-    for step in 0..STEPS {
-        let trace = if step % 8 == 7 { sim.simulate_microbatch(&local) } else { sim.simulate_batch(&local) };
+    for _ in 0..STEPS {
+        let trace = sim.simulate_batch(&local);
         absorb(&mut hash, &trace);
     }
     (hash, sim.ideal_batch_time(&local).to_bits())

@@ -6,10 +6,10 @@
 //! a visitor, step by step, in order. Every seeded result in the workspace
 //! rests on that being exact, so this checks it over drawn configurations
 //! — every noise source on and off, one node that measures without noise —
-//! on one to four threads, at accumulation one to three, over step counts
-//! that are no whole number of parts: the visitor sees the traces the same
-//! sequence of `simulate_microbatch` / `simulate_batch` calls returns, and
-//! the generator ends where theirs does. The `policy` stage of
+//! on one to four threads, over step counts that are no whole number of
+//! parts: the visitor sees the traces the same sequence of
+//! `simulate_batch` calls returns, and the generator ends where theirs
+//! does. The `policy` stage of
 //! `scripts/tier1.sh` also runs it on one CPU, where a thread waiting for
 //! room in the window must give the core back to the one that visits.
 
@@ -21,8 +21,8 @@ use hetsim::trace::BatchTrace;
 use hetsim::{FaultPlan, Simulator};
 use propcheck::{check, Gen};
 
-/// Every bit of a trace, `NaN` included (the micro-batch's communication
-/// estimates are `NaN`, so `==` would call equal traces different).
+/// Every bit of a trace, so a `NaN` anywhere would still compare equal to
+/// itself.
 fn bits(trace: &BatchTrace) -> Vec<u64> {
     let mut out = vec![trace.batch_time.to_bits(), trace.faults.len() as u64];
     out.extend(trace.bucket_sync_end.iter().map(|end| end.to_bits()));
@@ -101,33 +101,19 @@ impl Case {
 
 /// What the serial calls return for `steps` steps, then the batch after
 /// them: the witness of where the generator ended.
-fn serial(
-    sim: &mut Simulator,
-    local: &[u64],
-    accumulation: usize,
-    steps: usize,
-) -> (Vec<BatchTrace>, BatchTrace) {
-    let mut traces = Vec::new();
-    for _ in 0..steps {
-        for _ in 1..accumulation {
-            traces.push(sim.simulate_microbatch(local));
-        }
-        traces.push(sim.simulate_batch(local));
-    }
+fn serial(sim: &mut Simulator, local: &[u64], steps: usize) -> (Vec<BatchTrace>, BatchTrace) {
+    let traces = (0..steps).map(|_| sim.simulate_batch(local)).collect();
     (traces, sim.simulate_batch(local))
 }
 
 /// The bits of every step `visit` is handed, and how many steps the call
 /// says it visited.
-fn visited(sim: &mut Simulator, threads: Option<usize>, local: &[u64], accumulation: usize, steps: usize) -> (Vec<Vec<u64>>, usize) {
+fn visited(sim: &mut Simulator, threads: Option<usize>, local: &[u64], steps: usize) -> (Vec<Vec<u64>>, usize) {
     let mut got = Vec::new();
-    let mut visit = |step: &[BatchTrace]| {
-        assert_eq!(step.len(), accumulation, "a step is its micro-batches, then its batch");
-        got.extend(step.iter().map(bits));
-    };
+    let mut visit = |batch: &BatchTrace| got.push(bits(batch));
     let count = match threads {
-        Some(threads) => sim.simulate_run_on(threads, local, accumulation, steps, &mut visit),
-        None => sim.simulate_run(local, accumulation, steps, &mut visit),
+        Some(threads) => sim.simulate_run_on(threads, local, steps, &mut visit),
+        None => sim.simulate_run(local, steps, &mut visit),
     };
     (got, count)
 }
@@ -136,10 +122,9 @@ fn visited(sim: &mut Simulator, threads: Option<usize>, local: &[u64], accumulat
 fn a_streamed_run_on_any_thread_count_is_the_serial_stream() {
     check(100, |g| {
         let case = Case::draw(g);
-        let accumulation = g.usize(1..4);
         let local = &case.local;
         // Steps per part, as the run sizes them; the count is no multiple.
-        let part = (PART_NODE_BATCHES / (local.len() * accumulation)).max(1);
+        let part = (PART_NODE_BATCHES / local.len()).max(1);
         let mut steps = g.usize(1..601);
         if part > 1 && steps % part == 0 {
             steps += 1;
@@ -153,13 +138,13 @@ fn a_streamed_run_on_any_thread_count_is_the_serial_stream() {
             }
             sim
         };
-        let (want, want_next) = serial(&mut fresh(), local, accumulation, steps);
+        let (want, want_next) = serial(&mut fresh(), local, steps);
         let (want, want_next) = (all_bits(&want), bits(&want_next));
         for threads in [Some(1), Some(2), Some(3), Some(4), None] {
             let mut sim = fresh();
-            let (got, count) = visited(&mut sim, threads, local, accumulation, steps);
+            let (got, count) = visited(&mut sim, threads, local, steps);
             assert_eq!(count, steps, "a fault-free run is visited in one call");
-            assert_eq!(got, want, "{steps} steps on {threads:?} threads at accumulation {accumulation}");
+            assert_eq!(got, want, "{steps} steps on {threads:?} threads");
             assert_eq!(bits(&sim.simulate_batch(local)), want_next, "{threads:?} threads left the generator elsewhere");
         }
     });
@@ -175,9 +160,9 @@ fn a_simulator_with_a_fault_plan_visits_one_step_per_call() {
         let mut twin = case.simulator().with_fault_plan(plan());
         for call in 0..12 {
             // Long enough to split into parts on every thread if it could.
-            let (got, count) = visited(&mut sim, Some(4), local, 2, 5_000);
+            let (got, count) = visited(&mut sim, Some(4), local, 5_000);
             assert_eq!(count, 1, "call {call} visited {count} steps");
-            let want = [twin.simulate_microbatch(local), twin.simulate_batch(local)];
+            let want = [twin.simulate_batch(local)];
             assert_eq!(got, all_bits(&want), "call {call} is not the serial step");
         }
     });
@@ -189,7 +174,7 @@ fn a_visitor_that_panics_stops_the_workers() {
     let nodes = vec![NodeSpec::new("a", Gpu::A100), NodeSpec::new("b", Gpu::V100)];
     let mut sim = Simulator::new(ClusterSpec::new("stream", nodes), JobSpec::resnet18_cifar10(), 7);
     let mut seen = 0;
-    sim.simulate_run_on(3, &[16, 8], 1, 3_000, |_| {
+    sim.simulate_run_on(3, &[16, 8], 3_000, |_| {
         seen += 1;
         assert!(seen < 100, "the visitor stops here");
     });

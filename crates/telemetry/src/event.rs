@@ -391,12 +391,10 @@ events! {
     pub struct GoodputEval {
         /// Gradient noise scale φ the selection ran under.
         pub phi: f64,
-        /// Chosen effective total batch size.
+        /// Chosen total batch size.
         pub total: u64,
         /// Predicted goodput at the chosen size (reference samples/s).
         pub goodput: f64,
-        /// Gradient-accumulation factor of the chosen candidate.
-        pub accumulation: u64,
         /// Candidate totals evaluated by the cached sweep.
         pub candidates: u32,
         /// Whether the `OptPerf_init` cache was (re)built this selection.
@@ -719,7 +717,7 @@ mod tests {
             Event::SplitDecision(SplitDecision { total: 3, local: vec![1, 1, 1], predicted_t: None, source: SplitSource::EvenInit }),
             Event::PolicyDecision(PolicyDecision { policy: "optperf".into(), epoch: 4, total: 128 }),
             Event::GnsEstimated(GnsEstimated { b_noise: 310.5, grad_sq: 2.0, variance: 621.0, weights: vec![0.5, 0.25, 0.25] }),
-            Event::GoodputEval(GoodputEval { phi: 300.0, total: 512, goodput: 123.5, accumulation: 2, candidates: 13, cache_rebuilt: true }),
+            Event::GoodputEval(GoodputEval { phi: 300.0, total: 512, goodput: 123.5, candidates: 13, cache_rebuilt: true }),
             Event::AllReduceBucket(AllReduceBucket { bucket: 3, elems: 4096, wall_ns: 1_250_000, bytes: 16_384 }),
             Event::SolverInvocation(SolverInvocation { wall_ns: 42_000, total: 256, candidates: 1, solves: 5, boundary: 2 }),
             Event::AnomalyDetected(AnomalyDetected {

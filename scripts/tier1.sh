@@ -11,8 +11,9 @@
 #              TrainingSubject defines the run loops, that only HetPipe
 #              implements it outside core, that EpochRecord is the one
 #              epoch record, that the simulator draws its normals
-#              without trig, and that nothing outside demand.rs and the
-#              benchmark calls the fleet's scaling-curve replay
+#              without trig, that nothing outside demand.rs and the
+#              benchmark calls the fleet's scaling-curve replay, and that
+#              no gradient-accumulation plumbing is back
 #   test       full workspace test suite
 #   kernels    minidnn's suite again, optimised, under each GEMM kernel policy
 #              (auto, off, avx2), after saying which tile auto is here; then
@@ -125,6 +126,13 @@ stage() {
         # probe, and nothing else may call it.
         if git grep -n 'measured_scaling_curve' -- '*.rs' ':!crates/benchmark' ':!crates/fleet/src/demand.rs'; then
             echo "tier1.sh: measured_scaling_curve is called outside demand.rs (above); read the knee off DemandModel::scaling_curve" >&2
+            exit 1
+        fi
+        # No engine runs gradient accumulation, so no layer carries its
+        # factor: a step is one synchronized batch everywhere. (The frozen
+        # benchmark is outside the check.)
+        if git grep -nE 'with_accumulation|simulate_microbatch|compute_span|\.accumulation\b|accumulation:' -- '*.rs' ':!crates/benchmark'; then
+            echo "tier1.sh: gradient-accumulation plumbing is back (above); a step is one synchronized batch" >&2
             exit 1
         fi
         ;;

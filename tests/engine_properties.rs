@@ -51,9 +51,9 @@ fn engine_invariants_on_random_clusters() {
         for r in &records {
             assert_eq!(r.local_batches.len(), n);
             assert_eq!(
-                r.local_batches.iter().sum::<u64>() * r.accumulation,
+                r.local_batches.iter().sum::<u64>(),
                 r.total_batch,
-                "micro split × accumulation must equal the effective batch"
+                "the split must sum to the total batch"
             );
             assert!(r.local_batches.iter().all(|&b| b >= 1));
             assert!(r.epoch_time.is_finite() && r.epoch_time > 0.0);

@@ -29,7 +29,7 @@
 //!   *names* the policy that produced the adjacent (fully compared)
 //!   `split_decision`.
 //!
-//! Everything else — splits, totals, accumulation, simulated times,
+//! Everything else — splits, totals, simulated times,
 //! noise scales, efficiencies, fault/recovery counts, and the full
 //! telemetry stream — must match byte for byte.
 
@@ -69,12 +69,11 @@ fn hex(v: f64) -> String {
 /// included.
 fn record_line(r: &EpochRecord) -> String {
     format!(
-        "epoch={} total={} local={:?} steps={} accum={} t={} mbt={} phi={} eff={} eff_epochs={} pattern={:?} used_model={} faults={} recoveries={}",
+        "epoch={} total={} local={:?} steps={} t={} mbt={} phi={} eff={} eff_epochs={} pattern={:?} used_model={} faults={} recoveries={}",
         r.epoch,
         r.total_batch,
         r.local_batches,
         r.steps,
-        r.accumulation,
         hex(r.epoch_time),
         hex(r.mean_batch_time),
         hex(r.noise_scale.expect("a simulated epoch knows its φ")),
