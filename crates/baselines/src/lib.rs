@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn ddp_reports_the_faults_it_trains_through() {
         let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
-        let sim = sim(JobSpec::resnet18_cifar10(), 8).with_fault_plan(FaultPlan::straggler_onset(8, 2, 100, 2.5));
+        let sim = sim(JobSpec::resnet18_cifar10(), 8).with_fault_plan(FaultPlan::new(8).burst_at(100, 2, u64::MAX, 2.5));
         let mut ddp = System::Ddp.build(sim, noise, 6_400, 64, 512).expect("valid config");
         let session = Session::start();
         let records = ddp.run_epochs(3).expect("run");

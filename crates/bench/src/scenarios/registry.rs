@@ -134,29 +134,30 @@ use Capability::{AdaptiveBatch, CommRetry, Compression, Elastic, FaultInjection,
 fn plan_spot_preemption(seed: u64) -> FaultPlan {
     // Node 1 (the V100) is preempted at step 150; a replacement V100
     // arrives 150 steps later — the classic spot-instance life cycle.
-    FaultPlan::spot_preemption(seed, 1, 150, 300, NodeSpec::new("v100-replacement", Gpu::V100))
+    FaultPlan::new(seed).crash_at(150, 1).join_at(300, NodeSpec::new("v100-replacement", Gpu::V100))
 }
 
 fn plan_diurnal_contention(seed: u64) -> FaultPlan {
     // From step 20, node 1 alternates every 40 steps between full speed
     // and half of its compute: the shared-cluster day/night pattern.
-    FaultPlan::diurnal_contention(seed, 1, 40, 0.5, 20)
+    FaultPlan::new(seed).flapping(1, 40, 0.5, 20)
 }
 
 fn plan_straggler_onset(seed: u64) -> FaultPlan {
-    // Node 2 permanently slows 2.5x at step 100 (thermal throttling).
-    FaultPlan::straggler_onset(seed, 2, 100, 2.5)
+    // Node 2 permanently slows 2.5x at step 100 (thermal throttling): a
+    // burst that outlasts any run.
+    FaultPlan::new(seed).burst_at(100, 2, u64::MAX, 2.5)
 }
 
 fn plan_flaky_network(seed: u64) -> FaultPlan {
     // 5% of gradient syncs fail, two attempts before the step is lost.
-    FaultPlan::flaky_network(seed, 0.05, 2)
+    FaultPlan::new(seed).transient_comm(0.05, 2)
 }
 
 fn plan_cluster_churn(seed: u64) -> FaultPlan {
     // Node 2 leaves gracefully at step 120; a different machine joins at
     // step 240 — fleet reallocation without any failure.
-    FaultPlan::cluster_churn(seed, 2, 120, NodeSpec::new("rtx-join", Gpu::Rtx6000), 240)
+    FaultPlan::new(seed).leave_at(120, 2).join_at(240, NodeSpec::new("rtx-join", Gpu::Rtx6000))
 }
 
 fn comm_lossy(seed: u64) -> CommFaultPlan {

@@ -7,9 +7,6 @@
 //!
 //! - [`Codec::Bf16`] — bfloat16 truncation with round-to-nearest-even:
 //!   2 bytes per element, ~8 bits of mantissa, full `f32` exponent range.
-//! - [`Codec::F16`] — IEEE 754 binary16: 2 bytes per element, 11 bits of
-//!   effective mantissa, narrow exponent range (saturates to ±∞ beyond
-//!   ~65504; gradients this large indicate divergence anyway).
 //! - [`Codec::TopK`] — magnitude sparsification: only the `k` largest
 //!   entries (by `|v|`, ties broken by lower index) travel, as
 //!   `[dense_len: u32][k: u32][k × index: u32][k × value: f32]`, indices
@@ -24,7 +21,7 @@
 //! rank's forwarded copy decodes to the same bits and the group stays
 //! replica-consistent even under lossy compression.
 //!
-//! `none`, `bf16` and `f16` are **elementwise**: a frame is its elements'
+//! `none` and `bf16` are **elementwise**: a frame is its elements'
 //! encodings laid end to end, so a slice of a frame is the frame of the
 //! slice and the ring may cut a chunk into as many frames as it likes.
 //! `topk` selects across the whole frame and must see a chunk whole.
@@ -48,8 +45,6 @@ pub enum Codec {
     None,
     /// bfloat16 (round-to-nearest-even): 2 bytes per element.
     Bf16,
-    /// IEEE binary16 (round-to-nearest-even, saturating): 2 bytes/element.
-    F16,
     /// Keep only the `permille`/1000 largest-magnitude entries per frame.
     TopK {
         /// Kept fraction in thousandths, `1..=1000`. `100` keeps the top
@@ -59,13 +54,12 @@ pub enum Codec {
 }
 
 impl Codec {
-    /// A short stable label (`none` / `bf16` / `f16` / `topk`), e.g. for
+    /// A short stable label (`none` / `bf16` / `topk`), e.g. for
     /// telemetry tags and experiment tables.
     pub fn label(&self) -> &'static str {
         match self {
             Codec::None => "none",
             Codec::Bf16 => "bf16",
-            Codec::F16 => "f16",
             Codec::TopK { .. } => "topk",
         }
     }
@@ -82,7 +76,7 @@ impl Codec {
     pub(crate) fn scalar_width(&self) -> Option<usize> {
         match self {
             Codec::None => Some(4),
-            Codec::Bf16 | Codec::F16 => Some(2),
+            Codec::Bf16 => Some(2),
             Codec::TopK { .. } => None,
         }
     }
@@ -100,7 +94,6 @@ impl Codec {
         match self {
             Codec::None => pack(values, frame, f32::to_le_bytes),
             Codec::Bf16 => pack(values, frame, |v| f32_to_bf16(v).to_le_bytes()),
-            Codec::F16 => pack(values, frame, |v| f32_to_f16(v).to_le_bytes()),
             Codec::TopK { permille } => encode_topk(values, *permille, frame),
         }
     }
@@ -136,7 +129,6 @@ impl Codec {
         match self {
             Codec::None => whole(4, "f32"),
             Codec::Bf16 => whole(2, "bf16"),
-            Codec::F16 => whole(2, "f16"),
             Codec::TopK { .. } => topk_header(frame).map(|(dense_len, _)| dense_len),
         }
     }
@@ -158,7 +150,6 @@ impl Codec {
         match self {
             Codec::None => unpack(frame, dst, accumulate, f32::from_le_bytes),
             Codec::Bf16 => unpack(frame, dst, accumulate, |b| bf16_to_f32(u16::from_le_bytes(b))),
-            Codec::F16 => unpack(frame, dst, accumulate, |b| f16_to_f32(u16::from_le_bytes(b))),
             Codec::TopK { .. } => return decode_topk_onto(frame, dst, accumulate),
         }
         Ok(())
@@ -171,7 +162,6 @@ impl Codec {
         match self {
             Codec::None => {}
             Codec::Bf16 => data.iter_mut().for_each(|v| *v = round_bf16(*v)),
-            Codec::F16 => data.iter_mut().for_each(|v| *v = round_f16(*v)),
             Codec::TopK { permille } => {
                 let mut keep = topk_indices(data, *permille).into_iter().peekable();
                 for (i, v) in data.iter_mut().enumerate() {
@@ -199,7 +189,6 @@ impl Codec {
         match self {
             Codec::None => feed_back(data, residual, weight, unscale, |v| v),
             Codec::Bf16 => feed_back(data, residual, weight, unscale, round_bf16),
-            Codec::F16 => feed_back(data, residual, weight, unscale, round_f16),
             Codec::TopK { permille } => {
                 for (v, r) in data.iter_mut().zip(residual.iter()) {
                     *v = (*v + *r) * weight;
@@ -219,7 +208,7 @@ impl Codec {
     pub fn frame_bytes(&self, len: usize) -> usize {
         match self {
             Codec::None => len * 4,
-            Codec::Bf16 | Codec::F16 => len * 2,
+            Codec::Bf16 => len * 2,
             Codec::TopK { permille } => 8 + topk_count(len, *permille) * 8,
         }
     }
@@ -337,73 +326,6 @@ pub(crate) fn bf16_to_f32(h: u16) -> f32 {
 
 fn round_bf16(x: f32) -> f32 {
     bf16_to_f32(f32_to_bf16(x))
-}
-
-// ---- IEEE binary16 ----
-
-/// `f32` → f16 with round-to-nearest-even, gradual underflow to the f16
-/// subnormal range, saturation to ±∞ above the f16 range.
-pub(crate) fn f32_to_f16(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xFF) as i32;
-    let man = bits & 0x007F_FFFF;
-    if exp == 0xFF {
-        // Inf stays Inf; NaN keeps a mantissa bit so it stays NaN.
-        return sign | 0x7C00 | u16::from(man != 0) << 9;
-    }
-    let unbiased = exp - 127;
-    if unbiased >= 16 {
-        return sign | 0x7C00; // overflow → ±∞
-    }
-    if unbiased >= -14 {
-        // Normal half: drop 13 mantissa bits with RNE. A mantissa carry
-        // may overflow into the exponent — that is exactly the right
-        // rounding (up to the next binade, or to ∞ at the top).
-        let mut h = (((unbiased + 15) as u32) << 10) | (man >> 13);
-        let rem = man & 0x1FFF;
-        if rem > 0x1000 || (rem == 0x1000 && h & 1 == 1) {
-            h += 1;
-        }
-        return sign | h as u16;
-    }
-    if unbiased >= -25 {
-        // Subnormal half: shift the full significand (implicit bit
-        // included) into place, rounding the dropped bits to even. The
-        // −25 binade rounds up to the smallest subnormal when above its
-        // midpoint and to zero at or below it — plain RNE.
-        let full = man | 0x0080_0000;
-        let shift = (13 - 14 - unbiased) as u32;
-        let mut h = full >> shift;
-        let rem = full & ((1u32 << shift) - 1);
-        let half = 1u32 << (shift - 1);
-        if rem > half || (rem == half && h & 1 == 1) {
-            h += 1;
-        }
-        return sign | h as u16;
-    }
-    sign // underflow → ±0
-}
-
-/// f16 → `f32` (exact for every finite half value).
-pub(crate) fn f16_to_f32(h: u16) -> f32 {
-    let sign = u32::from(h & 0x8000) << 16;
-    let exp = (h >> 10) & 0x1F;
-    let man = u32::from(h & 0x03FF);
-    match exp {
-        0 => {
-            // Subnormal: man · 2⁻²⁴, exact because the scale is a power
-            // of two and man fits in 10 bits.
-            let mag = man as f32 * f32::from_bits(0x3380_0000);
-            f32::from_bits(mag.to_bits() | sign)
-        }
-        31 => f32::from_bits(sign | 0x7F80_0000 | (man << 13)),
-        e => f32::from_bits(sign | ((u32::from(e) + 112) << 23) | (man << 13)),
-    }
-}
-
-fn round_f16(x: f32) -> f32 {
-    f16_to_f32(f32_to_f16(x))
 }
 
 // ---- top-k sparsification ----
@@ -541,28 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn f16_round_trips_exact_halves() {
-        for v in [0.0f32, 1.0, -2.5, 0.5, 65504.0, -65504.0, 6.103_515_6e-5, 5.960_464_5e-8] {
-            let q = f16_to_f32(f32_to_f16(v));
-            assert_eq!(q, v, "{v} must be exactly representable in f16");
-        }
-        // Saturation and specials.
-        assert_eq!(f16_to_f32(f32_to_f16(1e6)), f32::INFINITY);
-        assert_eq!(f16_to_f32(f32_to_f16(-1e6)), f32::NEG_INFINITY);
-        assert!(f16_to_f32(f32_to_f16(f32::NAN)).is_nan());
-        assert_eq!(f16_to_f32(f32_to_f16(1e-10)), 0.0, "deep underflow flushes to zero");
-        assert_eq!(f32_to_f16(-1e-10), 0x8000, "…keeping the sign");
-    }
-
-    #[test]
-    fn f16_subnormals_are_gradual() {
-        // Half the smallest normal is a subnormal, not zero.
-        let v = 1.0f32 / 32_768.0; // 2⁻¹⁵
-        let q = f16_to_f32(f32_to_f16(v));
-        assert!(q > 0.0 && (q - v).abs() / v < 0.001, "{v} -> {q}");
-    }
-
-    #[test]
     fn topk_keeps_largest_magnitudes() {
         let values = vec![0.1f32, -5.0, 0.2, 3.0, -0.05, 0.0, 4.0, -0.3];
         let codec = Codec::TopK { permille: 375 }; // keep 3 of 8
@@ -592,7 +492,6 @@ mod tests {
         for codec in [
             Codec::None,
             Codec::Bf16,
-            Codec::F16,
             Codec::TopK { permille: 100 },
             Codec::TopK { permille: 1000 },
         ] {
@@ -612,7 +511,7 @@ mod tests {
     #[test]
     fn frame_bytes_is_exact() {
         let values = vec![1.0f32; 123];
-        for codec in [Codec::None, Codec::Bf16, Codec::F16, Codec::TopK { permille: 250 }] {
+        for codec in [Codec::None, Codec::Bf16, Codec::TopK { permille: 250 }] {
             assert_eq!(codec.encode(&values).len(), codec.frame_bytes(values.len()), "{codec}");
         }
         assert_eq!(Codec::TopK { permille: 250 }.frame_bytes(0), 8);
@@ -622,7 +521,6 @@ mod tests {
     fn malformed_frames_are_rejected() {
         assert!(Codec::None.decode(&[0; 5]).is_err());
         assert!(Codec::Bf16.decode(&[0; 3]).is_err());
-        assert!(Codec::F16.decode(&[0; 1]).is_err());
         let topk = Codec::TopK { permille: 100 };
         assert!(topk.decode(&[0; 4]).is_err(), "truncated header");
         let mut bad = topk.encode(&[1.0, 2.0, 3.0]);
@@ -634,8 +532,8 @@ mod tests {
 
     #[test]
     fn display_names_the_codec() {
-        let shown = [Codec::None, Codec::Bf16, Codec::F16, Codec::TopK { permille: 37 }].map(|c| c.to_string());
-        assert_eq!(shown, ["none", "bf16", "f16", "topk:37"]);
+        let shown = [Codec::None, Codec::Bf16, Codec::TopK { permille: 37 }].map(|c| c.to_string());
+        assert_eq!(shown, ["none", "bf16", "topk:37"]);
     }
 
     /// The residual as a vector (compensating zeros reads it out).
@@ -681,7 +579,7 @@ mod tests {
     fn feedback_in_one_pass_equals_the_steps_taken_apart() {
         let values: Vec<f32> = (0..257).map(|i| ((i * 37) % 101) as f32 * 0.173 - 8.5).collect();
         let carried: Vec<f32> = (0..257).map(|i| ((i * 13) % 17) as f32 * 0.0031 - 0.02).collect();
-        for codec in [Codec::Bf16, Codec::F16, Codec::TopK { permille: 100 }] {
+        for codec in [Codec::Bf16, Codec::TopK { permille: 100 }] {
             for weight in [0.3f32, 1.0, 0.0] {
                 let (mut data, mut residual) = (values.clone(), carried.clone());
                 codec.quantize_with_feedback(&mut data, &mut residual, weight);
@@ -706,7 +604,7 @@ mod tests {
         topk.decode_onto(&topk.encode(&[0.5, -9.0, 0.25, 7.0]), &mut dst, true).unwrap();
         assert_eq!(dst, [1.0, -7.0, 3.0, 11.0]);
         let untouched = dst;
-        for codec in [Codec::None, Codec::Bf16, Codec::F16, topk] {
+        for codec in [Codec::None, Codec::Bf16, topk] {
             for len in [3, 5] {
                 let err = codec.decode_onto(&codec.encode(&vec![1.0; len]), &mut dst, true).unwrap_err();
                 assert!(err.contains(&format!("{len} elements onto a destination of 4")), "{codec}: {err}");

@@ -12,7 +12,7 @@
 //! - [`Communicator::exchange`] — the gradient exchange of Eq. (9),
 //!   `g = Σᵢ rᵢ gᵢ`, over the bandwidth-optimal ring all-reduce
 //!   (reduce-scatter followed by all-gather, `2(n−1)` chunk transfers per
-//!   rank). Payloads travel through a per-group [`Codec`] (bf16 / f16
+//!   rank). Payloads travel through a per-group [`Codec`] (bf16
 //!   quantization or top-k sparsification, raw `f32` by default); pass the
 //!   rank's [`ErrorFeedback`] residual — with a bucket offset when
 //!   reducing bucket by bucket, as DDP does to overlap synchronization

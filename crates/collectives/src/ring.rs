@@ -983,7 +983,7 @@ mod tests {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/ring_digests.txt");
         let table = |kind: &TransportKind| {
             let mut text = String::new();
-            for codec in [Codec::None, Codec::Bf16, Codec::F16, Codec::TopK { permille: 100 }] {
+            for codec in [Codec::None, Codec::Bf16, Codec::TopK { permille: 100 }] {
                 let slice = slice_or_raw(codec);
                 for n in [3usize, 4] {
                     for len in [n * slice - 1, n * slice, n * slice + 1, 2 * n * slice + n - 1, n - 1] {
@@ -1041,7 +1041,7 @@ mod tests {
     fn sliced_ring_matches_a_serial_reference() {
         check(64, |g| {
             let n = g.usize(1..5);
-            let codec = g.pick(&[Codec::None, Codec::Bf16, Codec::F16, Codec::TopK { permille: 100 }]);
+            let codec = g.pick(&[Codec::None, Codec::Bf16, Codec::TopK { permille: 100 }]);
             let kind = g.pick(&[TransportKind::InProcess, TransportKind::tcp()]);
             // From nothing to a little past two slices per chunk, landing
             // on and beside the whole numbers of slices.

@@ -42,7 +42,6 @@ use cannikin_collectives::{Codec, CommFaultPlan, TransportKind};
 use hetsim::Simulator;
 use minidnn::data::ClassificationDataset;
 use minidnn::layers::Sequential;
-use minidnn::lr::LrScaler;
 
 use std::sync::Arc;
 
@@ -299,13 +298,6 @@ impl ParallelTrainerBuilder {
         self
     }
 
-    /// Learning-rate scaling rule for grown batches.
-    #[must_use]
-    pub fn lr_scaler(mut self, scaler: LrScaler) -> Self {
-        self.config.lr_scaler = scaler;
-        self
-    }
-
     /// RNG seed (model init and shuffling).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -551,7 +543,7 @@ mod tests {
     #[test]
     fn codec_and_overlap_knobs_layer_like_transport() {
         let mut cfg = ParallelConfig::hetero_default(32);
-        cfg.codec = Codec::F16;
+        cfg.codec = Codec::TopK { permille: 100 };
         cfg.overlap = true;
         let t = ParallelTrainer::builder()
             .dataset(gaussian_blobs(128, 4, 10, 3))

@@ -32,7 +32,7 @@
 //! behind the remaining backward compute, and the analyzer is fed the
 //! *exposed* communication time `T_u = T_comm − T_o`.
 //!
-//! Gradients can additionally travel through a lossy [`Codec`] (bf16/f16
+//! Gradients can additionally travel through a lossy [`Codec`] (bf16
 //! quantization or top-k sparsification) with a persistent per-rank
 //! [`ErrorFeedback`] residual, cutting bytes on the wire while the
 //! compensated trajectory tracks the uncompressed one.
@@ -52,6 +52,7 @@ use super::loader::HeteroDataLoader;
 use super::{EpochRecord, TrainingSubject};
 use crate::error::CannikinError;
 use crate::gns::{estimate_gns, statistical_efficiency, Aggregation, GnsEstimate, GnsTracker, GradientSample};
+use crate::optperf::ensure_distinct_split;
 use crate::perf::{Analyzer, MeasurementAggregation};
 use crate::policy::Policy;
 
@@ -65,7 +66,7 @@ use rand::SeedableRng;
 use minidnn::data::ClassificationDataset;
 use minidnn::layers::{assign_values, flatten_values, num_elements, Grads, Layer, Sequential};
 use minidnn::loss::{Loss, SoftmaxCrossEntropy};
-use minidnn::lr::LrScaler;
+use minidnn::lr::adascale_gain;
 use minidnn::optim::{Optimizer, Sgd};
 use minidnn::tensor::threads::thread_cpu_time;
 use minidnn::tensor::Tensor;
@@ -86,10 +87,9 @@ pub struct ParallelConfig {
     pub max_batch: u64,
     /// Whether the total batch size adapts via goodput.
     pub adaptive: bool,
-    /// Base learning rate at B₀.
+    /// Base learning rate at B₀; a grown batch scales it by AdaScale's
+    /// gain.
     pub base_lr: f64,
-    /// Learning-rate scaling rule for grown batches.
-    pub lr_scaler: LrScaler,
     /// RNG seed (model init and shuffling).
     pub seed: u64,
     /// Injected gradient-exchange failures, keyed by exchange sequence
@@ -125,7 +125,6 @@ impl ParallelConfig {
             max_batch: base_batch * 8,
             adaptive: true,
             base_lr: 0.1,
-            lr_scaler: LrScaler::AdaScale,
             seed: 17,
             comm_faults: None,
             retry: RetryPolicy::default(),
@@ -400,7 +399,7 @@ impl Executor for ThreadedExecutor {
         let steps = schedule.steps().max(1);
         let step_total = local.iter().sum::<u64>();
         let phi = self.tracker.noise_scale();
-        let lr = self.config.lr_scaler.scaled_lr(self.config.base_lr, self.config.base_batch, total, phi);
+        let lr = self.config.base_lr * adascale_gain(self.config.base_batch, total, phi);
         // A fault plan's presence is what arms the exchange's retry.
         let retry = self.config.comm_faults.is_some().then_some(self.config.retry);
 
@@ -640,6 +639,9 @@ struct RankOutput {
 /// A second split for within-epoch measurement: adjacent node pairs trade
 /// ~25% of their smaller share (at least one sample), preserving the sum
 /// and the one-sample floor while giving the linear fit real leverage.
+/// A rank the trades leave where it was (an odd tail handing back what the
+/// first pair gave, or two one-sample ranks side by side) is then moved by
+/// [`ensure_distinct_split`], the bootstrap's repair.
 fn measurement_variant(split: &[u64]) -> Vec<u64> {
     let mut out = split.to_vec();
     let mut i = 0;
@@ -665,7 +667,7 @@ fn measurement_variant(split: &[u64]) -> Vec<u64> {
             out[last] += d;
         }
     }
-    out
+    ensure_distinct_split(split, out)
 }
 
 /// One rank's epoch. The state comes back only with `Ok`: any other way
@@ -1066,7 +1068,6 @@ mod tests {
             max_batch: 128,
             adaptive,
             base_lr: 0.05,
-            lr_scaler: LrScaler::AdaScale,
             seed: 5,
             comm_faults: None,
             retry: RetryPolicy::default(),
@@ -1530,8 +1531,27 @@ mod tests {
                 assert_eq!(odd.len(), split.len(), "{split:?} -> {odd:?}");
                 assert_eq!(odd.iter().sum::<u64>(), split.iter().sum::<u64>(), "{split:?} -> {odd:?}");
                 assert!(odd.iter().all(|&b| b >= 1), "{split:?} -> {odd:?}");
+                // Up to three ranks, every rank sees a second local size
+                // whenever some split of the same total gives it one.
+                if n <= 3 && moves_every_rank_exists(&split) {
+                    assert!(split.iter().zip(&odd).all(|(a, b)| a != b), "a rank stays put: {split:?} -> {odd:?}");
+                }
             }
         }
+    }
+
+    /// Whether some split of `split`'s total, one sample per rank at
+    /// least, differs from it at every rank (brute force over the first
+    /// `n − 1` shares).
+    fn moves_every_rank_exists(split: &[u64]) -> bool {
+        fn search(split: &[u64], left: u64) -> bool {
+            match split {
+                [] => false,
+                [last] => left != *last && left >= 1,
+                [first, rest @ ..] => (1..left).any(|b| b != *first && search(rest, left - b)),
+            }
+        }
+        search(split, split.iter().sum())
     }
 
     #[test]

@@ -86,12 +86,6 @@ impl GoodputEngine {
         out
     }
 
-    /// Drop the cached sweep (models changed materially — e.g. a node's
-    /// contention factor moved).
-    pub fn invalidate(&mut self) {
-        self.cache = None;
-    }
-
     /// Select the goodput-maximizing total batch size under the gradient
     /// noise scale `phi`, solving with `solver` (built from the current
     /// learned models).
@@ -253,8 +247,9 @@ mod tests {
         let mut s = solver();
         let mut engine = GoodputEngine::new(64, 64, 4096);
         let small = engine.select(&mut s, 20.0).unwrap();
-        engine.invalidate();
-        let large = engine.select(&mut s, 20_000.0).unwrap();
+        // A fresh engine, so the second selection runs its own sweep
+        // instead of re-ranking the first one's cache.
+        let large = GoodputEngine::new(64, 64, 4096).select(&mut s, 20_000.0).unwrap();
         assert!(
             large.total > small.total,
             "high noise {} should pick bigger batches than low noise {}",

@@ -48,69 +48,6 @@ pub fn bootstrap_split(t_samples: &[f64], total: u64) -> Vec<u64> {
     round_to_total(&ideal, total)
 }
 
-/// A split guaranteed to differ from `prev` at *every* node, used when the
-/// Eq. (8) bootstrap degenerates to the previous split (which happens when
-/// fixed per-batch costs dominate tiny local batches and all per-sample
-/// times look alike). Pairs of adjacent nodes trade one sample, so sums
-/// are preserved, every entry stays ≥ 1, and every node has now been
-/// observed at two distinct local batch sizes — the precondition for the
-/// linear model.
-///
-/// # Panics
-///
-/// Panics if `prev` has fewer than two nodes.
-pub fn exploration_split(prev: &[u64]) -> Vec<u64> {
-    assert!(prev.len() >= 2, "exploration needs at least two nodes");
-    let n = prev.len();
-    let mut out = prev.to_vec();
-    // Trade one sample inside each adjacent pair, in whichever direction
-    // keeps both entries ≥ 1.
-    let pairs_end = if n.is_multiple_of(2) { n } else { n - 3 };
-    let mut i = 0;
-    while i + 1 < pairs_end {
-        if out[i + 1] >= 2 {
-            out[i] += 1;
-            out[i + 1] -= 1;
-        } else {
-            out[i + 1] += 1;
-            out[i] -= 1; // out[i] ≥ 2 here: the pair sums to ≥ 3
-        }
-        i += 2;
-    }
-    if n % 2 == 1 {
-        // Final triple (a, b, c): zero-sum deltas that move all three.
-        let (a, b, c) = (n - 3, n - 2, n - 1);
-        if out[b] >= 3 {
-            out[a] += 1;
-            out[b] -= 2;
-            out[c] += 1;
-        } else if out[a] >= 2 && out[c] >= 2 {
-            out[a] -= 1;
-            out[b] += 2;
-            out[c] -= 1;
-        } else if out[a] >= 3 {
-            out[a] -= 2;
-            out[b] += 1;
-            out[c] += 1;
-        } else if out[c] >= 3 {
-            out[a] += 1;
-            out[b] += 1;
-            out[c] -= 2;
-        } else if out[a] >= 2 {
-            // Best effort: one node keeps its size.
-            out[a] -= 1;
-            out[b] += 1;
-        } else if out[c] >= 2 {
-            out[c] -= 1;
-            out[b] += 1;
-        } else if out[b] >= 2 {
-            out[b] -= 1;
-            out[a] += 1;
-        }
-    }
-    out
-}
-
 /// Repair `next` so that *every* node's local batch differs from `prev`
 /// (the precondition for fitting each node's linear compute model), while
 /// preserving the sum and the one-sample floor.
@@ -240,37 +177,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_zero_time() {
         let _ = bootstrap_split(&[1.0, 0.0], 10);
-    }
-
-    #[test]
-    fn exploration_changes_every_node_with_slack() {
-        for prev in [vec![4u64, 4, 4, 4], vec![4, 4, 4], vec![10, 2, 7, 1, 5], vec![2, 2], vec![1, 5, 1]] {
-            let next = exploration_split(&prev);
-            assert_eq!(next.iter().sum::<u64>(), prev.iter().sum::<u64>(), "{prev:?} -> {next:?}");
-            assert!(next.iter().all(|&b| b >= 1), "{prev:?} -> {next:?}");
-            for (i, (&a, &b)) in prev.iter().zip(&next).enumerate() {
-                assert_ne!(a, b, "node {i} unchanged: {prev:?} -> {next:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn exploration_degenerate_is_best_effort() {
-        // [1, 1, 1] cannot change every node; it must at least not panic
-        // and must preserve the sum and floor.
-        let next = exploration_split(&[1, 1, 1]);
-        assert_eq!(next.iter().sum::<u64>(), 3);
-        assert!(next.iter().all(|&b| b >= 1));
-    }
-
-    #[test]
-    fn exploration_sixteen_even_nodes() {
-        let prev = vec![4u64; 16];
-        let next = exploration_split(&prev);
-        assert_eq!(next.iter().sum::<u64>(), 64);
-        for (&a, &b) in prev.iter().zip(&next) {
-            assert_ne!(a, b);
-        }
     }
 }
 

@@ -33,7 +33,7 @@
 mod bootstrap;
 mod solver;
 
-pub use bootstrap::{bootstrap_split, ensure_distinct_split, even_split, exploration_split};
+pub use bootstrap::{bootstrap_split, ensure_distinct_split, even_split};
 pub use solver::{predict_batch_time, Bottleneck, OptPerfSolver, Plan};
 
 use hetsim::cluster::ClusterSpec;

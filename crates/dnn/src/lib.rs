@@ -17,8 +17,7 @@
 //! - [`loss`] — softmax cross-entropy and mean squared error, each giving
 //!   the scalar loss and the input gradient;
 //! - [`optim`] — SGD with momentum;
-//! - [`lr`] — the AdaScale, square-root and linear learning-rate scalers
-//!   of Table 5;
+//! - [`lr`] — AdaScale's learning-rate gain, Table 5's rule for SGD;
 //! - [`data`] — deterministic Gaussian-blob datasets (flat and
 //!   image-shaped) and uneven (heterogeneity-aware) partitioned loading;
 //! - [`models`] — an MLP and a small CNN, the two models the trainer's

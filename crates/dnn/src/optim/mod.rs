@@ -27,7 +27,7 @@ pub trait Optimizer: Send {
     /// Current learning rate (after any scaling).
     fn learning_rate(&self) -> f64;
 
-    /// Replace the learning rate. Used by the LR scalers in [`crate::lr`].
+    /// Replace the learning rate. Used with AdaScale's gain from [`crate::lr`].
     fn set_learning_rate(&mut self, lr: f64);
 }
 

@@ -32,8 +32,8 @@
 //!    detected), `off`/`scalar` (force the scalar kernel: baseline-target
 //!    code, every multiply rounded before its add, the same bits on every
 //!    run and at every thread count), `avx2` (pin the 6×16 tile even where
-//!    AVX-512 exists) or `avx512`. A request the CPU cannot serve falls
-//!    down the ladder `avx512 → avx2 → scalar`.
+//!    AVX-512 exists; scalar where AVX2 is missing). Any other value
+//!    means `auto`.
 //! 3. **Override.** A thread-local [`KernelGuard`] (or the [`with_kernel`]
 //!    closure form) pins the kernel for tests and benches regardless of
 //!    environment, mirroring [`ThreadBudgetGuard`](crate::tensor::threads::ThreadBudgetGuard).
@@ -142,8 +142,6 @@ pub enum SimdPolicy {
     /// Pin the 6×16 AVX2 core even where AVX-512 exists; falls back to
     /// scalar when unsupported (a hard crash on older hardware helps nobody).
     Avx2,
-    /// Request the 12×32 AVX-512 core; falls back to AVX2, then scalar.
-    Avx512,
 }
 
 /// Error from parsing a [`SimdPolicy`]; lists the accepted values.
@@ -154,7 +152,7 @@ pub struct ParseSimdPolicyError {
 
 impl std::fmt::Display for ParseSimdPolicyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown SIMD policy `{}` (expected `auto`, `off`, `scalar`, `avx2` or `avx512`)", self.value)
+        write!(f, "unknown SIMD policy `{}` (expected `auto`, `off`, `scalar` or `avx2`)", self.value)
     }
 }
 
@@ -168,7 +166,6 @@ impl std::str::FromStr for SimdPolicy {
             "auto" => Ok(SimdPolicy::Auto),
             "off" | "scalar" => Ok(SimdPolicy::Scalar),
             "avx2" => Ok(SimdPolicy::Avx2),
-            "avx512" => Ok(SimdPolicy::Avx512),
             _ => Err(ParseSimdPolicyError { value: s.to_string() }),
         }
     }
@@ -180,7 +177,6 @@ impl std::fmt::Display for SimdPolicy {
             SimdPolicy::Auto => "auto",
             SimdPolicy::Scalar => "off",
             SimdPolicy::Avx2 => "avx2",
-            SimdPolicy::Avx512 => "avx512",
         })
     }
 }
@@ -216,7 +212,7 @@ pub fn resolve(policy: SimdPolicy) -> Kernel {
     match policy {
         SimdPolicy::Scalar => Kernel::Scalar,
         SimdPolicy::Avx2 => Kernel::Avx2.supported(),
-        SimdPolicy::Auto | SimdPolicy::Avx512 => Kernel::Avx512.supported(),
+        SimdPolicy::Auto => Kernel::Avx512.supported(),
     }
 }
 
@@ -471,14 +467,15 @@ mod tests {
         assert_eq!("scalar".parse::<SimdPolicy>().unwrap(), SimdPolicy::Scalar);
         assert_eq!("avx2".parse::<SimdPolicy>().unwrap(), SimdPolicy::Avx2);
         assert_eq!(" AVX2 ".parse::<SimdPolicy>().unwrap(), SimdPolicy::Avx2);
-        assert_eq!("avx512".parse::<SimdPolicy>().unwrap(), SimdPolicy::Avx512);
     }
 
     #[test]
     fn policy_parse_error_lists_valid_values() {
+        // `avx512` is not a policy: `auto` already takes the widest tile.
+        assert!("avx512".parse::<SimdPolicy>().is_err());
         let err = "sse9".parse::<SimdPolicy>().unwrap_err();
         let msg = err.to_string();
-        for expected in ["`auto`", "`off`", "`scalar`", "`avx2`", "`avx512`", "sse9"] {
+        for expected in ["`auto`", "`off`", "`scalar`", "`avx2`", "sse9"] {
             assert!(msg.contains(expected), "{msg:?} should mention {expected}");
         }
     }
@@ -508,9 +505,8 @@ mod tests {
     }
 
     #[test]
-    fn avx512_policy_falls_back_down_the_ladder() {
-        assert_eq!(resolve(SimdPolicy::Avx512), widest());
-        assert!(!avx512_available() || avx2_available(), "the wide tile implies the narrow one");
+    fn the_wide_tile_implies_the_narrow_one() {
+        assert!(!avx512_available() || avx2_available());
     }
 
     #[test]
@@ -541,7 +537,7 @@ mod tests {
         assert_eq!(Kernel::Scalar.to_string(), "scalar");
         assert_eq!(Kernel::Avx2.to_string(), "avx2");
         assert_eq!(Kernel::Avx512.to_string(), "avx512");
-        for p in [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::Avx2, SimdPolicy::Avx512] {
+        for p in [SimdPolicy::Auto, SimdPolicy::Scalar, SimdPolicy::Avx2] {
             assert_eq!(p.to_string().parse::<SimdPolicy>().unwrap(), p);
         }
     }

@@ -168,82 +168,6 @@ impl FaultPlan {
         self.comm_max_attempts = max_attempts;
         self
     }
-
-    // --- Named scenario constructors -------------------------------------
-    //
-    // The scenario-matrix harness (`cannikin-bench::scenarios`) evaluates
-    // every subject under a registry of cluster conditions. Each condition
-    // is just a composition of the primitive schedule builders above; the
-    // constructors below give those compositions stable names and pinned
-    // shapes so the registry, the docs and the committed
-    // `BENCH_scenarios.json` all speak about the same physical situation.
-
-    /// Spot-market preemption: `node` is killed hard at `preempt_step` and
-    /// a replacement instance (`replacement`) joins at `rejoin_step`. The
-    /// subject must evict the dead member, re-solve over the survivors,
-    /// and later absorb the newcomer — the full elastic round trip.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `preempt_step < rejoin_step`.
-    #[must_use]
-    pub fn spot_preemption(seed: u64, node: usize, preempt_step: u64, rejoin_step: u64, replacement: NodeSpec) -> Self {
-        assert!(preempt_step < rejoin_step, "the replacement must arrive after the preemption");
-        FaultPlan::new(seed).crash_at(preempt_step, node).join_at(rejoin_step, replacement)
-    }
-
-    /// Diurnal contention: from `from_step` on, `node` alternates every
-    /// `period` steps between full speed and a contended `fraction` of its
-    /// compute — the shared-cluster day/night pattern that rewards
-    /// re-planning over static splits.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `period > 0` and `0 < fraction <= 1` (see
-    /// [`FaultPlan::flapping`]).
-    #[must_use]
-    pub fn diurnal_contention(seed: u64, node: usize, period: u64, fraction: f64, from_step: u64) -> Self {
-        FaultPlan::new(seed).flapping(node, period, fraction, from_step)
-    }
-
-    /// Straggler onset: at `onset_step`, `node` permanently slows down by
-    /// `factor` (thermal throttling, a failing disk, a noisy neighbor that
-    /// never leaves). Modeled as a slowdown burst that outlasts any run.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor >= 1` (see [`FaultPlan::burst_at`]).
-    #[must_use]
-    pub fn straggler_onset(seed: u64, node: usize, onset_step: u64, factor: f64) -> Self {
-        FaultPlan::new(seed).burst_at(onset_step, node, u64::MAX, factor)
-    }
-
-    /// Flaky network: every batch's gradient synchronization fails with
-    /// probability `prob`, retried up to `max_attempts` times with the
-    /// default timeout/backoff model.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= prob < 1` and `max_attempts >= 1` (see
-    /// [`FaultPlan::transient_comm`]).
-    #[must_use]
-    pub fn flaky_network(seed: u64, prob: f64, max_attempts: u32) -> Self {
-        FaultPlan::new(seed).transient_comm(prob, max_attempts)
-    }
-
-    /// Cluster churn: `leaver` departs gracefully at `leave_step` and a
-    /// different machine (`joiner`) arrives at `join_step` — the
-    /// fleet-reallocation pattern where a job's node set changes shape
-    /// without ever failing.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `leave_step < join_step`.
-    #[must_use]
-    pub fn cluster_churn(seed: u64, leaver: usize, leave_step: u64, joiner: NodeSpec, join_step: u64) -> Self {
-        assert!(leave_step < join_step, "churn replaces capacity after it left");
-        FaultPlan::new(seed).leave_at(leave_step, leaver).join_at(join_step, joiner)
-    }
 }
 
 /// What the gradient synchronization of one batch experienced.
@@ -560,7 +484,7 @@ mod tests {
 
     #[test]
     fn spot_preemption_composes_crash_and_join() {
-        let plan = FaultPlan::spot_preemption(9, 1, 2, 4, NodeSpec::new("spot-replacement", Gpu::V100));
+        let plan = FaultPlan::new(9).crash_at(2, 1).join_at(4, NodeSpec::new("spot-replacement", Gpu::V100));
         let mut state = FaultState::new(plan, 3);
         state.on_batch_start(3, 0.1);
         state.on_batch_start(3, 0.1);
@@ -575,7 +499,7 @@ mod tests {
 
     #[test]
     fn straggler_onset_never_expires() {
-        let plan = FaultPlan::straggler_onset(3, 0, 1, 2.5);
+        let plan = FaultPlan::new(3).burst_at(1, 0, u64::MAX, 2.5);
         let mut state = FaultState::new(plan, 2);
         assert_eq!(state.on_batch_start(2, 0.1).slowdown, vec![1.0, 1.0]);
         for _ in 0..50 {
@@ -585,7 +509,7 @@ mod tests {
 
     #[test]
     fn cluster_churn_leaves_then_joins() {
-        let plan = FaultPlan::cluster_churn(5, 2, 1, NodeSpec::new("fresh", Gpu::A100), 3);
+        let plan = FaultPlan::new(5).leave_at(1, 2).join_at(3, NodeSpec::new("fresh", Gpu::A100));
         let mut state = FaultState::new(plan, 3);
         state.on_batch_start(3, 0.1);
         let fx = state.on_batch_start(3, 0.1);

@@ -25,7 +25,6 @@ fn main() {
         .batch_range(96, 768)
         .adaptive(true)
         .base_lr(0.02)
-        .lr_scaler(LrScaler::AdaScale)
         .seed(42)
         .build()
         .expect("valid configuration");

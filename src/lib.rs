@@ -110,5 +110,4 @@ pub mod prelude {
     pub use hetsim::cluster::{ClusterSpec, NodeSpec};
     pub use hetsim::job::JobSpec;
     pub use hetsim::{FaultPlan, Simulator};
-    pub use minidnn::lr::LrScaler;
 }

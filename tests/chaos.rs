@@ -18,7 +18,6 @@ use cannikin::core::engine::{
     CannikinTrainer, EpochRecord, LinearNoiseGrowth, NoiseModel, TrainerConfig, TrainingSubject,
 };
 use cannikin::dnn::data::gaussian_blobs;
-use cannikin::dnn::lr::LrScaler;
 use cannikin::dnn::models::mlp_classifier;
 use cannikin::insight::{replay, replay_slos, InsightConfig, Monitor, SloMonitor};
 use cannikin::sim::catalog::Gpu;
@@ -378,7 +377,6 @@ fn parallel_config(n: usize, seed: u64) -> ParallelConfig {
         max_batch: 96,
         adaptive: false,
         base_lr: 0.05,
-        lr_scaler: LrScaler::AdaScale,
         seed,
         comm_faults: None,
         retry: RetryPolicy::default(),

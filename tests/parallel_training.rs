@@ -8,7 +8,6 @@ use cannikin::core::engine::parallel::{ParallelConfig, ParallelTrainer};
 use cannikin::dnn::data::gaussian_blobs;
 use cannikin::dnn::layers::{flatten_grads, zero_grads, Layer};
 use cannikin::dnn::loss::{Loss, SoftmaxCrossEntropy};
-use cannikin::dnn::lr::LrScaler;
 use cannikin::dnn::models::mlp_classifier;
 use cannikin::dnn::tensor::Tensor;
 use std::thread;
@@ -102,7 +101,6 @@ fn config() -> ParallelConfig {
         max_batch: 128,
         adaptive: true,
         base_lr: 0.05,
-        lr_scaler: LrScaler::AdaScale,
         seed: 9,
         comm_faults: None,
         retry: Default::default(),
@@ -161,14 +159,14 @@ fn adaptive_total_stays_within_the_batch_range_and_the_dataset() {
 fn parallel_trainer_is_deterministic_in_math() {
     // Wall-clock timings differ between runs (and with them the measured
     // splits), but Eq. (9) makes the global gradient independent of the
-    // split, so with a timing-independent learning rate the loss sequence
-    // must agree run to run up to fp reassociation noise.
+    // split, and at a fixed B = B₀ AdaScale's gain is exactly 1 whatever
+    // φ is, so the loss sequence must agree run to run up to fp
+    // reassociation noise.
     let run = || {
         let ds = gaussian_blobs(512, 4, 10, 34);
         let mut c = config();
         c.adaptive = false;
         c.slowdowns = vec![1.0, 1.0];
-        c.lr_scaler = LrScaler::SquareRoot; // gain 1 at fixed B, φ-independent
         let mut t = ParallelTrainer::builder()
             .dataset(ds)
             .model(|seed| mlp_classifier(10, 24, 4, seed))
