@@ -163,7 +163,7 @@ fn plan_cluster_churn(seed: u64) -> FaultPlan {
 fn comm_lossy(seed: u64) -> CommFaultPlan {
     // 15% of the first 64 collectives fail once (always recoverable by a
     // single retry) — enough loss to exercise error-feedback state.
-    CommFaultPlan::lossy(seed, 64, 0.15)
+    CommFaultPlan::seeded(seed, 64, 0.15, 1)
 }
 
 /// Every scenario, in report order.

@@ -130,19 +130,6 @@ impl CommFaultPlan {
         self
     }
 
-    /// Named scenario constructor for the bench matrix: a lossy link that
-    /// makes each of the first `collectives` exchanges fail once with
-    /// probability `prob` (always recoverable by a single retry). The
-    /// codec-under-loss scenario drives compressed gradient exchanges
-    /// through this plan to prove error-feedback state survives retries.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= prob < 1` (see [`CommFaultPlan::seeded`]).
-    pub fn lossy(seed: u64, collectives: u64, prob: f64) -> Self {
-        CommFaultPlan::seeded(seed, collectives, prob, 1)
-    }
-
     /// A seeded random plan over the first `collectives` sequence numbers:
     /// each fails with probability `prob`, consuming 1..=`max_failures`
     /// attempts.

@@ -53,9 +53,14 @@ pub fn bootstrap_split(t_samples: &[f64], total: u64) -> Vec<u64> {
 /// preserving the sum and the one-sample floor.
 ///
 /// Nodes whose size repeats are paired up and trade one sample (both then
-/// differ by exactly one). A leftover stuck node trades with a neighbor in
-/// a direction that keeps the neighbor distinct too. Best effort in the
-/// degenerate all-ones case, where no redistribution exists.
+/// differ by exactly one); two stuck at the floor each take one from a
+/// donor that stays distinct after giving both, or else one borrows and
+/// the other is retried. A leftover stuck node trades with a partner in a
+/// direction that keeps the partner distinct too. Where a trade could go
+/// either way, the sample goes to the node with the larger share of
+/// `prev` — the one a sample costs least when `prev` is a planned split —
+/// and on a tie to the partner (in a pair, the lower index). Best effort
+/// in the degenerate all-ones case, where no redistribution exists.
 ///
 /// # Panics
 ///
@@ -70,35 +75,38 @@ pub fn ensure_distinct_split(prev: &[u64], mut next: Vec<u64>) -> Vec<u64> {
     while stuck.len() >= 2 {
         let a = stuck.pop().expect("len >= 2");
         let b = stuck.pop().expect("len >= 2");
-        if next[a] >= 2 {
-            next[a] -= 1;
-            next[b] += 1;
-        } else if next[b] >= 2 {
-            next[b] -= 1;
+        if next[a] >= 2 || next[b] >= 2 {
+            // Towards the larger previous share, `b` on a tie; a node at
+            // the floor can only receive.
+            let (from, to) = if next[b] < 2 || (next[a] >= 2 && prev[b] >= prev[a]) { (a, b) } else { (b, a) };
+            next[from] -= 1;
+            next[to] += 1;
+        } else if let Some(j) = (0..n).find(|&j| next[j] >= 3 && next[j] - 2 != prev[j]) {
+            // Both at the floor: one donor gives each a sample and, if it
+            // was stuck too, is no longer.
+            next[j] -= 2;
             next[a] += 1;
-        } else if let Some(j) = (0..n).position(|j| j != a && j != b && next[j] >= 2 && next[j] - 1 != prev[j]) {
-            // Both stuck nodes sit at the floor: borrow from a third node.
+            next[b] += 1;
+            stuck.retain(|&k| k != j);
+        } else if let Some(j) = (0..n).find(|&j| next[j] >= 2 && next[j] - 1 != prev[j]) {
+            // No donor can spare two: borrow one for `a`, retry `b`.
             next[j] -= 1;
             next[a] += 1;
-            stuck.push(b); // retry b against the remaining stuck nodes
+            stuck.retain(|&k| k != j);
+            stuck.push(b);
         }
         // else: degenerate (everything at the floor) — leave as is.
     }
     if let Some(&i) = stuck.first() {
-        // One leftover stuck node: trade with a partner in a direction that
-        // keeps the partner distinct from its own previous size.
-        let give_to_partner = |next: &[u64], j: usize| next[j] + 1 != prev[j];
-        let take_from_partner = |next: &[u64], j: usize| next[j] >= 2 && next[j] - 1 != prev[j];
-        if next[i] >= 2 {
-            if let Some(j) = (0..n).find(|&j| j != i && give_to_partner(&next, j)) {
-                next[i] -= 1;
-                next[j] += 1;
-                return next;
-            }
-        }
-        if let Some(j) = (0..n).find(|&j| j != i && take_from_partner(&next, j)) {
-            next[i] += 1;
-            next[j] -= 1;
+        // One leftover stuck node gives to a partner or takes from a donor,
+        // either staying distinct from its own previous size.
+        let donor = (0..n).find(|&j| j != i && next[j] >= 2 && next[j] - 1 != prev[j]);
+        let partners = (0..n).filter(|&j| j != i && next[i] >= 2 && next[j] + 1 != prev[j]);
+        let to = partners.chain(donor.map(|_| i)).reduce(|best, j| if prev[j] > prev[best] { j } else { best });
+        if let Some(to) = to {
+            let from = if to == i { donor.expect("the stuck node receives only from a donor") } else { i };
+            next[from] -= 1;
+            next[to] += 1;
         }
     }
     next

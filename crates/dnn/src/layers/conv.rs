@@ -79,6 +79,46 @@ impl Conv2d {
         assert!(hp >= self.kernel && wp >= self.kernel, "input {h}x{w} too small for kernel {}", self.kernel);
         ((hp - self.kernel) / self.stride + 1, (wp - self.kernel) / self.stride + 1)
     }
+
+    /// The backward pass, with the input gradient only if `input_grad`.
+    fn backward_with(&mut self, grad_out: &Tensor, grads: Grads<'_>, input_grad: bool) -> Option<Tensor> {
+        let cache = self.cache.as_ref().expect("backward called before forward");
+        let (oh, ow) = cache.out_hw;
+        let in_shape = cache.in_shape.clone();
+        let batch = in_shape[0];
+        let (h, w) = (in_shape[2], in_shape[3]);
+        assert_eq!(grad_out.shape(), &[batch, self.out_channels, oh, ow], "conv backward shape mismatch");
+        let geom = ColGeom {
+            in_channels: self.in_channels,
+            kernel: self.kernel,
+            stride: self.stride,
+            padding: self.padding,
+            h,
+            w,
+            oh,
+            ow,
+        };
+        let rows = self.in_channels * self.kernel * self.kernel;
+        let spatial = oh * ow;
+        let sample = self.in_channels * h * w;
+        let lens = (self.weight.len(), self.bias.len());
+        let (dw, db, accumulate) = grads.weight_and_bias(&mut self.weight.grad, &mut self.bias.grad, lens);
+        let mut dx = input_grad.then(|| (vec![0.0f32; batch * sample], scratch::take(rows * spatial)));
+        for b in 0..batch {
+            let g = &grad_out.data()[b * self.out_channels * spatial..][..self.out_channels * spatial];
+            let col = &self.col_buf[b * rows * spatial..][..rows * spatial];
+            // dW (+)= g colᵀ ; db (+)= Σ_spatial g ; dcol = Wᵀ g — the
+            // first sample stores unless accumulating, the rest add.
+            let accumulate = accumulate || b > 0;
+            gemm_a_bt(self.out_channels, rows, spatial, g, col, dw, accumulate);
+            add_or_store(db, g.chunks_exact(spatial).map(|g_oc| g_oc.iter().sum::<f32>()), accumulate);
+            if let Some((dx, dcol)) = &mut dx {
+                gemm_at_b(rows, spatial, self.out_channels, self.weight.value.data(), g, dcol.as_mut_slice(), false);
+                col2im(dcol.as_slice(), geom, &mut dx[b * sample..][..sample]);
+            }
+        }
+        dx.map(|(dx, _)| Tensor::from_vec(dx, &in_shape).expect("conv dx shape"))
+    }
 }
 
 /// Geometry shared by the im2col lowering and the col2im scatter.
@@ -181,41 +221,11 @@ impl Layer for Conv2d {
     }
 
     fn backward_to(&mut self, grad_out: &Tensor, grads: Grads<'_>) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward called before forward");
-        let (oh, ow) = cache.out_hw;
-        let in_shape = cache.in_shape.clone();
-        let batch = in_shape[0];
-        let (h, w) = (in_shape[2], in_shape[3]);
-        assert_eq!(grad_out.shape(), &[batch, self.out_channels, oh, ow], "conv backward shape mismatch");
-        let geom = ColGeom {
-            in_channels: self.in_channels,
-            kernel: self.kernel,
-            stride: self.stride,
-            padding: self.padding,
-            h,
-            w,
-            oh,
-            ow,
-        };
-        let rows = self.in_channels * self.kernel * self.kernel;
-        let spatial = oh * ow;
-        let sample = self.in_channels * h * w;
-        let lens = (self.weight.len(), self.bias.len());
-        let (dw, db, accumulate) = grads.weight_and_bias(&mut self.weight.grad, &mut self.bias.grad, lens);
-        let mut dx = vec![0.0f32; batch * sample];
-        let mut dcol = scratch::take(rows * spatial);
-        for b in 0..batch {
-            let g = &grad_out.data()[b * self.out_channels * spatial..][..self.out_channels * spatial];
-            let col = &self.col_buf[b * rows * spatial..][..rows * spatial];
-            // dW (+)= g colᵀ ; db (+)= Σ_spatial g ; dcol = Wᵀ g — the
-            // first sample stores unless accumulating, the rest add.
-            let accumulate = accumulate || b > 0;
-            gemm_a_bt(self.out_channels, rows, spatial, g, col, dw, accumulate);
-            add_or_store(db, g.chunks_exact(spatial).map(|g_oc| g_oc.iter().sum::<f32>()), accumulate);
-            gemm_at_b(rows, spatial, self.out_channels, self.weight.value.data(), g, dcol.as_mut_slice(), false);
-            col2im(dcol.as_slice(), geom, &mut dx[b * sample..][..sample]);
-        }
-        Tensor::from_vec(dx, &in_shape).expect("conv dx shape")
+        self.backward_with(grad_out, grads, true).expect("input gradient requested")
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor, grads: Grads<'_>) {
+        self.backward_with(grad_out, grads, false);
     }
 
     fn parameters(&self) -> Vec<&Param> {

@@ -41,6 +41,26 @@ impl Linear {
             out_features,
         }
     }
+
+    /// The backward pass, with the input gradient only if `input_grad`.
+    fn backward_with(&mut self, grad_out: &Tensor, grads: Grads<'_>, input_grad: bool) -> Option<Tensor> {
+        let x = self.input.as_ref().expect("backward called before forward");
+        assert_eq!(grad_out.rows(), x.rows(), "linear backward batch mismatch");
+        assert_eq!(grad_out.cols(), self.out_features, "linear backward width mismatch");
+        let lens = (self.weight.len(), self.bias.len());
+        let (dw, db, accumulate) = grads.weight_and_bias(&mut self.weight.grad, &mut self.bias.grad, lens);
+        // `grad_out` is read in place as `[rows, out]`, whatever its shape
+        // says: dW (+)= xᵀ g (no temporary), db (+)= Σ_rows g,
+        // dx = g Wᵀ (onto fresh zeros, exactly what `matmul_a_bt` does).
+        let (rows, g) = (grad_out.rows(), grad_out.data());
+        gemm_at_b(self.in_features, self.out_features, rows, x.data(), g, dw, accumulate);
+        add_or_store(db, grad_out.sum_rows().into_data(), accumulate);
+        input_grad.then(|| {
+            let mut dx = vec![0.0f32; rows * self.in_features];
+            gemm_a_bt(rows, self.in_features, self.out_features, g, self.weight.value.data(), &mut dx, true);
+            Tensor::from_vec(dx, &[rows, self.in_features]).expect("linear input-gradient shape")
+        })
+    }
 }
 
 impl Layer for Linear {
@@ -58,20 +78,11 @@ impl Layer for Linear {
     }
 
     fn backward_to(&mut self, grad_out: &Tensor, grads: Grads<'_>) -> Tensor {
-        let x = self.input.as_ref().expect("backward called before forward");
-        assert_eq!(grad_out.rows(), x.rows(), "linear backward batch mismatch");
-        assert_eq!(grad_out.cols(), self.out_features, "linear backward width mismatch");
-        let lens = (self.weight.len(), self.bias.len());
-        let (dw, db, accumulate) = grads.weight_and_bias(&mut self.weight.grad, &mut self.bias.grad, lens);
-        // `grad_out` is read in place as `[rows, out]`, whatever its shape
-        // says: dW (+)= xᵀ g (no temporary), db (+)= Σ_rows g,
-        // dx = g Wᵀ (onto fresh zeros, exactly what `matmul_a_bt` does).
-        let (rows, g) = (grad_out.rows(), grad_out.data());
-        gemm_at_b(self.in_features, self.out_features, rows, x.data(), g, dw, accumulate);
-        add_or_store(db, grad_out.sum_rows().into_data(), accumulate);
-        let mut dx = vec![0.0f32; rows * self.in_features];
-        gemm_a_bt(rows, self.in_features, self.out_features, g, self.weight.value.data(), &mut dx, true);
-        Tensor::from_vec(dx, &[rows, self.in_features]).expect("linear input-gradient shape")
+        self.backward_with(grad_out, grads, true).expect("input gradient requested")
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor, grads: Grads<'_>) {
+        self.backward_with(grad_out, grads, false);
     }
 
     fn parameters(&self) -> Vec<&Param> {

@@ -155,6 +155,14 @@ pub trait Layer: Send {
     /// window's length is not the layer's parameter count.
     fn backward_to(&mut self, grad_out: &Tensor, grads: Grads<'_>) -> Tensor;
 
+    /// [`Layer::backward_to`] for a layer whose input needs no gradient, a
+    /// model's first: the same parameter gradients to the bit, without the
+    /// input gradient. The default runs `backward_to` and drops its result;
+    /// layers with a costly input gradient override it.
+    fn backward_params(&mut self, grad_out: &Tensor, grads: Grads<'_>) {
+        self.backward_to(grad_out, grads);
+    }
+
     /// Immutable access to the layer's parameters (empty for stateless
     /// layers).
     fn parameters(&self) -> Vec<&Param> {
@@ -467,6 +475,46 @@ mod tests {
             net.backward_to(&g, Grads::Store(&mut window));
             assert_eq!(bits(&window), accumulated, "{net:?}");
             assert!(net.parameters().iter().all(|p| p.grad.is_empty()), "Param::grad left alone");
+        }
+    }
+
+    /// `backward_params` leaves the dW and db bits `backward_to` leaves,
+    /// stored into a window and added onto a gradient alike: on a skinny
+    /// and a square Linear, and on a Conv2d.
+    #[test]
+    fn backward_params_is_backward_to_without_the_input_gradient() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let cases: [(Box<dyn Layer>, Tensor); 3] = [
+            (Box::new(Linear::new(256, 192, 1)), Tensor::randn(&[1, 256], 2)),
+            (Box::new(Linear::new(64, 48, 3)), Tensor::randn(&[12, 64], 4)),
+            (Box::new(Conv2d::new(3, 8, 3, 1, 1, 5)), Tensor::randn(&[5, 3, 8, 8], 6)),
+        ];
+        for (mut layer, x) in cases {
+            let y = layer.forward(&x, true);
+            let g = Tensor::randn(y.shape(), 7);
+            let len = num_elements(&layer.parameters());
+            let (mut full, mut params) = (vec![f32::NAN; len], vec![f32::NAN; len]);
+            layer.backward_to(&g, Grads::Store(&mut full));
+            layer.backward_params(&g, Grads::Store(&mut params));
+            assert_eq!(bits(&params), bits(&full), "Store, input {:?}", x.shape());
+
+            // Twice each from zero: the first pass adds onto zeros, the
+            // second onto a gradient.
+            let mut passes = |params_only: bool| -> Vec<Vec<u32>> {
+                zero_grads(&mut layer.parameters_mut());
+                (0..2)
+                    .map(|_| {
+                        if params_only {
+                            layer.backward_params(&g, Grads::Accumulate);
+                        } else {
+                            layer.backward_to(&g, Grads::Accumulate);
+                        }
+                        bits(flatten_grads(&layer.parameters()).data())
+                    })
+                    .collect()
+            };
+            let full = passes(false);
+            assert_eq!(passes(true), full, "Accumulate, input {:?}", x.shape());
         }
     }
 

@@ -15,8 +15,8 @@
 #              benchmark calls the fleet's scaling-curve replay, that
 #              no gradient-accumulation plumbing is back, and that no
 #              removed option (LrScaler, Codec::F16, SimdPolicy::Avx512,
-#              the FaultPlan presets, exploration_split, invalidate) is
-#              back
+#              the FaultPlan presets, CommFaultPlan::lossy,
+#              exploration_split, invalidate) is back
 #   test       full workspace test suite
 #   kernels    minidnn's suite again, optimised, under each GEMM kernel policy
 #              (auto, off, avx2), after saying which tile auto is here; then
@@ -140,11 +140,13 @@ stage() {
         fi
         # Options no run set are gone and stay gone: the LR scaler (every
         # run used AdaScale), the f16 codec, the `avx512` SIMD spelling
-        # (`auto` means the same), the named FaultPlan presets (the
-        # scenario registry composes the primitives), and two functions
+        # (`auto` means the same), the named FaultPlan presets and
+        # CommFaultPlan's `lossy` (the scenario registry composes the
+        # primitives; `FaultPlan::` also matches `CommFaultPlan::`, and
+        # `is_lossy` does not match), and two functions
         # only tests called. Table 5's `lr_scaler: "..."` strings in
         # crates/workloads are metadata and do not match.
-        if git grep -nE 'LrScaler|\.lr_scaler\(|config\.lr_scaler|Codec::F16|SimdPolicy::Avx512|exploration_split|fn invalidate|(FaultPlan::|fn )(spot_preemption|diurnal_contention|straggler_onset|flaky_network|cluster_churn)\(' -- '*.rs' ':!crates/benchmark'; then
+        if git grep -nE 'LrScaler|\.lr_scaler\(|config\.lr_scaler|Codec::F16|SimdPolicy::Avx512|exploration_split|fn invalidate|(FaultPlan::|fn )(spot_preemption|diurnal_contention|straggler_onset|flaky_network|cluster_churn|lossy)\(' -- '*.rs' ':!crates/benchmark'; then
             echo "tier1.sh: a removed option is back (above); every run sets it one way, so it is a constant" >&2
             exit 1
         fi
