@@ -6,17 +6,15 @@
 //! fleettrace --out PATH [--seed N] [--jobs N]
 //! ```
 //!
-//! The run executes with the *online* observers attached — the SLO
-//! monitor over [`default_fleet_slos`] (the same rule set the `report`
-//! subcommand replays offline) and the anomaly [`Monitor`] — so the
-//! exported trace carries the online verdicts the offline rerun must
-//! reproduce. Record timestamps are wall-clock and differ between runs;
-//! everything the report renders derives from payload fields, so two
-//! same-seed traces produce byte-identical reports.
+//! The summary line counts the violations of [`default_fleet_slos`] (the
+//! rule set the `report` subcommand judges) and the anomalies, both over
+//! the drained trace. Record timestamps are wall-clock and differ between
+//! runs; everything the report renders derives from payload fields, so
+//! two same-seed traces produce byte-identical reports.
 
 use cannikin_bench::experiments::fleet_pool;
 use cannikin_fleet::{synthetic_trace, AllocPolicy, FleetController};
-use cannikin_insight::{InsightConfig, Monitor, SloMonitor};
+use cannikin_insight::{analyze, replay_slos, InsightConfig};
 use cannikin_telemetry::{self as telemetry, default_fleet_slos, export};
 use std::process::ExitCode;
 
@@ -71,14 +69,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let slos = SloMonitor::install(default_fleet_slos());
-    let anomalies = Monitor::install(InsightConfig::default());
     let session = telemetry::Session::start();
     if let Err(e) = controller.run_to_completion(50_000) {
         eprintln!("fleettrace: fleet run failed: {e}");
         return ExitCode::from(2);
     }
-    telemetry::flush_thread();
     let records = session.drain();
     drop(session);
 
@@ -90,8 +85,8 @@ fn main() -> ExitCode {
         "fleettrace: seed {} → {} records, {} slo violations, {} anomalies → {}",
         args.seed,
         records.len(),
-        slos.violations().len(),
-        anomalies.report().anomalies.len(),
+        replay_slos(&records, &default_fleet_slos()).violations.len(),
+        analyze(&records, InsightConfig::default()).anomalies.len(),
         args.out
     );
     ExitCode::SUCCESS

@@ -1,13 +1,12 @@
-//! The `insight` experiment: the §6 contention scenario watched live by
+//! The `insight` experiment: the §6 contention scenario diagnosed by
 //! `cannikin-insight` — five healthy epochs on cluster B, a mid-run
-//! contention injection on node 0, the analyzer's regime change (which
-//! re-profiles the node) reported as a straggler, then an offline replay
-//! of the drained trace showing the detectors reproduce their online
-//! verdicts exactly.
+//! contention injection on node 0, and the replay of the drained trace,
+//! which reports the analyzer's regime change (the one that re-profiles
+//! the node) as a straggler next to each plan's calibration error.
 
 use crate::row;
 use cannikin_core::engine::{CannikinTrainer, TrainerConfig, TrainingSubject};
-use cannikin_insight::{replay, InsightConfig, Monitor};
+use cannikin_insight::{replay, InsightConfig};
 use cannikin_telemetry as telemetry;
 use cannikin_workloads::{clusters, profiles};
 use hetsim::Simulator;
@@ -16,8 +15,8 @@ use std::collections::BTreeMap;
 const HEALTHY_EPOCHS: usize = 5;
 const DEGRADED_EPOCHS: usize = 5;
 
-/// Run the monitored contention scenario and render the health report,
-/// the split's reaction, and the online/offline agreement verdict.
+/// Run the contention scenario and render the trace replay and the
+/// split's reaction.
 pub fn insight_run() -> String {
     let profile = profiles::cifar10_resnet18();
     let cluster = clusters::cluster_b();
@@ -34,7 +33,6 @@ pub fn insight_run() -> String {
         .build()
         .expect("valid config");
 
-    let monitor = Monitor::install(InsightConfig::default());
     let session = telemetry::Session::start();
     let mut epochs = trainer.run_epochs(HEALTHY_EPOCHS).expect("healthy run");
     // §6: node 0 (an A100) loses 60% of its compute to a co-located job.
@@ -43,8 +41,7 @@ pub fn insight_run() -> String {
     let records = session.drain();
     drop(session);
 
-    let report = monitor.report();
-    let rerun = replay::analyze(&records, InsightConfig::default());
+    let report = replay::analyze(&records, InsightConfig::default());
 
     let mut out = format!(
         "insight — contention injected on node 0 after epoch {} ({} events recorded)\n\n",
@@ -95,14 +92,6 @@ pub fn insight_run() -> String {
         );
         out.push('\n');
     }
-
-    out.push('\n');
-    out += &format!(
-        "offline replay: {} anomalies, online {} — agreement {}\n",
-        rerun.offline.len(),
-        rerun.online.len(),
-        if rerun.anomalies_match() { "EXACT" } else { "MISMATCH" }
-    );
     out
 }
 
@@ -111,11 +100,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn contention_is_detected_and_replayed_exactly() {
+    fn contention_is_reported_as_the_node_0_straggler() {
         let out = insight_run();
-        assert!(out.contains("DEGRADED"), "{out}");
-        assert!(out.contains("straggling nodes: [0]"), "{out}");
-        assert!(out.contains("straggler:"), "{out}");
-        assert!(out.contains("agreement EXACT"), "{out}");
+        assert!(out.contains("anomalies: 1\n  [straggler] step 4 node 0 "), "{out}");
+        assert!(out.contains("anomalies by kind:\n  straggler: 1\n"), "{out}");
     }
 }

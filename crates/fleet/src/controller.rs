@@ -329,8 +329,8 @@ impl FleetController {
 
     /// Every service-level objective the fleet should be judged against:
     /// the fleet-wide defaults followed by each job's own rules, in
-    /// submission order. Feed this to `SloMonitor::install` (online) and
-    /// `replay_slos` (offline) so both sides see the same rule list.
+    /// submission order: the rule list to hand `replay_slos` or
+    /// `report::build` over this fleet's trace.
     pub fn slo_rules(&self) -> Vec<SloRule> {
         let mut rules = cannikin_telemetry::default_fleet_slos();
         for job in &self.jobs {

@@ -1,5 +1,4 @@
-//! The anomaly detectors — one pass over a [`Record`] stream, online or
-//! offline.
+//! The anomaly detectors — one pass over a recorded [`Record`] stream.
 //!
 //! Every detector is a small incremental pass over one event kind:
 //!
@@ -21,15 +20,59 @@
 //!   `bucket_factor`× fires.
 //!
 //! Determinism matters: the same record sequence must produce the same
-//! anomalies whether the detectors run inside a live [`crate::Monitor`]
-//! or over a parsed JSONL trace — the round-trip tests assert exactly
-//! that. Detectors therefore keep no wall-clock state and ignore
-//! `AnomalyDetected` records (a replayed trace already contains the
-//! online verdicts).
+//! anomalies whether it is a drained session or the parsed JSONL export
+//! of one. Detectors therefore keep no wall-clock state.
 
-use crate::observer::Observer;
-use cannikin_telemetry::{AnomalyDetected, AnomalyKind, Event, Record};
+use cannikin_telemetry::{Event, Record};
 use std::collections::BTreeMap;
+
+/// The class of misbehavior an [`AnomalyDetected`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnomalyKind {
+    /// The analyzer reported a `RegimeChange` in which the node got slower.
+    Straggler,
+    /// The realized batch time drifted beyond the calibration band around
+    /// the solver's `SplitDecision::predicted_t`.
+    CalibrationDrift,
+    /// The gradient-noise-scale series jumped relative to its smoothed
+    /// trajectory.
+    GnsDrift,
+    /// One all-reduce bucket is persistently slower per element than the
+    /// cluster-wide average.
+    BucketImbalance,
+}
+
+impl AnomalyKind {
+    /// Stable string tag (the reports print it).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            AnomalyKind::Straggler => "straggler",
+            AnomalyKind::CalibrationDrift => "calibration_drift",
+            AnomalyKind::GnsDrift => "gns_drift",
+            AnomalyKind::BucketImbalance => "bucket_imbalance",
+        }
+    }
+}
+
+/// A detector's verdict that the run left its expected envelope (a
+/// straggler is the report of a slowing `RegimeChange`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct AnomalyDetected {
+    /// What kind of anomaly fired.
+    pub kind: AnomalyKind,
+    /// Affected node, when the anomaly is node-scoped (`None` for
+    /// cluster-wide anomalies such as calibration or GNS drift).
+    pub node: Option<u32>,
+    /// Step index of the triggering observation.
+    pub step: u64,
+    /// What the detector's model expected (seconds, noise scale,
+    /// ns/element — unit depends on `kind`).
+    pub expected: f64,
+    /// What was observed instead (same unit as `expected`).
+    pub observed: f64,
+    /// `observed / expected` — the "how bad" scalar.
+    pub severity: f64,
+}
 
 /// Detection thresholds. The defaults are deliberately loose: every band
 /// is far wider than the simulator's measurement noise, so a healthy run
@@ -77,8 +120,6 @@ struct CalibrationTrack {
     pending: Option<f64>,
     /// Per-step realized aggregates since the pending plan was announced.
     steps: BTreeMap<u64, StepAgg>,
-    /// Relative error of the most recently evaluated plan.
-    last_error: Option<f64>,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -155,16 +196,6 @@ impl DetectorSet {
         }
     }
 
-    /// Relative OptPerf error of the most recently completed plan.
-    pub fn latest_calibration_error(&self) -> Option<f64> {
-        self.calibration.last_error
-    }
-
-    /// The smoothed gradient-noise-scale trajectory.
-    pub fn smoothed_noise_scale(&self) -> Option<f64> {
-        self.gns.ewma
-    }
-
     /// Mean realized batch time of the steps since the last
     /// `SplitDecision` — the plan the next decision closes.
     pub(crate) fn open_plan_realized(&self) -> Option<f64> {
@@ -195,8 +226,7 @@ impl DetectorSet {
             }
             Event::GnsEstimated(g) => self.observe_gns(g.b_noise, &mut out),
             Event::AllReduceBucket(b) => self.observe_bucket(record.rank, b.bucket, b.elems, b.wall_ns, &mut out),
-            // Anomalies (replayed traces carry the online verdicts),
-            // counters, spans, solver and goodput events carry nothing the
+            // Counters, spans, solver and goodput events carry nothing the
             // detectors model.
             _ => {}
         }
@@ -212,7 +242,6 @@ impl DetectorSet {
         let Some(rel_err) = relative_error(predicted, realized) else {
             return;
         };
-        self.calibration.last_error = Some(rel_err);
         if rel_err > self.config.calibration_band {
             out.push(AnomalyDetected {
                 kind: AnomalyKind::CalibrationDrift,
@@ -297,28 +326,6 @@ pub(crate) fn relative_error(predicted: f64, realized: f64) -> Option<f64> {
     (predicted > 0.0).then(|| (realized - predicted).abs() / predicted)
 }
 
-impl Observer for DetectorSet {
-    type Verdict = AnomalyDetected;
-
-    /// Traces carry the run's anomaly count next to each verdict.
-    const TALLY: Option<&'static str> = Some("insight_anomalies");
-
-    fn observe(&mut self, record: &Record) -> Vec<AnomalyDetected> {
-        DetectorSet::observe(self, record)
-    }
-
-    fn event(anomaly: &AnomalyDetected) -> (Option<u32>, Event) {
-        (anomaly.node, Event::AnomalyDetected(anomaly.clone()))
-    }
-
-    fn recorded(event: &Event) -> Option<&AnomalyDetected> {
-        match event {
-            Event::AnomalyDetected(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,7 +392,6 @@ mod tests {
         }
         // Next plan evaluates the previous one: within the band, silent.
         assert!(set.observe(&decision(Some(0.4))).is_empty());
-        assert!(set.latest_calibration_error().unwrap() < 0.05);
         // Under the second plan the cluster is 2x slower than predicted.
         for step in 0..5 {
             set.observe(&timing(step, 0, 32, 0.8));
@@ -405,7 +411,6 @@ mod tests {
             set.observe(&timing(step, 0, 32, 0.9));
         }
         assert!(set.observe(&decision(Some(0.4))).is_empty(), "no prediction, nothing to calibrate");
-        assert_eq!(set.latest_calibration_error(), None);
     }
 
     fn gns(b_noise: f64) -> Record {
@@ -454,8 +459,7 @@ mod tests {
         assert!(fired[0].severity > 5.0);
     }
 
-    /// Determinism: two suites fed the same sequence agree exactly — the
-    /// property the online/offline round trip rests on.
+    /// Determinism: two suites fed the same sequence agree exactly.
     #[test]
     fn identical_streams_produce_identical_anomalies() {
         let mut records = vec![decision(Some(0.4))];

@@ -1,21 +1,15 @@
-//! Offline trace replay: reconstruct timelines from a recorded stream
-//! and run the same detectors the live monitor runs.
+//! Trace replay: reconstruct timelines from a recorded stream and run the
+//! detectors over it.
 //!
 //! [`analyze`] consumes the records of a drained session (or a parsed
 //! JSONL export), builds per-node timing timelines and per-plan
-//! calibration summaries, and replays the [`DetectorSet`] over the
-//! stream through the crate's one replay, the one
-//! [`replay_slos`](crate::replay_slos) runs the SLO engine through.
-//! Because a drained stream is timestamp-sorted and a single driver
-//! thread's emission order survives that sort, the offline detectors see
-//! exactly the sequence the online monitor saw — so
-//! [`ReplayReport::anomalies_match`] can demand byte-for-byte agreement
-//! between the `offline` rerun and the `online` verdicts recorded in the
-//! trace.
+//! calibration summaries, and runs the [`DetectorSet`] over the stream in
+//! record order. A drained stream is timestamp-sorted and a single driver
+//! thread's emission order survives that sort, so a same-seed run gives
+//! the same anomalies.
 
-use crate::detectors::{relative_error, DetectorSet, InsightConfig};
-use crate::observer;
-use cannikin_telemetry::{AnomalyDetected, Event, Histogram, Record};
+use crate::detectors::{relative_error, AnomalyDetected, DetectorSet, InsightConfig};
+use cannikin_telemetry::{Event, Histogram, Record};
 use std::collections::BTreeMap;
 
 /// Timing summary of one node (envelope rank of its `StepTiming`s).
@@ -67,20 +61,11 @@ pub struct ReplayReport {
     pub nodes: Vec<NodeTimeline>,
     /// Per-plan calibration, in trace order.
     pub plans: Vec<PlanSummary>,
-    /// Anomalies produced by replaying the detectors over the trace.
-    pub offline: Vec<AnomalyDetected>,
-    /// `AnomalyDetected` records already present in the trace (the online
-    /// monitor's verdicts), in trace order.
-    pub online: Vec<AnomalyDetected>,
+    /// Anomalies the detectors find over the trace, in trace order.
+    pub anomalies: Vec<AnomalyDetected>,
 }
 
 impl ReplayReport {
-    /// Whether the offline rerun reproduced the online verdicts exactly
-    /// (same count, same kinds, same steps, same payloads).
-    pub fn anomalies_match(&self) -> bool {
-        self.offline == self.online
-    }
-
     /// Text rendering of the full report (the CLI's output).
     pub fn render(&self) -> String {
         use std::fmt::Write;
@@ -115,8 +100,8 @@ impl ReplayReport {
                 );
             }
         }
-        let _ = writeln!(out, "anomalies: {} offline, {} online in trace", self.offline.len(), self.online.len());
-        for a in &self.offline {
+        let _ = writeln!(out, "anomalies: {}", self.anomalies.len());
+        for a in &self.anomalies {
             let _ = writeln!(
                 out,
                 "  [{}] step {} node {} expected {:.4} observed {:.4} ({:.2}x)",
@@ -128,11 +113,6 @@ impl ReplayReport {
                 a.severity
             );
         }
-        let _ = writeln!(
-            out,
-            "online/offline agreement: {}",
-            if self.anomalies_match() { "EXACT" } else { "MISMATCH" }
-        );
         out
     }
 }
@@ -173,7 +153,8 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
         }
     };
     let mut set = DetectorSet::new(config);
-    let (offline, online) = observer::replay(&mut set, records, |set, record| {
+    let mut anomalies = Vec::new();
+    for record in records {
         *kind_counts.entry(record.event.kind()).or_insert(0) += 1;
         match &record.event {
             Event::StepTiming(t) => {
@@ -184,7 +165,7 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
                 node.compute_max = node.compute_max.max(t.t_compute);
             }
             Event::SplitDecision(d) => {
-                close(plans.last_mut(), set);
+                close(plans.last_mut(), &set);
                 plans.push(PlanSummary {
                     index: plans.len(),
                     source: d.source.as_str().to_string(),
@@ -197,7 +178,8 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
             }
             _ => {}
         }
-    });
+        anomalies.extend(set.observe(record));
+    }
     close(plans.last_mut(), &set);
 
     let nodes = nodes
@@ -217,8 +199,7 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
         kind_counts: kind_counts.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
         nodes,
         plans,
-        offline,
-        online,
+        anomalies,
     }
 }
 
@@ -278,8 +259,8 @@ mod tests {
         let realized = plan.realized_t.unwrap();
         assert!((realized - 0.495).abs() < 1e-9, "realized {realized}");
         assert!(plan.rel_error.unwrap() < 0.05);
-        assert!(report.anomalies_match(), "no anomalies on either side");
-        assert!(report.render().contains("EXACT"));
+        assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
+        assert!(report.render().contains("anomalies: 0\n"), "{}", report.render());
     }
 
     /// Every plan gets the realized time of its own steps, with or without

@@ -51,10 +51,10 @@ pub struct FleetTraceReport {
     /// `fleet_fairness`, `fleet_pool_util`, `fleet_queue_depth`), sorted
     /// by name.
     pub gauges: Vec<(String, f64)>,
-    /// Offline SLO verdicts next to the trace's online ones.
+    /// The SLO verdicts over the trace.
     pub slo: SloReport,
-    /// The detector replay (anomaly list + online agreement).
-    pub anomalies: ReplayReport,
+    /// The detector replay (timelines, plans, anomaly list).
+    pub replay: ReplayReport,
 }
 
 /// The fleet-level gauge counters the report surfaces.
@@ -106,7 +106,7 @@ pub fn build(records: &[Record], config: InsightConfig, rules: &[SloRule]) -> Fl
         jobs: jobs.into_values().collect(),
         gauges: gauges.into_iter().collect(),
         slo: replay_slos(records, rules),
-        anomalies: replay::analyze(records, config),
+        replay: replay::analyze(records, config),
     }
 }
 
@@ -124,11 +124,6 @@ fn segments(samples: &[(u64, u32, u32)]) -> Vec<(u64, u64, u32, u32)> {
 }
 
 impl FleetTraceReport {
-    /// Whether both engines reproduced their online verdicts exactly.
-    pub fn verdicts_match(&self) -> bool {
-        self.slo.verdicts_match() && self.anomalies.anomalies_match()
-    }
-
     /// The plain-text report.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -150,15 +145,8 @@ impl FleetTraceReport {
         }
         let _ = writeln!(out, "\nSLO compliance:");
         out.push_str(&indent(&self.slo.render()));
-        let _ = writeln!(out, "\nanomalies:");
-        let _ = writeln!(
-            out,
-            "  {} offline / {} online ({})",
-            self.anomalies.offline.len(),
-            self.anomalies.online.len(),
-            if self.anomalies.anomalies_match() { "verdicts agree" } else { "VERDICT MISMATCH" }
-        );
-        for a in &self.anomalies.offline {
+        let _ = writeln!(out, "\nanomalies: {}", self.replay.anomalies.len());
+        for a in &self.replay.anomalies {
             let _ = writeln!(
                 out,
                 "  [{}] step {} node {} observed {:.4} vs expected {:.4}",
@@ -211,12 +199,6 @@ impl FleetTraceReport {
         }
 
         let _ = writeln!(body, "<h2>SLO compliance</h2>");
-        let _ = writeln!(
-            body,
-            "<p class=\"{}\">online/offline verdicts: {}</p>",
-            if self.slo.verdicts_match() { "ok" } else { "bad" },
-            if self.slo.verdicts_match() { "agree" } else { "MISMATCH" }
-        );
         let _ = writeln!(body, "<table><tr><th>objective</th><th>status</th><th>violations</th></tr>");
         for rule in &self.slo.rules {
             let n = self.slo.count_for(rule.id(), rule.job());
@@ -229,9 +211,9 @@ impl FleetTraceReport {
             );
         }
         let _ = writeln!(body, "</table>");
-        if !self.slo.offline.is_empty() {
+        if !self.slo.violations.is_empty() {
             let _ = writeln!(body, "<ul>");
-            for v in &self.slo.offline {
+            for v in &self.slo.violations {
                 let _ = writeln!(
                     body,
                     "<li><code>{}</code> at #{}: observed {:.4} vs threshold {:.4}{}</li>",
@@ -246,16 +228,10 @@ impl FleetTraceReport {
         }
 
         let _ = writeln!(body, "<h2>Anomalies</h2>");
-        let _ = writeln!(
-            body,
-            "<p>{} offline / {} online ({})</p>",
-            self.anomalies.offline.len(),
-            self.anomalies.online.len(),
-            if self.anomalies.anomalies_match() { "verdicts agree" } else { "VERDICT MISMATCH" }
-        );
-        if !self.anomalies.offline.is_empty() {
+        let _ = writeln!(body, "<p>{} anomalies</p>", self.replay.anomalies.len());
+        if !self.replay.anomalies.is_empty() {
             let _ = writeln!(body, "<ul>");
-            for a in &self.anomalies.offline {
+            for a in &self.replay.anomalies {
                 let _ = writeln!(
                     body,
                     "<li><code>{}</code> step {} node {}: observed {:.4} vs expected {:.4}</li>",
@@ -322,7 +298,7 @@ fn indent(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cannikin_telemetry::{Counter, FleetDecision, JobAdmitted, SloViolation};
+    use cannikin_telemetry::{Counter, FleetDecision, JobAdmitted};
 
     fn rec(event: Event) -> Record {
         Record { ts_ns: 0, node: 0, rank: 0, event }
@@ -369,7 +345,7 @@ mod tests {
         assert_eq!(job.admissions, 1);
         assert_eq!(segments(&job.samples), vec![(0, 1, 2, 3), (2, 3, 3, 3)]);
         assert_eq!(report.gauges, vec![("fleet_fairness".into(), 0.9), ("fleet_goodput".into(), 12.5)]);
-        assert!(report.verdicts_match(), "no online verdicts, none offline");
+        assert!(report.slo.violations.is_empty() && report.replay.anomalies.is_empty());
     }
 
     #[test]
@@ -395,20 +371,14 @@ mod tests {
     }
 
     #[test]
-    fn verdict_mismatch_is_surfaced() {
+    fn violations_are_listed_in_both_renderings() {
         let mut trace = demo_trace();
-        // A fabricated online verdict no offline rerun can reproduce.
-        trace.push(rec(Event::SloViolation(SloViolation {
-            rule: "goodput_floor".into(),
-            job: None,
-            threshold: 1.0,
-            observed: 0.1,
-            at: 1,
-        })));
+        // Goodput dips under the default 1 sample/s floor: one crossing.
+        trace.push(rec(Event::Counter(Counter { name: "fleet_goodput".into(), value: 0.1 })));
         let report = build(&trace, InsightConfig::default(), &cannikin_telemetry::default_fleet_slos());
-        assert!(!report.verdicts_match());
-        assert!(report.render_text().contains("VERDICT MISMATCH"));
-        assert!(report.render_html().contains("MISMATCH"));
+        assert_eq!(report.slo.count_for("goodput_floor", None), 1);
+        assert!(report.render_text().contains("goodput_floor at #2"), "{}", report.render_text());
+        assert!(report.render_html().contains("VIOLATED"));
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! The SLO engine: evaluates declarative [`SloRule`]s against the event
-//! stream, online (in a live tap, [`SloMonitor`]) and offline (over a
-//! drained trace, [`replay_slos`]), with byte-identical verdicts.
+//! The SLO engine: evaluates declarative [`SloRule`]s over a drained or
+//! parsed trace ([`replay_slos`]).
 //!
 //! ## Determinism contract
 //!
@@ -12,12 +11,6 @@
 //! same-seed runs); a violation's `at` field is the ordinal of the
 //! triggering observation within the rule's input stream instead.
 //!
-//! Records *injected* into the stream (previous [`SloViolation`]s,
-//! `AnomalyDetected`, the `insight_anomalies` counter) are ignored: the
-//! recorder delivers injected records to the sink but not to online
-//! subscribers, so an engine that reacted to them could never agree with
-//! its offline rerun over the drained trace.
-//!
 //! Floor/ceiling rules over running aggregates (goodput, fairness, queue
 //! p95) fire on *crossings* — the first observation that enters violation
 //! after a healthy one — so a persistently-degraded metric produces one
@@ -25,8 +18,23 @@
 //! its job's ceiling, a single slow crash recovery) fire per offending
 //! event.
 
-use crate::observer::{self, Observer, Tap};
-use cannikin_telemetry::{Event, FaultKind, Record, RecoveryKind, SloRule, SloViolation};
+use cannikin_telemetry::{Event, FaultKind, Record, RecoveryKind, SloRule};
+
+/// A service-level objective was breached.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SloViolation {
+    /// Stable rule id (e.g. `goodput_floor`, `queue_p95_ceiling`).
+    pub rule: String,
+    /// Job the rule is scoped to (`None` for fleet-wide rules).
+    pub job: Option<String>,
+    /// The configured threshold.
+    pub threshold: f64,
+    /// The observed value that breached it.
+    pub observed: f64,
+    /// Ordinal of the triggering observation within the rule's input
+    /// stream (deterministic, unlike the record timestamp).
+    pub at: u64,
+}
 
 /// Evaluates a rule set against a record sequence. Feed records in
 /// emission order via [`SloEngine::observe`]; equal sequences produce
@@ -60,11 +68,6 @@ impl SloEngine {
             recoveries: 0,
             pending_crash: None,
         }
-    }
-
-    /// The rules the engine evaluates.
-    pub fn rules(&self) -> &[SloRule] {
-        &self.rules
     }
 
     /// Feed one record; returns the violations it triggered (usually
@@ -185,92 +188,26 @@ fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
-impl Observer for SloEngine {
-    type Verdict = SloViolation;
-
-    fn observe(&mut self, record: &Record) -> Vec<SloViolation> {
-        SloEngine::observe(self, record)
-    }
-
-    fn event(violation: &SloViolation) -> (Option<u32>, Event) {
-        (None, Event::SloViolation(violation.clone()))
-    }
-
-    fn recorded(event: &Event) -> Option<&SloViolation> {
-        match event {
-            Event::SloViolation(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// The live SLO tap: runs an [`SloEngine`] over every flushed batch and
-/// injects violations back into the stream as typed [`SloViolation`]
-/// records, so exported traces carry the online verdicts. Cheap to clone;
-/// the subscription lasts until the last clone drops.
-#[derive(Clone)]
-pub struct SloMonitor {
-    tap: Tap<SloEngine>,
-}
-
-impl SloMonitor {
-    /// Register a monitor over `rules`; it judges the sessions the calling
-    /// thread starts.
-    pub fn install(rules: Vec<SloRule>) -> SloMonitor {
-        SloMonitor { tap: Tap::install(SloEngine::new(rules)) }
-    }
-
-    /// Every violation since installation, in detection order. Mid-run
-    /// readers call `telemetry::flush_thread()` first so buffered events
-    /// have reached the engine.
-    pub fn violations(&self) -> Vec<SloViolation> {
-        self.tap.lock().verdicts.clone()
-    }
-}
-
-impl std::fmt::Debug for SloMonitor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let tapped = self.tap.lock();
-        write!(f, "SloMonitor({} rules, {} violations)", tapped.observer.rules.len(), tapped.verdicts.len())
-    }
-}
-
-/// The offline verdicts next to the online ones found in the trace.
+/// The rules and the violations the engine finds over a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloReport {
     /// The rules evaluated.
     pub rules: Vec<SloRule>,
-    /// Violations from rerunning the engine over the trace.
-    pub offline: Vec<SloViolation>,
-    /// `SloViolation` records found *in* the trace (the online verdicts).
-    pub online: Vec<SloViolation>,
+    /// Every violation, in trace order.
+    pub violations: Vec<SloViolation>,
 }
 
 impl SloReport {
-    /// Whether the offline rerun reproduced the online verdicts exactly.
-    /// Vacuously true for traces recorded without a live [`SloMonitor`]
-    /// (no online records at all) only when offline found nothing either.
-    pub fn verdicts_match(&self) -> bool {
-        self.offline == self.online
-    }
-
-    /// Offline violation count for one rule id (compliance tables).
+    /// Violation count for one rule id (compliance tables).
     pub fn count_for(&self, rule_id: &str, job: Option<&str>) -> usize {
-        self.offline.iter().filter(|v| v.rule == rule_id && v.job.as_deref() == job).count()
+        self.violations.iter().filter(|v| v.rule == rule_id && v.job.as_deref() == job).count()
     }
 
     /// A short text rendering (the CLI's SLO section).
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "slo: {} rules, {} offline / {} online violations ({})",
-            self.rules.len(),
-            self.offline.len(),
-            self.online.len(),
-            if self.verdicts_match() { "verdicts agree" } else { "VERDICT MISMATCH" }
-        );
+        let _ = writeln!(out, "slo: {} rules, {} violations", self.rules.len(), self.violations.len());
         for rule in &self.rules {
             let n = self.count_for(rule.id(), rule.job());
             let _ = writeln!(
@@ -281,7 +218,7 @@ impl SloReport {
                 if n == 0 { "0 violations".to_string() } else { format!("{n} violations") }
             );
         }
-        for v in &self.offline {
+        for v in &self.violations {
             let _ = writeln!(
                 out,
                 "  {} at #{}: observed {:.4} vs threshold {:.4}{}",
@@ -296,12 +233,11 @@ impl SloReport {
     }
 }
 
-/// Rerun the rules over a drained/parsed trace and collect the online
-/// verdicts stored in it. The engine ignores `SloViolation` records, so
-/// feeding a trace that already carries online verdicts is safe.
+/// Run the rules over a drained or parsed trace, in record order.
 pub fn replay_slos(records: &[Record], rules: &[SloRule]) -> SloReport {
-    let (offline, online) = observer::replay(&mut SloEngine::new(rules.to_vec()), records, |_, _| {});
-    SloReport { rules: rules.to_vec(), offline, online }
+    let mut engine = SloEngine::new(rules.to_vec());
+    let violations = records.iter().flat_map(|record| engine.observe(record)).collect();
+    SloReport { rules: rules.to_vec(), violations }
 }
 
 #[cfg(test)]

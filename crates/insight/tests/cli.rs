@@ -1,9 +1,9 @@
 //! The `cannikin-insight` replay CLI, driven as a real subprocess: exit
-//! codes gate on run health (0 healthy, 1 usage/parse error, 2 anomalies)
-//! and the report text carries the detector verdicts.
+//! codes gate on run health (0 healthy, 1 usage/parse error, 2 anomalies;
+//! `report` exits 0 on success) and the report text carries the verdicts.
 
 use cannikin_telemetry::export::write_jsonl;
-use cannikin_telemetry::{Event, Record, RegimeChange, StepTiming};
+use cannikin_telemetry::{Counter, Event, Record, RegimeChange, StepTiming};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -37,10 +37,14 @@ fn trace(name: &str, slowed: bool) -> PathBuf {
         let verdict = RegimeChange { node: 0, b_i: 32, expected: law(32.0), observed: 2.0 * law(32.0) };
         records.push(Record { ts_ns: step * 1_000, node: 0, rank: 0, event: Event::RegimeChange(verdict) });
     }
+    write(name, &records)
+}
+
+fn write(name: &str, records: &[Record]) -> PathBuf {
     let dir = std::env::temp_dir().join("cannikin-insight-cli-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(name);
-    write_jsonl(&path, &records).expect("write trace");
+    write_jsonl(&path, records).expect("write trace");
     path
 }
 
@@ -54,11 +58,11 @@ fn run(args: &[&str]) -> (i32, String, String) {
 }
 
 #[test]
-fn healthy_trace_exits_zero_with_exact_agreement() {
+fn healthy_trace_exits_zero_with_no_anomalies() {
     let path = trace("healthy.jsonl", false);
     let (code, stdout, _) = run(&[path.to_str().unwrap()]);
     assert_eq!(code, 0, "{stdout}");
-    assert!(stdout.contains("agreement: EXACT"), "{stdout}");
+    assert!(stdout.contains("anomalies: 0\n"), "{stdout}");
     assert!(stdout.contains("step_timing"), "{stdout}");
 }
 
@@ -67,7 +71,41 @@ fn straggling_trace_exits_two_and_names_the_straggler() {
     let path = trace("straggler.jsonl", true);
     let (code, stdout, _) = run(&[path.to_str().unwrap()]);
     assert_eq!(code, 2, "{stdout}");
-    assert!(stdout.contains("straggler"), "{stdout}");
+    assert!(stdout.contains("anomalies: 1\n  [straggler] step 20 node 0 "), "{stdout}");
+    assert!(!stdout.contains("MISMATCH"), "{stdout}");
+}
+
+/// A post-mortem of a plain export: a violation is a finding, not an error.
+#[test]
+fn report_over_a_violating_trace_exits_zero_and_lists_the_violation() {
+    let records: Vec<Record> = [5.0, 0.2, 4.0]
+        .into_iter()
+        .enumerate()
+        .map(|(i, value)| Record {
+            ts_ns: i as u64,
+            node: 0,
+            rank: 0,
+            event: Event::Counter(Counter { name: "fleet_goodput".into(), value }),
+        })
+        .collect();
+    let path = write("goodput_dip.jsonl", &records);
+    let (code, stdout, stderr) = run(&["report", path.to_str().unwrap()]);
+    assert_eq!(code, 0, "{stdout}{stderr}");
+    assert!(stdout.contains("goodput_floor at #2"), "{stdout}");
+}
+
+/// Verdicts are the report's output, never its input: a trace line that
+/// claims to be one is not an event.
+#[test]
+fn a_recorded_verdict_line_is_an_unknown_event() {
+    let dir = std::env::temp_dir().join("cannikin-insight-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("verdict.jsonl");
+    let line = r#"{"ts_ns":1,"node":0,"rank":0,"type":"anomaly","kind":"straggler","anomaly_node":0,"step":4,"expected":1,"observed":2,"severity":2}"#;
+    std::fs::write(&path, format!("{line}\n")).expect("write trace");
+    let (code, _, stderr) = run(&[path.to_str().unwrap()]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("unknown event type `anomaly`"), "{stderr}");
 }
 
 #[test]

@@ -238,25 +238,6 @@ tag_enum! {
 }
 
 tag_enum! {
-    /// The class of misbehavior an [`AnomalyDetected`] event reports.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum AnomalyKind {
-        /// The analyzer reported a [`RegimeChange`] in which the node got
-        /// slower.
-        Straggler = "straggler",
-        /// The realized batch time drifted beyond the calibration band around
-        /// the solver's `SplitDecision::predicted_t`.
-        CalibrationDrift = "calibration_drift",
-        /// The gradient-noise-scale series jumped relative to its smoothed
-        /// trajectory.
-        GnsDrift = "gns_drift",
-        /// One all-reduce bucket is persistently slower per element than the
-        /// cluster-wide average.
-        BucketImbalance = "bucket_imbalance",
-    }
-}
-
-tag_enum! {
     /// The class of injected (or observed) fault a [`FaultInjected`] event
     /// reports.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -458,31 +439,6 @@ events! {
         RegimeChange = "regime_change",
     }
 
-    /// A detector's verdict that the run left its expected envelope (emitted
-    /// by `cannikin-insight` monitors, online or during offline replay; a
-    /// straggler is the report of a slowing [`RegimeChange`]).
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct AnomalyDetected {
-        /// What kind of anomaly fired.
-        pub kind: AnomalyKind,
-        /// Affected node, when the anomaly is node-scoped (`None` for
-        /// cluster-wide anomalies such as calibration or GNS drift).
-        pub node as "anomaly_node": Option<u32>,
-        /// Step index of the triggering observation.
-        pub step: u64,
-        /// What the detector's model expected (seconds, noise scale,
-        /// ns/element — unit depends on `kind`).
-        pub expected: f64,
-        /// What was observed instead (same unit as `expected`).
-        pub observed: f64,
-        /// `observed / expected` — the "how bad" scalar.
-        pub severity: f64,
-    } => {
-        /// A detector flagged a straggler, calibration drift, GNS jump or
-        /// bucket imbalance.
-        AnomalyDetected = "anomaly",
-    }
-
     /// A fault fired by the chaos layer (or detected by a resilient
     /// collective) during one training step.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -603,26 +559,6 @@ events! {
         FleetJobSample = "fleet_job_sample",
     }
 
-    /// A service-level objective was breached (emitted by the
-    /// `cannikin-insight` SLO engine, online or during offline replay).
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct SloViolation {
-        /// Stable rule id (e.g. `goodput_floor`, `queue_p95_ceiling`).
-        pub rule: String,
-        /// Job the rule is scoped to (`None` for fleet-wide rules).
-        pub job as "slo_job": Option<String>,
-        /// The configured threshold.
-        pub threshold: f64,
-        /// The observed value that breached it.
-        pub observed: f64,
-        /// Ordinal of the triggering observation within the rule's input
-        /// stream (deterministic, unlike the record timestamp).
-        pub at: u64,
-    } => {
-        /// A service-level objective was breached.
-        SloViolation = "slo_violation",
-    }
-
     /// A generic named counter sample.
     #[derive(Debug, Clone, PartialEq)]
     pub struct Counter {
@@ -720,22 +656,6 @@ mod tests {
             Event::GoodputEval(GoodputEval { phi: 300.0, total: 512, goodput: 123.5, candidates: 13, cache_rebuilt: true }),
             Event::AllReduceBucket(AllReduceBucket { bucket: 3, elems: 4096, wall_ns: 1_250_000, bytes: 16_384 }),
             Event::SolverInvocation(SolverInvocation { wall_ns: 42_000, total: 256, candidates: 1, solves: 5, boundary: 2 }),
-            Event::AnomalyDetected(AnomalyDetected {
-                kind: AnomalyKind::Straggler,
-                node: Some(2),
-                step: 17,
-                expected: 0.125,
-                observed: 0.5,
-                severity: 4.0,
-            }),
-            Event::AnomalyDetected(AnomalyDetected {
-                kind: AnomalyKind::CalibrationDrift,
-                node: None,
-                step: 0,
-                expected: 0.75,
-                observed: 1.5,
-                severity: 2.0,
-            }),
             Event::FaultInjected(FaultInjected {
                 kind: FaultKind::NodeCrash,
                 node: Some(1),
@@ -784,20 +704,6 @@ mod tests {
                 demanded: 5,
                 weighted_service: 87.5,
             }),
-            Event::SloViolation(SloViolation {
-                rule: "goodput_floor".into(),
-                job: None,
-                threshold: 10.0,
-                observed: 6.25,
-                at: 41,
-            }),
-            Event::SloViolation(SloViolation {
-                rule: "job_queue_ceiling".into(),
-                job: Some("bert-squad".into()),
-                threshold: 120.0,
-                observed: 250.5,
-                at: 3,
-            }),
             Event::Counter(Counter { name: "epoch_time_s".into(), value: 12.5 }),
             Event::SpanBegin(Span { name: "epoch".into() }),
             Event::SpanEnd(Span { name: "epoch".into() }),
@@ -807,7 +713,7 @@ mod tests {
 
     /// Events of the corpus that precede its non-finite record. Kinds added
     /// later follow that record, so the committed fixture lines never move.
-    const BEFORE_NON_FINITE: usize = 25;
+    const BEFORE_NON_FINITE: usize = 21;
 
     /// The corpus as records under distinct envelopes, plus a non-finite
     /// measurement.

@@ -51,15 +51,11 @@ pub mod trace;
 
 pub use env::{export_from_env, export_to, parse_targets, ExportTarget};
 pub use event::{
-    AllReduceBucket, AnomalyDetected, AnomalyKind, Counter, Event, FaultInjected, FaultKind, FleetDecision,
-    FleetJobSample, GnsEstimated, GoodputEval, JobAdmitted, JobPreempted, NodeGranted, PolicyDecision, PreemptKind,
-    Record, RecoveryAction, RecoveryKind, RegimeChange, SloViolation, SolverInvocation, Span, SplitDecision,
-    SplitSource, StepTiming,
+    AllReduceBucket, Counter, Event, FaultInjected, FaultKind, FleetDecision, FleetJobSample, GnsEstimated,
+    GoodputEval, JobAdmitted, JobPreempted, NodeGranted, PolicyDecision, PreemptKind, Record, RecoveryAction,
+    RecoveryKind, RegimeChange, SolverInvocation, Span, SplitDecision, SplitSource, StepTiming,
 };
 pub use hist::Histogram;
 pub use slo::{default_fleet_slos, SloRule};
 pub use json::Json;
-pub use recorder::{
-    context, counter, emit, enabled, flush_thread, inject, set_thread_identity, span, subscribe, Context,
-    IdentityGuard, Session, SpanGuard, Subscriber, SubscriberGuard,
-};
+pub use recorder::{context, counter, emit, enabled, set_thread_identity, span, Context, IdentityGuard, Session, SpanGuard};

@@ -11,7 +11,7 @@
 //!   [`Context`] the parent captured with [`context`] (membership is
 //!   inherited explicitly, never by emitting). [`emit`], [`span`] and
 //!   [`counter`] on any other thread are dropped, so two runs in one
-//!   process — parallel tests, a monitored job beside an unmonitored one —
+//!   process — parallel tests, a traced job beside an untraced one —
 //!   cannot see each other's events. In this workspace the only spawned
 //!   threads that emit are `ParallelTrainer`'s rank threads, which enter
 //!   the context of the thread driving the epoch.
@@ -26,23 +26,15 @@
 //! * [`Session::drain`] flushes the calling thread, takes the sink, and
 //!   stable-sorts by timestamp — per-thread emission order is preserved
 //!   because each thread's timestamps are monotone. Join worker threads
-//!   before draining; their buffers flush when they exit.
-//! * Registered [`Subscriber`]s tap the sink of the sessions *their
-//!   registering thread starts*: every batch such a session flushes is
-//!   handed to each of them exactly once, in flush order (per-thread
-//!   emission order within a batch), and no other session's batches are.
-//!   Subscribers that want to add records of their own (e.g. the
-//!   `cannikin-insight` monitor emitting anomaly events) must use
-//!   [`inject`], which bypasses the thread-local buffer and the membership
-//!   check — calling [`emit`] from inside a callback running during a
-//!   thread-exit flush would touch a thread-local mid-destruction.
+//!   before draining; their buffers flush when they exit. Diagnostics are
+//!   a function of the drained trace: nothing reads the stream while it
+//!   is recorded.
 
 use crate::event::{Event, Record, Span};
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::ThreadId;
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Thread-local records buffered before touching the shared sink.
@@ -62,77 +54,15 @@ static SESSION_LOCK: Mutex<()> = Mutex::new(());
 struct Shared {
     start: Instant,
     sink: Mutex<Vec<Record>>,
-    taps: Mutex<Taps>,
-}
-
-struct Taps {
-    /// The thread that started the live session (`None` between sessions).
-    owner: Option<ThreadId>,
-    /// `(id, registering thread, subscriber)`.
-    subscribers: Vec<(u64, ThreadId, Arc<dyn Subscriber>)>,
 }
 
 fn shared() -> &'static Shared {
     static SHARED: OnceLock<Shared> = OnceLock::new();
-    SHARED.get_or_init(|| Shared {
-        start: Instant::now(),
-        sink: Mutex::new(Vec::new()),
-        taps: Mutex::new(Taps { owner: None, subscribers: Vec::new() }),
-    })
+    SHARED.get_or_init(|| Shared { start: Instant::now(), sink: Mutex::new(Vec::new()) })
 }
 
-/// A tap on the recorder's sink: while registered (see [`subscribe`]) it
-/// receives every batch flushed by a session its registering thread
-/// started.
-///
-/// Batches arrive in flush order; within one batch, records are in the
-/// emitting thread's emission order, and every record that reaches the
-/// sink is delivered exactly once. Callbacks run on the emitting thread
-/// (including during thread exit), so implementations must be cheap,
-/// must not block on locks held across `emit` calls, and must use
-/// [`inject`] — never [`emit`] — to add records of their own.
-pub trait Subscriber: Send + Sync {
-    /// Called with each flushed batch before it lands in the sink.
-    fn on_records(&self, batch: &[Record]);
-}
-
-/// Registers a subscriber to the calling thread's sessions — the live one
-/// if this thread started it, and every one it starts until the returned
-/// guard drops. Sessions started by other threads never reach it.
-pub fn subscribe(subscriber: Arc<dyn Subscriber>) -> SubscriberGuard {
-    static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    shared().taps.lock().subscribers.push((id, std::thread::current().id(), subscriber));
-    SubscriberGuard { id }
-}
-
-/// Deregisters its subscriber on drop.
-pub struct SubscriberGuard {
-    id: u64,
-}
-
-impl Drop for SubscriberGuard {
-    fn drop(&mut self) {
-        shared().taps.lock().subscribers.retain(|(id, ..)| *id != self.id);
-    }
-}
-
-/// Hand a flushed batch to the session owner's subscribers, then append it
-/// to the sink. Notification happens first so the batch needn't be cloned;
-/// records a subscriber [`inject`]s land in the sink slightly before their
-/// triggers, and the drain's timestamp sort restores causal order.
+/// Append a flushed batch to the sink.
 fn deliver(mut batch: Vec<Record>) {
-    let subscribers: Vec<Arc<dyn Subscriber>> = {
-        let taps = shared().taps.lock();
-        taps.subscribers
-            .iter()
-            .filter(|(_, thread, _)| Some(*thread) == taps.owner)
-            .map(|(.., s)| Arc::clone(s))
-            .collect()
-    };
-    for subscriber in &subscribers {
-        subscriber.on_records(&batch);
-    }
     shared().sink.lock().append(&mut batch);
 }
 
@@ -160,10 +90,8 @@ impl ThreadBuffer {
 
     /// Take the buffered records if they belong to the live session, or
     /// discard them if the session they were recorded under is gone. The
-    /// caller must pass the result to [`deliver`] — splitting take from
-    /// delivery lets `emit_slow` release the `RefCell` borrow before any
-    /// subscriber callback runs (a callback may legitimately re-enter the
-    /// recorder via [`inject`]).
+    /// caller passes the result to [`deliver`] once the `RefCell` borrow
+    /// is released.
     fn take_live_batch(&mut self) -> Option<Vec<Record>> {
         if self.records.is_empty() {
             return None;
@@ -222,47 +150,15 @@ fn emit_slow(event: Event) {
         buf.records.push(Record { ts_ns, node, rank, event });
         if buf.records.len() >= FLUSH_THRESHOLD { buf.take_live_batch() } else { None }
     });
-    // Deliver outside the RefCell borrow: subscriber callbacks may call
-    // `inject`, and a re-entrant `emit` from a callback must not panic.
     if let Some(batch) = batch {
         deliver(batch);
     }
 }
 
-/// Record one event directly to the sink, bypassing the thread-local
-/// buffer. This is the emission path for [`Subscriber`] callbacks: it is
-/// safe to call mid-flush and during thread exit (when the thread-local
-/// is being destroyed), and the record is visible to `drain` immediately.
-/// Injected records do NOT flow back through subscribers, so a subscriber
-/// injecting in response to every batch cannot feed back on itself.
-/// A no-op when no session is live. Membership is not checked: callbacks
-/// run on member threads, and a thread-exit flush can no longer ask.
-///
-/// ```
-/// use cannikin_telemetry::{inject, Counter, Event, Session};
-///
-/// let probe = || Event::Counter(Counter { name: "probe".into(), value: 1.0 });
-/// inject(0, 0, probe()); // no session in the process: dropped
-/// let session = Session::start();
-/// inject(1, 2, probe());
-/// let records = session.drain();
-/// assert_eq!(records.len(), 1);
-/// assert_eq!((records[0].node, records[0].rank), (1, 2));
-/// ```
-pub fn inject(node: u32, rank: u32, event: Event) {
-    if !enabled() {
-        return;
-    }
-    let sh = shared();
-    let ts_ns = sh.start.elapsed().as_nanos() as u64;
-    sh.sink.lock().push(Record { ts_ns, node, rank, event });
-}
-
-/// Flush the calling thread's buffered records to subscribers and the
-/// sink now, rather than waiting for the `FLUSH_THRESHOLD` or thread
-/// exit. Lets a driver thread present a consistent stream to online
-/// monitors at a step/epoch boundary.
-pub fn flush_thread() {
+/// Flush the calling thread's buffered records to the sink now, rather
+/// than waiting for the `FLUSH_THRESHOLD` or thread exit. [`Session::drain`]
+/// and the session's drop call it.
+pub(crate) fn flush_thread() {
     let batch = BUFFER.with(|cell| cell.borrow_mut().take_live_batch());
     if let Some(batch) = batch {
         deliver(batch);
@@ -368,12 +264,10 @@ pub struct Session {
 impl Session {
     /// Begin recording. Clears the sink, bumps the session generation
     /// (ending every earlier membership), enrols the calling thread as the
-    /// first member and the owner whose subscribers are fed, and enables
-    /// emission.
+    /// first member, and enables emission.
     pub fn start() -> Session {
         let guard = SESSION_LOCK.lock();
         shared().sink.lock().clear();
-        shared().taps.lock().owner = Some(std::thread::current().id());
         let generation = GENERATION.fetch_add(1, Ordering::Release) + 1;
         BUFFER.with(|cell| cell.borrow_mut().join(generation));
         ENABLED.store(true, Ordering::Release);
@@ -395,11 +289,10 @@ impl Drop for Session {
     fn drop(&mut self) {
         ENABLED.store(false, Ordering::Release);
         // Disabling first makes our own buffer stale: `flush_thread`
-        // discards it without notifying subscribers. Then empty the sink
-        // so the next session starts clean regardless.
+        // discards it. Then empty the sink so the next session starts
+        // clean regardless.
         flush_thread();
         shared().sink.lock().clear();
-        shared().taps.lock().owner = None;
     }
 }
 
@@ -524,94 +417,8 @@ mod tests {
         }
     }
 
-    /// Counts records delivered and remembers batch sizes.
-    struct CountingSubscriber {
-        seen: Mutex<Vec<Record>>,
-    }
-
-    impl Subscriber for CountingSubscriber {
-        fn on_records(&self, batch: &[Record]) {
-            self.seen.lock().extend_from_slice(batch);
-        }
-    }
-
-    fn counting() -> Arc<CountingSubscriber> {
-        Arc::new(CountingSubscriber { seen: Mutex::new(Vec::new()) })
-    }
-
-    #[test]
-    fn subscriber_sees_every_record_exactly_once() {
-        let sub = counting();
-        let _guard = subscribe(sub.clone());
-        let session = Session::start();
-        for i in 0..(FLUSH_THRESHOLD as u64 * 2 + 7) {
-            emit(count_event(i));
-        }
-        flush_thread();
-        let drained = session.drain();
-        let seen = sub.seen.lock();
-        assert_eq!(seen.len(), drained.len());
-        // Same records, same per-thread order.
-        for (a, b) in seen.iter().zip(drained.iter()) {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn dropped_guard_stops_delivery() {
-        let sub = counting();
-        let guard = subscribe(sub.clone());
-        let session = Session::start();
-        emit(count_event(0));
-        flush_thread();
-        drop(guard);
-        emit(count_event(1));
-        flush_thread();
-        assert_eq!(session.drain().len(), 2);
-        assert_eq!(sub.seen.lock().len(), 1, "post-unsubscribe batch must not arrive");
-    }
-
-    /// Injects a marker record for every batch it sees — the monitor's
-    /// anomaly-emission pattern. Must not dead-lock or double-borrow even
-    /// though the callback runs inside the emitting thread's flush.
-    struct InjectingSubscriber;
-
-    impl Subscriber for InjectingSubscriber {
-        fn on_records(&self, batch: &[Record]) {
-            if batch.iter().any(|r| !matches!(r.event, Event::SpanBegin(_))) {
-                inject(9, 9, Event::SpanBegin(Span { name: "injected".to_string() }));
-            }
-        }
-    }
-
-    #[test]
-    fn subscriber_can_inject_records_mid_flush() {
-        let _guard = subscribe(Arc::new(InjectingSubscriber));
-        let session = Session::start();
-        for i in 0..(FLUSH_THRESHOLD as u64) {
-            emit(count_event(i));
-        }
-        // Threshold flush already fired inside the emit loop; a worker
-        // thread exercises the thread-exit flush path too.
-        let ctx = context();
-        std::thread::spawn(move || {
-            ctx.enter();
-            emit(count_event(1_000));
-        })
-        .join()
-        .unwrap();
-        let records = session.drain();
-        let injected: Vec<&Record> =
-            records.iter().filter(|r| matches!(r.event, Event::SpanBegin(_))).collect();
-        assert_eq!(injected.len(), 2, "one injection per non-marker batch");
-        assert!(injected.iter().all(|r| r.node == 9 && r.rank == 9));
-        assert_eq!(records.len(), FLUSH_THRESHOLD + 1 + 2);
-    }
-
     #[test]
     fn a_thread_that_never_joined_records_nothing() {
-        let sub = counting();
-        let _guard = subscribe(sub.clone());
         let session = Session::start();
         std::thread::spawn(|| {
             for i in 0..1_000 {
@@ -623,7 +430,6 @@ mod tests {
         .join()
         .unwrap();
         assert!(session.drain().is_empty(), "a non-member's events reached the sink");
-        assert!(sub.seen.lock().is_empty(), "a non-member's events reached the subscriber");
     }
 
     #[test]
@@ -647,38 +453,6 @@ mod tests {
         // Membership is inherited; identity is not.
         assert!(records[..300].iter().all(|r| (r.node, r.rank) == (4, 2)));
         assert_eq!((records[300].node, records[300].rank), (1, 1));
-    }
-
-    #[test]
-    fn subscribers_hear_only_the_sessions_their_thread_starts() {
-        // Registered by another thread, and still registered while ours runs.
-        let foreign = counting();
-        let (registered_tx, registered_rx) = mpsc::channel();
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        let other = {
-            let foreign = foreign.clone();
-            std::thread::spawn(move || {
-                let _guard = subscribe(foreign);
-                registered_tx.send(()).unwrap();
-                done_rx.recv().unwrap();
-            })
-        };
-        registered_rx.recv().unwrap();
-
-        let ours = counting();
-        let _guard = subscribe(ours.clone());
-        let session = Session::start();
-        let n = FLUSH_THRESHOLD as u64 * 3 + 5;
-        for i in 0..n {
-            emit(count_event(i));
-        }
-        let drained = session.drain();
-        done_tx.send(()).unwrap();
-        other.join().unwrap();
-
-        assert_eq!(drained.len() as u64, n);
-        assert_eq!(*ours.seen.lock(), drained, "every flushed batch, exactly once, in order");
-        assert!(foreign.seen.lock().is_empty(), "another thread's subscriber heard our session");
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! This module holds only the rule *specifications* — plain data a
 //! [`crate::event::FleetJobSample`]-emitting control plane (`cannikin-fleet`)
 //! can attach to job specs without depending on the evaluation machinery.
-//! The engine that evaluates rules against records, online through the
-//! subscriber API and offline over drained traces, lives in
+//! The engine that evaluates rules over drained or parsed traces lives in
 //! `cannikin-insight::slo` (the dependency arrow runs fleet → telemetry ←
 //! insight, never fleet → insight).
 //!
 //! Every rule watches a *closed* input set — named fleet counters,
 //! admissions, faults and recoveries — and judges values that are pure
-//! functions of the deterministic simulation, so online and offline
-//! evaluations of the same trace produce byte-identical verdicts.
+//! functions of the deterministic simulation, so two same-seed traces
+//! produce byte-identical verdicts.
 
 /// One service-level objective.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,8 +52,8 @@ pub enum SloRule {
 }
 
 impl SloRule {
-    /// Stable rule id (the `rule` field of an emitted
-    /// [`crate::event::SloViolation`]).
+    /// Stable rule id (the `rule` field of the `SloViolation`s
+    /// `cannikin-insight` reports).
     pub fn id(&self) -> &'static str {
         match self {
             SloRule::GoodputFloor { .. } => "goodput_floor",

@@ -7,7 +7,9 @@
 #              at smoke size (plain rustc, ~50 s)
 #   build      release build, proof that it resolved no registry crate, and
 #              that crates/core/src holds no unsafe and reads no environment,
-#              that insight subscribes to the recorder once, that only
+#              that the live diagnostics path (recorder subscribers,
+#              injected verdicts, the monitors, the online/offline
+#              agreement) is not back, that only
 #              TrainingSubject defines the run loops, that only HetPipe
 #              implements it outside core, that EpochRecord is the one
 #              epoch record, that the simulator draws its normals
@@ -79,12 +81,12 @@ stage() {
             echo "tier1.sh: crates/core/src says unsafe (above); keep FFI and unsafe code in minidnn" >&2
             exit 1
         fi
-        # Insight's engines share one live tap; a second subscriber is a
-        # second copy of it. The tap's own impl is generic over the observer.
-        subscriber_impls='impl(<[^>]*>)? +Subscriber for'
-        if [ "$(git grep -hE "$subscriber_impls" crates/insight/src | wc -l)" -gt 1 ]; then
-            git grep -nE "$subscriber_impls" crates/insight/src
-            echo "tier1.sh: crates/insight/src implements Subscriber more than once (above); observers go through the one tap" >&2
+        # Diagnostics are a function of the drained trace: nothing taps the
+        # recorder while it records, no verdict is written into the stream,
+        # and no report has an "online" half to agree with. (The frozen
+        # benchmark is outside the check.)
+        if git grep -nE '\b(subscribe|inject)\(|\bSubscriber(Guard)?\b|Monitor::install|\bSloMonitor\b|\bHealthReport\b|anomalies_match|verdicts_match|\.online\b|insight_anomalies|Event::(AnomalyDetected|SloViolation)' -- '*.rs' ':!crates/benchmark'; then
+            echo "tier1.sh: the live diagnostics path is back (above); run analyze / replay_slos / report::build over the drained trace" >&2
             exit 1
         fi
         # One run loop: `TrainingSubject` provides "run n epochs" and "run
@@ -216,8 +218,9 @@ stage() {
         cmp target/BENCH_fleet.json BENCH_fleet.json
         ;;
     report)
-        # The insight CLI itself exits 2 if the offline SLO/anomaly reruns
-        # disagree with the online verdicts recorded in either trace.
+        # Two same-seed traces: the reports are a function of the payloads,
+        # so their text and HTML must be byte-identical. The CLI exits
+        # non-zero only on a usage or parse error.
         for run in a b; do
             cargo run --release -p cannikin-bench --bin fleettrace -- --out "target/fleet_$run.jsonl" --seed 7
             cargo run --release -p cannikin-insight --bin insight -- \

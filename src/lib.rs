@@ -23,10 +23,11 @@
 //!   layer: a low-overhead structured-event recorder, histograms, and
 //!   JSONL / Chrome-trace exporters (enable file export with
 //!   `CANNIKIN_TELEMETRY=jsonl:/path[,chrome:/path]`).
-//! - [`insight`] (`cannikin-insight`) — online diagnostics over the
-//!   telemetry stream (straggler/calibration/GNS-drift/bucket-imbalance
-//!   detectors behind [`insight::Monitor`]) plus the `cannikin-insight`
-//!   trace-replay CLI that reruns the same detectors offline.
+//! - [`insight`] (`cannikin-insight`) — diagnostics over recorded
+//!   telemetry traces (straggler/calibration/GNS-drift/bucket-imbalance
+//!   detectors run by [`insight::analyze`], SLO rules by
+//!   [`insight::replay_slos`]) plus the `cannikin-insight` trace-replay
+//!   and report CLI.
 //! - [`fleet`] (`cannikin-fleet`) — the multi-tenant cluster control
 //!   plane (§6 direction): an admission queue with priority classes, a
 //!   fleet allocator that generalizes OptPerf from "a batch over n GPUs"
@@ -87,7 +88,7 @@ pub use minidnn as dnn;
 /// trait, [`PolicyKind`](prelude::PolicyKind), and the four shipped
 /// implementations), the simulator and cluster-description types, the
 /// collective layer (including the pluggable
-/// [`TransportKind`](prelude::TransportKind)), and the health monitor. Specialized types stay at their crate paths
+/// [`TransportKind`](prelude::TransportKind)), and the telemetry session. Specialized types stay at their crate paths
 /// (`cannikin::core::gns`, `cannikin::telemetry`, …).
 pub mod prelude {
     pub use cannikin_collectives::{
@@ -104,7 +105,6 @@ pub mod prelude {
     };
     pub use cannikin_core::CannikinError;
     pub use cannikin_fleet::{AllocPolicy, FleetController, FleetJobSpec, FleetReport, Priority};
-    pub use cannikin_insight::Monitor;
     pub use cannikin_telemetry::Session;
     pub use hetsim::catalog::Gpu;
     pub use hetsim::cluster::{ClusterSpec, NodeSpec};

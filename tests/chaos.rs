@@ -1,6 +1,6 @@
 //! Chaos harness (ISSUE 4 acceptance): seeded fault schedules against both
 //! engines, with per-epoch invariants, same-seed determinism down to the
-//! telemetry JSONL, and online/offline insight agreement over faulty runs.
+//! telemetry JSONL.
 //!
 //! Four named schedules — `crash`, `transient`, `flapping`, `elastic`
 //! (join + leave) — each run through the simulated [`CannikinTrainer`];
@@ -19,12 +19,11 @@ use cannikin::core::engine::{
 };
 use cannikin::dnn::data::gaussian_blobs;
 use cannikin::dnn::models::mlp_classifier;
-use cannikin::insight::{replay, replay_slos, InsightConfig, Monitor, SloMonitor};
 use cannikin::sim::catalog::Gpu;
 use cannikin::sim::cluster::{ClusterSpec, NodeSpec};
 use cannikin::sim::job::JobSpec;
 use cannikin::sim::{FaultPlan, Simulator};
-use cannikin::telemetry::{self as telemetry, default_fleet_slos, Json, Record};
+use cannikin::telemetry::{self as telemetry, Json, Record};
 
 /// Honor the `CANNIKIN_CHAOS_SCHEDULE` CI-matrix filter.
 fn schedule_enabled(name: &str) -> bool {
@@ -97,11 +96,8 @@ struct SimRun {
     jsonl: Vec<String>,
 }
 
-/// One monitored 4-epoch run of the simulated engine under `plan`, with
-/// the offline insight replay checked against the online monitor.
+/// One traced 4-epoch run of the simulated engine under `plan`.
 fn run_sim_schedule(name: &str, seed: u64) -> SimRun {
-    let monitor = Monitor::install(InsightConfig::default());
-    let slos = SloMonitor::install(default_fleet_slos());
     let session = telemetry::Session::start();
 
     let sim = Simulator::new(cluster3(), JobSpec::resnet18_cifar10(), seed).with_fault_plan(plan(name, seed));
@@ -115,20 +111,7 @@ fn run_sim_schedule(name: &str, seed: u64) -> SimRun {
         .expect("valid config");
     let records = trainer.run_epochs(4).expect("chaos epochs");
 
-    telemetry::flush_thread();
     let stream = session.drain();
-    let rerun = replay::analyze(&stream, InsightConfig::default());
-    assert!(
-        rerun.anomalies_match(),
-        "schedule {name}: offline replay must reproduce the online verdicts"
-    );
-    assert_eq!(rerun.online, monitor.report().anomalies, "schedule {name}: trace carries the monitor's anomalies");
-    let slo_report = replay_slos(&stream, &default_fleet_slos());
-    assert!(
-        slo_report.verdicts_match(),
-        "schedule {name}: offline SLO rerun must reproduce the online verdicts"
-    );
-    assert_eq!(slo_report.online, slos.violations(), "schedule {name}: trace carries the SLO monitor's verdicts");
     SimRun { records, jsonl: normalize(&stream) }
 }
 

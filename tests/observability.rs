@@ -1,30 +1,16 @@
-//! Fleet mission control (ISSUE 8 acceptance): concurrent subscribers
-//! observe fleet runs without losing, duplicating or reordering events,
-//! and the SLO engine's online verdicts replay offline byte-for-byte —
+//! Fleet mission control (ISSUE 8 acceptance): fleet runs reach the
+//! drained trace without losing, duplicating or reordering events, and
+//! the SLO engine's verdicts over a trace survive its JSONL export —
 //! including over crash-recovery traces.
-
-use std::sync::{Arc, Mutex};
 
 use cannikin::core::engine::TrainerConfig;
 use cannikin::fleet::{synthetic_trace, AllocPolicy, FleetController, FleetJobSpec};
-use cannikin::insight::{replay, replay_slos, report, InsightConfig, Monitor, SloMonitor};
+use cannikin::insight::{analyze, replay_slos, report, AnomalyKind, InsightConfig};
 use cannikin::sim::catalog::Gpu;
 use cannikin::sim::cluster::NodeSpec;
 use cannikin::sim::job::JobSpec;
 use cannikin::sim::FaultPlan;
-use cannikin::telemetry::{self as telemetry, AnomalyKind, Event, Record, SloRule, Subscriber};
-
-/// A raw subscriber that keeps every record of every batch delivered.
-#[derive(Default)]
-struct Counting {
-    seen: Mutex<Vec<Record>>,
-}
-
-impl Subscriber for Counting {
-    fn on_records(&self, batch: &[Record]) {
-        self.seen.lock().unwrap().extend_from_slice(batch);
-    }
-}
+use cannikin::telemetry::{self as telemetry, export, Event, Record, SloRule};
 
 fn pool4() -> Vec<NodeSpec> {
     vec![
@@ -48,37 +34,26 @@ fn two_jobs() -> Vec<FleetJobSpec> {
     ]
 }
 
-fn key(r: &Record) -> Option<String> {
+/// The job a `NodeGranted` record grants to.
+fn grant(r: &Record) -> Option<String> {
     match &r.event {
-        Event::FleetDecision(d) => Some(format!("decision:{}", d.decision)),
-        Event::NodeGranted(g) => Some(format!("grant:{}:{}", g.job, g.node)),
+        Event::NodeGranted(g) => Some(g.job.clone()),
         _ => None,
     }
 }
 
 #[test]
-fn concurrent_subscribers_see_fleet_events_exactly_once_in_order() {
-    // Three observers at once: the raw counting subscriber, the SLO
-    // monitor and the anomaly monitor — plus the sink itself.
+fn fleet_decisions_reach_the_sink_exactly_once_in_order() {
     let mut controller = FleetController::new(pool4(), two_jobs(), AllocPolicy::Cannikin).expect("valid fleet");
     let rules = controller.slo_rules();
-    let counting = Arc::new(Counting::default());
-    let _guard = telemetry::subscribe(counting.clone() as Arc<dyn Subscriber>);
-    let slos = SloMonitor::install(rules.clone());
-    let monitor = Monitor::install(InsightConfig::default());
 
     let session = telemetry::Session::start();
     controller.run_to_completion(50_000).expect("stream drains");
     let records = session.drain();
     drop(session);
 
-    // The sink's FleetDecision/NodeGranted sequence is ground truth; the
-    // subscriber must have received exactly the same events in the same
-    // order — no loss, no duplication, no reorder.
-    let truth: Vec<String> = records.iter().filter_map(key).collect();
-    let observed: Vec<String> = counting.seen.lock().unwrap().iter().filter_map(key).collect();
-    assert!(!truth.is_empty(), "the run must produce decisions and grants");
-    assert_eq!(observed, truth, "subscriber delivery must match the sink exactly");
+    let grants: Vec<String> = records.iter().filter_map(grant).collect();
+    assert!(!grants.is_empty(), "the run must grant nodes");
 
     // Decisions are 1-based and consecutive — a dropped or doubled batch
     // would break the arithmetic.
@@ -89,57 +64,33 @@ fn concurrent_subscribers_see_fleet_events_exactly_once_in_order() {
             _ => None,
         })
         .collect();
+    assert!(!decisions.is_empty(), "the run must decide");
     assert_eq!(decisions, (1..=decisions.len() as u64).collect::<Vec<_>>());
 
-    // The fleet report folded from what the subscriber saw equals the one
-    // folded from the sink: the same decision total and, per job, the same
-    // granted nodes at every decision and the same admissions.
-    let from_sink = report::build(&records, InsightConfig::default(), &rules);
-    let from_tap = report::build(&counting.seen.lock().unwrap(), InsightConfig::default(), &rules);
-    assert_eq!(from_sink.decisions, decisions.len() as u64);
-    assert_eq!(from_tap.decisions, from_sink.decisions);
-    assert_eq!(from_tap.jobs, from_sink.jobs);
+    // The fleet report folded from the sink counts every decision and,
+    // per job, every admission.
+    let fleet = report::build(&records, InsightConfig::default(), &rules);
+    assert_eq!(fleet.decisions, decisions.len() as u64);
     let admitted = records.iter().filter(|r| matches!(r.event, Event::JobAdmitted(_))).count() as u64;
-    assert_eq!(from_sink.jobs.iter().map(|j| j.admissions).sum::<u64>(), admitted);
+    assert_eq!(fleet.jobs.iter().map(|j| j.admissions).sum::<u64>(), admitted);
     // Every node a job held at a decision was granted to it first.
-    for job in &from_sink.jobs {
-        let grants = truth.iter().filter(|k| k.starts_with(&format!("grant:{}:", job.name))).count();
+    for job in &fleet.jobs {
+        let granted = grants.iter().filter(|g| **g == job.name).count();
         assert!(
-            job.peak_granted > 0 && job.peak_granted as usize <= grants,
-            "{}: held {} nodes at once after {grants} grants",
+            job.peak_granted > 0 && job.peak_granted as usize <= granted,
+            "{}: held {} nodes at once after {granted} grants",
             job.name,
             job.peak_granted
         );
     }
-
-    // The SLO monitor's verdicts are the ones the trace carries.
-    assert_eq!(slos.violations(), from_sink.slo.online);
-    assert!(from_sink.slo.verdicts_match());
-
-    // The monitor saw every *emitted* record exactly once. Injected
-    // records (its own anomalies and their counter) reach the sink but
-    // never loop back through subscribers.
-    let injected = records
-        .iter()
-        .filter(|r| match &r.event {
-            Event::AnomalyDetected(_) | Event::SloViolation(_) => true,
-            Event::Counter(c) => c.name == "insight_anomalies",
-            _ => false,
-        })
-        .count();
-    assert_eq!(monitor.report().events_seen as usize, records.len() - injected);
 }
 
 #[test]
 fn per_thread_emission_order_survives_concurrent_flushes() {
     // Two emitting threads with distinct ranks interleave arbitrarily;
-    // each thread's own sequence must still arrive in order at every
-    // subscriber and in the drained trace.
+    // each thread's own sequence must still arrive in order in the
+    // drained trace.
     const RANKS: [u32; 2] = [1, 2];
-    let counters = [Arc::new(Counting::default()), Arc::new(Counting::default())];
-    let _guards: Vec<_> =
-        counters.iter().map(|c| telemetry::subscribe(c.clone() as Arc<dyn Subscriber>)).collect();
-
     let session = telemetry::Session::start();
     let ctx = telemetry::context();
     let handles: Vec<_> = RANKS
@@ -157,7 +108,6 @@ fn per_thread_emission_order_survives_concurrent_flushes() {
                         pool: 1,
                     }));
                 }
-                telemetry::flush_thread();
             })
         })
         .collect();
@@ -167,23 +117,17 @@ fn per_thread_emission_order_survives_concurrent_flushes() {
     let records = session.drain();
     drop(session);
 
-    // One thread's ordinals, in the order `stream` holds them.
-    let of_rank = |stream: &[Record], rank: u32| -> Vec<u64> {
-        stream
+    let expect: Vec<u64> = (1..=500).collect();
+    for rank in RANKS {
+        let ordinals: Vec<u64> = records
             .iter()
             .filter(|r| r.rank == rank)
             .filter_map(|r| match &r.event {
                 Event::FleetDecision(d) => Some(d.decision),
                 _ => None,
             })
-            .collect()
-    };
-    let expect: Vec<u64> = (1..=500).collect();
-    for rank in RANKS {
-        for counting in &counters {
-            assert_eq!(of_rank(&counting.seen.lock().unwrap(), rank), expect, "rank {rank}: subscriber order");
-        }
-        assert_eq!(of_rank(&records, rank), expect, "rank {rank}: sink order");
+            .collect();
+        assert_eq!(ordinals, expect, "rank {rank}: sink order");
     }
 }
 
@@ -212,7 +156,6 @@ fn slo_verdicts_replay_exactly_over_a_crash_trace() {
     let mut rules = controller.slo_rules();
     rules.push(SloRule::RecoveryCeiling { max_steps: 0 });
 
-    let monitor = SloMonitor::install(rules.clone());
     let session = telemetry::Session::start();
     controller.run_to_completion(50_000).expect("stream drains past the crash");
     let records = session.drain();
@@ -223,13 +166,14 @@ fn slo_verdicts_replay_exactly_over_a_crash_trace() {
         "the crash must surface in the trace"
     );
     let report = replay_slos(&records, &rules);
-    assert!(report.verdicts_match(), "offline rerun must reproduce the online verdicts");
-    assert_eq!(report.online, monitor.violations(), "trace carries the monitor's verdicts");
     assert!(
         report.count_for("job_queue_ceiling", Some("beta")) >= 1,
         "the nanosecond queue ceiling must fire on admission: {:?}",
-        report.offline
+        report.violations
     );
+    // The JSONL export, parsed back, replays to the same verdicts.
+    let parsed = export::parse_jsonl(&export::jsonl_string(&records)).expect("trace parses");
+    assert_eq!(replay_slos(&parsed, &rules), report);
 }
 
 /// A fleet trace is the controller's decisions, its demand pricing and the
@@ -271,8 +215,8 @@ fn a_fleet_trace_holds_no_profiling_replays() {
 
     // No node's law changed in this trace, so nothing is a straggler —
     // however different the laws of the jobs sharing a rank index are.
-    let replayed = replay::analyze(&records, InsightConfig::default());
-    let stragglers: Vec<_> = replayed.offline.iter().filter(|a| a.kind == AnomalyKind::Straggler).collect();
+    let replayed = analyze(&records, InsightConfig::default());
+    let stragglers: Vec<_> = replayed.anomalies.iter().filter(|a| a.kind == AnomalyKind::Straggler).collect();
     assert!(stragglers.is_empty(), "{stragglers:?}");
 
     // Wall-clock readings aside, the trace is a function of the seed.
