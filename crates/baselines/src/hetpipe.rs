@@ -1,6 +1,6 @@
 //! HetPipe baseline (pipelined model parallelism).
 
-use cannikin_core::engine::{EpochRecord, NoiseModel, TrainingSubject};
+use cannikin_core::engine::{EpochRecord, LinearNoiseGrowth, TrainingSubject};
 use cannikin_core::error::CannikinError;
 use cannikin_core::gns::{epoch_progress, statistical_efficiency};
 use hetsim::timing::node_coefficients;
@@ -25,7 +25,7 @@ use hetsim::Simulator;
 /// capacity bounds an ideally partitioned pipeline.
 pub struct HetPipeTrainer {
     sim: Simulator,
-    noise: Box<dyn NoiseModel>,
+    noise: LinearNoiseGrowth,
     dataset_size: usize,
     total_batch: u64,
     base_batch: u64,
@@ -43,7 +43,7 @@ impl HetPipeTrainer {
     /// # Panics
     ///
     /// Panics if `total_batch == 0`.
-    pub fn new(sim: Simulator, noise: Box<dyn NoiseModel>, dataset_size: usize, total_batch: u64, base_batch: u64) -> Self {
+    pub fn new(sim: Simulator, noise: LinearNoiseGrowth, dataset_size: usize, total_batch: u64, base_batch: u64) -> Self {
         assert!(total_batch > 0, "total batch must be positive");
         let mut trainer = HetPipeTrainer {
             sim,
@@ -207,7 +207,7 @@ mod tests {
             ],
         );
         let s = Simulator::new(cluster, JobSpec::resnet18_cifar10(), 6);
-        let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+        let noise = LinearNoiseGrowth { initial: 300.0, rate: 1.0 };
         let t = HetPipeTrainer::new(s, noise, 76_800, 768, 768);
         let dp_sim = sim();
         let dp_sim = {
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn fixed_batch_never_changes() {
-        let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+        let noise = LinearNoiseGrowth { initial: 300.0, rate: 1.0 };
         let mut t = HetPipeTrainer::new(sim(), noise, 12_800, 128, 128);
         let records = t.run_epochs(5).unwrap();
         assert!(records.iter().all(|r| r.total_batch == 128));

@@ -43,7 +43,7 @@ mod hetpipe;
 pub use hetpipe::HetPipeTrainer;
 
 use cannikin_core::engine::{
-    check_dataset_size, CannikinTrainer, EpochRecord, NoiseModel, TrainerConfig, TrainingSubject,
+    check_dataset_size, CannikinTrainer, EpochRecord, LinearNoiseGrowth, TrainerConfig, TrainingSubject,
 };
 use cannikin_core::perf::MeasurementAggregation;
 use cannikin_core::policy::PolicyKind;
@@ -113,7 +113,7 @@ impl System {
     pub fn build(
         self,
         sim: Simulator,
-        noise: Box<dyn NoiseModel>,
+        noise: LinearNoiseGrowth,
         dataset_size: usize,
         base_batch: u64,
         max_batch: u64,
@@ -139,7 +139,7 @@ impl System {
         if self == System::AdaptDl {
             config.aggregation = MeasurementAggregation::NaiveMean;
         }
-        let builder = CannikinTrainer::builder().simulator(sim).noise_boxed(noise);
+        let builder = CannikinTrainer::builder().simulator(sim).noise(noise);
         Ok(Box::new(builder.config(config).policy(policy).build()?))
     }
 }
@@ -209,7 +209,7 @@ mod tests {
     }
 
     fn subject_on(system: System, dataset_size: usize) -> Box<dyn TrainingSubject> {
-        let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+        let noise = LinearNoiseGrowth { initial: 300.0, rate: 1.0 };
         system.build(sim(JobSpec::resnet18_cifar10(), 8), noise, dataset_size, 64, 512).expect("valid config")
     }
 
@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn build_rejects_a_batch_below_the_node_count() {
         for system in System::ALL {
-            let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+            let noise = LinearNoiseGrowth { initial: 300.0, rate: 1.0 };
             let built = system.build(sim(JobSpec::resnet18_cifar10(), 8), noise, 6_400, 2, 512);
             assert!(matches!(built, Err(CannikinError::InvalidConfig(_))), "{}", system.label());
         }
@@ -255,7 +255,7 @@ mod tests {
     fn build_rejects_a_dataset_below_one_base_batch() {
         for dataset_size in [0, 63] {
             for system in System::ALL {
-                let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+                let noise = LinearNoiseGrowth { initial: 300.0, rate: 1.0 };
                 let built = system.build(sim(JobSpec::resnet18_cifar10(), 8), noise, dataset_size, 64, 512);
                 let err = built.err().unwrap_or_else(|| panic!("{} built on {dataset_size} samples", system.label()));
                 assert!(err.to_string().contains("cannot hold one base batch"), "{}: {err}", system.label());
@@ -276,7 +276,7 @@ mod tests {
     #[test]
     fn adaptdl_splits_stay_even_while_batch_adapts() {
         for system in [System::AdaptDl, System::Ddp] {
-            let noise = Box::new(LinearNoiseGrowth { initial: 500.0, rate: 2.0 });
+            let noise = LinearNoiseGrowth { initial: 500.0, rate: 2.0 };
             let mut t = system.build(sim(JobSpec::resnet18_cifar10(), 4), noise, 50_000, 64, 4096).expect("valid config");
             let records = t.run_epochs(8).expect("run");
             for r in &records {
@@ -303,7 +303,7 @@ mod tests {
     /// trace alike.
     #[test]
     fn ddp_reports_the_faults_it_trains_through() {
-        let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+        let noise = LinearNoiseGrowth { initial: 300.0, rate: 1.0 };
         let sim = sim(JobSpec::resnet18_cifar10(), 8).with_fault_plan(FaultPlan::new(8).burst_at(100, 2, u64::MAX, 2.5));
         let mut ddp = System::Ddp.build(sim, noise, 6_400, 64, 512).expect("valid config");
         let session = Session::start();
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn adaptdl_beats_ddp_on_convergence() {
         let run = |system: System| {
-            let noise = Box::new(LinearNoiseGrowth { initial: 800.0, rate: 3.0 });
+            let noise = LinearNoiseGrowth { initial: 800.0, rate: 3.0 };
             let mut t =
                 system.build(sim(JobSpec::resnet18_cifar10(), 4), noise, 50_000, 64, 4096).expect("valid config");
             t.train_until(5.0, 300).expect("run").last().unwrap().cumulative_time
@@ -327,7 +327,7 @@ mod tests {
     }
 
     fn lbbsp_trainer() -> Box<dyn TrainingSubject> {
-        let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+        let noise = LinearNoiseGrowth { initial: 300.0, rate: 1.0 };
         System::LbBsp.build(sim(JobSpec::resnet50_imagenet(), 5), noise, 12_800, 128, 128).expect("valid config")
     }
 

@@ -10,7 +10,7 @@
 //!    checkpoint-restart round trip — is asserted end to end.
 
 use cannikin_baselines::{time_to_target, HetPipeTrainer, System};
-use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig, TrainingSubject};
+use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, TrainerConfig, TrainingSubject};
 use cannikin_core::optperf::even_split;
 use cannikin_core::policy::PolicyKind;
 use hetsim::catalog::Gpu;
@@ -29,8 +29,8 @@ fn cluster() -> ClusterSpec {
     )
 }
 
-fn noise() -> Box<dyn NoiseModel> {
-    Box::new(LinearNoiseGrowth { initial: 400.0, rate: 0.1 })
+fn noise() -> LinearNoiseGrowth {
+    LinearNoiseGrowth { initial: 400.0, rate: 0.1 }
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn cannikin_recovers_from_a_crash_faster_than_static_ddp() {
     config.adaptive_batch = false;
     let mut cannikin = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(noise())
+        .noise(noise())
         .config(config)
         .build()
         .expect("valid config");
@@ -113,7 +113,7 @@ fn cannikin_recovers_from_a_crash_faster_than_static_ddp() {
     config.adaptive_batch = false;
     let mut ddp = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(noise())
+        .noise(noise())
         .config(config)
         .policy(PolicyKind::Even)
         .build()

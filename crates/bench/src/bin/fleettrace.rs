@@ -14,8 +14,8 @@
 
 use cannikin_bench::experiments::fleet_pool;
 use cannikin_fleet::{synthetic_trace, AllocPolicy, FleetController};
-use cannikin_insight::{analyze, replay_slos, InsightConfig};
-use cannikin_telemetry::{self as telemetry, default_fleet_slos, export};
+use cannikin_insight::{analyze, default_fleet_slos, replay_slos, InsightConfig};
+use cannikin_telemetry::{self as telemetry, export};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: fleettrace --out PATH [--seed N] [--jobs N]";
@@ -26,7 +26,8 @@ struct Args {
     jobs: usize,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The parsed flags, or `None` when `--help` asked for the usage line.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut out = None;
     let mut seed = 7u64;
     let mut jobs = 6usize;
@@ -43,16 +44,20 @@ fn parse_args() -> Result<Args, String> {
                 let raw = value("--jobs")?;
                 jobs = raw.parse().map_err(|_| format!("--jobs: `{raw}` is not a count"))?;
             }
-            "--help" | "-h" => return Err(USAGE.into()),
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    Ok(Args { out: out.ok_or("need --out PATH")?, seed, jobs })
+    Ok(Some(Args { out: out.ok_or("need --out PATH")?, seed, jobs }))
 }
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("fleettrace: {e}");
             eprintln!("{USAGE}");
@@ -86,7 +91,7 @@ fn main() -> ExitCode {
         args.seed,
         records.len(),
         replay_slos(&records, &default_fleet_slos()).violations.len(),
-        analyze(&records, InsightConfig::default()).anomalies.len(),
+        analyze(&records, InsightConfig {}).anomalies.len(),
         args.out
     );
     ExitCode::SUCCESS

@@ -89,7 +89,7 @@ pub fn elastic() -> String {
     config.adaptive_batch = false;
     let mut trainer = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(Box::new(profile.noise))
+        .noise(profile.noise)
         .config(config)
         .build()
         .expect("valid config");

@@ -155,7 +155,7 @@ pub fn fig9() -> String {
 
     let run = |system: System| {
         let sim = Simulator::new(cluster.clone(), profile.job.clone(), 91);
-        let mut subject = system.build(sim, Box::new(profile.noise), dataset, 128, 128).expect("valid config");
+        let mut subject = system.build(sim, profile.noise, dataset, 128, 128).expect("valid config");
         subject.run_epochs(epochs).expect("run")
     };
     let can_records = run(System::CannikinFixed);

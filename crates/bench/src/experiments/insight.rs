@@ -28,7 +28,7 @@ pub fn insight_run() -> String {
     config.adaptive_batch = false;
     let mut trainer = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(Box::new(profile.noise))
+        .noise(profile.noise)
         .config(config)
         .build()
         .expect("valid config");
@@ -41,7 +41,7 @@ pub fn insight_run() -> String {
     let records = session.drain();
     drop(session);
 
-    let report = replay::analyze(&records, InsightConfig::default());
+    let report = replay::analyze(&records, InsightConfig {});
 
     let mut out = format!(
         "insight — contention injected on node 0 after epoch {} ({} events recorded)\n\n",

@@ -5,7 +5,7 @@
 
 use super::fleet::fleet_pool;
 use cannikin_fleet::{synthetic_trace, AllocPolicy, FleetController};
-use cannikin_insight::{report, InsightConfig};
+use cannikin_insight::{default_fleet_slos, report, SloRule};
 use cannikin_telemetry as telemetry;
 
 /// Seed of the pinned arrival trace (the first `gate fleet` seed).
@@ -14,25 +14,25 @@ const SEED: u64 = 7;
 /// Jobs in the trace (matches the fleet trajectory).
 const JOBS: usize = 6;
 
-/// Per-job admission-wait ceiling attached to every submission, s. Tight
+/// Per-job admission-wait ceiling judged for every submission, s. Tight
 /// enough that late arrivals into the contended pool trip it, so the
 /// report shows real violations, not an empty table.
 const QUEUE_CEILING_S: f64 = 30.0;
 
 /// Run the fleet and render gauges and compliance.
 pub fn slo() -> String {
-    let trace: Vec<_> =
-        synthetic_trace(SEED, JOBS, 30.0).into_iter().map(|s| s.queue_slo(QUEUE_CEILING_S)).collect();
+    let trace = synthetic_trace(SEED, JOBS, 30.0);
+    let mut rules = default_fleet_slos();
+    rules.extend(trace.iter().map(|s| SloRule::JobQueueCeiling { job: s.name.clone(), ceiling_s: QUEUE_CEILING_S }));
     let mut controller =
         FleetController::new(fleet_pool(), trace, AllocPolicy::Cannikin).expect("valid fleet");
-    let rules = controller.slo_rules();
 
     let session = telemetry::Session::start();
     controller.run_to_completion(50_000).expect("stream drains");
     let records = session.drain();
     drop(session);
 
-    let fleet = report::build(&records, InsightConfig::default(), &rules);
+    let fleet = report::build(&records, &rules);
     let mut out = format!(
         "slo — fleet mission control over the s{SEED} trace ({} events, {} rules)\n\n",
         records.len(),

@@ -134,7 +134,7 @@ pub fn overheads(profile: &WorkloadProfile, seed: u64) -> (f64, f64) {
     let config = TrainerConfig::new(profile.dataset_size, base, profile.max_batch);
     let mut trainer = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(Box::new(profile.noise))
+        .noise(profile.noise)
         .config(config)
         .build()
         .expect("valid config");

@@ -5,7 +5,8 @@
 
 use crate::row;
 use cannikin_core::engine::{CannikinTrainer, TrainerConfig, TrainingSubject};
-use cannikin_telemetry::{self as telemetry, Event, Histogram, Record};
+use cannikin_insight::nearest_rank;
+use cannikin_telemetry::{self as telemetry, Event, Record};
 use cannikin_workloads::{clusters, profiles};
 use hetsim::Simulator;
 use std::collections::BTreeMap;
@@ -21,7 +22,7 @@ pub fn telemetry_summary() -> String {
     let config = TrainerConfig::new(profile.dataset_size, base, profile.max_batch);
     let mut trainer = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(Box::new(profile.noise))
+        .noise(profile.noise)
         .config(config)
         .build()
         .expect("valid config");
@@ -52,17 +53,14 @@ pub fn summarize(records: &[Record]) -> String {
 
     // ---- Span-duration quantiles (B/E pairs, LIFO per (node, rank)). ----
     let mut open: HashMap<(u32, u32), Vec<(String, u64)>> = HashMap::new();
-    let mut durations: BTreeMap<String, Histogram> = BTreeMap::new();
+    let mut durations: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     for r in records {
         match &r.event {
             Event::SpanBegin(s) => open.entry((r.node, r.rank)).or_default().push((s.name.clone(), r.ts_ns)),
             Event::SpanEnd(s) => {
                 if let Some((name, begin_ns)) = open.get_mut(&(r.node, r.rank)).and_then(Vec::pop) {
                     debug_assert_eq!(name, s.name, "span nesting violated");
-                    let hist = durations
-                        .entry(name)
-                        .or_insert_with(|| Histogram::exponential(1e-6, 4.0, 24));
-                    hist.record(r.ts_ns.saturating_sub(begin_ns) as f64 / 1e9);
+                    durations.entry(name).or_default().push(r.ts_ns.saturating_sub(begin_ns) as f64 / 1e9);
                 }
             }
             _ => {}
@@ -72,14 +70,16 @@ pub fn summarize(records: &[Record]) -> String {
     out.push('\n');
     out += &row(&["span".into(), "count".into(), "p50 (s)".into(), "p90 (s)".into(), "mean (s)".into()], &widths);
     out.push('\n');
-    for (name, hist) in &durations {
+    for (name, samples) in &mut durations {
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        samples.sort_by(f64::total_cmp);
         out += &row(
             &[
                 name.clone(),
-                hist.count().to_string(),
-                format!("{:.6}", hist.quantile(0.5).unwrap_or(0.0)),
-                format!("{:.6}", hist.quantile(0.9).unwrap_or(0.0)),
-                format!("{:.6}", hist.mean().unwrap_or(0.0)),
+                samples.len().to_string(),
+                format!("{:.6}", nearest_rank(samples, 0.5)),
+                format!("{:.6}", nearest_rank(samples, 0.9)),
+                format!("{mean:.6}"),
             ],
             &widths,
         );

@@ -29,7 +29,7 @@ pub fn run_to_target(
     // distinct local batch sizes, so the effective reference batch is
     // max(B₀, 2n) — the same floor the paper's systems face on 16 GPUs.
     let base = profile.base_batch.max(2 * cluster.len() as u64);
-    let mut subject = system.build(sim, Box::new(profile.noise), profile.dataset_size, base, profile.max_batch)?;
+    let mut subject = system.build(sim, profile.noise, profile.dataset_size, base, profile.max_batch)?;
     subject.train_until(profile.target_effective_epochs(), max_epochs)
 }
 

@@ -111,7 +111,7 @@ fn run_sim_cell(scenario: &ScenarioSpec, subject: &SubjectSpec, system: System) 
         sim = sim.with_fault_plan(build(SCENARIO_SEED));
     }
     let mut trainer = system
-        .build(sim, Box::new(profile.noise), SIM_DATASET, SIM_BASE_BATCH, SIM_MAX_BATCH)
+        .build(sim, profile.noise, SIM_DATASET, SIM_BASE_BATCH, SIM_MAX_BATCH)
         .expect("valid scenario config");
     let records = trainer
         .train_until(target, max_epochs)

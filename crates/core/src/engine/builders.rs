@@ -33,7 +33,7 @@
 
 use super::parallel::{is_slowdown, ParallelConfig, ParallelTrainer};
 use super::trainer::{CannikinTrainer, TrainerConfig};
-use super::NoiseModel;
+use super::LinearNoiseGrowth;
 use crate::error::CannikinError;
 use crate::optperf::SolverInput;
 use crate::policy::{self, PolicyKind};
@@ -53,7 +53,7 @@ use std::sync::Arc;
 /// linear noise growth φ₀ = 300, rate 1).
 pub struct CannikinTrainerBuilder {
     sim: Option<Simulator>,
-    noise: Box<dyn NoiseModel>,
+    noise: LinearNoiseGrowth,
     config: TrainerConfig,
     warm_start: Option<SolverInput>,
     policy_kind: PolicyKind,
@@ -63,7 +63,7 @@ impl Default for CannikinTrainerBuilder {
     fn default() -> Self {
         CannikinTrainerBuilder {
             sim: None,
-            noise: Box::new(super::LinearNoiseGrowth { initial: 300.0, rate: 1.0 }),
+            noise: LinearNoiseGrowth { initial: 300.0, rate: 1.0 },
             config: TrainerConfig::new(50_000, 64, 4096),
             warm_start: None,
             policy_kind: PolicyKind::default(),
@@ -84,17 +84,10 @@ impl CannikinTrainerBuilder {
         self
     }
 
-    /// The gradient-noise evolution model (default: linear growth,
-    /// φ₀ = 300, rate 1 per effective epoch).
+    /// The gradient-noise growth law (default: φ₀ = 300, rate 1 per
+    /// effective epoch).
     #[must_use]
-    pub fn noise(self, noise: impl NoiseModel + 'static) -> Self {
-        self.noise_boxed(Box::new(noise))
-    }
-
-    /// Like [`noise`](Self::noise), accepting an already-boxed model
-    /// (e.g. a `Box<dyn NoiseModel>` chosen at runtime).
-    #[must_use]
-    pub fn noise_boxed(mut self, noise: Box<dyn NoiseModel>) -> Self {
+    pub fn noise(mut self, noise: LinearNoiseGrowth) -> Self {
         self.noise = noise;
         self
     }

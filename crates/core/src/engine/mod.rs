@@ -7,7 +7,7 @@
 //!
 //! - [`CannikinTrainer`] drives a [`hetsim::Simulator`] at paper scale
 //!   (16-GPU clusters, ImageNet-sized jobs): batch timings come from the
-//!   simulator, gradient-noise evolution from a pluggable [`NoiseModel`],
+//!   simulator, gradient-noise evolution from a [`LinearNoiseGrowth`] law,
 //!   and injected faults are handled mid-epoch.
 //! - [`parallel::ParallelTrainer`] trains *real* `minidnn` models on OS
 //!   threads with ring all-reduce gradient exchange, Eq. (9) weighted
@@ -37,21 +37,16 @@ pub use trainer::{CannikinTrainer, TrainerConfig};
 
 use crate::optperf::Bottleneck;
 
-/// A model of how the gradient noise scale evolves with training progress.
+/// How the gradient noise scale evolves with training progress:
+/// φ(t) = φ₀ · (1 + rate·t), the linear-growth law of the workload
+/// profiles (a good fit to the published GNS trajectories at epoch
+/// granularity).
 ///
 /// Progress is measured in *effective epochs*: statistically-weighted
 /// passes over the dataset (an epoch at the reference batch size counts as
 /// 1.0). The GNS famously grows as training converges — McCandlish et al.
 /// report one to two orders of magnitude over a run — which is exactly why
 /// adaptive systems grow the batch size over time.
-pub trait NoiseModel: Send {
-    /// The gradient noise scale φ after `effective_epochs` of progress.
-    fn noise_scale(&self, effective_epochs: f64) -> f64;
-}
-
-/// φ(t) = φ₀ · (1 + rate·t): the linear-growth model used by the workload
-/// profiles (a good fit to the published GNS trajectories at epoch
-/// granularity).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearNoiseGrowth {
     /// Initial noise scale.
@@ -60,8 +55,9 @@ pub struct LinearNoiseGrowth {
     pub rate: f64,
 }
 
-impl NoiseModel for LinearNoiseGrowth {
-    fn noise_scale(&self, effective_epochs: f64) -> f64 {
+impl LinearNoiseGrowth {
+    /// The gradient noise scale φ after `effective_epochs` of progress.
+    pub fn noise_scale(&self, effective_epochs: f64) -> f64 {
         self.initial * (1.0 + self.rate * effective_epochs.max(0.0))
     }
 }

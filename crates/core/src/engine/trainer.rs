@@ -1,7 +1,7 @@
 //! The simulator-driven Cannikin training loop (Fig. 4).
 
 use super::driver::{Bounds, Driver, Executed, Executor, Round};
-use super::{EpochRecord, NoiseModel};
+use super::{EpochRecord, LinearNoiseGrowth};
 use crate::error::CannikinError;
 use crate::gns::statistical_efficiency;
 use crate::optperf::{bootstrap_split, even_split, OptPerfSolver};
@@ -71,7 +71,7 @@ impl CannikinTrainer {
     /// cluster).
     pub(crate) fn from_parts(
         sim: Simulator,
-        noise: Box<dyn NoiseModel>,
+        noise: LinearNoiseGrowth,
         config: TrainerConfig,
         policy: Box<dyn Policy>,
     ) -> Self {
@@ -185,7 +185,7 @@ const MAX_CONSECUTIVE_FAILURES: u32 = 10_000;
 /// the noise-model φ.
 pub(crate) struct SimExecutor {
     sim: Simulator,
-    noise: Box<dyn NoiseModel>,
+    noise: LinearNoiseGrowth,
     config: TrainerConfig,
 }
 

@@ -38,10 +38,10 @@ use crate::metrics::{jain_fairness, FleetReport, JobOutcome};
 use crate::pool::NodePool;
 use crate::spec::FleetJobSpec;
 
-use cannikin_core::engine::{check_batches, check_dataset_size, CannikinTrainer, EpochRecord, NoiseModel};
+use cannikin_core::engine::{check_batches, check_dataset_size, CannikinTrainer, EpochRecord};
 use cannikin_core::error::CannikinError;
 use cannikin_telemetry::{
-    self as telemetry, Event, FleetDecision, FleetJobSample, JobAdmitted, JobPreempted, NodeGranted, PreemptKind, SloRule,
+    self as telemetry, Event, FleetDecision, FleetJobSample, JobAdmitted, JobPreempted, NodeGranted, PreemptKind,
 };
 use hetsim::cluster::{ClusterSpec, NodeSpec};
 use hetsim::Simulator;
@@ -325,18 +325,6 @@ impl FleetController {
     /// The epoch records a job has produced so far (across preemptions).
     pub fn job_records(&self, name: &str) -> Option<&[EpochRecord]> {
         self.jobs.iter().find(|j| j.spec.name == name).map(|j| j.records.as_slice())
-    }
-
-    /// Every service-level objective the fleet should be judged against:
-    /// the fleet-wide defaults followed by each job's own rules, in
-    /// submission order: the rule list to hand `replay_slos` or
-    /// `report::build` over this fleet's trace.
-    pub fn slo_rules(&self) -> Vec<SloRule> {
-        let mut rules = cannikin_telemetry::default_fleet_slos();
-        for job in &self.jobs {
-            rules.extend(job.spec.slos.iter().cloned());
-        }
-        rules
     }
 
     /// Advance the fleet by one event: move the clock to the next epoch

@@ -64,7 +64,7 @@
 //! instead, simulating every step; it is kept only as the prediction's
 //! test reference and for the benchmark probe that times it.
 
-use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig, TrainingSubject};
+use cannikin_core::engine::{CannikinTrainer, LinearNoiseGrowth, TrainerConfig, TrainingSubject};
 use cannikin_core::gns::{epoch_progress, statistical_efficiency};
 use cannikin_core::goodput::GoodputEngine;
 use cannikin_core::optperf::{predict_batch_time, OptPerfSolver, SolverInput};

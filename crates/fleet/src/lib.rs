@@ -25,7 +25,12 @@
 //! - everything is deterministic: same pool, same specs, same policy →
 //!   bitwise-identical schedules ([`FleetController::schedule_log`]),
 //!   down to fault-plan-driven node crashes surviving via the chaos
-//!   machinery.
+//!   machinery;
+//! - the controller records its decisions, grants, admissions,
+//!   preemptions and fleet gauges as telemetry events and reads no
+//!   verdict back: service-level objectives are judged afterwards over
+//!   the recorded trace (`cannikin_insight::replay_slos`), with rules the
+//!   caller passes there, so a job spec carries none.
 //!
 //! ```
 //! use cannikin_fleet::{AllocPolicy, FleetController, FleetJobSpec, Priority};

@@ -2,7 +2,6 @@
 
 use cannikin_core::engine::{LinearNoiseGrowth, TrainerConfig};
 use cannikin_core::policy::PolicyKind;
-use cannikin_telemetry::SloRule;
 use hetsim::job::JobSpec;
 use hetsim::FaultPlan;
 
@@ -44,6 +43,9 @@ impl Priority {
 /// Construct with [`FleetJobSpec::new`] and chain the setters; every
 /// field has a sensible default (Standard priority, arrival at t = 0,
 /// node range `[1, pool]`, the workload profiles' linear GNS growth).
+/// A spec holds no service-level objective: a per-job queue ceiling is a
+/// `JobQueueCeiling` rule the caller hands `cannikin_insight::replay_slos`
+/// with the recorded trace.
 #[derive(Debug)]
 pub struct FleetJobSpec {
     /// Job name — must be unique within one controller.
@@ -70,10 +72,6 @@ pub struct FleetJobSpec {
     /// Optional fault schedule, injected into the job's *first*
     /// allocation (a rebuilt post-eviction simulator runs fault-free).
     pub fault_plan: Option<FaultPlan>,
-    /// Per-job service-level objectives, evaluated by the SLO engine
-    /// alongside the fleet-wide defaults (see
-    /// [`crate::FleetController::slo_rules`]).
-    pub slos: Vec<SloRule>,
     /// Adaptation policy the job's trainer plans with (default: the
     /// paper's OptPerf + goodput planner).
     pub policy: PolicyKind,
@@ -99,7 +97,6 @@ impl FleetJobSpec {
             max_nodes: usize::MAX,
             seed: 0,
             fault_plan: None,
-            slos: Vec::new(),
             policy: PolicyKind::OptPerf,
         }
     }
@@ -150,20 +147,6 @@ impl FleetJobSpec {
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
-    }
-
-    /// Attach a service-level objective to the job.
-    pub fn slo(mut self, rule: SloRule) -> Self {
-        self.slos.push(rule);
-        self
-    }
-
-    /// Shorthand for the common per-job SLO: admission queue wait must
-    /// stay under `ceiling_s` seconds. Call after the name is final —
-    /// the rule captures it.
-    pub fn queue_slo(self, ceiling_s: f64) -> Self {
-        let rule = SloRule::JobQueueCeiling { job: self.name.clone(), ceiling_s };
-        self.slo(rule)
     }
 }
 

@@ -20,9 +20,9 @@
 //! Exits 0 on success and 1 on usage or parse errors; a violation or an
 //! anomaly is reported, not an error.
 
-use cannikin_insight::{replay, report, InsightConfig};
+use cannikin_insight::{default_fleet_slos, replay, report, InsightConfig};
 use cannikin_telemetry::export::parse_jsonl;
-use cannikin_telemetry::{default_fleet_slos, Record};
+use cannikin_telemetry::Record;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: cannikin-insight <trace.jsonl> [--only-rank N]\n       cannikin-insight report <trace.jsonl> [--html PATH] [--only-rank N]";
@@ -66,7 +66,7 @@ fn run() -> Result<ExitCode, String> {
     }
 
     if report_mode {
-        let fleet = report::build(&records, InsightConfig::default(), &default_fleet_slos());
+        let fleet = report::build(&records, &default_fleet_slos());
         print!("{}", fleet.render_text());
         if let Some(html_path) = html {
             std::fs::write(&html_path, fleet.render_html())
@@ -75,7 +75,7 @@ fn run() -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let report = replay::analyze(&records, InsightConfig::default());
+    let report = replay::analyze(&records, InsightConfig {});
     print!("{}", report.render());
     Ok(if report.anomalies.is_empty() { ExitCode::SUCCESS } else { ExitCode::from(2) })
 }

@@ -8,14 +8,13 @@
 //! is the analyzer's own: `cannikin-core` clears the node's history and
 //! emits a `RegimeChange`, and this crate *reports* it as a straggler
 //! when the node got slower. This crate reads recorded `cannikin-telemetry`
-//! event streams for those failure modes — and judges fleet SLOs — with
-//! two engines: the anomaly [`DetectorSet`] (stragglers from
-//! the analyzer's regime changes, predicted-vs-observed plan calibration,
-//! GNS drift, all-reduce bucket imbalance) and the [`SloEngine`]. Each
-//! turns records into verdicts, and every diagnostic is a function of a
-//! recorded trace: [`analyze`] and [`replay_slos`] run their engine over a
-//! drained session or a parsed JSONL export, and [`analyze`] also
-//! reconstructs per-node and per-plan timelines. So the `cannikin-insight`
+//! event streams for those failure modes — and judges fleet [`SloRule`]s —
+//! with two passes over the records: [`analyze`] runs the anomaly
+//! detectors (stragglers from the analyzer's regime changes,
+//! predicted-vs-observed plan calibration, GNS drift, all-reduce bucket
+//! imbalance, each with fixed thresholds) and reconstructs per-node and
+//! per-plan timelines; [`replay_slos`] judges the rules. Both run over a
+//! drained session or a parsed JSONL export, so the `cannikin-insight`
 //! CLI can post-mortem any run exported with `CANNIKIN_TELEMETRY=jsonl:…`.
 //! Nothing flows back into training: the diagnostics report, the analyzer
 //! decides.
@@ -27,7 +26,7 @@
 //! let session = telemetry::Session::start();
 //! // ... training emits StepTiming / SplitDecision / Gns events ...
 //! let records = session.drain();
-//! let replay = analyze(&records, InsightConfig::default());
+//! let replay = analyze(&records, InsightConfig {});
 //! assert!(replay.anomalies.is_empty());
 //! ```
 
@@ -36,7 +35,7 @@ pub mod replay;
 pub mod report;
 pub mod slo;
 
-pub use detectors::{AnomalyDetected, AnomalyKind, DetectorSet, InsightConfig};
+pub use detectors::{AnomalyDetected, AnomalyKind, InsightConfig};
 pub use replay::{analyze, NodeTimeline, PlanSummary, ReplayReport};
 pub use report::{FleetTraceReport, JobTimeline};
-pub use slo::{replay_slos, SloEngine, SloReport, SloViolation};
+pub use slo::{default_fleet_slos, nearest_rank, replay_slos, SloReport, SloRule, SloViolation};

@@ -3,13 +3,14 @@
 //!
 //! [`analyze`] consumes the records of a drained session (or a parsed
 //! JSONL export), builds per-node timing timelines and per-plan
-//! calibration summaries, and runs the [`DetectorSet`] over the stream in
+//! calibration summaries, and runs the anomaly detectors over the stream in
 //! record order. A drained stream is timestamp-sorted and a single driver
 //! thread's emission order survives that sort, so a same-seed run gives
 //! the same anomalies.
 
 use crate::detectors::{relative_error, AnomalyDetected, DetectorSet, InsightConfig};
-use cannikin_telemetry::{Event, Histogram, Record};
+use crate::slo::nearest_rank;
+use cannikin_telemetry::{Event, Record};
 use std::collections::BTreeMap;
 
 /// Timing summary of one node (envelope rank of its `StepTiming`s).
@@ -21,9 +22,10 @@ pub struct NodeTimeline {
     pub steps: u64,
     /// Mean local batch size.
     pub mean_batch: f64,
-    /// Compute-time quantiles, seconds.
+    /// Median compute time (nearest rank over the finite samples; 0 when
+    /// there are none), seconds.
     pub compute_p50: f64,
-    /// 90th percentile compute time, seconds.
+    /// 90th percentile compute time, by the same rule, seconds.
     pub compute_p90: f64,
     /// Worst observed compute time, seconds.
     pub compute_max: f64,
@@ -117,30 +119,19 @@ impl ReplayReport {
     }
 }
 
+#[derive(Default)]
 struct NodeAccum {
-    hist: Histogram,
+    /// The finite compute times, in record order.
+    computes: Vec<f64>,
     steps: u64,
     batch_sum: f64,
     compute_max: f64,
 }
 
-impl NodeAccum {
-    fn new() -> NodeAccum {
-        NodeAccum {
-            // 1 µs … ~67 s in 26 exponential buckets: covers every step
-            // time the simulator or the functional path produces.
-            hist: Histogram::exponential(1e-6, 2.0, 26),
-            steps: 0,
-            batch_sum: 0.0,
-            compute_max: 0.0,
-        }
-    }
-}
-
 /// Reconstruct timelines and replay the detectors over a record stream.
 /// Pass the records in drain order (a drained session or a parsed JSONL
-/// export is already timestamp-sorted).
-pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
+/// export is already timestamp-sorted). `InsightConfig` holds nothing.
+pub fn analyze(records: &[Record], _: InsightConfig) -> ReplayReport {
     let mut kind_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut nodes: BTreeMap<u32, NodeAccum> = BTreeMap::new();
     let mut plans: Vec<PlanSummary> = Vec::new();
@@ -152,14 +143,16 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
             plan.rel_error = plan.predicted_t.zip(plan.realized_t).and_then(|(p, r)| relative_error(p, r));
         }
     };
-    let mut set = DetectorSet::new(config);
+    let mut set = DetectorSet::default();
     let mut anomalies = Vec::new();
     for record in records {
         *kind_counts.entry(record.event.kind()).or_insert(0) += 1;
         match &record.event {
             Event::StepTiming(t) => {
-                let node = nodes.entry(t.rank).or_insert_with(NodeAccum::new);
-                node.hist.record(t.t_compute);
+                let node = nodes.entry(t.rank).or_default();
+                if t.t_compute.is_finite() {
+                    node.computes.push(t.t_compute);
+                }
                 node.steps += 1;
                 node.batch_sum += t.b_i as f64;
                 node.compute_max = node.compute_max.max(t.t_compute);
@@ -184,13 +177,17 @@ pub fn analyze(records: &[Record], config: InsightConfig) -> ReplayReport {
 
     let nodes = nodes
         .into_iter()
-        .map(|(rank, acc)| NodeTimeline {
-            rank,
-            steps: acc.steps,
-            mean_batch: if acc.steps > 0 { acc.batch_sum / acc.steps as f64 } else { 0.0 },
-            compute_p50: acc.hist.quantile(0.5).unwrap_or(0.0),
-            compute_p90: acc.hist.quantile(0.9).unwrap_or(0.0),
-            compute_max: acc.compute_max,
+        .map(|(rank, mut acc)| {
+            acc.computes.sort_by(f64::total_cmp);
+            let quantile = |q| if acc.computes.is_empty() { 0.0 } else { nearest_rank(&acc.computes, q) };
+            NodeTimeline {
+                rank,
+                steps: acc.steps,
+                mean_batch: if acc.steps > 0 { acc.batch_sum / acc.steps as f64 } else { 0.0 },
+                compute_p50: quantile(0.5),
+                compute_p90: quantile(0.9),
+                compute_max: acc.compute_max,
+            }
         })
         .collect();
 
@@ -245,7 +242,7 @@ mod tests {
             records.push(timing(step, 0, 32, 0.3));
             records.push(timing(step, 1, 32, 0.49));
         }
-        let report = analyze(&records, InsightConfig::default());
+        let report = analyze(&records, InsightConfig {});
         assert_eq!(report.events, 21);
         assert_eq!(report.nodes.len(), 2);
         assert_eq!(report.nodes[0].rank, 0);
@@ -271,11 +268,21 @@ mod tests {
         records.extend((1..4).map(|step| timing(step, 0, 32, 0.2)));
         records.push(decision(Some(0.4), vec![32, 32]));
         records.extend((4..8).map(|step| timing(step, 0, 32, 0.8)));
-        let report = analyze(&records, InsightConfig::default());
+        let report = analyze(&records, InsightConfig {});
         let realized: Vec<f64> = report.plans.iter().map(|p| p.realized_t.expect("steps ran")).collect();
         assert!((realized[0] - 0.205).abs() < 1e-12 && (realized[1] - 0.805).abs() < 1e-12, "{realized:?}");
         assert_eq!(report.plans[0].rel_error, None, "no prediction, no error");
         assert!((report.plans[1].rel_error.expect("predicted") - 1.0125).abs() < 1e-12);
         assert!(report.render().contains("  0.20500  -\n"), "{}", report.render());
+    }
+
+    /// The per-node quantiles are recorded samples at rank `⌈q·n⌉`, not
+    /// values interpolated inside a bucket.
+    #[test]
+    fn node_quantiles_are_nearest_rank_samples() {
+        let computes = [0.010, 0.011, 0.030, 0.031, 0.100];
+        let records: Vec<Record> = computes.iter().zip(0u64..).map(|(&t, step)| timing(step, 0, 32, t)).collect();
+        let node = &analyze(&records, InsightConfig {}).nodes[0];
+        assert_eq!((node.compute_p50, node.compute_p90, node.compute_max), (0.030, 0.100, 0.100));
     }
 }

@@ -14,8 +14,8 @@
 
 use crate::detectors::InsightConfig;
 use crate::replay::{self, ReplayReport};
-use crate::slo::{replay_slos, SloReport};
-use cannikin_telemetry::{Event, FleetJobSample, Record, SloRule};
+use crate::slo::{replay_slos, SloReport, SloRule};
+use cannikin_telemetry::{Event, FleetJobSample, Record};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -62,7 +62,7 @@ const FLEET_GAUGES: [&str; 4] = ["fleet_fairness", "fleet_goodput", "fleet_pool_
 
 /// Build the report from a trace: reconstruct job timelines from
 /// [`FleetJobSample`]s, rerun the SLO engine and the anomaly detectors.
-pub fn build(records: &[Record], config: InsightConfig, rules: &[SloRule]) -> FleetTraceReport {
+pub fn build(records: &[Record], rules: &[SloRule]) -> FleetTraceReport {
     let mut jobs: BTreeMap<String, JobTimeline> = BTreeMap::new();
     let mut decisions = 0u64;
     let mut gauges: BTreeMap<String, f64> = BTreeMap::new();
@@ -106,7 +106,7 @@ pub fn build(records: &[Record], config: InsightConfig, rules: &[SloRule]) -> Fl
         jobs: jobs.into_values().collect(),
         gauges: gauges.into_iter().collect(),
         slo: replay_slos(records, rules),
-        replay: replay::analyze(records, config),
+        replay: replay::analyze(records, InsightConfig {}),
     }
 }
 
@@ -298,6 +298,7 @@ fn indent(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slo::default_fleet_slos;
     use cannikin_telemetry::{Counter, FleetDecision, JobAdmitted};
 
     fn rec(event: Event) -> Record {
@@ -335,7 +336,7 @@ mod tests {
 
     #[test]
     fn build_reconstructs_timelines_and_gauges() {
-        let report = build(&demo_trace(), InsightConfig::default(), &cannikin_telemetry::default_fleet_slos());
+        let report = build(&demo_trace(), &default_fleet_slos());
         assert_eq!(report.decisions, 4);
         assert_eq!(report.jobs.len(), 1);
         let job = &report.jobs[0];
@@ -350,8 +351,8 @@ mod tests {
 
     #[test]
     fn renderings_are_deterministic_and_self_contained() {
-        let rules = cannikin_telemetry::default_fleet_slos();
-        let report = build(&demo_trace(), InsightConfig::default(), &rules);
+        let rules = default_fleet_slos();
+        let report = build(&demo_trace(), &rules);
         let text = report.render_text();
         assert!(text.contains("d0-d1: 2/3"), "{text}");
         assert!(text.contains("d2-d3: 3/3"), "{text}");
@@ -365,7 +366,7 @@ mod tests {
         for (i, r) in shifted.iter_mut().enumerate() {
             r.ts_ns = 1_000_000 + i as u64 * 31;
         }
-        let other = build(&shifted, InsightConfig::default(), &rules);
+        let other = build(&shifted, &rules);
         assert_eq!(text, other.render_text());
         assert_eq!(html, other.render_html());
     }
@@ -375,7 +376,7 @@ mod tests {
         let mut trace = demo_trace();
         // Goodput dips under the default 1 sample/s floor: one crossing.
         trace.push(rec(Event::Counter(Counter { name: "fleet_goodput".into(), value: 0.1 })));
-        let report = build(&trace, InsightConfig::default(), &cannikin_telemetry::default_fleet_slos());
+        let report = build(&trace, &default_fleet_slos());
         assert_eq!(report.slo.count_for("goodput_floor", None), 1);
         assert!(report.render_text().contains("goodput_floor at #2"), "{}", report.render_text());
         assert!(report.render_html().contains("VIOLATED"));
@@ -384,7 +385,7 @@ mod tests {
     #[test]
     fn job_names_are_escaped_in_html() {
         let trace = vec![sample(0, "a<b&c", 1, 1)];
-        let report = build(&trace, InsightConfig::default(), &[]);
+        let report = build(&trace, &[]);
         let html = report.render_html();
         assert!(html.contains("a&lt;b&amp;c"));
         assert!(!html.contains("a<b&c"));

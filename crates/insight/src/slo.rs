@@ -1,9 +1,10 @@
-//! The SLO engine: evaluates declarative [`SloRule`]s over a drained or
-//! parsed trace ([`replay_slos`]).
+//! Service-level objectives over the fleet event stream: the declarative
+//! [`SloRule`]s and the engine that judges them over a drained or parsed
+//! trace ([`replay_slos`]).
 //!
 //! ## Determinism contract
 //!
-//! The engine reacts to a *closed* input set — the `fleet_goodput` and
+//! Every rule watches a *closed* input set — the `fleet_goodput` and
 //! `fleet_fairness` counters, `JobAdmitted`, node-crash
 //! `FaultInjected` and group-shrink/replan `RecoveryAction` records —
 //! and every judged value is a pure function of that sequence. Record
@@ -18,7 +19,99 @@
 //! its job's ceiling, a single slow crash recovery) fire per offending
 //! event.
 
-use cannikin_telemetry::{Event, FaultKind, Record, RecoveryKind, SloRule};
+use cannikin_telemetry::{Event, FaultKind, Record, RecoveryKind};
+
+/// One service-level objective.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SloRule {
+    /// Fleet-wide useful-work rate (the `fleet_goodput` counter,
+    /// effective samples per simulated second) must stay at or above
+    /// `floor`. Zero-goodput samples before any job makes progress are
+    /// not judged.
+    GoodputFloor {
+        /// Minimum acceptable goodput, effective samples/s.
+        floor: f64,
+    },
+    /// The p95 (nearest-rank) of admission-queue waits across all
+    /// admissions so far must stay at or below `ceiling_s`.
+    QueueP95Ceiling {
+        /// Maximum acceptable p95 queue wait, seconds.
+        ceiling_s: f64,
+    },
+    /// Jain's fairness index over priority-weighted service (the
+    /// `fleet_fairness` counter) must stay at or above `floor`.
+    FairnessFloor {
+        /// Minimum acceptable Jain index, in `(0, 1]`.
+        floor: f64,
+    },
+    /// After a node crash, the matching group-shrink/replan recovery must
+    /// land within `max_steps` training steps.
+    RecoveryCeiling {
+        /// Maximum acceptable crash-to-recovery distance, steps.
+        max_steps: u64,
+    },
+    /// One job's admission-queue waits must each stay at or below
+    /// `ceiling_s` (judged per admission, not in aggregate).
+    JobQueueCeiling {
+        /// The job the rule is scoped to.
+        job: String,
+        /// Maximum acceptable queue wait for one admission, seconds.
+        ceiling_s: f64,
+    },
+}
+
+impl SloRule {
+    /// Stable rule id (the `rule` field of a [`SloViolation`]).
+    pub fn id(&self) -> &'static str {
+        match self {
+            SloRule::GoodputFloor { .. } => "goodput_floor",
+            SloRule::QueueP95Ceiling { .. } => "queue_p95_ceiling",
+            SloRule::FairnessFloor { .. } => "fairness_floor",
+            SloRule::RecoveryCeiling { .. } => "recovery_ceiling",
+            SloRule::JobQueueCeiling { .. } => "job_queue_ceiling",
+        }
+    }
+
+    /// The job the rule is scoped to, when per-job.
+    pub fn job(&self) -> Option<&str> {
+        match self {
+            SloRule::JobQueueCeiling { job, .. } => Some(job),
+            _ => None,
+        }
+    }
+
+    /// The configured threshold (floor or ceiling, unit per rule).
+    pub fn threshold(&self) -> f64 {
+        match *self {
+            SloRule::GoodputFloor { floor } | SloRule::FairnessFloor { floor } => floor,
+            SloRule::QueueP95Ceiling { ceiling_s } | SloRule::JobQueueCeiling { ceiling_s, .. } => ceiling_s,
+            SloRule::RecoveryCeiling { max_steps } => max_steps as f64,
+        }
+    }
+
+    /// A one-line human description (report tables).
+    pub fn describe(&self) -> String {
+        match self {
+            SloRule::GoodputFloor { floor } => format!("fleet goodput >= {floor} samples/s"),
+            SloRule::QueueP95Ceiling { ceiling_s } => format!("admission-queue p95 <= {ceiling_s} s"),
+            SloRule::FairnessFloor { floor } => format!("Jain fairness >= {floor}"),
+            SloRule::RecoveryCeiling { max_steps } => format!("crash recovery <= {max_steps} steps"),
+            SloRule::JobQueueCeiling { job, ceiling_s } => format!("job `{job}` queue wait <= {ceiling_s} s"),
+        }
+    }
+}
+
+/// The default fleet-wide objectives: deliberately loose floors that only
+/// trip on pathological schedules. A caller judging per-job waits appends
+/// one [`SloRule::JobQueueCeiling`] per job.
+pub fn default_fleet_slos() -> Vec<SloRule> {
+    vec![
+        SloRule::GoodputFloor { floor: 1.0 },
+        SloRule::QueueP95Ceiling { ceiling_s: 600.0 },
+        SloRule::FairnessFloor { floor: 0.2 },
+        SloRule::RecoveryCeiling { max_steps: 8 },
+    ]
+}
 
 /// A service-level objective was breached.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +133,7 @@ pub struct SloViolation {
 /// emission order via [`SloEngine::observe`]; equal sequences produce
 /// equal violation sequences.
 #[derive(Debug)]
-pub struct SloEngine {
+pub(crate) struct SloEngine {
     rules: Vec<SloRule>,
     /// Per-rule "currently violating" flag (crossing detection).
     violating: Vec<bool>,
@@ -56,7 +149,7 @@ pub struct SloEngine {
 
 impl SloEngine {
     /// An engine over `rules`.
-    pub fn new(rules: Vec<SloRule>) -> SloEngine {
+    pub(crate) fn new(rules: Vec<SloRule>) -> SloEngine {
         let violating = vec![false; rules.len()];
         SloEngine {
             rules,
@@ -72,7 +165,7 @@ impl SloEngine {
 
     /// Feed one record; returns the violations it triggered (usually
     /// empty).
-    pub fn observe(&mut self, record: &Record) -> Vec<SloViolation> {
+    pub(crate) fn observe(&mut self, record: &Record) -> Vec<SloViolation> {
         match &record.event {
             Event::Counter(c) if c.name == "fleet_goodput" => {
                 // Zero goodput before any job finishes an epoch is "no
@@ -181,9 +274,17 @@ impl SloEngine {
     }
 }
 
-/// Nearest-rank quantile over an already-sorted slice.
-fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
+/// The `q`-quantile of an ascending slice by nearest rank: the sample at
+/// rank `⌈q·n⌉` (at least 1), so the answer is always a recorded value.
+/// The one quantile rule of the diagnostics: the queue p95 here, the
+/// per-node compute quantiles of [`crate::analyze`], and the span table
+/// of `figures telemetry`.
+///
+/// # Panics
+///
+/// Panics if `sorted` is empty.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty(), "nearest_rank needs at least one sample");
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }
@@ -244,6 +345,29 @@ pub fn replay_slos(records: &[Record], rules: &[SloRule]) -> SloReport {
 mod tests {
     use super::*;
     use cannikin_telemetry::{Counter, FaultInjected, JobAdmitted, RecoveryAction};
+
+    #[test]
+    fn rule_ids_are_distinct_and_stable() {
+        let rules = [
+            SloRule::GoodputFloor { floor: 1.0 },
+            SloRule::QueueP95Ceiling { ceiling_s: 1.0 },
+            SloRule::FairnessFloor { floor: 0.5 },
+            SloRule::RecoveryCeiling { max_steps: 4 },
+            SloRule::JobQueueCeiling { job: "a".into(), ceiling_s: 1.0 },
+        ];
+        let ids: std::collections::HashSet<&str> = rules.iter().map(SloRule::id).collect();
+        assert_eq!(ids.len(), rules.len());
+        assert_eq!(rules[0].id(), "goodput_floor");
+        assert_eq!(rules[4].job(), Some("a"));
+        assert_eq!(rules[3].threshold(), 4.0);
+    }
+
+    #[test]
+    fn defaults_are_fleet_wide() {
+        let defaults = default_fleet_slos();
+        assert_eq!(defaults.len(), 4);
+        assert!(defaults.iter().all(|r| r.job().is_none()));
+    }
 
     fn rec(event: Event) -> Record {
         Record { ts_ns: 0, node: 0, rank: 0, event }

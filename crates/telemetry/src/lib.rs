@@ -14,9 +14,6 @@
 //!   [`StepTiming`], [`SplitDecision`], [`GnsEstimated`], [`GoodputEval`],
 //!   [`AllReduceBucket`], [`SolverInvocation`], the analyzer's
 //!   [`RegimeChange`] verdict, plus generic counters and `B`/`E` spans;
-//! - a fixed-bucket [`Histogram`] with quantile queries, for summarizing
-//!   drained runs;
-//! - the declarative [`slo`] rule specs that `cannikin-insight` evaluates;
 //! - two [`export`]ers: JSONL for offline analysis and Chrome
 //!   `trace_event` JSON (`pid` = node, `tid` = rank) loadable in
 //!   `chrome://tracing` / Perfetto;
@@ -43,10 +40,8 @@
 pub mod env;
 pub mod event;
 pub mod export;
-pub mod hist;
 pub mod json;
 pub mod recorder;
-pub mod slo;
 pub mod trace;
 
 pub use env::{export_from_env, export_to, parse_targets, ExportTarget};
@@ -55,7 +50,5 @@ pub use event::{
     GoodputEval, JobAdmitted, JobPreempted, NodeGranted, PolicyDecision, PreemptKind, Record, RecoveryAction,
     RecoveryKind, RegimeChange, SolverInvocation, Span, SplitDecision, SplitSource, StepTiming,
 };
-pub use hist::Histogram;
-pub use slo::{default_fleet_slos, SloRule};
 pub use json::Json;
 pub use recorder::{context, counter, emit, enabled, set_thread_identity, span, Context, IdentityGuard, Session, SpanGuard};

@@ -24,7 +24,7 @@ fn main() {
     let run = |system: System| {
         let sim = Simulator::new(cluster.clone(), profile.job.clone(), 5);
         let mut subject = system
-            .build(sim, Box::new(profile.noise), profile.dataset_size, 64, profile.max_batch)
+            .build(sim, profile.noise, profile.dataset_size, 64, profile.max_batch)
             .expect("valid configuration");
         subject.train_until(target, 5000).expect("run")
     };

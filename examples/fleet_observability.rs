@@ -12,7 +12,7 @@
 //! same bytes, every run.
 
 use cannikin::fleet::{synthetic_trace, AllocPolicy, FleetController};
-use cannikin::insight::{report, InsightConfig};
+use cannikin::insight::{default_fleet_slos, report};
 use cannikin::sim::catalog::Gpu;
 use cannikin::sim::cluster::NodeSpec;
 use cannikin::telemetry;
@@ -25,14 +25,13 @@ fn main() {
     let trace = synthetic_trace(7, 6, 30.0);
     let mut controller =
         FleetController::new(pool, trace, AllocPolicy::Cannikin).expect("valid fleet");
-    let rules = controller.slo_rules();
 
     let session = telemetry::Session::start();
     controller.run_to_completion(50_000).expect("stream drains");
     let records = session.drain();
     drop(session);
 
-    let fleet = report::build(&records, InsightConfig::default(), &rules);
+    let fleet = report::build(&records, &default_fleet_slos());
     println!(
         "recorded {} events, {} SLO violations, {} anomalies\n",
         records.len(),

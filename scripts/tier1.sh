@@ -18,7 +18,10 @@
 #              no gradient-accumulation plumbing is back, and that no
 #              removed option (LrScaler, Codec::F16, SimdPolicy::Avx512,
 #              the FaultPlan presets, CommFaultPlan::lossy,
-#              exploration_split, invalidate) is back
+#              exploration_split, invalidate) is back, and that no removed
+#              diagnostics or noise API (Histogram, InsightConfig's
+#              fields, NoiseModel, noise_boxed, the fleet's SLO rules,
+#              SloRule in telemetry or fleet) is back
 #   test       full workspace test suite
 #   kernels    minidnn's suite again, optimised, under each GEMM kernel policy
 #              (auto, off, avx2), after saying which tile auto is here; then
@@ -150,6 +153,17 @@ stage() {
         # crates/workloads are metadata and do not match.
         if git grep -nE 'LrScaler|\.lr_scaler\(|config\.lr_scaler|Codec::F16|SimdPolicy::Avx512|exploration_split|fn invalidate|(FaultPlan::|fn )(spot_preemption|diurnal_contention|straggler_onset|flaky_network|cluster_churn|lossy)\(' -- '*.rs' ':!crates/benchmark'; then
             echo "tier1.sh: a removed option is back (above); every run sets it one way, so it is a constant" >&2
+            exit 1
+        fi
+        # Diagnostics keep only what a pass over records needs: quantiles
+        # are exact nearest-rank samples (no bucketed Histogram), the
+        # detector thresholds are constants (no InsightConfig field), the
+        # noise law is the one LinearNoiseGrowth value (no NoiseModel
+        # trait), and SLO rules are the caller's input to replay_slos, so
+        # neither telemetry nor the fleet holds one.
+        if git grep -nE '\bHistogram\b|\bNoiseModel\b|noise_boxed|slo_rules\(|queue_slo\(|\.slos\b|calibration_band|gns_band|gns_warmup|gns_patience|bucket_factor|bucket_warmup|bucket_patience' -- '*.rs' ':!crates/benchmark' ||
+            git grep -n 'SloRule\|default_fleet_slos' -- crates/telemetry crates/fleet; then
+            echo "tier1.sh: a removed diagnostics or noise API is back (above); see the comment on this check" >&2
             exit 1
         fi
         ;;

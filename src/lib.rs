@@ -20,8 +20,8 @@
 //! - [`workloads`] (`cannikin-workloads`) — the paper's five evaluation
 //!   workload profiles and the clusters A/B/C used in the evaluation.
 //! - [`telemetry`] (`cannikin-telemetry`) — the workspace-wide observability
-//!   layer: a low-overhead structured-event recorder, histograms, and
-//!   JSONL / Chrome-trace exporters (enable file export with
+//!   layer: a low-overhead structured-event recorder and JSONL /
+//!   Chrome-trace exporters (enable file export with
 //!   `CANNIKIN_TELEMETRY=jsonl:/path[,chrome:/path]`).
 //! - [`insight`] (`cannikin-insight`) — diagnostics over recorded
 //!   telemetry traces (straggler/calibration/GNS-drift/bucket-imbalance
@@ -83,7 +83,7 @@ pub use minidnn as dnn;
 /// The everyday API in one import: `use cannikin::prelude::*;`.
 ///
 /// Re-exports the two trainers and their builders, their config/report
-/// types, the error type, the OptPerf solver,
+/// types, the noise growth law, the error type, the OptPerf solver,
 /// the ask/tell adaptation policies (the [`Policy`](prelude::Policy)
 /// trait, [`PolicyKind`](prelude::PolicyKind), and the four shipped
 /// implementations), the simulator and cluster-description types, the
@@ -95,7 +95,7 @@ pub mod prelude {
         CommError, CommFaultPlan, CommGroup, Communicator, RetryPolicy, Transport, TransportKind,
     };
     pub use cannikin_core::engine::{
-        CannikinTrainer, CannikinTrainerBuilder, EpochRecord, LinearNoiseGrowth, NoiseModel, ParallelConfig,
+        CannikinTrainer, CannikinTrainerBuilder, EpochRecord, LinearNoiseGrowth, ParallelConfig,
         ParallelEpochReport, ParallelTrainer, ParallelTrainerBuilder, TrainerConfig, TrainingSubject,
     };
     pub use cannikin_core::optperf::{OptPerfSolver, SolverInput};

@@ -15,7 +15,7 @@ use std::time::Duration;
 use cannikin::collectives::{Codec, CommFaultPlan, RetryPolicy, TransportKind};
 use cannikin::core::engine::parallel::{ParallelConfig, ParallelEpochReport, ParallelTrainer};
 use cannikin::core::engine::{
-    CannikinTrainer, EpochRecord, LinearNoiseGrowth, NoiseModel, TrainerConfig, TrainingSubject,
+    CannikinTrainer, EpochRecord, LinearNoiseGrowth, TrainerConfig, TrainingSubject,
 };
 use cannikin::dnn::data::gaussian_blobs;
 use cannikin::dnn::models::mlp_classifier;
@@ -68,8 +68,8 @@ fn cluster3() -> ClusterSpec {
     )
 }
 
-fn noise() -> Box<dyn NoiseModel> {
-    Box::new(LinearNoiseGrowth { initial: 400.0, rate: 0.1 })
+fn noise() -> LinearNoiseGrowth {
+    LinearNoiseGrowth { initial: 400.0, rate: 0.1 }
 }
 
 /// The four seeded schedules of the acceptance matrix. Steps are global
@@ -105,7 +105,7 @@ fn run_sim_schedule(name: &str, seed: u64) -> SimRun {
     config.adaptive_batch = false;
     let mut trainer = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(noise())
+        .noise(noise())
         .config(config)
         .build()
         .expect("valid config");
@@ -122,7 +122,7 @@ fn run_sim_clean(cluster: ClusterSpec, seed: u64) -> Vec<EpochRecord> {
     config.adaptive_batch = false;
     CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(noise())
+        .noise(noise())
         .config(config)
         .build()
         .expect("valid config")

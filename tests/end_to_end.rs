@@ -3,15 +3,11 @@
 //! the paper's clusters.
 
 use cannikin::baselines::System;
-use cannikin::core::engine::{CannikinTrainer, LinearNoiseGrowth, NoiseModel, TrainerConfig, TrainingSubject};
+use cannikin::core::engine::{CannikinTrainer, TrainerConfig, TrainingSubject};
 use cannikin::core::optperf::{OptPerfSolver, SolverInput};
 use cannikin::core::perf::MeasurementAggregation;
 use cannikin::sim::Simulator;
 use cannikin::workloads::{clusters, profiles};
-
-fn noise(profile: &cannikin::workloads::WorkloadProfile) -> Box<dyn NoiseModel> {
-    Box::new(LinearNoiseGrowth { initial: profile.noise.initial, rate: profile.noise.rate })
-}
 
 #[test]
 fn cannikin_run_invariants_on_cluster_b() {
@@ -21,7 +17,7 @@ fn cannikin_run_invariants_on_cluster_b() {
     let config = TrainerConfig::new(profile.dataset_size, 64, profile.max_batch);
     let mut trainer = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(noise(&profile))
+        .noise(profile.noise)
         .config(config)
         .build()
         .expect("valid config");
@@ -58,7 +54,7 @@ fn learned_models_converge_to_ground_truth() {
     let config = TrainerConfig::new(12_800, 128, 1024);
     let mut trainer = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(noise(&profile))
+        .noise(profile.noise)
         .config(config)
         .build()
         .expect("valid config");
@@ -84,7 +80,7 @@ fn cannikin_beats_every_baseline_on_cifar_cluster_b() {
     let time = |system: System| {
         let sim = Simulator::new(cluster.clone(), profile.job.clone(), 73);
         let mut subject =
-            system.build(sim, noise(&profile), profile.dataset_size, 64, profile.max_batch).expect("valid config");
+            system.build(sim, profile.noise, profile.dataset_size, 64, profile.max_batch).expect("valid config");
         subject.train_until(target, 3000).expect("run").last().unwrap().cumulative_time
     };
     let t_cannikin = time(System::Cannikin);
@@ -114,7 +110,7 @@ fn ivw_ablation_matters_under_biased_observers() {
         config.aggregation = aggregation;
         let mut trainer = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(noise(&profile))
+        .noise(profile.noise)
         .config(config)
         .build()
         .expect("valid config");
@@ -136,7 +132,7 @@ fn contention_change_is_absorbed_within_a_few_epochs() {
     config.adaptive_batch = false;
     let mut trainer = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(noise(&profile))
+        .noise(profile.noise)
         .config(config)
         .build()
         .expect("valid config");
@@ -163,7 +159,7 @@ fn oracle_solver_and_trainer_agree_at_convergence() {
     config.adaptive_batch = false;
     let mut trainer = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(noise(&profile))
+        .noise(profile.noise)
         .config(config)
         .build()
         .expect("valid config");

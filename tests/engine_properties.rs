@@ -39,11 +39,11 @@ fn engine_invariants_on_random_clusters() {
         let n = cluster.len();
         let base = 16 * n as u64;
         let sim = Simulator::new(cluster, job, seed);
-        let noise = Box::new(LinearNoiseGrowth { initial: phi0, rate: 0.5 });
+        let noise = LinearNoiseGrowth { initial: phi0, rate: 0.5 };
         let config = TrainerConfig::new(base as usize * 40, base, base * 16);
         let mut trainer = CannikinTrainer::builder()
             .simulator(sim)
-            .noise_boxed(noise)
+            .noise(noise)
             .config(config)
             .build()
             .expect("valid config");
@@ -79,12 +79,12 @@ fn fixed_batch_engine_never_loses_to_even_split() {
         let even_time = oracle.ideal_batch_time(&even_split(total, n));
 
         let sim = Simulator::new(cluster, job, seed);
-        let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 0.5 });
+        let noise = LinearNoiseGrowth { initial: 300.0, rate: 0.5 };
         let mut config = TrainerConfig::new(total as usize * 30, total, total);
         config.adaptive_batch = false;
         let mut trainer = CannikinTrainer::builder()
             .simulator(sim)
-            .noise_boxed(noise)
+            .noise(noise)
             .config(config)
             .build()
             .expect("valid config");

@@ -31,12 +31,12 @@ fn straggler_roundtrip_detect_replan_replay() {
     // Compute-heavy job so the split visibly tracks per-node speed.
     let job = JobSpec::resnet50_imagenet();
     let sim = Simulator::new(cluster, job.clone(), 12);
-    let noise = Box::new(LinearNoiseGrowth { initial: 300.0, rate: 1.0 });
+    let noise = LinearNoiseGrowth { initial: 300.0, rate: 1.0 };
     let mut config = TrainerConfig::new(20_000, 128, 1024);
     config.adaptive_batch = false;
     let mut trainer = CannikinTrainer::builder()
         .simulator(sim)
-        .noise_boxed(noise)
+        .noise(noise)
         .config(config)
         .build()
         .expect("valid config");
@@ -46,7 +46,7 @@ fn straggler_roundtrip_detect_replan_replay() {
     // ---- Healthy phase: bootstrap, then the solver split settles. ----
     let healthy = trainer.run_epochs(5).expect("healthy run");
     let mut records = session.drain();
-    let healthy_report = analyze(&records, InsightConfig::default());
+    let healthy_report = analyze(&records, InsightConfig {});
     assert!(
         healthy_report.anomalies.iter().all(|a| a.kind != AnomalyKind::Straggler),
         "no straggler may fire on a healthy run: {:?}",
@@ -60,7 +60,7 @@ fn straggler_roundtrip_detect_replan_replay() {
 
     records.extend(session.drain());
     drop(session);
-    let report = analyze(&records, InsightConfig::default());
+    let report = analyze(&records, InsightConfig {});
     let stragglers: Vec<_> =
         report.anomalies.iter().filter(|a| a.kind == AnomalyKind::Straggler).collect();
     let first = stragglers.first().expect("contention must be flagged");
@@ -102,7 +102,7 @@ fn straggler_roundtrip_detect_replan_replay() {
     let parsed = export::parse_jsonl(&text).expect("parse trace");
     assert_eq!(parsed.len(), records.len(), "JSONL round trip preserves every record");
 
-    let rerun = analyze(&parsed, InsightConfig::default());
+    let rerun = analyze(&parsed, InsightConfig {});
     assert_eq!(rerun.anomalies, report.anomalies, "the JSONL export replays to the same anomalies");
     let rendered = rerun.render();
     assert!(rendered.contains("[straggler] step 4 node 0 "), "{rendered}");

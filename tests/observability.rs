@@ -5,12 +5,12 @@
 
 use cannikin::core::engine::TrainerConfig;
 use cannikin::fleet::{synthetic_trace, AllocPolicy, FleetController, FleetJobSpec};
-use cannikin::insight::{analyze, replay_slos, report, AnomalyKind, InsightConfig};
+use cannikin::insight::{analyze, default_fleet_slos, replay_slos, report, AnomalyKind, InsightConfig, SloRule};
 use cannikin::sim::catalog::Gpu;
 use cannikin::sim::cluster::NodeSpec;
 use cannikin::sim::job::JobSpec;
 use cannikin::sim::FaultPlan;
-use cannikin::telemetry::{self as telemetry, export, Event, Record, SloRule};
+use cannikin::telemetry::{self as telemetry, export, Event, Record};
 
 fn pool4() -> Vec<NodeSpec> {
     vec![
@@ -45,7 +45,6 @@ fn grant(r: &Record) -> Option<String> {
 #[test]
 fn fleet_decisions_reach_the_sink_exactly_once_in_order() {
     let mut controller = FleetController::new(pool4(), two_jobs(), AllocPolicy::Cannikin).expect("valid fleet");
-    let rules = controller.slo_rules();
 
     let session = telemetry::Session::start();
     controller.run_to_completion(50_000).expect("stream drains");
@@ -69,7 +68,7 @@ fn fleet_decisions_reach_the_sink_exactly_once_in_order() {
 
     // The fleet report folded from the sink counts every decision and,
     // per job, every admission.
-    let fleet = report::build(&records, InsightConfig::default(), &rules);
+    let fleet = report::build(&records, &default_fleet_slos());
     assert_eq!(fleet.decisions, decisions.len() as u64);
     let admitted = records.iter().filter(|r| matches!(r.event, Event::JobAdmitted(_))).count() as u64;
     assert_eq!(fleet.jobs.iter().map(|j| j.admissions).sum::<u64>(), admitted);
@@ -146,14 +145,14 @@ fn slo_verdicts_replay_exactly_over_a_crash_trace() {
             .arrival(0.5)
             .node_range(3, 3)
             .noise(250.0, 1.2)
-            .seed(6)
-            .queue_slo(1e-9),
+            .seed(6),
     ];
     let mut controller =
         FleetController::new(pool4(), jobs, AllocPolicy::Cannikin).expect("valid fleet");
-    // Tighten the defaults with the per-job rules and a zero-step
+    // Tighten the defaults with beta's queue ceiling and a zero-step
     // recovery ceiling so the crash path actually produces violations.
-    let mut rules = controller.slo_rules();
+    let mut rules = default_fleet_slos();
+    rules.push(SloRule::JobQueueCeiling { job: "beta".into(), ceiling_s: 1e-9 });
     rules.push(SloRule::RecoveryCeiling { max_steps: 0 });
 
     let session = telemetry::Session::start();
@@ -215,7 +214,7 @@ fn a_fleet_trace_holds_no_profiling_replays() {
 
     // No node's law changed in this trace, so nothing is a straggler —
     // however different the laws of the jobs sharing a rank index are.
-    let replayed = analyze(&records, InsightConfig::default());
+    let replayed = analyze(&records, InsightConfig {});
     let stragglers: Vec<_> = replayed.anomalies.iter().filter(|a| a.kind == AnomalyKind::Straggler).collect();
     assert!(stragglers.is_empty(), "{stragglers:?}");
 
